@@ -9,7 +9,7 @@
 //! Membership churn should go through the **batched pipeline**:
 //! [`Admin::begin_batch`] collects operations and [`GroupBatch::commit`]
 //! applies them as one coalesced [`MembershipBatch`] — one re-key per
-//! surviving partition per batch in the engine, one [`StoreHandle::put_many`]
+//! surviving partition per batch in the engine, one [`ObjectStore::put_many`]
 //! round-trip publishing every dirty object, and (when a signer is
 //! configured) one coalesced [`LogOp::Batch`] entry in the certified op-log.
 //! The single-op [`Admin::add_user`] / [`Admin::remove_user`] entry points
@@ -19,7 +19,7 @@
 use crate::error::AcsError;
 use crate::oplog::{AdminSigner, LogEntry, LogOp, OpLog};
 use crate::verilog::{log_entry_item, log_node_item, SignedTransition, LOG_HEAD_ITEM};
-use cloud_store::StoreHandle;
+use cloud_store::{ObjectStore, StoreHandle};
 use ibbe_sgx_core::{
     AddOutcome, BatchOutcome, GroupEngine, GroupMetadata, MembershipBatch, PartitionSize,
     RemoveOutcome,
@@ -336,7 +336,7 @@ impl Admin {
 
     /// Applies a pre-built [`MembershipBatch`] to `group` atomically:
     /// at most one engine re-key per surviving partition, one
-    /// [`StoreHandle::put_many`] round-trip for all dirty cloud objects, one
+    /// [`ObjectStore::put_many`] round-trip for all dirty cloud objects, one
     /// coalesced op-log entry.
     ///
     /// When the §V-A re-partitioning heuristic is enabled and a gk-rotating

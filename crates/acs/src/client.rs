@@ -239,30 +239,3 @@ impl core::fmt::Debug for Client {
         )
     }
 }
-
-/// Helper shared by tests/benches: locate and parse the partition item of
-/// `identity` directly (no client state). Generic over any
-/// [`ObjectStore`], so it works against a bare `CloudStore`, a
-/// `ShardedStore`, or a [`StoreHandle`].
-///
-/// # Errors
-/// [`AcsError::NotAMember`] when no partition lists the identity.
-pub fn find_partition_of<S: ObjectStore + ?Sized>(
-    store: &S,
-    group: &str,
-    identity: &str,
-) -> Result<(String, PartitionMetadata), AcsError> {
-    for item in store.list(group) {
-        if item.starts_with('_') {
-            continue;
-        }
-        if let Some((bytes, _)) = store.get(group, &item) {
-            if let Some(p) = PartitionMetadata::from_bytes(&bytes) {
-                if p.members.iter().any(|m| m == identity) {
-                    return Ok((item, p));
-                }
-            }
-        }
-    }
-    Err(AcsError::NotAMember(identity.to_string()))
-}

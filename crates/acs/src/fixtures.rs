@@ -1,4 +1,5 @@
-//! Multi-group fixture helpers for tests and benchmarks.
+//! Test and benchmark support: the multi-group [`FleetFixture`] and the
+//! adversarial [`ForkingStore`].
 //!
 //! Fleet-scale scenarios (many groups, one engine, one store) keep
 //! re-building the same scaffolding: a deterministically seeded
@@ -11,12 +12,26 @@
 //! The fixture stays control-plane only on purpose — data-plane sessions
 //! live a crate above; build them from [`FleetFixture::usk`] and
 //! [`FleetFixture::public_key`].
+//!
+//! [`ForkingStore`] is the adversarial half of [`crate::verilog`]: a store
+//! wrapper that serves tampered views of the published op-log (rollback,
+//! rewrite, truncation, forged appends, per-client equivocation) so tests
+//! can assert each one is detected.
 
 use crate::admin::Admin;
 use crate::error::AcsError;
-use cloud_store::StoreHandle;
+use crate::verilog::{log_entry_item, log_node_item, LOG_HEAD_ITEM};
+use cloud_store::{
+    Bytes, MetricsSnapshot, ObjectStore, PollResult, Request, RequestOp, Response, StoreError,
+    StoreHandle,
+};
 use ibbe::{PublicKey, UserSecretKey};
 use ibbe_sgx_core::{GroupEngine, PartitionSize};
+use oplog::{leaf_hash, MerkleLog};
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// One admin over many groups, with the service identities every group
 /// shares — the standard multi-tenant test/bench scaffold.
@@ -97,5 +112,343 @@ impl core::fmt::Debug for FleetFixture {
             self.groups.len(),
             self.service_identities.len()
         )
+    }
+}
+
+/// The tampering a [`ForkingStore`] can apply to one folder's view.
+#[derive(Clone, Debug)]
+pub enum Tamper {
+    /// Freeze the folder at its current contents: later honest writes are
+    /// accepted but never shown through this view.
+    Rollback,
+    /// Serve the log as if its last `drop` entries never happened — a
+    /// frozen, internally consistent truncated branch (head, nodes and
+    /// entry set all agree with each other).
+    Truncate {
+        /// Number of trailing entries to erase.
+        drop: u64,
+    },
+    /// Flip a byte of entry `index` and republish a *self-consistent*
+    /// Merkle branch over the rewritten history: every node object and the
+    /// head are recomputed, so nothing is detectable by structure alone.
+    RewriteEntry {
+        /// Index of the entry to rewrite.
+        index: u64,
+    },
+    /// Append attacker-chosen entry bytes and extend the tree over them —
+    /// the one attack consistency proofs *cannot* catch (it is a genuine
+    /// extension), left for signature-checking auditors.
+    ForgeAppend {
+        /// The forged entry bytes.
+        entry: Vec<u8>,
+    },
+}
+
+enum View {
+    /// Serve exactly this snapshot; the folder clock is frozen too.
+    Frozen {
+        version: u64,
+        items: HashMap<String, Bytes>,
+    },
+    /// Serve the live folder with these items replaced/added, advertising
+    /// `bump` extra folder versions so watchers take notice.
+    Overlay {
+        bump: u64,
+        items: HashMap<String, Bytes>,
+    },
+}
+
+/// A malicious store: wraps any inner store and serves per-folder tampered
+/// views (see [`Tamper`]) while passing writes through untouched.
+///
+/// Views are per-instance: [`ForkingStore::split_view`] yields a second
+/// front-end over the *same* inner store with independent tampering — the
+/// equivocation scenario, where two clients each see a self-consistent but
+/// mutually diverging history.
+///
+/// Plugs in anywhere a store does (same [`ObjectStore`] seam as
+/// [`cloud_store::FaultyStore`]): `StoreHandle::from(forking)`.
+#[derive(Clone)]
+pub struct ForkingStore {
+    inner: StoreHandle,
+    views: Arc<Mutex<HashMap<String, View>>>,
+}
+
+impl ForkingStore {
+    /// Wraps `inner`; all folders start honest.
+    pub fn new(inner: impl Into<StoreHandle>) -> Self {
+        Self {
+            inner: inner.into(),
+            views: Arc::new(Mutex::new(HashMap::new())),
+        }
+    }
+
+    /// The wrapped (honest) store.
+    pub fn inner(&self) -> &StoreHandle {
+        &self.inner
+    }
+
+    /// A second front-end over the same inner store with its own tamper
+    /// state (for serving different clients diverging views).
+    pub fn split_view(&self) -> ForkingStore {
+        Self {
+            inner: self.inner.clone(),
+            views: Arc::new(Mutex::new(HashMap::new())),
+        }
+    }
+
+    /// Stops tampering with `folder` (the live view shows through again).
+    pub fn heal(&self, folder: &str) {
+        self.views.lock().remove(folder);
+    }
+
+    /// Applies `tamper` to this view of `folder`, building the forged
+    /// branch from the folder's current contents.
+    ///
+    /// # Errors
+    /// [`AcsError::Store`] if reading the current contents fails,
+    /// [`AcsError::WireFormat`] if the tamper references log entries the
+    /// folder does not have.
+    pub fn tamper(&self, folder: &str, tamper: Tamper) -> Result<(), AcsError> {
+        let view = match tamper {
+            Tamper::Rollback => View::Frozen {
+                version: self.inner.try_folder_version(folder)?,
+                items: self.snapshot(folder)?,
+            },
+            Tamper::Truncate { drop } => {
+                let version = self.inner.try_folder_version(folder)?;
+                let mut items = self.snapshot(folder)?;
+                let entries = self.log_entries(folder)?;
+                let keep = entries.len().saturating_sub(drop as usize);
+                items.retain(|name, _| !name.starts_with("_log_"));
+                for (name, data) in rebuild_log(&entries[..keep]) {
+                    items.insert(name, data);
+                }
+                View::Frozen { version, items }
+            }
+            Tamper::RewriteEntry { index } => {
+                let mut entries = self.log_entries(folder)?;
+                let forged = entries
+                    .get_mut(index as usize)
+                    .ok_or(AcsError::WireFormat("tamper index beyond log"))?;
+                let mut bytes = forged.to_vec();
+                *bytes
+                    .last_mut()
+                    .ok_or(AcsError::WireFormat("empty log entry"))? ^= 0x01;
+                *forged = Bytes::from(bytes);
+                View::Overlay {
+                    bump: 1,
+                    items: rebuild_log(&entries).into_iter().collect(),
+                }
+            }
+            Tamper::ForgeAppend { entry } => {
+                let mut entries = self.log_entries(folder)?;
+                entries.push(Bytes::from(entry));
+                View::Overlay {
+                    bump: 1,
+                    items: rebuild_log(&entries).into_iter().collect(),
+                }
+            }
+        };
+        self.views.lock().insert(folder.to_string(), view);
+        Ok(())
+    }
+
+    fn snapshot(&self, folder: &str) -> Result<HashMap<String, Bytes>, AcsError> {
+        let mut items = HashMap::new();
+        for name in self.inner.try_list(folder)? {
+            if let Some((bytes, _)) = self.inner.try_get(folder, &name)? {
+                items.insert(name, bytes);
+            }
+        }
+        Ok(items)
+    }
+
+    /// The folder's current log entry bytes in index order.
+    fn log_entries(&self, folder: &str) -> Result<Vec<Bytes>, AcsError> {
+        let mut names: Vec<String> = self
+            .inner
+            .try_list(folder)?
+            .into_iter()
+            .filter(|n| n.starts_with("_log_e"))
+            .collect();
+        names.sort(); // zero-padded indices: lexicographic == numeric
+        let mut entries = Vec::with_capacity(names.len());
+        for name in names {
+            let (bytes, _) = self
+                .inner
+                .try_get(folder, &name)?
+                .ok_or(AcsError::WireFormat("log entry vanished mid-tamper"))?;
+            entries.push(bytes);
+        }
+        Ok(entries)
+    }
+}
+
+/// Rebuilds the complete log object set (entries, interior nodes, head)
+/// over the given entry bytes — the forger's toolkit: any entry sequence
+/// becomes an internally consistent published branch.
+fn rebuild_log(entries: &[Bytes]) -> Vec<(String, Bytes)> {
+    let mut merkle = MerkleLog::new();
+    let mut items: Vec<(String, Bytes)> = Vec::new();
+    for (i, bytes) in entries.iter().enumerate() {
+        items.push((log_entry_item(i as u64), bytes.clone()));
+        for (level, index, hash) in merkle.append_leaf(leaf_hash(bytes)) {
+            if level >= 1 {
+                items.push((log_node_item(level, index), Bytes::from(hash.to_vec())));
+            }
+        }
+    }
+    items.push((
+        LOG_HEAD_ITEM.to_string(),
+        Bytes::from(merkle.commitment().to_bytes().to_vec()),
+    ));
+    items
+}
+
+/// What a long poll against a tampered folder does, extracted from the
+/// view so the poll can block without holding the view lock.
+enum PollPlan {
+    Frozen(u64),
+    Overlay(u64, Vec<String>),
+}
+
+impl ForkingStore {
+    /// The long poll of a tampered folder. Called with the view lock
+    /// released: it blocks.
+    fn forged_poll(
+        &self,
+        folder: &str,
+        since: u64,
+        timeout: Duration,
+        plan: PollPlan,
+    ) -> Result<PollResult, StoreError> {
+        match plan {
+            PollPlan::Frozen(version) => {
+                // the frozen world never changes: burn (a slice of) the
+                // timeout, then report it
+                std::thread::sleep(timeout.min(Duration::from_millis(25)));
+                Ok(PollResult {
+                    version: version.min(since),
+                    changed: Vec::new(),
+                    timed_out: true,
+                })
+            }
+            PollPlan::Overlay(bump, names) => {
+                let live = self.inner.try_folder_version(folder)?;
+                if live + bump > since {
+                    // report immediately, presenting the forged items as
+                    // freshly changed alongside any real changes
+                    let mut poll =
+                        self.inner
+                            .try_long_poll(folder, since.min(live), Duration::ZERO)?;
+                    poll.version = live + bump;
+                    poll.timed_out = false;
+                    for name in names {
+                        if !poll.changed.contains(&name) {
+                            poll.changed.push(name);
+                        }
+                    }
+                    poll.changed.sort();
+                    Ok(poll)
+                } else {
+                    let mut poll =
+                        self.inner
+                            .try_long_poll(folder, since.saturating_sub(bump), timeout)?;
+                    poll.version += bump;
+                    Ok(poll)
+                }
+            }
+        }
+    }
+}
+
+impl ObjectStore for ForkingStore {
+    /// The tampering, stated once: reads of a tampered folder are answered
+    /// from its tampered view; everything else — every write (the adversary
+    /// controls what readers *see*, not what the admin stored), every
+    /// honest folder, the folder listing — reaches the inner store.
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        let folder = request.folder.as_str();
+        let views = self.views.lock();
+        let Some(view) = views.get(folder) else {
+            drop(views);
+            return self.inner.call(request);
+        };
+        match (&request.op, view) {
+            (RequestOp::Get, View::Frozen { version, items }) => Ok(Response::Get(
+                items.get(&request.item).map(|b| (b.clone(), *version)),
+            )),
+            (RequestOp::Get, View::Overlay { bump, items }) => match items.get(&request.item) {
+                Some(b) => {
+                    let v = self.inner.try_folder_version(folder)? + bump;
+                    Ok(Response::Get(Some((b.clone(), v))))
+                }
+                None => {
+                    drop(views);
+                    self.inner.call(request)
+                }
+            },
+            (RequestOp::List, View::Frozen { items, .. }) => {
+                let mut names: Vec<String> = items.keys().cloned().collect();
+                names.sort();
+                Ok(Response::Names(names))
+            }
+            (RequestOp::List, View::Overlay { items, .. }) => {
+                let mut names = self.inner.try_list(folder)?;
+                for name in items.keys() {
+                    if !names.contains(name) {
+                        names.push(name.clone());
+                    }
+                }
+                names.sort();
+                Ok(Response::Names(names))
+            }
+            (RequestOp::FolderVersion, View::Frozen { version, .. }) => {
+                Ok(Response::Version(*version))
+            }
+            (RequestOp::FolderVersion, View::Overlay { bump, .. }) => Ok(Response::Version(
+                self.inner.try_folder_version(folder)? + bump,
+            )),
+            (&RequestOp::LongPoll { since, timeout }, view) => {
+                let plan = match view {
+                    View::Frozen { version, .. } => PollPlan::Frozen(*version),
+                    View::Overlay { bump, items } => {
+                        PollPlan::Overlay(*bump, items.keys().cloned().collect())
+                    }
+                };
+                drop(views);
+                self.forged_poll(folder, since, timeout, plan)
+                    .map(Response::Poll)
+            }
+            _ => {
+                drop(views);
+                self.inner.call(request)
+            }
+        }
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        self.inner.metrics()
+    }
+
+    fn routing_epoch(&self) -> u64 {
+        self.inner.routing_epoch()
+    }
+}
+
+impl core::fmt::Debug for ForkingStore {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "ForkingStore({} tampered folders)",
+            self.views.lock().len()
+        )
+    }
+}
+
+impl From<ForkingStore> for StoreHandle {
+    fn from(s: ForkingStore) -> Self {
+        StoreHandle::new(s)
     }
 }

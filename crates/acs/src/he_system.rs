@@ -4,7 +4,7 @@
 //! §III-B/§VI), and the per-member envelope list is pushed to the cloud.
 
 use crate::error::AcsError;
-use cloud_store::StoreHandle;
+use cloud_store::{ObjectStore, StoreHandle};
 use he::{GroupKey as HeGroupKey, HeGroupManager, HeGroupMetadata, HePki, PkiKeyPair};
 use parking_lot::Mutex;
 use sgx_sim::{Enclave, EnclaveBuilder};

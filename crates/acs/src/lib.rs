@@ -58,11 +58,11 @@ pub mod sharded;
 pub mod verilog;
 
 pub use admin::{bootstrap_admin, partition_item, Admin, GroupBatch, EPOCHS_ITEM, SEALED_ITEM};
-pub use client::{find_partition_of, Client};
+pub use client::Client;
 pub use error::AcsError;
-pub use fixtures::FleetFixture;
+pub use fixtures::{FleetFixture, ForkingStore, Tamper};
 pub use he_system::{decode_he_metadata, encode_he_metadata, HeAdmin, HE_ITEM};
 pub use oplog::{AdminSigner, LogEntry, LogError, LogOp, OpLog};
 pub use provisioning::{establish_trust, provision_user, KeyRequest, TrustContext};
 pub use sharded::ShardedAdmin;
-pub use verilog::{Auditor, ForkingStore, SignedTransition, Tamper};
+pub use verilog::{Auditor, SignedTransition};

@@ -10,6 +10,7 @@
 //!
 //! Flags: `--full` (paper-scale), `--ops N` (total op budget).
 
+use cloud_store::ObjectStore;
 use ibbe_sgx_bench::{fmt_bytes, fmt_duration, print_table, BenchArgs, IbbeBackend};
 use ibbe_sgx_core::AdaptivePolicy;
 use workloads::{generate_batched_churn, replay, replay_batched, BatchedChurnConfig};

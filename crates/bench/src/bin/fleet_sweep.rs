@@ -40,7 +40,8 @@
 
 use acs::FleetFixture;
 use cloud_store::{
-    CloudStore, FaultConfig, FaultInjector, FaultStats, FaultyStore, MetricsSnapshot, StoreHandle,
+    CloudStore, FaultConfig, FaultInjector, FaultStats, FaultyStore, MetricsSnapshot, ObjectStore,
+    StoreHandle,
 };
 use dataplane::fixtures::{fleet_session, fleet_sweep_sessions, fleet_sweep_sessions_on};
 use dataplane::{

@@ -14,9 +14,12 @@
 //! which is what makes fault-injected runs comparable, migration count by
 //! migration count, to fault-free ones.
 //!
-//! Fallible consumers call the `try_*` surface of [`ObjectStore`] and see
-//! [`StoreError`]; legacy infallible calls ride out the fault (bounded by
-//! the outage window) so existing code cannot observe a torn write.
+//! The wrapper intercepts [`ObjectStore::call`] and
+//! [`ObjectStore::submit`] with one shared roll, so every verb — blocking
+//! or queued — meets the same schedule. Fallible consumers call the `try_*`
+//! verbs and see [`StoreError`]; legacy infallible calls ride out the fault
+//! (bounded by the outage window) so existing code cannot observe a torn
+//! write.
 //!
 //! ```
 //! use cloud_store::{CloudStore, FaultConfig, FaultyStore, ObjectStore, StoreError};
@@ -32,8 +35,7 @@ use crate::metrics::MetricsSnapshot;
 use crate::object_store::ObjectStore;
 use crate::sharded::stable_hash64;
 use crate::store::{PollResult, VersionConflict};
-use crate::submit::{completed_ticket, Request, RequestOp, StoreTicket};
-use bytes::Bytes;
+use crate::submit::{completed_ticket, Request, RequestOp, Response, StoreTicket};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,7 +144,6 @@ impl FaultConfig {
             outage: Duration::from_millis(25),
             torn_poll_prob: 0.2,
             cas_storm_prob: 0.05,
-            // bounded windows keep infallible ride-outs short
         }
     }
 }
@@ -404,21 +405,49 @@ impl<S: ObjectStore> FaultyStore<S> {
         &self.inner
     }
 
-    /// The true current version of `folder/item` (0 if absent) — what a
-    /// spurious conflict must report for the caller's re-read-and-retry
-    /// path to behave exactly as it would after losing a real race.
-    fn true_conflict(&self, folder: &str, item: &str) -> VersionConflict {
-        let current = self.inner.get(folder, item).map(|(_, v)| v).unwrap_or(0);
-        VersionConflict { current }
+    /// The interception, stated once for the blocking and the queued path:
+    /// rolls the schedule for `request` on the calling thread — so a seeded
+    /// schedule fires identically, in submission order, whichever way
+    /// requests arrive — and returns the injected outcome, or `None` to
+    /// let the request through. Injection happens **before** the request
+    /// reaches the inner store (no partial effect; retrying or
+    /// resubmitting is always safe).
+    fn inject(&self, request: &Request) -> Option<Result<Response, StoreError>> {
+        // injection decisions join the submitter's causal chain even when
+        // driven from a thread that never opened the scope
+        let _rid = telemetry::adopt_request_id(request.rid);
+        // a store-wide read carries the empty folder: charged to the
+        // default ("" -> shard 0) domain
+        if let Err(e) = self.faults.check(&request.folder) {
+            return Some(Err(e));
+        }
+        match request.op {
+            RequestOp::PutIfVersion { .. } if self.faults.cas_storm() => {
+                // the true current version (0 if absent) is what a spurious
+                // conflict must report for the caller's re-read-and-retry
+                // path to behave exactly as it would after losing a real race
+                let found = self.inner.get(&request.folder, &request.item);
+                let current = found.map(|(_, v)| v).unwrap_or(0);
+                Some(Err(StoreError::Conflict(VersionConflict { current })))
+            }
+            // A torn poll is not an error — it is the fault-free "nothing
+            // changed" shape with the cursor preserved. Only
+            // outages/timeouts surface as `StoreError`.
+            RequestOp::LongPoll { since, .. } if self.faults.torn_poll() => {
+                Some(Ok(Response::Poll(PollResult::torn(since))))
+            }
+            _ => None,
+        }
     }
 }
 
 impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
-    // Only the fallible surface is implemented: every verb rolls the
-    // schedule once (`faults.check`) and then delegates to the inner
-    // store's reliable verb. The trait's default infallible wrappers
-    // supply the ride-out loop, re-rolling the schedule every attempt —
-    // exactly the semantics the hand-written dual impl used to provide.
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        match self.inject(&request) {
+            Some(outcome) => outcome,
+            None => self.inner.call(request),
+        }
+    }
 
     fn metrics(&self) -> MetricsSnapshot {
         self.inner.metrics()
@@ -430,97 +459,13 @@ impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
         self.inner.routing_epoch()
     }
 
-    fn try_put(&self, folder: &str, item: &str, data: Bytes) -> Result<u64, StoreError> {
-        self.faults.check(folder)?;
-        Ok(self.inner.put(folder, item, data))
-    }
-
-    fn try_put_if_version(
-        &self,
-        folder: &str,
-        item: &str,
-        data: Bytes,
-        expected: u64,
-    ) -> Result<u64, StoreError> {
-        self.faults.check(folder)?;
-        if self.faults.cas_storm() {
-            return Err(StoreError::Conflict(self.true_conflict(folder, item)));
-        }
-        self.inner
-            .put_if_version(folder, item, data, expected)
-            .map_err(StoreError::Conflict)
-    }
-
-    fn try_put_many(&self, folder: &str, items: Vec<(String, Bytes)>) -> Result<u64, StoreError> {
-        self.faults.check(folder)?;
-        Ok(self.inner.put_many(folder, items))
-    }
-
-    fn try_get(&self, folder: &str, item: &str) -> Result<Option<(Bytes, u64)>, StoreError> {
-        self.faults.check(folder)?;
-        Ok(self.inner.get(folder, item))
-    }
-
-    fn try_delete(&self, folder: &str, item: &str) -> Result<bool, StoreError> {
-        self.faults.check(folder)?;
-        Ok(self.inner.delete(folder, item))
-    }
-
-    fn try_list(&self, folder: &str) -> Result<Vec<String>, StoreError> {
-        self.faults.check(folder)?;
-        Ok(self.inner.list(folder))
-    }
-
-    fn try_list_folders(&self) -> Result<Vec<String>, StoreError> {
-        // store-wide read: charged to the default ("" -> shard 0) domain
-        self.faults.check("")?;
-        Ok(self.inner.list_folders())
-    }
-
-    fn try_folder_version(&self, folder: &str) -> Result<u64, StoreError> {
-        self.faults.check(folder)?;
-        Ok(self.inner.folder_version(folder))
-    }
-
-    /// A torn poll is not an error — it is the fault-free "nothing
-    /// changed" shape with the cursor preserved. Only outages/timeouts
-    /// surface as [`StoreError`].
-    fn try_long_poll(
-        &self,
-        folder: &str,
-        since: u64,
-        timeout: Duration,
-    ) -> Result<PollResult, StoreError> {
-        self.faults.check(folder)?;
-        if self.faults.torn_poll() {
-            return Ok(PollResult {
-                version: since,
-                changed: Vec::new(),
-                timed_out: true,
-            });
-        }
-        Ok(self.inner.long_poll(folder, since, timeout))
-    }
-
-    /// Rolls the schedule at **submission time**, on the caller's thread
-    /// and in submission order — so a seeded schedule fires identically
-    /// whether requests arrive through the blocking surface or the
-    /// completion surface. An injected fault returns an
-    /// already-completed failed ticket before the request reaches the
-    /// inner store (no partial effect; resubmitting is always safe).
+    /// An injected fault returns an already-completed ticket; anything
+    /// else is queued on the inner store's own lanes.
     fn submit(&self, request: Request) -> StoreTicket {
-        // injection decisions join the submitter's causal chain even when
-        // submit is driven from a thread that never opened the scope
-        let _rid = telemetry::adopt_request_id(request.rid);
-        if let Err(e) = self.faults.check(&request.folder) {
-            return completed_ticket(Err(e));
+        match self.inject(&request) {
+            Some(outcome) => completed_ticket(outcome),
+            None => self.inner.submit(request),
         }
-        if matches!(request.op, RequestOp::PutIfVersion { .. }) && self.faults.cas_storm() {
-            return completed_ticket(Err(StoreError::Conflict(
-                self.true_conflict(&request.folder, &request.item),
-            )));
-        }
-        self.inner.submit(request)
     }
 }
 
@@ -534,6 +479,7 @@ impl<S> core::fmt::Debug for FaultyStore<S> {
 mod tests {
     use super::*;
     use crate::store::CloudStore;
+    use bytes::Bytes;
 
     #[test]
     fn quiet_schedule_is_transparent() {

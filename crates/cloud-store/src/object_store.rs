@@ -8,26 +8,71 @@
 //! routed by hash) without any consumer — admin, client, data-plane session
 //! or sweeper — knowing which one it is running on.
 //!
-//! The **required** surface is the fallible one: an implementation provides
-//! the `try_*` verbs (plus [`ObjectStore::metrics`]) and nothing else. The
-//! legacy infallible verbs are default wrappers that ride out transient
-//! [`StoreError`]s in one place, so a wrapper like
-//! [`FaultyStore`](crate::FaultyStore) or an adversarial test store
-//! implements one surface, not two hand-kept-in-sync copies.
+//! The **required** surface is one method: [`ObjectStore::call`] serves a
+//! [`Request`], blocking, on the caller's thread (plus the
+//! [`ObjectStore::metrics`] read). Everything else is provided over it:
+//! [`ObjectStore::submit`] is the same `call` completed inline or queued
+//! on worker lanes, the fallible `try_*` verbs build a request and unwrap
+//! the response, and the infallible verbs add the one ride-out loop. A
+//! wrapper — [`FaultyStore`](crate::FaultyStore), an adversarial or
+//! recording test store, a future virtual clock — therefore states its
+//! interception once, and both the blocking and the queued path run
+//! through it.
 
 use crate::fault::StoreError;
 use crate::metrics::MetricsSnapshot;
 use crate::store::{PollResult, VersionConflict};
-use crate::submit::{completed_ticket, execute_request, Request, StoreTicket};
+use crate::submit::{completed_ticket, Request, RequestOp, Response, StoreTicket};
 use bytes::Bytes;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long the infallible default wrappers pause between retries while
-/// riding out a transient fault. Outage windows are wall-clock bounded and
-/// per-request faults re-roll each attempt, so the loops terminate quickly
+/// How long [`ride_out`] pauses between retries while riding
+/// out a transient fault. Outage windows are wall-clock bounded and
+/// per-request faults re-roll each attempt, so the loop terminates quickly
 /// under any sane schedule.
 pub(crate) const RIDE_OUT_PAUSE: Duration = Duration::from_millis(1);
+
+/// Serves `request` against `store`, retrying transient errors every
+/// [`RIDE_OUT_PAUSE`] until it passes — the one ride-out loop behind every
+/// infallible verb. On a fault-injecting store this blocks the caller for
+/// the outage window; on a reliable store the first attempt succeeds. A
+/// long poll rides out only within its own deadline: an outage that
+/// outlasts it surfaces as a torn poll — an early timeout with
+/// `version: since` — so the caller's cursor stands still and a change
+/// masked by the fault is picked up by the next (post-recovery) poll.
+///
+/// A lost CAS is a real outcome, not a transient, and surfaces immediately.
+fn ride_out<S: ObjectStore + ?Sized>(
+    store: &S,
+    mut request: Request,
+) -> Result<Response, VersionConflict> {
+    let deadline = match request.op {
+        RequestOp::LongPoll { timeout, .. } => Some(Instant::now() + timeout),
+        _ => None,
+    };
+    loop {
+        match store.call(request.clone()) {
+            Ok(response) => return Ok(response),
+            Err(StoreError::Conflict(conflict)) => return Err(conflict),
+            Err(_) => {}
+        }
+        if let (Some(deadline), RequestOp::LongPoll { since, timeout }) =
+            (deadline, &mut request.op)
+        {
+            *timeout = deadline.saturating_duration_since(Instant::now());
+            if timeout.is_zero() {
+                return Ok(Response::Poll(PollResult::torn(*since)));
+            }
+        }
+        std::thread::sleep(RIDE_OUT_PAUSE);
+    }
+}
+
+/// [`ride_out`] for anything but a conditional PUT.
+fn ride_out_settled<S: ObjectStore + ?Sized>(store: &S, request: Request) -> Response {
+    ride_out(store, request).expect("only a conditional PUT can lose a CAS")
+}
 
 /// The versioned bi-level key/value surface of a simulated cloud store.
 ///
@@ -39,95 +84,27 @@ pub(crate) const RIDE_OUT_PAUSE: Duration = Duration::from_millis(1);
 /// shard, and the folder-hash routing guarantees a folder's cursor is always
 /// interpreted by the same shard.
 ///
-/// Implementations provide the fallible `try_*` verbs — the failures a real
+/// Implementations provide [`ObjectStore::call`] — the failures a real
 /// cloud exhibits surface as [`StoreError`]; reliable in-memory stores
-/// simply never return `Err`. The infallible verbs (`put`, `get`, …) are
-/// provided wrappers that retry transient errors until they pass, for call
-/// sites that predate the fault model; fault-aware consumers (sessions,
-/// sweepers, the admin's publish paths) call `try_*` and handle the error.
+/// simply never return `Err`. The typed verbs are provided sugar over it:
+/// fault-aware consumers (sessions, sweepers, the admin's publish paths)
+/// use `try_*` and handle the error; the infallible verbs (`put`, `get`, …)
+/// retry transient errors until they pass, for call sites that predate
+/// the fault model. The verbs taking `impl Into<Bytes>` need a sized
+/// receiver; behind a `dyn ObjectStore`, hold a [`StoreHandle`].
 pub trait ObjectStore: Send + Sync {
-    // --- required fallible surface ---------------------------------------
-
-    /// PUT: stores `data` under `folder/item`, waking that folder's
-    /// long-pollers. Returns the item's new version.
+    /// Serves one request, blocking, on the caller's thread — the single
+    /// point every operation of this store passes through, and so the
+    /// single point a wrapper intercepts.
     ///
     /// # Errors
     /// [`StoreError::Unavailable`] / [`StoreError::Timeout`] on injected
-    /// or real transport failures.
-    fn try_put(&self, folder: &str, item: &str, data: Bytes) -> Result<u64, StoreError>;
-
-    /// Conditional PUT (compare-and-swap): stores only if the item's
-    /// current version equals `expected` (`0` = "must not exist").
-    ///
-    /// # Errors
-    /// [`StoreError::Conflict`] when the CAS loses (carrying the item's
-    /// actual version), transport failures as for
-    /// [`ObjectStore::try_put`].
-    fn try_put_if_version(
-        &self,
-        folder: &str,
-        item: &str,
-        data: Bytes,
-        expected: u64,
-    ) -> Result<u64, StoreError>;
-
-    /// Atomic multi-PUT into one folder: one round-trip, one version bump
-    /// shared by all items, one long-poller wake.
-    ///
-    /// # Errors
-    /// Transport failures, as for [`ObjectStore::try_put`].
-    fn try_put_many(&self, folder: &str, items: Vec<(String, Bytes)>) -> Result<u64, StoreError>;
-
-    /// GET: fetches `folder/item` with its version.
-    ///
-    /// # Errors
-    /// Transport failures, as for [`ObjectStore::try_put`].
-    fn try_get(&self, folder: &str, item: &str) -> Result<Option<(Bytes, u64)>, StoreError>;
-
-    /// DELETE: removes `folder/item`. Returns whether anything was
-    /// removed.
-    ///
-    /// # Errors
-    /// Transport failures, as for [`ObjectStore::try_put`].
-    fn try_delete(&self, folder: &str, item: &str) -> Result<bool, StoreError>;
-
-    /// Lists item names in a folder.
-    ///
-    /// # Errors
-    /// Transport failures, as for [`ObjectStore::try_put`].
-    fn try_list(&self, folder: &str) -> Result<Vec<String>, StoreError>;
-
-    /// Lists all folder names (merged across shards when sharded).
-    ///
-    /// # Errors
-    /// Transport failures, as for [`ObjectStore::try_put`].
-    fn try_list_folders(&self) -> Result<Vec<String>, StoreError>;
-
-    /// Current version of `folder`'s clock domain — the cursor seed for
-    /// [`ObjectStore::long_poll`] on that folder.
-    ///
-    /// # Errors
-    /// Transport failures, as for [`ObjectStore::try_put`].
-    fn try_folder_version(&self, folder: &str) -> Result<u64, StoreError>;
-
-    /// Directory-level long poll: blocks until some item in `folder` has a
-    /// version greater than `since`, or until `timeout` elapses. A torn
-    /// poll is *not* an error: it returns `Ok` with `version == since` and
-    /// no changes, so the caller's cursor never skips a notification.
-    ///
-    /// # Errors
-    /// Transport failures, as for [`ObjectStore::try_put`].
-    fn try_long_poll(
-        &self,
-        folder: &str,
-        since: u64,
-        timeout: Duration,
-    ) -> Result<PollResult, StoreError>;
+    /// or real transport failures; [`StoreError::Conflict`] when a
+    /// conditional PUT loses (carrying the item's actual version).
+    fn call(&self, request: Request) -> Result<Response, StoreError>;
 
     /// Traffic counters (aggregated across shards when sharded).
     fn metrics(&self) -> MetricsSnapshot;
-
-    // --- optional overrides ----------------------------------------------
 
     /// Current routing epoch: bumps whenever the folder → shard map
     /// changes (a [`ShardedStore::resize`](crate::ShardedStore::resize)
@@ -139,33 +116,133 @@ pub trait ObjectStore: Send + Sync {
         0
     }
 
-    /// Submits a single-object request for asynchronous completion; the
-    /// returned [`StoreTicket`] is polled, waited on, or wired to a
-    /// waker. The default executes the request inline on the caller's
-    /// thread (correct but unpipelined); [`CloudStore`](crate::CloudStore)
-    /// overrides it to queue onto its worker lanes, and
-    /// [`ShardedStore`](crate::ShardedStore) routes to the owning shard's
+    /// Submits a request for asynchronous completion; the returned
+    /// [`StoreTicket`] is polled, waited on, or wired to a waker. The
+    /// default serves the request inline on the caller's thread (correct
+    /// but unpipelined); [`CloudStore`](crate::CloudStore) overrides it to
+    /// queue the `call` onto its worker lanes, and
+    /// [`ShardedStore`](crate::ShardedStore) onto the owning shard's
     /// lanes. Errors travel through the ticket, never a panic.
     fn submit(&self, request: Request) -> StoreTicket {
-        completed_ticket(execute_request(self, request))
+        completed_ticket(self.call(request))
     }
 
-    // --- provided infallible wrappers ------------------------------------
-    //
-    // One ride-out loop, shared by every implementation: retry transient
-    // errors every RIDE_OUT_PAUSE until the operation passes. On a
-    // fault-injecting store this blocks the caller for the outage window;
-    // on a reliable store the first attempt succeeds and the loop
-    // disappears into the call.
+    /// PUT: stores `data` under `folder/item`, waking that folder's
+    /// long-pollers. Returns the item's new version.
+    ///
+    /// # Errors
+    /// Transport failures, as for [`ObjectStore::call`].
+    fn try_put(&self, folder: &str, item: &str, data: impl Into<Bytes>) -> Result<u64, StoreError>
+    where
+        Self: Sized,
+    {
+        self.call(Request::put(folder, item, data))
+            .map(Response::into_version)
+    }
+
+    /// Conditional PUT (compare-and-swap): stores only if the item's
+    /// current version equals `expected` (`0` = "must not exist").
+    ///
+    /// # Errors
+    /// [`StoreError::Conflict`] when the CAS loses (carrying the item's
+    /// actual version), transport failures as for [`ObjectStore::call`].
+    fn try_put_if_version(
+        &self,
+        folder: &str,
+        item: &str,
+        data: impl Into<Bytes>,
+        expected: u64,
+    ) -> Result<u64, StoreError>
+    where
+        Self: Sized,
+    {
+        self.call(Request::put_if_version(folder, item, data, expected))
+            .map(Response::into_version)
+    }
+
+    /// Atomic multi-PUT into one folder: one round-trip, one version bump
+    /// shared by all items, one long-poller wake.
+    ///
+    /// # Errors
+    /// Transport failures, as for [`ObjectStore::call`].
+    fn try_put_many<I, B>(&self, folder: &str, items: I) -> Result<u64, StoreError>
+    where
+        Self: Sized,
+        I: IntoIterator<Item = (String, B)>,
+        B: Into<Bytes>,
+    {
+        self.call(Request::put_many(folder, items))
+            .map(Response::into_version)
+    }
+
+    /// GET: fetches `folder/item` with its version.
+    ///
+    /// # Errors
+    /// Transport failures, as for [`ObjectStore::call`].
+    fn try_get(&self, folder: &str, item: &str) -> Result<Option<(Bytes, u64)>, StoreError> {
+        self.call(Request::get(folder, item))
+            .map(Response::into_get)
+    }
+
+    /// DELETE: removes `folder/item`. Returns whether anything was
+    /// removed.
+    ///
+    /// # Errors
+    /// Transport failures, as for [`ObjectStore::call`].
+    fn try_delete(&self, folder: &str, item: &str) -> Result<bool, StoreError> {
+        self.call(Request::delete(folder, item))
+            .map(Response::into_deleted)
+    }
+
+    /// Lists item names in a folder.
+    ///
+    /// # Errors
+    /// Transport failures, as for [`ObjectStore::call`].
+    fn try_list(&self, folder: &str) -> Result<Vec<String>, StoreError> {
+        self.call(Request::list(folder)).map(Response::into_names)
+    }
+
+    /// Lists all folder names (merged across shards when sharded).
+    ///
+    /// # Errors
+    /// Transport failures, as for [`ObjectStore::call`].
+    fn try_list_folders(&self) -> Result<Vec<String>, StoreError> {
+        self.call(Request::list_folders()).map(Response::into_names)
+    }
+
+    /// Current version of `folder`'s clock domain — the cursor seed for
+    /// [`ObjectStore::long_poll`] on that folder.
+    ///
+    /// # Errors
+    /// Transport failures, as for [`ObjectStore::call`].
+    fn try_folder_version(&self, folder: &str) -> Result<u64, StoreError> {
+        self.call(Request::folder_version(folder))
+            .map(Response::into_version)
+    }
+
+    /// Directory-level long poll: blocks until some item in `folder` has a
+    /// version greater than `since`, or until `timeout` elapses. A torn
+    /// poll is *not* an error: it returns `Ok` with `version == since` and
+    /// no changes, so the caller's cursor never skips a notification.
+    ///
+    /// # Errors
+    /// Transport failures, as for [`ObjectStore::call`].
+    fn try_long_poll(
+        &self,
+        folder: &str,
+        since: u64,
+        timeout: Duration,
+    ) -> Result<PollResult, StoreError> {
+        self.call(Request::long_poll(folder, since, timeout))
+            .map(Response::into_poll)
+    }
 
     /// PUT, riding out transient failures (see [`ObjectStore::try_put`]).
-    fn put(&self, folder: &str, item: &str, data: Bytes) -> u64 {
-        loop {
-            match self.try_put(folder, item, data.clone()) {
-                Ok(version) => return version,
-                Err(_) => std::thread::sleep(RIDE_OUT_PAUSE),
-            }
-        }
+    fn put(&self, folder: &str, item: &str, data: impl Into<Bytes>) -> u64
+    where
+        Self: Sized,
+    {
+        ride_out_settled(self, Request::put(folder, item, data)).into_version()
     }
 
     /// Conditional PUT, riding out transient failures; a lost CAS is a
@@ -177,81 +254,54 @@ pub trait ObjectStore: Send + Sync {
         &self,
         folder: &str,
         item: &str,
-        data: Bytes,
+        data: impl Into<Bytes>,
         expected: u64,
-    ) -> Result<u64, VersionConflict> {
-        loop {
-            match self.try_put_if_version(folder, item, data.clone(), expected) {
-                Ok(version) => return Ok(version),
-                Err(StoreError::Conflict(conflict)) => return Err(conflict),
-                Err(_) => std::thread::sleep(RIDE_OUT_PAUSE),
-            }
-        }
+    ) -> Result<u64, VersionConflict>
+    where
+        Self: Sized,
+    {
+        ride_out(self, Request::put_if_version(folder, item, data, expected))
+            .map(Response::into_version)
     }
 
     /// Atomic multi-PUT, riding out transient failures (see
     /// [`ObjectStore::try_put_many`]).
-    fn put_many(&self, folder: &str, items: Vec<(String, Bytes)>) -> u64 {
-        loop {
-            match self.try_put_many(folder, items.clone()) {
-                Ok(version) => return version,
-                Err(_) => std::thread::sleep(RIDE_OUT_PAUSE),
-            }
-        }
+    fn put_many<I, B>(&self, folder: &str, items: I) -> u64
+    where
+        Self: Sized,
+        I: IntoIterator<Item = (String, B)>,
+        B: Into<Bytes>,
+    {
+        ride_out_settled(self, Request::put_many(folder, items)).into_version()
     }
 
     /// GET, riding out transient failures (see [`ObjectStore::try_get`]).
     fn get(&self, folder: &str, item: &str) -> Option<(Bytes, u64)> {
-        loop {
-            match self.try_get(folder, item) {
-                Ok(found) => return found,
-                Err(_) => std::thread::sleep(RIDE_OUT_PAUSE),
-            }
-        }
+        ride_out_settled(self, Request::get(folder, item)).into_get()
     }
 
     /// DELETE, riding out transient failures (see
     /// [`ObjectStore::try_delete`]).
     fn delete(&self, folder: &str, item: &str) -> bool {
-        loop {
-            match self.try_delete(folder, item) {
-                Ok(removed) => return removed,
-                Err(_) => std::thread::sleep(RIDE_OUT_PAUSE),
-            }
-        }
+        ride_out_settled(self, Request::delete(folder, item)).into_deleted()
     }
 
     /// Folder listing, riding out transient failures (see
     /// [`ObjectStore::try_list`]).
     fn list(&self, folder: &str) -> Vec<String> {
-        loop {
-            match self.try_list(folder) {
-                Ok(items) => return items,
-                Err(_) => std::thread::sleep(RIDE_OUT_PAUSE),
-            }
-        }
+        ride_out_settled(self, Request::list(folder)).into_names()
     }
 
     /// Folder-name listing, riding out transient failures (see
     /// [`ObjectStore::try_list_folders`]).
     fn list_folders(&self) -> Vec<String> {
-        loop {
-            match self.try_list_folders() {
-                Ok(folders) => return folders,
-                Err(_) => std::thread::sleep(RIDE_OUT_PAUSE),
-            }
-        }
+        ride_out_settled(self, Request::list_folders()).into_names()
     }
 
     /// Folder-clock read, riding out transient failures (see
     /// [`ObjectStore::try_folder_version`]).
     fn folder_version(&self, folder: &str) -> u64 {
-        loop {
-            match self.try_folder_version(folder) {
-                Ok(version) => return version,
-                Err(_) => std::thread::sleep(RIDE_OUT_PAUSE),
-            }
-        }
+        ride_out_settled(self, Request::folder_version(folder)).into_version()
     }
 
     /// Long poll, riding out transient failures within the caller's
@@ -260,32 +310,17 @@ pub trait ObjectStore: Send + Sync {
     /// cursor stands still and a change masked by the fault is picked up
     /// by the next (post-recovery) poll.
     fn long_poll(&self, folder: &str, since: u64, timeout: Duration) -> PollResult {
-        let deadline = Instant::now() + timeout;
-        let mut remaining = timeout;
-        loop {
-            match self.try_long_poll(folder, since, remaining) {
-                Ok(poll) => return poll,
-                Err(_) => {
-                    if Instant::now() >= deadline {
-                        return PollResult {
-                            version: since,
-                            changed: Vec::new(),
-                            timed_out: true,
-                        };
-                    }
-                    std::thread::sleep(RIDE_OUT_PAUSE);
-                    remaining = deadline.saturating_duration_since(Instant::now());
-                }
-            }
-        }
+        ride_out_settled(self, Request::long_poll(folder, since, timeout)).into_poll()
     }
 }
 
 /// A cheap-to-clone, thread-safe handle to any [`ObjectStore`]
-/// implementation; what every consumer above the storage layer holds.
+/// implementation; what every consumer above the storage layer holds. It
+/// is itself a store — the verbs come from the trait — so import
+/// [`ObjectStore`] to use them.
 ///
 /// ```
-/// use cloud_store::{CloudStore, ShardedStore, StoreHandle};
+/// use cloud_store::{CloudStore, ObjectStore, ShardedStore, StoreHandle};
 /// let single: StoreHandle = CloudStore::new().into();
 /// let sharded: StoreHandle = ShardedStore::new(4).into();
 /// for store in [single, sharded] {
@@ -302,240 +337,22 @@ impl StoreHandle {
         Self(Arc::new(store))
     }
 
-    /// PUT (see [`ObjectStore::put`]); accepts anything convertible to
-    /// [`Bytes`] for call-site ergonomics.
-    pub fn put(&self, folder: &str, item: &str, data: impl Into<Bytes>) -> u64 {
-        self.0.put(folder, item, data.into())
-    }
-
-    /// Conditional PUT (see [`ObjectStore::put_if_version`]).
-    ///
-    /// # Errors
-    /// [`VersionConflict`] carrying the item's actual version.
-    pub fn put_if_version(
-        &self,
-        folder: &str,
-        item: &str,
-        data: impl Into<Bytes>,
-        expected: u64,
-    ) -> Result<u64, VersionConflict> {
-        self.0.put_if_version(folder, item, data.into(), expected)
-    }
-
-    /// Atomic multi-PUT (see [`ObjectStore::put_many`]).
-    pub fn put_many<I, B>(&self, folder: &str, items: I) -> u64
-    where
-        I: IntoIterator<Item = (String, B)>,
-        B: Into<Bytes>,
-    {
-        self.0.put_many(
-            folder,
-            items
-                .into_iter()
-                .map(|(name, data)| (name, data.into()))
-                .collect(),
-        )
-    }
-
-    /// GET (see [`ObjectStore::get`]).
-    pub fn get(&self, folder: &str, item: &str) -> Option<(Bytes, u64)> {
-        self.0.get(folder, item)
-    }
-
-    /// DELETE (see [`ObjectStore::delete`]).
-    pub fn delete(&self, folder: &str, item: &str) -> bool {
-        self.0.delete(folder, item)
-    }
-
-    /// Lists item names in a folder.
-    pub fn list(&self, folder: &str) -> Vec<String> {
-        self.0.list(folder)
-    }
-
-    /// Lists all folder names.
-    pub fn list_folders(&self) -> Vec<String> {
-        self.0.list_folders()
-    }
-
-    /// Cursor seed for `folder` (see [`ObjectStore::folder_version`]).
-    pub fn folder_version(&self, folder: &str) -> u64 {
-        self.0.folder_version(folder)
-    }
-
-    /// Directory-level long poll (see [`ObjectStore::long_poll`]).
-    pub fn long_poll(&self, folder: &str, since: u64, timeout: Duration) -> PollResult {
-        self.0.long_poll(folder, since, timeout)
-    }
-
-    /// Traffic counters.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.0.metrics()
-    }
-
-    /// Current routing epoch (see [`ObjectStore::routing_epoch`]).
-    pub fn routing_epoch(&self) -> u64 {
-        self.0.routing_epoch()
-    }
-
-    /// Fallible PUT (see [`ObjectStore::try_put`]).
-    ///
-    /// # Errors
-    /// [`StoreError`] on transport failures.
-    pub fn try_put(
-        &self,
-        folder: &str,
-        item: &str,
-        data: impl Into<Bytes>,
-    ) -> Result<u64, StoreError> {
-        self.0.try_put(folder, item, data.into())
-    }
-
-    /// Fallible conditional PUT (see [`ObjectStore::try_put_if_version`]).
-    ///
-    /// # Errors
-    /// [`StoreError::Conflict`] on a lost CAS, [`StoreError`] on
-    /// transport failures.
-    pub fn try_put_if_version(
-        &self,
-        folder: &str,
-        item: &str,
-        data: impl Into<Bytes>,
-        expected: u64,
-    ) -> Result<u64, StoreError> {
-        self.0
-            .try_put_if_version(folder, item, data.into(), expected)
-    }
-
-    /// Fallible atomic multi-PUT (see [`ObjectStore::try_put_many`]).
-    ///
-    /// # Errors
-    /// [`StoreError`] on transport failures.
-    pub fn try_put_many<I, B>(&self, folder: &str, items: I) -> Result<u64, StoreError>
-    where
-        I: IntoIterator<Item = (String, B)>,
-        B: Into<Bytes>,
-    {
-        self.0.try_put_many(
-            folder,
-            items
-                .into_iter()
-                .map(|(name, data)| (name, data.into()))
-                .collect(),
-        )
-    }
-
-    /// Fallible GET (see [`ObjectStore::try_get`]).
-    ///
-    /// # Errors
-    /// [`StoreError`] on transport failures.
-    pub fn try_get(&self, folder: &str, item: &str) -> Result<Option<(Bytes, u64)>, StoreError> {
-        self.0.try_get(folder, item)
-    }
-
-    /// Fallible DELETE (see [`ObjectStore::try_delete`]).
-    ///
-    /// # Errors
-    /// [`StoreError`] on transport failures.
-    pub fn try_delete(&self, folder: &str, item: &str) -> Result<bool, StoreError> {
-        self.0.try_delete(folder, item)
-    }
-
-    /// Fallible list (see [`ObjectStore::try_list`]).
-    ///
-    /// # Errors
-    /// [`StoreError`] on transport failures.
-    pub fn try_list(&self, folder: &str) -> Result<Vec<String>, StoreError> {
-        self.0.try_list(folder)
-    }
-
-    /// Fallible folder-name listing (see
-    /// [`ObjectStore::try_list_folders`]).
-    ///
-    /// # Errors
-    /// [`StoreError`] on transport failures.
-    pub fn try_list_folders(&self) -> Result<Vec<String>, StoreError> {
-        self.0.try_list_folders()
-    }
-
-    /// Fallible folder-clock read (see [`ObjectStore::try_folder_version`]).
-    ///
-    /// # Errors
-    /// [`StoreError`] on transport failures.
-    pub fn try_folder_version(&self, folder: &str) -> Result<u64, StoreError> {
-        self.0.try_folder_version(folder)
-    }
-
-    /// Fallible long poll (see [`ObjectStore::try_long_poll`]).
-    ///
-    /// # Errors
-    /// [`StoreError`] on transport failures (a torn poll is `Ok`).
-    pub fn try_long_poll(
-        &self,
-        folder: &str,
-        since: u64,
-        timeout: Duration,
-    ) -> Result<PollResult, StoreError> {
-        self.0.try_long_poll(folder, since, timeout)
-    }
-
     /// Submits a request for asynchronous completion (see
-    /// [`ObjectStore::submit`]). Forwarded through `self.0.submit` so the
-    /// wrapped store's lanes and fault injection stay in the path.
+    /// [`ObjectStore::submit`]), callable without the trait in scope.
+    /// Forwarded to the wrapped store's own `submit` so its lanes and
+    /// fault injection stay in the path.
     pub fn submit(&self, request: Request) -> StoreTicket {
         self.0.submit(request)
     }
 }
 
-/// The handle is itself a store: the required fallible surface forwards to
-/// the wrapped implementation, so wrapping a handle never bypasses a
-/// wrapped store's fault injection — and the default infallible wrappers
-/// then ride out faults against that forwarded surface for free.
+/// The handle forwards the trait's four overridable methods to the wrapped
+/// implementation, so wrapping a handle never bypasses a wrapped store's
+/// interception or lanes — and the provided verbs then run against that
+/// forwarded `call` for free.
 impl ObjectStore for StoreHandle {
-    fn try_put(&self, folder: &str, item: &str, data: Bytes) -> Result<u64, StoreError> {
-        self.0.try_put(folder, item, data)
-    }
-
-    fn try_put_if_version(
-        &self,
-        folder: &str,
-        item: &str,
-        data: Bytes,
-        expected: u64,
-    ) -> Result<u64, StoreError> {
-        self.0.try_put_if_version(folder, item, data, expected)
-    }
-
-    fn try_put_many(&self, folder: &str, items: Vec<(String, Bytes)>) -> Result<u64, StoreError> {
-        self.0.try_put_many(folder, items)
-    }
-
-    fn try_get(&self, folder: &str, item: &str) -> Result<Option<(Bytes, u64)>, StoreError> {
-        self.0.try_get(folder, item)
-    }
-
-    fn try_delete(&self, folder: &str, item: &str) -> Result<bool, StoreError> {
-        self.0.try_delete(folder, item)
-    }
-
-    fn try_list(&self, folder: &str) -> Result<Vec<String>, StoreError> {
-        self.0.try_list(folder)
-    }
-
-    fn try_list_folders(&self) -> Result<Vec<String>, StoreError> {
-        self.0.try_list_folders()
-    }
-
-    fn try_folder_version(&self, folder: &str) -> Result<u64, StoreError> {
-        self.0.try_folder_version(folder)
-    }
-
-    fn try_long_poll(
-        &self,
-        folder: &str,
-        since: u64,
-        timeout: Duration,
-    ) -> Result<PollResult, StoreError> {
-        self.0.try_long_poll(folder, since, timeout)
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        self.0.call(request)
     }
 
     fn metrics(&self) -> MetricsSnapshot {

@@ -58,7 +58,7 @@ use crate::metrics::{ImbalanceReport, MetricsSnapshot};
 use crate::object_store::ObjectStore;
 use crate::routing::RoutingTable;
 use crate::store::{CloudStore, PollResult};
-use crate::submit::{execute_request, Request, StoreTicket};
+use crate::submit::{Request, RequestOp, Response, StoreTicket};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
@@ -292,13 +292,39 @@ impl ShardedStore {
         self.routing.read().table.clone()
     }
 
-    /// Runs `f` against `folder`'s current shard **while holding the
-    /// routing read lock**, so a migration cutover (which needs the write
-    /// lock) cannot slip underneath a delegated operation — this is the
-    /// per-operation half of the CAS fence.
-    fn with_owner<T>(&self, folder: &str, f: impl FnOnce(&CloudStore) -> T) -> T {
+    /// Every reachable shard, live then retiring — a snapshot, so merged
+    /// reads never hold the routing lock across simulated requests.
+    fn all_shards(&self) -> Vec<CloudStore> {
         let r = self.routing.read();
-        f(r.store_for(folder))
+        r.all_slots().map(|(_, s)| s.clone()).collect()
+    }
+
+    /// The long poll must NOT hold the routing lock while blocking (a long
+    /// timeout would stall every cutover), so it resolves the owner
+    /// under a short read lock and polls unlocked. While a migration
+    /// is in flight anywhere, it polls in short slices and re-resolves
+    /// each slice, bounding how long a poller can keep watching an
+    /// owner its folder has been cut away from. A poll already asleep
+    /// when a resize *starts* rides out at most its own timeout — the
+    /// next poll re-resolves, and the destination's jumped clock
+    /// guarantees the stale cursor still reports every later write.
+    fn sliced_poll(&self, folder: &str, since: u64, timeout: Duration) -> PollResult {
+        const MIGRATION_SLICE: Duration = Duration::from_millis(25);
+        let deadline = Instant::now() + timeout;
+        loop {
+            let (store, migration_active) = {
+                let r = self.routing.read();
+                (r.store_for(folder).clone(), !r.moving.is_empty())
+            };
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if !migration_active {
+                return store.long_poll(folder, since, remaining);
+            }
+            let result = store.long_poll(folder, since, remaining.min(MIGRATION_SLICE));
+            if !result.timed_out || Instant::now() >= deadline {
+                return result;
+            }
+        }
     }
 
     /// Resizes to `n` shards and **synchronously** live-migrates every
@@ -586,96 +612,42 @@ impl ShardedStore {
 }
 
 impl ObjectStore for ShardedStore {
-    // Each shard is a reliable in-memory CloudStore, so the routed verbs
-    // succeed in one attempt; fault injection wraps whole stores from the
-    // outside (FaultyStore), never individual shards from here.
-
-    fn try_put(&self, folder: &str, item: &str, data: Bytes) -> Result<u64, StoreError> {
-        Ok(self.with_owner(folder, |s| s.put(folder, item, data)))
-    }
-
-    fn try_put_if_version(
-        &self,
-        folder: &str,
-        item: &str,
-        data: Bytes,
-        expected: u64,
-    ) -> Result<u64, StoreError> {
-        self.with_owner(folder, |s| s.put_if_version(folder, item, data, expected))
-            .map_err(StoreError::Conflict)
-    }
-
-    fn try_put_many(&self, folder: &str, items: Vec<(String, Bytes)>) -> Result<u64, StoreError> {
-        Ok(self.with_owner(folder, |s| s.put_many(folder, items)))
-    }
-
-    fn try_get(&self, folder: &str, item: &str) -> Result<Option<(Bytes, u64)>, StoreError> {
-        Ok(self.with_owner(folder, |s| s.get(folder, item)))
-    }
-
-    fn try_delete(&self, folder: &str, item: &str) -> Result<bool, StoreError> {
-        Ok(self.with_owner(folder, |s| s.delete(folder, item)))
-    }
-
-    fn try_list(&self, folder: &str) -> Result<Vec<String>, StoreError> {
-        Ok(self.with_owner(folder, |s| s.list(folder)))
-    }
-
-    fn try_list_folders(&self) -> Result<Vec<String>, StoreError> {
-        let stores: Vec<CloudStore> = {
-            let r = self.routing.read();
-            r.all_slots().map(|(_, s)| s.clone()).collect()
-        };
-        let mut folders: Vec<String> = stores.iter().flat_map(CloudStore::list_folders).collect();
-        folders.sort();
-        // a folder mid-migration is resident on two shards for a moment
-        folders.dedup();
-        Ok(folders)
-    }
-
-    fn try_folder_version(&self, folder: &str) -> Result<u64, StoreError> {
-        Ok(self.with_owner(folder, CloudStore::version))
-    }
-
-    /// The poll must NOT hold the routing lock while blocking (a long
-    /// timeout would stall every cutover), so it resolves the owner
-    /// under a short read lock and polls unlocked. While a migration
-    /// is in flight anywhere, it polls in short slices and re-resolves
-    /// each slice, bounding how long a poller can keep watching an
-    /// owner its folder has been cut away from. A poll already asleep
-    /// when a resize *starts* rides out at most its own timeout — the
-    /// next poll re-resolves, and the destination's jumped clock
-    /// guarantees the stale cursor still reports every later write.
-    fn try_long_poll(
-        &self,
-        folder: &str,
-        since: u64,
-        timeout: Duration,
-    ) -> Result<PollResult, StoreError> {
-        const MIGRATION_SLICE: Duration = Duration::from_millis(25);
-        let deadline = Instant::now() + timeout;
-        loop {
-            let (store, migration_active) = {
-                let r = self.routing.read();
-                (r.store_for(folder).clone(), !r.moving.is_empty())
-            };
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if !migration_active {
-                return Ok(store.long_poll(folder, since, remaining));
+    /// Routes the request to its folder's current shard. Each shard is a
+    /// reliable in-memory CloudStore; fault injection wraps whole stores
+    /// from the outside (FaultyStore), never individual shards from here.
+    ///
+    /// A folder-scoped request holds the routing read lock for its full
+    /// duration, so a migration cutover (which needs the write lock)
+    /// cannot slip underneath it — the per-operation half of the CAS
+    /// fence, and the only route resolution of the blocking and the lane
+    /// path alike.
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        match request.op {
+            RequestOp::ListFolders => {
+                let mut folders: Vec<String> = self
+                    .all_shards()
+                    .iter()
+                    .flat_map(CloudStore::list_folders)
+                    .collect();
+                folders.sort();
+                // a folder mid-migration is resident on two shards for a moment
+                folders.dedup();
+                Ok(Response::Names(folders))
             }
-            let result = store.long_poll(folder, since, remaining.min(MIGRATION_SLICE));
-            if !result.timed_out || Instant::now() >= deadline {
-                return Ok(result);
+            RequestOp::LongPoll { since, timeout } => Ok(Response::Poll(self.sliced_poll(
+                &request.folder,
+                since,
+                timeout,
+            ))),
+            _ => {
+                let r = self.routing.read();
+                r.store_for(&request.folder).call(request)
             }
         }
     }
 
     fn metrics(&self) -> MetricsSnapshot {
-        let stores: Vec<CloudStore> = {
-            let r = self.routing.read();
-            r.all_slots().map(|(_, s)| s.clone()).collect()
-        };
-        stores
+        self.all_shards()
             .iter()
             .map(CloudStore::metrics)
             .fold(MetricsSnapshot::default(), |acc, m| acc.merge(&m))
@@ -685,21 +657,17 @@ impl ObjectStore for ShardedStore {
         self.routing.read().table.epoch()
     }
 
-    /// Routes the submission to the owning shard's worker lanes: N
-    /// shards give N independent sets of in-flight lanes, which is what
-    /// makes submitted throughput scale with the shard count. The lane
-    /// **re-resolves** the owner under the routing read lock when the
-    /// request actually executes, so a request queued before a cutover
-    /// can never land on the retired owner unseen — the submission-path
-    /// half of the CAS fence.
+    /// Queues the `call` onto the owning shard's worker lanes: N shards
+    /// give N independent sets of in-flight lanes, which is what makes
+    /// submitted throughput scale with the shard count. Because the lane
+    /// runs this store's own `call`, the owner is **re-resolved** under
+    /// the routing read lock when the request actually executes, so a
+    /// request queued before a cutover can never land on the retired
+    /// owner unseen — the submission-path half of the CAS fence.
     fn submit(&self, request: Request) -> StoreTicket {
         let this = self.clone();
-        let rid = request.rid;
-        let lanes = { self.routing.read().store_for(&request.folder).clone() };
-        lanes.run_on_lanes(rid, move || {
-            let r = this.routing.read();
-            execute_request(r.store_for(&request.folder), request)
-        })
+        let lanes = self.shard_for(&request.folder);
+        lanes.run_on_lanes(request.rid, move || this.call(request))
     }
 }
 

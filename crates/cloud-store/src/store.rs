@@ -8,7 +8,7 @@ use crate::latency::LatencyModel;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::object_store::ObjectStore;
 use crate::sharded::ChangeSignal;
-use crate::submit::{execute_request, Request, StoreTicket, SUBMIT_LANES};
+use crate::submit::{Request, RequestOp, Response, StoreTicket, SUBMIT_LANES};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
@@ -55,6 +55,18 @@ pub struct PollResult {
     pub changed: Vec<String>,
     /// True if the poll timed out with no changes.
     pub timed_out: bool,
+}
+
+impl PollResult {
+    /// A torn poll: an early timeout with no changes and the caller's
+    /// cursor unchanged, so no notification is ever skipped.
+    pub(crate) fn torn(since: u64) -> Self {
+        Self {
+            version: since,
+            changed: Vec::new(),
+            timed_out: true,
+        }
+    }
 }
 
 /// Rejection of a conditional PUT: the stored item's version did not match
@@ -457,7 +469,7 @@ impl CloudStore {
     /// before a cutover can never execute against the retired owner).
     pub(crate) fn run_on_lanes<F>(&self, rid: u64, f: F) -> StoreTicket
     where
-        F: FnOnce() -> Result<crate::submit::Response, crate::fault::StoreError> + Send + 'static,
+        F: FnOnce() -> Result<Response, StoreError> + Send + 'static,
     {
         let (completer, ticket) = exec::completion();
         let enqueued = Instant::now();
@@ -484,69 +496,45 @@ impl CloudStore {
 }
 
 impl ObjectStore for CloudStore {
-    // The in-memory store is reliable: every fallible verb succeeds in one
-    // attempt, so the trait's infallible wrappers never loop.
-
-    fn try_put(&self, folder: &str, item: &str, data: Bytes) -> Result<u64, StoreError> {
-        Ok(CloudStore::put(self, folder, item, data))
-    }
-
-    fn try_put_if_version(
-        &self,
-        folder: &str,
-        item: &str,
-        data: Bytes,
-        expected: u64,
-    ) -> Result<u64, StoreError> {
-        CloudStore::put_if_version(self, folder, item, data, expected).map_err(StoreError::Conflict)
-    }
-
-    fn try_put_many(&self, folder: &str, items: Vec<(String, Bytes)>) -> Result<u64, StoreError> {
-        Ok(CloudStore::put_many(self, folder, items))
-    }
-
-    fn try_get(&self, folder: &str, item: &str) -> Result<Option<(Bytes, u64)>, StoreError> {
-        Ok(CloudStore::get(self, folder, item))
-    }
-
-    fn try_delete(&self, folder: &str, item: &str) -> Result<bool, StoreError> {
-        Ok(CloudStore::delete(self, folder, item))
-    }
-
-    fn try_list(&self, folder: &str) -> Result<Vec<String>, StoreError> {
-        Ok(CloudStore::list(self, folder))
-    }
-
-    fn try_list_folders(&self) -> Result<Vec<String>, StoreError> {
-        Ok(CloudStore::list_folders(self))
-    }
-
-    fn try_folder_version(&self, _folder: &str) -> Result<u64, StoreError> {
-        // one global clock: every folder shares its domain
-        Ok(self.version())
-    }
-
-    fn try_long_poll(
-        &self,
-        folder: &str,
-        since: u64,
-        timeout: Duration,
-    ) -> Result<PollResult, StoreError> {
-        Ok(CloudStore::long_poll(self, folder, since, timeout))
+    /// Dispatches to the inherent verb; the in-memory store is reliable,
+    /// so the only `Err` is a lost CAS.
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        let Request {
+            folder, item, op, ..
+        } = request;
+        Ok(match op {
+            RequestOp::Put(data) => Response::Put {
+                version: self.put(&folder, &item, data),
+            },
+            RequestOp::PutIfVersion { data, expected } => Response::Put {
+                version: self.put_if_version(&folder, &item, data, expected)?,
+            },
+            RequestOp::PutMany(items) => Response::Put {
+                version: self.put_many(&folder, items),
+            },
+            RequestOp::Get => Response::Get(self.get(&folder, &item)),
+            RequestOp::Delete => Response::Delete(self.delete(&folder, &item)),
+            RequestOp::List => Response::Names(self.list(&folder)),
+            RequestOp::ListFolders => Response::Names(self.list_folders()),
+            // one global clock: every folder shares its domain
+            RequestOp::FolderVersion => Response::Version(self.version()),
+            RequestOp::LongPoll { since, timeout } => {
+                Response::Poll(self.long_poll(&folder, since, timeout))
+            }
+        })
     }
 
     fn metrics(&self) -> MetricsSnapshot {
         CloudStore::metrics(self)
     }
 
-    /// Queues the request onto this store's [`SUBMIT_LANES`] worker
+    /// Queues the `call` onto this store's [`SUBMIT_LANES`] worker
     /// lanes: up to that many submitted requests are served (and charged
     /// their latency) concurrently, while further submissions wait in
     /// FIFO order — the queue-depth model the pipelined client rides.
     fn submit(&self, request: Request) -> StoreTicket {
         let store = self.clone();
-        let rid = request.rid;
-        self.run_on_lanes(rid, move || execute_request(&store, request))
+        self.run_on_lanes(request.rid, move || store.call(request))
     }
 }
 

@@ -1,24 +1,35 @@
-//! The completion-based submission surface: [`Request`] descriptions of
-//! single-object store operations, [`Response`] payloads, and the
-//! [`StoreTicket`] completion handle [`ObjectStore::submit`] returns.
+//! The request vocabulary of the store: every operation the simulated
+//! cloud serves is a [`Request`] described as data, answered by a
+//! [`Response`], and — when queued rather than served inline — tracked by
+//! the [`StoreTicket`] completion handle [`ObjectStore::submit`] returns.
 //!
-//! `submit` is *additive*: every blocking method keeps working, and the
-//! trait's default implementation simply executes the request inline on
-//! the caller's thread (correct, but unpipelined). Stores that model a
-//! concurrency limit override it — [`CloudStore`](crate::CloudStore)
-//! queues the request onto a small worker pool of [`SUBMIT_LANES`] lanes,
-//! and [`ShardedStore`](crate::ShardedStore) routes each request to the
-//! owning shard's pool so N shards give N independent sets of in-flight
-//! lanes — re-resolving the owner on the lane itself so queued requests
-//! follow the routing-table epoch across a live resize.
-//! [`FaultyStore`](crate::FaultyStore) rolls its schedule at
-//! submission time (on the caller's thread, in submission order), so
-//! fault determinism and the inject-before-effect guarantee carry over
-//! unchanged from the blocking surface.
+//! The request *is* the interface: [`ObjectStore::call`] serves one
+//! request, blocking, on the caller's thread, and is the only
+//! request-serving method a store implements. `submit` is "lanes or
+//! inline" over that same `call` — the trait's default completes the
+//! ticket inline (correct, but unpipelined); stores that model a
+//! concurrency limit queue the `call` instead.
+//! [`CloudStore`](crate::CloudStore) runs it on a small worker pool of
+//! [`SUBMIT_LANES`] lanes, and [`ShardedStore`](crate::ShardedStore) on
+//! the owning shard's pool, so N shards give N independent sets of
+//! in-flight lanes — and because the lane runs the sharded store's own
+//! `call`, the owner is re-resolved on the lane itself and queued
+//! requests follow the routing-table epoch across a live resize.
+//! [`FaultyStore`](crate::FaultyStore) rolls its schedule before either
+//! path forwards (on the submitting thread, in submission order), so
+//! fault determinism and the inject-before-effect guarantee are one
+//! statement covering both.
+//!
+//! The blocking call is the primitive, not `submit(..).wait()`: a long
+//! poll would otherwise park a submit lane for its whole timeout, and
+//! every zero-RTT operation would pay a thread hop.
 
 use crate::fault::StoreError;
+#[cfg(doc)]
 use crate::object_store::ObjectStore;
+use crate::store::PollResult;
 use bytes::Bytes;
+use std::time::Duration;
 
 /// How many requests one [`CloudStore`](crate::CloudStore) serves
 /// concurrently through [`ObjectStore::submit`] — the stand-in for a
@@ -42,19 +53,37 @@ pub enum RequestOp {
         /// exist").
         expected: u64,
     },
+    /// Atomic multi-PUT of `(item, data)` pairs into the request's folder
+    /// (see [`ObjectStore::put_many`]).
+    PutMany(Vec<(String, Bytes)>),
     /// GET (see [`ObjectStore::get`]).
     Get,
     /// DELETE (see [`ObjectStore::delete`]).
     Delete,
+    /// Item names of the request's folder (see [`ObjectStore::list`]).
+    List,
+    /// All folder names (see [`ObjectStore::list_folders`]).
+    ListFolders,
+    /// The folder's clock reading (see [`ObjectStore::folder_version`]).
+    FolderVersion,
+    /// Directory-level long poll (see [`ObjectStore::long_poll`]).
+    LongPoll {
+        /// The caller's cursor: only newer items are reported.
+        since: u64,
+        /// How long to block waiting for a change.
+        timeout: Duration,
+    },
 }
 
-/// One single-object store operation, described as data so it can be
-/// queued, routed to a shard, and executed on a worker lane.
+/// One store operation, described as data so it can be served inline,
+/// queued, routed to a shard, intercepted by a wrapper, or executed on a
+/// worker lane.
 #[derive(Debug, Clone)]
 pub struct Request {
-    /// The folder (clock domain, shard-routing key) of the object.
+    /// The folder (clock domain, shard-routing key) the operation targets;
+    /// empty for the store-wide [`RequestOp::ListFolders`].
     pub folder: String,
-    /// The item name within the folder.
+    /// The item name within the folder; empty for folder-level operations.
     pub item: String,
     /// The operation to perform.
     pub op: RequestOp,
@@ -65,14 +94,18 @@ pub struct Request {
 }
 
 impl Request {
-    /// An unconditional PUT request.
-    pub fn put(folder: impl Into<String>, item: impl Into<String>, data: impl Into<Bytes>) -> Self {
+    fn new(folder: impl Into<String>, item: impl Into<String>, op: RequestOp) -> Self {
         Self {
             folder: folder.into(),
             item: item.into(),
-            op: RequestOp::Put(data.into()),
+            op,
             rid: telemetry::current_request_id(),
         }
+    }
+
+    /// An unconditional PUT request.
+    pub fn put(folder: impl Into<String>, item: impl Into<String>, data: impl Into<Bytes>) -> Self {
+        Self::new(folder, item, RequestOp::Put(data.into()))
     }
 
     /// A compare-and-swap PUT request.
@@ -82,82 +115,120 @@ impl Request {
         data: impl Into<Bytes>,
         expected: u64,
     ) -> Self {
-        Self {
-            folder: folder.into(),
-            item: item.into(),
-            op: RequestOp::PutIfVersion {
-                data: data.into(),
-                expected,
-            },
-            rid: telemetry::current_request_id(),
-        }
+        let data = data.into();
+        Self::new(folder, item, RequestOp::PutIfVersion { data, expected })
+    }
+
+    /// An atomic multi-PUT request.
+    pub fn put_many<I, B>(folder: impl Into<String>, items: I) -> Self
+    where
+        I: IntoIterator<Item = (String, B)>,
+        B: Into<Bytes>,
+    {
+        let items = items.into_iter().map(|(name, data)| (name, data.into()));
+        Self::new(folder, "", RequestOp::PutMany(items.collect()))
     }
 
     /// A GET request.
     pub fn get(folder: impl Into<String>, item: impl Into<String>) -> Self {
-        Self {
-            folder: folder.into(),
-            item: item.into(),
-            op: RequestOp::Get,
-            rid: telemetry::current_request_id(),
-        }
+        Self::new(folder, item, RequestOp::Get)
     }
 
     /// A DELETE request.
     pub fn delete(folder: impl Into<String>, item: impl Into<String>) -> Self {
-        Self {
-            folder: folder.into(),
-            item: item.into(),
-            op: RequestOp::Delete,
-            rid: telemetry::current_request_id(),
-        }
+        Self::new(folder, item, RequestOp::Delete)
+    }
+
+    /// A folder-listing request.
+    pub fn list(folder: impl Into<String>) -> Self {
+        Self::new(folder, "", RequestOp::List)
+    }
+
+    /// A folder-name listing request.
+    pub fn list_folders() -> Self {
+        Self::new("", "", RequestOp::ListFolders)
+    }
+
+    /// A folder-clock read request.
+    pub fn folder_version(folder: impl Into<String>) -> Self {
+        Self::new(folder, "", RequestOp::FolderVersion)
+    }
+
+    /// A directory-level long-poll request.
+    pub fn long_poll(folder: impl Into<String>, since: u64, timeout: Duration) -> Self {
+        Self::new(folder, "", RequestOp::LongPoll { since, timeout })
     }
 }
 
-/// The successful result of a completed [`Request`], one variant per
-/// [`RequestOp`] shape.
-#[derive(Debug, Clone)]
+/// The successful result of a served [`Request`], one variant per
+/// response shape.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// A PUT (conditional or not) landed at this version.
+    /// A PUT (unconditional, conditional or batched) landed at this
+    /// version.
     Put {
-        /// The item's new version.
+        /// The new version of the item(s).
         version: u64,
     },
     /// A GET's payload and version, `None` if the item does not exist.
     Get(Option<(Bytes, u64)>),
     /// Whether the DELETE removed anything.
     Delete(bool),
+    /// The item names of a folder, or the folder names of the store.
+    Names(Vec<String>),
+    /// A folder's clock reading.
+    Version(u64),
+    /// The outcome of a long poll.
+    Poll(PollResult),
+}
+
+/// The typed verbs' view of a [`Response`]: each unwraps the one shape its
+/// request is answered with. A store answering in another shape is broken,
+/// which is a bug in that store, not a condition callers can meet.
+impl Response {
+    fn mismatch(&self, wanted: &str) -> ! {
+        panic!("store answered a {wanted} request with {self:?}")
+    }
+
+    pub(crate) fn into_version(self) -> u64 {
+        match self {
+            Self::Put { version } | Self::Version(version) => version,
+            other => other.mismatch("version-shaped"),
+        }
+    }
+
+    pub(crate) fn into_get(self) -> Option<(Bytes, u64)> {
+        match self {
+            Self::Get(found) => found,
+            other => other.mismatch("GET"),
+        }
+    }
+
+    pub(crate) fn into_deleted(self) -> bool {
+        match self {
+            Self::Delete(removed) => removed,
+            other => other.mismatch("DELETE"),
+        }
+    }
+
+    pub(crate) fn into_names(self) -> Vec<String> {
+        match self {
+            Self::Names(names) => names,
+            other => other.mismatch("listing"),
+        }
+    }
+
+    pub(crate) fn into_poll(self) -> PollResult {
+        match self {
+            Self::Poll(poll) => poll,
+            other => other.mismatch("long-poll"),
+        }
+    }
 }
 
 /// The completion handle of a submitted [`Request`]: poll, block, or
 /// attach an [`exec::Waker`] to sleep on "any of my tickets completed".
 pub type StoreTicket = exec::Ticket<Result<Response, StoreError>>;
-
-/// Executes `request` against a store's blocking fallible surface —
-/// the body of every `submit` implementation once the request reaches
-/// the thread that runs it.
-///
-/// # Errors
-/// Whatever the underlying `try_*` call surfaces ([`StoreError`]).
-pub fn execute_request<S: ObjectStore + ?Sized>(
-    store: &S,
-    request: Request,
-) -> Result<Response, StoreError> {
-    match request.op {
-        RequestOp::Put(data) => store
-            .try_put(&request.folder, &request.item, data)
-            .map(|version| Response::Put { version }),
-        RequestOp::PutIfVersion { data, expected } => store
-            .try_put_if_version(&request.folder, &request.item, data, expected)
-            .map(|version| Response::Put { version }),
-        RequestOp::Get => store
-            .try_get(&request.folder, &request.item)
-            .map(Response::Get),
-        RequestOp::Delete => store
-            .try_delete(&request.folder, &request.item)
-            .map(Response::Delete),
-    }
-}
 
 /// A ticket that is already complete — what inline default `submit`
 /// implementations and submission-time fault injection hand back.

@@ -144,7 +144,7 @@ fn store_handle_forwards_submissions_to_the_wrapped_store() {
         FaultyStore::with_injector(CloudStore::new(), Arc::clone(&injector)).into();
     injector.force_outage(0, Duration::from_millis(40));
     // if StoreHandle used the trait default instead of self.0.submit, the
-    // request would execute inline against the handle's own try_* and the
+    // request would execute inline against the handle's own `call` and the
     // injection would still fire — but a *clean inner* default would
     // bypass it; assert the wrapper's schedule is honoured end to end
     let err = handle

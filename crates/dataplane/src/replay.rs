@@ -322,7 +322,7 @@ impl RwSystemBackend {
         self.session.drain()?;
         let report = self.sweepers.run_until_converged()?;
         coordinator(&self.admin, self.config).compact_after(&self.group, &report)?;
-        self.session.session_mut().gc_versions();
+        self.session.session_mut().gc_versions()?;
         Ok(report)
     }
 

@@ -46,6 +46,7 @@ use crate::error::{panic_note, DataError};
 use crate::metrics::{DataMetricsSnapshot, FleetMetrics};
 use crate::session::ClientSession;
 use crate::sweeper::{SweepConfig, SweepPass, SweepReport, Sweeper};
+use cloud_store::{ObjectStore, StoreHandle};
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -514,7 +515,7 @@ impl SweepScheduler {
     /// detection latency by `slice × ceil(groups / workers)`.
     fn wait_any(&self, deadline: Instant) {
         const SLICE: Duration = Duration::from_millis(20);
-        let watches: Vec<(cloud_store::StoreHandle, &str, u64)> = self
+        let watches: Vec<(StoreHandle, &str, u64)> = self
             .tasks
             .iter()
             .map(|t| {
@@ -526,7 +527,7 @@ impl SweepScheduler {
         let hit = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let mine: Vec<&(cloud_store::StoreHandle, &str, u64)> =
+                let mine: Vec<&(StoreHandle, &str, u64)> =
                     watches.iter().skip(t).step_by(threads).collect();
                 let hit = &hit;
                 scope.spawn(move || {

@@ -5,7 +5,7 @@ use crate::envelope::SealedObject;
 use crate::error::DataError;
 use crate::metrics::{DataMetrics, DataMetricsSnapshot};
 use acs::{Client, EPOCHS_ITEM};
-use cloud_store::{stable_hash64, StoreHandle};
+use cloud_store::{stable_hash64, ObjectStore, StoreHandle};
 use ibbe::{PublicKey, UserSecretKey};
 use ibbe_sgx_core::{KeyHistory, KeyRing};
 use rand::rngs::StdRng;
@@ -423,14 +423,19 @@ impl ClientSession {
 
     /// Lists the group's object names across all data folders (sorted, so
     /// the result is independent of the shard layout).
-    pub fn list_objects(&self) -> Vec<String> {
-        let mut objects: Vec<String> = self
-            .folders
-            .iter()
-            .flat_map(|f| self.control.store().list(f))
-            .collect();
+    ///
+    /// # Errors
+    /// Transport failures that outlast the session's [`RetryPolicy`].
+    pub fn list_objects(&self) -> Result<Vec<String>, DataError> {
+        let mut objects = Vec::new();
+        for folder in &self.folders {
+            let listed = self
+                .retry
+                .run(|| Ok(self.control.store().try_list(folder)?))?;
+            objects.extend(listed);
+        }
         objects.sort();
-        objects
+        Ok(objects)
     }
 
     /// Fetches and parses one object without decrypting it, recording its
@@ -461,20 +466,27 @@ impl ClientSession {
 
     /// Deletes `object` from the store, dropping its tracked CAS version.
     /// Returns whether the store held it.
-    pub fn delete(&mut self, object: &str) -> bool {
+    ///
+    /// # Errors
+    /// Transport failures that outlast the session's [`RetryPolicy`].
+    pub fn delete(&mut self, object: &str) -> Result<bool, DataError> {
         let folder = self.folder_of(object).to_string();
         self.versions.remove(object);
         self.stale_routes.remove(object);
-        self.control.store().delete(&folder, object)
+        self.retry
+            .run(|| Ok(self.control.store().try_delete(&folder, object)?))
     }
 
     /// Garbage-collects the CAS `versions` map: drops entries for objects
     /// no longer present in the store, so long-lived sessions replaying
     /// churny traces (objects written, deleted elsewhere, never touched
     /// again) do not leak memory. Returns the number of entries dropped.
-    pub fn gc_versions(&mut self) -> usize {
-        let live: HashSet<String> = self.list_objects().into_iter().collect();
-        self.prune_versions(&live, |_| true)
+    ///
+    /// # Errors
+    /// Transport failures from the listing (nothing is pruned then).
+    pub fn gc_versions(&mut self) -> Result<usize, DataError> {
+        let live: HashSet<String> = self.list_objects()?.into_iter().collect();
+        Ok(self.prune_versions(&live, |_| true))
     }
 
     /// GC restricted to objects for which `in_scope` holds, against a

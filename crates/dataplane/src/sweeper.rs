@@ -35,7 +35,7 @@ use crate::envelope::SealedObject;
 use crate::error::DataError;
 use crate::metrics::DataMetricsSnapshot;
 use crate::session::ClientSession;
-use cloud_store::stable_hash64;
+use cloud_store::{stable_hash64, ObjectStore};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 

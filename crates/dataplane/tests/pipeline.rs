@@ -13,9 +13,8 @@
 //!   byte-identical plaintexts at every read (proptest).
 
 use acs::FleetFixture;
-use bytes::Bytes;
 use cloud_store::{
-    CloudStore, LatencyModel, MetricsSnapshot, ObjectStore, PollResult, Request, RequestOp,
+    CloudStore, LatencyModel, MetricsSnapshot, ObjectStore, Request, RequestOp, Response,
     StoreError, StoreHandle, StoreTicket,
 };
 use dataplane::fixtures::{fleet_session, fleet_session_on};
@@ -50,8 +49,8 @@ fn fixture_over(store: impl Into<StoreHandle>, seed: u64) -> FleetFixture {
     .unwrap()
 }
 
-/// An [`ObjectStore`] wrapper logging every data request — blocking and
-/// submitted alike — as `(kind, folder, item)`, normalized so a serial
+/// An [`ObjectStore`] wrapper logging every single-object request —
+/// blocking and submitted alike — as `(kind, folder, item)`, so a serial
 /// session's `try_*` calls and a pipelined session's submissions compare
 /// directly.
 #[derive(Clone)]
@@ -68,11 +67,20 @@ impl RecordingStore {
         }
     }
 
-    fn record(&self, kind: &str, folder: &str, item: &str) {
-        self.log
-            .lock()
-            .unwrap()
-            .push((kind.to_string(), folder.to_string(), item.to_string()));
+    /// The interception, shared by the blocking and the queued path.
+    fn record(&self, request: &Request) {
+        let kind = match request.op {
+            RequestOp::Get => "get",
+            RequestOp::PutIfVersion { .. } => "cas",
+            RequestOp::Put(_) => "put",
+            RequestOp::Delete => "delete",
+            _ => return, // folder-level traffic is not part of the claim
+        };
+        self.log.lock().unwrap().push((
+            kind.to_string(),
+            request.folder.clone(),
+            request.item.clone(),
+        ));
     }
 
     /// Data-object requests only; metadata traffic (key rings, epoch
@@ -89,57 +97,9 @@ impl RecordingStore {
 }
 
 impl ObjectStore for RecordingStore {
-    // Only the data-plane verbs under test record; the rest forward. With
-    // the fallible surface as the trait's single required surface, the
-    // recorder implements one set of verbs instead of a dual impl.
-
-    fn try_put(&self, folder: &str, item: &str, data: Bytes) -> Result<u64, StoreError> {
-        self.inner.try_put(folder, item, data)
-    }
-
-    fn try_put_if_version(
-        &self,
-        folder: &str,
-        item: &str,
-        data: Bytes,
-        expected: u64,
-    ) -> Result<u64, StoreError> {
-        self.record("cas", folder, item);
-        self.inner.try_put_if_version(folder, item, data, expected)
-    }
-
-    fn try_put_many(&self, folder: &str, items: Vec<(String, Bytes)>) -> Result<u64, StoreError> {
-        self.inner.try_put_many(folder, items)
-    }
-
-    fn try_get(&self, folder: &str, item: &str) -> Result<Option<(Bytes, u64)>, StoreError> {
-        self.record("get", folder, item);
-        self.inner.try_get(folder, item)
-    }
-
-    fn try_delete(&self, folder: &str, item: &str) -> Result<bool, StoreError> {
-        self.inner.try_delete(folder, item)
-    }
-
-    fn try_list(&self, folder: &str) -> Result<Vec<String>, StoreError> {
-        self.inner.try_list(folder)
-    }
-
-    fn try_list_folders(&self) -> Result<Vec<String>, StoreError> {
-        self.inner.try_list_folders()
-    }
-
-    fn try_folder_version(&self, folder: &str) -> Result<u64, StoreError> {
-        self.inner.try_folder_version(folder)
-    }
-
-    fn try_long_poll(
-        &self,
-        folder: &str,
-        since: u64,
-        timeout: Duration,
-    ) -> Result<PollResult, StoreError> {
-        self.inner.try_long_poll(folder, since, timeout)
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        self.record(&request);
+        self.inner.call(request)
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -147,13 +107,7 @@ impl ObjectStore for RecordingStore {
     }
 
     fn submit(&self, request: Request) -> StoreTicket {
-        let kind = match request.op {
-            RequestOp::Get => "get",
-            RequestOp::PutIfVersion { .. } => "cas",
-            RequestOp::Put(_) => "put",
-            RequestOp::Delete => "delete",
-        };
-        self.record(kind, &request.folder, &request.item);
+        self.record(&request);
         self.inner.submit(request)
     }
 }

@@ -5,7 +5,7 @@
 //! equivalence between the single and sharded deployments, epoch-history
 //! compaction after converged sweeps, and the sessions' versions-map GC.
 
-use cloud_store::{CloudStore, LatencyModel, ShardedStore, StoreHandle};
+use cloud_store::{CloudStore, LatencyModel, ObjectStore, ShardedStore, StoreHandle};
 use dataplane::{
     ClientSession, ReencryptionPolicy, RevocationCoordinator, RwSystemBackend, RwSystemConfig,
     SweepConfig, SweepDriver, SweepPool,
@@ -186,8 +186,8 @@ fn sharded_and_single_store_replay_identically() {
         .collect();
     assert!(!written.is_empty());
     assert_eq!(
-        single.session_mut().list_objects(),
-        sharded.session_mut().list_objects(),
+        single.session_mut().list_objects().unwrap(),
+        sharded.session_mut().list_objects().unwrap(),
         "merged sharded listing equals the single-store listing"
     );
     for object in written {
@@ -327,7 +327,7 @@ fn versions_map_gc_drops_deleted_objects() {
     assert_eq!(d.writer.tracked_versions(), 8);
 
     // own delete drops the entry immediately
-    assert!(d.writer.delete("obj-0000"));
+    assert!(d.writer.delete("obj-0000").unwrap());
     assert_eq!(d.writer.tracked_versions(), 7);
 
     // foreign deletes (another actor, straight through the store) leak
@@ -338,7 +338,7 @@ fn versions_map_gc_drops_deleted_objects() {
         assert!(store.delete(d.writer.folder_of(&name), &name));
     }
     assert_eq!(d.writer.tracked_versions(), 7);
-    assert_eq!(d.writer.gc_versions(), 3);
+    assert_eq!(d.writer.gc_versions().unwrap(), 3);
     assert_eq!(d.writer.tracked_versions(), 4);
 
     // a fetch of a vanished object also reconciles its entry
