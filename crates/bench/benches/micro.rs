@@ -39,11 +39,28 @@ fn bench_pairing_substrate(c: &mut Criterion) {
 
 fn bench_symmetric(c: &mut Criterion) {
     let mut group = c.benchmark_group("symmetric");
-    let gcm = AesGcm::new(&[7u8; 32]);
+    // the same four GCM points as the repo benchmark's `symcrypto.*` probes:
+    // a 4 KiB object each way, a sweep-sized object, and the two per-object
+    // fixed costs (table + key-schedule set-up, a 32-byte DEK wrap)
+    let key = [7u8; 32];
+    let gcm = AesGcm::new(&key);
     let data = vec![0xabu8; 4096];
+    let sealed = gcm.seal(&[0u8; 12], b"", &data);
     group.bench_function("sha256_4k", |b| b.iter(|| sha256(&data)));
     group.bench_function("aes256gcm_seal_4k", |b| {
         b.iter(|| gcm.seal(&[0u8; 12], b"", &data))
+    });
+    group.bench_function("aes256gcm_open_4k", |b| {
+        b.iter(|| gcm.open(&[0u8; 12], b"", &sealed))
+    });
+    group.bench_function("aes256gcm_seal_512b", |b| {
+        b.iter(|| gcm.seal(&[0u8; 12], b"", &data[..512]))
+    });
+    group.bench_function("aes256gcm_new", |b| {
+        b.iter(|| AesGcm::new(std::hint::black_box(&key)))
+    });
+    group.bench_function("aes256gcm_wrap_32b", |b| {
+        b.iter(|| gcm.seal(&[0u8; 12], b"", &key))
     });
     group.finish();
 }

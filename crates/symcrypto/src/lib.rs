@@ -15,6 +15,23 @@
 //! Every primitive is validated against FIPS/NIST/RFC test vectors in its
 //! module tests.
 //!
+//! ## Kernel design
+//!
+//! AES and GHASH are word-oriented table kernels in safe, portable Rust (no
+//! `unsafe`, no architecture-specific code or feature detection): AES rounds
+//! are four 256×`u32` T-table lookups per column on big-endian `u32` state
+//! words, CTR keeps a `u32` word counter and XORs a `u128` per block, and
+//! GHASH multiplies through two per-key 16-entry `u128` tables plus one
+//! static reduction table, folding two blocks per step over independent
+//! chains (see [`aes`] and [`gcm`]). The byte-wise FIPS 197 rounds and the
+//! bit-serial GF(2¹²⁸) multiply survive as test oracles
+//! (`tests/reference`), which the differential tests compare against.
+//!
+//! All of these tables are indexed by secret data. So were the 256-byte
+//! S-box and the branch-on-key-bit multiply they replace: the crate
+//! simulates the hardware AES-GCM of SGX-SSL and is **not** hardened against
+//! cache-timing side channels.
+//!
 //! ```
 //! use symcrypto::gcm::AesGcm;
 //! let gcm = AesGcm::new(&[0u8; 32]);
@@ -30,6 +47,10 @@ pub mod drbg;
 pub mod gcm;
 pub mod hmac;
 pub mod sha256;
+
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
 
 pub use aes::Aes;
 pub use drbg::HmacDrbg;
