@@ -1,21 +1,21 @@
-//! Fleet sweep: G groups' lazy-window convergence on a shared W-worker
-//! scheduler vs G dedicated pools vs a serial baseline.
+//! Fleet sweep: G groups' lazy-window convergence on one shared W-worker
+//! fleet vs G dedicated one-group fleets vs a serial baseline.
 //!
 //! The multi-tenant trace deals every tenant a revocation wave (skewed
 //! sizes, skewed churn), leaving each group's whole namespace stale. Three
-//! identically seeded deployments then converge the fleet:
+//! identically seeded deployments then converge it — the same driver
+//! (`SweepScheduler`) every time, only the way the groups are spread over
+//! fleets differs:
 //!
-//! * **serial** — the same per-group pools as the dedicated mode, run one
-//!   group after another (serial *across* groups): the no-fleet floor.
-//! * **dedicated** — one `SweepPool` per group (one worker per data
-//!   shard), all pools concurrently: today's per-group answer, costing
-//!   G × shards threads.
-//! * **shared** — one `SweepScheduler` with W workers serving all G
-//!   groups in staleness-priority order: the fleet answer, costing W
-//!   threads.
+//! * **serial** — G one-group fleets (a worker per data shard), run one
+//!   after another in staleness order: the no-sharing floor.
+//! * **dedicated** — the same G one-group fleets, all running
+//!   concurrently: the per-group answer, costing G × shards threads.
+//! * **shared** — one G-group fleet with W workers serving every group in
+//!   staleness-priority order: the fleet answer, costing W threads.
 //!
 //! The store has no synthetic latency, so the work is compute-bound
-//! (re-encryption): the scheduler's claim is converge-all wall-clock
+//! (re-encryption): the shared fleet's claim is converge-all wall-clock
 //! parity (within 1.5x of dedicated) at a fraction of the threads, plus
 //! staleness ordering — the most-behind group finishes its backlog before
 //! the freshest one. Both are asserted; `--check` additionally gates
@@ -43,11 +43,8 @@ use cloud_store::{
     CloudStore, FaultConfig, FaultInjector, FaultStats, FaultyStore, MetricsSnapshot, ObjectStore,
     StoreHandle,
 };
-use dataplane::fixtures::{fleet_session, fleet_sweep_sessions, fleet_sweep_sessions_on};
-use dataplane::{
-    ClientSession, FleetConfig, FleetReport, SweepConfig, SweepDriver, SweepPool, SweepScheduler,
-    SweepTask,
-};
+use dataplane::fixtures::{fleet_session, fleet_sweep_sessions_on};
+use dataplane::{FleetConfig, FleetReport, SweepConfig, SweepScheduler, SweepTask};
 use ibbe_sgx_bench::json::{fault_stats_row, write_results, Json};
 use ibbe_sgx_bench::{fmt_duration, print_table, time, BenchArgs};
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
@@ -98,10 +95,6 @@ fn build_stack(trace: &FleetTrace, shards: usize, payload: usize, seed: u64) -> 
     Stack { fixture }
 }
 
-fn sweep_sessions(stack: &Stack, group: &str, shards: usize, seed: u64) -> Vec<ClientSession> {
-    fleet_sweep_sessions(&stack.fixture, SWEEPER, group, shards, seed)
-}
-
 struct ModeResult {
     wall: Duration,
     threads: usize,
@@ -110,220 +103,119 @@ struct ModeResult {
     worst_overshoot: Duration,
 }
 
-/// The no-fleet floor: the same per-group pools as the dedicated mode,
-/// but converged one group after another in staleness order — serial
-/// *across* groups, so the only thing the other modes add is cross-group
-/// parallelism (every mode pays the same per-session ring derivations).
-fn run_serial(trace: &FleetTrace, stack: &Stack, shards: usize, sweep: SweepConfig) -> ModeResult {
-    let mut pools: Vec<SweepPool> = trace
-        .tenants
+/// One armed fleet per entry of `layout` (the tenants, by index, that fleet
+/// serves — registered and armed in the order given, so the first listed
+/// is the stalest), its sweeper sessions routed through `store`.
+fn build_fleets(
+    trace: &FleetTrace,
+    stack: &Stack,
+    store: &StoreHandle,
+    shards: usize,
+    sweep: SweepConfig,
+    config: FleetConfig,
+    layout: &[Vec<usize>],
+) -> Vec<SweepScheduler> {
+    layout
         .iter()
-        .map(|t| SweepPool::new(sweep_sessions(stack, &t.group, shards, 0x5e1a), sweep))
-        .collect();
-    let mut per_group = vec![Duration::ZERO; trace.tenants.len()];
-    let mut migrated = 0;
-    let ((), wall) = time(|| {
-        for &idx in &trace.arm_order {
-            let (report, dt) = time(|| pools[idx].run_until_converged().unwrap());
-            assert!(report.converged, "serial sweep of tenant {idx} converged");
-            assert_eq!(report.migrated, trace.tenants[idx].objects);
-            migrated += report.migrated;
-            per_group[idx] = dt;
+        .map(|tenants| {
+            let mut fleet = SweepScheduler::new(config);
+            for &idx in tenants {
+                let task = fleet.register(SweepTask::new(
+                    fleet_sweep_sessions_on(
+                        &stack.fixture,
+                        store.clone(),
+                        SWEEPER,
+                        &trace.tenants[idx].group,
+                        shards,
+                        0x5a7ed,
+                    ),
+                    sweep,
+                ));
+                fleet.arm(task);
+            }
+            fleet
+        })
+        .collect()
+}
+
+/// Converges every fleet — all at once on a thread each when `concurrent`,
+/// else one after another — and checks that each tenant converged with
+/// its whole namespace migrated (and its metrics attributed to it).
+fn converge(
+    trace: &FleetTrace,
+    fleets: &mut [SweepScheduler],
+    concurrent: bool,
+) -> (ModeResult, Vec<FleetReport>) {
+    let width = fleets[0].config().workers;
+    let threads = if concurrent {
+        fleets.len() * width
+    } else {
+        width
+    };
+    let (reports, wall): (Vec<FleetReport>, _) = time(|| {
+        if concurrent {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = fleets
+                    .iter_mut()
+                    .map(|fleet| scope.spawn(move || fleet.converge_all().unwrap()))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("a fleet run panicked"))
+                    .collect()
+            })
+        } else {
+            fleets
+                .iter_mut()
+                .map(|fleet| fleet.converge_all().unwrap())
+                .collect()
         }
     });
-    let worst = per_group
-        .iter()
-        .map(|d| d.saturating_sub(sweep.deadline))
-        .max()
-        .unwrap_or(Duration::ZERO);
-    ModeResult {
-        wall,
-        threads: shards,
-        migrated,
-        per_group,
-        worst_overshoot: worst,
-    }
-}
-
-/// Today's per-group answer: one pool per group (a worker per shard), all
-/// pools running concurrently — G × shards sweep threads.
-fn run_dedicated(
-    trace: &FleetTrace,
-    stack: &Stack,
-    shards: usize,
-    sweep: SweepConfig,
-) -> ModeResult {
-    let mut pools: Vec<SweepPool> = trace
-        .tenants
-        .iter()
-        .map(|t| SweepPool::new(sweep_sessions(stack, &t.group, shards, 0xdedc), sweep))
-        .collect();
-    let objects: Vec<usize> = trace.tenants.iter().map(|t| t.objects).collect();
+    let tenant_of = |group: &str| {
+        let idx = trace.tenants.iter().position(|t| t.group == group);
+        idx.expect("a swept group is a tenant")
+    };
     let mut per_group = vec![Duration::ZERO; trace.tenants.len()];
     let mut migrated = 0usize;
-    let (reports, wall) = time(|| {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pools
-                .iter_mut()
-                .enumerate()
-                .map(|(idx, pool)| scope.spawn(move || (idx, pool.run_until_converged().unwrap())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("dedicated pool panicked"))
-                .collect::<Vec<_>>()
-        })
-    });
-    for (idx, report) in reports {
-        assert!(report.converged, "dedicated pool of tenant {idx} converged");
-        assert_eq!(report.migrated, objects[idx]);
-        migrated += report.migrated;
-        per_group[idx] = report.elapsed;
-    }
-    let worst = per_group
-        .iter()
-        .map(|d| d.saturating_sub(sweep.deadline))
-        .max()
-        .unwrap_or(Duration::ZERO);
-    ModeResult {
-        wall,
-        threads: trace.tenants.len() * shards,
-        migrated,
-        per_group,
-        worst_overshoot: worst,
-    }
-}
-
-/// The fleet answer: one scheduler, W workers, staleness-priority leases.
-fn run_shared(
-    trace: &FleetTrace,
-    stack: &Stack,
-    shards: usize,
-    sweep: SweepConfig,
-    fleet: FleetConfig,
-) -> (ModeResult, FleetReport, SweepScheduler) {
-    let mut scheduler = SweepScheduler::new(fleet);
-    for tenant in &trace.tenants {
-        scheduler.register(SweepTask::new(
-            sweep_sessions(stack, &tenant.group, shards, 0x5a7ed),
-            sweep,
-        ));
-    }
-    for &idx in &trace.arm_order {
-        scheduler.arm(idx);
-    }
-    let (report, wall) = time(|| scheduler.converge_all().unwrap());
-    assert!(report.total.converged, "the fleet converged");
-    let mut per_group = vec![Duration::ZERO; trace.tenants.len()];
-    let mut migrated = 0usize;
-    for (idx, tenant) in trace.tenants.iter().enumerate() {
-        let g = report
-            .group(&tenant.group)
-            .expect("every armed tenant completes");
+    let mut completed = 0usize;
+    for g in reports.iter().flat_map(|r| &r.groups) {
+        let idx = tenant_of(&g.group);
         assert!(g.report.converged, "tenant {idx} converged");
         assert_eq!(
-            g.report.migrated, tenant.objects,
-            "tenant {idx} migrated all"
+            g.report.migrated, trace.tenants[idx].objects,
+            "tenant {idx} migrated its whole namespace, no more, no less"
         );
         migrated += g.report.migrated;
         per_group[idx] = g.report.elapsed;
+        completed += 1;
     }
-    // per-group metrics attribution agrees with the reports
-    let metrics = scheduler.metrics();
-    for tenant in &trace.tenants {
-        assert_eq!(
-            metrics.group(&tenant.group).unwrap().migrations,
-            tenant.objects as u64,
-            "metrics attribute {}'s migrations to it",
-            tenant.group
-        );
-    }
-    let worst = report.worst_overshoot();
-    (
-        ModeResult {
-            wall,
-            threads: fleet.workers,
-            migrated,
-            per_group,
-            worst_overshoot: worst,
-        },
-        report,
-        scheduler,
-    )
-}
-
-/// The crash-safety run: the same shared fleet as [`run_shared`], with
-/// every sweeper request rolled through a seeded fault schedule and one
-/// worker panic armed mid-run. Asserts the fleet converges to exactly the
-/// fault-free totals — faults cost leases and wall-clock, never work.
-fn run_faulted(
-    trace: &FleetTrace,
-    stack: &Stack,
-    shards: usize,
-    sweep: SweepConfig,
-    fleet: FleetConfig,
-    seed: u64,
-) -> (ModeResult, FleetReport, FaultStats) {
-    let injector = Arc::new(FaultInjector::new(FaultConfig::canned(seed, 4)));
-    let faulty: StoreHandle =
-        FaultyStore::with_injector(stack.fixture.admin().store().clone(), Arc::clone(&injector))
-            .into();
-    let mut scheduler = SweepScheduler::new(FleetConfig {
-        // the schedule keeps firing for the whole run: allow far more
-        // lost leases per unit than the production default
-        max_retries: 256,
-        ..fleet
-    });
-    for tenant in &trace.tenants {
-        scheduler.register(SweepTask::new(
-            fleet_sweep_sessions_on(
-                &stack.fixture,
-                faulty.clone(),
-                SWEEPER,
-                &tenant.group,
-                shards,
-                0x5a7ed,
-            ),
-            sweep,
-        ));
-    }
-    for &idx in &trace.arm_order {
-        scheduler.arm(idx);
-    }
-    // on top of the probabilistic schedule, one worker dies mid-run
-    injector.arm_panic(64);
-    let (report, wall) = time(|| scheduler.converge_all().unwrap());
-    assert!(report.total.converged, "the faulted fleet converged");
-    let mut per_group = vec![Duration::ZERO; trace.tenants.len()];
-    let mut migrated = 0usize;
-    for (idx, tenant) in trace.tenants.iter().enumerate() {
-        let g = report
-            .group(&tenant.group)
-            .expect("every armed tenant completes");
-        assert!(g.report.converged, "faulted tenant {idx} converged");
-        assert_eq!(
-            g.report.migrated, tenant.objects,
-            "faults must cost leases, never work: tenant {idx} migrated total"
-        );
-        migrated += g.report.migrated;
-        per_group[idx] = g.report.elapsed;
-    }
-    let stats = injector.stats();
-    assert_eq!(stats.panics, 1, "the armed worker panic fired");
-    assert!(
-        report.retries >= 1,
-        "the panicked lease was re-queued on the record"
+    assert_eq!(
+        completed,
+        trace.tenants.len(),
+        "every armed tenant completes"
     );
+    // per-group metrics attribution agrees with the reports
+    for (group, metrics) in fleets.iter().flat_map(|f| f.metrics().by_group) {
+        assert_eq!(
+            metrics.migrations,
+            trace.tenants[tenant_of(&group)].objects as u64,
+            "metrics attribute {group}'s migrations to it"
+        );
+    }
+    let worst_overshoot = reports
+        .iter()
+        .map(FleetReport::worst_overshoot)
+        .max()
+        .unwrap_or(Duration::ZERO);
     (
         ModeResult {
             wall,
-            threads: fleet.workers,
+            threads,
             migrated,
             per_group,
-            worst_overshoot: report.worst_overshoot(),
+            worst_overshoot,
         },
-        report,
-        stats,
+        reports,
     )
 }
 
@@ -433,15 +325,15 @@ fn main() {
     let trace_ctx = args.trace_writer();
     let sweep = SweepConfig {
         deadline: Duration::from_secs(60),
-        max_per_tick: 8,
     };
     let fleet = FleetConfig {
         workers,
-        lease: sweep.max_per_tick,
-        deadline: sweep.deadline,
-        max_passes: 32,
-        max_retries: 8,
         ..FleetConfig::default()
+    };
+    // a dedicated fleet serves one group with a worker per data shard
+    let per_group = FleetConfig {
+        workers: shards,
+        ..fleet
     };
 
     let trace = generate_fleet(&FleetTraceConfig {
@@ -454,34 +346,42 @@ fn main() {
     println!(
         "fleet sweep: {} groups ({} objects, {} rotations total, {payload}B payloads, \
          {shards} data shards/group), shared fleet of {workers} workers vs {} dedicated \
-         pool threads vs serial",
+         fleet threads vs serial",
         groups,
         trace.total_objects(),
         trace.total_revocations(),
         groups * shards,
     );
 
-    let serial = run_serial(
-        &trace,
-        &build_stack(&trace, shards, payload, 7),
-        shards,
-        sweep,
-    );
-    let dedicated = run_dedicated(
-        &trace,
-        &build_stack(&trace, shards, payload, 7),
-        shards,
-        sweep,
-    );
-    let (shared, fleet_report, _scheduler) = run_shared(
-        &trace,
-        &build_stack(&trace, shards, payload, 7),
-        shards,
-        sweep,
-        fleet,
-    );
+    // the groups in staleness order, each on a fleet of its own / all on one
+    let solo: Vec<Vec<usize>> = trace.arm_order.iter().map(|&idx| vec![idx]).collect();
+    let together = [trace.arm_order.clone()];
+    let run = |config: FleetConfig, layout: &[Vec<usize>], concurrent: bool| {
+        let stack = build_stack(&trace, shards, payload, 7);
+        let store = stack.fixture.admin().store().clone();
+        let mut fleets = build_fleets(&trace, &stack, &store, shards, sweep, config, layout);
+        converge(&trace, &mut fleets, concurrent)
+    };
+    let (serial, _) = run(per_group, &solo, false);
+    let (dedicated, _) = run(per_group, &solo, true);
+    let (shared, mut shared_reports) = run(fleet, &together, false);
+    let fleet_report = shared_reports.remove(0);
+    // the crash-safety run: the same shared fleet, with every sweeper
+    // request rolled through a seeded fault schedule and one worker panic
+    // armed mid-run. `converge` asserts it reaches exactly the fault-free
+    // totals — faults cost leases and wall-clock, never work.
     let faulted = args.faults.map(|fault_seed| {
         let stack = build_stack(&trace, shards, payload, 7);
+        let clean = stack.fixture.admin().store().clone();
+        let injector = Arc::new(FaultInjector::new(FaultConfig::canned(fault_seed, 4)));
+        let faulty: StoreHandle =
+            FaultyStore::with_injector(clean.clone(), Arc::clone(&injector)).into();
+        // the schedule keeps firing for the whole run: allow far more lost
+        // leases per unit than the production default
+        let config = FleetConfig {
+            max_retries: 256,
+            ..fleet
+        };
         // scope a collector to exactly the faulted fleet run (setup traffic
         // excluded), teeing into the whole-run trace writer when present
         let collector = Arc::new(telemetry::Collector::new());
@@ -492,12 +392,21 @@ fn main() {
             ]))),
             None => telemetry::install(Arc::clone(&collector) as Arc<dyn telemetry::Subscriber>),
         };
-        let before = stack.fixture.admin().store().metrics();
-        let result = run_faulted(&trace, &stack, shards, sweep, fleet, fault_seed);
-        let after = stack.fixture.admin().store().metrics();
+        let before = clean.metrics();
+        let mut fleets = build_fleets(&trace, &stack, &faulty, shards, sweep, config, &together);
+        // on top of the probabilistic schedule, one worker dies mid-run
+        injector.arm_panic(64);
+        let (mode, mut reports) = converge(&trace, &mut fleets, false);
+        let after = clean.metrics();
         drop(gate_guard);
-        check_trace_consistency(&collector, &before, &after, &result.2);
-        result
+        let (report, stats) = (reports.remove(0), injector.stats());
+        assert_eq!(stats.panics, 1, "the armed worker panic fired");
+        assert!(
+            report.retries >= 1,
+            "the panicked lease was re-queued on the record"
+        );
+        check_trace_consistency(&collector, &before, &after, &stats);
+        (mode, report, stats)
     });
 
     // staleness-priority ordering: the most-behind group finished its
@@ -535,7 +444,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "fleet convergence: shared W-worker scheduler vs dedicated pools vs serial",
+        "fleet convergence: one shared W-worker fleet vs dedicated per-group fleets vs serial",
         &[
             "mode",
             "sweep threads",
@@ -581,7 +490,7 @@ fn main() {
 
     println!(
         "\nthe shared fleet serves {} groups with {} workers ({} threads saved vs \
-         dedicated pools) at {:.2}x dedicated wall-clock; leases follow staleness \
+         dedicated fleets) at {:.2}x dedicated wall-clock; leases follow staleness \
          priority, so the deepest backlog drains first while idle groups cost \
          nothing between waves.",
         groups,
@@ -592,7 +501,7 @@ fn main() {
 
     assert!(
         ratio(shared.wall, dedicated.wall) <= 1.5,
-        "acceptance: shared fleet must stay within 1.5x of dedicated pools \
+        "acceptance: shared fleet must stay within 1.5x of dedicated fleets \
          (shared {:?} vs dedicated {:?})",
         shared.wall,
         dedicated.wall
@@ -611,7 +520,7 @@ fn main() {
             shared.migrated,
             ratio(faulted_mode.wall, shared.wall),
         );
-        // the run_faulted asserts are the gate; here only the cross-mode
+        // `converge`'s asserts are the gate; here only the cross-mode
         // equality remains to check
         assert_eq!(
             faulted_mode.migrated, shared.migrated,

@@ -17,7 +17,10 @@
 //! largest store — the O(1)-revocation sanity gate).
 
 use cloud_store::CloudStore;
-use dataplane::{ClientSession, ReencryptionPolicy, RevocationCoordinator, SweepConfig, Sweeper};
+use dataplane::{
+    ClientSession, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
+    SweepScheduler, SweepTask,
+};
 use ibbe_sgx_bench::json::{write_results, Json};
 use ibbe_sgx_bench::{fmt_duration, print_table, time, BenchArgs};
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
@@ -27,7 +30,8 @@ struct Stack {
     admin: acs::Admin,
     store: CloudStore,
     writer: ClientSession,
-    sweeper: Sweeper,
+    /// A one-worker fleet serving the group's single data folder.
+    fleet: SweepScheduler,
 }
 
 /// Builds one deployment with `objects` stored objects of `payload` bytes.
@@ -58,18 +62,22 @@ fn deploy(seed: u64, partition: usize, objects: usize, payload: usize) -> Stack 
     for i in 0..objects {
         writer.write(&format!("obj-{i:06}"), &body).unwrap();
     }
-    let sweeper = Sweeper::new(
-        session("sweeper", seed ^ 0xbb),
+    let mut fleet = SweepScheduler::new(FleetConfig {
+        workers: 1,
+        lease: 64,
+        ..FleetConfig::default()
+    });
+    fleet.register(SweepTask::new(
+        vec![session("sweeper", seed ^ 0xbb)],
         SweepConfig {
             deadline: Duration::from_secs(30),
-            max_per_tick: 64,
         },
-    );
+    ));
     Stack {
         admin,
         store,
         writer,
-        sweeper,
+        fleet,
     }
 }
 
@@ -96,11 +104,11 @@ fn main() {
         let mut batch = MembershipBatch::new();
         batch.remove("user-0000");
         let (outcome, lazy_revoke) =
-            time(|| coordinator.revoke("g", &batch, &mut lazy.sweeper).unwrap());
+            time(|| coordinator.revoke("g", &batch, &mut lazy.fleet).unwrap());
         assert!(outcome.batch.gk_rotated && outcome.sweep.is_none());
         let lazy_rewrites = (lazy.store.metrics().cas_puts - cas_before) as usize;
         assert_eq!(lazy_rewrites, 0, "lazy revocation touched a stored object");
-        let sweep = lazy.sweeper.run_until_converged().unwrap();
+        let sweep = lazy.fleet.converge_all().unwrap().groups[0].report;
         assert!(sweep.converged, "sweeper must converge: {sweep:?}");
         assert_eq!(sweep.migrated, n);
         // spot-check: a survivor still reads post-sweep
@@ -112,7 +120,7 @@ fn main() {
         let mut batch = MembershipBatch::new();
         batch.remove("user-0000");
         let (outcome, eager_revoke) =
-            time(|| coordinator.revoke("g", &batch, &mut eager.sweeper).unwrap());
+            time(|| coordinator.revoke("g", &batch, &mut eager.fleet).unwrap());
         let eager_sweep = outcome.sweep.expect("eager sweeps in-line");
         assert!(eager_sweep.converged);
         assert_eq!(eager_sweep.migrated, n);

@@ -2,13 +2,14 @@
 //! with shard count.
 //!
 //! Part 1 (the headline): identically seeded deployments at 1/2/4/8 store
-//! shards (data namespace and sweep pool sharded to match) each revoke one
-//! member, then converge the stale namespace with their `SweepPool`. Every
-//! deployment migrates the same object total; wall-clock convergence time
-//! drops roughly by the shard factor because each worker's GET/CAS
-//! round-trips hit an independent shard (own clock, wait queue and latency
-//! model). After convergence the epoch history is compacted and the pruned
-//! entry count is reported.
+//! shards (data namespace and sweep-fleet width sharded to match) each
+//! revoke one member, then converge the stale namespace on a one-group
+//! `SweepScheduler` with a worker per shard. Every deployment migrates the
+//! same object total; wall-clock convergence time drops roughly by the
+//! shard factor because each worker's GET/CAS round-trips hit an
+//! independent shard (own clock, wait queue and latency model). After
+//! convergence the epoch history is compacted and the pruned entry count
+//! is reported.
 //!
 //! Part 2: aggregate read/write throughput of a fixed pool of concurrent
 //! writer sessions replaying the skewed rw trace (objects partitioned
@@ -22,7 +23,8 @@
 
 use cloud_store::{stable_hash64, LatencyModel, ShardedStore};
 use dataplane::{
-    ClientSession, ReencryptionPolicy, RevocationCoordinator, SweepConfig, SweepDriver, SweepPool,
+    ClientSession, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
+    SweepScheduler, SweepTask,
 };
 use ibbe_sgx_bench::json::{write_results, Json};
 use ibbe_sgx_bench::{fmt_duration, print_table, time, BenchArgs};
@@ -36,7 +38,7 @@ const CLIENTS: usize = 4;
 struct Deployment {
     admin: acs::Admin,
     store: ShardedStore,
-    pool: SweepPool,
+    fleet: SweepScheduler,
 }
 
 fn session(admin: &acs::Admin, store: &ShardedStore, identity: &str, seed: u64) -> ClientSession {
@@ -69,7 +71,12 @@ fn deploy(shards: usize, objects: usize, payload: usize, latency: LatencyModel) 
     for i in 0..objects {
         writer.write(&format!("obj-{i:06}"), &body).unwrap();
     }
-    let pool = SweepPool::new(
+    let mut fleet = SweepScheduler::new(FleetConfig {
+        workers: shards,
+        lease: 64,
+        ..FleetConfig::default()
+    });
+    fleet.register(SweepTask::new(
         (0..shards)
             .map(|w| {
                 session(&admin, &store, "sweeper", 0xbb ^ ((w as u64) << 32))
@@ -78,10 +85,13 @@ fn deploy(shards: usize, objects: usize, payload: usize, latency: LatencyModel) 
             .collect(),
         SweepConfig {
             deadline: Duration::from_secs(600),
-            max_per_tick: 64,
         },
-    );
-    Deployment { admin, store, pool }
+    ));
+    Deployment {
+        admin,
+        store,
+        fleet,
+    }
 }
 
 fn converge_rows(
@@ -100,12 +110,13 @@ fn converge_rows(
             .with_history_compaction();
         let mut batch = MembershipBatch::new();
         batch.remove("user-00");
-        let outcome = coordinator.revoke(GROUP, &batch, &mut d.pool).unwrap();
+        let outcome = coordinator.revoke(GROUP, &batch, &mut d.fleet).unwrap();
         assert!(outcome.batch.gk_rotated && outcome.sweep.is_none());
-        // arm the rings outside the timed window: the comparison is about
-        // convergence I/O, not per-worker key derivation
-        d.pool.refresh().unwrap();
-        let (report, wall) = time(|| d.pool.run_until_converged().unwrap());
+        // prime the rings outside the timed window: the comparison is about
+        // convergence I/O, not per-unit key derivation
+        d.fleet.refresh().unwrap();
+        let (run, wall) = time(|| d.fleet.converge_all().unwrap());
+        let report = run.groups[0].report;
         assert!(report.converged, "sweep must converge: {report:?}");
         assert_eq!(report.migrated, objects, "no object may be lost");
         assert_eq!(report.scanned, objects);
@@ -136,7 +147,7 @@ fn converge_rows(
         let _ = d.store;
     }
     print_table(
-        "lazy-window convergence vs shard count (one revocation, SweepPool = one worker per shard)",
+        "lazy-window convergence vs shard count (one revocation, one fleet worker per shard)",
         &["shards", "migrated", "converge", "speedup", "epochs pruned"],
         &rows,
     );
@@ -258,7 +269,7 @@ fn main() {
         latency,
     ));
     println!(
-        "\nconvergence scales with the shard count because each SweepPool worker's \
+        "\nconvergence scales with the shard count because each sweep worker's \
          GET/CAS round-trips hit its own shard (independent clock, wait queue and \
          latency); *serial* client throughput is bounded by each session's blocking \
          round-trips, so the rw table above stays flat. The pipelined client lifts \

@@ -1,8 +1,17 @@
 //! Revocation coordination: where the control plane's key rotation meets
 //! the data plane's re-encryption cost, under a configurable policy.
+//!
+//! Both policies are the same two calls on the one sweep driver
+//! ([`SweepScheduler`]): a rotation **arms** the group's task (O(1), no
+//! store traffic), and a sweep is [`SweepScheduler::converge_all`]. They
+//! differ only in *when* the second call happens — `Lazy` leaves it to the
+//! caller (a background `watch` loop, a timer, the next maintenance
+//! window), `Eager` makes it before the revocation returns, and fails
+//! closed if it does not converge.
 
 use crate::error::DataError;
-use crate::sweeper::{SweepDriver, SweepReport};
+use crate::scheduler::SweepScheduler;
+use crate::sweeper::SweepReport;
 use acs::Admin;
 use ibbe_sgx_core::{BatchOutcome, MembershipBatch};
 
@@ -17,8 +26,9 @@ pub enum ReencryptionPolicy {
     Lazy,
     /// Revocation synchronously re-encrypts every stored object (O(n)):
     /// the revoked member loses all access the moment the revocation
-    /// returns, at the price of a revocation latency proportional to the
-    /// group's data footprint.
+    /// returns `Ok`, at the price of a revocation latency proportional to
+    /// the group's data footprint. A sweep that could not converge makes
+    /// the revocation return [`DataError::SweepUnconverged`] instead.
     Eager,
 }
 
@@ -33,8 +43,8 @@ pub struct RevocationOutcome {
 }
 
 /// Applies membership batches through an [`Admin`] and enacts the
-/// re-encryption policy against any [`SweepDriver`] (a single
-/// [`crate::Sweeper`] or a [`crate::SweepPool`]).
+/// re-encryption policy on the [`SweepScheduler`] the group's
+/// [`crate::SweepTask`] is registered with.
 pub struct RevocationCoordinator<'a> {
     admin: &'a Admin,
     policy: ReencryptionPolicy,
@@ -56,11 +66,11 @@ impl<'a> RevocationCoordinator<'a> {
     /// keys below the sweep's floor epoch are pruned from the published
     /// `_epochs` object.
     ///
-    /// Only enable this when the sweeper covers the group's **full**
-    /// namespace (a single unassigned [`crate::Sweeper`] or a
-    /// [`crate::SweepPool`] spanning every data shard): a partial worker's
-    /// converged report only vouches for its own shard, and pruning from it
-    /// would orphan objects elsewhere.
+    /// Only hand [`RevocationCoordinator::compact_after`] a report that
+    /// covers the group's **full** namespace — a
+    /// [`crate::GroupSweepReport::report`] does (a task has one unit per
+    /// data folder); a hand-stepped partial unit's report only vouches for
+    /// its own folders, and pruning from it would orphan objects elsewhere.
     #[must_use]
     pub fn with_history_compaction(mut self) -> Self {
         self.compact_history = true;
@@ -72,30 +82,47 @@ impl<'a> RevocationCoordinator<'a> {
         self.policy
     }
 
-    /// Applies `batch` to `group`; if it rotated the key and the policy is
-    /// eager, synchronously sweeps every stored object to the new epoch
-    /// before returning. Under the lazy policy the revocation itself
-    /// performs **zero** object re-writes — drive `sweeper` afterwards
-    /// ([`SweepDriver::run_until_converged`] or [`SweepDriver::watch`]) to
-    /// converge within its deadline, then hand the report to
-    /// [`RevocationCoordinator::compact_after`] to bound the epoch history.
+    /// Applies `batch` to `group` and, if it rotated the key, arms the
+    /// group's task on `fleet`. Under the lazy policy that is all: the
+    /// revocation performs **zero** store requests beyond the control-plane
+    /// publish — run [`SweepScheduler::converge_all`] afterwards (directly,
+    /// or from a [`SweepScheduler::watch`] loop) and hand the group's
+    /// report to [`RevocationCoordinator::compact_after`] to bound the
+    /// epoch history. Under the eager policy the fleet is converged (every
+    /// armed task on it, this group included) and the history compacted
+    /// before returning.
     ///
     /// # Errors
-    /// Control-plane failures from the batch; sweep failures (eager only).
-    pub fn revoke<S: SweepDriver>(
+    /// Control-plane failures from the batch; fatal sweep failures and
+    /// [`DataError::SweepUnconverged`] (eager only — the batch is applied,
+    /// nothing is compacted, and the task stays armed for a retry).
+    ///
+    /// # Panics
+    /// Panics if `group` has no task registered on `fleet`.
+    pub fn revoke(
         &self,
         group: &str,
         batch: &MembershipBatch,
-        sweeper: &mut S,
+        fleet: &mut SweepScheduler,
     ) -> Result<RevocationOutcome, DataError> {
+        let task = fleet
+            .task_of(group)
+            .expect("the group's sweep task is registered with the fleet");
         let outcome = self.admin.apply_batch(group, batch)?;
-        let sweep = if outcome.gk_rotated && self.policy == ReencryptionPolicy::Eager {
-            let report = sweeper.sweep_now()?;
-            self.compact_after(group, &report)?;
-            Some(report)
-        } else {
-            None
-        };
+        let mut sweep = None;
+        if outcome.gk_rotated {
+            fleet.arm(task);
+            if self.policy == ReencryptionPolicy::Eager {
+                let run = fleet.converge_all()?;
+                let report = run.group(group).expect("an armed task completes").report;
+                if !report.converged {
+                    fleet.arm(task);
+                    return Err(DataError::SweepUnconverged(report));
+                }
+                self.compact_after(group, &report)?;
+                sweep = Some(report);
+            }
+        }
         Ok(RevocationOutcome {
             batch: outcome,
             sweep,
@@ -104,8 +131,8 @@ impl<'a> RevocationCoordinator<'a> {
 
     /// Prunes the group's epoch-key history below a converged sweep's floor
     /// epoch (no-op unless compaction is enabled, the report converged, and
-    /// it scanned something). The lazy policy's companion call after
-    /// driving the sweeper by hand.
+    /// it scanned something). The lazy policy's companion call after its
+    /// own [`SweepScheduler::converge_all`].
     ///
     /// # Errors
     /// Control-plane failures from the compaction publish.

@@ -1,5 +1,6 @@
 //! Error type for the data plane.
 
+use crate::sweeper::SweepReport;
 use cloud_store::{StoreError, VersionConflict};
 use core::fmt;
 
@@ -37,6 +38,14 @@ pub enum DataError {
     /// A sweep worker thread panicked; its work unit was (or must be)
     /// re-queued. Carries the panic payload rendered as text.
     WorkerPanic(String),
+    /// An **eager** revocation's synchronous sweep did not converge (a
+    /// unit retired at a [`crate::FleetConfig`] safety cap, e.g. across a
+    /// store outage): the membership batch *was* applied and the key
+    /// rotated, but some objects are still readable under a retired key.
+    /// Carries the group's report. The group's task is left armed — do not
+    /// re-apply the batch; re-run [`crate::SweepScheduler::converge_all`]
+    /// once the store recovers.
+    SweepUnconverged(SweepReport),
 }
 
 impl fmt::Display for DataError {
@@ -52,6 +61,11 @@ impl fmt::Display for DataError {
             DataError::NoKeys => write!(f, "session holds no key material"),
             DataError::Store(e) => write!(f, "store: {e}"),
             DataError::WorkerPanic(note) => write!(f, "sweep worker panicked: {note}"),
+            DataError::SweepUnconverged(report) => write!(
+                f,
+                "eager sweep left stale objects behind ({} of {} migrated)",
+                report.migrated, report.stale
+            ),
         }
     }
 }

@@ -35,7 +35,7 @@ pub fn fleet_session(
 }
 
 /// One sweeper session per data folder (the shape [`crate::SweepTask`]
-/// and [`crate::SweepPool`] take), deterministically seeded per worker.
+/// takes), deterministically seeded per unit.
 ///
 /// # Panics
 /// Panics if the fixture cannot extract `identity`'s key.

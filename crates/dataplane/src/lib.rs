@@ -12,23 +12,21 @@
 //!   key ring (current `gk` + retired keys unlocked from the published
 //!   history), invalidated by the cloud store's long-poll notifications;
 //!   writes are compare-and-swap PUTs, so concurrent writers are safe.
-//! * [`Sweeper`] — the **lazy** re-encryption policy's convergence engine:
-//!   revocation touches zero objects, each object migrates on its next
-//!   write, and the sweeper moves the cold tail within a configured
-//!   deadline. [`SweepPool`] splits that work one worker per data shard
-//!   (see [`data_shard_folder`]) and drives the shards concurrently, so
-//!   convergence time drops roughly by the shard factor on a
-//!   `ShardedStore`.
-//! * [`SweepScheduler`] — fleet-scale lazy revocation: a fixed pool of W
-//!   workers serves G registered groups' [`SweepTask`]s, leasing
-//!   per-folder [`SweepPass`] steps in staleness-priority order (the group
-//!   furthest behind its lazy-window deadline runs first) and re-arming
-//!   idle groups from long-poll notifications. The `fleet_sweep` bench
-//!   binary compares it against G dedicated pools.
+//! * [`SweepScheduler`] — the one re-encryption sweep driver. A group
+//!   registers a [`SweepTask`] (one [`Sweeper`] unit per data folder, see
+//!   [`data_shard_folder`]); a rotation *arms* it (O(1), no store traffic);
+//!   `converge_all` leases per-folder [`SweepPass`] steps to a fixed fleet
+//!   of W workers in staleness-priority order until every armed backlog
+//!   has converged. One group with W = its shard count is a parallel
+//!   per-shard sweep (convergence time drops roughly by the shard factor
+//!   on a `ShardedStore`); G groups on W workers is fleet-scale lazy
+//!   revocation, re-armed from long-poll notifications by `watch`. The
+//!   `sweep_scaling` and `fleet_sweep` bench binaries measure the two.
 //! * [`RevocationCoordinator`] — applies membership batches under a
-//!   [`ReencryptionPolicy`]: `Lazy` (O(1) revocation, bounded stale window)
-//!   or `Eager` (O(n) synchronous sweep at revocation time). The
-//!   `lazy_vs_eager` bench binary measures the two against each other.
+//!   [`ReencryptionPolicy`]: `Lazy` (O(1) revocation — arm and return —
+//!   with a bounded stale window) or `Eager` (arm, converge and compact
+//!   before returning; fails closed). The `lazy_vs_eager` bench binary
+//!   measures the two against each other.
 //! * [`RwSystemBackend`] — the full stack as a replay backend for the
 //!   `workloads` read/write traces.
 //!
@@ -62,7 +60,6 @@ pub mod error;
 pub mod fixtures;
 pub mod metrics;
 pub mod pipeline;
-pub mod pool;
 pub mod replay;
 pub mod scheduler;
 pub mod session;
@@ -73,10 +70,9 @@ pub use envelope::{SealedObject, OBJECT_FORMAT_V1};
 pub use error::DataError;
 pub use metrics::{DataMetrics, DataMetricsSnapshot, FleetMetrics};
 pub use pipeline::{OpClass, OpSample, PipelinedSession, ReadHandle};
-pub use pool::SweepPool;
 pub use replay::{ReplayError, RwSystemBackend, RwSystemConfig, SWEEPER_IDENTITY, WRITER_IDENTITY};
 pub use scheduler::{
     FleetConfig, FleetReport, GroupSweepReport, LeaseRecord, SweepScheduler, SweepTask, TaskId,
 };
 pub use session::{data_folder, data_shard_folder, ClientSession, RetryPolicy};
-pub use sweeper::{SweepConfig, SweepDriver, SweepPass, SweepReport, Sweeper};
+pub use sweeper::{SweepConfig, SweepPass, SweepReport, Sweeper};

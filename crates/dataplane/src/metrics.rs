@@ -46,8 +46,8 @@ pub struct DataMetricsSnapshot {
 }
 
 impl DataMetricsSnapshot {
-    /// Field-wise sum of two snapshots — how a [`crate::SweepPool`] merges
-    /// its workers' counters into one view.
+    /// Field-wise sum of two snapshots — how a [`crate::SweepScheduler`]
+    /// merges its unit sessions' counters into one view.
     #[must_use]
     pub fn merge(&self, other: &Self) -> Self {
         Self {

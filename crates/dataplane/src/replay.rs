@@ -1,17 +1,17 @@
 //! The data-plane system under test for read/write trace replay: one
-//! backend drives the full stack (admin, store, writer session, sweep
-//! pool) through the generic `workloads` event driver. The backend is
-//! built over any [`cloud_store::ObjectStore`], so the same trace replays
-//! unchanged on a single `CloudStore` or a folder-sharded `ShardedStore`
-//! with a matching [`SweepPool`].
+//! backend drives the full stack (admin, store, writer session, a
+//! one-group sweep fleet) through the generic `workloads` event driver.
+//! The backend is built over any [`cloud_store::ObjectStore`], so the same
+//! trace replays unchanged on a single `CloudStore` or a folder-sharded
+//! `ShardedStore` with a matching [`SweepScheduler`] width.
 
 use crate::coordinator::{ReencryptionPolicy, RevocationCoordinator};
 use crate::error::DataError;
 use crate::metrics::DataMetricsSnapshot;
 use crate::pipeline::PipelinedSession;
-use crate::pool::SweepPool;
+use crate::scheduler::{FleetConfig, SweepScheduler, SweepTask};
 use crate::session::ClientSession;
-use crate::sweeper::{SweepConfig, SweepDriver, SweepReport};
+use crate::sweeper::{SweepConfig, SweepReport};
 use acs::Admin;
 use cloud_store::{CloudStore, StoreHandle};
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
@@ -83,7 +83,7 @@ pub struct RwSystemConfig {
     pub partition_size: usize,
     /// Re-encryption policy enacted on churn events.
     pub policy: ReencryptionPolicy,
-    /// Sweep pacing shared by every pool worker.
+    /// The group's sweep parameters.
     pub sweep: SweepConfig,
     /// Payload size of every written object.
     pub payload_len: usize,
@@ -92,7 +92,7 @@ pub struct RwSystemConfig {
     /// Data folders the namespace is spread over (see
     /// [`crate::data_shard_folder`]).
     pub data_shards: usize,
-    /// Sweep-pool workers (usually equal to `data_shards`).
+    /// Sweep-fleet workers, `W` (usually equal to `data_shards`).
     pub sweep_workers: usize,
     /// Compact the epoch-key history after converged sweeps.
     pub compact_history: bool,
@@ -159,7 +159,8 @@ pub struct RwSystemBackend {
     admin: Admin,
     group: String,
     session: WriterSession,
-    sweepers: SweepPool,
+    /// A one-group fleet: the trace's group is its only task (id 0).
+    sweepers: SweepScheduler,
     config: RwSystemConfig,
     payload: Vec<u8>,
     seq: u64,
@@ -170,7 +171,7 @@ pub struct RwSystemBackend {
 impl RwSystemBackend {
     /// Boots a single-store, single-shard deployment — the classic shape
     /// (equivalent to [`RwSystemBackend::with_store`] over a fresh
-    /// [`CloudStore`] and a one-worker pool).
+    /// [`CloudStore`] and a one-worker fleet).
     pub fn new(
         partition_size: usize,
         group: &str,
@@ -197,9 +198,9 @@ impl RwSystemBackend {
 
     /// Boots an engine/admin (deterministically from `config.seed`) over
     /// any store, creates the trace's group with the service identities
-    /// appended, and opens the writer session plus a [`SweepPool`] of
-    /// `config.sweep_workers` workers over `config.data_shards` data
-    /// folders.
+    /// appended, and opens the writer session plus a [`SweepScheduler`] of
+    /// `config.sweep_workers` workers serving one unit per
+    /// `config.data_shards` data folder.
     pub fn with_store(
         store: impl Into<StoreHandle>,
         group: &str,
@@ -241,12 +242,16 @@ impl RwSystemBackend {
         } else {
             WriterSession::Serial(writer)
         };
-        let sweepers = SweepPool::new(
-            (0..config.sweep_workers.max(1))
+        let mut sweepers = SweepScheduler::new(FleetConfig {
+            workers: config.sweep_workers.max(1),
+            ..FleetConfig::default()
+        });
+        sweepers.register(SweepTask::new(
+            (0..config.data_shards)
                 .map(|w| session(SWEEPER_IDENTITY, config.seed ^ 0x5eed ^ (w as u64) << 32))
                 .collect(),
             config.sweep,
-        );
+        ));
         Self {
             admin,
             group: group.to_string(),
@@ -302,25 +307,27 @@ impl RwSystemBackend {
         self.read_digest = h;
     }
 
-    /// The sweep pool (drive it between events under the lazy policy).
-    pub fn sweeper_mut(&mut self) -> &mut SweepPool {
+    /// The sweep fleet (drive it between events under the lazy policy).
+    pub fn sweeper_mut(&mut self) -> &mut SweepScheduler {
         &mut self.sweepers
     }
 
-    /// The pool's merged counters.
+    /// The sweep sessions' merged counters.
     pub fn sweeper_metrics(&self) -> DataMetricsSnapshot {
-        self.sweepers.metrics()
+        self.sweepers.metrics().total
     }
 
-    /// Converges the lazy tail now: drives the pool to convergence, then
-    /// (when configured) compacts the epoch history and GCs the writer's
-    /// versions map.
+    /// Converges the lazy tail now: arms the group and drives the fleet to
+    /// convergence, then (when configured) compacts the epoch history and
+    /// GCs the writer's versions map.
     ///
     /// # Errors
     /// Sweep or compaction failures.
     pub fn converge(&mut self) -> Result<SweepReport, DataError> {
         self.session.drain()?;
-        let report = self.sweepers.run_until_converged()?;
+        self.sweepers.arm(0);
+        let run = self.sweepers.converge_all()?;
+        let report = run.groups[0].report;
         coordinator(&self.admin, self.config).compact_after(&self.group, &report)?;
         self.session.session_mut().gc_versions()?;
         Ok(report)
@@ -408,7 +415,7 @@ impl RwSystemBackend {
     }
 }
 
-/// Borrows only the admin, so the caller can hold the sweep pool mutably
+/// Borrows only the admin, so the caller can hold the sweep fleet mutably
 /// at the same time.
 fn coordinator(admin: &Admin, config: RwSystemConfig) -> RevocationCoordinator<'_> {
     let coordinator = RevocationCoordinator::new(admin, config.policy);

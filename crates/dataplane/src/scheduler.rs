@@ -1,28 +1,46 @@
-//! [`SweepScheduler`]: many groups' lazy-window convergence on one shared,
-//! bounded worker fleet.
+//! [`SweepScheduler`]: the one sweep driver — every re-encryption sweep,
+//! from one group's eager revocation to a provider's whole tenant fleet,
+//! is a run of this scheduler.
 //!
-//! A [`crate::SweepPool`] converges **one** group with one worker per data
-//! shard. A provider hosting G groups cannot afford G dedicated pools —
-//! that is G × shards threads for work that is bursty and mostly idle. The
-//! scheduler inverts the shape: a fixed fleet of `W` workers
-//! ([`FleetConfig::workers`]) serves every registered group's
-//! [`SweepTask`], so "W workers, G groups" is an explicit configuration
-//! instead of an emergent thread count.
+//! A fixed fleet of `W` workers ([`FleetConfig::workers`]) serves every
+//! registered group's [`SweepTask`], so "W workers, G groups" is an
+//! explicit configuration instead of an emergent thread count. A single
+//! group is simply the `G = 1` case: register its task, [`arm`] it after a
+//! rotation, and [`converge_all`]; with `W` = the data-shard count that is
+//! one worker per shard, and with `W = 1` the fleet issues exactly the
+//! request sequence of a hand-composed `begin_pass` / `step` / `finish`
+//! loop. The worker body below is the only place in the workspace's
+//! sources that calls [`SweepPass::step`].
 //!
-//! * **Work units.** Each task contributes one unit per data folder; a
-//!   unit's lease runs one [`crate::SweepPass`] step — scan the folder once
-//!   (first lease of a pass), then migrate up to [`FleetConfig::lease`]
-//!   stale objects — exactly the primitive [`crate::Sweeper`] composes for
-//!   the single-group path.
+//! [`arm`]: SweepScheduler::arm
+//! [`converge_all`]: SweepScheduler::converge_all
+//!
+//! * **Work units.** Each task contributes one unit ([`crate::Sweeper`])
+//!   per data folder; a unit's lease runs one [`crate::SweepPass`] step —
+//!   scan the folder once (first lease of a pass), then migrate up to
+//!   [`FleetConfig::lease`] stale objects. Units never contend: the folder
+//!   assignment is a partition, so no two units ever CAS the same object,
+//!   and each unit's session holds its own key ring and CAS-version map.
 //! * **Staleness priority.** Arming a task stamps it with a monotone
 //!   sequence number; ready units are leased oldest stamp first (the group
 //!   furthest behind its lazy-window deadline runs first), FIFO within a
 //!   stamp. A task keeps its stamp until its whole backlog converges, so a
 //!   fresher rotation can never leapfrog an older one.
+//! * **One deadline, never abandoning.** [`SweepConfig::deadline`] is a
+//!   per-task lazy-window target: a backlog that converges later shows up
+//!   as [`GroupSweepReport::overshoot`]. It prioritizes and reports; work
+//!   is only ever given up at the [`FleetConfig::max_passes`] /
+//!   [`FleetConfig::max_retries`] safety caps, and then the group's report
+//!   says `converged: false`.
 //! * **Re-arming.** [`SweepScheduler::watch`] blocks on the groups'
 //!   metadata folders with at most `W` poll threads (cheap folder-version
 //!   cursors, no object traffic), probes changed groups for an epoch move,
-//!   and arms exactly those — idle groups cost nothing.
+//!   and arms exactly those — idle groups cost nothing. A background
+//!   sweeper thread is `watch` then `converge_all` in a loop.
+//! * **Ring priming.** [`SweepScheduler::refresh`] derives every unit's
+//!   key ring concurrently, so a caller that wants the convergence window
+//!   to measure store I/O rather than IBBE decrypts pays the derivation up
+//!   front.
 //! * **Elastic fleet.** With [`FleetConfig::min_workers`] and
 //!   [`FleetConfig::max_workers`] set, a run starts at the floor and scales
 //!   the active worker set with the ready-queue depth: a backlog deeper
@@ -35,22 +53,27 @@
 //!   `consumed / weight` per lease) instead of strictly stalest-first.
 //!   [`SweepTask::with_lease_rate_cap`] bounds a noisy group's grant rate
 //!   outright; its deferred units never block other groups' grants.
+//! * **Fault containment.** A lease that panics or hits a transient store
+//!   fault costs that lease, not the run: the unit is re-queued under its
+//!   original stamp ([`LeaseRecord::failure`] carries the cause,
+//!   [`FleetReport::warnings`] the summary).
 //!
-//! [`SweepScheduler::converge_all`] then drives the fleet to quiescence on
-//! `W` scoped threads and reports per-group attribution: a labelled
-//! [`GroupSweepReport`] per converged backlog (completion order, lease
-//! counts, deadline overshoot) plus the grant-by-grant [`LeaseRecord`] log
-//! the fairness tests assert against.
+//! [`SweepScheduler::converge_all`] drives the fleet to quiescence on `W`
+//! scoped threads and reports per-group attribution: a labelled
+//! [`GroupSweepReport`] per served backlog (completion order, lease
+//! counts, deadline overshoot, and the full-namespace `min_live_epoch`
+//! that history compaction keys off) plus the grant-by-grant
+//! [`LeaseRecord`] log the fairness tests assert against.
 
 use crate::error::{panic_note, DataError};
 use crate::metrics::{DataMetricsSnapshot, FleetMetrics};
 use crate::session::ClientSession;
 use crate::sweeper::{SweepConfig, SweepPass, SweepReport, Sweeper};
 use cloud_store::{ObjectStore, StoreHandle};
+use parking_lot::{Condvar, Mutex};
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Shape of the shared sweep fleet.
@@ -64,11 +87,6 @@ pub struct FleetConfig {
     /// stepped before the worker goes back to the queue, bounding how long
     /// a large group can hold a worker away from a staler one.
     pub lease: usize,
-    /// Per-group lazy-window target: a group converging later than
-    /// `deadline` after its arming shows up as
-    /// [`GroupSweepReport::overshoot`]. The deadline prioritizes work, it
-    /// never abandons it.
-    pub deadline: Duration,
     /// Safety cap on re-scans of one folder within a single backlog (a
     /// writer with a frozen pre-rotation ring can keep re-sealing objects
     /// at a retired epoch, forcing re-passes). When hit, the unit retires
@@ -96,7 +114,6 @@ impl Default for FleetConfig {
         Self {
             workers: 4,
             lease: 8,
-            deadline: Duration::from_secs(2),
             max_passes: 32,
             max_retries: 8,
             min_workers: 0,
@@ -135,10 +152,10 @@ pub struct SweepTask {
 
 impl SweepTask {
     /// Builds a task from one privileged session per data folder (session
-    /// `i` of `n` sweeps folder `i`), all pacing with `config`. The
-    /// sessions must share a group and agree on the data-shard count —
-    /// typically they are clones-by-construction of the same sweeper
-    /// identity, exactly like a [`crate::SweepPool`]'s.
+    /// `i` of `n` sweeps folder `i`), with `config` as the group's sweep
+    /// parameters. The sessions must share a group and agree on the
+    /// data-shard count — typically they are clones-by-construction of the
+    /// same sweeper identity.
     ///
     /// # Panics
     /// Panics if `sessions` is empty, disagrees on group or shard count,
@@ -353,9 +370,14 @@ struct TaskEntry {
     weight: u32,
     /// Minimum gap between lease grants ([`SweepTask::with_lease_rate_cap`]).
     lease_gap: Option<Duration>,
+    /// Lazy-window target ([`SweepConfig::deadline`]).
+    deadline: Duration,
 }
 
-/// The multi-group sweep scheduler; see the module docs.
+/// Units are checked out of their task only inside `converge_all`.
+const PARKED: &str = "units are parked between fleet runs";
+
+/// The sweep scheduler; see the module docs.
 pub struct SweepScheduler {
     config: FleetConfig,
     tasks: Vec<TaskEntry>,
@@ -398,6 +420,7 @@ impl SweepScheduler {
             .unwrap_or(0);
         self.tasks.push(TaskEntry {
             group,
+            deadline: task.units[0].config().deadline,
             units: task.units.into_iter().map(Some).collect(),
             stamp: None,
             armed_at: None,
@@ -418,6 +441,11 @@ impl SweepScheduler {
         self.tasks.iter().map(|t| t.group.as_str()).collect()
     }
 
+    /// The task registered for `group`, if any.
+    pub fn task_of(&self, group: &str) -> Option<TaskId> {
+        self.tasks.iter().position(|t| t.group == group)
+    }
+
     /// Whether `task` currently has an unserved backlog.
     pub fn is_armed(&self, task: TaskId) -> bool {
         self.tasks[task].stamp.is_some()
@@ -426,6 +454,8 @@ impl SweepScheduler {
     /// Marks `task` stale now: its units join the next fleet run. A task
     /// armed while already pending keeps its original (older) stamp and
     /// deadline — staleness is measured from the oldest unserved rotation.
+    /// Pure bookkeeping: arming issues no store request, which is what
+    /// keeps a lazy revocation O(1).
     pub fn arm(&mut self, task: TaskId) {
         let entry = &mut self.tasks[task];
         if entry.stamp.is_none() {
@@ -444,6 +474,36 @@ impl SweepScheduler {
         for task in 0..self.tasks.len() {
             self.arm(task);
         }
+    }
+
+    /// Primes every registered unit's key ring now (control-plane sync and
+    /// ring rebuild, on up to [`FleetConfig::workers`] threads), so the next
+    /// [`SweepScheduler::converge_all`] starts migrating immediately. Call
+    /// it after a rotation to take the key derivation out of the
+    /// convergence window.
+    ///
+    /// # Errors
+    /// The first unit's refresh failure (in registration order); a
+    /// panicking refresh surfaces as [`DataError::WorkerPanic`].
+    pub fn refresh(&mut self) -> Result<(), DataError> {
+        let mut units: Vec<&mut Sweeper> = self
+            .tasks
+            .iter_mut()
+            .flat_map(|t| t.units.iter_mut().map(|u| u.as_mut().expect(PARKED)))
+            .collect();
+        let share = units.len().div_ceil(self.config.workers).max(1);
+        let results: Vec<std::thread::Result<Result<(), DataError>>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = units
+                    .chunks_mut(share)
+                    .map(|mine| scope.spawn(move || mine.iter_mut().try_for_each(|u| u.refresh())))
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            });
+        for result in results {
+            result.map_err(|payload| DataError::WorkerPanic(panic_note(&*payload)))??;
+        }
+        Ok(())
     }
 
     /// Watches every registered group's metadata folder for up to
@@ -480,9 +540,7 @@ impl SweepScheduler {
         for task in 0..self.tasks.len() {
             let entry = &mut self.tasks[task];
             let was_idle = entry.stamp.is_none();
-            let watcher = entry.units[0]
-                .as_mut()
-                .expect("units are parked between fleet runs");
+            let watcher = entry.units[0].as_mut().expect(PARKED);
             // a faulted version probe skips the group for this pass only:
             // the cursor is untouched, so the change stays detectable
             let Ok(version) = watcher.session().store().try_folder_version(&entry.group) else {
@@ -519,7 +577,7 @@ impl SweepScheduler {
             .tasks
             .iter()
             .map(|t| {
-                let unit = t.units[0].as_ref().expect("units are parked");
+                let unit = t.units[0].as_ref().expect(PARKED);
                 (unit.session().store().clone(), t.group.as_str(), t.cursor)
             })
             .collect();
@@ -563,11 +621,7 @@ impl SweepScheduler {
                 let merged = t
                     .units
                     .iter()
-                    .map(|u| {
-                        u.as_ref()
-                            .expect("units are parked between fleet runs")
-                            .metrics()
-                    })
+                    .map(|u| u.as_ref().expect(PARKED).metrics())
                     .fold(DataMetricsSnapshot::default(), |acc, m| acc.merge(&m));
                 (t.group.clone(), merged)
             })
@@ -633,6 +687,7 @@ impl SweepScheduler {
                 group: entry.group.clone(),
                 stamp,
                 armed_at: entry.armed_at.expect("armed tasks carry a timestamp"),
+                deadline: entry.deadline,
                 outstanding: entry.units.len(),
                 all_converged: true,
                 report: SweepReport::default(),
@@ -693,11 +748,7 @@ impl SweepScheduler {
             }
         });
 
-        // a worker that panicked outside the contained lease step poisons
-        // the lock; the dispatch state itself is still consistent (workers
-        // only mutate it under short, panic-free critical sections), so
-        // recover it rather than abandoning every sweeper inside
-        let dispatch = state.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let dispatch = state.into_inner();
         // return every sweeper to its task slot
         for unit in dispatch.parked.into_iter().flatten() {
             self.tasks[unit.task].units[unit.folder] = Some(unit.sweeper);
@@ -732,7 +783,7 @@ impl SweepScheduler {
                 retries: run.retries,
                 overshoot: completed_at
                     .duration_since(run.armed_at)
-                    .saturating_sub(self.config.deadline),
+                    .saturating_sub(run.deadline),
             });
             // a served backlog disarms its task
             let entry = &mut self.tasks[run.task];
@@ -781,6 +832,8 @@ struct TaskRun {
     group: String,
     stamp: u64,
     armed_at: Instant,
+    /// The task's lazy-window target (overshoot accounting).
+    deadline: Duration,
     /// Units not yet retired (converged or pass-capped).
     outstanding: usize,
     all_converged: bool,
@@ -853,27 +906,44 @@ struct Dispatch {
 }
 
 impl Dispatch {
-    /// The ready-queue key a re-queued unit of `run` gets under the
-    /// current ordering mode.
-    fn requeue_key(&self, run: usize) -> u64 {
-        if self.weighted {
-            self.runs[run].vtime
+    /// Parks `unit` back in its slot and re-queues it under the stamp it
+    /// was granted at — the backlog's age is a property of the rotation,
+    /// not of how many leases it took or lost. The key follows the current
+    /// ordering mode (the group's virtual time in a weighted run).
+    fn requeue(&mut self, granted: &Ready, unit: ActiveUnit) {
+        let key = if self.weighted {
+            self.runs[unit.run].vtime
         } else {
             0
-        }
+        };
+        self.parked[granted.slot] = Some(unit);
+        self.ready.push(Ready {
+            key,
+            stamp: granted.stamp,
+            seq: self.seq,
+            slot: granted.slot,
+        });
+        self.seq += 1;
     }
-}
 
-/// Recovers the dispatch guard from a poisoned lock. A sibling worker's
-/// panic between critical sections (the contained lease step re-raises
-/// nothing; this covers panics in the dispatch bookkeeping itself) must
-/// not wedge the other `W - 1` workers: the state under the lock is
-/// mutated only in short, complete transactions, so the data is sound
-/// even when the poison flag is set.
-fn recover<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
+    /// Retires `unit` from the run (its folder converged, or it hit a
+    /// safety cap and did not); the last unit out completes its group.
+    fn retire(&mut self, granted: &Ready, unit: ActiveUnit, converged: bool) {
+        let run = &mut self.runs[unit.run];
+        telemetry::event("fleet.retire")
+            .with("group", run.group.as_str())
+            .with("stamp", granted.stamp)
+            .with("folder", unit.folder)
+            .with("converged", converged)
+            .emit();
+        run.all_converged &= converged;
+        run.outstanding -= 1;
+        if run.outstanding == 0 {
+            run.completed_at = Some(Instant::now());
+            self.completions.push(unit.run);
+        }
+        self.parked[granted.slot] = Some(unit);
+    }
 }
 
 /// Per-worker parameters of one fleet run.
@@ -954,7 +1024,7 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
         max_passes,
         max_retries,
     } = p;
-    let mut guard = recover(state.lock());
+    let mut guard = state.lock();
     loop {
         let granted = loop {
             // run over (or aborted): everyone exits, parked or not
@@ -965,7 +1035,7 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
             // parked beyond the current target: sleep until a scale-up
             // (or the run's end) wakes us
             if id >= guard.target_workers {
-                guard = recover(cvar.wait(guard));
+                cvar.wait(&mut guard);
                 continue;
             }
             if guard.ready.is_empty() {
@@ -980,7 +1050,7 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
                         .emit();
                     continue;
                 }
-                guard = recover(cvar.wait(guard));
+                cvar.wait(&mut guard);
                 continue;
             }
             // backlog outruns the active set: raise the target and wake a
@@ -997,15 +1067,12 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
             }
             match next_grant(&mut guard, Instant::now()) {
                 Grant::Unit(r) => break r,
-                Grant::Empty => guard = recover(cvar.wait(guard)),
+                Grant::Empty => cvar.wait(&mut guard),
                 Grant::Deferred(at) => {
                     // every queued unit is rate-deferred: sleep out the
                     // shortest gap (a re-queue elsewhere still wakes us)
                     let timeout = at.saturating_duration_since(Instant::now());
-                    guard = cvar
-                        .wait_timeout(guard, timeout)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
+                    cvar.wait_for(&mut guard, timeout);
                 }
             }
         };
@@ -1071,7 +1138,7 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
         }
         drop(lease_span);
 
-        guard = recover(state.lock());
+        guard = state.lock();
         guard.in_flight -= 1;
         // charge the lease to the group's virtual time: a scan-only or
         // failed lease still consumed a worker slot, so it costs at least
@@ -1101,38 +1168,15 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
                 if unit.retries > max_retries {
                     // a store that never recovers must not wedge the run:
                     // retire the unit unconverged, like a pass-capped one
-                    telemetry::event("fleet.retire")
-                        .with("group", group_name.as_str())
-                        .with("stamp", granted.stamp)
-                        .with("folder", unit.folder)
-                        .with("converged", false)
-                        .emit();
-                    guard.runs[run].all_converged = false;
-                    guard.runs[run].outstanding -= 1;
-                    if guard.runs[run].outstanding == 0 {
-                        guard.runs[run].completed_at = Some(Instant::now());
-                        guard.completions.push(run);
-                    }
-                    guard.parked[granted.slot] = Some(unit);
+                    guard.retire(&granted, unit, false);
                 } else {
-                    // re-queue under the same stamp: the backlog's age is a
-                    // property of the rotation, not of how many leases died
                     telemetry::event("fleet.requeue")
                         .with("group", group_name.as_str())
                         .with("stamp", granted.stamp)
                         .with("folder", unit.folder)
                         .with("retries", unit.retries)
                         .emit();
-                    let key = guard.requeue_key(unit.run);
-                    guard.parked[granted.slot] = Some(unit);
-                    let seq = guard.seq;
-                    guard.seq += 1;
-                    guard.ready.push(Ready {
-                        key,
-                        stamp: granted.stamp,
-                        seq,
-                        slot: granted.slot,
-                    });
+                    guard.requeue(&granted, unit);
                 }
             }
             Err(e) => {
@@ -1144,62 +1188,22 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
                 }
             }
             Ok(consumed) => {
-                let run = unit.run;
                 guard.log[log_idx].consumed = consumed;
-                let drained = unit
-                    .pass
-                    .as_ref()
-                    .expect("pass survives a successful lease")
-                    .is_drained();
-                if drained {
-                    let pass_report = unit
-                        .pass
-                        .take()
-                        .expect("pass present when drained")
-                        .finish();
-                    let folder_converged = pass_report.converged;
-                    guard.runs[run].report.absorb_counters(&pass_report);
-                    if folder_converged || unit.passes >= max_passes {
-                        // unit retires
-                        telemetry::event("fleet.retire")
-                            .with("group", group_name.as_str())
-                            .with("stamp", granted.stamp)
-                            .with("folder", unit.folder)
-                            .with("converged", folder_converged)
-                            .emit();
-                        guard.runs[run].all_converged &= folder_converged;
-                        guard.runs[run].outstanding -= 1;
-                        if guard.runs[run].outstanding == 0 {
-                            guard.runs[run].completed_at = Some(Instant::now());
-                            guard.completions.push(run);
-                        }
-                        guard.parked[granted.slot] = Some(unit);
+                let pass = unit.pass.take().expect("pass survives a successful lease");
+                if pass.is_drained() {
+                    let pass_report = pass.finish();
+                    guard.runs[unit.run].report.absorb_counters(&pass_report);
+                    if pass_report.converged || unit.passes >= max_passes {
+                        guard.retire(&granted, unit, pass_report.converged);
                     } else {
                         // conflicted-still-stale leftovers: re-scan on the
-                        // next lease, same stamp (the backlog is not served
-                        // until the folder really converges)
-                        let key = guard.requeue_key(unit.run);
-                        guard.parked[granted.slot] = Some(unit);
-                        let seq = guard.seq;
-                        guard.seq += 1;
-                        guard.ready.push(Ready {
-                            key,
-                            stamp: granted.stamp,
-                            seq,
-                            slot: granted.slot,
-                        });
+                        // next lease (the backlog is not served until the
+                        // folder really converges)
+                        guard.requeue(&granted, unit);
                     }
                 } else {
-                    let key = guard.requeue_key(unit.run);
-                    guard.parked[granted.slot] = Some(unit);
-                    let seq = guard.seq;
-                    guard.seq += 1;
-                    guard.ready.push(Ready {
-                        key,
-                        stamp: granted.stamp,
-                        seq,
-                        slot: granted.slot,
-                    });
+                    unit.pass = Some(pass);
+                    guard.requeue(&granted, unit);
                 }
             }
         }

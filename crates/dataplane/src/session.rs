@@ -27,7 +27,7 @@ pub fn data_folder(group: &str) -> String {
 /// shard is its own cloud folder — and therefore, on a
 /// [`cloud_store::ShardedStore`], its own version clock, long-poll wait
 /// queue and latency domain, which is what lets a
-/// [`crate::SweepPool`] drive every shard concurrently.
+/// [`crate::SweepScheduler`] sweep every shard concurrently.
 ///
 /// # Panics
 /// Panics if `shard >= of` or `of == 0`.

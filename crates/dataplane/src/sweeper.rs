@@ -1,30 +1,27 @@
-//! The background re-encryption sweeper: closes the lazy window.
+//! The re-encryption sweep's unit of work: closes the lazy window.
 //!
 //! After a revocation rotates the group key, objects sealed at retired
 //! epochs remain readable to the revoked member *if* they kept their old
 //! keys. The lazy policy accepts that window in exchange for an O(1)
-//! revocation and bounds it with this sweeper: a privileged member session
-//! (the sweeper holds an ordinary USK — SGX is not involved on this side)
-//! scans the data folder, re-encrypts every stale object to the current
-//! epoch, and is expected to converge within a configured deadline. The
-//! eager policy is the degenerate case: one unbounded sweep, synchronously
-//! at revocation time.
+//! revocation and bounds it with a sweep: a privileged member session (the
+//! sweeper holds an ordinary USK — SGX is not involved on this side) scans
+//! a data folder, re-encrypts every stale object to the current epoch, and
+//! is expected to converge within a configured deadline. The eager policy
+//! is the degenerate case: the same sweep, synchronously at revocation
+//! time.
 //!
-//! A sweeper can own the whole namespace (the default) or one **shard
-//! assignment** of it ([`Sweeper::with_assignment`]): worker `w` of `n`
-//! sweeps only the data folders whose index satisfies `idx % n == w`. A
-//! [`crate::SweepPool`] builds one worker per shard and drives them
-//! concurrently, which is what makes lazy-window convergence scale with the
-//! store's shard count.
-//!
-//! Internally every driving surface decomposes into the same work-unit
-//! primitive: [`Sweeper::begin_pass`] scans the assigned folders once and
-//! returns a resumable [`SweepPass`], which migrates the stale work-list in
-//! bounded [`SweepPass::step`] increments. [`Sweeper::tick`],
-//! [`Sweeper::run_until_converged`] and [`Sweeper::sweep_now`] are thin
-//! compositions of one pass; the multi-group [`crate::SweepScheduler`]
-//! leases the very same steps across many groups' passes from a shared
-//! worker fleet.
+//! A [`Sweeper`] is the *schedulable unit*, not a driver: it owns one
+//! session and one **shard assignment** ([`Sweeper::with_assignment`]:
+//! unit `w` of `n` sweeps only the data folders whose index satisfies
+//! `idx % n == w`; [`Sweeper::new`] owns the whole namespace).
+//! [`Sweeper::begin_pass`] scans the assigned folders once and returns a
+//! resumable [`SweepPass`], which migrates the stale work-list in bounded
+//! [`SweepPass::step`] increments. The one driver that composes those
+//! steps is [`crate::SweepScheduler`]: a [`crate::SweepTask`] holds one
+//! unit per data folder, and the fleet's workers lease steps of many
+//! groups' passes. (Tests and the repo benchmark compose
+//! `begin_pass`/`step`/`finish` by hand where they want an oracle that is
+//! independent of the dispatcher.)
 //!
 //! Migrations are CAS writes conditioned on the scanned version, so the
 //! sweeper never tramples a concurrent application write — and losing that
@@ -37,26 +34,23 @@ use crate::metrics::DataMetricsSnapshot;
 use crate::session::ClientSession;
 use cloud_store::{stable_hash64, ObjectStore};
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Sweeper pacing parameters.
+/// A group's sweep parameters — a tenant property, set per
+/// [`crate::SweepTask`] beside its weight and lease-rate cap.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepConfig {
-    /// How long after a rotation the lazy policy tolerates stale objects;
-    /// [`Sweeper::run_until_converged`] keeps ticking until convergence or
-    /// this much wall-clock has elapsed.
+    /// How long after a rotation the lazy policy tolerates stale objects:
+    /// a backlog converging later than this after its arming shows up as
+    /// [`crate::GroupSweepReport::overshoot`]. The deadline prioritizes
+    /// and reports; it never abandons work.
     pub deadline: Duration,
-    /// Maximum objects migrated per [`Sweeper::tick`] (bounds the burst a
-    /// background sweeper injects into the store between application
-    /// operations).
-    pub max_per_tick: usize,
 }
 
 impl Default for SweepConfig {
     fn default() -> Self {
         Self {
             deadline: Duration::from_secs(2),
-            max_per_tick: 8,
         }
     }
 }
@@ -115,37 +109,8 @@ fn merge_floor(a: Option<u64>, b: Option<u64>) -> Option<u64> {
     }
 }
 
-/// The common driving surface of a single [`Sweeper`] and a
-/// [`crate::SweepPool`]; what [`crate::RevocationCoordinator`] and replay
-/// backends are generic over.
-pub trait SweepDriver {
-    /// One unbounded synchronous sweep (the eager policy's revocation-time
-    /// work).
-    ///
-    /// # Errors
-    /// Control-plane failures; non-CAS migration failures.
-    fn sweep_now(&mut self) -> Result<SweepReport, DataError>;
-
-    /// Sweeps until no stale object remains or the configured deadline
-    /// elapses (the lazy policy's convergence driver).
-    ///
-    /// # Errors
-    /// Same contract as [`SweepDriver::sweep_now`].
-    fn run_until_converged(&mut self) -> Result<SweepReport, DataError>;
-
-    /// Blocks on the group's metadata long poll (up to `timeout`); on a
-    /// change, converges and reports. `None` on a quiet poll.
-    ///
-    /// # Errors
-    /// Same contract as [`SweepDriver::sweep_now`].
-    fn watch(&mut self, timeout: Duration) -> Result<Option<SweepReport>, DataError>;
-
-    /// Merged counters of the underlying session(s).
-    fn metrics(&self) -> DataMetricsSnapshot;
-}
-
-/// The re-encryption sweeper; owns a privileged member session and an
-/// optional shard assignment.
+/// One schedulable sweep unit: a privileged member session plus the shard
+/// assignment it sweeps.
 pub struct Sweeper {
     session: ClientSession,
     config: SweepConfig,
@@ -157,12 +122,12 @@ pub struct Sweeper {
 
 impl Sweeper {
     /// Wraps a session (a group member provisioned for the sweeper role)
-    /// with pacing `config`, owning the whole namespace.
+    /// with sweep parameters `config`, owning the whole namespace.
     pub fn new(session: ClientSession, config: SweepConfig) -> Self {
         Self::with_assignment(session, config, 0, 1)
     }
 
-    /// A pool worker: sweeps only the data folders with index
+    /// Unit `worker` of `of`: sweeps only the data folders with index
     /// `idx % of == worker`.
     ///
     /// # Panics
@@ -183,7 +148,7 @@ impl Sweeper {
         }
     }
 
-    /// The sweeper's pacing parameters.
+    /// The sweep parameters this unit was built with.
     pub fn config(&self) -> SweepConfig {
         self.config
     }
@@ -199,34 +164,15 @@ impl Sweeper {
         &self.session
     }
 
-    /// One bounded sweep pass: refresh keys if the epoch moved, scan the
-    /// assigned data folders, migrate up to `max_per_tick` stale objects.
-    ///
-    /// # Errors
-    /// Control-plane failures from the refresh; per-object migration
-    /// failures other than CAS conflicts (which are counted, not fatal).
-    pub fn tick(&mut self) -> Result<SweepReport, DataError> {
-        let t0 = Instant::now();
-        let mut pass = self.begin_pass()?;
-        if self.config.max_per_tick > 0 {
-            pass.step(self, self.config.max_per_tick)?;
-        }
-        let mut report = pass.finish();
-        report.elapsed = t0.elapsed();
-        Ok(report)
-    }
-
     /// Scans the assigned folders **once** and returns a resumable
     /// migration pass over the stale work-list — the work-unit primitive
-    /// every driver composes ([`Sweeper::tick`], [`Sweeper::sweep_now`],
-    /// [`Sweeper::run_until_converged`], and the fleet-wide
-    /// [`crate::SweepScheduler`], which leases [`SweepPass::step`]
-    /// increments of many groups' passes to a shared worker pool).
+    /// [`crate::SweepScheduler`] leases in [`SweepPass::step`] increments.
+    /// Refreshes the key ring first if the epoch moved.
     ///
     /// # Errors
     /// Control-plane failures from the freshness check; transient store
     /// faults (the scan GETs surface them instead of blocking on a dead
-    /// store — the pool and fleet scheduler contain and retry them);
+    /// store — the fleet scheduler contains and retries them);
     /// storage wire-format corruption found by the scan.
     pub fn begin_pass(&mut self) -> Result<SweepPass, DataError> {
         let scan = self.scan()?;
@@ -249,78 +195,22 @@ impl Sweeper {
         })
     }
 
-    /// Sweeps until no stale object remains or the configured deadline
-    /// elapses. The lazy policy's convergence driver: call it (or
-    /// [`Sweeper::watch`]) after a revocation. The folders are scanned
-    /// **once** (one GET per object); the stale work-list is then migrated
-    /// in `max_per_tick` increments, checking the deadline between
-    /// increments — CAS conditions guarantee any object a concurrent
-    /// writer moved in the meantime is skipped, not trampled.
-    ///
-    /// # Errors
-    /// Same contract as [`Sweeper::tick`].
-    pub fn run_until_converged(&mut self) -> Result<SweepReport, DataError> {
-        self.drain(Some(self.config.deadline))
-    }
-
-    /// One unbounded synchronous sweep — the **eager** policy's revocation-
-    /// time work: no deadline, runs until the work-list is drained.
-    ///
-    /// # Errors
-    /// Same contract as [`Sweeper::tick`].
-    pub fn sweep_now(&mut self) -> Result<SweepReport, DataError> {
-        self.drain(None)
-    }
-
-    /// Blocks on the group's metadata long poll (up to `timeout`); on a
-    /// change — e.g. a revocation rotating the key — runs
-    /// [`Sweeper::run_until_converged`]. Returns `None` on a quiet poll.
-    /// This is the shape a dedicated background sweeper thread loops on.
-    ///
-    /// # Errors
-    /// Same contract as [`Sweeper::run_until_converged`].
-    pub fn watch(&mut self, timeout: Duration) -> Result<Option<SweepReport>, DataError> {
-        if self.session.watch(timeout)? {
-            return self.run_until_converged().map(Some);
-        }
-        Ok(None)
-    }
-
     /// Blocks on the metadata long poll without sweeping; `true` when the
-    /// ring was rebuilt. The pool's wake primitive: one worker polls, every
-    /// worker then converges in parallel.
+    /// ring was rebuilt. The scheduler's watch pass probes a changed group
+    /// with this.
     pub(crate) fn poll(&mut self, timeout: Duration) -> Result<bool, DataError> {
         self.session.watch(timeout)
     }
 
     /// Forces a control-plane sync and ring rebuild now, so the next sweep
     /// pass starts migrating immediately instead of paying the key
-    /// derivation first. Arm a sweeper (or a whole [`crate::SweepPool`])
-    /// with this right after a rotation.
+    /// derivation first ([`crate::SweepScheduler::refresh`] primes every
+    /// registered unit with this).
     ///
     /// # Errors
     /// Same contract as [`ClientSession::refresh`].
     pub fn refresh(&mut self) -> Result<(), DataError> {
         self.session.refresh().map(|_| ())
-    }
-
-    /// Scan once, then migrate the whole work-list (bounded by `deadline`
-    /// if given, checked every `max_per_tick` objects).
-    fn drain(&mut self, deadline: Option<Duration>) -> Result<SweepReport, DataError> {
-        let t0 = Instant::now();
-        let mut pass = self.begin_pass()?;
-        let chunk = self.config.max_per_tick.max(1);
-        while !pass.is_drained() {
-            pass.step(self, chunk)?;
-            if let Some(limit) = deadline {
-                if t0.elapsed() >= limit && !pass.is_drained() {
-                    break;
-                }
-            }
-        }
-        let mut report = pass.finish();
-        report.elapsed = t0.elapsed();
-        Ok(report)
     }
 
     /// One pass over the assigned folders: freshness check (cheap
@@ -432,35 +322,16 @@ impl Sweeper {
     }
 }
 
-impl SweepDriver for Sweeper {
-    fn sweep_now(&mut self) -> Result<SweepReport, DataError> {
-        Sweeper::sweep_now(self)
-    }
-
-    fn run_until_converged(&mut self) -> Result<SweepReport, DataError> {
-        Sweeper::run_until_converged(self)
-    }
-
-    fn watch(&mut self, timeout: Duration) -> Result<Option<SweepReport>, DataError> {
-        Sweeper::watch(self, timeout)
-    }
-
-    fn metrics(&self) -> DataMetricsSnapshot {
-        Sweeper::metrics(self)
-    }
-}
-
 /// A resumable migration pass over one scan's stale work-list: the
 /// schedulable work unit of the sweep machinery.
 ///
 /// Produced by [`Sweeper::begin_pass`] (which pays the scan — one GET per
 /// in-scope object — exactly once); consumed by bounded
 /// [`SweepPass::step`] calls until drained, then folded into a
-/// [`SweepReport`] by [`SweepPass::finish`]. Single-group drivers step a
-/// pass to completion back-to-back; the fleet [`crate::SweepScheduler`]
-/// interleaves steps of many groups' passes across a shared worker pool,
-/// which is why the pass owns its work-list instead of borrowing the
-/// sweeper.
+/// [`SweepReport`] by [`SweepPass::finish`]. The fleet
+/// [`crate::SweepScheduler`] interleaves steps of many groups' passes
+/// across its shared workers, which is why the pass owns its work-list
+/// instead of borrowing the sweeper.
 #[derive(Debug)]
 pub struct SweepPass {
     work: std::collections::VecDeque<StaleObject>,
@@ -523,8 +394,7 @@ impl SweepPass {
 
     /// Closes the pass into a [`SweepReport`]: any work items never
     /// stepped count against convergence and fold their epochs into the
-    /// floor (exactly like a deadline-cut [`Sweeper::run_until_converged`]
-    /// does). `elapsed` is left zero — only the driver knows the true wall
+    /// floor. `elapsed` is left zero — only the driver knows the true wall
     /// clock around its steps.
     pub fn finish(self) -> SweepReport {
         let unhandled = self.work.len();
@@ -585,8 +455,8 @@ impl core::fmt::Debug for Sweeper {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "Sweeper({:?}, worker {}/{}, deadline {:?}, ≤{} per tick)",
-            self.session, self.worker, self.of, self.config.deadline, self.config.max_per_tick
+            "Sweeper({:?}, unit {}/{}, deadline {:?})",
+            self.session, self.worker, self.of, self.config.deadline
         )
     }
 }

@@ -7,7 +7,8 @@
 use acs::Admin;
 use cloud_store::CloudStore;
 use dataplane::{
-    ClientSession, DataError, ReencryptionPolicy, RevocationCoordinator, SweepConfig, Sweeper,
+    ClientSession, DataError, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
+    SweepScheduler, SweepTask,
 };
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use std::time::Duration;
@@ -41,8 +42,9 @@ fn names(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("u{i}")).collect()
 }
 
-/// Builds a deployment with `objects` stored objects written by `writer`.
-fn deployment(seed: u64, objects: usize) -> (Admin, CloudStore, ClientSession, Sweeper) {
+/// Builds a deployment with `objects` stored objects written by `writer`
+/// and a one-worker sweep fleet whose only task (id 0) is the group's.
+fn deployment(seed: u64, objects: usize) -> (Admin, CloudStore, ClientSession, SweepScheduler) {
     let store = CloudStore::new();
     let admin = seeded_admin(seed, 3, store.clone());
     let mut members = names(6);
@@ -55,14 +57,18 @@ fn deployment(seed: u64, objects: usize) -> (Admin, CloudStore, ClientSession, S
             .write(&format!("obj-{i:03}"), format!("payload {i}").as_bytes())
             .unwrap();
     }
-    let sweeper = Sweeper::new(
-        session(&admin, &store, "g", "sweeper", 200 + seed),
+    let mut fleet = SweepScheduler::new(FleetConfig {
+        workers: 1,
+        lease: 4,
+        ..FleetConfig::default()
+    });
+    fleet.register(SweepTask::new(
+        vec![session(&admin, &store, "g", "sweeper", 200 + seed)],
         SweepConfig {
             deadline: Duration::from_secs(5),
-            max_per_tick: 4,
         },
-    );
-    (admin, store, writer, sweeper)
+    ));
+    (admin, store, writer, fleet)
 }
 
 /// THE acceptance criterion: lazy revocation is O(1) in the number of
@@ -72,16 +78,17 @@ fn deployment(seed: u64, objects: usize) -> (Admin, CloudStore, ClientSession, S
 #[test]
 fn lazy_revocation_rewrites_nothing_and_sweeper_converges_within_deadline() {
     let n = 12;
-    let (admin, store, mut writer, mut sweeper) = deployment(1, n);
+    let (admin, store, mut writer, mut fleet) = deployment(1, n);
     let before = store.metrics();
 
     let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
     let mut batch = MembershipBatch::new();
     batch.remove("u0").remove("u3");
-    let outcome = coordinator.revoke("g", &batch, &mut sweeper).unwrap();
+    let outcome = coordinator.revoke("g", &batch, &mut fleet).unwrap();
     assert!(outcome.batch.gk_rotated);
     assert_eq!(outcome.batch.epoch, 2);
     assert!(outcome.sweep.is_none(), "lazy defers all data-plane work");
+    assert!(fleet.is_armed(0), "the rotation armed the group's task");
 
     // zero object re-writes at revocation time: no CAS traffic beyond the
     // initial writes, no sweeper migrations
@@ -91,7 +98,7 @@ fn lazy_revocation_rewrites_nothing_and_sweeper_converges_within_deadline() {
         0,
         "a lazy revoking batch must not touch stored objects"
     );
-    assert_eq!(sweeper.metrics().migrations, 0);
+    assert_eq!(fleet.metrics().total.migrations, 0);
     assert_eq!(writer.metrics().writes as usize, n);
 
     // every object is still at epoch 1 (stale)
@@ -100,16 +107,18 @@ fn lazy_revocation_rewrites_nothing_and_sweeper_converges_within_deadline() {
         assert_eq!(sealed.epoch, 1);
     }
 
-    // the sweeper converges all n objects within its deadline, in
-    // max_per_tick increments
-    let report = sweeper.run_until_converged().unwrap();
+    // the fleet converges all n objects within the task's deadline, in
+    // lease-sized increments
+    let run = fleet.converge_all().unwrap();
+    let report = run.groups[0].report;
     assert!(report.converged, "sweep must converge: {report:?}");
-    assert!(
-        report.elapsed <= sweeper.config().deadline,
+    assert_eq!(
+        run.groups[0].overshoot,
+        Duration::ZERO,
         "convergence blew the deadline: {report:?}"
     );
     assert_eq!(report.migrated, n);
-    assert_eq!(sweeper.metrics().migrations as usize, n);
+    assert_eq!(fleet.metrics().total.migrations as usize, n);
     for i in 0..n {
         let (sealed, _) = writer.fetch(&format!("obj-{i:03}")).unwrap();
         assert_eq!(sealed.epoch, 2, "every object migrated to the new epoch");
@@ -125,11 +134,11 @@ fn lazy_revocation_rewrites_nothing_and_sweeper_converges_within_deadline() {
 #[test]
 fn eager_revocation_sweeps_everything_synchronously() {
     let n = 9;
-    let (admin, store, mut writer, mut sweeper) = deployment(2, n);
+    let (admin, store, mut writer, mut fleet) = deployment(2, n);
     let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Eager);
     let mut batch = MembershipBatch::new();
     batch.remove("u2");
-    let outcome = coordinator.revoke("g", &batch, &mut sweeper).unwrap();
+    let outcome = coordinator.revoke("g", &batch, &mut fleet).unwrap();
     let sweep = outcome.sweep.expect("eager sweeps at revocation time");
     assert!(sweep.converged);
     assert_eq!(sweep.migrated, n, "eager cost is O(n) at revocation time");
@@ -145,13 +154,14 @@ fn eager_revocation_sweeps_everything_synchronously() {
 #[test]
 fn additive_batches_trigger_no_sweep_under_either_policy() {
     for policy in [ReencryptionPolicy::Lazy, ReencryptionPolicy::Eager] {
-        let (admin, _store, mut writer, mut sweeper) = deployment(3, 4);
+        let (admin, _store, mut writer, mut fleet) = deployment(3, 4);
         let coordinator = RevocationCoordinator::new(&admin, policy);
         let mut batch = MembershipBatch::new();
         batch.add("newcomer");
-        let outcome = coordinator.revoke("g", &batch, &mut sweeper).unwrap();
+        let outcome = coordinator.revoke("g", &batch, &mut fleet).unwrap();
         assert!(!outcome.batch.gk_rotated);
         assert!(outcome.sweep.is_none());
+        assert!(!fleet.is_armed(0));
         let (sealed, _) = writer.fetch("obj-000").unwrap();
         assert_eq!(sealed.epoch, 1);
     }
@@ -161,11 +171,11 @@ fn additive_batches_trigger_no_sweep_under_either_policy() {
 /// next write" path), while untouched objects stay stale until swept.
 #[test]
 fn writes_after_rotation_reseal_at_the_new_epoch() {
-    let (admin, _store, mut writer, mut sweeper) = deployment(4, 3);
+    let (admin, _store, mut writer, mut fleet) = deployment(4, 3);
     let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
     let mut batch = MembershipBatch::new();
     batch.remove("u5");
-    coordinator.revoke("g", &batch, &mut sweeper).unwrap();
+    coordinator.revoke("g", &batch, &mut fleet).unwrap();
 
     writer.write("obj-000", b"rewritten").unwrap();
     let (hot, _) = writer.fetch("obj-000").unwrap();
@@ -175,7 +185,7 @@ fn writes_after_rotation_reseal_at_the_new_epoch() {
 
     // the migrated-on-write object is skipped by the sweep; the cold ones
     // are picked up
-    let report = sweeper.run_until_converged().unwrap();
+    let report = fleet.converge_all().unwrap().groups[0].report;
     assert!(report.converged);
     assert_eq!(report.migrated, 2);
     assert_eq!(writer.metrics().old_epoch_reads, 0);
@@ -189,7 +199,7 @@ fn writes_after_rotation_reseal_at_the_new_epoch() {
 /// migrates them.
 #[test]
 fn revoked_member_lockout_is_immediate_for_new_data_and_post_sweep_for_old() {
-    let (admin, store, mut writer, mut sweeper) = deployment(5, 5);
+    let (admin, store, mut writer, mut fleet) = deployment(5, 5);
     // the victim syncs a session (and thus a key ring) while still a member
     let mut victim = session(&admin, &store, "g", "u4", 77);
     assert_eq!(victim.read("obj-000").unwrap(), b"payload 0");
@@ -197,7 +207,7 @@ fn revoked_member_lockout_is_immediate_for_new_data_and_post_sweep_for_old() {
     let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
     let mut batch = MembershipBatch::new();
     batch.remove("u4");
-    coordinator.revoke("g", &batch, &mut sweeper).unwrap();
+    coordinator.revoke("g", &batch, &mut fleet).unwrap();
 
     // the lazy window: pre-revocation objects are still readable with the
     // victim's cached epoch-1 key
@@ -214,7 +224,7 @@ fn revoked_member_lockout_is_immediate_for_new_data_and_post_sweep_for_old() {
     assert_eq!(victim.read("fresh"), Err(DataError::UnknownEpoch(2)));
 
     // the sweeper closes the window: every old object moves to epoch 2
-    let report = sweeper.run_until_converged().unwrap();
+    let report = fleet.converge_all().unwrap().groups[0].report;
     assert!(report.converged);
     for i in 0..5 {
         assert_eq!(
@@ -262,16 +272,16 @@ fn concurrent_writers_are_serialized_by_cas() {
 /// already sealed at the current epoch, so convergence still holds.
 #[test]
 fn sweeper_yields_to_concurrent_writers() {
-    let (admin, _store, mut writer, mut sweeper) = deployment(7, 2);
+    let (admin, _store, mut writer, mut fleet) = deployment(7, 2);
     let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
     let mut batch = MembershipBatch::new();
     batch.remove("u1");
-    coordinator.revoke("g", &batch, &mut sweeper).unwrap();
+    coordinator.revoke("g", &batch, &mut fleet).unwrap();
 
     // a writer migrates obj-000 (by rewriting it) between the revocation
     // and the sweep
     writer.write("obj-000", b"rewritten concurrently").unwrap();
-    let report = sweeper.run_until_converged().unwrap();
+    let report = fleet.converge_all().unwrap().groups[0].report;
     assert!(report.converged);
     assert_eq!(
         report.migrated, 1,
@@ -284,7 +294,7 @@ fn sweeper_yields_to_concurrent_writers() {
 /// and rebuilds the ring at the new epoch.
 #[test]
 fn long_poll_invalidation_rebuilds_the_ring() {
-    let (admin, store, _writer, mut sweeper) = deployment(8, 2);
+    let (admin, store, _writer, mut fleet) = deployment(8, 2);
     let mut reader = session(&admin, &store, "g", "u2", 11);
     reader.refresh().unwrap();
     assert_eq!(reader.current_epoch(), Some(1));
@@ -294,7 +304,7 @@ fn long_poll_invalidation_rebuilds_the_ring() {
         let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
         let mut batch = MembershipBatch::new();
         batch.remove("u0");
-        coordinator.revoke("g", &batch, &mut sweeper).unwrap();
+        coordinator.revoke("g", &batch, &mut fleet).unwrap();
         admin
     });
     let refreshed = reader.watch(Duration::from_secs(5)).unwrap();
@@ -312,14 +322,17 @@ fn long_poll_invalidation_rebuilds_the_ring() {
 /// store after a revocation it was not told about.
 #[test]
 fn watch_driven_sweeper_converges_in_background() {
-    let (admin, store, mut writer, mut sweeper) = deployment(9, 6);
-    // arm the sweeper's poll cursor before the revocation so the wake is
-    // guaranteed regardless of thread scheduling
-    let armed = sweeper.tick().unwrap();
-    assert!(armed.converged && armed.stale == 0, "nothing stale yet");
+    let (admin, store, mut writer, mut fleet) = deployment(9, 6);
+    // registration pinned the watch cursor before the revocation, so the
+    // wake is guaranteed regardless of thread scheduling; an idle sweep
+    // finds nothing to do
+    fleet.arm(0);
+    let idle = fleet.converge_all().unwrap().groups[0].report;
+    assert!(idle.converged && idle.stale == 0, "nothing stale yet");
     let handle = std::thread::spawn(move || {
         // one long-poll cycle: wake on the rotation, then converge
-        sweeper.watch(Duration::from_secs(5)).unwrap()
+        let armed = fleet.watch(Duration::from_secs(5)).unwrap();
+        (armed == 1).then(|| fleet.converge_all().unwrap().groups[0].report)
     });
     std::thread::sleep(Duration::from_millis(30));
     // a lazy revocation is pure control plane — apply the batch directly,
@@ -340,7 +353,7 @@ fn watch_driven_sweeper_converges_in_background() {
 /// Tampered objects fail closed.
 #[test]
 fn tampered_object_fails_closed() {
-    let (_admin, store, mut writer, _sweeper) = deployment(10, 1);
+    let (_admin, store, mut writer, _fleet) = deployment(10, 1);
     let folder = dataplane::data_folder("g");
     let (bytes, _) = store.get(&folder, "obj-000").unwrap();
     let mut forged = bytes.to_vec();

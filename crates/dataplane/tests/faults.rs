@@ -29,8 +29,8 @@ use dataplane::fixtures::{
     fleet_session, fleet_session_on, fleet_sweep_sessions, fleet_sweep_sessions_on,
 };
 use dataplane::{
-    ClientSession, FleetConfig, PipelinedSession, RetryPolicy, SweepConfig, SweepDriver, SweepPool,
-    SweepScheduler, SweepTask,
+    ClientSession, DataError, FleetConfig, PipelinedSession, ReencryptionPolicy, RetryPolicy,
+    RevocationCoordinator, SweepConfig, SweepScheduler, SweepTask,
 };
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
 use proptest::prelude::*;
@@ -112,19 +112,24 @@ fn faulty_sweep_sessions(
     fleet_sweep_sessions_on(&stack.fixture, faulty, SWEEPER, group, shards, seed)
 }
 
-/// Fault-free dedicated pools: the migrated-total baseline the faulted
-/// fleet must reproduce exactly.
+/// Fault-free dedicated one-group fleets (a worker per shard): the
+/// migrated-total baseline the faulted fleet must reproduce exactly.
 fn baseline_migrated(sizes: &[usize], shards: usize, seed: u64) -> Vec<usize> {
     let stack = build_stack(sizes, shards, seed);
     sizes
         .iter()
         .enumerate()
         .map(|(i, &expected)| {
-            let mut pool = SweepPool::new(
+            let mut dedicated = SweepScheduler::new(FleetConfig {
+                workers: shards,
+                ..FleetConfig::default()
+            });
+            let id = dedicated.register(SweepTask::new(
                 fleet_sweep_sessions(&stack.fixture, SWEEPER, &format!("g{i}"), shards, 0xd0),
                 SweepConfig::default(),
-            );
-            let report = pool.run_until_converged().unwrap();
+            ));
+            dedicated.arm(id);
+            let report = dedicated.converge_all().unwrap().groups[0].report;
             assert!(report.converged);
             assert_eq!(report.migrated, expected);
             report.migrated
@@ -189,7 +194,6 @@ proptest! {
         let mut scheduler = SweepScheduler::new(FleetConfig {
             workers,
             lease: 3,
-            deadline: Duration::from_secs(120),
             max_passes: 64,
             // the schedule keeps firing for the whole run, so allow far
             // more lost leases than the production default
@@ -253,7 +257,6 @@ fn a_mid_pass_worker_panic_requeues_the_unit_and_loses_nothing() {
     let mut scheduler = SweepScheduler::new(FleetConfig {
         workers: 2,
         lease: 2,
-        deadline: Duration::from_secs(120),
         ..FleetConfig::default()
     });
     for i in 0..sizes.len() {
@@ -309,7 +312,6 @@ fn a_dead_store_retires_the_unit_instead_of_wedging_the_run() {
     let mut scheduler = SweepScheduler::new(FleetConfig {
         workers: 2,
         max_retries: 3,
-        deadline: Duration::from_secs(120),
         ..FleetConfig::default()
     });
     scheduler.register(SweepTask::new(
@@ -333,6 +335,71 @@ fn a_dead_store_retires_the_unit_instead_of_wedging_the_run() {
     scheduler.arm(0);
     let report = scheduler.converge_all().unwrap();
     assert!(report.total.converged, "recovery converges the backlog");
+    assert_no_loss_no_leak(&stack, &sizes, shards);
+}
+
+/// Eager revocation fails closed: when the synchronous sweep cannot
+/// converge (the store is down for the sweepers across the whole call),
+/// `revoke` must not report success — the revoked member still reads the
+/// old objects. The batch stays applied, nothing is compacted, the task
+/// stays armed, and one `converge_all` after the outage finishes the job.
+#[test]
+fn an_eager_revocation_across_an_outage_fails_closed_and_recovers() {
+    let sizes = [4usize];
+    let shards = 2;
+    let stack = build_stack(&sizes, shards, 0xea6e);
+    let admin = stack.fixture.admin();
+    let injector = Arc::new(FaultInjector::new(FaultConfig {
+        seed: 5,
+        domains: 1,
+        timeout_prob: 1.0, // the sweepers' store is dead until healed
+        ..FaultConfig::default()
+    }));
+    let mut scheduler = SweepScheduler::new(FleetConfig {
+        workers: 2,
+        max_retries: 2,
+        ..FleetConfig::default()
+    });
+    scheduler.register(SweepTask::new(
+        faulty_sweep_sessions(&stack, &injector, "g0", shards, 0x5a),
+        SweepConfig::default(),
+    ));
+    // the victim derives its ring while still a member
+    let mut victim = fleet_session(&stack.fixture, "g0-u1", "g0", shards, 0xbad);
+    victim.read("obj-000").unwrap();
+    let epochs_before = admin.metadata("g0").unwrap().key_history.epoch_count();
+
+    let coordinator =
+        RevocationCoordinator::new(admin, ReencryptionPolicy::Eager).with_history_compaction();
+    let mut batch = MembershipBatch::new();
+    batch.remove("g0-u1");
+    let err = coordinator
+        .revoke("g0", &batch, &mut scheduler)
+        .expect_err("an unconverged eager sweep is not a successful revocation");
+    let DataError::SweepUnconverged(report) = err else {
+        panic!("expected SweepUnconverged, got {err:?}");
+    };
+    assert!(!report.converged && report.migrated == 0);
+    // the batch was applied (one more retired epoch), nothing was pruned,
+    // and the lazy window is still open — which is why Ok would be a lie
+    assert_eq!(
+        admin.metadata("g0").unwrap().key_history.epoch_count(),
+        epochs_before + 1
+    );
+    assert!(victim.read("obj-000").is_ok(), "the old objects are stale");
+    assert!(scheduler.is_armed(0), "the backlog is still owed");
+
+    // the outage ends: one more fleet run closes the window
+    injector.heal();
+    let recovered = scheduler.converge_all().unwrap();
+    assert!(recovered.total.converged);
+    assert_eq!(recovered.group("g0").unwrap().report.migrated, sizes[0]);
+    for o in 0..sizes[0] {
+        assert!(
+            victim.read(&format!("obj-{o:03}")).is_err(),
+            "the revoked member must be locked out of obj-{o:03}"
+        );
+    }
     assert_no_loss_no_leak(&stack, &sizes, shards);
 }
 
@@ -378,7 +445,6 @@ proptest! {
         let mut scheduler = SweepScheduler::new(FleetConfig {
             workers,
             lease: 3,
-            deadline: Duration::from_secs(120),
             max_passes: 64,
             // fault schedule plus route cutovers: allow plenty of lost
             // leases before declaring a unit stuck
@@ -449,7 +515,6 @@ fn resize_grow_then_shrink_preserves_objects_and_access() {
     let mut scheduler = SweepScheduler::new(FleetConfig {
         workers: 2,
         lease: 2,
-        deadline: Duration::from_secs(120),
         max_retries: 64,
         ..FleetConfig::default()
     });

@@ -13,18 +13,17 @@
 //!   byte-identical plaintexts at every read (proptest).
 
 use acs::FleetFixture;
-use cloud_store::{
-    CloudStore, LatencyModel, MetricsSnapshot, ObjectStore, Request, RequestOp, Response,
-    StoreError, StoreHandle, StoreTicket,
-};
+use cloud_store::{CloudStore, LatencyModel, StoreHandle};
 use dataplane::fixtures::{fleet_session, fleet_session_on};
 use dataplane::{PipelinedSession, RwSystemBackend, RwSystemConfig};
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use support::RecordingStore;
 use workloads::rw::object_name;
 use workloads::{generate_read_write, replay_events, RwTraceConfig};
+
+mod support;
 
 const WRITER: &str = "writer";
 const GROUP: &str = "g0";
@@ -47,69 +46,6 @@ fn fixture_over(store: impl Into<StoreHandle>, seed: u64) -> FleetFixture {
         seed,
     )
     .unwrap()
-}
-
-/// An [`ObjectStore`] wrapper logging every single-object request —
-/// blocking and submitted alike — as `(kind, folder, item)`, so a serial
-/// session's `try_*` calls and a pipelined session's submissions compare
-/// directly.
-#[derive(Clone)]
-struct RecordingStore {
-    inner: StoreHandle,
-    log: Arc<Mutex<Vec<(String, String, String)>>>,
-}
-
-impl RecordingStore {
-    fn new(inner: impl Into<StoreHandle>) -> Self {
-        Self {
-            inner: inner.into(),
-            log: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// The interception, shared by the blocking and the queued path.
-    fn record(&self, request: &Request) {
-        let kind = match request.op {
-            RequestOp::Get => "get",
-            RequestOp::PutIfVersion { .. } => "cas",
-            RequestOp::Put(_) => "put",
-            RequestOp::Delete => "delete",
-            _ => return, // folder-level traffic is not part of the claim
-        };
-        self.log.lock().unwrap().push((
-            kind.to_string(),
-            request.folder.clone(),
-            request.item.clone(),
-        ));
-    }
-
-    /// Data-object requests only; metadata traffic (key rings, epoch
-    /// history) is not part of the equivalence claim.
-    fn data_ops(&self) -> Vec<(String, String, String)> {
-        self.log
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|(_, _, item)| item.starts_with("obj-"))
-            .cloned()
-            .collect()
-    }
-}
-
-impl ObjectStore for RecordingStore {
-    fn call(&self, request: Request) -> Result<Response, StoreError> {
-        self.record(&request);
-        self.inner.call(request)
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics()
-    }
-
-    fn submit(&self, request: Request) -> StoreTicket {
-        self.record(&request);
-        self.inner.submit(request)
-    }
 }
 
 /// The mixed op sequence both deployments replay in the window=1 test:

@@ -16,7 +16,8 @@
 use acs::Admin;
 use cloud_store::CloudStore;
 use dataplane::{
-    ClientSession, DataError, ReencryptionPolicy, RevocationCoordinator, SweepConfig, Sweeper,
+    ClientSession, DataError, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
+    SweepScheduler, SweepTask,
 };
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use proptest::prelude::*;
@@ -76,14 +77,19 @@ proptest! {
 
         // lazy revocation: zero object re-writes at revocation time
         let cas_before = store.metrics().cas_puts;
-        let mut sweeper = Sweeper::new(
-            session(&admin, &store, "sweeper", seed ^ 3),
-            SweepConfig { deadline: Duration::from_secs(5), max_per_tick: 2 },
-        );
+        let mut fleet = SweepScheduler::new(FleetConfig {
+            workers: 1,
+            lease: 2,
+            ..FleetConfig::default()
+        });
+        fleet.register(SweepTask::new(
+            vec![session(&admin, &store, "sweeper", seed ^ 3)],
+            SweepConfig { deadline: Duration::from_secs(5) },
+        ));
         let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
         let mut batch = MembershipBatch::new();
         batch.remove(victim_name.clone());
-        let outcome = coordinator.revoke("g", &batch, &mut sweeper).unwrap();
+        let outcome = coordinator.revoke("g", &batch, &mut fleet).unwrap();
         prop_assert!(outcome.batch.gk_rotated);
         let new_epoch = outcome.batch.epoch;
         // lazy revocation must not rewrite stored objects
@@ -105,10 +111,11 @@ proptest! {
             );
         }
 
-        // the sweeper converges within its deadline
-        let report = sweeper.run_until_converged().unwrap();
+        // the sweep converges within the task's deadline
+        let run = fleet.converge_all().unwrap();
+        let report = run.groups[0].report;
         prop_assert!(report.converged, "sweep did not converge: {:?}", report);
-        prop_assert!(report.elapsed <= Duration::from_secs(5));
+        prop_assert_eq!(run.groups[0].overshoot, Duration::ZERO);
         prop_assert_eq!(report.migrated, objects);
 
         // (2b) ... and now the victim is locked out of everything

@@ -2,7 +2,7 @@
 //! event driver — membership traces and data-plane traces now drive one
 //! code path (`workloads::replay_events`).
 
-use dataplane::{ReencryptionPolicy, RwSystemBackend, SweepConfig, SweepDriver};
+use dataplane::{ReencryptionPolicy, RwSystemBackend, SweepConfig};
 use std::time::Duration;
 use workloads::{generate_read_write, replay_events, RwOp, RwTraceConfig};
 
@@ -28,7 +28,6 @@ fn rw_trace_replays_through_the_generic_driver_lazy() {
         ReencryptionPolicy::Lazy,
         SweepConfig {
             deadline: Duration::from_secs(5),
-            max_per_tick: 4,
         },
         64,
         42,
@@ -54,8 +53,10 @@ fn rw_trace_replays_through_the_generic_driver_lazy() {
     // lazy: churn events performed no data-plane work in-line
     assert_eq!(backend.sweeper_metrics().migrations, 0);
 
-    // the sweeper converges the leftovers after the fact
-    let sweep = backend.sweeper_mut().run_until_converged().unwrap();
+    // the churn events armed the fleet; it converges the leftovers after
+    // the fact
+    assert!(backend.sweeper_mut().is_armed(0));
+    let sweep = backend.sweeper_mut().converge_all().unwrap().groups[0].report;
     assert!(sweep.converged);
 }
 
@@ -76,7 +77,8 @@ fn rw_trace_replays_through_the_generic_driver_eager() {
     // eager: every churn with a revocation swept in-line, so nothing can be
     // stale now
     assert!(backend.sweeper_metrics().migrations > 0);
-    let sweep = backend.sweeper_mut().run_until_converged().unwrap();
+    backend.sweeper_mut().arm(0);
+    let sweep = backend.sweeper_mut().converge_all().unwrap().groups[0].report;
     assert!(sweep.converged);
     assert_eq!(sweep.migrated, 0, "eager left nothing stale behind");
 }

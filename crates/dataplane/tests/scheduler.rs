@@ -1,18 +1,22 @@
-//! Integration tests of the multi-group sweep scheduler: staleness-
-//! priority leasing on a bounded shared fleet, watch-driven re-arming
-//! (idle groups cost nothing), equivalence with dedicated per-group
-//! pools, per-group metrics attribution, and epoch-history compaction
-//! driven from a fleet report.
+//! Integration tests of the sweep scheduler: staleness-priority leasing
+//! on a bounded shared fleet, watch-driven re-arming (idle groups cost
+//! nothing), equivalence with dedicated one-group fleets, request-trace
+//! equality between a one-worker fleet and a hand-composed pass,
+//! per-group metrics attribution, and epoch-history compaction driven from
+//! a fleet report.
 
 use acs::FleetFixture;
-use cloud_store::CloudStore;
-use dataplane::fixtures::{fleet_session, fleet_sweep_sessions};
+use cloud_store::{CloudStore, StoreHandle};
+use dataplane::fixtures::{fleet_session, fleet_sweep_sessions, fleet_sweep_sessions_on};
 use dataplane::{
-    FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig, SweepDriver, SweepPool,
-    SweepScheduler, SweepTask,
+    FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig, SweepScheduler, SweepTask,
+    Sweeper,
 };
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
 use std::time::Duration;
+use support::{sweep_by_hand, RecordingStore};
+
+mod support;
 
 const WRITER: &str = "writer";
 const SWEEPER: &str = "sweeper";
@@ -58,7 +62,9 @@ fn fleet(sizes: &[usize], shards: usize, seed: u64) -> Fleet {
 fn task(f: &Fleet, group: &str, seed: u64) -> SweepTask {
     SweepTask::new(
         fleet_sweep_sessions(&f.fixture, SWEEPER, group, f.shards, seed),
-        SweepConfig::default(),
+        SweepConfig {
+            deadline: Duration::from_secs(60),
+        },
     )
 }
 
@@ -79,7 +85,6 @@ fn shared_fleet_respects_staleness_priority() {
     let mut scheduler = SweepScheduler::new(FleetConfig {
         workers: 2,
         lease: 2,
-        deadline: Duration::from_secs(60),
         max_passes: 32,
         max_retries: 8,
         ..FleetConfig::default()
@@ -187,25 +192,28 @@ fn watch_arms_exactly_the_rotated_groups() {
     assert_eq!(metrics.total.migrations, 3);
 }
 
-/// A shared fleet does exactly the work G dedicated pools do: identical
-/// per-group migration totals on identically seeded deployments, and the
-/// per-group metrics breakdown sums to the fleet aggregate.
+/// A shared fleet does exactly the work G dedicated one-group fleets (a
+/// worker per shard each) do: identical per-group migration totals on
+/// identically seeded deployments, and the per-group metrics breakdown
+/// sums to the fleet aggregate.
 #[test]
 fn shared_fleet_matches_dedicated_pools() {
     let sizes = [9, 4, 1, 6];
     let shards = 2;
 
-    // dedicated pools, one per group, on their own stack
+    // dedicated fleets, one per group, on their own stack
     let ded = fleet(&sizes, shards, 33);
     let mut dedicated_migrated = Vec::new();
     for (i, &objects) in sizes.iter().enumerate() {
         let group = format!("g{i}");
         revoke(&ded, &group, &format!("g{i}-u0"));
-        let mut pool = SweepPool::new(
-            fleet_sweep_sessions(&ded.fixture, SWEEPER, &group, shards, 0xd0),
-            SweepConfig::default(),
-        );
-        let report = pool.run_until_converged().unwrap();
+        let mut dedicated = SweepScheduler::new(FleetConfig {
+            workers: shards,
+            ..FleetConfig::default()
+        });
+        let id = dedicated.register(task(&ded, &group, 0xd0));
+        dedicated.arm(id);
+        let report = dedicated.converge_all().unwrap().groups[0].report;
         assert!(report.converged);
         assert_eq!(report.migrated, objects);
         dedicated_migrated.push(report.migrated);
@@ -228,7 +236,7 @@ fn shared_fleet_matches_dedicated_pools() {
         assert_eq!(
             report.group(&format!("g{i}")).unwrap().report.migrated,
             expected,
-            "g{i}: shared fleet must migrate exactly what a dedicated pool does"
+            "g{i}: shared fleet must migrate exactly what a dedicated fleet does"
         );
     }
 
@@ -239,6 +247,52 @@ fn shared_fleet_matches_dedicated_pools() {
         .fold(0u64, |acc, (_, m)| acc + m.migrations);
     assert_eq!(summed, metrics.total.migrations);
     assert_eq!(summed, sizes.iter().sum::<usize>() as u64);
+}
+
+/// The one driver is the old serial one when W = 1: a one-folder task on a
+/// one-worker fleet issues exactly the store requests — kind, folder,
+/// item, in order — of the hand-composed `begin_pass` / `step(lease)` … /
+/// `finish` loop over an identically seeded deployment. (The sweep
+/// analogue of "window 1 replays the serial trace" in `pipeline.rs`.)
+#[test]
+fn a_one_worker_fleet_replays_the_hand_composed_pass_exactly() {
+    let (objects, lease) = (7, 3);
+    let run = |through_the_fleet: bool| {
+        let f = fleet(&[objects], 1, 88);
+        revoke(&f, "g0", "g0-u0");
+        let recorder = RecordingStore::new(f.fixture.admin().store().clone());
+        let mut sessions = fleet_sweep_sessions_on(
+            &f.fixture,
+            StoreHandle::new(recorder.clone()),
+            SWEEPER,
+            "g0",
+            1,
+            0xe0,
+        );
+        let report = if through_the_fleet {
+            let mut scheduler = SweepScheduler::new(FleetConfig {
+                workers: 1,
+                lease,
+                ..FleetConfig::default()
+            });
+            let id = scheduler.register(SweepTask::new(sessions, SweepConfig::default()));
+            scheduler.arm(id);
+            scheduler.converge_all().unwrap().groups[0].report
+        } else {
+            let session = sessions.pop().unwrap();
+            sweep_by_hand(&mut Sweeper::new(session, SweepConfig::default()), lease)
+        };
+        assert!(report.converged);
+        assert_eq!((report.scanned, report.migrated), (objects, objects));
+        recorder.data_ops()
+    };
+    let by_hand = run(false);
+    assert_eq!(
+        by_hand.len(),
+        2 * objects,
+        "one scan GET and one CAS per object"
+    );
+    assert_eq!(run(true), by_hand);
 }
 
 /// Rotations landing while a task is already armed merge into the same
@@ -275,8 +329,7 @@ fn merged_backlogs_converge_and_compact_history() {
     );
     assert_eq!(g.report.min_live_epoch, Some(3));
 
-    // the labelled fleet report drives the same compaction a dedicated
-    // pool's report would
+    // the labelled group report is the floor history compaction keys off
     let coordinator = RevocationCoordinator::new(f.fixture.admin(), ReencryptionPolicy::Lazy)
         .with_history_compaction();
     assert_eq!(coordinator.compact_after("g0", &g.report).unwrap(), 2);

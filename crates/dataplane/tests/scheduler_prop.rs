@@ -11,8 +11,8 @@
 //!    group's first is at most the total lease budget of strictly staler
 //!    groups (work units + stale objects) — the "bounded gap" that makes
 //!    starvation structurally impossible;
-//! 4. migrate exactly what G dedicated pools migrate on an identically
-//!    seeded deployment, group by group.
+//! 4. migrate exactly what G dedicated one-group fleets migrate on an
+//!    identically seeded deployment, group by group.
 //!
 //! Case count: a light default (each case boots two full fleet stacks),
 //! scaled up by `PROPTEST_CASES` like the other data-plane suites.
@@ -20,9 +20,7 @@
 use acs::FleetFixture;
 use cloud_store::CloudStore;
 use dataplane::fixtures::{fleet_session, fleet_sweep_sessions};
-use dataplane::{
-    ClientSession, FleetConfig, SweepConfig, SweepDriver, SweepPool, SweepScheduler, SweepTask,
-};
+use dataplane::{FleetConfig, SweepConfig, SweepScheduler, SweepTask};
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -82,8 +80,14 @@ fn build_stack(sizes: &[usize], shards: usize, seed: u64) -> Stack {
     Stack { fixture }
 }
 
-fn sweep_sessions(stack: &Stack, group: &str, shards: usize, seed: u64) -> Vec<ClientSession> {
-    fleet_sweep_sessions(&stack.fixture, SWEEPER, group, shards, seed)
+/// The group's sweep task, with a lazy-window deadline no case can miss.
+fn task(stack: &Stack, group: &str, shards: usize, seed: u64) -> SweepTask {
+    SweepTask::new(
+        fleet_sweep_sessions(&stack.fixture, SWEEPER, group, shards, seed),
+        SweepConfig {
+            deadline: Duration::from_secs(120),
+        },
+    )
 }
 
 proptest! {
@@ -106,15 +110,18 @@ proptest! {
             arm_order.swap(i, j);
         }
 
-        // dedicated pools, group by group, on their own stack
+        // dedicated one-group fleets (a worker per shard), group by group,
+        // on their own stack
         let ded = build_stack(&sizes, shards, seed);
         let mut dedicated_migrated = vec![0usize; groups];
         for i in 0..groups {
-            let mut pool = SweepPool::new(
-                sweep_sessions(&ded, &format!("g{i}"), shards, 0xd0),
-                SweepConfig::default(),
-            );
-            let report = pool.run_until_converged().unwrap();
+            let mut dedicated = SweepScheduler::new(FleetConfig {
+                workers: shards,
+                ..FleetConfig::default()
+            });
+            let id = dedicated.register(task(&ded, &format!("g{i}"), shards, 0xd0));
+            dedicated.arm(id);
+            let report = dedicated.converge_all().unwrap().groups[0].report;
             prop_assert!(report.converged);
             prop_assert_eq!(report.migrated, sizes[i]);
             dedicated_migrated[i] = report.migrated;
@@ -125,16 +132,12 @@ proptest! {
         let mut scheduler = SweepScheduler::new(FleetConfig {
             workers,
             lease,
-            deadline: Duration::from_secs(120),
             max_passes: 32,
             max_retries: 8,
             ..FleetConfig::default()
         });
         for i in 0..groups {
-            scheduler.register(SweepTask::new(
-                sweep_sessions(&stack, &format!("g{i}"), shards, 0x5a),
-                SweepConfig::default(),
-            ));
+            scheduler.register(task(&stack, &format!("g{i}"), shards, 0x5a));
         }
         let mut stamp_of = vec![0u64; groups];
         for (stamp, &i) in arm_order.iter().enumerate() {
@@ -150,7 +153,7 @@ proptest! {
             let g = report.group(&format!("g{i}")).unwrap();
             prop_assert!(g.report.converged, "g{} converged", i);
             prop_assert_eq!(g.overshoot, Duration::ZERO);
-            // 4. same work as the dedicated pool, group by group
+            // 4. same work as the dedicated fleet, group by group
             prop_assert_eq!(g.report.migrated, expected);
         }
 
@@ -207,17 +210,13 @@ proptest! {
             // one worker: the grant log is the exact service order
             workers: 1,
             lease: 1,
-            deadline: Duration::from_secs(120),
             max_passes: 32,
             max_retries: 8,
             ..FleetConfig::default()
         });
         for i in 0..tenants {
             scheduler.register(
-                SweepTask::new(
-                    sweep_sessions(&stack, &format!("g{i}"), 1, 0x5a),
-                    SweepConfig::default(),
-                )
+                task(&stack, &format!("g{i}"), 1, 0x5a)
                 // equal shares for everyone; any non-default weight flips
                 // the run from staleness order to weighted-fair
                 .with_weight(2),

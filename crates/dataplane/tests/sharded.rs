@@ -1,25 +1,55 @@
-//! Integration tests of the sharded data plane: the PR's acceptance
-//! criterion (a `SweepPool` over a `ShardedStore` converges a stale
-//! namespace in measurably less wall-clock than a single sweeper on one
-//! shard, with identical migration totals and nothing lost), replay
+//! Integration tests of the sharded data plane: the acceptance criterion
+//! (a one-group fleet with a worker per shard over a `ShardedStore`
+//! converges a stale namespace in measurably less wall-clock than a single
+//! worker on one shard, with identical migration totals and nothing lost), replay
 //! equivalence between the single and sharded deployments, epoch-history
 //! compaction after converged sweeps, and the sessions' versions-map GC.
 
 use cloud_store::{CloudStore, LatencyModel, ObjectStore, ShardedStore, StoreHandle};
 use dataplane::{
-    ClientSession, ReencryptionPolicy, RevocationCoordinator, RwSystemBackend, RwSystemConfig,
-    SweepConfig, SweepDriver, SweepPool,
+    ClientSession, FleetConfig, ReencryptionPolicy, RevocationCoordinator, RwSystemBackend,
+    RwSystemConfig, SweepConfig, SweepScheduler, SweepTask, Sweeper,
 };
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use std::time::Duration;
+use support::sweep_by_hand;
 use workloads::{generate_read_write, replay_events, RwOp, RwTraceConfig};
 
-/// One deployment over any store: admin, writer, and a sweep pool of
-/// `workers` workers over `data_shards` data folders.
+mod support;
+
+/// One deployment over any store: admin, writer, and a one-group sweep
+/// fleet of `workers` workers over `data_shards` data folders.
 struct Deployment {
     admin: acs::Admin,
     writer: ClientSession,
-    pool: SweepPool,
+    fleet: SweepScheduler,
+}
+
+/// A session for `identity` on the deployment's store and data layout.
+fn session(admin: &acs::Admin, identity: &str, data_shards: usize, seed: u64) -> ClientSession {
+    ClientSession::with_seed(
+        identity,
+        admin.engine().extract_user_key(identity).unwrap(),
+        admin.engine().public_key().clone(),
+        admin.store().clone(),
+        "g",
+        seed,
+    )
+    .with_data_shards(data_shards)
+}
+
+/// One sweeper session per data folder.
+fn sweep_sessions(admin: &acs::Admin, data_shards: usize, seed: u64) -> Vec<ClientSession> {
+    (0..data_shards)
+        .map(|w| {
+            session(
+                admin,
+                "sweeper",
+                data_shards,
+                seed ^ 0xbb ^ ((w as u64) << 32),
+            )
+        })
+        .collect()
 }
 
 fn deploy(
@@ -40,47 +70,38 @@ fn deploy(
         .chain(["writer".to_string(), "sweeper".to_string()])
         .collect();
     admin.create_group("g", members).unwrap();
-    let session = |identity: &str, s: u64| {
-        ClientSession::with_seed(
-            identity,
-            admin.engine().extract_user_key(identity).unwrap(),
-            admin.engine().public_key().clone(),
-            store.clone(),
-            "g",
-            s,
-        )
-        .with_data_shards(data_shards)
-    };
-    let mut writer = session("writer", seed ^ 0xaa);
+    let mut writer = session(&admin, "writer", data_shards, seed ^ 0xaa);
     for i in 0..objects {
         writer
             .write(&format!("obj-{i:04}"), format!("payload {i}").as_bytes())
             .unwrap();
     }
-    let pool = SweepPool::new(
-        (0..workers)
-            .map(|w| session("sweeper", seed ^ 0xbb ^ ((w as u64) << 32)))
-            .collect(),
+    let mut fleet = SweepScheduler::new(FleetConfig {
+        workers,
+        ..FleetConfig::default()
+    });
+    fleet.register(SweepTask::new(
+        sweep_sessions(&admin, data_shards, seed),
         sweep,
-    );
+    ));
     Deployment {
         admin,
         writer,
-        pool,
+        fleet,
     }
 }
 
-fn revoke(admin: &acs::Admin, pool: &mut SweepPool, victim: &str) {
+fn revoke(admin: &acs::Admin, fleet: &mut SweepScheduler, victim: &str) {
     let coordinator = RevocationCoordinator::new(admin, ReencryptionPolicy::Lazy);
     let mut batch = MembershipBatch::new();
     batch.remove(victim);
-    let outcome = coordinator.revoke("g", &batch, pool).unwrap();
+    let outcome = coordinator.revoke("g", &batch, fleet).unwrap();
     assert!(outcome.batch.gk_rotated && outcome.sweep.is_none());
 }
 
-/// THE acceptance criterion: with per-request latency, an 8-worker pool
+/// THE acceptance criterion: with per-request latency, an 8-worker fleet
 /// over an 8-shard store converges the same stale namespace in measurably
-/// less wall-clock than the single sweeper on one shard — same total
+/// less wall-clock than a single worker on one shard — same total
 /// migrated, zero lost objects (every object readable at the new epoch).
 #[test]
 fn sweep_pool_on_sharded_store_beats_single_sweeper() {
@@ -88,24 +109,23 @@ fn sweep_pool_on_sharded_store_beats_single_sweeper() {
     let latency = LatencyModel::new(Duration::from_millis(3), Duration::ZERO);
     let sweep = SweepConfig {
         deadline: Duration::from_secs(60),
-        max_per_tick: 8,
     };
 
-    // single sweeper, one shard; the ring is armed outside the timed
+    // single worker, one shard; the rings are primed outside the timed
     // window on both deployments, so the comparison measures convergence
     // I/O, not key derivation
     let mut single = deploy(CloudStore::with_latency(latency), 11, 1, 1, n, sweep);
-    revoke(&single.admin, &mut single.pool, "u0");
-    single.pool.refresh().unwrap();
-    let serial = single.pool.run_until_converged().unwrap();
+    revoke(&single.admin, &mut single.fleet, "u0");
+    single.fleet.refresh().unwrap();
+    let serial = single.fleet.converge_all().unwrap().groups[0].report;
     assert!(serial.converged);
     assert_eq!(serial.migrated, n);
 
     // 8 workers over 8 data shards on an 8-shard store
     let mut sharded = deploy(ShardedStore::with_latency(8, latency), 11, 8, 8, n, sweep);
-    revoke(&sharded.admin, &mut sharded.pool, "u0");
-    sharded.pool.refresh().unwrap();
-    let parallel = sharded.pool.run_until_converged().unwrap();
+    revoke(&sharded.admin, &mut sharded.fleet, "u0");
+    sharded.fleet.refresh().unwrap();
+    let parallel = sharded.fleet.converge_all().unwrap().groups[0].report;
     assert!(parallel.converged);
     assert_eq!(
         parallel.migrated, serial.migrated,
@@ -147,7 +167,6 @@ fn sharded_and_single_store_replay_identically() {
     let config = RwSystemConfig {
         sweep: SweepConfig {
             deadline: Duration::from_secs(5),
-            max_per_tick: 4,
         },
         seed: 99,
         ..RwSystemConfig::default()
@@ -213,12 +232,12 @@ fn converged_sweeps_compact_the_epoch_history() {
     for victim in ["u0", "u1", "u2"] {
         let mut batch = MembershipBatch::new();
         batch.remove(victim);
-        coordinator.revoke("g", &batch, &mut d.pool).unwrap();
+        coordinator.revoke("g", &batch, &mut d.fleet).unwrap();
     }
     assert_eq!(d.admin.metadata("g").unwrap().key_history.epoch_count(), 3);
 
     // sweep converges everything to epoch 4 → epochs 1..=3 are dead weight
-    let report = d.pool.run_until_converged().unwrap();
+    let report = d.fleet.converge_all().unwrap().groups[0].report;
     assert!(report.converged);
     assert_eq!(report.migrated, 6);
     assert_eq!(report.min_live_epoch, Some(4));
@@ -247,7 +266,7 @@ fn eager_revocations_compact_inline() {
         RevocationCoordinator::new(&d.admin, ReencryptionPolicy::Eager).with_history_compaction();
     let mut batch = MembershipBatch::new();
     batch.remove("u3");
-    let outcome = coordinator.revoke("g", &batch, &mut d.pool).unwrap();
+    let outcome = coordinator.revoke("g", &batch, &mut d.fleet).unwrap();
     let sweep = outcome.sweep.expect("eager sweeps inline");
     assert!(sweep.converged);
     assert_eq!(sweep.migrated, 4);
@@ -277,35 +296,22 @@ fn conflicted_stale_writes_never_let_compaction_orphan_objects() {
             1,
             SweepConfig {
                 deadline: Duration::from_secs(30),
-                max_per_tick: 8,
             },
         );
-        let mk = |identity: &str, s: u64| {
-            ClientSession::with_seed(
-                identity,
-                d.admin.engine().extract_user_key(identity).unwrap(),
-                d.admin.engine().public_key().clone(),
-                d.admin.store().clone(),
-                "g",
-                s,
-            )
-        };
+        let mk = |identity: &str, s: u64| session(&d.admin, identity, 1, s);
         // the victim arms an epoch-1 ring and the object's CAS version
         let mut victim = mk("u5", 40 + offset_ms);
         victim.read("obj-0000").unwrap();
 
-        let mut pool = d.pool;
-        revoke(&d.admin, &mut pool, "u5");
-        pool.refresh().unwrap();
-        let sweep = std::thread::spawn(move || {
-            let report = pool.run_until_converged().unwrap();
-            (pool, report)
-        });
+        let mut fleet = d.fleet;
+        revoke(&d.admin, &mut fleet, "u5");
+        fleet.refresh().unwrap();
+        let sweep = std::thread::spawn(move || fleet.converge_all().unwrap().groups[0].report);
         std::thread::sleep(Duration::from_millis(offset_ms));
         // frozen-ring write: seals at retired epoch 1; may lose the CAS
         // race to the sweeper, which is fine
         let _ = victim.write("obj-0000", b"stale ring write");
-        let (_pool, report) = sweep.join().unwrap();
+        let report = sweep.join().unwrap();
 
         let coordinator = RevocationCoordinator::new(&d.admin, ReencryptionPolicy::Lazy)
             .with_history_compaction();
@@ -349,23 +355,27 @@ fn versions_map_gc_drops_deleted_objects() {
     assert_eq!(d.writer.tracked_versions(), 3);
 
     // the sweeper's scan GCs its own migrated-object entries: migrate the
-    // three live objects, delete them behind the pool's back, re-sweep
-    revoke(&d.admin, &mut d.pool, "u0");
-    let report = d.pool.run_until_converged().unwrap();
-    assert!(report.converged);
-    assert_eq!(report.migrated, 3);
+    // three live objects, delete them behind the sweepers' back, re-sweep.
+    // The units are stepped by hand so their sessions stay inspectable.
+    revoke(&d.admin, &mut d.fleet, "u0");
+    let mut units: Vec<Sweeper> = sweep_sessions(&d.admin, 2, 23)
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| Sweeper::with_assignment(s, SweepConfig::default(), i, 2))
+        .collect();
+    let sweep = |units: &mut [Sweeper]| {
+        units.iter_mut().fold((0, 0), |(scanned, migrated), unit| {
+            let report = sweep_by_hand(unit, 8);
+            assert!(report.converged);
+            (scanned + report.scanned, migrated + report.migrated)
+        })
+    };
+    assert_eq!(sweep(&mut units), (3, 3));
     for i in 5..8 {
         let name = format!("obj-{i:04}");
         store.delete(d.writer.folder_of(&name), &name);
     }
-    let report = d.pool.run_until_converged().unwrap();
-    assert!(report.converged);
-    assert_eq!(report.scanned, 0, "namespace is empty now");
-    let tracked: usize = d
-        .pool
-        .workers()
-        .iter()
-        .map(|w| w.session().tracked_versions())
-        .sum();
-    assert_eq!(tracked, 0, "the scan pruned the pool's migrated entries");
+    assert_eq!(sweep(&mut units).0, 0, "namespace is empty now");
+    let tracked: usize = units.iter().map(|u| u.session().tracked_versions()).sum();
+    assert_eq!(tracked, 0, "the scan pruned the units' migrated entries");
 }

@@ -13,7 +13,7 @@ use crate::subscriber::Subscriber;
 use crate::{ClosedSpan, Event, Value};
 use std::io::Write;
 use std::path::Path;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// A subscriber spilling a Chrome-trace-compatible JSON file.
 ///
@@ -83,19 +83,13 @@ impl JsonWriter {
     }
 
     fn push(&self, rendered: String) {
-        self.rendered
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(rendered);
+        crate::lock(&self.rendered).push(rendered);
     }
 
     /// Number of trace events rendered so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rendered
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        crate::lock(&self.rendered).len()
     }
 
     /// True when nothing has been rendered yet.
@@ -109,7 +103,7 @@ impl JsonWriter {
     /// # Errors
     /// Propagates any I/O failure creating or writing `path`.
     pub fn write_to(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let rendered = self.rendered.lock().unwrap_or_else(PoisonError::into_inner);
+        let rendered = crate::lock(&self.rendered);
         let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
         write!(file, "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
         for (i, event) in rendered.iter().enumerate() {

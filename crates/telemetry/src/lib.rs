@@ -58,8 +58,16 @@ pub use subscriber::{Collector, Noop, Subscriber, Tee};
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
+
+/// Locks one of this crate's collections, recovering the guard when a
+/// panicking holder poisoned it: a subscriber that panics must not wedge
+/// telemetry for everyone else, and every update under these locks is a
+/// single push, insert or clear, so the data is valid at every step.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A field value attached to a span or event.
 #[derive(Clone, Debug, PartialEq)]
@@ -553,10 +561,9 @@ mod tests {
     // Telemetry state is process-global; tests that install a subscriber
     // serialize on this lock so cargo's parallel test threads cannot
     // observe each other's spans.
-    pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        lock(&LOCK)
     }
 
     #[test]

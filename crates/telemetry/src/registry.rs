@@ -9,7 +9,7 @@
 
 use crate::stats::percentiles;
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 /// Per-name sample cap — past this the count keeps climbing but new
@@ -49,14 +49,9 @@ impl Registry {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<&'static str, Series>> {
-        // a panicking subscriber must not wedge the registry
-        self.series.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Folds one closed span into `name`'s series.
     pub fn observe(&self, name: &'static str, sample: Duration) {
-        let mut series = self.lock();
+        let mut series = crate::lock(&self.series);
         let entry = series.entry(name).or_default();
         entry.count += 1;
         if entry.samples.len() < SAMPLE_CAP {
@@ -67,15 +62,14 @@ impl Registry {
     /// Total spans closed under `name` (0 when never seen).
     #[must_use]
     pub fn count(&self, name: &str) -> u64 {
-        self.lock().get(name).map_or(0, |s| s.count)
+        crate::lock(&self.series).get(name).map_or(0, |s| s.count)
     }
 
     /// Nearest-rank percentiles of `name`'s latency samples — all
     /// [`Duration::ZERO`] when the series is empty or unknown.
     #[must_use]
     pub fn percentiles(&self, name: &str, pcts: &[f64]) -> Vec<Duration> {
-        let mut samples = self
-            .lock()
+        let mut samples = crate::lock(&self.series)
             .get(name)
             .map(|s| s.samples.clone())
             .unwrap_or_default();
@@ -85,8 +79,7 @@ impl Registry {
     /// Every series, sorted by name, with the requested percentiles.
     #[must_use]
     pub fn summary(&self, pcts: &[f64]) -> Vec<SpanSummary> {
-        let mut rows: Vec<SpanSummary> = self
-            .lock()
+        let mut rows: Vec<SpanSummary> = crate::lock(&self.series)
             .iter()
             .map(|(name, series)| SpanSummary {
                 name,
@@ -101,7 +94,7 @@ impl Registry {
     /// Clears every series — benches call this between phases so a
     /// summary covers exactly one measured window.
     pub fn reset(&self) {
-        self.lock().clear();
+        crate::lock(&self.series).clear();
     }
 }
 

@@ -4,7 +4,7 @@
 //! [`crate::chrome`].
 
 use crate::{ClosedSpan, Event};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// Receives every closed span and emitted event while installed.
 ///
@@ -49,27 +49,19 @@ impl Collector {
     /// Every span closed so far, in close order.
     #[must_use]
     pub fn spans(&self) -> Vec<ClosedSpan> {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        crate::lock(&self.spans).clone()
     }
 
     /// Every event fired so far, in emit order.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        crate::lock(&self.events).clone()
     }
 
     /// Number of spans named `name`.
     #[must_use]
     pub fn span_count(&self, name: &str) -> u64 {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        crate::lock(&self.spans)
             .iter()
             .filter(|s| s.name == name)
             .count() as u64
@@ -78,9 +70,7 @@ impl Collector {
     /// Number of events named `name`.
     #[must_use]
     pub fn event_count(&self, name: &str) -> u64 {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        crate::lock(&self.events)
             .iter()
             .filter(|e| e.name == name)
             .count() as u64
@@ -88,30 +78,18 @@ impl Collector {
 
     /// Drops everything collected so far.
     pub fn clear(&self) {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        crate::lock(&self.spans).clear();
+        crate::lock(&self.events).clear();
     }
 }
 
 impl Subscriber for Collector {
     fn on_span(&self, span: &ClosedSpan) {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(span.clone());
+        crate::lock(&self.spans).push(span.clone());
     }
 
     fn on_event(&self, event: &Event) {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(event.clone());
+        crate::lock(&self.events).push(event.clone());
     }
 }
 
