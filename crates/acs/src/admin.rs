@@ -17,14 +17,14 @@
 //! design (they are what the batch pipeline is benchmarked against).
 
 use crate::error::AcsError;
-use crate::oplog::{AdminSigner, LogEntry, LogOp, OpLog};
-use crate::verilog::{log_entry_item, log_node_item, SignedTransition, LOG_HEAD_ITEM};
+use crate::oplog::{AdminSigner, LogOp};
+use crate::verilog::GroupLog;
 use cloud_store::{ObjectStore, StoreHandle};
 use ibbe_sgx_core::{
     AddOutcome, BatchOutcome, GroupEngine, GroupMetadata, MembershipBatch, PartitionSize,
     RemoveOutcome,
 };
-use oplog::{leaf_hash, LogCommitment, MerkleLog, TransitionProof};
+use oplog::LogCommitment;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -43,37 +43,13 @@ pub fn partition_item(i: usize) -> String {
 }
 
 /// Optional certified journaling: every mutation this admin performs is
-/// appended to a hash-chained, signed [`OpLog`] *and* to a per-group
-/// Merkle accumulator whose objects (entries, completed tree nodes, signed
-/// head) are published to the cloud alongside the metadata the mutation
-/// produced — see [`crate::verilog`] for the layout and the verification
-/// story.
+/// signed into its group's [`GroupLog`], whose objects (entry, completed
+/// tree nodes, head) are published to the cloud alongside the metadata the
+/// mutation produced — see [`crate::verilog`] for the layout and the
+/// verification story.
 struct Journal {
     signer: AdminSigner,
-    state: Mutex<JournalState>,
-}
-
-#[derive(Default)]
-struct JournalState {
-    /// The global hash-chained log (the pre-existing audit surface).
-    log: OpLog,
-    /// Per-group publication state for the verifiable-log layer.
-    groups: HashMap<String, GroupLogState>,
-}
-
-#[derive(Default)]
-struct GroupLogState {
-    /// This group's entries, in log order (proof material for
-    /// [`Admin::transition_proof`]).
-    entries: Vec<LogEntry>,
-    /// Merkle accumulator over the entry bytes.
-    merkle: MerkleLog,
-    /// Store objects journaled but whose publication has not yet been
-    /// confirmed — the publish watermark. Appending journals *before* the
-    /// store round-trip, so a failed publish leaves its objects queued
-    /// here and the next successful publish (of any operation on the
-    /// group) carries them.
-    pending: Vec<(String, Vec<u8>)>,
+    groups: Mutex<HashMap<String, GroupLog>>,
 }
 
 /// The administrator API.
@@ -100,44 +76,20 @@ impl Admin {
     }
 
     /// Enables certified op-logging: every mutation is recorded as one
-    /// signed, hash-chained entry (batches as a single coalesced
+    /// signed entry of its group's log (batches as a single coalesced
     /// [`LogOp::Batch`]).
     pub fn with_signer(mut self, signer: AdminSigner) -> Self {
         self.journal = Some(Journal {
             signer,
-            state: Mutex::new(JournalState::default()),
+            groups: Mutex::default(),
         });
         self
-    }
-
-    /// Snapshot of the certified op-log, if a signer is configured.
-    pub fn oplog(&self) -> Option<OpLog> {
-        self.journal.as_ref().map(|j| j.state.lock().log.clone())
     }
 
     /// Head of `group`'s published Merkle log (`None` without a signer or
     /// before the group's first journaled operation).
     pub fn log_head(&self, group: &str) -> Option<LogCommitment> {
-        let j = self.journal.as_ref()?;
-        let state = j.state.lock();
-        let g = state.groups.get(group)?;
-        if g.merkle.size() == 0 {
-            return None;
-        }
-        Some(g.merkle.commitment())
-    }
-
-    /// Builds the compact fraud-proof unit for `group`'s transition from
-    /// `pre_size` to `pre_size + 1` journaled entries (what an admin hands
-    /// an [`crate::verilog::Auditor`] that doesn't want to fetch proof
-    /// material itself). `None` without a signer or past the log's end.
-    pub fn transition_proof(&self, group: &str, pre_size: u64) -> Option<SignedTransition> {
-        let j = self.journal.as_ref()?;
-        let state = j.state.lock();
-        let g = state.groups.get(group)?;
-        let proof = TransitionProof::build(&g.merkle, pre_size)?;
-        let entry = g.entries.get(usize::try_from(pre_size).ok()?)?.clone();
-        Some(SignedTransition { proof, entry })
+        self.journal.as_ref()?.groups.lock().get(group)?.head()
     }
 
     /// Appends a journal entry and queues its publishable objects (entry,
@@ -152,52 +104,27 @@ impl Admin {
     fn journal_append(&self, group: &str, op: LogOp) -> Option<LogCommitment> {
         let j = self.journal.as_ref()?;
         let _span = telemetry::span("oplog.append").with("group", group).enter();
-        let mut state = j.state.lock();
-        let entry = state.log.append(&j.signer, group, op).clone();
-        let bytes = entry.to_bytes();
-        let g = state.groups.entry(group.to_string()).or_default();
-        g.pending
-            .push((log_entry_item(g.merkle.size()), bytes.clone()));
-        for (level, index, hash) in g.merkle.append_leaf(leaf_hash(&bytes)) {
-            // level-0 hashes are recomputed from the entry objects;
-            // verifiers only fetch interior nodes
-            if level >= 1 {
-                g.pending.push((log_node_item(level, index), hash.to_vec()));
-            }
-        }
-        g.entries.push(entry);
-        Some(g.merkle.commitment())
+        let mut groups = j.groups.lock();
+        let log = groups.entry(group.to_string()).or_default();
+        log.append(&j.signer, group, op);
+        log.head()
     }
 
-    /// The log objects the next publish of `group` must carry: everything
-    /// above the watermark plus the current signed head. Empty when
-    /// nothing is unpublished (head included — it is only rewritten when
-    /// it moves).
+    /// The log objects the next publish of `group` must carry
+    /// ([`GroupLog::unpublished`]; empty without a signer).
     fn pending_log_items(&self, group: &str) -> Vec<(String, Vec<u8>)> {
-        let Some(j) = &self.journal else {
-            return Vec::new();
-        };
-        let state = j.state.lock();
-        let Some(g) = state.groups.get(group) else {
-            return Vec::new();
-        };
-        if g.pending.is_empty() {
-            return Vec::new();
-        }
-        let mut items = g.pending.clone();
-        items.push((
-            LOG_HEAD_ITEM.to_string(),
-            g.merkle.commitment().to_bytes().to_vec(),
-        ));
-        items
+        self.journal
+            .as_ref()
+            .and_then(|j| j.groups.lock().get(group).map(GroupLog::unpublished))
+            .unwrap_or_default()
     }
 
     /// Advances the publish watermark after a successful store round-trip
     /// that carried [`Admin::pending_log_items`].
     fn mark_log_published(&self, group: &str) {
         if let Some(j) = &self.journal {
-            if let Some(g) = j.state.lock().groups.get_mut(group) {
-                g.pending.clear();
+            if let Some(log) = j.groups.lock().get_mut(group) {
+                log.mark_published();
             }
         }
     }

@@ -183,18 +183,20 @@ impl Client {
 
     /// Verifies that the published log head extends `prior` (e.g. a head
     /// this client saved before going offline, or one relayed from another
-    /// client for cross-view fork detection), adopts the verified head as
-    /// the new pin, and returns it.
+    /// client for cross-view fork detection) *and* this client's own pin,
+    /// adopts the verified head as the new pin, and returns it.
     ///
     /// # Errors
-    /// [`AcsError::Verify`] on any fork/rewrite/truncation evidence,
-    /// [`AcsError::Store`] on transient store faults.
+    /// [`AcsError::Verify`] on any fork/rewrite/truncation evidence —
+    /// against `prior` or against the pin — and [`AcsError::Store`] on
+    /// transient store faults; the pin does not move in either case.
     pub fn verify_extends(&mut self, prior: &LogCommitment) -> Result<LogCommitment, AcsError> {
         let head = verilog::verify_extends(&self.store, &self.group, prior)?;
-        match &self.log_head {
-            Some(pinned) if pinned.size >= head.size => {}
-            _ => self.log_head = Some(head),
+        // (a caller relaying the pin itself has just had it checked)
+        if let Some(pinned) = self.log_head.filter(|pinned| pinned != prior) {
+            verilog::check_extension(&self.store, &self.group, &pinned, &head)?;
         }
+        self.log_head = Some(head);
         Ok(head)
     }
 

@@ -15,8 +15,8 @@
 //!
 //! [`ForkingStore`] is the adversarial half of [`crate::verilog`]: a store
 //! wrapper that serves tampered views of the published op-log (rollback,
-//! rewrite, truncation, forged appends, per-client equivocation) so tests
-//! can assert each one is detected.
+//! rewrite, truncation, dropped or reordered entries, forged appends,
+//! per-client equivocation) so tests can assert each one is detected.
 
 use crate::admin::Admin;
 use crate::error::AcsError;
@@ -128,6 +128,22 @@ pub enum Tamper {
         /// Number of trailing entries to erase.
         drop: u64,
     },
+    /// Serve the log as if entry `index` never happened: the remaining
+    /// entries are renumbered densely and nodes and head recomputed over
+    /// them, so the branch is structurally a perfectly good log — only the
+    /// place each surviving entry was *signed* for gives it away.
+    DropEntry {
+        /// Index of the entry to erase.
+        index: u64,
+    },
+    /// The general form of the two above: serve exactly the entries at
+    /// these indices, in this order (omit one to drop it, repeat one to
+    /// duplicate it, permute to reorder), as a frozen, internally
+    /// consistent branch.
+    Resequence {
+        /// Indices into the current log, in serving order.
+        order: Vec<u64>,
+    },
     /// Flip a byte of entry `index` and republish a *self-consistent*
     /// Merkle branch over the rewritten history: every node object and the
     /// head are recomputed, so nothing is detectable by structure alone.
@@ -216,16 +232,12 @@ impl ForkingStore {
                 items: self.snapshot(folder)?,
             },
             Tamper::Truncate { drop } => {
-                let version = self.inner.try_folder_version(folder)?;
-                let mut items = self.snapshot(folder)?;
-                let entries = self.log_entries(folder)?;
-                let keep = entries.len().saturating_sub(drop as usize);
-                items.retain(|name, _| !name.starts_with("_log_"));
-                for (name, data) in rebuild_log(&entries[..keep]) {
-                    items.insert(name, data);
-                }
-                View::Frozen { version, items }
+                self.resequenced(folder, |len| (0..len.saturating_sub(drop)).collect())?
             }
+            Tamper::DropEntry { index } => {
+                self.resequenced(folder, |len| (0..len).filter(|&i| i != index).collect())?
+            }
+            Tamper::Resequence { order } => self.resequenced(folder, |_| order)?,
             Tamper::RewriteEntry { index } => {
                 let mut entries = self.log_entries(folder)?;
                 let forged = entries
@@ -252,6 +264,27 @@ impl ForkingStore {
         };
         self.views.lock().insert(folder.to_string(), view);
         Ok(())
+    }
+
+    /// A frozen view of `folder` whose log is the current entries at the
+    /// indices `order` picks (given the log's length), rebuilt into an
+    /// internally consistent branch.
+    fn resequenced(
+        &self,
+        folder: &str,
+        order: impl FnOnce(u64) -> Vec<u64>,
+    ) -> Result<View, AcsError> {
+        let version = self.inner.try_folder_version(folder)?;
+        let mut items = self.snapshot(folder)?;
+        let entries = self.log_entries(folder)?;
+        let served = order(entries.len() as u64)
+            .into_iter()
+            .map(|i| entries.get(i as usize).cloned())
+            .collect::<Option<Vec<Bytes>>>()
+            .ok_or(AcsError::WireFormat("tamper index beyond log"))?;
+        items.retain(|name, _| !name.starts_with("_log_"));
+        items.extend(rebuild_log(&served));
+        Ok(View::Frozen { version, items })
     }
 
     fn snapshot(&self, folder: &str) -> Result<HashMap<String, Bytes>, AcsError> {
@@ -288,7 +321,7 @@ impl ForkingStore {
 /// Rebuilds the complete log object set (entries, interior nodes, head)
 /// over the given entry bytes — the forger's toolkit: any entry sequence
 /// becomes an internally consistent published branch.
-fn rebuild_log(entries: &[Bytes]) -> Vec<(String, Bytes)> {
+pub(crate) fn rebuild_log(entries: &[Bytes]) -> Vec<(String, Bytes)> {
     let mut merkle = MerkleLog::new();
     let mut items: Vec<(String, Bytes)> = Vec::new();
     for (i, bytes) in entries.iter().enumerate() {

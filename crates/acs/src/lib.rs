@@ -18,8 +18,10 @@
 //!   Auditor/CA certificate → encrypted user-key delivery);
 //! * [`HeAdmin`] — the Hybrid-Encryption comparison system at equal
 //!   zero-knowledge guarantees (HE inside an enclave);
-//! * [`OpLog`] — the certified membership-operation log (§VIII future
-//!   work), wired into [`Admin`] via [`Admin::with_signer`].
+//! * [`verilog`] — the certified membership-operation log (§VIII future
+//!   work): one signed, Merkle-committed log per group ([`GroupLog`]),
+//!   wired into [`Admin`] via [`Admin::with_signer`], published with the
+//!   metadata, pinned by clients and replayed by an untrusted [`Auditor`].
 //!
 //! ```
 //! use acs::{bootstrap_admin, Client, provisioning};
@@ -62,7 +64,7 @@ pub use client::Client;
 pub use error::AcsError;
 pub use fixtures::{FleetFixture, ForkingStore, Tamper};
 pub use he_system::{decode_he_metadata, encode_he_metadata, HeAdmin, HE_ITEM};
-pub use oplog::{AdminSigner, LogEntry, LogError, LogOp, OpLog};
+pub use oplog::{AdminSigner, LogEntry, LogOp};
 pub use provisioning::{establish_trust, provision_user, KeyRequest, TrustContext};
 pub use sharded::ShardedAdmin;
-pub use verilog::{Auditor, SignedTransition};
+pub use verilog::{Auditor, GroupLog, SignedTransition};

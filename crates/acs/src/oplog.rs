@@ -3,15 +3,20 @@
 //! certifying blocks of membership operations logs through blockchain-like
 //! technologies."*
 //!
-//! Every membership operation is appended as a hash-chained, BLS-signed
-//! [`LogEntry`]; any party holding the registered admin verification keys
-//! can audit the chain for tampering, reordering, truncation-with-splice,
-//! or entries from unregistered admins. The log is public (it contains only
-//! identities and operation types, which the paper's model already exposes)
-//! and can be stored on the untrusted cloud next to the group metadata.
+//! Every membership operation is one BLS-signed [`LogEntry`] in its group's
+//! log. The signature binds the entry's *place*: the group, the entry's
+//! index in that group's log, and the Merkle root of the log before the
+//! append. [`LogEntry::verify_at`] is the one check every verifier applies;
+//! folded over a served prefix it rules out insertion, deletion, reordering
+//! and entries from unregistered admins. The log is public (it contains
+//! only identities and operation types, which the paper's model already
+//! exposes) and is stored on the untrusted cloud next to the group metadata
+//! — see [`crate::verilog`] for the published layout and for who detects
+//! what.
 
+use oplog::{Hash, LogCommitment, VerifyError};
 use sgx_sim::bls::{Signature, SigningKey, VerifyingKey};
-use symcrypto::sha256::Sha256;
+use std::collections::HashMap;
 
 /// The operation kinds a log records.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -49,6 +54,22 @@ pub enum LogOp {
 }
 
 impl LogOp {
+    /// Replays this operation onto `members`, the roster the entries
+    /// before it imply.
+    pub(crate) fn apply(&self, members: &mut Vec<String>) {
+        match self {
+            LogOp::Create { members: m } => members.clone_from(m),
+            LogOp::Add { user } => members.push(user.clone()),
+            LogOp::Remove { user } => members.retain(|u| u != user),
+            LogOp::Rekey => {}
+            LogOp::Batch { adds, removes, .. } => {
+                // net sets are disjoint, so order does not matter
+                members.extend(adds.iter().cloned());
+                members.retain(|u| !removes.contains(u));
+            }
+        }
+    }
+
     /// Parses the tagged encoding produced by `encode`, consuming the whole
     /// slice.
     fn decode(bytes: &[u8]) -> Option<Self> {
@@ -145,51 +166,60 @@ impl LogOp {
     }
 }
 
-/// One signed, chained log entry.
+/// One signed log entry.
 #[derive(Clone, Debug)]
 pub struct LogEntry {
-    /// Position in the chain (0-based, dense).
-    pub seq: u64,
+    /// Position in the group's log (0-based, dense, per group).
+    pub index: u64,
     /// Group the operation applies to.
     pub group: String,
     /// The operation.
     pub op: LogOp,
-    /// Hash of the previous entry (all-zero for the genesis entry).
-    pub prev_hash: [u8; 32],
+    /// Merkle root of the group's log before this entry was appended (the
+    /// empty-tree root for the group's first entry).
+    pub pre_root: Hash,
     /// Identity label of the signing administrator.
     pub admin: String,
     signature: Signature,
 }
 
 impl LogEntry {
-    /// The canonical digest of this entry (chained into the successor).
-    pub fn hash(&self) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(b"ibbe-oplog-entry-v1");
-        h.update(&self.seq.to_be_bytes());
-        h.update(self.group.as_bytes());
-        h.update(&self.op.encode());
-        h.update(&self.prev_hash);
-        h.update(self.admin.as_bytes());
-        h.update(&self.signature.to_bytes());
-        h.finalize()
-    }
-
-    /// Serializes the entry for cloud publication:
-    /// `seq:u64 ‖ group_len:u16 ‖ group ‖ op_len:u32 ‖ op ‖ prev_hash:32 ‖
-    /// admin_len:u16 ‖ admin ‖ sig_len:u16 ‖ signature`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let op = self.op.encode();
-        let sig = self.signature.to_bytes();
-        let mut out = Vec::with_capacity(64 + op.len() + sig.len());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&(self.group.len() as u16).to_be_bytes());
-        out.extend_from_slice(self.group.as_bytes());
+    /// Everything the signature covers, in wire framing:
+    /// `index:u64 ‖ group_len:u16 ‖ group ‖ op_len:u32 ‖ op ‖ pre_root:32 ‖
+    /// admin_len:u16 ‖ admin`.
+    fn signed_bytes(index: u64, group: &str, op: &LogOp, pre_root: &Hash, admin: &str) -> Vec<u8> {
+        let op = op.encode();
+        let mut out = Vec::with_capacity(160 + op.len());
+        out.extend_from_slice(&index.to_be_bytes());
+        out.extend_from_slice(&(group.len() as u16).to_be_bytes());
+        out.extend_from_slice(group.as_bytes());
         out.extend_from_slice(&(op.len() as u32).to_be_bytes());
         out.extend_from_slice(&op);
-        out.extend_from_slice(&self.prev_hash);
-        out.extend_from_slice(&(self.admin.len() as u16).to_be_bytes());
-        out.extend_from_slice(self.admin.as_bytes());
+        out.extend_from_slice(pre_root);
+        out.extend_from_slice(&(admin.len() as u16).to_be_bytes());
+        out.extend_from_slice(admin.as_bytes());
+        out
+    }
+
+    fn signed(&self) -> Vec<u8> {
+        Self::signed_bytes(
+            self.index,
+            &self.group,
+            &self.op,
+            &self.pre_root,
+            &self.admin,
+        )
+    }
+
+    fn signing_message(signed: &[u8]) -> Vec<u8> {
+        [b"ibbe-oplog-sign-v2".as_slice(), signed].concat()
+    }
+
+    /// Serializes the entry for cloud publication: the signed fields (see
+    /// `signed_bytes`) followed by `sig_len:u16 ‖ signature`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = self.signed();
+        let sig = self.signature.to_bytes();
         out.extend_from_slice(&(sig.len() as u16).to_be_bytes());
         out.extend_from_slice(&sig);
         out
@@ -197,7 +227,7 @@ impl LogEntry {
 
     /// Parses a published entry; rejects truncation, trailing bytes, and
     /// malformed operation encodings. Signature *validity* is a separate
-    /// question answered by [`LogEntry::signed_by`].
+    /// question answered by [`LogEntry::verify_at`].
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut cur = 0usize;
         let take = |cur: &mut usize, n: usize| -> Option<&[u8]> {
@@ -205,12 +235,12 @@ impl LogEntry {
             *cur += n;
             Some(s)
         };
-        let seq = u64::from_be_bytes(take(&mut cur, 8)?.try_into().ok()?);
+        let index = u64::from_be_bytes(take(&mut cur, 8)?.try_into().ok()?);
         let glen = u16::from_be_bytes(take(&mut cur, 2)?.try_into().ok()?) as usize;
         let group = std::str::from_utf8(take(&mut cur, glen)?).ok()?.to_string();
         let oplen = u32::from_be_bytes(take(&mut cur, 4)?.try_into().ok()?) as usize;
         let op = LogOp::decode(take(&mut cur, oplen)?)?;
-        let prev_hash: [u8; 32] = take(&mut cur, 32)?.try_into().ok()?;
+        let pre_root: Hash = take(&mut cur, 32)?.try_into().ok()?;
         let alen = u16::from_be_bytes(take(&mut cur, 2)?.try_into().ok()?) as usize;
         let admin = std::str::from_utf8(take(&mut cur, alen)?).ok()?.to_string();
         let slen = u16::from_be_bytes(take(&mut cur, 2)?.try_into().ok()?) as usize;
@@ -219,78 +249,54 @@ impl LogEntry {
             return None;
         }
         Some(Self {
-            seq,
+            index,
             group,
             op,
-            prev_hash,
+            pre_root,
             admin,
             signature,
         })
     }
 
-    /// True when the entry's signature verifies under `key` (the key
-    /// registered for `self.admin`).
-    pub fn signed_by(&self, key: &VerifyingKey) -> bool {
-        let msg = Self::signing_message(
-            self.seq,
-            &self.group,
-            &self.op,
-            &self.prev_hash,
-            &self.admin,
-        );
-        key.verify(&msg, &self.signature)
-    }
-
-    fn signing_message(
-        seq: u64,
+    /// The one entry check, shared by every verifier: is this the entry a
+    /// registered admin signed as the next one of `group`'s log when that
+    /// log stood at `pre`?
+    ///
+    /// [`crate::verilog`] says what folding this over a served log does and
+    /// does not establish.
+    ///
+    /// # Errors
+    /// [`VerifyError::UnknownAdmin`], [`VerifyError::BadSignature`] (with
+    /// `pre.size` as the position), or [`VerifyError::OutOfPlace`] naming
+    /// the signed binding — group, index, pre-root — that does not hold
+    /// here.
+    pub fn verify_at(
+        &self,
+        keys: &HashMap<String, VerifyingKey>,
         group: &str,
-        op: &LogOp,
-        prev_hash: &[u8; 32],
-        admin: &str,
-    ) -> Vec<u8> {
-        let mut m = Vec::new();
-        m.extend_from_slice(b"ibbe-oplog-sign-v1");
-        m.extend_from_slice(&seq.to_be_bytes());
-        m.extend_from_slice(&(group.len() as u16).to_be_bytes());
-        m.extend_from_slice(group.as_bytes());
-        m.extend_from_slice(&op.encode());
-        m.extend_from_slice(prev_hash);
-        m.extend_from_slice(admin.as_bytes());
-        m
-    }
-}
-
-/// Why a chain failed verification.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LogError {
-    /// An entry's `seq` is not dense/monotonic.
-    BrokenSequence,
-    /// An entry's `prev_hash` does not match its predecessor.
-    BrokenChain,
-    /// An entry is signed by an unregistered administrator.
-    UnknownAdmin,
-    /// A signature failed to verify.
-    BadSignature,
-}
-
-impl core::fmt::Display for LogError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let s = match self {
-            LogError::BrokenSequence => "log sequence numbers are not dense",
-            LogError::BrokenChain => "hash chain broken",
-            LogError::UnknownAdmin => "entry signed by unregistered admin",
-            LogError::BadSignature => "entry signature invalid",
+        pre: &LogCommitment,
+    ) -> Result<(), VerifyError> {
+        let key = keys
+            .get(&self.admin)
+            .ok_or_else(|| VerifyError::UnknownAdmin(self.admin.clone()))?;
+        if !key.verify(&Self::signing_message(&self.signed()), &self.signature) {
+            return Err(VerifyError::BadSignature { seq: pre.size });
+        }
+        let out_of_place = |binding| VerifyError::OutOfPlace {
+            position: pre.size,
+            binding,
         };
-        write!(f, "{s}")
+        if self.group != group {
+            return Err(out_of_place("group"));
+        }
+        if self.index != pre.size {
+            return Err(out_of_place("index"));
+        }
+        if self.pre_root != pre.root {
+            return Err(out_of_place("pre-root"));
+        }
+        Ok(())
     }
-}
-
-impl std::error::Error for LogError {}
-
-/// An append-only certified operation log for one deployment.
-#[derive(Clone, Debug, Default)]
-pub struct OpLog {
-    entries: Vec<LogEntry>,
 }
 
 /// An administrator's signing identity for the log.
@@ -313,6 +319,22 @@ impl AdminSigner {
     pub fn verifying_key(&self) -> VerifyingKey {
         self.key.verifying_key()
     }
+
+    /// Signs `op` as the next entry of `group`'s log standing at `pre`.
+    /// Crate-private: [`crate::verilog::GroupLog::append`] is the one
+    /// place an entry is created, so signed place and actual place cannot
+    /// drift apart.
+    pub(crate) fn sign_at(&self, group: &str, op: LogOp, pre: &LogCommitment) -> LogEntry {
+        let signed = LogEntry::signed_bytes(pre.size, group, &op, &pre.root, &self.name);
+        LogEntry {
+            index: pre.size,
+            group: group.to_string(),
+            op,
+            pre_root: pre.root,
+            admin: self.name.clone(),
+            signature: self.key.sign(&LogEntry::signing_message(&signed)),
+        }
+    }
 }
 
 impl core::fmt::Debug for AdminSigner {
@@ -321,292 +343,249 @@ impl core::fmt::Debug for AdminSigner {
     }
 }
 
-impl OpLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the log has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Read access to the entries.
-    pub fn entries(&self) -> &[LogEntry] {
-        &self.entries
-    }
-
-    /// Appends an operation signed by `signer`.
-    pub fn append(&mut self, signer: &AdminSigner, group: &str, op: LogOp) -> &LogEntry {
-        let seq = self.entries.len() as u64;
-        let prev_hash = self.entries.last().map(LogEntry::hash).unwrap_or([0u8; 32]);
-        let msg = LogEntry::signing_message(seq, group, &op, &prev_hash, &signer.name);
-        let signature = signer.key.sign(&msg);
-        self.entries.push(LogEntry {
-            seq,
-            group: group.to_string(),
-            op,
-            prev_hash,
-            admin: signer.name.clone(),
-            signature,
-        });
-        self.entries.last().expect("just pushed")
-    }
-
-    /// Audits the full chain against the registered admin keys
-    /// (`name → key`).
-    ///
-    /// # Errors
-    /// The first [`LogError`] encountered, with the failing index.
-    pub fn verify(
-        &self,
-        admin_keys: &std::collections::HashMap<String, VerifyingKey>,
-    ) -> Result<(), (usize, LogError)> {
-        let mut prev = [0u8; 32];
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.seq != i as u64 {
-                return Err((i, LogError::BrokenSequence));
-            }
-            if e.prev_hash != prev {
-                return Err((i, LogError::BrokenChain));
-            }
-            let Some(key) = admin_keys.get(&e.admin) else {
-                return Err((i, LogError::UnknownAdmin));
-            };
-            let msg = LogEntry::signing_message(e.seq, &e.group, &e.op, &e.prev_hash, &e.admin);
-            if !key.verify(&msg, &e.signature) {
-                return Err((i, LogError::BadSignature));
-            }
-            prev = e.hash();
-        }
-        Ok(())
-    }
-
-    /// Replays the membership state a verified log implies for `group`
-    /// (audit cross-check against live metadata).
-    pub fn membership_of(&self, group: &str) -> Vec<String> {
-        replay_membership(self.entries.iter(), group)
-    }
-}
-
-/// Replays the membership a sequence of verified entries implies for
-/// `group` (shared by [`OpLog::membership_of`] and the store-side auditor,
-/// which holds the group's entries without a surrounding log).
-pub(crate) fn replay_membership<'a>(
-    entries: impl Iterator<Item = &'a LogEntry>,
-    group: &str,
-) -> Vec<String> {
-    let mut members: Vec<String> = Vec::new();
-    for e in entries {
-        if e.group != group {
-            continue;
-        }
-        match &e.op {
-            LogOp::Create { members: m } => members = m.clone(),
-            LogOp::Add { user } => members.push(user.clone()),
-            LogOp::Remove { user } => members.retain(|u| u != user),
-            LogOp::Rekey => {}
-            LogOp::Batch { adds, removes, .. } => {
-                // net sets are disjoint, so order does not matter
-                members.extend(adds.iter().cloned());
-                members.retain(|u| !removes.contains(u));
-            }
-        }
-    }
-    members
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::rebuild_log;
+    use crate::verilog::{Auditor, GroupLog};
+    use cloud_store::{Bytes, CloudStore, StoreHandle};
     use rand::SeedableRng;
-    use std::collections::HashMap;
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(71)
     }
 
-    fn setup() -> (
-        OpLog,
-        AdminSigner,
-        AdminSigner,
-        HashMap<String, VerifyingKey>,
-    ) {
+    /// Two signers sharing one group log.
+    fn setup() -> (GroupLog, AdminSigner, AdminSigner) {
         let mut r = rng();
         let a1 = AdminSigner::new("alice-admin", &mut r);
         let a2 = AdminSigner::new("bob-admin", &mut r);
-        let keys = HashMap::from([
-            (a1.name.clone(), a1.verifying_key()),
-            (a2.name.clone(), a2.verifying_key()),
-        ]);
-        (OpLog::new(), a1, a2, keys)
+        (GroupLog::default(), a1, a2)
+    }
+
+    /// An auditor with no memory, trusting alice-admin and bob-admin.
+    fn fresh_auditor(a1: &AdminSigner, a2: &AdminSigner) -> Auditor {
+        let mut auditor = Auditor::new();
+        auditor.register_admin(a1.name.clone(), a1.verifying_key());
+        auditor.register_admin(a2.name.clone(), a2.verifying_key());
+        auditor
+    }
+
+    /// A store serving `entries` as group `g`'s log — entry objects, tree
+    /// nodes and head all consistent with each other, whatever the entries
+    /// themselves say.
+    fn serving(entries: &[LogEntry]) -> StoreHandle {
+        let bytes: Vec<Bytes> = entries.iter().map(|e| e.to_bytes().into()).collect();
+        let store = CloudStore::new();
+        store.put_many("g", rebuild_log(&bytes));
+        store.into()
+    }
+
+    fn audit_err(auditor: &Auditor, entries: &[LogEntry]) -> VerifyError {
+        match auditor.audit_group(&serving(entries), "g") {
+            Err(crate::AcsError::Verify(e)) => e,
+            other => panic!("expected a detection, got {other:?}"),
+        }
     }
 
     #[test]
-    fn multi_admin_chain_verifies() {
-        let (mut log, a1, a2, keys) = setup();
-        log.append(
-            &a1,
-            "g",
-            LogOp::Create {
-                members: vec!["u0".into(), "u1".into()],
-            },
-        );
+    fn multi_admin_log_verifies() {
+        let (mut log, a1, a2) = setup();
+        let create = LogOp::Create {
+            members: vec!["u0".into(), "u1".into()],
+        };
+        log.append(&a1, "g", create);
         log.append(&a2, "g", LogOp::Add { user: "u2".into() });
         log.append(&a1, "g", LogOp::Remove { user: "u0".into() });
         log.append(&a2, "g", LogOp::Rekey);
-        assert_eq!(log.verify(&keys), Ok(()));
-        assert_eq!(
-            log.membership_of("g"),
-            vec!["u1".to_string(), "u2".to_string()]
-        );
+        // what the writers publish is what the auditor accepts
+        let store = CloudStore::new();
+        store.put_many("g", log.unpublished());
+        let report = fresh_auditor(&a1, &a2)
+            .audit_group(&store.into(), "g")
+            .unwrap();
+        assert_eq!(Some(report.head), log.head());
+        assert_eq!(report.membership, vec!["u1".to_string(), "u2".to_string()]);
     }
 
     #[test]
     fn batch_entry_verifies_and_replays_net_membership() {
-        let (mut log, a1, a2, keys) = setup();
-        log.append(
-            &a1,
-            "g",
-            LogOp::Create {
-                members: vec!["u0".into(), "u1".into(), "u2".into()],
-            },
-        );
-        log.append(
-            &a2,
-            "g",
-            LogOp::Batch {
-                adds: vec!["u3".into(), "u4".into()],
-                removes: vec!["u0".into(), "u2".into()],
-                epoch: 2,
-            },
-        );
-        assert_eq!(log.verify(&keys), Ok(()));
+        let (mut log, a1, a2) = setup();
+        let create = LogOp::Create {
+            members: vec!["u0".into(), "u1".into(), "u2".into()],
+        };
+        let batch = LogOp::Batch {
+            adds: vec!["u3".into(), "u4".into()],
+            removes: vec!["u0".into(), "u2".into()],
+            epoch: 2,
+        };
+        let mut entries = vec![log.append(&a1, "g", create), log.append(&a2, "g", batch)];
+        let auditor = fresh_auditor(&a1, &a2);
+        let report = auditor.audit_group(&serving(&entries), "g").unwrap();
         assert_eq!(
-            log.membership_of("g"),
+            report.membership,
             vec!["u1".to_string(), "u3".to_string(), "u4".to_string()]
         );
         // tampering with the batch contents breaks the signature
-        let mut forged = log.clone();
-        if let LogOp::Batch { adds, .. } = &mut forged.entries[1].op {
+        if let LogOp::Batch { adds, .. } = &mut entries[1].op {
             adds.push("mallory".into());
         }
-        assert_eq!(forged.verify(&keys).unwrap_err().1, LogError::BadSignature);
+        assert_eq!(
+            audit_err(&fresh_auditor(&a1, &a2), &entries),
+            VerifyError::BadSignature { seq: 1 }
+        );
     }
 
     #[test]
     fn tampered_entry_detected() {
-        let (mut log, a1, _, keys) = setup();
-        log.append(
-            &a1,
-            "g",
-            LogOp::Create {
-                members: vec!["u0".into()],
-            },
-        );
-        log.append(&a1, "g", LogOp::Add { user: "u1".into() });
+        let (mut log, a1, a2) = setup();
+        let create = LogOp::Create {
+            members: vec!["u0".into()],
+        };
+        let mut entries = vec![
+            log.append(&a1, "g", create),
+            log.append(&a1, "g", LogOp::Add { user: "u1".into() }),
+        ];
         // retroactively change who was added
-        log.entries[1].op = LogOp::Add {
+        entries[1].op = LogOp::Add {
             user: "mallory".into(),
         };
-        let err = log.verify(&keys).unwrap_err();
-        assert_eq!(err.1, LogError::BadSignature);
+        assert_eq!(
+            audit_err(&fresh_auditor(&a1, &a2), &entries),
+            VerifyError::BadSignature { seq: 1 }
+        );
     }
 
     #[test]
     fn reordering_detected() {
-        let (mut log, a1, _, keys) = setup();
-        log.append(
-            &a1,
-            "g",
-            LogOp::Create {
-                members: vec!["u0".into()],
-            },
+        let (mut log, a1, a2) = setup();
+        let create = LogOp::Create {
+            members: vec!["u0".into()],
+        };
+        let mut entries = vec![
+            log.append(&a1, "g", create),
+            log.append(&a1, "g", LogOp::Add { user: "u1".into() }),
+            log.append(&a1, "g", LogOp::Remove { user: "u1".into() }),
+        ];
+        entries.swap(1, 2);
+        assert_eq!(
+            audit_err(&fresh_auditor(&a1, &a2), &entries),
+            VerifyError::OutOfPlace {
+                position: 1,
+                binding: "index"
+            }
         );
-        log.append(&a1, "g", LogOp::Add { user: "u1".into() });
-        log.append(&a1, "g", LogOp::Remove { user: "u1".into() });
-        log.entries.swap(1, 2);
-        assert!(log.verify(&keys).is_err());
     }
 
     #[test]
     fn stale_entry_reinsertion_detected() {
-        let (mut log, a1, _, keys) = setup();
-        log.append(&a1, "g", LogOp::Create { members: vec![] });
-        log.append(&a1, "g", LogOp::Add { user: "u1".into() });
-        // replay entry 1 at the tail with a fixed-up seq: its prev_hash no
-        // longer matches its new predecessor
-        let mut stale = log.entries()[1].clone();
-        stale.seq = 2;
-        log.entries.push(stale);
-        assert_eq!(log.verify(&keys).unwrap_err(), (2, LogError::BrokenChain));
+        let (mut log, a1, a2) = setup();
+        let mut entries = vec![
+            log.append(&a1, "g", LogOp::Create { members: vec![] }),
+            log.append(&a1, "g", LogOp::Add { user: "u1".into() }),
+        ];
+        // replay entry 1 at the tail: it was signed for index 1 …
+        entries.push(entries[1].clone());
+        assert_eq!(
+            audit_err(&fresh_auditor(&a1, &a2), &entries),
+            VerifyError::OutOfPlace {
+                position: 2,
+                binding: "index"
+            }
+        );
+        // … and fixing the index up breaks the signature that binds it
+        entries[2].index = 2;
+        assert_eq!(
+            audit_err(&fresh_auditor(&a1, &a2), &entries),
+            VerifyError::BadSignature { seq: 2 }
+        );
+        // an entry signed at the right index over a different prefix (here:
+        // by a second writer whose copy of the log diverged) is out of place
+        // too
+        let mut diverged = GroupLog::default();
+        diverged.append(&a2, "g", LogOp::Create { members: vec![] });
+        diverged.append(&a2, "g", LogOp::Rekey);
+        entries[2] = diverged.append(&a2, "g", LogOp::Add { user: "u2".into() });
+        assert_eq!(
+            audit_err(&fresh_auditor(&a1, &a2), &entries),
+            VerifyError::OutOfPlace {
+                position: 2,
+                binding: "pre-root"
+            }
+        );
     }
 
     #[test]
     fn unknown_admin_rejected() {
-        let (mut log, a1, _, keys) = setup();
-        let mut r = rng();
-        let rogue = AdminSigner::new("rogue", &mut r);
-        log.append(&a1, "g", LogOp::Create { members: vec![] });
-        log.append(
-            &rogue,
-            "g",
-            LogOp::Add {
-                user: "backdoor".into(),
-            },
+        let (mut log, a1, a2) = setup();
+        let rogue = AdminSigner::new("rogue", &mut rng());
+        let entries = vec![
+            log.append(&a1, "g", LogOp::Create { members: vec![] }),
+            log.append(
+                &rogue,
+                "g",
+                LogOp::Add {
+                    user: "backdoor".into(),
+                },
+            ),
+        ];
+        assert_eq!(
+            audit_err(&fresh_auditor(&a1, &a2), &entries),
+            VerifyError::UnknownAdmin("rogue".into())
         );
-        assert_eq!(log.verify(&keys).unwrap_err(), (1, LogError::UnknownAdmin));
     }
 
     #[test]
     fn truncation_is_not_detectable_but_extension_is() {
-        // hash chains authenticate prefixes: dropping a suffix verifies (a
-        // known property — anchoring the head elsewhere fixes it), while
-        // any modification of retained entries fails.
-        let (mut log, a1, _, keys) = setup();
-        log.append(&a1, "g", LogOp::Create { members: vec![] });
-        log.append(&a1, "g", LogOp::Add { user: "u".into() });
-        log.entries.pop();
-        assert_eq!(log.verify(&keys), Ok(()));
+        // the documented limit: a prefix of an honest log is an honest log,
+        // so a verifier with no memory accepts a dropped suffix — only a
+        // head it already holds (its own, or one relayed to `observe`)
+        // exposes the missing tail
+        let (mut log, a1, a2) = setup();
+        let entries = vec![
+            log.append(&a1, "g", LogOp::Create { members: vec![] }),
+            log.append(&a1, "g", LogOp::Add { user: "u".into() }),
+        ];
+        let fresh = fresh_auditor(&a1, &a2);
+        let report = fresh.audit_group(&serving(&entries[..1]), "g").unwrap();
+        assert!(report.membership.is_empty(), "the add was silently lost");
+
+        let seasoned = fresh_auditor(&a1, &a2);
+        seasoned.audit_group(&serving(&entries), "g").unwrap();
+        assert_eq!(
+            audit_err(&seasoned, &entries[..1]),
+            VerifyError::Truncated {
+                prior: 2,
+                current: 1
+            }
+        );
     }
 
     #[test]
     fn wire_roundtrip_preserves_every_op_kind() {
-        let (mut log, a1, a2, _) = setup();
-        log.append(
-            &a1,
-            "g",
+        let (mut log, a1, a2) = setup();
+        let keys = fresh_auditor(&a1, &a2).keys().clone();
+        let ops = [
             LogOp::Create {
                 members: vec!["u0".into(), "u1".into()],
             },
-        );
-        log.append(&a2, "g", LogOp::Add { user: "u2".into() });
-        log.append(&a1, "g", LogOp::Remove { user: "u0".into() });
-        log.append(&a2, "g", LogOp::Rekey);
-        log.append(
-            &a1,
-            "g",
+            LogOp::Add { user: "u2".into() },
+            LogOp::Remove { user: "u0".into() },
+            LogOp::Rekey,
             LogOp::Batch {
                 adds: vec!["u3".into()],
                 removes: vec![],
                 epoch: 3,
             },
-        );
-        for entry in log.entries() {
+        ];
+        for (i, op) in ops.into_iter().enumerate() {
+            let pre = log.head().unwrap_or(LogCommitment::empty());
+            let entry = log.append(if i % 2 == 0 { &a1 } else { &a2 }, "g", op);
             let wire = entry.to_bytes();
             let decoded = LogEntry::from_bytes(&wire).expect("roundtrip");
             assert_eq!(decoded.to_bytes(), wire, "re-encoding is stable");
-            assert_eq!(decoded.hash(), entry.hash());
-            assert!(decoded.signed_by(&match decoded.admin.as_str() {
-                "alice-admin" => a1.verifying_key(),
-                _ => a2.verifying_key(),
-            }));
+            assert_eq!(decoded.op, entry.op);
+            assert_eq!(decoded.verify_at(&keys, "g", &pre), Ok(()));
             // framing is strict: trailing garbage and truncation both fail
             let mut padded = wire.clone();
             padded.push(0);

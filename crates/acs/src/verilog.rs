@@ -2,11 +2,15 @@
 //! Merkle-tree objects on the untrusted store, and gives every party a way
 //! to catch the store lying about it.
 //!
-//! Three views, three defenses:
+//! There is one log per group and one check per entry. Each
+//! [`crate::LogEntry`]'s signature binds the group, the entry's index in
+//! that group's log and the Merkle root of the log before the append;
+//! [`crate::LogEntry::verify_at`] checks exactly that and is the only code
+//! that looks up an admin key and verifies a signature.
 //!
-//! * **Admins** ([`crate::Admin::with_signer`]) append each mutation to a
-//!   per-group [`oplog::MerkleLog`] and publish the entry, the completed
-//!   tree nodes, and the new signed head — in the *same* atomic
+//! * **Admins** ([`crate::Admin::with_signer`]) append each mutation to the
+//!   group's [`GroupLog`] and publish the entry, the completed tree nodes
+//!   and the new head — in the *same* atomic
 //!   [`cloud_store::ObjectStore::try_put_many`] round-trip as the group
 //!   metadata the mutation produced.
 //! * **Clients** pin the last verified [`LogCommitment`] (40 bytes) and,
@@ -16,19 +20,30 @@
 //!   proof — the client refuses the forged metadata instead of deriving a
 //!   key from it.
 //! * **Auditors** ([`Auditor`]) hold only admin *verification* keys — no
-//!   SGX, no group membership, no admin credentials — and replay either
-//!   the full log ([`Auditor::audit_group`]) or one compact fraud-proof
-//!   unit ([`SignedTransition`]): pre-head, appended entry, post-head and
-//!   the two Merkle paths. A store that extends the log with entries no
-//!   registered admin signed is caught even though every consistency proof
-//!   checks out.
+//!   SGX, no group membership, no admin credentials — and fold the entry
+//!   check over the full log ([`Auditor::audit_group`]) or apply it to one
+//!   compact fraud-proof unit ([`SignedTransition`]): pre-head, appended
+//!   entry, post-head and the two Merkle paths.
+//!
+//! Who detects what:
+//!
+//! * **The entries' signatures** leave no room, inside the prefix a store
+//!   serves, for an inserted, dropped, reordered or replayed entry or one
+//!   from an unregistered admin: each would put a validly signed entry at
+//!   an index, or over a prefix, it was not signed for.
+//! * **Pinned heads and [`Auditor::observe`]** catch forks and rollbacks:
+//!   the published `_log_head` is unsigned, so a head is only as good as
+//!   its consistency with one a verifier already holds.
+//! * **A fresh verifier alone cannot detect suffix truncation.** The first
+//!   `k` entries of an honest log are themselves an honest log; only a
+//!   remembered (or relayed) larger head exposes the missing tail.
 //!
 //! Cloud layout inside a group folder (all `_`-prefixed, so partition scans
 //! skip them):
 //!
 //! | item | content |
 //! |---|---|
-//! | `_log_head` | the 40-byte [`LogCommitment`] (mutable) |
+//! | `_log_head` | the 40-byte [`LogCommitment`] (mutable, unsigned) |
 //! | `_log_e{i:08}` | serialized signed [`crate::LogEntry`] `i` (immutable) |
 //! | `_log_n{l:02}_{i:08}` | 32-byte complete-subtree root `(l,i)`, `l ≥ 1` (immutable) |
 //!
@@ -41,7 +56,7 @@
 //! [`crate::fixtures::ForkingStore`].
 
 use crate::error::AcsError;
-use crate::oplog::LogEntry;
+use crate::oplog::{AdminSigner, LogEntry, LogOp};
 use cloud_store::{ObjectStore, StoreError, StoreHandle};
 use oplog::{
     consistency_proof, leaf_hash, verify_consistency, Hash, LogCommitment, MerkleLog, NodeSource,
@@ -64,6 +79,70 @@ pub fn log_entry_item(index: u64) -> String {
 /// (level-0 hashes are recomputed from the entry objects).
 pub fn log_node_item(level: u32, index: u64) -> String {
     format!("_log_n{level:02}_{index:08}")
+}
+
+/// One group's log as its writers hold it: the Merkle accumulator over the
+/// entry bytes plus the store objects appended but not yet confirmed
+/// published.
+///
+/// [`GroupLog::append`] is the only way an entry comes into being — it
+/// signs at the log's current head and appends in one step — so several
+/// signers sharing one `GroupLog` (multi-admin governance) interleave into
+/// one verifiable history.
+#[derive(Clone, Debug, Default)]
+pub struct GroupLog {
+    merkle: MerkleLog,
+    /// The publish watermark: appending queues objects *before* any store
+    /// round-trip, so a failed publish leaves them here and the next
+    /// successful one carries them.
+    pending: Vec<(String, Vec<u8>)>,
+}
+
+impl GroupLog {
+    /// Signs `op` as `group`'s next entry — at this log's current size,
+    /// over its current root — appends it, and queues the entry and the
+    /// tree nodes it completed for publication. Returns the entry.
+    pub fn append(&mut self, signer: &AdminSigner, group: &str, op: LogOp) -> LogEntry {
+        let entry = signer.sign_at(group, op, &self.merkle.commitment());
+        let bytes = entry.to_bytes();
+        let leaf = leaf_hash(&bytes);
+        self.pending.push((log_entry_item(entry.index), bytes));
+        for (level, index, hash) in self.merkle.append_leaf(leaf) {
+            // level-0 hashes are recomputed from the entry objects;
+            // verifiers only fetch interior nodes
+            if level >= 1 {
+                self.pending
+                    .push((log_node_item(level, index), hash.to_vec()));
+            }
+        }
+        entry
+    }
+
+    /// The log's head, `None` before the first append.
+    pub fn head(&self) -> Option<LogCommitment> {
+        (self.merkle.size() > 0).then(|| self.merkle.commitment())
+    }
+
+    /// The objects the next publish must carry: everything above the
+    /// watermark plus the current head. Empty when nothing is unpublished
+    /// (head included — it is only rewritten when it moves).
+    pub fn unpublished(&self) -> Vec<(String, Vec<u8>)> {
+        if self.pending.is_empty() {
+            return Vec::new();
+        }
+        let mut items = self.pending.clone();
+        items.push((
+            LOG_HEAD_ITEM.to_string(),
+            self.merkle.commitment().to_bytes().to_vec(),
+        ));
+        items
+    }
+
+    /// Advances the watermark after a store round-trip that carried
+    /// [`GroupLog::unpublished`] succeeded.
+    pub fn mark_published(&mut self) {
+        self.pending.clear();
+    }
 }
 
 /// [`NodeSource`] over the published log objects of one group folder.
@@ -165,8 +244,20 @@ pub fn verify_extends(
     };
     span.record("prior", prior.size);
     span.record("head", head.size);
-    if head == *prior {
-        return Ok(head); // unchanged — nothing to fetch
+    check_extension(store, group, prior, &head)?;
+    Ok(head)
+}
+
+/// The head-against-head half of [`verify_extends`]: `head` (already
+/// fetched from `group`'s folder) must equal `prior` or extend it.
+pub(crate) fn check_extension(
+    store: &StoreHandle,
+    group: &str,
+    prior: &LogCommitment,
+    head: &LogCommitment,
+) -> Result<(), AcsError> {
+    if head == prior {
+        return Ok(()); // unchanged — nothing to fetch
     }
     if head.size < prior.size {
         return Err(AcsError::Verify(VerifyError::Truncated {
@@ -182,8 +273,8 @@ pub fn verify_extends(
     let Some(proof) = consistency_proof(&src, prior.size, head.size) else {
         return Err(src.failure());
     };
-    verify_consistency(prior, &head, &proof)?;
-    Ok(head)
+    verify_consistency(prior, head, &proof)?;
+    Ok(())
 }
 
 /// A compact fraud-proof unit: one signed log entry plus the Merkle
@@ -204,30 +295,24 @@ pub struct SignedTransition {
 
 impl SignedTransition {
     /// Replays the transition: Merkle structure, leaf/entry binding, and
-    /// the entry's admin signature against `keys`.
+    /// the entry check ([`LogEntry::verify_at`]) against `proof.pre` — the
+    /// entry must have been signed, by an admin in `keys`, as `group`'s
+    /// entry number `proof.pre.size` over the root `proof.pre.root`.
     ///
     /// # Errors
     /// The first failed check, as a [`VerifyError`].
-    pub fn verify(&self, keys: &HashMap<String, VerifyingKey>) -> Result<(), VerifyError> {
+    pub fn verify(
+        &self,
+        keys: &HashMap<String, VerifyingKey>,
+        group: &str,
+    ) -> Result<(), VerifyError> {
         self.proof.verify()?;
         if self.proof.leaf != leaf_hash(&self.entry.to_bytes()) {
             return Err(VerifyError::BadTransition(
                 "proof leaf does not commit to the entry",
             ));
         }
-        let key = self
-            .keys_lookup(keys)
-            .ok_or_else(|| VerifyError::UnknownAdmin(self.entry.admin.clone()))?;
-        if !self.entry.signed_by(key) {
-            return Err(VerifyError::BadSignature {
-                seq: self.proof.pre.size,
-            });
-        }
-        Ok(())
-    }
-
-    fn keys_lookup<'k>(&self, keys: &'k HashMap<String, VerifyingKey>) -> Option<&'k VerifyingKey> {
-        keys.get(&self.entry.admin)
+        self.entry.verify_at(keys, group, &self.proof.pre)
     }
 
     /// Wire form: `proof_len:u32 ‖ proof ‖ entry` (the entry is
@@ -372,10 +457,7 @@ impl Auditor {
         transition: &SignedTransition,
     ) -> Result<LogCommitment, VerifyError> {
         let _span = telemetry::span("oplog.audit").with("group", group).enter();
-        transition.verify(&self.keys)?;
-        if transition.entry.group != group {
-            return Err(VerifyError::Malformed("entry belongs to another group"));
-        }
+        transition.verify(&self.keys, group)?;
         // the pre-head must agree with whatever we have already seen …
         let observed = self.observed_head(group);
         if let Some(prev) = observed {
@@ -389,11 +471,12 @@ impl Auditor {
         Ok(transition.proof.post)
     }
 
-    /// Audits `group`'s entire published log: every entry must parse, be
-    /// signed by a registered admin, and belong to the group; the Merkle
-    /// root over the entry bytes must equal the published head; the head
-    /// must pass the equivocation cross-check. Returns the verified head
-    /// and the membership the log implies.
+    /// Audits `group`'s entire published log: every entry must parse and
+    /// pass the entry check ([`LogEntry::verify_at`]) against the head of
+    /// the entries before it; the Merkle root over the entry bytes must
+    /// equal the published head; the head must pass the equivocation
+    /// cross-check. Returns the verified head and the membership the log
+    /// implies.
     ///
     /// # Errors
     /// [`AcsError::Store`] on store faults (retry), [`AcsError::Verify`]
@@ -405,7 +488,7 @@ impl Auditor {
         )))?;
         span.record("entries", head.size);
         let mut merkle = MerkleLog::new();
-        let mut entries = Vec::new();
+        let mut membership = Vec::new();
         for i in 0..head.size {
             let (bytes, _) = store
                 .try_get(group, &log_entry_item(i))?
@@ -415,26 +498,14 @@ impl Auditor {
                 }))?;
             let entry = LogEntry::from_bytes(&bytes)
                 .ok_or(AcsError::Verify(VerifyError::Malformed("log entry")))?;
-            let key = self
-                .keys
-                .get(&entry.admin)
-                .ok_or_else(|| AcsError::Verify(VerifyError::UnknownAdmin(entry.admin.clone())))?;
-            if !entry.signed_by(key) {
-                return Err(AcsError::Verify(VerifyError::BadSignature { seq: i }));
-            }
-            if entry.group != group {
-                return Err(AcsError::Verify(VerifyError::Malformed(
-                    "entry belongs to another group",
-                )));
-            }
+            entry.verify_at(&self.keys, group, &merkle.commitment())?;
             merkle.append_leaf(leaf_hash(&bytes));
-            entries.push(entry);
+            entry.op.apply(&mut membership);
         }
         if merkle.root() != head.root {
             return Err(AcsError::Verify(VerifyError::RootMismatch));
         }
         self.observe(group, head).map_err(AcsError::Verify)?;
-        let membership = crate::oplog::replay_membership(entries.iter(), group);
         Ok(AuditReport { head, membership })
     }
 }

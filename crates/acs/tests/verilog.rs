@@ -1,13 +1,13 @@
-//! Adversarial store suite for the verifiable op-log (ISSUE 10 tentpole):
-//! a [`ForkingStore`] serves forked / rewritten / truncated / equivocating
+//! Adversarial store suite for the verifiable op-log: a [`ForkingStore`]
+//! serves forked / rewritten / truncated / resequenced / equivocating
 //! views of a group folder, and every tamper schedule must be detected —
 //! by the client's consistency check, or (for forged-but-genuine
-//! extensions) by a signature-checking [`Auditor`] — *before* anyone acts
-//! on forged metadata.
+//! extensions and for histories no verifier has pinned) by an [`Auditor`]
+//! folding the entry check — *before* anyone acts on forged metadata.
 
 use acs::verilog::{fetch_head, fetch_transition};
 use acs::{
-    bootstrap_admin, AcsError, Admin, AdminSigner, Auditor, Client, ForkingStore, LogOp, OpLog,
+    bootstrap_admin, AcsError, Admin, AdminSigner, Auditor, Client, ForkingStore, GroupLog, LogOp,
     SignedTransition, Tamper,
 };
 use cloud_store::{CloudStore, FaultConfig, FaultyStore, StoreHandle};
@@ -202,6 +202,129 @@ fn truncated_history_is_detected() {
     );
 }
 
+#[test]
+fn relayed_prior_does_not_excuse_a_rollback_below_the_pin() {
+    let store = CloudStore::new();
+    let forked = ForkingStore::new(store.clone());
+    let (admin, _) = signed_admin(store, 8);
+    admin.create_group("g", members(3)).unwrap();
+    let mut alice = client_for(&admin, forked.clone(), "user-0", "g");
+    alice.sync().unwrap();
+    let relayed = alice.log_head().unwrap(); // size 1, e.g. saved by a peer
+    admin.add_user("g", "dave").unwrap();
+    admin.add_user("g", "erin").unwrap();
+    alice.sync().unwrap();
+    let pinned = alice.log_head().unwrap();
+    assert_eq!(pinned.size, 3);
+
+    // the store rolls the log back to two entries: still a true extension
+    // of the size-1 head a peer relays, but behind what alice has verified
+    forked.tamper("g", Tamper::Truncate { drop: 1 }).unwrap();
+    let err = alice.verify_extends(&relayed).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            AcsError::Verify(VerifyError::Truncated {
+                prior: 3,
+                current: 2
+            })
+        ),
+        "got {err:?}"
+    );
+    assert_eq!(alice.log_head(), Some(pinned), "the pin did not move");
+
+    // a same-size fork of the pin is named as one, whatever the relay says
+    forked
+        .tamper("g", Tamper::RewriteEntry { index: 2 })
+        .unwrap();
+    let err = alice.verify_extends(&relayed).unwrap_err();
+    assert!(
+        matches!(err, AcsError::Verify(VerifyError::Forked { size: 3 })),
+        "got {err:?}"
+    );
+
+    // honest view: the relayed head and the pin both check out
+    forked.heal("g");
+    assert_eq!(alice.verify_extends(&relayed).unwrap(), pinned);
+}
+
+// ------------------------------------------------------------- dropped entries
+
+/// The audit gap the single log closes: a store serves a *fresh* auditor
+/// the group's validly signed entries with a revocation cut out — dense
+/// object names, recomputed tree, matching head. Nothing is structurally
+/// wrong; only the place each surviving entry was signed for gives it away.
+#[test]
+fn dropped_revocation_is_caught_by_a_fresh_auditor() {
+    let store = CloudStore::new();
+    let forked = ForkingStore::new(store.clone());
+    let (admin, vk) = signed_admin(store, 9);
+    admin.create_group("g", members(3)).unwrap();
+    admin.add_user("g", "dave").unwrap();
+    admin.remove_user("g", "user-1").unwrap();
+    admin.add_user("g", "erin").unwrap();
+
+    let handle = StoreHandle::from(forked.clone());
+    let fresh_auditor = || {
+        let mut a = Auditor::new();
+        a.register_admin("admin-1", vk);
+        a
+    };
+    let honest = fresh_auditor().audit_group(&handle, "g").unwrap();
+    assert!(!honest.membership.contains(&"user-1".to_string()));
+
+    forked.tamper("g", Tamper::DropEntry { index: 2 }).unwrap();
+    assert_eq!(fetch_head(&handle, "g").unwrap().unwrap().size, 3);
+    let err = fresh_auditor().audit_group(&handle, "g").unwrap_err();
+    assert!(
+        matches!(
+            err,
+            AcsError::Verify(VerifyError::OutOfPlace {
+                position: 2,
+                binding: "index"
+            })
+        ),
+        "user-1 must not come back: {err:?}"
+    );
+
+    // the fraud-proof unit applies the same check: entry 3 presented as the
+    // append that took the log from 2 to 3 entries is structurally sound …
+    let t = fetch_transition(&handle, "g", 2).unwrap();
+    assert_eq!(t.proof.verify(), Ok(()));
+    assert_eq!(t.entry.index, 3);
+    assert_eq!(
+        t.verify(fresh_auditor().keys(), "g"),
+        Err(VerifyError::OutOfPlace {
+            position: 2,
+            binding: "index"
+        })
+    );
+    // … as is entry 1 presented at its own index over a rewritten prefix
+    forked
+        .tamper("g", Tamper::RewriteEntry { index: 0 })
+        .unwrap();
+    let t = fetch_transition(&handle, "g", 1).unwrap();
+    assert_eq!(t.proof.verify(), Ok(()));
+    assert_eq!(
+        t.verify(fresh_auditor().keys(), "g"),
+        Err(VerifyError::OutOfPlace {
+            position: 1,
+            binding: "pre-root"
+        })
+    );
+    // … or in another group's log
+    forked.heal("g");
+    let t = fetch_transition(&handle, "g", 1).unwrap();
+    assert_eq!(t.verify(fresh_auditor().keys(), "g"), Ok(()));
+    assert_eq!(
+        t.verify(fresh_auditor().keys(), "h"),
+        Err(VerifyError::OutOfPlace {
+            position: 1,
+            binding: "group"
+        })
+    );
+}
+
 // --------------------------------------------------------------- equivocation
 
 #[test]
@@ -300,16 +423,10 @@ fn forged_extension_passes_client_checks_but_fails_audit() {
     forked.heal("g");
     let mut r = rng(50);
     let rogue = AdminSigner::new("rogue", &mut r);
-    let mut shadow = OpLog::new();
-    let entry = shadow
-        .append(
-            &rogue,
-            "g",
-            LogOp::Add {
-                user: "mallory".into(),
-            },
-        )
-        .to_bytes();
+    let backdoor = LogOp::Add {
+        user: "mallory".into(),
+    };
+    let entry = GroupLog::default().append(&rogue, "g", backdoor).to_bytes();
     forked.tamper("g", Tamper::ForgeAppend { entry }).unwrap();
     let err = auditor.audit_group(&handle, "g").unwrap_err();
     assert!(
@@ -343,10 +460,6 @@ fn fraud_proof_units_replay_the_whole_log() {
         let t = fetch_transition(&handle, "g", i).unwrap();
         // compact: O(log n) hashes, not the log itself
         assert!(t.proof.consistency.len() as u64 <= 2 * 64);
-        // the admin's locally built unit matches the one reconstructed
-        // purely from published objects
-        let local = admin.transition_proof("g", i).unwrap();
-        assert_eq!(local.proof, t.proof);
         // wire round-trip preserves the evidence
         let rt = SignedTransition::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(rt.proof, t.proof);
@@ -364,7 +477,7 @@ fn fraud_proof_units_replay_the_whole_log() {
         mangled[at] ^= 0x01;
         if let Ok(m) = SignedTransition::from_bytes(&mangled) {
             assert!(
-                m.verify(auditor.keys()).is_err(),
+                m.verify(auditor.keys(), "g").is_err(),
                 "byte {at} flip produced a verifying transition"
             );
         }
@@ -399,6 +512,40 @@ fn store_outage_is_not_mistaken_for_tampering() {
 
 // ------------------------------------------------------------ property suite
 
+/// Applies `n_ops` honest mutations to group `g` (never touching the
+/// creation-time members), two bits of `ops_seed` choosing each one, and
+/// calls `after_each` once the mutation is published.
+fn honest_schedule(admin: &Admin, n_ops: usize, ops_seed: u64, mut after_each: impl FnMut()) {
+    let mut added: Vec<String> = Vec::new();
+    for i in 0..n_ops {
+        match (ops_seed >> (2 * i)) & 0b11 {
+            0 => {
+                let name = format!("add-{i}");
+                admin.add_user("g", &name).unwrap();
+                added.push(name);
+            }
+            1 => match added.pop() {
+                Some(name) => {
+                    admin.remove_user("g", &name).unwrap();
+                }
+                None => admin.rekey_group("g").unwrap(),
+            },
+            2 => admin.rekey_group("g").unwrap(),
+            _ => {
+                admin
+                    .begin_batch("g")
+                    .add(format!("batch-{i}-a"))
+                    .add(format!("batch-{i}-b"))
+                    .commit()
+                    .unwrap();
+                added.push(format!("batch-{i}-a"));
+                added.push(format!("batch-{i}-b"));
+            }
+        }
+        after_each();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
@@ -422,35 +569,9 @@ proptest! {
         let mut watcher = client_for(&admin, forked.clone(), "user-0", "g");
         watcher.sync().unwrap();
 
-        // honest mutation schedule (never touching the watcher)
-        let mut added: Vec<String> = Vec::new();
-        for i in 0..n_ops {
-            match (ops_seed >> (2 * i)) & 0b11 {
-                0 => {
-                    let name = format!("add-{i}");
-                    admin.add_user("g", &name).unwrap();
-                    added.push(name);
-                }
-                1 => match added.pop() {
-                    Some(name) => {
-                        admin.remove_user("g", &name).unwrap();
-                    }
-                    None => admin.rekey_group("g").unwrap(),
-                },
-                2 => admin.rekey_group("g").unwrap(),
-                _ => {
-                    admin
-                        .begin_batch("g")
-                        .add(format!("batch-{i}-a"))
-                        .add(format!("batch-{i}-b"))
-                        .commit()
-                        .unwrap();
-                    added.push(format!("batch-{i}-a"));
-                    added.push(format!("batch-{i}-b"));
-                }
-            }
+        honest_schedule(&admin, n_ops, ops_seed, || {
             watcher.sync().unwrap();
-        }
+        });
         let size = 1 + n_ops as u64;
         prop_assert_eq!(watcher.log_head().unwrap().size, size);
         let gk = watcher.group_key().copied().unwrap();
@@ -499,5 +620,51 @@ proptest! {
         prop_assert_eq!(watcher.group_key().copied(), Some(gk));
         // and the pin never regressed
         prop_assert!(watcher.log_head().unwrap().size >= pinned.size);
+    }
+
+    /// Any single drop, swap or duplication of a group's published entries
+    /// — object names kept dense, tree and head recomputed, so nothing is
+    /// structurally off — is rejected by an auditor with no prior head to
+    /// compare against: some validly signed entry ends up at a position it
+    /// was not signed for.
+    #[test]
+    fn any_single_resequencing_fails_a_fresh_audit(
+        seed in 1u64..1_000,
+        n_ops in 1usize..4,
+        ops_seed in any::<u64>(),
+        pick in any::<u64>(),
+        kind in 0u8..3,
+    ) {
+        let store = CloudStore::new();
+        let forked = ForkingStore::new(store.clone());
+        let (admin, vk) = signed_admin(store, seed);
+        admin.create_group("g", members(3)).unwrap();
+        honest_schedule(&admin, n_ops, ops_seed, || {});
+
+        let size = 1 + n_ops as u64;
+        let (a, b) = (pick % size, (pick >> 32) % size);
+        let mut order: Vec<u64> = (0..size).collect();
+        match kind {
+            // drop — but not the last entry: a dropped suffix is the one
+            // thing a fresh verifier cannot see (the documented limit)
+            0 => {
+                order.remove((a % (size - 1)) as usize);
+            }
+            1 => {
+                let b = if a == b { (a + 1) % size } else { b };
+                order.swap(a as usize, b as usize);
+            }
+            _ => order.insert(b as usize, a),
+        }
+        forked.tamper("g", Tamper::Resequence { order: order.clone() }).unwrap();
+
+        let mut auditor = Auditor::new();
+        auditor.register_admin("admin-1", vk);
+        let handle = StoreHandle::from(forked);
+        let err = auditor.audit_group(&handle, "g").unwrap_err();
+        prop_assert!(
+            matches!(err, AcsError::Verify(VerifyError::OutOfPlace { .. })),
+            "served order {:?} passed or failed for the wrong reason: {:?}", order, err
+        );
     }
 }

@@ -142,8 +142,19 @@ pub enum VerifyError {
     Malformed(&'static str),
     /// A log entry's signature failed to verify.
     BadSignature {
-        /// Sequence number of the offending entry.
+        /// Per-group index (position in the group's log) of the offending
+        /// entry.
         seq: u64,
+    },
+    /// A validly signed entry is served somewhere other than where its
+    /// admin signed it — the trace of a dropped, reordered, replayed or
+    /// spliced-in entry.
+    OutOfPlace {
+        /// Position in the group's log the entry was served at.
+        position: u64,
+        /// The signed binding that does not hold there: `"group"`,
+        /// `"index"` or `"pre-root"`.
+        binding: &'static str,
     },
     /// A log entry claims an admin that is not in the trusted key set.
     UnknownAdmin(String),
@@ -179,6 +190,12 @@ impl core::fmt::Display for VerifyError {
             Self::HeadVanished => write!(f, "published log head vanished after being observed"),
             Self::Malformed(what) => write!(f, "malformed proof: {what}"),
             Self::BadSignature { seq } => write!(f, "bad signature on log entry {seq}"),
+            Self::OutOfPlace { position, binding } => {
+                write!(
+                    f,
+                    "log entry served at {position} was signed for another {binding}"
+                )
+            }
             Self::UnknownAdmin(name) => write!(f, "log entry signed by unknown admin {name:?}"),
             Self::BadTransition(what) => write!(f, "invalid transition proof: {what}"),
         }

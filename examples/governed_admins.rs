@@ -1,15 +1,18 @@
 //! Extensions from the paper's future-work section (§VIII), working
-//! together: a **certified multi-admin operation log** (hash-chained and
-//! BLS-signed, "blockchain-like") and **workload-adaptive partition
-//! sizing**.
+//! together: a **certified multi-admin operation log** (two administrators
+//! signing into one group log, each BLS-signed entry bound to its index
+//! and to the Merkle root of the log before it; published to the cloud and
+//! audited from there by a party holding only verification keys) and
+//! **workload-adaptive partition sizing**.
 //!
 //! ```sh
 //! cargo run --release --example governed_admins
 //! ```
 
-use ibbe_sgx::acs::{AdminSigner, LogOp, OpLog};
+use ibbe_sgx::acs::{AcsError, AdminSigner, Auditor, GroupLog, LogOp};
+use ibbe_sgx::cloud::{CloudStore, ObjectStore, StoreHandle};
 use ibbe_sgx::core::{AdaptivePolicy, GroupEngine, PartitionSize};
-use std::collections::HashMap;
+use ibbe_sgx::oplog::VerifyError;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = rand::thread_rng();
@@ -20,15 +23,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut policy = AdaptivePolicy::new(4, capacity.get())?;
 
     // Two administrators share duties; every operation lands in the
-    // certified log. Auditors pin their verification keys.
+    // group's one certified log. Auditors pin their verification keys.
     let admin_a = AdminSigner::new("admin-a", &mut rng);
     let admin_b = AdminSigner::new("admin-b", &mut rng);
-    let registry: HashMap<_, _> = [
-        (String::from("admin-a"), admin_a.verifying_key()),
-        (String::from("admin-b"), admin_b.verifying_key()),
-    ]
-    .into();
-    let mut log = OpLog::new();
+    let mut auditor = Auditor::new();
+    auditor.register_admin("admin-a", admin_a.verifying_key());
+    auditor.register_admin("admin-b", admin_b.verifying_key());
+    let mut log = GroupLog::default();
 
     // admin-a creates the group.
     let members: Vec<String> = (0..48).map(|i| format!("emp-{i:03}")).collect();
@@ -85,13 +86,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         policy.recommended(meta.member_count()).get()
     );
 
-    // Any auditor can verify the complete operation history…
-    log.verify(&registry)
-        .map_err(|(i, e)| format!("entry {i}: {e}"))?;
-    println!("operation log verified: {} entries, 2 admins", log.len());
+    // The log goes to the untrusted cloud (an `acs::Admin` publishes these
+    // same objects with every mutation, alongside the group metadata)…
+    let store = StoreHandle::from(CloudStore::new());
+    store.try_put_many("hr-records", log.unpublished())?;
+    log.mark_published();
+
+    // …where any auditor can verify the complete operation history…
+    let report = auditor.audit_group(&store, "hr-records")?;
+    assert_eq!(Some(report.head), log.head());
+    println!(
+        "operation log verified: {} entries, 2 admins",
+        report.head.size
+    );
 
     // …and cross-check it against the live cryptographic state.
-    let mut from_log = log.membership_of("hr-records");
+    let mut from_log = report.membership;
     let mut live: Vec<String> = meta.members().map(String::from).collect();
     from_log.sort();
     live.sort();
@@ -99,17 +109,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("log-derived membership matches live group metadata");
 
     // Tampering attempts fail loudly.
-    let mut forged = OpLog::new();
-    forged.append(&admin_a, "hr-records", LogOp::Create { members: vec![] });
     let rogue = AdminSigner::new("rogue", &mut rng);
-    forged.append(
+    log.append(
         &rogue,
         "hr-records",
         LogOp::Add {
             user: "backdoor".into(),
         },
     );
-    assert!(forged.verify(&registry).is_err());
+    store.try_put_many("hr-records", log.unpublished())?;
+    let rejected = auditor.audit_group(&store, "hr-records");
+    assert!(matches!(
+        rejected,
+        Err(AcsError::Verify(VerifyError::UnknownAdmin(name))) if name == "rogue"
+    ));
     println!("rogue admin entry rejected by auditors");
 
     Ok(())
