@@ -4,7 +4,7 @@
 //! complexity-cut ablation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ibbe_pairing::{pairing, G1Projective, G2Projective, Scalar};
+use ibbe_pairing::{pairing, pairing_product, G1Projective, G2Affine, G2Projective, Scalar};
 use ibbe_sgx_bench::{bench_rng, names};
 use ibbe_sgx_core::{client_decrypt_from_partition, GroupEngine, PartitionSize};
 use symcrypto::gcm::AesGcm;
@@ -30,6 +30,17 @@ fn bench_pairing_substrate(c: &mut Criterion) {
         b.iter(|| G2Projective::generator().mul_scalar(&s))
     });
     group.bench_function("pairing", |b| b.iter(|| pairing(&g1, &g2)));
+    group.bench_function("pairing_product_2", |b| {
+        let pairs = [(g1, g2), (-g1, G2Affine::generator())];
+        b.iter(|| pairing_product(&pairs))
+    });
+    group.bench_function("g2_msm_128", |b| {
+        let points: Vec<G2Affine> = (0..128)
+            .map(|_| G2Projective::random(&mut rng).to_affine())
+            .collect();
+        let scalars: Vec<Scalar> = (0..128).map(|_| Scalar::random(&mut rng)).collect();
+        b.iter(|| G2Projective::msm(&points, &scalars))
+    });
     group.bench_function("gt_exp", |b| {
         let e = pairing(&g1, &g2);
         b.iter(|| e.pow(&s))

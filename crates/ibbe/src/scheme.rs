@@ -6,11 +6,19 @@
 //! `Z_r` instead of expanding a polynomial against published powers of `γ`.
 //! This is the entire source of the paper's complexity cut, and it is only
 //! safe because `γ` lives inside the enclave.
+//!
+//! Where the public path (and every decryption) must evaluate a polynomial
+//! "in the exponent" against the published `h^(γ^l)`, it does so with one
+//! `G2` multi-scalar multiplication (`G2Projective::msm`), and decryption's
+//! two pairings share a Miller loop and a final exponentiation
+//! (`pairing_product`). Those kernels are variable-time in their scalars;
+//! the scalars here are polynomial coefficients of public identity hashes.
 
 use crate::error::IbbeError;
 use crate::poly::expand_from_roots;
 use ibbe_pairing::{
-    hash_to_scalar, pairing, G1Affine, G1Projective, G2Affine, G2Projective, Gt, Scalar,
+    hash_to_scalar, pairing, pairing_product, G1Affine, G1Projective, G2Affine, G2Projective, Gt,
+    Scalar,
 };
 
 /// Domain-separation tag for identity hashing (`H : {0,1}* → Z_r*`).
@@ -238,7 +246,8 @@ pub fn encrypt_with_msk<R: rand::RngCore + ?Sized>(
 
 /// Traditional IBBE encryption (paper Eq. 4): without `MSK`, the polynomial
 /// `∏(x + H(u))` is expanded (`O(n²)` scalar work) and evaluated "in the
-/// exponent" against the published `h^(γ^l)` (`O(n)` `G2` exponentiations).
+/// exponent" against the published `h^(γ^l)` — one `n`-term `G2`
+/// multi-scalar multiplication.
 ///
 /// # Errors
 /// Same set-validation failures as [`encrypt_with_msk`].
@@ -249,27 +258,18 @@ pub fn encrypt_public<R: rand::RngCore + ?Sized>(
 ) -> Result<(BroadcastKey, Ciphertext), IbbeError> {
     let hashes = check_members(members, pk.max_group_size())?;
     let k = Scalar::random_nonzero(rng);
+    // h^(Σ c_l·γ^l) from the published powers; variable-time in the
+    // coefficients, which derive from public identities only
     let coeffs = expand_from_roots(&hashes);
-    let c2_base = eval_in_exponent(pk, &coeffs);
+    let c2_base = G2Projective::msm(&pk.h_powers[..coeffs.len()], &coeffs);
     Ok(finish_encrypt(pk, &k, c2_base))
-}
-
-/// Computes `h^(Σ coeffs[l]·γ^l)` from the published powers.
-pub(crate) fn eval_in_exponent(pk: &PublicKey, coeffs: &[Scalar]) -> G2Projective {
-    debug_assert!(coeffs.len() <= pk.h_powers.len());
-    let mut acc = G2Projective::identity();
-    for (l, c) in coeffs.iter().enumerate() {
-        if !c.is_zero() {
-            acc = acc + G2Projective::from(pk.h_powers[l]).mul_scalar(c);
-        }
-    }
-    acc
 }
 
 /// Decryption (paper §A-D): recovers `bk` for member `identity` of the
 /// receiver set `members`. `O(n²)` scalar work for the polynomial expansion
-/// plus `O(n)` `G2` exponentiations and two pairings — identical for IBBE
-/// and IBBE-SGX, which is why the partitioning mechanism exists.
+/// plus one `(n−1)`-term `G2` multi-scalar multiplication and a two-pairing
+/// product — identical for IBBE and IBBE-SGX, which is why the partitioning
+/// mechanism exists.
 ///
 /// # Errors
 /// [`IbbeError::NotAMember`] if `identity ∉ members`, plus set-validation
@@ -281,39 +281,25 @@ pub fn decrypt(
     members: &[String],
     ct: &Ciphertext,
 ) -> Result<BroadcastKey, IbbeError> {
-    let _ = check_members(members, pk.max_group_size())?;
-    if !members.iter().any(|m| m == identity) {
+    let mut others = check_members(members, pk.max_group_size())?;
+    let Some(me) = members.iter().position(|m| m == identity) else {
         return Err(IbbeError::NotAMember(identity.to_string()));
-    }
-    let others: Vec<Scalar> = members
-        .iter()
-        .filter(|m| m.as_str() != identity)
-        .map(|m| hash_identity(m))
-        .collect();
+    };
+    others.remove(me);
 
     // p_{i,S}(γ) = (1/γ)·(∏_{j≠i}(γ+H_j) − ∏_{j≠i}H_j): with coefficients
-    // c_l of ∏_{j≠i}(x+H_j), this is Σ_{l≥1} c_l·γ^(l-1).
+    // c_l of ∏_{j≠i}(x+H_j), this is Σ_{l≥1} c_l·γ^(l-1), evaluated in the
+    // exponent against h^(γ^0), …, h^(γ^(n-2)).
     let coeffs = expand_from_roots(&others);
-    let h_p = eval_in_exponent_shifted(pk, &coeffs);
+    let h_p = G2Projective::msm(&pk.h_powers[..coeffs.len() - 1], &coeffs[1..]);
     let denom: Scalar = coeffs[0]; // ∏_{j≠i} H_j
     let denom_inv = denom
         .invert()
         .expect("identity hashes are non-zero, so the product is non-zero");
 
-    let e1 = pairing(&ct.c1, &h_p.to_affine());
-    let e2 = pairing(&usk.0, &ct.c2);
-    Ok(BroadcastKey((e1 * e2).pow(&denom_inv)))
-}
-
-/// `h^(Σ_{l≥1} coeffs[l]·γ^(l-1))` — the shifted evaluation used by decrypt.
-fn eval_in_exponent_shifted(pk: &PublicKey, coeffs: &[Scalar]) -> G2Projective {
-    let mut acc = G2Projective::identity();
-    for (l, c) in coeffs.iter().enumerate().skip(1) {
-        if !c.is_zero() {
-            acc = acc + G2Projective::from(pk.h_powers[l - 1]).mul_scalar(c);
-        }
-    }
-    acc
+    // e(C1, h^p)·e(USK, C2): one Miller loop, one final exponentiation
+    let e = pairing_product(&[(ct.c1, h_p.to_affine()), (usk.0, ct.c2)]);
+    Ok(BroadcastKey(e.pow(&denom_inv)))
 }
 
 /// Adds a user to an existing ciphertext using `MSK` (paper §A-E):

@@ -1,12 +1,21 @@
-//! Generic short-Weierstrass group arithmetic shared by `G1` (over `Fp`)
-//! and `G2` (over `Fp2`).
+//! Generic short-Weierstrass group arithmetic shared by `G1` (over `Fp`),
+//! `G2` (over `Fp2`) and the secp256k1 baseline curve.
 //!
 //! Points are exposed in two shapes: [`Affine`] (for serialization, curve
 //! membership checks and pairing inputs) and [`Projective`] (Jacobian
 //! coordinates, for arithmetic). Both are generic over a [`Curve`] marker
 //! type supplying the base field and curve constants.
+//!
+//! There is one scalar multiplication, [`Projective::mul_uint`] (width-4
+//! wNAF over a table of odd multiples), and one multi-scalar multiplication,
+//! [`Projective::msm`] (Straus: per-point wNAF tables normalised to affine
+//! with a single shared inversion, one shared doubling chain, mixed
+//! additions). Both branch on the scalar's digits and index tables by them —
+//! variable-time in the scalar, exactly as the double-and-add ladder they
+//! replaced (which survives as the test oracle in `tests/reference`).
 
 use crate::fr::Scalar;
+use crate::wnaf::{wnaf, TABLE};
 use core::fmt::Debug;
 use core::marker::PhantomData;
 use core::ops::{Add, Mul, Neg, Sub};
@@ -391,17 +400,127 @@ impl<C: Curve> Projective<C> {
         }
     }
 
-    /// Scalar multiplication by a canonical multi-limb integer
-    /// (double-and-add, MSB first).
+    /// Mixed addition `self + rhs` with `rhs` affine (Jacobian
+    /// madd-2007-bl: 7M + 4S against 11M + 5S for [`Projective::add`]).
+    pub fn add_mixed(&self, rhs: &Affine<C>) -> Self {
+        if rhs.infinity {
+            return *self;
+        }
+        if self.is_identity() {
+            return (*rhs).into();
+        }
+        let z1z1 = self.z.square();
+        let u2 = rhs.x * z1z1;
+        let s2 = rhs.y * self.z * z1z1;
+        if u2 == self.x {
+            return if s2 == self.y {
+                self.double()
+            } else {
+                Self::identity()
+            };
+        }
+        let h = u2 - self.x;
+        let hh = h.square();
+        let i = hh.double().double();
+        let j = h * i;
+        let r = (s2 - self.y).double();
+        let v = self.x * i;
+        let x3 = r.square() - j - v.double();
+        let y3 = r * (v - x3) - (self.y * j).double();
+        let z3 = (self.z + h).square() - z1z1 - hh;
+        Self {
+            x: x3,
+            y: y3,
+            z: z3,
+            _curve: PhantomData,
+        }
+    }
+
+    /// The odd multiples `P, 3P, …` a wNAF digit selects from.
+    fn odd_multiples(&self) -> [Self; TABLE] {
+        let twice = self.double();
+        let mut table = [*self; TABLE];
+        for i in 1..TABLE {
+            table[i] = table[i - 1] + twice;
+        }
+        table
+    }
+
+    /// Scalar multiplication by a canonical multi-limb integer (wNAF:
+    /// one doubling per bit, one addition per non-zero signed digit).
     pub fn mul_uint<const E: usize>(&self, k: &ibbe_bigint::Uint<E>) -> Self {
+        let table = self.odd_multiples();
         let mut acc = Self::identity();
-        for i in (0..k.bits()).rev() {
+        for &d in wnaf(k).iter().rev() {
             acc = acc.double();
-            if k.bit(i) {
-                acc = Projective::add(&acc, self);
+            if d > 0 {
+                acc = acc + table[d as usize / 2];
+            } else if d < 0 {
+                acc = acc - table[d.unsigned_abs() as usize / 2];
             }
         }
         acc
+    }
+
+    /// Multi-scalar multiplication `Σ scalars[i]·points[i]` (Straus).
+    ///
+    /// Every point gets its table of odd multiples; all tables are brought
+    /// to affine with one inversion, so the shared doubling chain pays a
+    /// mixed addition per non-zero digit. By operation count this beats
+    /// Pippenger buckets up to a few hundred terms (the partition sizes the
+    /// schemes run at) and one `mul_uint` per term by ≈ 5×. Terms with a
+    /// zero scalar or an identity point are skipped.
+    ///
+    /// # Panics
+    /// If the slices differ in length.
+    pub fn msm(points: &[Affine<C>], scalars: &[Scalar]) -> Self {
+        assert_eq!(points.len(), scalars.len(), "one scalar per point");
+        let (tables, digits): (Vec<_>, Vec<_>) = points
+            .iter()
+            .zip(scalars)
+            .filter(|(p, s)| !p.infinity && !s.is_zero())
+            .map(|(p, s)| (Self::from(*p).odd_multiples(), wnaf(&s.to_uint())))
+            .unzip();
+        let tables = Self::batch_to_affine(tables.as_flattened());
+        let len = digits.iter().map(Vec::len).max().unwrap_or(0);
+        let mut acc = Self::identity();
+        for i in (0..len).rev() {
+            acc = acc.double();
+            for (table, digits) in tables.chunks_exact(TABLE).zip(&digits) {
+                let d = digits.get(i).copied().unwrap_or(0);
+                if d != 0 {
+                    let entry = table[d.unsigned_abs() as usize / 2];
+                    acc = acc.add_mixed(&if d > 0 { entry } else { -entry });
+                }
+            }
+        }
+        acc
+    }
+
+    /// Converts many points to affine with one field inversion
+    /// (Montgomery's trick over the non-zero `z`s).
+    fn batch_to_affine(points: &[Self]) -> Vec<Affine<C>> {
+        // prefix[i] = product of the non-zero z's before position i
+        let mut prefix = Vec::with_capacity(points.len());
+        let mut acc = C::Base::one();
+        for p in points {
+            prefix.push(acc);
+            if !p.is_identity() {
+                acc = acc * p.z;
+            }
+        }
+        let mut inv = acc.invert().expect("product of non-zero z's");
+        let mut out = vec![Affine::identity(); points.len()];
+        for ((p, before), slot) in points.iter().zip(prefix).zip(&mut out).rev() {
+            if p.is_identity() {
+                continue;
+            }
+            let zinv = inv * before;
+            inv = inv * p.z;
+            let zinv2 = zinv.square();
+            *slot = Affine::from_xy_unchecked(p.x * zinv2, p.y * zinv2 * zinv);
+        }
+        out
     }
 
     /// Scalar multiplication by a field scalar.

@@ -2,6 +2,7 @@
 
 use crate::fp2::Fp2;
 use crate::fp6::Fp6;
+use crate::wnaf::{wnaf, TABLE};
 use core::ops::{Add, Mul, MulAssign, Neg, Sub};
 use ibbe_bigint::Uint;
 
@@ -131,23 +132,65 @@ impl Fp12 {
         }
     }
 
-    /// Exponentiation for **unitary** elements using cyclotomic squarings.
-    /// Callers must guarantee the element lies in the cyclotomic subgroup
-    /// (`GT` elements and post-easy-part final-exponentiation values do).
+    /// Exponentiation for **unitary** elements: cyclotomic squarings and a
+    /// wNAF digit string (inversion is conjugation there, so negative digits
+    /// are free). Callers must guarantee the element lies in the cyclotomic
+    /// subgroup (`GT` elements and post-easy-part final-exponentiation
+    /// values do). Variable-time in the exponent.
     pub fn cyclotomic_pow<const E: usize>(&self, exp: &Uint<E>) -> Self {
         debug_assert_eq!(
             self.cyclotomic_square(),
             self.square(),
             "cyclotomic_pow requires a unitary element"
         );
+        // odd powers f, f³, f⁵, …
+        let squared = self.cyclotomic_square();
+        let mut table = [*self; TABLE];
+        for i in 1..TABLE {
+            table[i] = table[i - 1] * squared;
+        }
         let mut acc = Self::ONE;
-        for i in (0..exp.bits()).rev() {
+        for &d in wnaf(exp).iter().rev() {
             acc = acc.cyclotomic_square();
-            if exp.bit(i) {
-                acc *= *self;
+            if d > 0 {
+                acc *= table[d as usize / 2];
+            } else if d < 0 {
+                acc *= table[d.unsigned_abs() as usize / 2].conjugate();
             }
         }
         acc
+    }
+
+    /// `self · (c0 + c1·v + c4·v·w)` — the product with a Miller-loop line,
+    /// which is zero in three of its six `Fp2` coefficients: 13 `Fp2`
+    /// multiplications instead of the 18 of a full product.
+    pub fn mul_by_014(&self, c0: &Fp2, c1: &Fp2, c4: &Fp2) -> Self {
+        let aa = self.c0.mul_by_01(c0, c1);
+        let bb = self.c1.mul_by_1(c4);
+        let cross = (self.c0 + self.c1).mul_by_01(c0, &(*c1 + *c4));
+        Self {
+            c0: aa + bb.mul_by_v(),
+            c1: cross - aa - bb,
+        }
+    }
+
+    /// The `p`-power Frobenius, given `γ^1..γ^5` for `γ = ξ^((p−1)/6)`:
+    /// `(Σ aᵢ·wⁱ)^p = Σ āᵢ·γⁱ·wⁱ`, because `w^p = w·(w⁶)^((p−1)/6)` and
+    /// `w⁶ = ξ`. The coefficients are derived (and checked) in
+    /// [`crate::pairing`].
+    pub(crate) fn frobenius_map(&self, gamma: &[Fp2; 5]) -> Self {
+        Self {
+            c0: Fp6::new(
+                self.c0.c0.conjugate(),
+                self.c0.c1.conjugate() * gamma[1],
+                self.c0.c2.conjugate() * gamma[3],
+            ),
+            c1: Fp6::new(
+                self.c1.c0.conjugate() * gamma[0],
+                self.c1.c1.conjugate() * gamma[2],
+                self.c1.c2.conjugate() * gamma[4],
+            ),
+        }
     }
 
     /// The flat `Fp2` coefficient view `(w⁰, w², w⁴, w¹, w³, w⁵)`; helper for

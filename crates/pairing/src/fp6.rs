@@ -66,6 +66,27 @@ impl Fp6 {
         }
     }
 
+    /// `self · c1·v` (a one-coefficient operand): 3 `Fp2` multiplications.
+    pub(crate) fn mul_by_1(&self, c1: &Fp2) -> Self {
+        Self {
+            c0: (self.c2 * *c1).mul_by_xi(),
+            c1: self.c0 * *c1,
+            c2: self.c1 * *c1,
+        }
+    }
+
+    /// `self · (c0 + c1·v)` (a two-coefficient operand): 5 `Fp2`
+    /// multiplications.
+    pub(crate) fn mul_by_01(&self, c0: &Fp2, c1: &Fp2) -> Self {
+        let aa = self.c0 * *c0;
+        let bb = self.c1 * *c1;
+        Self {
+            c0: (self.c2 * *c1).mul_by_xi() + aa,
+            c1: (*c0 + *c1) * (self.c0 + self.c1) - aa - bb,
+            c2: self.c2 * *c0 + bb,
+        }
+    }
+
     /// `self²`.
     pub fn square(&self) -> Self {
         *self * *self

@@ -6,7 +6,8 @@
 //! * the base field [`fp::Fp`] and scalar field [`fr::Scalar`],
 //! * the tower `Fp2`/`Fp6`/`Fp12`,
 //! * the groups [`G1Affine`]/[`G1Projective`] and [`G2Affine`]/[`G2Projective`],
-//! * the target group [`Gt`] and the optimal ate [`pairing()`],
+//! * the target group [`Gt`], the optimal ate [`pairing()`] and products of
+//!   pairings under one final exponentiation ([`pairing_product`]),
 //! * hashing of identities to scalars and to `G1` ([`hash`]).
 //!
 //! The paper's Type-A PBC curve is replaced by BLS12-381; both expose the
@@ -30,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub(crate) mod field;
+pub(crate) mod wnaf;
 
 pub mod curve;
 pub mod fp;
@@ -55,4 +57,4 @@ pub use g2::{G2Affine, G2Projective, G2_COMPRESSED_BYTES};
 pub use gt::Gt;
 pub use hash::{hash_to_g1, hash_to_scalar};
 pub use k256::{K256Affine, K256Projective, ScalarK, K256_COMPRESSED_BYTES};
-pub use pairing::{final_exponentiation, miller_loop, pairing};
+pub use pairing::{final_exponentiation, miller_loop, multi_miller_loop, pairing, pairing_product};

@@ -1,17 +1,34 @@
-//! The optimal ate pairing `e : G1 × G2 → GT` for BLS12-381.
+//! The optimal ate pairing `e : G1 × G2 → GT` for BLS12-381, as a
+//! *product* of pairings under one final exponentiation.
 //!
-//! The Miller loop runs over the (absolute value of the) BLS parameter
-//! `x = -0xd201_0000_0001_0000`, with the `G2` accumulator kept in affine
-//! coordinates — slower than projective line formulas but unambiguous, and
-//! all derived constants (`Frobenius` coefficients, the hard-part exponent,
-//! cofactors) are **computed at first use from `p`, `r` and `x` alone**, with
-//! divisibility assertions, rather than hard-coded. A wrong constant
+//! **Miller loop.** [`multi_miller_loop`] runs over the bits of `|x|` for
+//! the BLS parameter `x = -0xd201_0000_0001_0000` once, for any number of
+//! `(P, Q)` pairs: one `Fp12` squaring per bit is shared by all pairs, each
+//! pair's `G2` accumulator is kept in homogeneous projective coordinates
+//! (so a doubling or addition step needs no field inversion), and each line
+//! is folded into `f` with the sparse [`Fp12::mul_by_014`]. Lines are taken
+//! up to factors in proper subfields of `Fp12` and powers of `w`, all of
+//! which the final exponentiation kills — so [`miller_loop`] values are
+//! meaningful only through [`final_exponentiation`].
+//!
+//! **Final exponentiation.** The easy part is a conjugation, an inversion
+//! and a Frobenius²; the hard part `(p⁴ − p² + 1)/r` is written in base `p`,
+//! `λ₀ + λ₁p + λ₂p² + λ₃p³`, where every `λᵢ` is a short polynomial in `x`,
+//! and evaluated with five 64-bit cyclotomic powers plus Frobenius maps
+//! instead of one 1 269-bit power. The decomposition is exact (no spare
+//! factor 3), so `GT` elements — and every key derived from them — are the
+//! same as under the plain power.
+//!
+//! All derived constants (Frobenius coefficients, the `λᵢ`, cofactors) are
+//! **computed at first use from `p`, `r` and `x` alone**, with divisibility
+//! and consistency assertions, rather than hard-coded. A wrong constant
 //! therefore fails loudly instead of producing a subtly non-bilinear map.
+//! The displaced kernels (affine Miller loop, plain-power hard part) live on
+//! as oracles in `tests/reference`.
 
 use crate::fp;
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
-use crate::fp6::Fp6;
 use crate::fr;
 use crate::g1::G1Affine;
 use crate::g2::G2Affine;
@@ -24,14 +41,12 @@ pub const BLS_X_ABS: u64 = 0xd201_0000_0001_0000;
 
 /// Derived pairing constants, computed once.
 struct Consts {
-    /// `ξ^((p²-1)/3)` — Frobenius² coefficient for `v`.
-    gamma_v2: Fp2,
-    /// `γ_v2²` — Frobenius² coefficient for `v²`.
-    gamma_v2_sq: Fp2,
-    /// `ξ^((p²-1)/6)` — Frobenius² coefficient for `w`.
-    gamma_w2: Fp2,
-    /// Hard-part exponent `(p⁴ - p² + 1) / r`.
-    hard_exp: Uint<24>,
+    /// `γ¹..γ⁵` for `γ = ξ^((p−1)/6)` — the Frobenius coefficients of
+    /// `w¹..w⁵`.
+    frobenius: [Fp2; 5],
+    /// `|x − 1|/3 = (|x| + 1)/3`, the odd one out among the hard part's
+    /// exponents.
+    x_minus_1_over_3: Uint<1>,
     /// `G1` cofactor `(p + |x|) / r = #E(Fp) / r`.
     g1_cofactor: Uint<6>,
 }
@@ -42,26 +57,22 @@ fn consts() -> &'static Consts {
         let p = fp::MODULUS;
         let r = fr::MODULUS;
 
-        // p² as a 12-limb integer.
+        // γ = ξ^((p−1)/6): (γ·w)⁶ must be ξ^p, the conjugate of ξ.
+        let (pm1, borrow) = p.sub_borrow(&Uint::ONE);
+        assert_eq!(borrow, 0);
+        let (e6, rem6) = pm1.div_rem(&Uint::from_u64(6));
+        assert!(rem6.is_zero(), "p - 1 must be divisible by 6");
+        let xi = Fp2::xi();
+        let gamma = xi.pow(&e6);
+        assert_eq!(gamma.pow(&Uint::<1>::from_u64(6)) * xi, xi.conjugate());
+        let mut frobenius = [gamma; 5];
+        for i in 1..5 {
+            frobenius[i] = frobenius[i - 1] * gamma;
+        }
+
+        // Hard exponent h = (p⁴ - p² + 1)/r …
         let (lo, hi) = p.mul_wide(&p);
         let p2: Uint<12> = Uint::from_parts(&lo, &hi);
-
-        // (p² - 1) / 3 and / 6, with exactness checks.
-        let (p2m1, borrow) = p2.sub_borrow(&Uint::ONE);
-        assert_eq!(borrow, 0);
-        let (e3, rem3) = p2m1.div_rem(&Uint::from_u64(3));
-        assert!(rem3.is_zero(), "p² - 1 must be divisible by 3");
-        let (e6, rem6) = p2m1.div_rem(&Uint::from_u64(6));
-        assert!(rem6.is_zero(), "p² - 1 must be divisible by 6");
-
-        let xi = Fp2::xi();
-        let gamma_v2 = xi.pow(&e3);
-        let gamma_w2 = xi.pow(&e6);
-        // Both coefficients must be sixth roots of unity (sanity).
-        assert_eq!(gamma_v2.pow(&Uint::<1>::from_u64(3)), Fp2::ONE);
-        assert_eq!(gamma_w2.pow(&Uint::<1>::from_u64(6)), Fp2::ONE);
-
-        // Hard exponent (p⁴ - p² + 1)/r.
         let (lo4, hi4) = p2.mul_wide(&p2);
         let p4: Uint<24> = Uint::from_parts(&lo4, &hi4);
         let (t, borrow) = p4.sub_borrow(&p2.widen::<24>());
@@ -71,17 +82,40 @@ fn consts() -> &'static Consts {
         let (hard_exp, rem) = num.div_rem(&r.widen::<24>());
         assert!(rem.is_zero(), "r must divide p⁴ - p² + 1 (Φ₁₂(p))");
 
+        // … equals λ₀ + λ₁p + λ₂p² + λ₃p³ with λ₃ = (x−1)²/3, λ₂ = x·λ₃,
+        // λ₁ = λ₃·(x²−1), λ₀ = x·λ₁ + 1 — the chain `hard_part` walks.
+        // With x = −|x| the signs alternate; Horner keeps every step positive.
+        assert_eq!((BLS_X_ABS + 1) % 3, 0, "x ≡ 1 (mod 3)");
+        let third = (BLS_X_ABS + 1) / 3;
+        let wide = Uint::<24>::from_u64;
+        let mul = |a: &Uint<24>, b: &Uint<24>| {
+            let (lo, hi) = a.mul_wide(b);
+            assert!(hi.is_zero());
+            lo
+        };
+        let sub = |a: &Uint<24>, b: &Uint<24>| {
+            let (d, borrow) = a.sub_borrow(b);
+            assert_eq!(borrow, 0);
+            d
+        };
+        let (p, x) = (p.widen::<24>(), wide(BLS_X_ABS));
+        let l3 = mul(&mul(&wide(third), &wide(third)), &wide(3));
+        let l1 = mul(&l3, &sub(&mul(&x, &x), &Uint::ONE));
+        let acc = sub(&mul(&l3, &p), &mul(&x, &l3));
+        let (acc, carry) = mul(&acc, &p).add_carry(&l1);
+        assert_eq!(carry, 0);
+        let acc = sub(&mul(&acc, &p), &sub(&mul(&x, &l1), &Uint::ONE));
+        assert_eq!(acc, hard_exp, "the x-chain must spell (p⁴ - p² + 1)/r");
+
         // #E(Fp) = p + 1 - t with trace t = x + 1, so #E = p - x = p + |x|.
-        let (order, carry) = p.add_carry(&Uint::from_u64(BLS_X_ABS));
+        let (order, carry) = fp::MODULUS.add_carry(&Uint::from_u64(BLS_X_ABS));
         assert_eq!(carry, 0);
         let (g1_cofactor, rem) = order.div_rem(&r.widen::<6>());
         assert!(rem.is_zero(), "r must divide #E(Fp)");
 
         Consts {
-            gamma_v2,
-            gamma_v2_sq: gamma_v2 * gamma_v2,
-            gamma_w2,
-            hard_exp,
+            frobenius,
+            x_minus_1_over_3: Uint::from_u64(third),
             g1_cofactor,
         }
     })
@@ -92,64 +126,123 @@ pub fn g1_cofactor() -> Uint<6> {
     consts().g1_cofactor
 }
 
+/// `p`-power Frobenius on `Fp12`.
+fn frobenius_p(f: &Fp12) -> Fp12 {
+    f.frobenius_map(&consts().frobenius)
+}
+
 /// `p²`-power Frobenius on `Fp12`.
-///
-/// `Fp2` is fixed pointwise by `x ↦ x^(p²)`; the tower generators pick up
-/// the precomputed sixth/cube roots of unity.
 pub fn frobenius_p2(f: &Fp12) -> Fp12 {
-    let c = consts();
-    let frob6 = |a: &Fp6| Fp6::new(a.c0, a.c1 * c.gamma_v2, a.c2 * c.gamma_v2_sq);
-    let c0 = frob6(&f.c0);
-    let mut c1 = frob6(&f.c1);
-    c1 = Fp6::new(c1.c0 * c.gamma_w2, c1.c1 * c.gamma_w2, c1.c2 * c.gamma_w2);
-    Fp12::new(c0, c1)
+    frobenius_p(&frobenius_p(f))
 }
 
-/// Evaluates (a multiple of) the line through the untwisted images of `t`
-/// (with slope `lambda`, both on the twist) at the `G1` point `p`, as a
-/// sparse `Fp12` element.
+/// A `G2` accumulator of the Miller loop in homogeneous projective
+/// coordinates `(X : Y : Z)`, `x = X/Z`, `y = Y/Z`, on the twist
+/// `y² = x³ + 4ξ`.
+struct Accumulator {
+    x: Fp2,
+    y: Fp2,
+    z: Fp2,
+}
+
+/// A line through points of the twist, evaluated at a `G1` point up to the
+/// `P`-dependent scaling [`ell`] applies: `c0 + c1·x_P·v + c4·y_P·v·w`.
 ///
-/// With the M-type untwist `(x', y') ↦ (x'/w², y'/w³)` the line value is
-/// `y_P − λ'·x_P·w⁻¹ + (λ'x₁ − y₁)·w⁻³`; multiplying through by the subfield
-/// constant `ξ` (harmless — killed by the final exponentiation) gives
-/// coefficients at `w⁰`, `w³ (= v·w)` and `w⁵ (= v²·w)`.
-fn line(p: &G1Affine, tx: Fp2, ty: Fp2, lambda: Fp2) -> Fp12 {
-    let w0 = Fp2::new(p.y, p.y); // ξ·y_P = (u+1)·y_P
-    let w3 = lambda * tx - ty;
-    let w5 = -(lambda.mul_by_fp(p.x));
-    Fp12::new(
-        Fp6::new(w0, Fp2::ZERO, Fp2::ZERO),
-        Fp6::new(Fp2::ZERO, w3, w5),
-    )
+/// With the M-type untwist `(x', y') ↦ (x'/w², y'/w³)` the line of slope
+/// `λ` through `(x₁, y₁)` is `y_P − λ·x_P·w⁻¹ + (λx₁ − y₁)·w⁻³`; times `w³`
+/// (a sixth root of an `Fp2` element) that is
+/// `(λx₁ − y₁) − λ·x_P·w² + y_P·w³`, and the steps below clear `λ`'s
+/// denominator as well — all factors the final exponentiation removes.
+struct Line {
+    c0: Fp2,
+    c1: Fp2,
+    c4: Fp2,
 }
 
-/// The Miller loop `f_{|x|,Q}(P)`, conjugated to account for `x < 0`.
-/// The result still needs [`final_exponentiation`].
-pub fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fp12 {
-    if p.is_identity() || q.is_identity() {
-        return Fp12::ONE;
+impl Accumulator {
+    /// `T ← 2T`, returning the tangent at `T`.
+    ///
+    /// `λ = 3X²/(2YZ)`; scaled by `2YZ` and reduced with the curve equation
+    /// the tangent is `(Y² − 3b'Z²) − 3X²·x_P·w² + 2YZ·y_P·w³`, and
+    /// `2T = (2XY(Y² − 9b'Z²) : Y⁴ + 18b'Y²Z² − 27b'²Z⁴ : 8Y³Z)`.
+    fn double(&mut self) -> Line {
+        let xx = self.x.square();
+        let b = self.y.square();
+        let yz = self.y * self.z;
+        // E = 3b'·Z² with b' = 4ξ
+        let c = self.z.square().mul_by_xi().double().double();
+        let e = c.double() + c;
+        let three_e = e.double() + e;
+        let line = Line {
+            c0: b - e,
+            c1: -(xx.double() + xx),
+            c4: yz.double(),
+        };
+        let e_sq = e.square();
+        self.x = (self.x * self.y * (b - three_e)).double();
+        // Y⁴ + 18b'Y²Z² − 27b'²Z⁴ = (B + 3E)² − 12E²
+        self.y = (b + three_e).square() - (e_sq.double() + e_sq).double().double();
+        self.z = (b * yz).double().double().double();
+        line
     }
+
+    /// `T ← T + Q` for affine `Q ≠ ±T`, returning the chord through them.
+    ///
+    /// With `θ = Y − y_Q·Z` and `μ = X − x_Q·Z` the slope is `θ/μ`; scaled
+    /// by `μ` the chord is `(θ·x_Q − μ·y_Q) − θ·x_P·w² + μ·y_P·w³`.
+    fn add(&mut self, q: &G2Affine) -> Line {
+        let theta = self.y - q.y * self.z;
+        let mu = self.x - q.x * self.z;
+        let line = Line {
+            c0: theta * q.x - mu * q.y,
+            c1: -theta,
+            c4: mu,
+        };
+        let mu2 = mu.square();
+        let mu3 = mu * mu2;
+        let g = self.x * mu2;
+        // H = μ³ + θ²Z − 2Xμ²
+        let h = mu3 + theta.square() * self.z - g.double();
+        self.x = mu * h;
+        self.y = theta * (g - h) - mu3 * self.y;
+        self.z = mu3 * self.z;
+        line
+    }
+}
+
+/// Folds a line, evaluated at `p`, into `f`.
+fn ell(f: &Fp12, line: &Line, p: &G1Affine) -> Fp12 {
+    f.mul_by_014(&line.c0, &line.c1.mul_by_fp(p.x), &line.c4.mul_by_fp(p.y))
+}
+
+/// The Miller loops `∏ f_{|x|,Qᵢ}(Pᵢ)` of all pairs in one pass, conjugated
+/// to account for `x < 0`. Pairs with an identity on either side contribute
+/// 1. The result still needs [`final_exponentiation`].
+pub fn multi_miller_loop(pairs: &[(G1Affine, G2Affine)]) -> Fp12 {
+    let mut pairs: Vec<(&G1Affine, &G2Affine, Accumulator)> = pairs
+        .iter()
+        .filter(|(p, q)| !p.is_identity() && !q.is_identity())
+        .map(|(p, q)| {
+            let t = Accumulator {
+                x: q.x,
+                y: q.y,
+                z: Fp2::ONE,
+            };
+            (p, q, t)
+        })
+        .collect();
     let mut f = Fp12::ONE;
-    let (mut tx, mut ty) = (q.x, q.y);
     let nbits = 64 - BLS_X_ABS.leading_zeros() as usize;
     for i in (0..nbits - 1).rev() {
         f = f.square();
-        // Tangent at T: λ = 3x²/(2y). y ≠ 0 on an odd-order subgroup.
-        let x2 = tx.square();
-        let lambda =
-            (x2.double() + x2) * ty.double().invert().expect("2y ≠ 0 in odd-order subgroup");
-        f *= line(p, tx, ty, lambda);
-        let x3 = lambda.square() - tx.double();
-        ty = lambda * (tx - x3) - ty;
-        tx = x3;
-
+        for (p, _, t) in &mut pairs {
+            f = ell(&f, &t.double(), p);
+        }
         if (BLS_X_ABS >> i) & 1 == 1 {
-            // Chord through T and Q: T = mQ with 2 ≤ m < r-1, so T ≠ ±Q.
-            let lambda = (ty - q.y) * (tx - q.x).invert().expect("T ≠ ±Q inside the Miller loop");
-            f *= line(p, tx, ty, lambda);
-            let x3 = lambda.square() - tx - q.x;
-            ty = lambda * (tx - x3) - ty;
-            tx = x3;
+            // T = mQ with 2 ≤ m < r-1 here, so T ≠ ±Q for Q of order r
+            for (p, q, t) in &mut pairs {
+                f = ell(&f, &t.add(q), p);
+            }
         }
     }
     // x < 0: f_{x,Q} = conj(f_{|x|,Q}) up to factors killed by the final
@@ -157,21 +250,44 @@ pub fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fp12 {
     f.conjugate()
 }
 
+/// The one-pair [`multi_miller_loop`].
+pub fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fp12 {
+    multi_miller_loop(&[(*p, *q)])
+}
+
+/// `t^((p⁴ − p² + 1)/r)` for `t` in the cyclotomic subgroup, as
+/// `t^λ₀ · (t^λ₁)^p · (t^λ₂)^(p²) · (t^λ₃)^(p³)` with the `λᵢ` that
+/// [`consts`] checks against the plain exponent.
+fn hard_part(t: &Fp12) -> Fp12 {
+    let x_abs = Uint::<1>::from_u64(BLS_X_ABS);
+    // x < 0, and inversion is conjugation on unitary elements
+    let pow_x = |f: &Fp12| f.cyclotomic_pow(&x_abs).conjugate();
+    // t^((x−1)/3), then λ₃ = ((x−1)/3)·(x−1)
+    let a = t.cyclotomic_pow(&consts().x_minus_1_over_3).conjugate();
+    let t3 = pow_x(&a) * a.conjugate();
+    // λ₂ = x·λ₃, λ₁ = x·λ₂ − λ₃, λ₀ = x·λ₁ + 1
+    let t2 = pow_x(&t3);
+    let t1 = pow_x(&t2) * t3.conjugate();
+    let t0 = pow_x(&t1) * *t;
+    t0 * frobenius_p(&t1) * frobenius_p2(&t2) * frobenius_p(&frobenius_p2(&t3))
+}
+
 /// The final exponentiation `f^((p¹² - 1)/r)`.
 ///
-/// Easy part via conjugation/inversion and one Frobenius²; hard part as a
-/// plain exponentiation by the derived `(p⁴ - p² + 1)/r` (correct by
-/// construction; a cyclotomic addition chain is a future optimization and
-/// would be validated against this implementation).
+/// # Panics
+/// If `f` is zero, which no Miller loop over points of order `r` produces.
 pub fn final_exponentiation(f: &Fp12) -> Gt {
     // f^(p⁶ - 1)
     let t = f.conjugate() * f.invert().expect("Miller loop output is nonzero");
-    // (f^(p⁶-1))^(p² + 1)
+    // (f^(p⁶-1))^(p² + 1) — in the cyclotomic subgroup from here on
     let t = frobenius_p2(&t) * t;
-    // hard part — t is now in the cyclotomic subgroup, so the cheap
-    // Granger–Scott squarings apply (validated against the generic path in
-    // tests and by a debug assertion inside cyclotomic_pow)
-    Gt(t.cyclotomic_pow(&consts().hard_exp))
+    Gt(hard_part(&t))
+}
+
+/// The product of pairings `∏ e(Pᵢ, Qᵢ)`: one shared Miller loop, one final
+/// exponentiation.
+pub fn pairing_product(pairs: &[(G1Affine, G2Affine)]) -> Gt {
+    final_exponentiation(&multi_miller_loop(pairs))
 }
 
 /// The optimal ate pairing `e(P, Q)`.
@@ -182,7 +298,7 @@ pub fn final_exponentiation(f: &Fp12) -> Gt {
 /// assert!(!e.is_identity());
 /// ```
 pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
-    final_exponentiation(&miller_loop(p, q))
+    pairing_product(&[(*p, *q)])
 }
 
 #[cfg(test)]

@@ -1,8 +1,19 @@
 //! Property-based tests of the algebraic laws the IBBE constructions rely
-//! on: field axioms across the tower, group laws, and pairing bilinearity.
+//! on — field axioms across the tower, group laws, pairing bilinearity — and
+//! differential tests of every optimised kernel (wNAF scalar multiplication,
+//! Straus MSM, projective multi-Miller loop, `x`-chain final exponentiation,
+//! sparse line product) against the textbook routine it replaced, kept in
+//! `reference`.
 
+mod reference;
+
+use ibbe_bigint::Uint;
+use ibbe_pairing::fp6::Fp6;
+use ibbe_pairing::pairing::g1_cofactor;
 use ibbe_pairing::{
-    hash_to_scalar, pairing, Fp, Fp12, Fp2, G1Projective, G2Projective, Gt, Scalar,
+    final_exponentiation, fr, hash_to_scalar, miller_loop, multi_miller_loop, pairing,
+    pairing_product, Affine, Curve, Fp, Fp12, Fp2, G1Affine, G1Projective, G2Affine, G2Projective,
+    Gt, K256Projective, Projective, Scalar,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -127,5 +138,185 @@ proptest! {
             hash_to_scalar(b"d", &a.to_be_bytes()),
             hash_to_scalar(b"d", &b.to_be_bytes())
         );
+    }
+}
+
+/// The field element under a `GT` element.
+fn fp12(g: Gt) -> Fp12 {
+    *g.as_fp12()
+}
+
+/// A point of `E(Fp)` outside the order-`r` subgroup (with overwhelming
+/// probability): what cofactor clearing is fed.
+fn g1_curve_point(seed: u64) -> G1Projective {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    loop {
+        let x = Fp::random(&mut rng);
+        if let Some(y) = (x.square() * x + Fp::from_u64(4)).sqrt() {
+            return G1Affine::from_xy_unchecked(x, y).into();
+        }
+    }
+}
+
+/// New `mul_uint` against double-and-add for the exponent shapes in use: a
+/// scalar (`Uint<4>`), the group order `r` of the subgroup checks and its
+/// neighbour, the 6-limb `G1` cofactor, and the trivial exponents.
+fn assert_mul_matches_reference<C: Curve>(p: &Projective<C>, k: &Scalar) {
+    assert_eq!(
+        p.mul_uint(&k.to_uint()),
+        reference::mul_uint(p, &k.to_uint())
+    );
+    assert_eq!(
+        p.mul_uint(&fr::MODULUS),
+        reference::mul_uint(p, &fr::MODULUS)
+    );
+    let r_minus_1 = (-Scalar::ONE).to_uint();
+    assert_eq!(p.mul_uint(&r_minus_1), reference::mul_uint(p, &r_minus_1));
+    let h = g1_cofactor();
+    assert_eq!(p.mul_uint(&h), reference::mul_uint(p, &h));
+    assert!(p.mul_uint(&Uint::<4>::ZERO).is_identity());
+    assert_eq!(p.mul_uint(&Uint::<4>::ONE), *p);
+}
+
+/// `n` terms seeded by `seed`, salted with the cases a Straus loop can trip
+/// on: identity points, repeated points (and a negated repeat), zero
+/// scalars, and the scalars 1 and r − 1.
+fn msm_terms<C: Curve>(n: usize, seed: u64) -> (Vec<Affine<C>>, Vec<Scalar>) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut points: Vec<Affine<C>> = (0..n)
+        .map(|_| Projective::<C>::random(&mut rng).to_affine())
+        .collect();
+    let mut scalars: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut rng)).collect();
+    for i in 0..n {
+        match i % 13 {
+            2 => points[i] = Affine::identity(),
+            4 => points[i] = points[1],
+            5 => points[i] = -points[1],
+            7 => scalars[i] = Scalar::ZERO,
+            9 => scalars[i] = Scalar::ONE,
+            11 => scalars[i] = -Scalar::ONE,
+            _ => {}
+        }
+    }
+    (points, scalars)
+}
+
+fn assert_msm_matches_reference<C: Curve>(lengths: &[usize]) {
+    for (seed, &n) in lengths.iter().enumerate() {
+        let (points, scalars) = msm_terms::<C>(n, seed as u64);
+        assert_eq!(
+            Projective::msm(&points, &scalars),
+            reference::sum_of_products(&points, &scalars),
+            "{} terms on {}",
+            n,
+            C::name()
+        );
+    }
+}
+
+#[test]
+fn msm_matches_the_sum_of_reference_products() {
+    assert_msm_matches_reference::<ibbe_pairing::g2::G2Params>(&[0, 1, 2, 127, 128, 300]);
+    assert_msm_matches_reference::<ibbe_pairing::g1::G1Params>(&[0, 1, 2, 127, 128, 300]);
+}
+
+#[test]
+fn msm_survives_an_accumulator_that_meets_its_addend() {
+    let p = G2Affine::generator();
+    let one = Scalar::ONE;
+    let doubled = G2Projective::generator().double();
+    // acc = P, then + P (the doubling case of a mixed addition) …
+    assert_eq!(G2Projective::msm(&[p, p], &[one, one]), doubled);
+    // … and + (−P) (the cancelling case), then onwards from the identity
+    assert!(G2Projective::msm(&[p, -p], &[one, one]).is_identity());
+    assert_eq!(
+        G2Projective::msm(&[p, -p, p], &[one, one, one + one]),
+        doubled
+    );
+    // scalars that all vanish
+    assert!(G2Projective::msm(&[p, p], &[Scalar::ZERO, Scalar::ZERO]).is_identity());
+}
+
+// The differential properties run at the default case count, so the
+// scheduled CI run deepens them through `PROPTEST_CASES`.
+proptest! {
+    #[test]
+    fn wnaf_mul_matches_double_and_add_on_every_curve(a in any::<u64>(), b in any::<u64>()) {
+        let k = scalar(b);
+        assert_mul_matches_reference(&G1Projective::generator().mul_scalar(&scalar(a)), &k);
+        assert_mul_matches_reference(&G2Projective::generator().mul_scalar(&scalar(a)), &k);
+        assert_mul_matches_reference(&K256Projective::generator().mul_uint(&scalar(a).to_uint()), &k);
+    }
+
+    #[test]
+    fn cofactor_clearing_matches_double_and_add(a in any::<u64>()) {
+        let p = g1_curve_point(a);
+        let cleared = p.mul_uint(&g1_cofactor());
+        prop_assert_eq!(cleared, reference::mul_uint(&p, &g1_cofactor()));
+        prop_assert!(cleared.to_affine().is_in_subgroup());
+    }
+
+    #[test]
+    fn wnaf_cyclotomic_pow_matches_square_and_multiply(a in any::<u64>(), b in any::<u64>()) {
+        let base = pairing(&G1Affine::generator(), &G2Affine::generator()).pow(&scalar(a));
+        let f = base.as_fp12();
+        let k = scalar(b);
+        prop_assert_eq!(fp12(base.pow(&k)), reference::cyclotomic_pow(f, &k.to_uint()));
+        let small = Uint::<1>::from_u64(b);
+        prop_assert_eq!(f.cyclotomic_pow(&small), reference::cyclotomic_pow(f, &small));
+        prop_assert_eq!(f.cyclotomic_pow(&fr::MODULUS), Fp12::ONE);
+    }
+
+    #[test]
+    fn pairing_product_matches_reference_pairings(
+        seed in any::<u64>(),
+        n in 1usize..4,
+        blank in 0usize..6,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut pairs: Vec<(G1Affine, G2Affine)> = (0..n)
+            .map(|_| {
+                (
+                    G1Projective::random(&mut rng).to_affine(),
+                    G2Projective::random(&mut rng).to_affine(),
+                )
+            })
+            .collect();
+        // sometimes an identity on one side of one pair
+        match blank {
+            i if i < n => pairs[i].0 = G1Affine::identity(),
+            i if i - n < n => pairs[i - n].1 = G2Affine::identity(),
+            _ => {}
+        }
+        let each: Vec<Fp12> = pairs.iter().map(|(p, q)| reference::pairing(p, q)).collect();
+        let want = each.iter().fold(Fp12::ONE, |acc, e| acc * *e);
+        prop_assert_eq!(fp12(pairing_product(&pairs)), want);
+        prop_assert_eq!(fp12(final_exponentiation(&multi_miller_loop(&pairs))), want);
+        let (p, q) = pairs[0];
+        prop_assert_eq!(fp12(pairing(&p, &q)), each[0]);
+        prop_assert_eq!(fp12(final_exponentiation(&miller_loop(&p, &q))), each[0]);
+    }
+
+    #[test]
+    fn final_exponentiation_matches_the_plain_power(a in any::<u64>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(a);
+        let f = Fp12::random(&mut rng);
+        prop_assume!(!f.is_zero());
+        prop_assert_eq!(
+            fp12(final_exponentiation(&f)),
+            reference::final_exponentiation(&f)
+        );
+    }
+
+    #[test]
+    fn sparse_line_product_matches_the_full_product(a in any::<u64>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(a);
+        let f = Fp12::random(&mut rng);
+        let (c0, c1, c4) = (Fp2::random(&mut rng), Fp2::random(&mut rng), Fp2::random(&mut rng));
+        let line = Fp12::new(
+            Fp6::new(c0, c1, Fp2::ZERO),
+            Fp6::new(Fp2::ZERO, c4, Fp2::ZERO),
+        );
+        prop_assert_eq!(f.mul_by_014(&c0, &c1, &c4), f * line);
     }
 }

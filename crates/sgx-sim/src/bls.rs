@@ -3,9 +3,11 @@
 //! and the Auditor/CA certificate key.
 //!
 //! Secret keys are scalars, public keys live in `G2`, signatures in `G1`:
-//! `σ = H(m)^x`, verified by `e(σ, g₂) = e(H(m), pk)`.
+//! `σ = H(m)^x`, verified by `e(σ, −g₂)·e(H(m), pk) = 1` — one pairing
+//! product. The identity is neither a key nor a signature: `e(∞, ·) = 1`,
+//! so an identity pair would verify every message.
 
-use ibbe_pairing::{hash_to_g1, pairing, G1Affine, G2Affine, G2Projective, Scalar};
+use ibbe_pairing::{hash_to_g1, pairing_product, G1Affine, G2Affine, G2Projective, Scalar};
 
 const DOMAIN: &[u8] = b"sgx-sim-bls-v1";
 
@@ -45,10 +47,14 @@ impl SigningKey {
 }
 
 impl VerifyingKey {
-    /// Verifies a signature; true iff valid.
+    /// Verifies a signature; true iff valid. An identity key or signature
+    /// never verifies.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
+        if self.0.is_identity() || sig.0.is_identity() {
+            return false;
+        }
         let h = hash_to_g1(DOMAIN, msg);
-        pairing(&sig.0, &G2Affine::generator()) == pairing(&h, &self.0)
+        pairing_product(&[(sig.0, -G2Affine::generator()), (h, self.0)]).is_identity()
     }
 
     /// Serialized form (97 bytes, compressed `G2`).
@@ -56,9 +62,12 @@ impl VerifyingKey {
         self.0.to_bytes()
     }
 
-    /// Parses a serialized key, validating group membership.
+    /// Parses a serialized key, validating group membership and rejecting
+    /// the identity.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        G2Affine::from_bytes(bytes).map(Self)
+        G2Affine::from_bytes(bytes)
+            .filter(|p| !p.is_identity())
+            .map(Self)
     }
 }
 
@@ -115,6 +124,18 @@ mod tests {
         let vk2 = VerifyingKey::from_bytes(&key.verifying_key().to_bytes()).unwrap();
         let sig2 = Signature::from_bytes(&sig.to_bytes()).unwrap();
         assert!(vk2.verify(b"x", &sig2));
+    }
+
+    #[test]
+    fn the_identity_is_neither_a_key_nor_a_signature() {
+        // e(∞, g₂) = e(H(m), ∞) = 1: the all-zero pair used to verify anything
+        assert!(VerifyingKey::from_bytes(&[0; 97]).is_none());
+        let zero_key = VerifyingKey(G2Affine::identity());
+        let zero_sig = Signature(G1Affine::identity());
+        assert!(!zero_key.verify(b"any message", &zero_sig));
+        let key = SigningKey::generate(&mut rng());
+        assert!(!key.verifying_key().verify(b"any message", &zero_sig));
+        assert!(!zero_key.verify(b"any message", &key.sign(b"any message")));
     }
 
     #[test]
