@@ -4,7 +4,7 @@
 //! complexity-cut ablation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ibbe_pairing::{pairing, pairing_product, G1Projective, G2Affine, G2Projective, Scalar};
+use ibbe_pairing::{pairing, pairing_product, Fp, G1Projective, G2Affine, G2Projective, Scalar};
 use ibbe_sgx_bench::{bench_rng, names};
 use ibbe_sgx_core::{client_decrypt_from_partition, GroupEngine, PartitionSize};
 use symcrypto::gcm::AesGcm;
@@ -23,6 +23,12 @@ fn bench_pairing_substrate(c: &mut Criterion) {
         let y = Scalar::random_nonzero(&mut rng);
         b.iter(|| std::hint::black_box(x * y))
     });
+    // the repo benchmark's `bigint.fp_inv_us`: under every `to_affine`
+    group.bench_function("fp_inv", |b| {
+        let x = Fp::random(&mut rng);
+        b.iter(|| std::hint::black_box(x).invert())
+    });
+    // `pairing.g1_mul_us`, `g2_mul_us` and (below) `gt_pow_us`
     group.bench_function("g1_exp", |b| {
         b.iter(|| G1Projective::generator().mul_scalar(&s))
     });

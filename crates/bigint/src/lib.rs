@@ -17,7 +17,9 @@
 //!   alone, so curve crates simply write
 //!   `const FP: MontParams<6> = MontParams::new(MODULUS);`.
 //! * **Branch-poor**: reductions use conditional subtraction; comparisons on
-//!   secrets go through [`Uint::ct_eq`].
+//!   secrets go through [`Uint::ct_eq`]. The exceptions are stated where
+//!   they are: [`MontParams::pow`] branches on its exponent and
+//!   [`MontParams::inverse`] (binary extended Euclid) on its operand.
 //!
 //! ## Example
 //!

@@ -7,6 +7,7 @@
 
 use crate::uint::{adc, mac, Uint};
 use crate::MAX_LIMBS;
+use core::cmp::Ordering;
 
 /// Precomputed parameters for Montgomery arithmetic modulo an odd `m`.
 ///
@@ -244,15 +245,59 @@ impl<const N: usize> MontParams<N> {
         acc
     }
 
-    /// Modular inverse of a Montgomery-form value via Fermat's little theorem
-    /// (`a^(m-2)`); the modulus must therefore be prime. Returns `None` for 0.
+    /// Modular inverse of a Montgomery-form value; `None` for 0. The value
+    /// must be coprime to the modulus — under the prime moduli this crate
+    /// serves, every non-zero one is.
+    ///
+    /// Binary extended Euclid on the plain integers, converting out of and
+    /// back into Montgomery form: `u` and `v` stay odd and shrink by
+    /// subtraction, and each carries a cofactor with `x₁·a ≡ u`,
+    /// `x₂·a ≡ v (mod m)`. The even part of a difference is stripped in one
+    /// shift, and its cofactor divided by the same power of two in one
+    /// word-sized Montgomery reduction (`halve`) instead of bit by bit.
+    /// Branches on the operand, so variable-time in `a`.
     pub fn inverse(&self, a: &Uint<N>) -> Option<Uint<N>> {
         if a.is_zero() {
             return None;
         }
-        let two = Uint::<N>::from_u64(2);
-        let (m2, _) = self.modulus.sub_borrow(&two);
-        Some(self.pow(a, &m2))
+        let (mut u, mut x1) = self.strip_twos(self.from_mont(a), Uint::ONE);
+        let (mut v, mut x2) = (self.modulus, Uint::ZERO);
+        // gcd(u, v) = 1 throughout, so the two meet at 1
+        loop {
+            match u.cmp_uint(&v) {
+                Ordering::Equal => return Some(self.to_mont(&x1)),
+                Ordering::Greater => {
+                    (u, x1) = self.strip_twos(u.sub_borrow(&v).0, self.sub(&x1, &x2));
+                }
+                Ordering::Less => {
+                    (v, x2) = self.strip_twos(v.sub_borrow(&u).0, self.sub(&x2, &x1));
+                }
+            }
+        }
+    }
+
+    /// `(u / 2^t, x / 2^t mod m)` for the largest `t` with `2^t | u`, `u ≠ 0`.
+    fn strip_twos(&self, mut u: Uint<N>, mut x: Uint<N>) -> (Uint<N>, Uint<N>) {
+        while !u.is_odd() {
+            // a shift count stays below the limb width
+            let t = u.0[0].trailing_zeros().min(63);
+            u = shr_with_top(&u.0, 0, t);
+            x = self.halve(&x, t);
+        }
+        (u, x)
+    }
+
+    /// `x / 2^t mod m` for `x < m`, `0 < t < 64`: adds the multiple `q·m`,
+    /// `q < 2^t`, that clears the low `t` bits — a Montgomery reduction by
+    /// part of a limb — then shifts. `(x + q·m) / 2^t < m` again.
+    fn halve(&self, x: &Uint<N>, t: u32) -> Uint<N> {
+        let q = x.0[0].wrapping_mul(self.inv) & ((1 << t) - 1);
+        let mut sum = [0u64; N];
+        let mut carry = 0;
+        for (s, (xl, ml)) in sum.iter_mut().zip(x.0.iter().zip(&self.modulus.0)) {
+            (*s, carry) = mac(*xl, q, *ml, carry);
+        }
+        shr_with_top(&sum, carry, t)
     }
 
     /// Reduces a double-width value `(lo, hi)` modulo `m`, returning a
@@ -293,6 +338,17 @@ impl<const N: usize> MontParams<N> {
         }
         acc
     }
+}
+
+/// The low `N` limbs of `(top·2^(64N) + limbs) >> t`, `0 < t < 64`.
+fn shr_with_top<const N: usize>(limbs: &[u64; N], top: u64, t: u32) -> Uint<N> {
+    let mut out = [0u64; N];
+    let mut above = top;
+    for (o, l) in out.iter_mut().zip(limbs).rev() {
+        *o = (l >> t) | (above << (64 - t));
+        above = *l;
+    }
+    Uint(out)
 }
 
 #[cfg(test)]
@@ -365,10 +421,13 @@ mod tests {
 
     #[test]
     fn fermat_inverse() {
-        for v in [1u64, 2, 3, 59, 0xdeadbeef] {
+        // the Fermat power the Euclidean `inverse` displaced is its oracle
+        let (m2, _) = P1.modulus().sub_borrow(&u1(2));
+        for v in [1u64, 2, 3, 59, 0xdeadbeef, 1 << 63, 0xffffffffffffffc4] {
             let a = P1.to_mont(&u1(v));
             let ai = P1.inverse(&a).unwrap();
             assert_eq!(P1.from_mont(&P1.mul(&a, &ai)), u1(1), "v={v}");
+            assert_eq!(ai, P1.pow(&a, &m2), "v={v}");
         }
         assert!(P1.inverse(&Uint::ZERO).is_none());
     }

@@ -10,8 +10,62 @@ const P1: MontParams<1> = MontParams::new(Uint::new([P1_M]));
 // 2^128 - 159, prime
 const P2: MontParams<2> = MontParams::new(Uint::new([0xffffffffffffff61, u64::MAX]));
 
+// The moduli `ibbe_pairing` instantiates: BLS12-381 `r` and `p`, and the
+// secp256k1 base field and group order (both full-width: no spare top bit).
+const FR: MontParams<4> = MontParams::new(Uint::new([
+    0xffff_ffff_0000_0001,
+    0x53bd_a402_fffe_5bfe,
+    0x3339_d808_09a1_d805,
+    0x73ed_a753_299d_7d48,
+]));
+const FP: MontParams<6> = MontParams::new(Uint::new([
+    0xb9fe_ffff_ffff_aaab,
+    0x1eab_fffe_b153_ffff,
+    0x6730_d2a0_f6b0_f624,
+    0x6477_4b84_f385_12bf,
+    0x4b1b_a7b6_434b_acd7,
+    0x1a01_11ea_397f_e69a,
+]));
+const K256_P: MontParams<4> = MontParams::new(Uint::new([
+    0xffff_fffe_ffff_fc2f,
+    u64::MAX,
+    u64::MAX,
+    u64::MAX,
+]));
+const K256_N: MontParams<4> = MontParams::new(Uint::new([
+    0xbfd2_5e8c_d036_4141,
+    0xbaae_dce6_af48_a03b,
+    0xffff_ffff_ffff_fffe,
+    u64::MAX,
+]));
+
 fn u1(v: u64) -> Uint<1> {
     Uint::from_u64(v)
+}
+
+/// `inverse` against the Fermat power it displaced, on the residue of
+/// `limbs` with its top `zeroed` limbs cleared, and on `1` and `m − 1`.
+fn assert_inverse_matches_fermat<const N: usize>(
+    m: &MontParams<N>,
+    mut limbs: [u64; N],
+    zeroed: usize,
+) {
+    for l in limbs.iter_mut().rev().take(zeroed % N) {
+        *l = 0;
+    }
+    let (m_minus_1, _) = m.modulus().sub_borrow(&Uint::ONE);
+    let (m_minus_2, _) = m_minus_1.sub_borrow(&Uint::ONE);
+    let residue = m.reduce_wide(&Uint::new(limbs), &Uint::ZERO);
+    for plain in [residue, Uint::ONE, m_minus_1] {
+        let a = m.to_mont(&plain);
+        if a.is_zero() {
+            assert_eq!(m.inverse(&a), None);
+            continue;
+        }
+        let inv = m.inverse(&a).expect("non-zero");
+        assert_eq!(inv, m.pow(&a, &m_minus_2), "a = {plain:?}");
+        assert_eq!(m.mul(&a, &inv), m.one());
+    }
 }
 
 prop_compose! {
@@ -64,6 +118,19 @@ proptest! {
             let ai = P2.inverse(&a).unwrap();
             prop_assert_eq!(P2.from_mont(&P2.mul(&a, &ai)), Uint::<2>::ONE);
         }
+    }
+
+    #[test]
+    fn inverse_matches_fermat_on_every_modulus_in_use(
+        l: [u64; 6],
+        zeroed in 0usize..6,
+    ) {
+        assert_inverse_matches_fermat(&P1, [l[0]], 0);
+        assert_inverse_matches_fermat(&P2, [l[0], l[1]], zeroed);
+        assert_inverse_matches_fermat(&FR, [l[0], l[1], l[2], l[3]], zeroed);
+        assert_inverse_matches_fermat(&K256_P, [l[0], l[1], l[2], l[3]], zeroed);
+        assert_inverse_matches_fermat(&K256_N, [l[0], l[1], l[2], l[3]], zeroed);
+        assert_inverse_matches_fermat(&FP, l, zeroed);
     }
 
     #[test]

@@ -6,13 +6,43 @@
 //! coordinates, for arithmetic). Both are generic over a [`Curve`] marker
 //! type supplying the base field and curve constants.
 //!
-//! There is one scalar multiplication, [`Projective::mul_uint`] (width-4
-//! wNAF over a table of odd multiples), and one multi-scalar multiplication,
-//! [`Projective::msm`] (Straus: per-point wNAF tables normalised to affine
-//! with a single shared inversion, one shared doubling chain, mixed
-//! additions). Both branch on the scalar's digits and index tables by them —
-//! variable-time in the scalar, exactly as the double-and-add ladder they
-//! replaced (which survives as the test oracle in `tests/reference`).
+//! **Two doubling chains.** [`Projective::mul_uint`] multiplies by any
+//! integer (width-4 wNAF over a table of odd multiples, one doubling per
+//! bit): cofactor clearing, `r`-multiples, secp256k1. The Straus loop
+//! under [`Projective::msm`] interleaves any number of wNAF digit strings
+//! over one shared chain, against per-term tables normalised to affine
+//! with a single inversion so that every addition is mixed.
+//!
+//! **Scalars are split, not laddered.** BLS12-381 gives each of its groups
+//! an endomorphism that costs a field multiplication or two and acts on the
+//! order-`r` subgroup as a power of the curve parameter `x = −|x|`
+//! (`r = x⁴ − x² + 1`, so `|x|⁴ > r`):
+//!
+//! * `G1`: `φ(x, y) = (βx, y)`, `β³ = 1`, is `[λ]` for `λ = −x²`
+//!   (`λ² + λ + 1 = r`);
+//! * `G2`: `ψ` = untwist, `p`-power Frobenius, twist is `[p] = [x]`
+//!   (`p ≡ x mod r`);
+//! * `GT`: the `p`-power Frobenius `π` is `f ↦ f^x` likewise (see
+//!   [`crate::gt`]).
+//!
+//! A scalar `k < r` is written `Σ dᵢ·|x|ⁱ`, `dᵢ < |x| < 2⁶⁴`, by short
+//! division alone — no lattice, no rounding — and, negation being free,
+//! `[k]P = Σ dᵢ·ηⁱ(P)` with `η = −ψ` on `G2` (four 64-bit terms) and, taking
+//! the digits in pairs, `η = −φ = [x²]` on `G1` (two 128-bit terms).
+//! [`Projective::mul_scalar`] therefore is the Straus loop over **one**
+//! table of odd multiples and its images under `η`: 64 (128) doublings
+//! instead of 255 at the same number of additions. The same `η` gives the
+//! subgroup test: `η(P) = [m]P` for its eigenvalue `m` holds only on the
+//! order-`r` points ([`Curve::is_in_prime_subgroup`]).
+//!
+//! *Precondition:* the endomorphisms are `[m]` on the order-`r` subgroup
+//! only, so `mul_scalar` requires its point there — every [`Affine`] parsed
+//! by [`Affine::from_bytes`] is, as is everything derived from generators;
+//! points elsewhere on the curve (hash-to-curve candidates) take `mul_uint`.
+//! *Side channels:* every routine here branches on its scalar's digits and
+//! indexes tables by them — variable-time in the scalar, exactly as the
+//! double-and-add ladder they all replaced (which survives as the test
+//! oracle in `tests/reference`).
 
 use crate::fr::Scalar;
 use crate::wnaf::{wnaf, TABLE};
@@ -145,10 +175,16 @@ pub trait Curve: Copy + PartialEq + Eq + Debug + 'static {
     /// Human-readable group name for `Debug` output.
     fn name() -> &'static str;
     /// True iff the (on-curve) point lies in the prime-order subgroup.
-    /// BLS curves check by annihilating with `r`; prime-order curves
-    /// (cofactor 1, e.g. secp256k1) return true unconditionally.
+    /// Annihilates with `r` unless the curve knows better: `G1` and `G2`
+    /// test their endomorphism's eigenvalue, prime-order curves (cofactor
+    /// 1, e.g. secp256k1) return true unconditionally.
     fn is_in_prime_subgroup(p: &Projective<Self>) -> bool {
         p.mul_uint(&crate::fr::MODULUS).is_identity()
+    }
+    /// `[k]p` for `p` in the order-`r` subgroup. One [`Projective::mul_uint`]
+    /// ladder unless the curve has an endomorphism to split `k` along.
+    fn mul_scalar(p: &Projective<Self>, k: &Scalar) -> Projective<Self> {
+        p.mul_uint(&k.to_uint())
     }
 }
 
@@ -213,6 +249,13 @@ impl<C: Curve> Affine<C> {
         self.infinity
     }
 
+    /// The image under a coordinate map that fixes the point at infinity —
+    /// how the curves state their endomorphisms.
+    pub(crate) fn map_xy(&self, f: impl FnOnce(C::Base, C::Base) -> (C::Base, C::Base)) -> Self {
+        let (x, y) = f(self.x, self.y);
+        Self { x, y, ..*self }
+    }
+
     /// Checks `y² = x³ + b` (the point at infinity counts as on-curve).
     pub fn is_on_curve(&self) -> bool {
         self.infinity || self.y.square() == self.x.square() * self.x + C::b()
@@ -274,7 +317,8 @@ impl<C: Curve> Affine<C> {
         }
     }
 
-    /// Scalar multiplication (via projective arithmetic).
+    /// Scalar multiplication (via projective arithmetic); the point must
+    /// lie in the order-`r` subgroup, see [`Projective::mul_scalar`].
     pub fn mul_scalar(&self, s: &Scalar) -> Self {
         let p: Projective<C> = (*self).into();
         p.mul_scalar(s).to_affine()
@@ -481,12 +525,34 @@ impl<C: Curve> Projective<C> {
             .filter(|(p, s)| !p.infinity && !s.is_zero())
             .map(|(p, s)| (Self::from(*p).odd_multiples(), wnaf(&s.to_uint())))
             .unzip();
-        let tables = Self::batch_to_affine(tables.as_flattened());
+        Self::straus(&Self::batch_to_affine(tables.as_flattened()), &digits)
+    }
+
+    /// `Σ kᵢ·ηⁱ(self)` for the wNAF strings `digits` of the `kᵢ` and an
+    /// endomorphism `eta` (sign included): the Straus loop over the odd
+    /// multiples of `self` and their images, which are the odd multiples of
+    /// the images.
+    pub(crate) fn mul_split(
+        &self,
+        digits: &[Vec<i8>],
+        eta: impl Fn(&Affine<C>) -> Affine<C>,
+    ) -> Self {
+        let mut tables = Self::batch_to_affine(&self.odd_multiples());
+        while tables.len() < TABLE * digits.len() {
+            tables.push(eta(&tables[tables.len() - TABLE]));
+        }
+        Self::straus(&tables, digits)
+    }
+
+    /// The interleaved doubling chain: `Σ kᵢ·Pᵢ` for the wNAF string
+    /// `digits[i]` of `kᵢ` and the odd multiples of `Pᵢ` in
+    /// `tables[i·TABLE..]`.
+    fn straus(tables: &[Affine<C>], digits: &[Vec<i8>]) -> Self {
         let len = digits.iter().map(Vec::len).max().unwrap_or(0);
         let mut acc = Self::identity();
         for i in (0..len).rev() {
             acc = acc.double();
-            for (table, digits) in tables.chunks_exact(TABLE).zip(&digits) {
+            for (table, digits) in tables.chunks_exact(TABLE).zip(digits) {
                 let d = digits.get(i).copied().unwrap_or(0);
                 if d != 0 {
                     let entry = table[d.unsigned_abs() as usize / 2];
@@ -523,15 +589,25 @@ impl<C: Curve> Projective<C> {
         out
     }
 
-    /// Scalar multiplication by a field scalar.
+    /// Scalar multiplication by a field scalar, split along the curve's
+    /// endomorphism where it has one ([`Curve::mul_scalar`]).
+    ///
+    /// `self` must lie in the order-`r` subgroup — every [`Affine`] that
+    /// [`Affine::from_bytes`] parsed does. Anywhere else on a BLS curve the
+    /// result is unspecified; multiply such points with
+    /// [`Projective::mul_uint`].
     pub fn mul_scalar(&self, s: &Scalar) -> Self {
-        self.mul_uint(&s.to_uint())
+        C::mul_scalar(self, s)
     }
 
-    /// Converts to affine coordinates (one field inversion).
+    /// Converts to affine coordinates (one field inversion, none when the
+    /// point came from an [`Affine`] and `z` is still one).
     pub fn to_affine(&self) -> Affine<C> {
         if self.is_identity() {
             return Affine::identity();
+        }
+        if self.z == C::Base::one() {
+            return Affine::from_xy_unchecked(self.x, self.y);
         }
         let zinv = self.z.invert().expect("nonzero z");
         let zinv2 = zinv.square();

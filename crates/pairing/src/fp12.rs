@@ -138,24 +138,40 @@ impl Fp12 {
     /// subgroup (`GT` elements and post-easy-part final-exponentiation
     /// values do). Variable-time in the exponent.
     pub fn cyclotomic_pow<const E: usize>(&self, exp: &Uint<E>) -> Self {
+        Self::cyclotomic_multi_pow(&[self.odd_powers()], &[wnaf(exp)])
+    }
+
+    /// The odd powers `f, f³, f⁵, …` of a unitary element that a wNAF digit
+    /// selects from.
+    pub(crate) fn odd_powers(&self) -> [Self; TABLE] {
         debug_assert_eq!(
             self.cyclotomic_square(),
             self.square(),
-            "cyclotomic_pow requires a unitary element"
+            "cyclotomic exponentiation requires a unitary element"
         );
-        // odd powers f, f³, f⁵, …
         let squared = self.cyclotomic_square();
         let mut table = [*self; TABLE];
         for i in 1..TABLE {
             table[i] = table[i - 1] * squared;
         }
+        table
+    }
+
+    /// `Π fᵢ^kᵢ` over one shared chain of cyclotomic squarings, for the wNAF
+    /// string `digits[i]` of `kᵢ` and the odd powers of the unitary `fᵢ` in
+    /// `tables[i]`.
+    pub(crate) fn cyclotomic_multi_pow(tables: &[[Self; TABLE]], digits: &[Vec<i8>]) -> Self {
+        let len = digits.iter().map(Vec::len).max().unwrap_or(0);
         let mut acc = Self::ONE;
-        for &d in wnaf(exp).iter().rev() {
+        for i in (0..len).rev() {
             acc = acc.cyclotomic_square();
-            if d > 0 {
-                acc *= table[d as usize / 2];
-            } else if d < 0 {
-                acc *= table[d.unsigned_abs() as usize / 2].conjugate();
+            for (table, digits) in tables.iter().zip(digits) {
+                let d = digits.get(i).copied().unwrap_or(0);
+                if d > 0 {
+                    acc *= table[d as usize / 2];
+                } else if d < 0 {
+                    acc *= table[d.unsigned_abs() as usize / 2].conjugate();
+                }
             }
         }
         acc

@@ -1,7 +1,15 @@
 //! The group `G1 = E(Fp)[r]` with `E: y² = x³ + 4`.
+//!
+//! `E` has `j = 0`, so `φ(x, y) = (βx, y)` for a primitive cube root of
+//! unity `β` is an endomorphism with `φ² + φ + 1 = 0`. On `G1` it is `[λ]`
+//! for `λ = −x²`, and `G1` is exactly where it is: `φ(P) = [λ]P` forces
+//! `[λ² + λ + 1]P = [r]P = ∞`. Scalar multiplication and the subgroup test
+//! both run on `−φ = [x²]` (see [`crate::curve`]).
 
 use crate::curve::{Affine, Curve, Projective};
 use crate::fp::Fp;
+use crate::fr::Scalar;
+use crate::pairing::{g1_times_x_squared, x_squared_wnaf, X_SQUARED};
 use ibbe_bigint::Uint;
 
 /// Marker type for the `G1` curve parameters.
@@ -45,6 +53,20 @@ impl Curve for G1Params {
     fn name() -> &'static str {
         "G1"
     }
+
+    fn is_in_prime_subgroup(p: &G1Projective) -> bool {
+        G1Projective::from(g1_times_x_squared(&p.to_affine())) == p.mul_uint(&X_SQUARED)
+    }
+
+    /// `[k]P = [k₀]P + [k₁](−φ)(P)` for `k = k₀ + k₁·x²`: 128 doublings.
+    fn mul_scalar(p: &G1Projective, k: &Scalar) -> G1Projective {
+        p.mul_split(&x_squared_wnaf(k), g1_times_x_squared)
+    }
+}
+
+/// `−φ: (x, y) ↦ (βx, −y)` for a cube root of unity `beta`.
+pub(crate) fn neg_phi(p: &G1Affine, beta: Fp) -> G1Affine {
+    p.map_xy(|x, y| (x * beta, -y))
 }
 
 /// An affine `G1` point. Compressed encoding is 49 bytes.

@@ -1,8 +1,19 @@
 //! The group `G2 = E'(Fp2)[r]` with the sextic twist `E': y² = x³ + 4(u+1)`.
+//!
+//! Carrying the `p`-power Frobenius of `E(Fp12)` through the twist gives the
+//! endomorphism `ψ(x, y) = (x̄·γ⁻², ȳ·γ⁻³)` of `E'`, `γ = ξ^((p−1)/6)`. It
+//! satisfies `ψ² − [t]ψ + [p] = 0` with `t = x + 1`, and is `[p] = [x]` on
+//! `G2`. Conversely `ψ(P) = [x]P` gives `[x² − tx + p]P = [p − x]P =
+//! [h₁·r]P = ∞` for the `G1` cofactor `h₁`, which is coprime to the `G2`
+//! cofactor — so `P` has order `r` (Scott, eprint 2021/1130). Scalar
+//! multiplication and the subgroup test both run on `−ψ = [|x|]` (see
+//! [`crate::curve`]).
 
 use crate::curve::{Affine, Curve, Projective};
 use crate::fp::Fp;
 use crate::fp2::Fp2;
+use crate::fr::Scalar;
+use crate::pairing::{g2_times_x_abs, x_wnaf, BLS_X_ABS};
 use ibbe_bigint::Uint;
 
 /// Marker type for the `G2` curve parameters.
@@ -64,6 +75,22 @@ impl Curve for G2Params {
     fn name() -> &'static str {
         "G2"
     }
+
+    fn is_in_prime_subgroup(p: &G2Projective) -> bool {
+        G2Projective::from(g2_times_x_abs(&p.to_affine()))
+            == p.mul_uint(&Uint::<1>::from_u64(BLS_X_ABS))
+    }
+
+    /// `[k]P = Σ [dᵢ](−ψ)ⁱ(P)` over the base-`|x|` digits of `k`: 64
+    /// doublings.
+    fn mul_scalar(p: &G2Projective, k: &Scalar) -> G2Projective {
+        p.mul_split(&x_wnaf(k), g2_times_x_abs)
+    }
+}
+
+/// `−ψ: (x, y) ↦ (x̄·cₓ, −ȳ·c_y)` for the coefficients `(cₓ, c_y)`.
+pub(crate) fn neg_psi(p: &G2Affine, (cx, cy): &(Fp2, Fp2)) -> G2Affine {
+    p.map_xy(|x, y| (x.conjugate() * *cx, -(y.conjugate() * *cy)))
 }
 
 /// An affine `G2` point. Compressed encoding is 97 bytes.

@@ -1,7 +1,18 @@
 //! The pairing target group `GT ⊂ Fp12*` (order `r`), written multiplicatively.
+//!
+//! `GT` gets the same split as the curves (see [`crate::curve`]): the
+//! `p`-power Frobenius `π` — five `Fp2` multiplications — is `f ↦ f^p = f^x`
+//! on an element of order `r` (`p ≡ x mod r`), and inversion is conjugation,
+//! so `η = conj ∘ π` is `f ↦ f^|x|` and `f^k = Π ηⁱ(f)^dᵢ` over the
+//! base-`|x|` digits `dᵢ < 2⁶⁴` of `k`. The `ηⁱ` images of one table of odd
+//! powers are the tables of the `ηⁱ(f)`, and the four digit strings share a
+//! chain of 64 cyclotomic squarings instead of 255. The precondition —
+//! order `r` — is the type's invariant; the exponentiation is variable-time
+//! in `k` like every other in the crate.
 
 use crate::fp12::Fp12;
 use crate::fr::Scalar;
+use crate::pairing::{frobenius_p, x_wnaf};
 use core::ops::Mul;
 
 /// An element of `GT`, the image of the pairing after final exponentiation.
@@ -21,10 +32,14 @@ impl Gt {
         self.0 == Fp12::ONE
     }
 
-    /// Group exponentiation `self^k` (cyclotomic squarings — all `GT`
-    /// elements are unitary).
+    /// Group exponentiation `self^k`, split along the Frobenius (cyclotomic
+    /// squarings — all `GT` elements are unitary).
     pub fn pow(&self, k: &Scalar) -> Self {
-        Self(self.0.cyclotomic_pow(&k.to_uint()))
+        let mut tables = [self.0.odd_powers(); 4];
+        for i in 1..4 {
+            tables[i] = tables[i - 1].map(|f| frobenius_p(&f).conjugate());
+        }
+        Self(Fp12::cyclotomic_multi_pow(&tables, &x_wnaf(k)))
     }
 
     /// Inverse; on the cyclotomic subgroup this is conjugation, so it is

@@ -19,25 +19,71 @@
 //! factor 3), so `GT` elements — and every key derived from them — are the
 //! same as under the plain power.
 //!
-//! All derived constants (Frobenius coefficients, the `λᵢ`, cofactors) are
-//! **computed at first use from `p`, `r` and `x` alone**, with divisibility
-//! and consistency assertions, rather than hard-coded. A wrong constant
-//! therefore fails loudly instead of producing a subtly non-bilinear map.
+//! All derived constants (Frobenius coefficients, the `λᵢ`, cofactors, the
+//! coefficients of the `G1`/`G2` endomorphisms that scalar multiplication
+//! splits along) are **computed at first use from `p`, `r` and `x` alone**,
+//! with divisibility and consistency assertions, rather than hard-coded. A
+//! wrong constant therefore fails loudly instead of producing a subtly
+//! non-bilinear map. The base-`|x|` split of a scalar that all three groups
+//! share (`x_wnaf`, `x_squared_wnaf`) lives here next to `x`.
 //! The displaced kernels (affine Miller loop, plain-power hard part) live on
 //! as oracles in `tests/reference`.
 
-use crate::fp;
+use crate::fp::{self, Fp};
 use crate::fp12::Fp12;
 use crate::fp2::Fp2;
-use crate::fr;
-use crate::g1::G1Affine;
-use crate::g2::G2Affine;
+use crate::fr::{self, Scalar};
+use crate::g1::{self, G1Affine, G1Projective};
+use crate::g2::{self, G2Affine, G2Projective};
 use crate::gt::Gt;
+use crate::wnaf::wnaf;
 use ibbe_bigint::Uint;
 use std::sync::OnceLock;
 
 /// `|x|` for the BLS parameter `x = -0xd201_0000_0001_0000`.
 pub const BLS_X_ABS: u64 = 0xd201_0000_0001_0000;
+
+/// `x²`, the eigenvalue of `−φ` on `G1`.
+pub(crate) const X_SQUARED: Uint<2> = {
+    let sq = (BLS_X_ABS as u128) * (BLS_X_ABS as u128);
+    Uint::new([sq as u64, (sq >> 64) as u64])
+};
+
+/// The base-`|x|` digits of `k`, least significant first: `k = Σ dᵢ·|x|ⁱ`
+/// with every `dᵢ < |x|`. Four suffice because `k < r = x⁴ − x² + 1`.
+fn x_digits(k: &Scalar) -> [u64; 4] {
+    let mut quotient = k.to_uint().limbs();
+    let mut digits = [0; 4];
+    for digit in &mut digits {
+        // schoolbook short division, top limb first
+        let mut rem = 0u128;
+        for limb in quotient.iter_mut().rev() {
+            let cur = (rem << 64) | u128::from(*limb);
+            *limb = (cur / u128::from(BLS_X_ABS)) as u64;
+            rem = cur % u128::from(BLS_X_ABS);
+        }
+        *digit = rem as u64;
+    }
+    debug_assert_eq!(quotient, [0; 4], "a scalar is below |x|⁴");
+    digits
+}
+
+/// The wNAF strings of the four base-`|x|` digits of `k` — what `G2` and
+/// `GT`, where `|x|` is an eigenvalue, split a scalar into.
+pub(crate) fn x_wnaf(k: &Scalar) -> [Vec<i8>; 4] {
+    x_digits(k).map(|d| wnaf(&Uint::<1>::from_u64(d)))
+}
+
+/// The wNAF strings of the two base-`x²` digits of `k` (the base-`|x|`
+/// digits in pairs, each below `x² < 2¹²⁸`) — the split for `G1`, where only
+/// `x²` is an eigenvalue.
+pub(crate) fn x_squared_wnaf(k: &Scalar) -> [Vec<i8>; 2] {
+    let [d0, d1, d2, d3] = x_digits(k);
+    [(d0, d1), (d2, d3)].map(|(lo, hi)| {
+        let v = u128::from(hi) * u128::from(BLS_X_ABS) + u128::from(lo);
+        wnaf(&Uint::new([v as u64, (v >> 64) as u64]))
+    })
+}
 
 /// Derived pairing constants, computed once.
 struct Consts {
@@ -49,6 +95,11 @@ struct Consts {
     x_minus_1_over_3: Uint<1>,
     /// `G1` cofactor `(p + |x|) / r = #E(Fp) / r`.
     g1_cofactor: Uint<6>,
+    /// The cube root of unity `β` for which `(x, y) ↦ (βx, −y)` is `[x²]`
+    /// on `G1`.
+    beta: Fp,
+    /// `(γ⁻², γ⁻³)`, the coefficients of `ψ` on the twist.
+    psi: (Fp2, Fp2),
 }
 
 fn consts() -> &'static Consts {
@@ -113,10 +164,47 @@ fn consts() -> &'static Consts {
         let (g1_cofactor, rem) = order.div_rem(&r.widen::<6>());
         assert!(rem.is_zero(), "r must divide #E(Fp)");
 
+        // r = x⁴ − x² + 1: what makes λ = −x² a root of λ² + λ + 1 mod r,
+        // and four base-|x| digits enough for a scalar.
+        let (lo, hi) = X_SQUARED.mul_wide(&X_SQUARED);
+        let x4: Uint<4> = Uint::from_parts(&lo, &hi);
+        let (lambda_sq_plus_lambda, borrow) = x4.sub_borrow(&X_SQUARED.widen::<4>());
+        assert_eq!(borrow, 0);
+        assert_eq!(lambda_sq_plus_lambda.add_carry(&Uint::ONE), (r, 0));
+
+        // β: the primitive cube root of unity — there are two, β and β² —
+        // whose φ(x, y) = (βx, y) is [λ] on G1; then −φ is [x²].
+        let (e3, rem3) = pm1.div_rem(&Uint::from_u64(3));
+        assert!(rem3.is_zero(), "p - 1 must be divisible by 3");
+        let root = (2u64..)
+            .map(|g| Fp::from_u64(g).pow(&e3))
+            .find(|b| *b != Fp::ONE)
+            .expect("a cubic non-residue");
+        let g1_times_x2 = G1Projective::generator().mul_uint(&X_SQUARED);
+        let beta = [root, root.square()]
+            .into_iter()
+            .find(|b| G1Projective::from(g1::neg_phi(&G1Affine::generator(), *b)) == g1_times_x2)
+            .expect("φ(g₁) = [λ]g₁ for one cube root of unity");
+
+        // ψ = twist ∘ Frobenius ∘ untwist. With the untwist
+        // (x', y') ↦ (x'/w², y'/w³) that is (x̄'·w^(2−2p), ȳ'·w^(3−3p)), and
+        // w^(p−1) = γ. It is [p] = [x] on G2, so −ψ is [|x|].
+        let psi = (
+            frobenius[1].invert().expect("γ ≠ 0"),
+            frobenius[2].invert().expect("γ ≠ 0"),
+        );
+        assert_eq!(
+            G2Projective::from(g2::neg_psi(&G2Affine::generator(), &psi)),
+            G2Projective::generator().mul_uint(&Uint::<1>::from_u64(BLS_X_ABS)),
+            "ψ(g₂) = [x]g₂"
+        );
+
         Consts {
             frobenius,
             x_minus_1_over_3: Uint::from_u64(third),
             g1_cofactor,
+            beta,
+            psi,
         }
     })
 }
@@ -126,8 +214,18 @@ pub fn g1_cofactor() -> Uint<6> {
     consts().g1_cofactor
 }
 
-/// `p`-power Frobenius on `Fp12`.
-fn frobenius_p(f: &Fp12) -> Fp12 {
+/// `−φ`, which multiplies a `G1` point by `x²`.
+pub(crate) fn g1_times_x_squared(p: &G1Affine) -> G1Affine {
+    g1::neg_phi(p, consts().beta)
+}
+
+/// `−ψ`, which multiplies a `G2` point by `|x|`.
+pub(crate) fn g2_times_x_abs(p: &G2Affine) -> G2Affine {
+    g2::neg_psi(p, &consts().psi)
+}
+
+/// `p`-power Frobenius on `Fp12`; `f ↦ f^x` on `GT`.
+pub(crate) fn frobenius_p(f: &Fp12) -> Fp12 {
     f.frobenius_map(&consts().frobenius)
 }
 
@@ -304,9 +402,6 @@ pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fr::Scalar;
-    use crate::g1::G1Projective;
-    use crate::g2::G2Projective;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -316,6 +411,59 @@ mod tests {
     #[test]
     fn consts_derive_without_panicking() {
         let _ = consts();
+    }
+
+    /// `Σ dᵢ·|x|ⁱ` by Horner, in the integers.
+    fn recombine(digits: [u64; 4]) -> Uint<4> {
+        digits.iter().rev().fold(Uint::ZERO, |acc, &d| {
+            let (lo, hi) = acc.mul_wide(&Uint::from_u64(BLS_X_ABS));
+            assert!(hi.is_zero());
+            let (sum, carry) = lo.add_carry(&Uint::from_u64(d));
+            assert_eq!(carry, 0);
+            sum
+        })
+    }
+
+    #[test]
+    fn x_digits_recombine_to_the_scalar() {
+        let mut rng = rng();
+        let x = Scalar::from_u64(BLS_X_ABS);
+        let mut samples = vec![Scalar::ZERO, Scalar::ONE, -Scalar::ONE];
+        for power in [x, x * x, x * x * x, Scalar::from_u64(u64::MAX)] {
+            samples.extend([power - Scalar::ONE, power, power + Scalar::ONE, -power]);
+        }
+        samples.extend((0..200).map(|_| Scalar::random(&mut rng)));
+        for k in samples {
+            let digits = x_digits(&k);
+            assert!(digits.iter().all(|d| *d < BLS_X_ABS), "k = {k:?}");
+            assert_eq!(recombine(digits), k.to_uint(), "k = {k:?}");
+        }
+    }
+
+    #[test]
+    fn endomorphisms_act_as_their_eigenvalues_on_order_r_elements() {
+        let mut rng = rng();
+        let (r_minus_x2, borrow) = fr::MODULUS.sub_borrow(&X_SQUARED.widen::<4>());
+        assert_eq!(borrow, 0);
+        let (r_minus_x, borrow) = fr::MODULUS.sub_borrow(&Uint::from_u64(BLS_X_ABS));
+        assert_eq!(borrow, 0);
+        for _ in 0..8 {
+            // φ(P) = [λ]P with λ = −x² mod r
+            let p = G1Projective::random(&mut rng);
+            let phi = -g1_times_x_squared(&p.to_affine());
+            assert_eq!(G1Projective::from(phi), p.mul_uint(&r_minus_x2));
+            // ψ(Q) = [x mod r]Q
+            let q = G2Projective::random(&mut rng);
+            let psi = -g2_times_x_abs(&q.to_affine());
+            assert_eq!(G2Projective::from(psi), q.mul_uint(&r_minus_x));
+            // π(f) = f^(x mod r)
+            let f = pairing(&p.to_affine(), &q.to_affine());
+            assert_eq!(frobenius_p(&f.0), f.0.cyclotomic_pow(&r_minus_x));
+        }
+        // all three fix the identity
+        assert!(g1_times_x_squared(&G1Affine::identity()).is_identity());
+        assert!(g2_times_x_abs(&G2Affine::identity()).is_identity());
+        assert_eq!(frobenius_p(&Fp12::ONE), Fp12::ONE);
     }
 
     #[test]

@@ -1,18 +1,25 @@
 //! Signed-window recoding shared by every exponentiation kernel in the
-//! crate: [`crate::curve::Projective::mul_uint`], the multi-scalar
-//! [`crate::curve::Projective::msm`] and [`crate::fp12::Fp12::cyclotomic_pow`].
+//! crate: the integer ladder [`crate::curve::Projective::mul_uint`], the
+//! Straus loop under [`crate::curve::Projective::msm`] and the
+//! endomorphism-split [`crate::curve::Projective::mul_scalar`], and their
+//! `GT` counterparts [`crate::fp12::Fp12::cyclotomic_pow`] and
+//! [`crate::gt::Gt::pow`].
 //!
 //! All three groups negate for free (`−P` flips `y`, a unitary `Fp12`
 //! element inverts by conjugation), so an exponent is rewritten over the
 //! digits `{0, ±1, ±3, …, ±(2^(w−1) − 1)}`: one table of the `2^(w−2)` odd
 //! multiples replaces a group operation at every set bit by one at roughly
-//! every `(w+1)`-th digit.
+//! every `(w+1)`-th digit. A split scalar is recoded one 64- or 128-bit
+//! part at a time; the parts' strings index images of one table under the
+//! group's endomorphism, so the table is still built once.
 
 use ibbe_bigint::Uint;
 
 /// Window width `w`. Width 4 keeps tables at four entries; by operation
 /// count width 5 saves < 2 % on a 255-bit exponent (8.5 fewer additions,
-/// 4 more table entries) and loses on the 64-bit ones.
+/// 4 more table entries), as little on a scalar split four ways (8.5 fewer
+/// additions again, 4 more entries and 12 more endomorphism images), and
+/// loses on a lone 64-bit one.
 pub(crate) const WINDOW: usize = 4;
 
 /// Entries in a table of odd multiples `1, 3, …, 2^(w−1) − 1`.

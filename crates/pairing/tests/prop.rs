@@ -1,15 +1,19 @@
 //! Property-based tests of the algebraic laws the IBBE constructions rely
 //! on — field axioms across the tower, group laws, pairing bilinearity — and
-//! differential tests of every optimised kernel (wNAF scalar multiplication,
-//! Straus MSM, projective multi-Miller loop, `x`-chain final exponentiation,
-//! sparse line product) against the textbook routine it replaced, kept in
+//! differential tests of every optimised kernel (wNAF and endomorphism-split
+//! scalar multiplication, Straus MSM, projective multi-Miller loop,
+//! `x`-chain final exponentiation, sparse line product, the eigenvalue
+//! subgroup checks) against the textbook routine it replaced, kept in
 //! `reference`.
 
 mod reference;
 
 use ibbe_bigint::Uint;
 use ibbe_pairing::fp6::Fp6;
-use ibbe_pairing::pairing::g1_cofactor;
+use ibbe_pairing::g1::G1Params;
+use ibbe_pairing::g2::G2Params;
+use ibbe_pairing::k256::K256Params;
+use ibbe_pairing::pairing::{g1_cofactor, BLS_X_ABS};
 use ibbe_pairing::{
     final_exponentiation, fr, hash_to_scalar, miller_loop, multi_miller_loop, pairing,
     pairing_product, Affine, Curve, Fp, Fp12, Fp2, G1Affine, G1Projective, G2Affine, G2Projective,
@@ -152,10 +156,68 @@ fn g1_curve_point(seed: u64) -> G1Projective {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     loop {
         let x = Fp::random(&mut rng);
-        if let Some(y) = (x.square() * x + Fp::from_u64(4)).sqrt() {
+        if let Some(y) = (x.square() * x + G1Params::b()).sqrt() {
             return G1Affine::from_xy_unchecked(x, y).into();
         }
     }
+}
+
+/// The same on the twist `E'(Fp2)`.
+fn g2_curve_point(seed: u64) -> G2Projective {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    loop {
+        let x = Fp2::random(&mut rng);
+        if let Some(y) = (x.square() * x + G2Params::b()).sqrt() {
+            return G2Affine::from_xy_unchecked(x, y).into();
+        }
+    }
+}
+
+/// The scalars a base-`|x|` split can trip on: the trivial ones, the
+/// neighbourhoods of the two eigenvalues `|x|` and `x²`, of the digit
+/// widths `2⁶⁴` and `2¹²⁸`, and `λ = −x² mod r` itself.
+fn edge_scalars() -> Vec<Scalar> {
+    let small = |v: u128| {
+        Scalar::from_uint(&Uint::new([v as u64, (v >> 64) as u64, 0, 0])).expect("below r")
+    };
+    let x = u128::from(BLS_X_ABS);
+    let (x2, two_64) = (x * x, 1u128 << 64);
+    let mut edges = vec![Scalar::ZERO, Scalar::ONE, -Scalar::ONE, -small(x2)];
+    edges.extend(
+        [
+            x - 1,
+            x,
+            x + 1,
+            x2 - 1,
+            x2,
+            x2 + 1,
+            two_64 - 1,
+            two_64,
+            u128::MAX,
+        ]
+        .map(small),
+    );
+    edges.push(small(u128::MAX) + Scalar::ONE);
+    edges
+}
+
+/// Split `mul_scalar` against the 255-bit double-and-add ladder.
+fn assert_mul_scalar_matches_reference<C: Curve>(p: &Projective<C>, k: &Scalar) {
+    assert_eq!(
+        p.mul_scalar(k),
+        reference::mul_uint(p, &k.to_uint()),
+        "{} scalar {k:?}",
+        C::name()
+    );
+}
+
+/// Split `Gt::pow` against square-and-multiply.
+fn assert_gt_pow_matches_reference(f: &Gt, k: &Scalar) {
+    assert_eq!(
+        fp12(f.pow(k)),
+        reference::cyclotomic_pow(f.as_fp12(), &k.to_uint()),
+        "exponent {k:?}"
+    );
 }
 
 /// New `mul_uint` against double-and-add for the exponent shapes in use: a
@@ -216,8 +278,110 @@ fn assert_msm_matches_reference<C: Curve>(lengths: &[usize]) {
 
 #[test]
 fn msm_matches_the_sum_of_reference_products() {
-    assert_msm_matches_reference::<ibbe_pairing::g2::G2Params>(&[0, 1, 2, 127, 128, 300]);
-    assert_msm_matches_reference::<ibbe_pairing::g1::G1Params>(&[0, 1, 2, 127, 128, 300]);
+    assert_msm_matches_reference::<G2Params>(&[0, 1, 2, 127, 128, 300]);
+    assert_msm_matches_reference::<G1Params>(&[0, 1, 2, 127, 128, 300]);
+}
+
+#[test]
+fn split_exponentiations_match_the_ladders_on_the_edge_scalars() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+    let base = pairing(&G1Affine::generator(), &G2Affine::generator());
+    for k in edge_scalars() {
+        for p in [
+            G1Projective::identity(),
+            G1Projective::generator(),
+            G1Projective::random(&mut rng),
+        ] {
+            assert_mul_scalar_matches_reference(&p, &k);
+        }
+        for p in [
+            G2Projective::identity(),
+            G2Projective::generator(),
+            G2Projective::random(&mut rng),
+        ] {
+            assert_mul_scalar_matches_reference(&p, &k);
+        }
+        // secp256k1 has no split: its hook is the ladder
+        assert_mul_scalar_matches_reference(&K256Projective::generator(), &k);
+        for f in [
+            Gt::IDENTITY,
+            base,
+            base.pow(&Scalar::random_nonzero(&mut rng)),
+        ] {
+            assert_gt_pow_matches_reference(&f, &k);
+        }
+    }
+}
+
+#[test]
+fn to_affine_round_trips_with_and_without_an_inversion() {
+    fn check<C: Curve>(p: Projective<C>) {
+        let affine = p.to_affine();
+        assert!(affine.is_on_curve());
+        // z = 1: no inversion, the coordinates come back untouched
+        let lifted = Projective::from(affine);
+        assert_eq!(lifted.to_affine(), affine);
+        assert_eq!(lifted, p);
+        // z ≠ 1 again after arithmetic
+        assert_eq!((lifted.double() - lifted).to_affine(), affine);
+        assert!(Projective::<C>::identity().to_affine().is_identity());
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+    for _ in 0..8 {
+        check(G1Projective::random(&mut rng));
+        check(G2Projective::random(&mut rng));
+        check(K256Projective::random(&mut rng));
+    }
+}
+
+/// The eigenvalue subgroup test against annihilation by `r` on `walks × steps`
+/// samples of each kind: points of the curve at large, pure cofactor torsion
+/// `[r]Q`, a subgroup point plus torsion, subgroup points — and whatever
+/// `extra` adds. Each kind walks by a fixed increment of its own kind, which
+/// keeps it in its class at the cost of one addition per sample.
+fn assert_subgroup_check_matches_annihilation<C: Curve>(
+    curve_point: impl Fn(u64) -> Projective<C>,
+    walks: u64,
+    steps: usize,
+    extra: &[Projective<C>],
+) {
+    let agree = |p: &Projective<C>| {
+        let got = C::is_in_prime_subgroup(p);
+        assert_eq!(got, reference::is_in_subgroup(p), "{p:?}");
+        got
+    };
+    assert!(agree(&Projective::identity()));
+    for p in extra {
+        agree(p);
+    }
+    for walk in 0..walks {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(walk);
+        let (mut q, q_step) = (curve_point(2 * walk), curve_point(2 * walk + 1));
+        let (mut t, t_step) = (q.mul_uint(&fr::MODULUS), q_step.mul_uint(&fr::MODULUS));
+        let (mut s, s_step) = (Projective::random(&mut rng), Projective::random(&mut rng));
+        assert!(!t.is_identity() && !t_step.is_identity());
+        for _ in 0..steps {
+            (q, t, s) = (q + q_step, t + t_step, s + s_step);
+            assert!(!agree(&q), "a random curve point is outside the subgroup");
+            assert!(!agree(&t) || t.is_identity());
+            assert!(!agree(&(s + t)) || t.is_identity());
+            assert!(agree(&s));
+        }
+    }
+}
+
+#[test]
+fn subgroup_checks_match_annihilation_by_r() {
+    // 10 × 250 × 4 kinds = 10 000 samples per group, plus the points of
+    // order 3 on `E`: (0, ±2), fixed by φ
+    let two = Fp::from_u64(2);
+    let order_3 = [two, -two].map(|y| G1Affine::from_xy_unchecked(Fp::ZERO, y).into());
+    assert_subgroup_check_matches_annihilation::<G1Params>(g1_curve_point, 10, 250, &order_3);
+    assert_subgroup_check_matches_annihilation::<G2Params>(g2_curve_point, 10, 250, &[]);
+    // cofactor 1: everything on the curve is in
+    assert!(K256Params::is_in_prime_subgroup(
+        &K256Projective::generator()
+    ));
 }
 
 #[test]
@@ -249,6 +413,18 @@ proptest! {
     }
 
     #[test]
+    fn split_mul_scalar_matches_double_and_add(a in any::<u64>(), b in any::<u64>()) {
+        let (mut rng, k) = (rand::rngs::StdRng::seed_from_u64(a), scalar(b));
+        assert_mul_scalar_matches_reference(&G1Projective::random(&mut rng), &k);
+        assert_mul_scalar_matches_reference(&G2Projective::random(&mut rng), &k);
+        // secp256k1 shares `curve.rs` and stays on the ladder, under both names
+        let p = K256Projective::random(&mut rng);
+        assert_mul_scalar_matches_reference(&p, &k);
+        let k256 = ibbe_pairing::ScalarK::from_uint(&k.to_uint()).unwrap();
+        prop_assert_eq!(p.mul_scalar_k(&k256), reference::mul_uint(&p, &k.to_uint()));
+    }
+
+    #[test]
     fn cofactor_clearing_matches_double_and_add(a in any::<u64>()) {
         let p = g1_curve_point(a);
         let cleared = p.mul_uint(&g1_cofactor());
@@ -261,7 +437,8 @@ proptest! {
         let base = pairing(&G1Affine::generator(), &G2Affine::generator()).pow(&scalar(a));
         let f = base.as_fp12();
         let k = scalar(b);
-        prop_assert_eq!(fp12(base.pow(&k)), reference::cyclotomic_pow(f, &k.to_uint()));
+        assert_gt_pow_matches_reference(&base, &k);
+        prop_assert_eq!(f.cyclotomic_pow(&k.to_uint()), reference::cyclotomic_pow(f, &k.to_uint()));
         let small = Uint::<1>::from_u64(b);
         prop_assert_eq!(f.cyclotomic_pow(&small), reference::cyclotomic_pow(f, &small));
         prop_assert_eq!(f.cyclotomic_pow(&fr::MODULUS), Fp12::ONE);

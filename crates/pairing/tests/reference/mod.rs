@@ -1,6 +1,7 @@
 //! Reference oracles for the differential tests in `tests/prop.rs`: the
 //! kernels the optimised ones replaced, kept exactly as they ran — MSB-first
-//! double-and-add, a sum of independent scalar multiplications, the affine
+//! double-and-add over all 255 bits of a scalar, a sum of independent scalar
+//! multiplications, subgroup membership by annihilation with `r`, the affine
 //! Miller loop with one inversion per step and a dense line, the hard part
 //! of the final exponentiation as one plain power, square-and-multiply in
 //! the cyclotomic subgroup. Slow on purpose; each is the textbook form.
@@ -21,6 +22,11 @@ pub fn mul_uint<C: Curve, const E: usize>(p: &Projective<C>, k: &Uint<E>) -> Pro
         }
     }
     acc
+}
+
+/// Subgroup membership of an on-curve point by definition: `[r]P = ∞`.
+pub fn is_in_subgroup<C: Curve>(p: &Projective<C>) -> bool {
+    p.mul_uint(&fr::MODULUS).is_identity()
 }
 
 /// `Σ scalars[i]·points[i]`, one independent multiplication per term.
