@@ -6,8 +6,8 @@
 //! [`GroupEngine`], one [`Admin`], G groups each holding its own members
 //! plus a set of shared service identities (writers, sweepers), and user
 //! keys for whoever needs a session. [`FleetFixture`] packages that so the
-//! `dataplane` scheduler tests and the `fleet_sweep` bench spell their
-//! deployment in one call instead of thirty lines.
+//! `dataplane` scheduler and fault suites spell their deployment in one
+//! call instead of thirty lines.
 //!
 //! The fixture stays control-plane only on purpose — data-plane sessions
 //! live a crate above; build them from [`FleetFixture::usk`] and

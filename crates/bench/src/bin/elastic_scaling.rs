@@ -7,10 +7,11 @@
 //!
 //! - `static-4` / `static-8`: fixed shard counts, the floor and ceiling
 //!   baselines;
-//! - `elastic`: starts at 4 shards and calls [`ShardedStore::resize`]`(8)`
-//!   from a side thread while the *during* segment is replaying. The
-//!   resize joins before the *after* segment starts, so the third row
-//!   measures steady state behind the new routing epoch.
+//! - `elastic`: starts at 4 shards and calls
+//!   [`cloud_store::ShardedStore::resize`]`(8)` from a side thread while
+//!   the *during* segment is replaying. The resize joins before the *after*
+//!   segment starts, so the third row measures steady state behind the new
+//!   routing epoch.
 //!
 //! Every read that errors anywhere in a run is counted, not unwrapped —
 //! the cutover protocol promises zero read unavailability and the bench
@@ -19,8 +20,9 @@
 //! against the trace's last-write payloads ([`RwTrace::final_write_indices`]),
 //! proving migration relocated objects without corrupting them. Per-shard
 //! request counters and the folder/op imbalance ratios of the resized
-//! store are printed from [`ShardedStore::per_shard_metrics`] and
-//! [`ShardedStore::imbalance`].
+//! store are printed from
+//! [`cloud_store::ShardedStore::per_shard_metrics`] and
+//! [`cloud_store::ShardedStore::imbalance`].
 //!
 //! Flags: `--workers N` (sessions, default 4), `--ops N` (trace-event
 //! override), `--full` (larger trace + RTT), `--json PATH`, `--trace PATH`,
@@ -28,22 +30,17 @@
 //! zero content mismatches, and elastic *after*-segment throughput ≥ 80%
 //! of the static-8 *after* segment).
 
-use cloud_store::{stable_hash64, LatencyModel, ResizeReport, ShardedStore};
-use dataplane::{ClientSession, OpClass, OpSample, PipelinedSession};
+use cloud_store::LatencyModel;
 use ibbe_sgx_bench::json::{write_results, Json};
-use ibbe_sgx_bench::stats::percentiles;
-use ibbe_sgx_bench::{fmt_duration, print_table, BenchArgs};
-use ibbe_sgx_core::{GroupEngine, PartitionSize};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
-use std::time::{Duration, Instant};
-use workloads::rw::{generate_read_write, RwOp, RwTrace, RwTraceConfig};
+use ibbe_sgx_bench::{
+    deploy, fmt_duration, payload_for, print_table, replay_partitioned, BenchArgs, Deployment,
+    Segment, PAYLOAD,
+};
+use std::time::Duration;
+use workloads::rw::{generate_read_write, RwTrace, RwTraceConfig};
 
-const GROUP: &str = "g";
 /// In-flight window per pipelined session.
 const WINDOW: usize = 16;
-const PAYLOAD: usize = 256;
 /// Data-folder fan-out of every session. Fixed across modes (a resize
 /// moves folders between shards, it cannot re-cut the folder layout
 /// mid-run) and sized so 8 store shards still have folders to spread.
@@ -52,172 +49,30 @@ const SEGMENTS: [&str; 3] = ["before", "during", "after"];
 const FROM_SHARDS: usize = 4;
 const TO_SHARDS: usize = 8;
 
-struct Deployment {
-    admin: acs::Admin,
-    store: ShardedStore,
-}
-
-/// Boots one deployment — identically seeded across modes, so only the
-/// shard count (and the mid-run resize) differs between measurements.
-fn deploy(shards: usize, sessions: usize, latency: LatencyModel) -> Deployment {
-    let engine = GroupEngine::bootstrap_seeded(PartitionSize::new(4).unwrap(), [11u8; 32]).unwrap();
-    let store = ShardedStore::with_latency(shards, latency);
-    let admin = acs::Admin::new(engine, store.clone());
-    let members: Vec<String> = (0..sessions).map(|c| format!("client-{c}")).collect();
-    admin.create_group(GROUP, members).unwrap();
-    Deployment { admin, store }
-}
-
-fn session(d: &Deployment, c: usize) -> ClientSession {
-    let identity = format!("client-{c}");
-    ClientSession::with_seed(
-        &identity,
-        d.admin.engine().extract_user_key(&identity).unwrap(),
-        d.admin.engine().public_key().clone(),
-        d.store.clone(),
-        GROUP,
-        0xcc ^ c as u64,
-    )
-    .with_data_shards(DATA_FOLDERS)
-}
-
-/// The payload event `i` writes into `object` — a pure function of the
-/// trace position, so the store's final contents are predictable and the
-/// post-run byte-identity check needs no shadow copy.
-fn payload_for(object: &str, i: usize) -> Vec<u8> {
-    format!("{object}@{i};")
-        .bytes()
-        .cycle()
-        .take(PAYLOAD)
-        .collect()
-}
-
 struct ModeRun {
-    seg_wall: Vec<Duration>,
-    seg_events: Vec<usize>,
-    seg_samples: Vec<(Vec<Duration>, Vec<Duration>)>, // (writes, reads)
+    segments: Vec<Segment>,
     read_errors: u64,
-    resize: Option<ResizeReport>,
     deployment: Deployment,
 }
 
-/// Replays `trace` in three barrier-separated segments through `sessions`
-/// pipelined clients against a fresh `shards`-shard deployment; when
-/// `resize_to` is set, a side thread resizes the store while segment 1
-/// ("during") replays and is joined before segment 2 ("after") starts.
-fn run_mode(
-    shards: usize,
-    resize_to: Option<usize>,
-    sessions: usize,
-    trace: &RwTrace,
-    latency: LatencyModel,
-) -> ModeRun {
-    let d = deploy(shards, sessions, latency);
-    let n = trace.events.len();
-    let bounds: Vec<(usize, usize)> = (0..SEGMENTS.len())
-        .map(|s| (s * n / SEGMENTS.len(), (s + 1) * n / SEGMENTS.len()))
-        .collect();
-    let read_errors = AtomicU64::new(0);
-    let barrier = Barrier::new(sessions + 1);
-    let mut seg_wall = vec![Duration::ZERO; SEGMENTS.len()];
-    let mut resize = None;
-    let mut seg_samples: Vec<(Vec<Duration>, Vec<Duration>)> =
-        vec![(Vec::new(), Vec::new()); SEGMENTS.len()];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..sessions {
-            let d = &d;
-            let barrier = &barrier;
-            let read_errors = &read_errors;
-            let bounds = &bounds;
-            handles.push(scope.spawn(move || {
-                let mut p = PipelinedSession::new(session(d, c), WINDOW).with_op_log();
-                let mine = |object: &str| stable_hash64(object) % sessions as u64 == c as u64;
-                let mut samples: Vec<Vec<OpSample>> = Vec::new();
-                for &(lo, hi) in bounds.iter() {
-                    barrier.wait();
-                    // reads overlap through a FIFO of handles, bounded by
-                    // the window so backpressure matches the write path
-                    let mut pending = VecDeque::new();
-                    for i in lo..hi {
-                        match &trace.events[i] {
-                            RwOp::Write { object } if mine(object) => {
-                                p.write(object, &payload_for(object, i)).unwrap();
-                            }
-                            RwOp::Read { object } if mine(object) => {
-                                match p.read_begin(object) {
-                                    Ok(h) => pending.push_back(h),
-                                    Err(_) => {
-                                        read_errors.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                if pending.len() >= WINDOW {
-                                    let h = pending.pop_front().unwrap();
-                                    if p.read_wait(h).is_err() {
-                                        read_errors.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    while let Some(h) = pending.pop_front() {
-                        if p.read_wait(h).is_err() {
-                            read_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    p.flush().unwrap();
-                    samples.push(p.take_op_log());
-                    barrier.wait();
-                }
-                samples
-            }));
-        }
-        for (seg, wall) in seg_wall.iter_mut().enumerate() {
-            // launch the resizer just before "during" begins, so the
-            // cutover overlaps live traffic
-            let resizer = resize_to.filter(|_| seg == 1).map(|to| {
-                let store = d.store.clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(15));
-                    store.resize(to)
-                })
-            });
-            barrier.wait();
-            let t0 = Instant::now();
-            barrier.wait();
-            *wall = t0.elapsed();
-            if let Some(r) = resizer {
-                // joined before "after" starts: segment 2 is steady state
-                // behind the new routing epoch
-                resize = Some(r.join().expect("resize thread"));
-            }
-        }
-        for h in handles {
-            for (seg, ops) in h.join().expect("session thread").into_iter().enumerate() {
-                for s in ops {
-                    match s.class {
-                        OpClass::Write => seg_samples[seg].0.push(s.latency),
-                        OpClass::Read => seg_samples[seg].1.push(s.latency),
-                    }
-                }
-            }
-        }
-    });
+/// Replays `trace` in three barrier-separated segments through the
+/// deployment's pipelined clients. Deployments are identically seeded, so
+/// only the shard count (and `before_segment`, the elastic mode's mid-run
+/// resize) differs between measurements.
+fn run_mode(deployment: Deployment, trace: &RwTrace, before_segment: impl FnMut(usize)) -> ModeRun {
+    let (segments, read_errors) =
+        replay_partitioned(&deployment, WINDOW, trace, SEGMENTS.len(), before_segment);
     ModeRun {
-        seg_wall,
-        seg_events: bounds.iter().map(|&(lo, hi)| hi - lo).collect(),
-        seg_samples,
-        read_errors: read_errors.load(Ordering::Relaxed),
-        resize,
-        deployment: d,
+        segments,
+        read_errors,
+        deployment,
     }
 }
 
 /// Reads every object back serially and compares against the trace's
 /// last-write payloads. Returns the number of mismatching objects.
 fn verify_contents(d: &Deployment, trace: &RwTrace) -> (usize, usize) {
-    let mut reader = session(d, 0);
+    let mut reader = d.session(0);
     let mut mismatches = 0;
     let final_writes = trace.final_write_indices();
     for (object, &i) in &final_writes {
@@ -231,35 +86,37 @@ fn verify_contents(d: &Deployment, trace: &RwTrace) -> (usize, usize) {
 }
 
 /// One table row + its JSON twin per (mode, segment).
-fn render(mode: &str, shards_label: &str, seg: usize, run: &ModeRun) -> (Vec<String>, Json, f64) {
-    let wall = run.seg_wall[seg];
-    let events = run.seg_events[seg];
-    let tput = events as f64 / wall.as_secs_f64().max(1e-9);
-    let (mut writes, mut reads) = run.seg_samples[seg].clone();
-    let wp = percentiles(&mut writes, &[50.0, 99.0]);
-    let rp = percentiles(&mut reads, &[50.0, 99.0]);
+fn render(
+    mode: &str,
+    shards_label: &str,
+    seg: usize,
+    run: &mut ModeRun,
+) -> (Vec<String>, Json, f64) {
+    let s = &mut run.segments[seg];
+    let tput = s.throughput();
+    let [w50, w99, r50, r99] = s.percentiles();
     let row = vec![
         mode.to_string(),
         shards_label.to_string(),
         SEGMENTS[seg].to_string(),
-        format!("{events}"),
-        fmt_duration(wall),
+        format!("{}", s.events),
+        fmt_duration(s.wall),
         format!("{tput:.0}/s"),
-        fmt_duration(wp[0]),
-        fmt_duration(wp[1]),
-        fmt_duration(rp[0]),
-        fmt_duration(rp[1]),
+        fmt_duration(w50),
+        fmt_duration(w99),
+        fmt_duration(r50),
+        fmt_duration(r99),
     ];
     let json = Json::obj([
         ("mode", Json::from(mode)),
         ("segment", Json::from(SEGMENTS[seg])),
-        ("events", Json::from(events)),
-        ("wall_ms", Json::ms(wall)),
+        ("events", Json::from(s.events)),
+        ("wall_ms", Json::ms(s.wall)),
         ("ops_per_sec", Json::from(tput)),
-        ("write_p50_ms", Json::ms(wp[0])),
-        ("write_p99_ms", Json::ms(wp[1])),
-        ("read_p50_ms", Json::ms(rp[0])),
-        ("read_p99_ms", Json::ms(rp[1])),
+        ("write_p50_ms", Json::ms(w50)),
+        ("write_p99_ms", Json::ms(w99)),
+        ("read_p50_ms", Json::ms(r50)),
+        ("read_p99_ms", Json::ms(r99)),
         ("read_errors", Json::from(run.read_errors)),
     ]);
     (row, json, tput)
@@ -304,17 +161,36 @@ fn main() {
         SEGMENTS.len()
     );
 
-    let static4 = run_mode(FROM_SHARDS, None, sessions, &trace, latency);
-    let static8 = run_mode(TO_SHARDS, None, sessions, &trace, latency);
-    let elastic = run_mode(FROM_SHARDS, Some(TO_SHARDS), sessions, &trace, latency);
+    let deploy_at = |shards| deploy(shards, sessions, DATA_FOLDERS, latency);
+    let mut static4 = run_mode(deploy_at(FROM_SHARDS), &trace, |_| {});
+    let mut static8 = run_mode(deploy_at(TO_SHARDS), &trace, |_| {});
+    // the resizer launches just before "during" begins, so the cutover
+    // overlaps live traffic, and is joined before "after" starts: segment
+    // 2 is steady state behind the new routing epoch
+    let deployment = deploy_at(FROM_SHARDS);
+    let store = deployment.store.clone();
+    let mut resizer = None;
+    let mut resize = None;
+    let mut elastic = run_mode(deployment, &trace, |seg| {
+        if seg == 1 {
+            let store = store.clone();
+            resizer = Some(std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(15));
+                store.resize(TO_SHARDS)
+            }));
+        } else if let Some(r) = resizer.take() {
+            resize = Some(r.join().expect("resize thread"));
+        }
+    });
+    let resize = resize.expect("elastic run resized");
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     let mut tputs = std::collections::HashMap::new();
     for (mode, label, run) in [
-        ("static-4", "4", &static4),
-        ("static-8", "8", &static8),
-        ("elastic", "4->8", &elastic),
+        ("static-4", "4", &mut static4),
+        ("static-8", "8", &mut static8),
+        ("elastic", "4->8", &mut elastic),
     ] {
         for seg in 0..SEGMENTS.len() {
             let (row, json, tput) = render(mode, label, seg, run);
@@ -329,7 +205,6 @@ fn main() {
         &rows,
     );
 
-    let resize = elastic.resize.as_ref().expect("elastic run resized");
     println!(
         "\nresize: {} -> {} shards, {} folders relocated, routing epoch {}; read errors \
          across the elastic run: {}",

@@ -1,14 +1,15 @@
 //! Per-session read/write throughput vs shard count with the pipelined
 //! store client.
 //!
-//! The serial [`ClientSession`] pays one full store round trip per
-//! operation, so its throughput is pinned at `1/RTT` no matter how many
+//! The serial [`dataplane::ClientSession`] pays one full store round trip
+//! per operation, so its throughput is pinned at `1/RTT` no matter how many
 //! shards the store has — sharding buys sweep parallelism, not
-//! single-client speed (see `sweep_scaling`). The [`PipelinedSession`]
-//! keeps a bounded window of requests in flight instead, and each
-//! `CloudStore` shard serves its own pool of `SUBMIT_LANES` concurrent
-//! lanes — so a single session's throughput grows with the shard count
-//! until the window (or the lane total) is the binding limit.
+//! single-client speed (see `sweep_scaling`). The
+//! [`dataplane::PipelinedSession`] keeps a bounded window of requests in
+//! flight instead, and each `CloudStore` shard serves its own pool of
+//! `SUBMIT_LANES` concurrent lanes — so a single session's throughput grows
+//! with the shard count until the window (or the lane total) is the binding
+//! limit.
 //!
 //! Each row boots an identically seeded deployment, partitions a pure
 //! read/write trace (no churn) across the sessions by stable object hash
@@ -24,127 +25,37 @@
 //! (per-session throughput at the highest shard count must be ≥ 2× the
 //! lowest — the per-PR CI gate).
 
-use cloud_store::{stable_hash64, LatencyModel, ShardedStore};
-use dataplane::{ClientSession, OpClass, PipelinedSession};
+use cloud_store::LatencyModel;
 use ibbe_sgx_bench::json::{write_results, Json};
-use ibbe_sgx_bench::stats::percentiles;
-use ibbe_sgx_bench::{fmt_duration, print_table, time, BenchArgs};
-use ibbe_sgx_core::{GroupEngine, PartitionSize};
-use std::collections::VecDeque;
+use ibbe_sgx_bench::{
+    deploy, fmt_duration, print_table, replay_partitioned, BenchArgs, Segment, PAYLOAD,
+};
 use std::time::Duration;
-use workloads::rw::{generate_read_write, RwOp, RwTrace, RwTraceConfig};
+use workloads::rw::{generate_read_write, RwTrace, RwTraceConfig};
 
-const GROUP: &str = "g";
 /// In-flight window of the pipelined rows (serial rows run at window 1).
 const WINDOW: usize = 16;
-const PAYLOAD: usize = 256;
 /// Data folders per store shard. Rendezvous routing spreads folders
 /// *statistically*, so a row needs folders ≫ shards for its traffic to
 /// reach every shard — with exactly one folder per shard, placement luck
 /// (not the store) decides how many shards actually serve traffic.
 const FOLDERS_PER_SHARD: usize = 64;
 
-struct Deployment {
-    admin: acs::Admin,
-    store: ShardedStore,
-}
-
-/// Boots one deployment at `shards` store shards with `sessions` client
-/// identities — identically seeded across rows, so only the shard count
-/// and the window differ between measurements.
-fn deploy(shards: usize, sessions: usize, latency: LatencyModel) -> Deployment {
-    let engine = GroupEngine::bootstrap_seeded(PartitionSize::new(4).unwrap(), [11u8; 32]).unwrap();
-    let store = ShardedStore::with_latency(shards, latency);
-    let admin = acs::Admin::new(engine, store.clone());
-    let members: Vec<String> = (0..sessions).map(|c| format!("client-{c}")).collect();
-    admin.create_group(GROUP, members).unwrap();
-    Deployment { admin, store }
-}
-
-fn session(d: &Deployment, shards: usize, c: usize) -> ClientSession {
-    let identity = format!("client-{c}");
-    ClientSession::with_seed(
-        &identity,
-        d.admin.engine().extract_user_key(&identity).unwrap(),
-        d.admin.engine().public_key().clone(),
-        d.store.clone(),
-        GROUP,
-        0xcc ^ c as u64,
-    )
-    .with_data_shards(FOLDERS_PER_SHARD * shards)
-}
-
-struct RowStats {
-    wall: Duration,
-    ops: usize,
-    writes: Vec<Duration>,
-    reads: Vec<Duration>,
-}
-
 /// Replays `trace` through `sessions` pipelined clients at `window`
-/// against a fresh `shards`-shard deployment. Objects are partitioned
-/// across sessions by stable hash, so every read stays behind its writer
-/// in program order and no CAS race crosses threads.
+/// against a fresh `shards`-shard deployment — identically seeded across
+/// rows, so only the shard count and the window differ between
+/// measurements.
 fn run_row(
     shards: usize,
     sessions: usize,
     window: usize,
     trace: &RwTrace,
     latency: LatencyModel,
-) -> RowStats {
-    let d = deploy(shards, sessions, latency);
-    let mut pipes: Vec<PipelinedSession> = (0..sessions)
-        .map(|c| PipelinedSession::new(session(&d, shards, c), window).with_op_log())
-        .collect();
-    let payload = vec![0x7au8; PAYLOAD];
-    let (_, wall) = time(|| {
-        std::thread::scope(|scope| {
-            for (c, p) in pipes.iter_mut().enumerate() {
-                let payload = &payload;
-                scope.spawn(move || {
-                    let mine = |object: &str| stable_hash64(object) % sessions as u64 == c as u64;
-                    // reads overlap through a FIFO of handles, bounded by
-                    // the window so backpressure matches the write path
-                    let mut pending = VecDeque::new();
-                    for event in &trace.events {
-                        match event {
-                            RwOp::Write { object } if mine(object) => {
-                                p.write(object, payload).unwrap();
-                            }
-                            RwOp::Read { object } if mine(object) => {
-                                pending.push_back(p.read_begin(object).unwrap());
-                                if pending.len() >= window.max(1) {
-                                    let h = pending.pop_front().unwrap();
-                                    p.read_wait(h).unwrap();
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    while let Some(h) = pending.pop_front() {
-                        p.read_wait(h).unwrap();
-                    }
-                    p.flush().unwrap();
-                });
-            }
-        })
-    });
-    let mut writes = Vec::new();
-    let mut reads = Vec::new();
-    for p in &mut pipes {
-        for sample in p.take_op_log() {
-            match sample.class {
-                OpClass::Write => writes.push(sample.latency),
-                OpClass::Read => reads.push(sample.latency),
-            }
-        }
-    }
-    RowStats {
-        wall,
-        ops: trace.events.len(),
-        writes,
-        reads,
-    }
+) -> Segment {
+    let d = deploy(shards, sessions, FOLDERS_PER_SHARD * shards, latency);
+    let (mut segments, read_errors) = replay_partitioned(&d, window, trace, 1, |_| {});
+    assert_eq!(read_errors, 0, "a replayed read failed");
+    segments.remove(0)
 }
 
 /// Formats one table row + its JSON twin from a finished measurement.
@@ -154,25 +65,24 @@ fn render(
     shards: usize,
     sessions: usize,
     window: usize,
-    mut s: RowStats,
+    mut s: Segment,
 ) -> (Vec<String>, Json, f64) {
-    let agg = s.ops as f64 / s.wall.as_secs_f64().max(1e-9);
+    let agg = s.throughput();
     let per_session = agg / sessions as f64;
-    let wp = percentiles(&mut s.writes, &[50.0, 99.0]);
-    let rp = percentiles(&mut s.reads, &[50.0, 99.0]);
+    let [w50, w99, r50, r99] = s.percentiles();
     let row = vec![
         mode.to_string(),
         format!("{shards}"),
         format!("{sessions}"),
         format!("{window}"),
-        format!("{}", s.ops),
+        format!("{}", s.events),
         fmt_duration(s.wall),
         format!("{agg:.0}/s"),
         format!("{per_session:.0}/s"),
-        fmt_duration(wp[0]),
-        fmt_duration(wp[1]),
-        fmt_duration(rp[0]),
-        fmt_duration(rp[1]),
+        fmt_duration(w50),
+        fmt_duration(w99),
+        fmt_duration(r50),
+        fmt_duration(r99),
     ];
     let json = Json::obj([
         ("table", Json::from(table)),
@@ -180,14 +90,14 @@ fn render(
         ("shards", Json::from(shards)),
         ("sessions", Json::from(sessions)),
         ("window", Json::from(window)),
-        ("events", Json::from(s.ops)),
+        ("events", Json::from(s.events)),
         ("wall_ms", Json::ms(s.wall)),
         ("ops_per_sec", Json::from(agg)),
         ("per_session_ops_per_sec", Json::from(per_session)),
-        ("write_p50_ms", Json::ms(wp[0])),
-        ("write_p99_ms", Json::ms(wp[1])),
-        ("read_p50_ms", Json::ms(rp[0])),
-        ("read_p99_ms", Json::ms(rp[1])),
+        ("write_p50_ms", Json::ms(w50)),
+        ("write_p99_ms", Json::ms(w99)),
+        ("read_p50_ms", Json::ms(r50)),
+        ("read_p99_ms", Json::ms(r99)),
     ]);
     (row, json, per_session)
 }

@@ -1,27 +1,25 @@
 //! Sweep scaling over the sharded store — how the lazy window shrinks
 //! with shard count.
 //!
-//! Part 1 (the headline): identically seeded deployments at 1/2/4/8 store
-//! shards (data namespace and sweep-fleet width sharded to match) each
-//! revoke one member, then converge the stale namespace on a one-group
-//! `SweepScheduler` with a worker per shard. Every deployment migrates the
-//! same object total; wall-clock convergence time drops roughly by the
-//! shard factor because each worker's GET/CAS round-trips hit an
-//! independent shard (own clock, wait queue and latency model). After
-//! convergence the epoch history is compacted and the pruned entry count
-//! is reported.
+//! Identically seeded deployments at 1/2/4/8 store shards (data namespace
+//! and sweep-fleet width sharded to match) each revoke one member, then
+//! converge the stale namespace on a one-group `SweepScheduler` with a
+//! worker per shard. Every deployment migrates the same object total;
+//! wall-clock convergence time drops roughly by the shard factor because
+//! each worker's GET/CAS round-trips hit an independent shard (own clock,
+//! wait queue and latency model). After convergence the epoch history is
+//! compacted and the pruned entry count is reported.
 //!
-//! Part 2: aggregate read/write throughput of a fixed pool of concurrent
-//! writer sessions replaying the skewed rw trace (objects partitioned
-//! across sessions by the same stable hash, so CAS races never cross
-//! threads), at each shard count.
+//! The client side of the same axis — serial per-session throughput flat
+//! in the shard count, pipelined throughput growing with it — is
+//! `rw_scaling`'s table.
 //!
 //! Flags: `--shards A,B,…` (default `1,2,4,8`), `--ops N` (object-count
-//! override for part 1), `--full` (paper-scale objects/payloads),
-//! `--json PATH` (machine-readable series), `--check` (the highest shard
-//! count must converge no slower than the lowest — the per-PR CI gate).
+//! override), `--full` (paper-scale objects/payloads), `--json PATH`
+//! (machine-readable series), `--check` (the highest shard count must
+//! converge no slower than the lowest — the per-PR CI gate).
 
-use cloud_store::{stable_hash64, LatencyModel, ShardedStore};
+use cloud_store::{LatencyModel, ShardedStore};
 use dataplane::{
     ClientSession, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
     SweepScheduler, SweepTask,
@@ -30,10 +28,8 @@ use ibbe_sgx_bench::json::{write_results, Json};
 use ibbe_sgx_bench::{fmt_duration, print_table, time, BenchArgs};
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use std::time::Duration;
-use workloads::rw::{generate_read_write, RwOp, RwTraceConfig};
 
 const GROUP: &str = "g";
-const CLIENTS: usize = 4;
 
 struct Deployment {
     admin: acs::Admin,
@@ -61,12 +57,11 @@ fn deploy(shards: usize, objects: usize, payload: usize, latency: LatencyModel) 
     let admin = acs::Admin::new(engine, store.clone());
     let members: Vec<String> = (0..6)
         .map(|i| format!("user-{i:02}"))
-        .chain((0..CLIENTS).map(|c| format!("client-{c}")))
-        .chain(["sweeper".to_string()])
+        .chain(["writer".to_string(), "sweeper".to_string()])
         .collect();
     admin.create_group(GROUP, members).unwrap();
     let mut writer =
-        session(&admin, &store, "client-0", 0xaa ^ shards as u64).with_data_shards(shards);
+        session(&admin, &store, "writer", 0xaa ^ shards as u64).with_data_shards(shards);
     let body = vec![0xd5u8; payload];
     for i in 0..objects {
         writer.write(&format!("obj-{i:06}"), &body).unwrap();
@@ -154,94 +149,14 @@ fn converge_rows(
     (json_rows, walls)
 }
 
-fn throughput_rows(
-    shard_counts: &[usize],
-    objects: usize,
-    events: usize,
-    latency: LatencyModel,
-) -> Vec<Json> {
-    let trace = generate_read_write(&RwTraceConfig {
-        objects,
-        events,
-        write_ratio: 0.5,
-        churn_every: 0, // pure rw: epoch stays put, no refresh storms
-        churn_ops: 0,
-        churn_revocation_ratio: 0.0,
-        seed: 0x5ca1e,
-    });
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    for &shards in shard_counts {
-        let d = deploy(shards, 0, 0, latency);
-        // the skewed trace partitioned over concurrent sessions by the
-        // same stable object hash: no CAS race ever crosses threads, and
-        // every read stays behind its writer in program order
-        let mut sessions: Vec<ClientSession> = (0..CLIENTS)
-            .map(|c| {
-                session(&d.admin, &d.store, &format!("client-{c}"), 0xcc ^ c as u64)
-                    .with_data_shards(shards)
-            })
-            .collect();
-        let payload = vec![0x7au8; 256];
-        let (_, wall) = time(|| {
-            std::thread::scope(|scope| {
-                for (c, s) in sessions.iter_mut().enumerate() {
-                    let trace = &trace;
-                    let payload = &payload;
-                    scope.spawn(move || {
-                        for event in &trace.events {
-                            match event {
-                                RwOp::Write { object }
-                                    if stable_hash64(object) % CLIENTS as u64 == c as u64 =>
-                                {
-                                    s.write(object, payload).unwrap();
-                                }
-                                RwOp::Read { object }
-                                    if stable_hash64(object) % CLIENTS as u64 == c as u64 =>
-                                {
-                                    s.read(object).unwrap();
-                                }
-                                _ => {}
-                            }
-                        }
-                    });
-                }
-            })
-        });
-        let throughput = events as f64 / wall.as_secs_f64();
-        rows.push(vec![
-            format!("{shards}"),
-            format!("{events}"),
-            fmt_duration(wall),
-            format!("{throughput:.0}/s"),
-        ]);
-        json_rows.push(Json::obj([
-            ("table", Json::from("throughput")),
-            ("shards", Json::from(shards)),
-            ("events", Json::from(events)),
-            ("wall_ms", Json::ms(wall)),
-            ("events_per_sec", Json::from(throughput)),
-        ]));
-    }
-    print_table(
-        &format!(
-            "read/write throughput vs shard count ({CLIENTS} concurrent sessions, skewed rw trace)"
-        ),
-        &["shards", "events", "wall", "throughput"],
-        &rows,
-    );
-    json_rows
-}
-
 fn main() {
     let args = BenchArgs::parse();
     let trace_ctx = args.trace_writer();
     let shard_counts = args.shards.clone().unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let (objects, payload, events, latency) = if args.full {
+    let (objects, payload, latency) = if args.full {
         (
             512,
             4096,
-            2000,
             LatencyModel::new(Duration::from_millis(10), Duration::ZERO)
                 .with_per_item(Duration::from_micros(200)),
         )
@@ -249,7 +164,6 @@ fn main() {
         (
             64,
             256,
-            400,
             LatencyModel::new(Duration::from_millis(3), Duration::ZERO)
                 .with_per_item(Duration::from_micros(100)),
         )
@@ -261,20 +175,11 @@ fn main() {
          {:?} base latency per request, shard counts {shard_counts:?}",
         latency
     );
-    let (mut json_rows, walls) = converge_rows(&shard_counts, objects, payload, latency);
-    json_rows.extend(throughput_rows(
-        &shard_counts,
-        objects.min(64),
-        events,
-        latency,
-    ));
+    let (json_rows, walls) = converge_rows(&shard_counts, objects, payload, latency);
     println!(
         "\nconvergence scales with the shard count because each sweep worker's \
          GET/CAS round-trips hit its own shard (independent clock, wait queue and \
-         latency); *serial* client throughput is bounded by each session's blocking \
-         round-trips, so the rw table above stays flat. The pipelined client lifts \
-         that bound — see the `rw_scaling` bench for per-session throughput that \
-         grows with the shard count."
+         latency). Client-side scaling for the same store is in `rw_scaling`."
     );
 
     if let Some(path) = &args.json {
@@ -285,7 +190,6 @@ fn main() {
                 ("full", Json::from(args.full)),
                 ("objects", Json::from(objects)),
                 ("payload", Json::from(payload)),
-                ("events", Json::from(events)),
                 (
                     "shards",
                     Json::Arr(shard_counts.iter().map(|&s| Json::from(s)).collect()),

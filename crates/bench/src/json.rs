@@ -2,14 +2,14 @@
 //!
 //! The workspace builds offline (no serde), so this is a tiny value tree
 //! with a conforming serializer — just enough for the `--json <path>`
-//! flag every bench binary supports. The schema is shared across benches
+//! flag the scaling binaries support. The schema is shared across benches
 //! so CI can archive and diff them:
 //!
 //! ```json
 //! {
-//!   "bench": "fleet_sweep",
-//!   "config": { "groups": 12, "workers": 4 },
-//!   "rows": [ { "table": "fleet", "mode": "shared", "wall_ms": 84.2 } ]
+//!   "bench": "sweep_scaling",
+//!   "config": { "objects": 64, "shards": [1, 4] },
+//!   "rows": [ { "table": "converge", "shards": 4, "converge_ms": 104.6 } ]
 //! }
 //! ```
 //!
@@ -142,24 +142,6 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
         }
     }
     write!(f, "\"")
-}
-
-/// The shared fault-stats row (`"table": "faults"`): one schema for every
-/// bench that runs over a [`cloud_store::FaultyStore`], used both for the
-/// archived JSON and for the line the bench prints — so the console output
-/// and `results/*.json` can never drift apart.
-pub fn fault_stats_row(seed: u64, stats: &cloud_store::FaultStats, lease_retries: u64) -> Json {
-    Json::obj([
-        ("table", Json::from("faults")),
-        ("seed", Json::from(seed)),
-        ("requests", Json::from(stats.requests)),
-        ("unavailable", Json::from(stats.unavailable)),
-        ("timeouts", Json::from(stats.timeouts)),
-        ("torn_polls", Json::from(stats.torn_polls)),
-        ("cas_conflicts", Json::from(stats.cas_conflicts)),
-        ("panics", Json::from(stats.panics)),
-        ("lease_retries", Json::from(lease_retries)),
-    ])
 }
 
 /// Writes one bench's results in the shared schema (`bench` name,

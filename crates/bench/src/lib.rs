@@ -14,17 +14,31 @@
 //!
 //! Every binary accepts `--full` to run at paper-scale parameters (slow) and
 //! prints the series it measured in a row/column format mirroring the paper.
-//! The data-plane binaries (`lazy_vs_eager`, `sweep_scaling`, `fleet_sweep`)
-//! additionally accept `--json PATH` to archive the measured series
-//! machine-readably (see [`json`]) and `--check` to enforce their coarse
-//! perf sanity gates — the combination the per-PR CI bench smoke runs.
-//! `benches/micro.rs` holds Criterion microbenchmarks of the primitives.
+//! `batch_churn` covers §VIII's batched-churn comparison.
+//!
+//! Three more binaries sweep an axis the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`) does not have:
+//!
+//! | binary | axis |
+//! |---|---|
+//! | `rw_scaling` | store shard count, under the pipelined client |
+//! | `sweep_scaling` | store shard count, under the re-encryption sweep |
+//! | `elastic_scaling` | a live shard resize under load |
+//!
+//! They additionally accept `--json PATH` to archive the measured series
+//! machine-readably (see [`json`]), `--trace PATH` for a Chrome trace and
+//! `--check` to enforce their coarse sanity gates — the combination the
+//! per-PR CI bench smoke runs. `rw_scaling` and `elastic_scaling` share one
+//! deployment and one replay loop ([`deploy`], [`replay_partitioned`]).
+//! Kernel micro-timings, lazy vs eager revocation cost and op-log proof
+//! cost are metrics of the repo benchmark or tier-1 tests; the README's
+//! "Benchmarks and paper figures" table says which.
 
 pub mod json;
-pub mod stats;
 
 use acs::{Admin, HeAdmin};
-use cloud_store::CloudStore;
+use cloud_store::{stable_hash64, CloudStore, LatencyModel, ShardedStore};
+use dataplane::{ClientSession, OpClass, PipelinedSession};
 use he::PkiKeyPair;
 use ibbe::UserSecretKey;
 use ibbe_sgx_core::{
@@ -32,8 +46,10 @@ use ibbe_sgx_core::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
+use workloads::rw::{RwOp, RwTrace};
 use workloads::{BatchReplayBackend, ReplayBackend, TraceOp};
 
 /// Times a closure.
@@ -43,35 +59,35 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, t0.elapsed())
 }
 
+/// The one usage line: what `--help` prints and what a bad command line
+/// gets back on stderr.
+const USAGE: &str = "flags: --full  --ops N  --no-repartition  --shards A,B,…  --workers N  \
+                     --json PATH  --trace PATH  --check";
+
 /// Simple command-line flags: `--full`, `--ops N`, `--no-repartition`,
-/// `--shards A,B,…`, `--groups N`, `--workers N`, `--faults SEED`,
-/// `--json PATH`, `--trace PATH`, `--check`.
+/// `--shards A,B,…`, `--workers N`, `--json PATH`, `--trace PATH`,
+/// `--check`.
 #[derive(Clone, Debug)]
 pub struct BenchArgs {
     /// Run at paper-scale parameters.
     pub full: bool,
-    /// Override the number of trace operations (fig9/fig10) or objects
-    /// (sweep_scaling, fleet_sweep base objects).
+    /// Override the number of trace operations (fig9/fig10, rw_scaling,
+    /// elastic_scaling) or stored objects (sweep_scaling).
     pub ops: Option<usize>,
     /// Disable the re-partitioning heuristic (fig10 ablation).
     pub no_repartition: bool,
-    /// Override the shard-count sweep (sweep_scaling), e.g. `--shards 2,8`.
+    /// Override the shard-count sweep (rw_scaling, sweep_scaling), e.g.
+    /// `--shards 2,8`.
     pub shards: Option<Vec<usize>>,
-    /// Override the tenant-group count (fleet_sweep).
-    pub groups: Option<usize>,
-    /// Override the shared fleet's worker count (fleet_sweep).
+    /// Override the client-session count (rw_scaling, elastic_scaling).
     pub workers: Option<usize>,
-    /// Run the shared fleet over a seed-driven faulty store (fleet_sweep):
-    /// the canned outage/timeout/torn-poll/CAS-storm schedule for this
-    /// seed, plus one armed worker panic mid-run.
-    pub faults: Option<u64>,
     /// Also write the measured series as machine-readable JSON (see
     /// [`crate::json`]) to this path.
     pub json: Option<String>,
     /// Also record the run's telemetry spans and events as a Chrome-trace
     /// JSON file at this path (open with Perfetto / `chrome://tracing`).
-    /// Honoured by the data-plane binaries (`rw_scaling`, `sweep_scaling`,
-    /// `fleet_sweep`).
+    /// Honoured by the scaling binaries (`rw_scaling`, `sweep_scaling`,
+    /// `elastic_scaling`).
     pub trace: Option<String>,
     /// Enforce the bench's coarse perf sanity checks (exit non-zero on
     /// regression) — what the per-PR CI smoke runs.
@@ -79,75 +95,56 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args`.
+    /// Parses `std::env::args`. A flag this crate does not know, or a flag
+    /// missing its value, prints the problem and the usage line to stderr
+    /// and exits with status 2.
     pub fn parse() -> Self {
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|problem| {
+            eprintln!("{problem}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`BenchArgs::parse`] over any argument vector (program name already
+    /// stripped); `Err` carries what was wrong with it.
+    fn parse_from(mut it: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut args = Self {
             full: false,
             ops: None,
             no_repartition: false,
             shards: None,
-            groups: None,
             workers: None,
-            faults: None,
             json: None,
             trace: None,
             check: false,
         };
-        let mut it = std::env::args().skip(1);
-        let int_flag = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} needs an integer"))
-        };
-        while let Some(a) = it.next() {
-            match a.as_str() {
+        while let Some(flag) = it.next() {
+            let mut value = |what: &str| it.next().ok_or_else(|| format!("{flag} needs {what}"));
+            let int = |v: &str| v.parse().map_err(|_| format!("{flag} needs an integer"));
+            match flag.as_str() {
                 "--full" => args.full = true,
                 "--no-repartition" => args.no_repartition = true,
                 "--check" => args.check = true,
-                "--ops" => args.ops = Some(int_flag(&mut it, "--ops")),
-                "--groups" => args.groups = Some(int_flag(&mut it, "--groups")),
-                "--workers" => args.workers = Some(int_flag(&mut it, "--workers")),
-                "--faults" => {
-                    args.faults = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--faults needs an integer seed")),
-                    );
-                }
-                "--json" => {
-                    args.json = Some(it.next().unwrap_or_else(|| panic!("--json needs a path")));
-                }
-                "--trace" => {
-                    args.trace = Some(it.next().unwrap_or_else(|| panic!("--trace needs a path")));
-                }
+                "--ops" => args.ops = Some(int(&value("an integer")?)?),
+                "--workers" => args.workers = Some(int(&value("an integer")?)?),
+                "--json" => args.json = Some(value("a path")?),
+                "--trace" => args.trace = Some(value("a path")?),
                 "--shards" => {
-                    let list = it.next().unwrap_or_else(|| panic!("--shards needs a list"));
-                    let parsed: Vec<usize> = list
+                    let parsed: Vec<usize> = value("a list")?
                         .split(',')
-                        .map(|v| {
-                            v.trim()
-                                .parse()
-                                .unwrap_or_else(|_| panic!("bad shard count {v:?}"))
-                        })
-                        .collect();
-                    assert!(
-                        !parsed.is_empty() && parsed.iter().all(|&s| s >= 1),
-                        "--shards needs positive counts"
-                    );
+                        .map(|v| v.trim().parse().ok().filter(|&s| s >= 1))
+                        .collect::<Option<_>>()
+                        .ok_or("--shards needs positive counts, e.g. 1,4")?;
                     args.shards = Some(parsed);
                 }
                 "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --full  --ops N  --no-repartition  --shards A,B,…  \
-                         --groups N  --workers N  --faults SEED  --json PATH  \
-                         --trace PATH  --check"
-                    );
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => panic!("unknown flag {other}"),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        args
+        Ok(args)
     }
 
     /// When `--trace PATH` was given, installs a [`telemetry::JsonWriter`]
@@ -430,5 +427,247 @@ impl ReplayBackend for HeBackend {
         let (gk, dt) = time(|| self.admin.manager().decrypt(&member, key, &meta));
         gk?;
         Some(dt)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// the data-plane deployment `rw_scaling` and `elastic_scaling` share
+
+const GROUP: &str = "g";
+
+/// Payload size of every object the scaling bins write.
+pub const PAYLOAD: usize = 256;
+
+/// One data-plane deployment: an admin over a sharded store and a group of
+/// `sessions` client identities, each spreading its namespace over
+/// `data_folders` data folders.
+pub struct Deployment {
+    /// The group's admin.
+    pub admin: Admin,
+    /// The store every session talks to.
+    pub store: ShardedStore,
+    sessions: usize,
+    data_folders: usize,
+}
+
+/// Boots one deployment at `shards` store shards — identically seeded on
+/// every call, so only the arguments differ between two measurements.
+pub fn deploy(
+    shards: usize,
+    sessions: usize,
+    data_folders: usize,
+    latency: LatencyModel,
+) -> Deployment {
+    let engine = GroupEngine::bootstrap_seeded(PartitionSize::new(4).unwrap(), [11u8; 32]).unwrap();
+    let store = ShardedStore::with_latency(shards, latency);
+    let admin = Admin::new(engine, store.clone());
+    let members: Vec<String> = (0..sessions).map(|c| format!("client-{c}")).collect();
+    admin.create_group(GROUP, members).unwrap();
+    Deployment {
+        admin,
+        store,
+        sessions,
+        data_folders,
+    }
+}
+
+impl Deployment {
+    /// Client `c`'s serial session.
+    pub fn session(&self, c: usize) -> ClientSession {
+        let identity = format!("client-{c}");
+        ClientSession::with_seed(
+            &identity,
+            self.admin.engine().extract_user_key(&identity).unwrap(),
+            self.admin.engine().public_key().clone(),
+            self.store.clone(),
+            GROUP,
+            0xcc ^ c as u64,
+        )
+        .with_data_shards(self.data_folders)
+    }
+}
+
+/// The payload event `i` of a trace writes into `object` — a pure function
+/// of the trace position, so a store's final contents are predictable and
+/// a post-run byte-identity check needs no shadow copy.
+pub fn payload_for(object: &str, i: usize) -> Vec<u8> {
+    format!("{object}@{i};")
+        .bytes()
+        .cycle()
+        .take(PAYLOAD)
+        .collect()
+}
+
+/// What one barrier-separated segment of [`replay_partitioned`] measured.
+pub struct Segment {
+    /// Wall clock from the segment's start barrier to its end barrier.
+    pub wall: Duration,
+    /// Trace events in the segment, over all sessions.
+    pub events: usize,
+    /// Per-op latency (enqueue → completion) of every write.
+    pub writes: Vec<Duration>,
+    /// Per-op latency of every read.
+    pub reads: Vec<Duration>,
+}
+
+impl Segment {
+    /// Events per second over the segment's wall clock.
+    pub fn throughput(&self) -> f64 {
+        self.events as f64 / self.wall.as_secs_f64().max(1e-9)
+    }
+
+    /// Nearest-rank write p50, write p99, read p50, read p99.
+    pub fn percentiles(&mut self) -> [Duration; 4] {
+        let w = telemetry::stats::percentiles(&mut self.writes, &[50.0, 99.0]);
+        let r = telemetry::stats::percentiles(&mut self.reads, &[50.0, 99.0]);
+        [w[0], w[1], r[0], r[1]]
+    }
+}
+
+/// Replays `trace` against `d` through one pipelined session per client at
+/// in-flight `window`, in `segments` equal barrier-separated slices.
+/// Objects are partitioned across sessions by stable hash, so every read
+/// stays behind its writer in program order and no CAS race crosses
+/// threads; writes stream through the window, reads overlap through a FIFO
+/// of handles bounded by the same window (at window 1 this is the exact
+/// blocking request trace). `before_segment(s)` runs on the calling thread
+/// once every session has finished segment `s − 1` and before any starts
+/// segment `s`.
+///
+/// Returns the segments and the number of reads that failed — counted, not
+/// unwrapped, so a caller can assert the count instead of assuming it.
+pub fn replay_partitioned(
+    d: &Deployment,
+    window: usize,
+    trace: &RwTrace,
+    segments: usize,
+    mut before_segment: impl FnMut(usize),
+) -> (Vec<Segment>, u64) {
+    let n = trace.events.len();
+    let bounds: Vec<_> = (0..segments)
+        .map(|s| s * n / segments..(s + 1) * n / segments)
+        .collect();
+    let mut out: Vec<Segment> = bounds
+        .iter()
+        .map(|range| Segment {
+            wall: Duration::ZERO,
+            events: range.len(),
+            writes: Vec::new(),
+            reads: Vec::new(),
+        })
+        .collect();
+    let mut read_errors = 0;
+    let barrier = Barrier::new(d.sessions + 1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..d.sessions)
+            .map(|c| {
+                let (barrier, bounds) = (&barrier, &bounds);
+                scope.spawn(move || {
+                    let mut p = PipelinedSession::new(d.session(c), window).with_op_log();
+                    let mine = |object: &str| stable_hash64(object) % d.sessions as u64 == c as u64;
+                    let mut errors = 0u64;
+                    let mut samples = Vec::new();
+                    for range in bounds {
+                        barrier.wait();
+                        let mut pending = VecDeque::new();
+                        for i in range.clone() {
+                            match &trace.events[i] {
+                                RwOp::Write { object } if mine(object) => {
+                                    p.write(object, &payload_for(object, i)).unwrap();
+                                }
+                                RwOp::Read { object } if mine(object) => {
+                                    match p.read_begin(object) {
+                                        Ok(h) => pending.push_back(h),
+                                        Err(_) => errors += 1,
+                                    }
+                                    if pending.len() >= window {
+                                        let h = pending.pop_front().unwrap();
+                                        errors += u64::from(p.read_wait(h).is_err());
+                                    }
+                                }
+                                _ => {}
+                            }
+                        }
+                        while let Some(h) = pending.pop_front() {
+                            errors += u64::from(p.read_wait(h).is_err());
+                        }
+                        p.flush().unwrap();
+                        samples.push(p.take_op_log());
+                        barrier.wait();
+                    }
+                    (samples, errors)
+                })
+            })
+            .collect();
+        for (s, segment) in out.iter_mut().enumerate() {
+            before_segment(s);
+            barrier.wait();
+            let t0 = Instant::now();
+            barrier.wait();
+            segment.wall = t0.elapsed();
+        }
+        for h in handles {
+            let (samples, errors) = h.join().expect("session thread");
+            read_errors += errors;
+            for (segment, ops) in out.iter_mut().zip(samples) {
+                for op in ops {
+                    match op.class {
+                        OpClass::Write => segment.writes.push(op.latency),
+                        OpClass::Read => segment.reads.push(op.latency),
+                    }
+                }
+            }
+        }
+    });
+    (out, read_errors)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
+        BenchArgs::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parse_reads_every_flag_and_names_what_is_wrong_with_a_bad_one() {
+        let args = parse(&[
+            "--full",
+            "--ops",
+            "12",
+            "--no-repartition",
+            "--shards",
+            "1, 4",
+            "--workers",
+            "3",
+            "--json",
+            "out.json",
+            "--trace",
+            "out.trace",
+            "--check",
+        ])
+        .unwrap();
+        assert!(args.full && args.no_repartition && args.check);
+        assert_eq!((args.ops, args.workers), (Some(12), Some(3)));
+        assert_eq!(args.shards, Some(vec![1, 4]));
+        assert_eq!(args.json.as_deref(), Some("out.json"));
+        assert_eq!(args.trace.as_deref(), Some("out.trace"));
+
+        let quiet = parse(&[]).unwrap();
+        assert!(!quiet.full && quiet.ops.is_none() && quiet.shards.is_none());
+
+        for (bad, problem) in [
+            (&["--groups", "4"][..], "unknown flag --groups"),
+            (&["--ops"][..], "--ops needs an integer"),
+            (&["--workers", "many"][..], "--workers needs an integer"),
+            (&["--json"][..], "--json needs a path"),
+            (
+                &["--shards", "1,0"][..],
+                "--shards needs positive counts, e.g. 1,4",
+            ),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), problem);
+        }
     }
 }

@@ -131,10 +131,9 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// The canned moderate-chaos schedule used by the bench gate
-    /// (`fleet_sweep --faults <seed>`) and the property suite: short
-    /// per-domain outages, occasional timeouts, torn polls and spurious
-    /// CAS conflicts, all driven by `seed`.
+    /// The canned moderate-chaos schedule: short per-domain outages,
+    /// occasional timeouts, torn polls and spurious CAS conflicts, all
+    /// driven by `seed`.
     pub fn canned(seed: u64, domains: usize) -> Self {
         Self {
             seed,

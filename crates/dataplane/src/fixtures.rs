@@ -2,10 +2,9 @@
 //! test/bench counterpart of the control-plane fixture.
 //!
 //! `acs`'s fixture stops at user keys (it cannot know about sessions a
-//! crate above it); these helpers finish the job so multi-group suites and
-//! the `fleet_sweep` bench build their writers, readers and per-shard
-//! sweeper sessions in one call each instead of re-spelling the
-//! usk/pk/store/shards glue.
+//! crate above it); these helpers finish the job so multi-group suites
+//! build their writers, readers and per-shard sweeper sessions in one call
+//! each instead of re-spelling the usk/pk/store/shards glue.
 
 use crate::session::ClientSession;
 use acs::FleetFixture;

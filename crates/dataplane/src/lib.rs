@@ -21,14 +21,12 @@
 //!   per-shard sweep (convergence time drops roughly by the shard factor
 //!   on a `ShardedStore`); G groups on W workers is fleet-scale lazy
 //!   revocation, re-armed from long-poll notifications by `watch`. The
-//!   `sweep_scaling` and `fleet_sweep` bench binaries measure the two.
+//!   `sweep_scaling` bench binary measures the first, the repo benchmark's
+//!   `revoke_sweep` workload the second.
 //! * [`RevocationCoordinator`] — applies membership batches under a
 //!   [`ReencryptionPolicy`]: `Lazy` (O(1) revocation — arm and return —
 //!   with a bounded stale window) or `Eager` (arm, converge and compact
-//!   before returning; fails closed). The `lazy_vs_eager` bench binary
-//!   measures the two against each other.
-//! * [`RwSystemBackend`] — the full stack as a replay backend for the
-//!   `workloads` read/write traces.
+//!   before returning; fails closed).
 //!
 //! ```
 //! use acs::Admin;
@@ -60,7 +58,6 @@ pub mod error;
 pub mod fixtures;
 pub mod metrics;
 pub mod pipeline;
-pub mod replay;
 pub mod scheduler;
 pub mod session;
 pub mod sweeper;
@@ -70,7 +67,6 @@ pub use envelope::{SealedObject, OBJECT_FORMAT_V1};
 pub use error::DataError;
 pub use metrics::{DataMetrics, DataMetricsSnapshot, FleetMetrics};
 pub use pipeline::{OpClass, OpSample, PipelinedSession, ReadHandle};
-pub use replay::{ReplayError, RwSystemBackend, RwSystemConfig, SWEEPER_IDENTITY, WRITER_IDENTITY};
 pub use scheduler::{
     FleetConfig, FleetReport, GroupSweepReport, LeaseRecord, SweepScheduler, SweepTask, TaskId,
 };

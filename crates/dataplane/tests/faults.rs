@@ -18,13 +18,18 @@
 //! The deterministic test at the bottom is the crash-safety acceptance
 //! case: a one-shot panic armed mid-pass kills a sweep worker's lease,
 //! and the scheduler must re-lease the unit under the same stamp and
-//! still satisfy 1–4.
+//! still satisfy 1–4. A second run over the same stack, under the canned
+//! schedule, is traced: its telemetry spans and `fault.*` events must
+//! reconcile with the store's own counters and the injector's stats.
 //!
 //! Case count: a light default (each case boots two full fleet stacks),
 //! scaled up by `PROPTEST_CASES` like the other data-plane suites.
 
 use acs::FleetFixture;
-use cloud_store::{CloudStore, FaultConfig, FaultInjector, FaultyStore, ShardedStore, StoreHandle};
+use cloud_store::{
+    CloudStore, FaultConfig, FaultInjector, FaultStats, FaultyStore, MetricsSnapshot, ObjectStore,
+    ShardedStore, StoreHandle,
+};
 use dataplane::fixtures::{
     fleet_session, fleet_session_on, fleet_sweep_sessions, fleet_sweep_sessions_on,
 };
@@ -34,11 +39,21 @@ use dataplane::{
 };
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 const WRITER: &str = "writer";
 const SWEEPER: &str = "sweeper";
+
+/// A telemetry subscriber is process-wide and this binary's tests run on
+/// parallel threads: the traced run holds this lock exclusively so that no
+/// other test's store traffic lands in its collector, every other test
+/// holds it shared ([`untraced`]).
+static TRACED_RUN: RwLock<()> = RwLock::new(());
+
+fn untraced() -> RwLockReadGuard<'static, ()> {
+    TRACED_RUN.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES")
@@ -175,6 +190,7 @@ proptest! {
         torn_poll_pct in 0u32..=50,
         cas_storm_pct in 0u32..=25,
     ) {
+        let _untraced = untraced();
         let mut sizes = vec![0usize; groups];
         for (i, s) in sizes.iter_mut().enumerate() {
             *s = 2 + (seed as usize >> (4 * i)) % 5;
@@ -236,12 +252,145 @@ proptest! {
     }
 }
 
+/// The span/counter consistency gate: a collector scoped to a faulted run
+/// must reconcile with the clean store's own counters (span placement
+/// mirrors metric placement exactly) and with the injector's tally (one
+/// `fault.*` event per injection decision). `store.poll` spans are outside
+/// the gate — polling is a liveness mechanism, not accounted work.
+fn assert_trace_reconciles(
+    collector: &telemetry::Collector,
+    before: &MetricsSnapshot,
+    after: &MetricsSnapshot,
+    stats: &FaultStats,
+) {
+    let spans = collector.spans();
+    let span_count = |name: &str| spans.iter().filter(|s| s.name == name).count() as u64;
+    // the store records a get only when it hits; the span records both
+    // outcomes and flags which one happened
+    let get_hits = spans
+        .iter()
+        .filter(|s| {
+            s.name == "store.get"
+                && s.field("hit").and_then(telemetry::Value::as_bool) == Some(true)
+        })
+        .count() as u64;
+    for (label, got, want) in [
+        (
+            "store.put",
+            span_count("store.put"),
+            after.puts - before.puts,
+        ),
+        (
+            "store.put_many",
+            span_count("store.put_many"),
+            after.puts_batched - before.puts_batched,
+        ),
+        (
+            "store.delete",
+            span_count("store.delete"),
+            after.deletes - before.deletes,
+        ),
+        (
+            "store.cas",
+            span_count("store.cas"),
+            (after.cas_puts + after.cas_conflicts) - (before.cas_puts + before.cas_conflicts),
+        ),
+        ("store.get[hit]", get_hits, after.gets - before.gets),
+        (
+            "fault.unavailable",
+            collector.event_count("fault.unavailable"),
+            stats.unavailable,
+        ),
+        (
+            "fault.timeout",
+            collector.event_count("fault.timeout"),
+            stats.timeouts,
+        ),
+        (
+            "fault.torn_poll",
+            collector.event_count("fault.torn_poll"),
+            stats.torn_polls,
+        ),
+        (
+            "fault.cas_storm",
+            collector.event_count("fault.cas_storm"),
+            stats.cas_conflicts,
+        ),
+        (
+            "fault.panic",
+            collector.event_count("fault.panic"),
+            stats.panics,
+        ),
+    ] {
+        assert_eq!(got, want, "{label} spans/events vs the counter delta");
+    }
+    // causality: every store-lane execution ran under some lease's (or
+    // session's) request id — the chain a trace viewer groups by
+    let mut lanes = spans.iter().filter(|s| s.name == "store.lane").peekable();
+    assert!(lanes.peek().is_some(), "the run crossed no submit lane");
+    assert!(
+        lanes.all(|s| s.rid != 0),
+        "every store.lane span carries a request id"
+    );
+}
+
+/// The traced run: the canned fault schedule plus one armed worker panic
+/// over the crash-safety stack below, with a [`telemetry::Collector`]
+/// scoped to exactly the fleet's life (setup traffic excluded).
+#[test]
+fn a_faulted_fleet_run_reconciles_its_trace_with_counters_and_injector_stats() {
+    let _traced = TRACED_RUN.write().unwrap_or_else(PoisonError::into_inner);
+    let sizes = [5usize, 4];
+    let shards = 2;
+    let stack = build_stack(&sizes, shards, 0xc4a5);
+    let clean = stack.fixture.admin().store().clone();
+    let injector = Arc::new(FaultInjector::new(FaultConfig::canned(42, 4)));
+    let mut scheduler = SweepScheduler::new(FleetConfig {
+        workers: 2,
+        lease: 2,
+        // the schedule keeps firing for the whole run
+        max_retries: 256,
+        ..FleetConfig::default()
+    });
+
+    let collector = Arc::new(telemetry::Collector::new());
+    let installed = telemetry::install(Arc::clone(&collector) as Arc<dyn telemetry::Subscriber>);
+    let before = clean.metrics();
+    for i in 0..sizes.len() {
+        scheduler.register(SweepTask::new(
+            faulty_sweep_sessions(&stack, &injector, &format!("g{i}"), shards, 0x5a),
+            SweepConfig::default(),
+        ));
+        scheduler.arm(i);
+    }
+    injector.arm_panic(6);
+    let report = scheduler.converge_all().unwrap();
+    // a sweep only GETs and CASes, on its workers' own threads: one of
+    // every other accounted verb and one pipelined write across a submit
+    // lane, so that no gate compares zero with zero
+    clean.put("probe", "a", b"x".to_vec());
+    clean.put_many("probe", [("b".to_string(), b"y".to_vec())]);
+    clean.delete("probe", "a");
+    let mut piped =
+        PipelinedSession::new(fleet_session(&stack.fixture, WRITER, "g0", shards, 0x77), 4);
+    piped.write("obj-lane", b"z").unwrap();
+    piped.flush().unwrap();
+    let after = clean.metrics();
+    drop(installed);
+
+    let stats = injector.stats();
+    assert!(report.total.converged, "the traced run converged");
+    assert_eq!(stats.panics, 1, "the armed panic fired");
+    assert_trace_reconciles(&collector, &before, &after, &stats);
+}
+
 /// The crash-safety acceptance case: a sweep worker panics mid-pass (a
 /// one-shot fault armed inside the injector), and the fleet must contain
 /// it — the unit is re-leased under the same stamp, the run converges,
 /// migrated totals equal the fault-free baseline, and nothing is lost.
 #[test]
 fn a_mid_pass_worker_panic_requeues_the_unit_and_loses_nothing() {
+    let _untraced = untraced();
     let sizes = [5usize, 4];
     let shards = 2;
     let seed = 0xc4a5;
@@ -300,6 +449,7 @@ fn a_mid_pass_worker_panic_requeues_the_unit_and_loses_nothing() {
 /// of spinning or aborting.
 #[test]
 fn a_dead_store_retires_the_unit_instead_of_wedging_the_run() {
+    let _untraced = untraced();
     let sizes = [3usize];
     let shards = 1;
     let stack = build_stack(&sizes, shards, 0x0dd);
@@ -345,6 +495,7 @@ fn a_dead_store_retires_the_unit_instead_of_wedging_the_run() {
 /// stays armed, and one `converge_all` after the outage finishes the job.
 #[test]
 fn an_eager_revocation_across_an_outage_fails_closed_and_recovers() {
+    let _untraced = untraced();
     let sizes = [4usize];
     let shards = 2;
     let stack = build_stack(&sizes, shards, 0xea6e);
@@ -423,6 +574,7 @@ proptest! {
         torn_poll_pct in 0u32..=30,
         cas_storm_pct in 0u32..=20,
     ) {
+        let _untraced = untraced();
         let groups = 2usize;
         let shards = 2usize;
         let mut sizes = vec![0usize; groups];
@@ -499,6 +651,7 @@ proptest! {
 /// snapshots follow the live shard set.
 #[test]
 fn resize_grow_then_shrink_preserves_objects_and_access() {
+    let _untraced = untraced();
     let sizes = [5usize, 4];
     let shards = 2;
     let seed = 0x5e1f;
@@ -605,6 +758,7 @@ proptest! {
         cas_storm_pct in 0u32..=12,
         torn_poll_pct in 0u32..=50,
     ) {
+        let _untraced = untraced();
         const OBJECTS: usize = 6;
         const ROUNDS: usize = 3;
         let fixture = writer_fixture(seed);
@@ -641,6 +795,7 @@ proptest! {
 
 #[test]
 fn a_forced_outage_mid_window_loses_no_write() {
+    let _untraced = untraced();
     let fixture = writer_fixture(0xace);
     let injector = Arc::new(FaultInjector::new(FaultConfig::default()));
     let retry = RetryPolicy {

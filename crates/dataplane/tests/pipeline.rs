@@ -15,10 +15,11 @@
 use acs::FleetFixture;
 use cloud_store::{CloudStore, LatencyModel, StoreHandle};
 use dataplane::fixtures::{fleet_session, fleet_session_on};
-use dataplane::{PipelinedSession, RwSystemBackend, RwSystemConfig};
+use dataplane::PipelinedSession;
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
+use support::replay::{RwSystemBackend, RwSystemConfig};
 use support::RecordingStore;
 use workloads::rw::object_name;
 use workloads::{generate_read_write, replay_events, RwTraceConfig};

@@ -2,9 +2,12 @@
 //! event driver — membership traces and data-plane traces now drive one
 //! code path (`workloads::replay_events`).
 
-use dataplane::{ReencryptionPolicy, RwSystemBackend, SweepConfig};
+use dataplane::{ReencryptionPolicy, SweepConfig};
 use std::time::Duration;
+use support::replay::RwSystemBackend;
 use workloads::{generate_read_write, replay_events, RwOp, RwTraceConfig};
+
+mod support;
 
 fn config() -> RwTraceConfig {
     RwTraceConfig {

@@ -195,7 +195,8 @@ fn watch_arms_exactly_the_rotated_groups() {
 /// A shared fleet does exactly the work G dedicated one-group fleets (a
 /// worker per shard each) do: identical per-group migration totals on
 /// identically seeded deployments, and the per-group metrics breakdown
-/// sums to the fleet aggregate.
+/// attributes each group its own migrations and sums to the fleet
+/// aggregate.
 #[test]
 fn shared_fleet_matches_dedicated_pools() {
     let sizes = [9, 4, 1, 6];
@@ -241,12 +242,15 @@ fn shared_fleet_matches_dedicated_pools() {
     }
 
     let metrics = scheduler.metrics();
-    let summed = metrics
-        .by_group
-        .iter()
-        .fold(0u64, |acc, (_, m)| acc + m.migrations);
-    assert_eq!(summed, metrics.total.migrations);
-    assert_eq!(summed, sizes.iter().sum::<usize>() as u64);
+    for (i, &objects) in sizes.iter().enumerate() {
+        let group = format!("g{i}");
+        let (_, m) = metrics.by_group.iter().find(|(g, _)| *g == group).unwrap();
+        assert_eq!(
+            m.migrations, objects as u64,
+            "metrics attribute {group}'s migrations to it"
+        );
+    }
+    assert_eq!(metrics.total.migrations, sizes.iter().sum::<usize>() as u64);
 }
 
 /// The one driver is the old serial one when W = 1: a one-folder task on a

@@ -7,11 +7,12 @@
 
 use cloud_store::{CloudStore, LatencyModel, ObjectStore, ShardedStore, StoreHandle};
 use dataplane::{
-    ClientSession, FleetConfig, ReencryptionPolicy, RevocationCoordinator, RwSystemBackend,
-    RwSystemConfig, SweepConfig, SweepScheduler, SweepTask, Sweeper,
+    ClientSession, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
+    SweepScheduler, SweepTask, Sweeper,
 };
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use std::time::Duration;
+use support::replay::{RwSystemBackend, RwSystemConfig};
 use support::sweep_by_hand;
 use workloads::{generate_read_write, replay_events, RwOp, RwTraceConfig};
 

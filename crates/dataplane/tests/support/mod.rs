@@ -1,7 +1,10 @@
 //! Shared test support for the data-plane suites: a request-recording
-//! store wrapper and a dispatcher-free sweep oracle.
+//! store wrapper, a dispatcher-free sweep oracle, and the full stack as a
+//! replay backend for the `workloads` read/write traces ([`replay`]).
 
 #![allow(dead_code)] // each suite uses its own subset
+
+pub mod replay;
 
 use cloud_store::{
     MetricsSnapshot, ObjectStore, Request, RequestOp, Response, StoreError, StoreHandle,

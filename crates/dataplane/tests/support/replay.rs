@@ -5,15 +5,12 @@
 //! trace replays unchanged on a single `CloudStore` or a folder-sharded
 //! `ShardedStore` with a matching [`SweepScheduler`] width.
 
-use crate::coordinator::{ReencryptionPolicy, RevocationCoordinator};
-use crate::error::DataError;
-use crate::metrics::DataMetricsSnapshot;
-use crate::pipeline::PipelinedSession;
-use crate::scheduler::{FleetConfig, SweepScheduler, SweepTask};
-use crate::session::ClientSession;
-use crate::sweeper::{SweepConfig, SweepReport};
 use acs::Admin;
 use cloud_store::{CloudStore, StoreHandle};
+use dataplane::{
+    ClientSession, DataError, DataMetricsSnapshot, FleetConfig, PipelinedSession,
+    ReencryptionPolicy, RevocationCoordinator, SweepConfig, SweepReport, SweepScheduler, SweepTask,
+};
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use workloads::rw::{RwOp, RwTrace};
 use workloads::{EventBackend, TraceOp};
@@ -90,7 +87,7 @@ pub struct RwSystemConfig {
     /// Seed for the engine and the sessions' DEK/nonce generators.
     pub seed: u64,
     /// Data folders the namespace is spread over (see
-    /// [`crate::data_shard_folder`]).
+    /// [`dataplane::data_shard_folder`]).
     pub data_shards: usize,
     /// Sweep-fleet workers, `W` (usually equal to `data_shards`).
     pub sweep_workers: usize,

@@ -1,13 +1,16 @@
 //! Property suite for the accumulator primitives: proofs generate and
 //! verify over arbitrary log lengths (including the 0/1-entry edges),
 //! serialized proofs round-trip, and flipping any single byte of a proof,
-//! commitment or leaf makes verification reject.
+//! commitment or leaf makes verification reject. Proof *size* is O(log n)
+//! as a count: a constant number of bytes per doubling of the log, and at
+//! most RFC 6962's `⌈log₂ n⌉ + 1` hashes on any consistency path.
 
 use oplog::{
     consistency_proof, inclusion_proof, leaf_hash, root_at, verify_consistency, verify_inclusion,
     ConsistencyProof, InclusionProof, LogCommitment, MerkleLog, TransitionProof,
 };
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES")
@@ -31,8 +34,78 @@ fn head_at(log: &MerkleLog, size: u64) -> LogCommitment {
     }
 }
 
+/// log₂ of the longest log the size tests look at.
+const MAX_LOG2: u32 = 16;
+
+/// One 2¹⁶-entry log over synthetic leaf hashes, built once: proof shape
+/// depends only on tree geometry, not on entry contents, and every shorter
+/// log is a prefix of this one.
+fn long_log() -> &'static MerkleLog {
+    static LOG: OnceLock<MerkleLog> = OnceLock::new();
+    LOG.get_or_init(|| {
+        let mut log = MerkleLog::new();
+        for i in 0..1u64 << MAX_LOG2 {
+            log.append_leaf(leaf_hash(&i.to_be_bytes()));
+        }
+        log
+    })
+}
+
+/// O(log n) as a count, not a stopwatch: at 2¹⁰, 2¹², 2¹⁴ and 2¹⁶ entries
+/// the serialized consistency proof from a mid-log pin (the client's "I
+/// was offline for a while" case) and the single-append transition proof
+/// (the auditor's fraud-proof unit) verify, grow by one hash — respectively
+/// one hash on each of the transition's two paths — per doubling of the
+/// log, and stay far under 4 KiB.
+#[test]
+fn proof_bytes_grow_by_a_constant_per_doubling_of_the_log() {
+    let log = long_log();
+    let bytes: Vec<(usize, usize)> = (10..=MAX_LOG2)
+        .step_by(2)
+        .map(|k| {
+            let n = 1u64 << k;
+            // `n/2 + 1` keeps the proof geometry uniform across sizes (a
+            // power-of-two pin collapses the path to a single hash)
+            let pin = n / 2 + 1;
+            let consistency = consistency_proof(log, pin, n).expect("complete tree");
+            // this pin attains RFC 6962's bound (the property below): one
+            // hash more would already be one too many
+            assert_eq!(consistency.path.len(), k as usize + 1);
+            verify_consistency(&head_at(log, pin), &head_at(log, n), &consistency)
+                .expect("honest proof verifies");
+            let transition = TransitionProof::build(log, n - 1).expect("complete tree");
+            transition.verify().expect("honest transition verifies");
+            (consistency.to_bytes().len(), transition.to_bytes().len())
+        })
+        .collect();
+    for pair in bytes.windows(2) {
+        // consecutive points are two doublings apart
+        assert_eq!(pair[1].0 - pair[0].0, 2 * 32, "consistency: {bytes:?}");
+        assert_eq!(pair[1].1 - pair[0].1, 2 * 64, "transition: {bytes:?}");
+    }
+    let (consistency, transition) = bytes[bytes.len() - 1];
+    assert!(consistency < 4096 && transition < 4096, "{bytes:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// RFC 6962's bound: whatever prefix a client pinned, the consistency
+    /// path to a head of `new` entries carries at most `⌈log₂ new⌉ + 1`
+    /// hashes — one sibling per level of the split, plus the pinned
+    /// subtree's own root when the pin is not on a subtree boundary.
+    #[test]
+    fn a_consistency_path_has_at_most_log2_new_plus_one_hashes(a in 1u64..=1 << MAX_LOG2, b in 1u64..=1 << MAX_LOG2) {
+        let (old, new) = (a.min(b), a.max(b));
+        let log = long_log();
+        let proof = consistency_proof(log, old, new).expect("complete tree");
+        let ceil_log2 = new.next_power_of_two().trailing_zeros() as usize;
+        prop_assert!(
+            proof.path.len() <= ceil_log2 + 1,
+            "{old} -> {new}: {} hashes, bound {}", proof.path.len(), ceil_log2 + 1
+        );
+        prop_assert!(verify_consistency(&head_at(log, old), &head_at(log, new), &proof).is_ok());
+    }
 
     /// Every leaf of every tree size (0/1 edges included via `new <= 1`)
     /// has an inclusion proof that verifies, and the proof survives a

@@ -3,8 +3,8 @@
 //! No interpolation: a reported p99 is always a latency that actually
 //! occurred, which is the honest choice for the small sample counts a
 //! bench smoke run (or a [`crate::Registry`] series) collects. The bench
-//! crate's `stats` module re-exports this function, so the benches and
-//! the registry agree on one definition.
+//! binaries and the repo benchmark call this function too, so they and the
+//! registry agree on one definition.
 
 use std::time::Duration;
 
@@ -69,5 +69,20 @@ mod tests {
             percentiles(&mut s, &[30.0, 40.0, 50.0, 100.0]),
             vec![ms(20), ms(20), ms(35), ms(50)]
         );
+    }
+
+    #[test]
+    fn sorts_unsorted_input_and_clamps_out_of_range() {
+        let mut s = [ms(9), ms(1), ms(5)];
+        assert_eq!(percentiles(&mut s, &[-10.0, 200.0]), vec![ms(1), ms(9)]);
+        // the slice itself comes back sorted
+        assert_eq!(s, [ms(1), ms(5), ms(9)]);
+    }
+
+    #[test]
+    fn p99_picks_the_tail_sample_once_the_count_justifies_it() {
+        // 100 samples 1..=100ms: p99 = rank 99, p50 = rank 50
+        let mut s: Vec<Duration> = (1..=100).map(ms).collect();
+        assert_eq!(percentiles(&mut s, &[50.0, 99.0]), vec![ms(50), ms(99)]);
     }
 }

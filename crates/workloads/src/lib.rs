@@ -13,14 +13,12 @@
 //! * [`rw`] — the read/write data-plane workload: skewed object traffic
 //!   interleaved with membership churn (the lazy-vs-eager re-encryption
 //!   scenario family);
-//! * [`fleet`] — the multi-tenant workload: G groups with square-law
-//!   skewed sizes and churn rates plus a staleness (arm) order — what the
-//!   shared sweep scheduler and the `fleet_sweep` bench consume;
 //! * [`replay_events()`] — the generic timing-capturing driver over any
 //!   event type implementing [`ReplayOp`] and backend implementing
 //!   [`EventBackend`]; [`replay()`] / [`replay_batched()`] are the
 //!   membership-shaped entry points on top of it (IBBE-SGX and HE backends
-//!   live in the bench crate, the data-plane backend in `dataplane`).
+//!   live in the bench crate, the data-plane backend in `dataplane`'s
+//!   test support).
 //!
 //! ```
 //! use workloads::{generate_kernel_trace, KernelTraceConfig};
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod fleet;
 pub mod kernel;
 pub mod replay;
 pub mod rw;
@@ -41,7 +38,6 @@ pub mod synthetic;
 pub mod trace;
 
 pub use batch::{generate_batched_churn, BatchedChurnConfig, BatchedChurnTrace};
-pub use fleet::{generate_fleet, FleetTrace, FleetTraceConfig, TenantSpec};
 pub use kernel::{generate_kernel_trace, KernelTraceConfig};
 pub use replay::{
     replay, replay_batched, replay_events, BatchReplayBackend, BatchReplayReport, EventBackend,

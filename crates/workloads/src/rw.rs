@@ -8,7 +8,8 @@
 //! Object popularity is skewed (square-law, a cheap Zipf stand-in) so hot
 //! objects get rewritten — and thus lazily re-encrypted — quickly, while a
 //! cold tail lingers on old epochs until a sweeper migrates it, which is
-//! precisely the trade-off the `lazy_vs_eager` bench measures.
+//! precisely the trade-off the repo benchmark's `revoke_sweep` workload
+//! measures.
 
 use crate::trace::TraceOp;
 use rand::rngs::StdRng;
