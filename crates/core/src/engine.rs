@@ -18,8 +18,8 @@ use crate::batch::{BatchOutcome, BatchPlan, MembershipBatch, Placement};
 use crate::error::CoreError;
 use crate::metadata::{GroupKey, GroupMetadata, KeyHistory, PartitionMetadata, WrappedGroupKey};
 use ibbe::{
-    add_user_with_msk, encrypt_with_msk, extract, remove_user_with_msk, setup, BroadcastKey,
-    MasterSecretKey, PublicKey, UserSecretKey,
+    add_user_with_msk, encrypt_with_msk_using, extract, rekey_using, remove_user_with_msk, setup,
+    BroadcastKey, Ephemeral, MasterSecretKey, PublicKey, Receivers, UserSecretKey,
 };
 use sgx_sim::{ChannelKeyPair, Enclave, EnclaveBuilder, EnclaveContext, Measurement};
 use std::collections::HashSet;
@@ -269,7 +269,7 @@ impl GroupEngine {
             return Err(CoreError::InvalidPartitionSize(fill.get()));
         }
         let m = fill.get();
-        let pk = self.pk.clone();
+        let pk = &self.pk;
         let name_owned = name.to_string();
         let meta = self.enclave.ecall(move |st, ctx| {
             // line 2: gk ← RandomKey(), serving key epoch 1
@@ -277,7 +277,7 @@ impl GroupEngine {
             let epoch = 1u64;
             // lines 3–5: per-partition encrypt + wrap
             let partitions =
-                build_partitions(&st.msk, &pk, &members, &gk, epoch, m, &name_owned, ctx)?;
+                build_partitions(&st.msk, pk, &members, &gk, epoch, m, &name_owned, ctx)?;
             // line 6: seal gk for persistence; the epoch-key history starts
             // empty (no retired keys yet) but is published from day one so
             // the data plane has a uniform unlock path
@@ -405,7 +405,7 @@ impl GroupEngine {
         plan: BatchPlan,
     ) -> Result<BatchOutcome, CoreError> {
         let m = self.partition_size.get();
-        let pk = self.pk.clone();
+        let pk = &self.pk;
         let name = meta.name.clone();
         let sealed = meta.sealed_gk.clone();
         let epoch = meta.epoch;
@@ -426,17 +426,7 @@ impl GroupEngine {
             let mut new_parts = Vec::new();
             if !overflow.is_empty() {
                 let gk = unseal_gk(ctx, &sealed, &name)?;
-                for chunk in overflow.chunks(m) {
-                    new_parts.push(make_partition(
-                        &st.msk,
-                        &pk,
-                        chunk.to_vec(),
-                        &gk,
-                        epoch,
-                        &name,
-                        ctx,
-                    )?);
-                }
+                new_parts = build_partitions(&st.msk, pk, &overflow, &gk, epoch, m, &name, ctx)?;
             }
             // Phase 2 — infallible: one O(1) ciphertext update per
             // assigned add, then append the packed new partitions.
@@ -490,7 +480,7 @@ impl GroupEngine {
         plan: BatchPlan,
     ) -> Result<BatchOutcome, CoreError> {
         let m = self.partition_size.get();
-        let pk = self.pk.clone();
+        let pk = &self.pk;
         let name = meta.name.clone();
         let sealed_old = meta.sealed_gk.clone();
         let old_history = meta.key_history.clone();
@@ -533,18 +523,8 @@ impl GroupEngine {
                     retired.push((old_epoch, old_gk));
                     let gk = random_gk(ctx);
                     let history = seal_history(ctx, &retired, &gk, &name);
-                    let mut new_parts = Vec::new();
-                    for chunk in overflow.chunks(m) {
-                        new_parts.push(make_partition(
-                            &st.msk,
-                            &pk,
-                            chunk.to_vec(),
-                            &gk,
-                            new_epoch,
-                            &name,
-                            ctx,
-                        )?);
-                    }
+                    let new_parts =
+                        build_partitions(&st.msk, pk, &overflow, &gk, new_epoch, m, &name, ctx)?;
                     // Phase 2 — infallible. Strip revoked members with
                     // constant-time C3 updates, dropping emptied partitions.
                     for mut p in std::mem::take(partitions) {
@@ -561,7 +541,7 @@ impl GroupEngine {
                             }
                             for u in &goners {
                                 let (_, ct) =
-                                    remove_user_with_msk(&st.msk, &pk, &p.ciphertext, u, ctx.rng());
+                                    remove_user_with_msk(&st.msk, pk, &p.ciphertext, u, ctx.rng());
                                 p.ciphertext = ct;
                             }
                         }
@@ -574,19 +554,8 @@ impl GroupEngine {
                         target.members.push(user.clone());
                     }
                     // The batch invariant: one re-key per surviving partition.
-                    let mut rekeyed = 0usize;
-                    for (idx, p) in partitions.iter_mut().enumerate() {
-                        let _span = telemetry::span("enclave.rekey")
-                            .with("partition", idx)
-                            .with("members", p.members.len())
-                            .with("epoch", new_epoch)
-                            .enter();
-                        let (bk, ct) = ibbe::rekey(&pk, &p.ciphertext, ctx.rng());
-                        p.ciphertext = ct;
-                        p.wrapped_gk = wrap_gk(&bk, &gk, &name, ctx);
-                        p.epoch = new_epoch;
-                        rekeyed += 1;
-                    }
+                    rekey_partitions(pk, partitions, &gk, new_epoch, &name, ctx);
+                    let rekeyed = partitions.len();
                     let created = new_parts.len();
                     partitions.extend(new_parts);
                     Ok((seal_gk(ctx, &gk, &name), history, rekeyed, created))
@@ -648,13 +617,13 @@ impl GroupEngine {
             return Err(CoreError::InvalidPartitionSize(fill.get()));
         }
         let m = fill.get();
-        let pk = self.pk.clone();
+        let pk = &self.pk;
         let name = meta.name.clone();
         let sealed = meta.sealed_gk.clone();
         let epoch = meta.epoch;
         let partitions = self.enclave.ecall(move |st, ctx| {
             let gk = unseal_gk(ctx, &sealed, &name)?;
-            build_partitions(&st.msk, &pk, &members, &gk, epoch, m, &name, ctx)
+            build_partitions(&st.msk, pk, &members, &gk, epoch, m, &name, ctx)
         })?;
         Ok(GroupMetadata {
             name: meta.name.clone(),
@@ -676,31 +645,24 @@ impl GroupEngine {
     /// # Errors
     /// [`CoreError::Sgx`] on unseal failure.
     pub fn rekey_group(&self, meta: &mut GroupMetadata) -> Result<(), CoreError> {
-        let pk = self.pk.clone();
+        let pk = &self.pk;
         let name = meta.name.clone();
         let sealed_old = meta.sealed_gk.clone();
         let old_history = meta.key_history.clone();
         let old_epoch = meta.epoch;
         let new_epoch = old_epoch + 1;
-        // cloned (not taken) so an unseal failure leaves `meta` untouched
-        let mut partitions = meta.partitions.clone();
-        let result = self.enclave.ecall(move |_, ctx| {
-            // fallible prologue: recover the retiring key and its history
+        let partitions = &mut meta.partitions;
+        let (sealed, history) = self.enclave.ecall(|_, ctx| {
+            // fallible prologue, touches nothing: recover the retiring key
+            // and its history
             let old_gk = unseal_gk(ctx, &sealed_old, &name)?;
             let mut retired = unlock_history(&old_history, &old_gk, &name)?;
             retired.push((old_epoch, old_gk));
             let gk = random_gk(ctx);
             let history = seal_history(ctx, &retired, &gk, &name);
-            for p in partitions.iter_mut() {
-                let (bk, ct) = ibbe::rekey(&pk, &p.ciphertext, ctx.rng());
-                p.ciphertext = ct;
-                p.wrapped_gk = wrap_gk(&bk, &gk, &name, ctx);
-                p.epoch = new_epoch;
-            }
-            Ok::<_, CoreError>((seal_gk(ctx, &gk, &name), history, partitions))
-        });
-        let (sealed, history, rotated) = result?;
-        meta.partitions = rotated;
+            rekey_partitions(pk, partitions, &gk, new_epoch, &name, ctx);
+            Ok::<_, CoreError>((seal_gk(ctx, &gk, &name), history))
+        })?;
         meta.sealed_gk = sealed;
         meta.key_history = history;
         meta.epoch = new_epoch;
@@ -826,17 +788,23 @@ fn random_gk(ctx: &mut EnclaveContext<'_>) -> GroupKey {
     GroupKey(k)
 }
 
+/// A wrap nonce from the enclave's DRBG.
+fn random_nonce(ctx: &mut EnclaveContext<'_>) -> [u8; NONCE_LEN] {
+    let mut nonce = [0u8; NONCE_LEN];
+    ctx.rng().generate(&mut nonce);
+    nonce
+}
+
 /// `AES(SHA-256(bk), gk)` — the paper's `y_p` (Algorithm 1, line 5), as
-/// AES-256-GCM so corruption is detected.
+/// AES-256-GCM so corruption is detected. Pure: the nonce was drawn by the
+/// caller ([`random_nonce`]).
 fn wrap_gk(
     bk: &BroadcastKey,
     gk: &GroupKey,
     group_name: &str,
-    ctx: &mut EnclaveContext<'_>,
+    nonce: [u8; NONCE_LEN],
 ) -> WrappedGroupKey {
     let key = sha256(&bk.to_bytes());
-    let mut nonce = [0u8; NONCE_LEN];
-    ctx.rng().generate(&mut nonce);
     let ciphertext = AesGcm::new(&key).seal(&nonce, group_name.as_bytes(), &gk.0);
     WrappedGroupKey { nonce, ciphertext }
 }
@@ -880,8 +848,7 @@ fn seal_history(
         plain.extend_from_slice(&epoch.to_be_bytes());
         plain.extend_from_slice(&key.0);
     }
-    let mut nonce = [0u8; NONCE_LEN];
-    ctx.rng().generate(&mut nonce);
+    let nonce = random_nonce(ctx);
     let ciphertext = AesGcm::new(&history_key(gk)).seal(&nonce, group_name.as_bytes(), &plain);
     KeyHistory { nonce, ciphertext }
 }
@@ -925,9 +892,17 @@ fn unseal_gk(
     Ok(GroupKey(bytes))
 }
 
-/// Algorithm 1's partition loop, shared by group creation and
-/// re-partitioning: chunks `members` into partitions of at most `m`
-/// wrapping `gk` at `epoch`.
+/// Algorithm 1's partition loop, the one place partitions are built (group
+/// creation, re-partitioning, a batch's overflow): chunks `members` into
+/// partitions of at most `m` wrapping `gk` at `epoch`.
+///
+/// *Draw, then compute.* Everything random comes off the ecall's DRBG
+/// first, sequentially and in the order a one-partition-at-a-time loop
+/// would take it — per chunk: validate, `k`, wrap nonce — so the published
+/// bytes do not depend on how the work is spread. What is left per
+/// partition is a pure function of `(msk, pk, chunk, k, nonce, gk)` and runs
+/// on the enclave's threads ([`exec::map_chunks`]); the workers see no
+/// [`EnclaveContext`] and what they borrow dies with the ecall.
 #[allow(clippy::too_many_arguments)]
 fn build_partitions(
     msk: &MasterSecretKey,
@@ -939,36 +914,63 @@ fn build_partitions(
     group_name: &str,
     ctx: &mut EnclaveContext<'_>,
 ) -> Result<Vec<PartitionMetadata>, CoreError> {
-    let mut partitions = Vec::with_capacity(members.len().div_ceil(m));
+    let mut drawn = Vec::with_capacity(members.len().div_ceil(m));
     for chunk in members.chunks(m) {
-        partitions.push(make_partition(
-            msk,
-            pk,
-            chunk.to_vec(),
-            gk,
-            epoch,
-            group_name,
-            ctx,
-        )?);
+        let receivers = Receivers::new(pk, chunk)?;
+        drawn.push((receivers, Ephemeral::draw(ctx.rng()), random_nonce(ctx)));
     }
-    Ok(partitions)
+    let built = exec::map_chunks(&drawn, 1, |drawn| {
+        let partitions = drawn.iter().map(|(receivers, k, nonce)| {
+            let (bk, ciphertext) = encrypt_with_msk_using(msk, pk, *receivers, k);
+            PartitionMetadata {
+                epoch,
+                members: receivers.members().to_vec(),
+                ciphertext,
+                wrapped_gk: wrap_gk(&bk, gk, group_name, *nonce),
+            }
+        });
+        partitions.collect::<Vec<_>>()
+    });
+    Ok(built.into_iter().flatten().collect())
 }
 
-fn make_partition(
-    msk: &MasterSecretKey,
+/// Algorithm 3's re-key loop, the one place partitions are re-keyed (a
+/// revoking batch, an explicit rotation): a fresh broadcast key per
+/// partition from its public `C3`, wrapping `gk` at `epoch`. Draw, then
+/// compute, as [`build_partitions`]: per partition `k` then the wrap nonce
+/// off the DRBG, the exponentiations spread over the enclave's threads —
+/// one `enclave.rekey` span each, on the caller's request id — and the
+/// results written back in order once every one of them is in.
+fn rekey_partitions(
     pk: &PublicKey,
-    members: Vec<String>,
+    partitions: &mut [PartitionMetadata],
     gk: &GroupKey,
     epoch: u64,
     group_name: &str,
     ctx: &mut EnclaveContext<'_>,
-) -> Result<PartitionMetadata, CoreError> {
-    let (bk, ciphertext) = encrypt_with_msk(msk, pk, &members, ctx.rng())?;
-    let wrapped_gk = wrap_gk(&bk, gk, group_name, ctx);
-    Ok(PartitionMetadata {
-        epoch,
-        members,
-        ciphertext,
-        wrapped_gk,
-    })
+) {
+    let drawn: Vec<_> = partitions
+        .iter()
+        .enumerate()
+        .map(|(idx, p)| (idx, p, Ephemeral::draw(ctx.rng()), random_nonce(ctx)))
+        .collect();
+    let rid = telemetry::current_request_id();
+    let rekeyed = exec::map_chunks(&drawn, 1, |drawn| {
+        let _rid = telemetry::adopt_request_id(rid);
+        let rekeyed = drawn.iter().map(|(idx, p, k, nonce)| {
+            let _span = telemetry::span("enclave.rekey")
+                .with("partition", *idx)
+                .with("members", p.members.len())
+                .with("epoch", epoch)
+                .enter();
+            let (bk, ciphertext) = rekey_using(pk, &p.ciphertext, k);
+            (ciphertext, wrap_gk(&bk, gk, group_name, *nonce))
+        });
+        rekeyed.collect::<Vec<_>>()
+    });
+    for (p, (ciphertext, wrapped_gk)) in partitions.iter_mut().zip(rekeyed.into_iter().flatten()) {
+        p.ciphertext = ciphertext;
+        p.wrapped_gk = wrapped_gk;
+        p.epoch = epoch;
+    }
 }

@@ -15,7 +15,10 @@
 //!
 //! Both produce identical ciphertexts (tested bit-for-bit), plus the
 //! auxiliary `C3` element (Eq. 5) that gives `O(1)` [`remove_user_with_msk`]
-//! and [`rekey`].
+//! and [`rekey`]. The two steps a caller may want to run on several cores
+//! come apart into an [`Ephemeral::draw`] and a pure half
+//! ([`encrypt_with_msk_using`], [`rekey_using`]); the rng-taking functions
+//! are their composition.
 //!
 //! ```
 //! use ibbe::{setup, extract, encrypt_with_msk, decrypt};
@@ -38,7 +41,8 @@ pub mod scheme;
 
 pub use error::IbbeError;
 pub use scheme::{
-    add_user_public, add_user_with_msk, decrypt, encrypt_public, encrypt_with_msk, extract,
-    hash_identity, rekey, remove_user_with_msk, setup, BroadcastKey, Ciphertext, MasterSecretKey,
-    PublicKey, UserSecretKey, CIPHERTEXT_BYTES,
+    add_user_public, add_user_with_msk, decrypt, encrypt_public, encrypt_with_msk,
+    encrypt_with_msk_using, extract, hash_identity, rekey, rekey_using, remove_user_with_msk,
+    setup, BroadcastKey, Ciphertext, Ephemeral, MasterSecretKey, PublicKey, Receivers,
+    UserSecretKey, CIPHERTEXT_BYTES,
 };

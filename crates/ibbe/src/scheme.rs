@@ -120,6 +120,28 @@ impl core::fmt::Debug for BroadcastKey {
     }
 }
 
+/// The encryption randomness `k` (`bk = v^k`, `C1 = w^(-k)`, `C2 = C3^k`),
+/// drawn apart from its use: a caller that encrypts or re-keys many
+/// partitions takes every [`Ephemeral::draw`] from its one RNG in a fixed
+/// order and is then free to run the exponentiations — pure functions of
+/// their arguments ([`encrypt_with_msk_using`], [`rekey_using`]) — wherever
+/// and in whatever order it likes. Whoever holds `k` can derive `bk`, so the
+/// type is opaque: no bytes, no serialisation, no copy.
+pub struct Ephemeral(Scalar);
+
+impl Ephemeral {
+    /// Draws a fresh non-zero `k`.
+    pub fn draw<R: rand::RngCore + ?Sized>(rng: &mut R) -> Self {
+        Self(Scalar::random_nonzero(rng))
+    }
+}
+
+impl core::fmt::Debug for Ephemeral {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "Ephemeral(<redacted>)")
+    }
+}
+
 /// The broadcast ciphertext `(C1, C2, C3)`.
 ///
 /// `C1 = w^(-k)`, `C2 = h^(k·∏(γ+H(u)))`, and the auxiliary
@@ -159,23 +181,44 @@ impl Ciphertext {
     }
 }
 
-fn check_members(members: &[String], max: usize) -> Result<Vec<Scalar>, IbbeError> {
-    if members.is_empty() {
-        return Err(IbbeError::EmptyGroup);
-    }
-    if members.len() > max {
-        return Err(IbbeError::GroupTooLarge {
-            requested: members.len(),
-            max,
-        });
-    }
-    let mut seen = std::collections::HashSet::new();
-    for m in members {
-        if !seen.insert(m.as_str()) {
-            return Err(IbbeError::DuplicateIdentity(m.clone()));
+/// A receiver set that passed validation against a public key: not empty,
+/// within the key's capacity, no identity twice.
+#[derive(Clone, Copy, Debug)]
+pub struct Receivers<'a>(&'a [String]);
+
+impl<'a> Receivers<'a> {
+    /// Validates `members` as a receiver set under `pk`.
+    ///
+    /// # Errors
+    /// [`IbbeError::EmptyGroup`], [`IbbeError::GroupTooLarge`],
+    /// [`IbbeError::DuplicateIdentity`].
+    pub fn new(pk: &PublicKey, members: &'a [String]) -> Result<Self, IbbeError> {
+        if members.is_empty() {
+            return Err(IbbeError::EmptyGroup);
         }
+        if members.len() > pk.max_group_size() {
+            return Err(IbbeError::GroupTooLarge {
+                requested: members.len(),
+                max: pk.max_group_size(),
+            });
+        }
+        let mut seen = std::collections::HashSet::new();
+        for m in members {
+            if !seen.insert(m.as_str()) {
+                return Err(IbbeError::DuplicateIdentity(m.clone()));
+            }
+        }
+        Ok(Self(members))
     }
-    Ok(members.iter().map(|m| hash_identity(m)).collect())
+
+    /// The validated identities, in the caller's order.
+    pub fn members(&self) -> &'a [String] {
+        self.0
+    }
+
+    fn hashes(&self) -> Vec<Scalar> {
+        self.0.iter().map(|m| hash_identity(m)).collect()
+    }
 }
 
 /// System setup (paper §A-A): generates `MSK = (g, γ)` and
@@ -216,17 +259,11 @@ pub fn extract(msk: &MasterSecretKey, identity: &str) -> UserSecretKey {
     UserSecretKey(G1Projective::from(msk.g).mul_scalar(&inv).to_affine())
 }
 
-fn finish_encrypt(pk: &PublicKey, k: &Scalar, c2_base: G2Projective) -> (BroadcastKey, Ciphertext) {
-    let bk = BroadcastKey(pk.v.pow(k));
-    let c1 = G1Projective::from(pk.w).mul_scalar(&(-*k)).to_affine();
-    let c3 = c2_base.to_affine();
-    let c2 = c2_base.mul_scalar(k).to_affine();
-    (bk, Ciphertext { c1, c2, c3 })
-}
-
 /// IBBE-SGX encryption (paper §A-C, Eq. 3): using `MSK`, the exponent
 /// `∏(γ + H(u))` is computed directly in `Z_r`, making the operation
 /// **linear** in the receiver-set size (one `G2` exponentiation overall).
+/// The set is validated before `k` is drawn, so a rejected set consumes no
+/// randomness; the rest is [`encrypt_with_msk_using`].
 ///
 /// # Errors
 /// Set-validation failures ([`IbbeError::EmptyGroup`],
@@ -237,11 +274,22 @@ pub fn encrypt_with_msk<R: rand::RngCore + ?Sized>(
     members: &[String],
     rng: &mut R,
 ) -> Result<(BroadcastKey, Ciphertext), IbbeError> {
-    let hashes = check_members(members, pk.max_group_size())?;
-    let k = Scalar::random_nonzero(rng);
-    let exponent: Scalar = hashes.iter().map(|&h| msk.gamma + h).product();
-    let c2_base = G2Projective::from(*pk.h()).mul_scalar(&exponent);
-    Ok(finish_encrypt(pk, &k, c2_base))
+    let receivers = Receivers::new(pk, members)?;
+    let k = Ephemeral::draw(rng);
+    Ok(encrypt_with_msk_using(msk, pk, receivers, &k))
+}
+
+/// [`encrypt_with_msk`] for a `k` drawn beforehand: a pure function of its
+/// arguments.
+pub fn encrypt_with_msk_using(
+    msk: &MasterSecretKey,
+    pk: &PublicKey,
+    receivers: Receivers<'_>,
+    k: &Ephemeral,
+) -> (BroadcastKey, Ciphertext) {
+    let identities = receivers.0.iter();
+    let exponent: Scalar = identities.map(|m| msk.gamma + hash_identity(m)).product();
+    rekey_from_c3(pk, G2Projective::from(*pk.h()).mul_scalar(&exponent), k)
 }
 
 /// Traditional IBBE encryption (paper Eq. 4): without `MSK`, the polynomial
@@ -256,13 +304,13 @@ pub fn encrypt_public<R: rand::RngCore + ?Sized>(
     members: &[String],
     rng: &mut R,
 ) -> Result<(BroadcastKey, Ciphertext), IbbeError> {
-    let hashes = check_members(members, pk.max_group_size())?;
-    let k = Scalar::random_nonzero(rng);
+    let hashes = Receivers::new(pk, members)?.hashes();
+    let k = Ephemeral::draw(rng);
     // h^(Σ c_l·γ^l) from the published powers; variable-time in the
     // coefficients, which derive from public identities only
     let coeffs = expand_from_roots(&hashes);
-    let c2_base = G2Projective::msm(&pk.h_powers[..coeffs.len()], &coeffs);
-    Ok(finish_encrypt(pk, &k, c2_base))
+    let c3 = G2Projective::msm(&pk.h_powers[..coeffs.len()], &coeffs);
+    Ok(rekey_from_c3(pk, c3, &k))
 }
 
 /// Decryption (paper §A-D): recovers `bk` for member `identity` of the
@@ -281,7 +329,7 @@ pub fn decrypt(
     members: &[String],
     ct: &Ciphertext,
 ) -> Result<BroadcastKey, IbbeError> {
-    let mut others = check_members(members, pk.max_group_size())?;
+    let mut others = Receivers::new(pk, members)?.hashes();
     let Some(me) = members.iter().position(|m| m == identity) else {
         return Err(IbbeError::NotAMember(identity.to_string()));
     };
@@ -327,7 +375,7 @@ pub fn remove_user_with_msk<R: rand::RngCore + ?Sized>(
     let e = msk.gamma + hash_identity(removed_identity);
     let e_inv = e.invert().expect("γ + H(u) ≠ 0");
     let c3 = G2Projective::from(ct.c3).mul_scalar(&e_inv);
-    rekey_from_c3(pk, c3, rng)
+    rekey_from_c3(pk, c3, &Ephemeral::draw(rng))
 }
 
 /// Re-keying (paper §A-G): draws a fresh `k` and rebuilds `(bk, C1, C2)`
@@ -338,18 +386,21 @@ pub fn rekey<R: rand::RngCore + ?Sized>(
     ct: &Ciphertext,
     rng: &mut R,
 ) -> (BroadcastKey, Ciphertext) {
-    rekey_from_c3(pk, G2Projective::from(ct.c3), rng)
+    rekey_using(pk, ct, &Ephemeral::draw(rng))
 }
 
-fn rekey_from_c3<R: rand::RngCore + ?Sized>(
-    pk: &PublicKey,
-    c3: G2Projective,
-    rng: &mut R,
-) -> (BroadcastKey, Ciphertext) {
-    let k = Scalar::random_nonzero(rng);
-    let bk = BroadcastKey(pk.v.pow(&k));
-    let c1 = G1Projective::from(pk.w).mul_scalar(&(-k)).to_affine();
-    let c2 = c3.mul_scalar(&k).to_affine();
+/// [`rekey`] for a `k` drawn beforehand: a pure function of its arguments.
+pub fn rekey_using(pk: &PublicKey, ct: &Ciphertext, k: &Ephemeral) -> (BroadcastKey, Ciphertext) {
+    rekey_from_c3(pk, G2Projective::from(ct.c3), k)
+}
+
+/// `(bk, C1, C2, C3) = (v^k, w^(-k), C3^k, C3)`: where every encryption,
+/// removal and re-key ends.
+fn rekey_from_c3(pk: &PublicKey, c3: G2Projective, k: &Ephemeral) -> (BroadcastKey, Ciphertext) {
+    let k = &k.0;
+    let bk = BroadcastKey(pk.v.pow(k));
+    let c1 = G1Projective::from(pk.w).mul_scalar(&(-*k)).to_affine();
+    let c2 = c3.mul_scalar(k).to_affine();
     (
         bk,
         Ciphertext {

@@ -9,6 +9,7 @@
 mod reference;
 
 use ibbe_bigint::Uint;
+use ibbe_pairing::curve::MSM_MIN_TERMS;
 use ibbe_pairing::fp6::Fp6;
 use ibbe_pairing::g1::G1Params;
 use ibbe_pairing::g2::G2Params;
@@ -240,15 +241,19 @@ fn assert_mul_matches_reference<C: Curve>(p: &Projective<C>, k: &Scalar) {
     assert_eq!(p.mul_uint(&Uint::<4>::ONE), *p);
 }
 
-/// `n` terms seeded by `seed`, salted with the cases a Straus loop can trip
-/// on: identity points, repeated points (and a negated repeat), zero
-/// scalars, and the scalars 1 and r − 1.
-fn msm_terms<C: Curve>(n: usize, seed: u64) -> (Vec<Affine<C>>, Vec<Scalar>) {
+/// `n` terms seeded by `seed`; `salted` with the cases a Straus loop can
+/// trip on — identity points, repeated points (and a negated repeat), zero
+/// scalars, the scalars 1 and r − 1 — and with dead terms where the input
+/// would be cut in two and at its end.
+fn msm_terms<C: Curve>(n: usize, seed: u64, salted: bool) -> (Vec<Affine<C>>, Vec<Scalar>) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut points: Vec<Affine<C>> = (0..n)
         .map(|_| Projective::<C>::random(&mut rng).to_affine())
         .collect();
     let mut scalars: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut rng)).collect();
+    if !salted {
+        return (points, scalars);
+    }
     for i in 0..n {
         match i % 13 {
             2 => points[i] = Affine::identity(),
@@ -260,17 +265,23 @@ fn msm_terms<C: Curve>(n: usize, seed: u64) -> (Vec<Affine<C>>, Vec<Scalar>) {
             _ => {}
         }
     }
+    if n >= 2 {
+        scalars[n / 2 - 1] = Scalar::ZERO;
+        points[n / 2] = Affine::identity();
+        scalars[n - 1] = Scalar::ZERO;
+    }
     (points, scalars)
 }
 
-fn assert_msm_matches_reference<C: Curve>(lengths: &[usize]) {
+fn assert_msm_matches_reference<C: Curve>(lengths: &[usize], salted: bool) {
     for (seed, &n) in lengths.iter().enumerate() {
-        let (points, scalars) = msm_terms::<C>(n, seed as u64);
+        let (points, scalars) = msm_terms::<C>(n, seed as u64, salted);
         assert_eq!(
             Projective::msm(&points, &scalars),
             reference::sum_of_products(&points, &scalars),
-            "{} terms on {}",
+            "{} terms (salted: {}) on {}",
             n,
+            salted,
             C::name()
         );
     }
@@ -278,8 +289,16 @@ fn assert_msm_matches_reference<C: Curve>(lengths: &[usize]) {
 
 #[test]
 fn msm_matches_the_sum_of_reference_products() {
-    assert_msm_matches_reference::<G2Params>(&[0, 1, 2, 127, 128, 300]);
-    assert_msm_matches_reference::<G1Params>(&[0, 1, 2, 127, 128, 300]);
+    // every term live, so `n` is the count `msm` splits by: around the
+    // sizes where a second and a third run may start, and the partition
+    // sizes the schemes run at
+    const M: usize = MSM_MIN_TERMS;
+    let live = [0, 1, M - 1, M, 2 * M - 1, 2 * M, 2 * M + 1, 127, 128, 129];
+    assert_msm_matches_reference::<G2Params>(&live, false);
+    assert_msm_matches_reference::<G1Params>(&live, false);
+    let salted = [1, 2, 3 * M, 127, 128, 300];
+    assert_msm_matches_reference::<G2Params>(&salted, true);
+    assert_msm_matches_reference::<G1Params>(&salted, true);
 }
 
 #[test]

@@ -10,6 +10,18 @@
 //! The paper's "zero knowledge" guarantee for administrators maps exactly to
 //! this boundary: the admin process only ever observes ecall return values,
 //! which the IBBE-SGX enclave code restricts to ciphertexts and sealed blobs.
+//!
+//! **Threads.** One thread at a time is inside [`Enclave::ecall`] (the
+//! state sits behind one lock) and only that thread holds the
+//! [`EnclaveContext`]: randomness, sealing and unsealing happen on it and
+//! nowhere else. An ecall may still fan *pure* work — a function of values
+//! it has already drawn or unsealed — out over as many in-enclave threads as
+//! the host has cores, the simulation's stand-in for the enclave's further
+//! TCS slots: scoped threads (`exec::map_chunks`) that borrow from the
+//! ecall's frame and are joined before it returns, so nothing a worker
+//! touches outlives the closure or leaves the boundary except through the
+//! ecall's own return value. The lock does not poison: a worker's panic
+//! unwinds the ecall and the next one is served.
 
 use crate::epc::EpcMeter;
 use crate::sealing::{seal_with_key, unseal_with_key, SealedBlob, SealingKey};
