@@ -12,9 +12,17 @@
 //! surviving partition per batch in the engine, one [`ObjectStore::put_many`]
 //! round-trip publishing every dirty object, and (when a signer is
 //! configured) one coalesced [`LogOp::Batch`] entry in the certified op-log.
-//! The single-op [`Admin::add_user`] / [`Admin::remove_user`] entry points
-//! retain the sequential per-object PUT profile of the paper's original
-//! design (they are what the batch pipeline is benchmarked against).
+//! Only [`Admin::create_group`] and [`Admin::remove_user`] keep the paper's
+//! per-object PUT profile (plus one `put_many` for the log objects when a
+//! signer is configured); [`Admin::add_user`] publishes its one partition
+//! with a PUT, or with the log objects in one `put_many`.
+//!
+//! **Locking.** Each group's metadata and log sit behind a lock of their
+//! own, held across the engine call, the log append and the publish, so a
+//! group's application, log and publish orders are one order. The map of
+//! groups is locked only to look up, insert or remove an entry, never while
+//! a group lock is awaited. Different groups' operations therefore overlap,
+//! under the one engine and its one master secret.
 
 use crate::error::AcsError;
 use crate::oplog::{AdminSigner, LogOp};
@@ -26,7 +34,8 @@ use ibbe_sgx_core::{
 };
 use oplog::LogCommitment;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 /// Item name for the sealed group key object inside a group folder.
 pub const SEALED_ITEM: &str = "_sealed_gk";
@@ -42,23 +51,25 @@ pub fn partition_item(i: usize) -> String {
     format!("p{i:06}")
 }
 
-/// Optional certified journaling: every mutation this admin performs is
-/// signed into its group's [`GroupLog`], whose objects (entry, completed
-/// tree nodes, head) are published to the cloud alongside the metadata the
-/// mutation produced — see [`crate::verilog`] for the layout and the
-/// verification story.
-struct Journal {
-    signer: AdminSigner,
-    groups: Mutex<HashMap<String, GroupLog>>,
+/// One group's admin-side state: the cached metadata and the group's
+/// certified log (empty without a signer; see [`crate::verilog`] for the
+/// published layout).
+struct Group {
+    meta: GroupMetadata,
+    log: GroupLog,
 }
+
+/// A group's entry in the admin's map: `None` while [`Admin::create_group`]
+/// holds the name and has not yet published the group.
+type Slot = Arc<Mutex<Option<Group>>>;
 
 /// The administrator API.
 pub struct Admin {
     engine: GroupEngine,
     store: StoreHandle,
-    cache: Mutex<HashMap<String, GroupMetadata>>,
+    groups: Mutex<HashMap<String, Slot>>,
     auto_repartition: bool,
-    journal: Option<Journal>,
+    signer: Option<AdminSigner>,
 }
 
 impl Admin {
@@ -69,9 +80,9 @@ impl Admin {
         Self {
             engine,
             store: store.into(),
-            cache: Mutex::new(HashMap::new()),
+            groups: Mutex::default(),
             auto_repartition: true,
-            journal: None,
+            signer: None,
         }
     }
 
@@ -79,66 +90,67 @@ impl Admin {
     /// signed entry of its group's log (batches as a single coalesced
     /// [`LogOp::Batch`]).
     pub fn with_signer(mut self, signer: AdminSigner) -> Self {
-        self.journal = Some(Journal {
-            signer,
-            groups: Mutex::default(),
-        });
+        self.signer = Some(signer);
         self
     }
 
     /// Head of `group`'s published Merkle log (`None` without a signer or
     /// before the group's first journaled operation).
     pub fn log_head(&self, group: &str) -> Option<LogCommitment> {
-        self.journal.as_ref()?.groups.lock().get(group)?.head()
+        self.with_group(group, |g| Ok(g.log.head())).ok()?
     }
 
-    /// Appends a journal entry and queues its publishable objects (entry,
-    /// completed tree nodes). Returns the new log head to stamp into the
-    /// group metadata, or `None` when no signer is configured.
-    ///
-    /// Callers invoke this while still holding the cache lock and *before*
-    /// the store round-trip, so journal order always matches application
-    /// order and the queued objects ride in the same publish as the
-    /// metadata (lock order is cache → journal everywhere; nothing
-    /// acquires them the other way around).
-    fn journal_append(&self, group: &str, op: LogOp) -> Option<LogCommitment> {
-        let j = self.journal.as_ref()?;
-        let _span = telemetry::span("oplog.append").with("group", group).enter();
-        let mut groups = j.groups.lock();
-        let log = groups.entry(group.to_string()).or_default();
-        log.append(&j.signer, group, op);
-        log.head()
+    /// Runs `f` on `name`'s state under its group lock. The map lock is
+    /// released before the group lock is awaited.
+    fn with_group<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut Group) -> Result<R, AcsError>,
+    ) -> Result<R, AcsError> {
+        let unknown = || AcsError::UnknownGroup(name.to_string());
+        let slot = self.groups.lock().get(name).cloned().ok_or_else(unknown)?;
+        let mut group = slot.lock();
+        f(group.as_mut().ok_or_else(unknown)?)
     }
 
-    /// The log objects the next publish of `group` must carry
-    /// ([`GroupLog::unpublished`]; empty without a signer).
-    fn pending_log_items(&self, group: &str) -> Vec<(String, Vec<u8>)> {
-        self.journal
-            .as_ref()
-            .and_then(|j| j.groups.lock().get(group).map(GroupLog::unpublished))
-            .unwrap_or_default()
+    /// Signs `op` into the group's log and stamps the new head into its
+    /// metadata; a no-op without a signer. Runs before the publish, so the
+    /// log objects ride in the same round-trip as the metadata.
+    fn journal(&self, group: &mut Group, op: LogOp) {
+        if let Some(signer) = &self.signer {
+            let name = &group.meta.name;
+            let _span = telemetry::span("oplog.append")
+                .with("group", name.as_str())
+                .enter();
+            group.log.append(signer, name, op);
+            group.meta.log_head = group.log.head();
+        }
     }
 
-    /// Advances the publish watermark after a successful store round-trip
-    /// that carried [`Admin::pending_log_items`].
-    fn mark_log_published(&self, group: &str) {
-        if let Some(j) = &self.journal {
-            if let Some(log) = j.groups.lock().get_mut(group) {
-                log.mark_published();
+    /// Publishes `items` and the group's unpublished log objects in one
+    /// round-trip — nothing for no items, a PUT for one, a `put_many` for
+    /// more — then marks the log published. Returns the number of objects
+    /// sent.
+    fn publish(
+        &self,
+        group: &mut Group,
+        mut items: Vec<(String, Vec<u8>)>,
+    ) -> Result<usize, AcsError> {
+        items.extend(group.log.unpublished());
+        let name = &group.meta.name;
+        let sent = items.len();
+        match sent {
+            0 => {}
+            1 => {
+                let (item, data) = items.pop().expect("len checked");
+                self.store.try_put(name, &item, data)?;
+            }
+            _ => {
+                self.store.try_put_many(name, items)?;
             }
         }
-    }
-
-    /// Publishes any queued log objects in one `put_many` (the paths that
-    /// do not already fold them into a metadata round-trip).
-    fn publish_log(&self, group: &str) -> Result<(), AcsError> {
-        let items = self.pending_log_items(group);
-        if items.is_empty() {
-            return Ok(());
-        }
-        self.store.try_put_many(group, items)?;
-        self.mark_log_published(group);
-        Ok(())
+        group.log.mark_published();
+        Ok(sent)
     }
 
     /// Disables the §V-A re-partitioning heuristic (for the Fig. 10
@@ -160,23 +172,48 @@ impl Admin {
     /// Creates a group and pushes all partition metadata to the cloud.
     ///
     /// # Errors
-    /// Propagates engine failures ([`AcsError::Core`]) and store faults
-    /// ([`AcsError::Store`]; the group is then not cached — re-create it
-    /// once the store recovers).
+    /// [`AcsError::GroupExists`] if this admin already holds `name` (a
+    /// live group is re-keyed or emptied, never re-created); engine
+    /// failures ([`AcsError::Core`]); store faults ([`AcsError::Store`]:
+    /// the name is then released — re-create the group once the store
+    /// recovers).
     pub fn create_group(&self, name: &str, members: Vec<String>) -> Result<(), AcsError> {
-        // clone the member list only when a journal will actually record it
-        let log_members = self.journal.as_ref().map(|_| members.clone());
-        let mut meta = self.engine.create_group(name, members)?;
-        let mut cache = self.cache.lock();
-        if let Some(members) = log_members {
-            // journal while holding the cache lock so entry order matches
-            // application order (see `journal_append`)
-            meta.log_head = self.journal_append(name, LogOp::Create { members });
+        let slot = Slot::default();
+        // locked before it is visible, so an operation that finds the name
+        // waits for the outcome
+        let mut state = slot.lock();
+        match self.groups.lock().entry(name.to_string()) {
+            Entry::Occupied(_) => return Err(AcsError::GroupExists(name.to_string())),
+            Entry::Vacant(v) => {
+                v.insert(Arc::clone(&slot));
+            }
         }
-        self.push_all(&meta)?;
-        self.publish_log(name)?;
-        cache.insert(name.to_string(), meta);
-        Ok(())
+        match self.build_group(name, members) {
+            Ok(group) => {
+                *state = Some(group);
+                Ok(())
+            }
+            Err(e) => {
+                self.groups.lock().remove(name);
+                Err(e)
+            }
+        }
+    }
+
+    /// [`Admin::create_group`]'s work once the name is held.
+    fn build_group(&self, name: &str, members: Vec<String>) -> Result<Group, AcsError> {
+        // clone the member list only when a log will actually record it
+        let log_members = self.signer.as_ref().map(|_| members.clone());
+        let mut group = Group {
+            meta: self.engine.create_group(name, members)?,
+            log: GroupLog::default(),
+        };
+        if let Some(members) = log_members {
+            self.journal(&mut group, LogOp::Create { members });
+        }
+        self.push_all(&group.meta)?;
+        self.publish(&mut group, Vec::new())?;
+        Ok(group)
     }
 
     /// Adds a user (Algorithm 2) and pushes the single touched partition.
@@ -185,35 +222,21 @@ impl Admin {
     /// [`AcsError::UnknownGroup`], engine failures, or a store fault
     /// while publishing (retry republishes the already-cached state).
     pub fn add_user(&self, group: &str, identity: &str) -> Result<AddOutcome, AcsError> {
-        let mut cache = self.cache.lock();
-        let meta = cache
-            .get_mut(group)
-            .ok_or_else(|| AcsError::UnknownGroup(group.to_string()))?;
-        let outcome = self.engine.add_user(meta, identity)?;
-        if let Some(head) = self.journal_append(
-            group,
-            LogOp::Add {
-                user: identity.to_string(),
-            },
-        ) {
-            meta.log_head = Some(head);
-        }
-        let p = &meta.partitions[outcome.partition];
-        // `y` unchanged on the fast path, so nothing else to push; the new
-        // sealed gk only changes when gk rotates.
-        let log_items = self.pending_log_items(group);
-        if log_items.is_empty() {
-            self.store
-                .try_put(group, &partition_item(outcome.partition), p.to_bytes())?;
-        } else {
-            // one atomic round-trip: the touched partition plus the log
-            // entry, tree nodes and new signed head
-            let mut items = vec![(partition_item(outcome.partition), p.to_bytes())];
-            items.extend(log_items);
-            self.store.try_put_many(group, items)?;
-            self.mark_log_published(group);
-        }
-        Ok(outcome)
+        self.with_group(group, |g| {
+            let outcome = self.engine.add_user(&mut g.meta, identity)?;
+            self.journal(
+                g,
+                LogOp::Add {
+                    user: identity.to_string(),
+                },
+            );
+            // `y` unchanged on the fast path, so nothing else to push; the
+            // new sealed gk only changes when gk rotates
+            let p = &g.meta.partitions[outcome.partition];
+            let items = vec![(partition_item(outcome.partition), p.to_bytes())];
+            self.publish(g, items)?;
+            Ok(outcome)
+        })
     }
 
     /// Removes a user (Algorithm 3): pushes every partition (all wrapped
@@ -224,30 +247,26 @@ impl Admin {
     /// [`AcsError::UnknownGroup`], engine failures, or a store fault
     /// while publishing (retry republishes the already-cached state).
     pub fn remove_user(&self, group: &str, identity: &str) -> Result<RemoveOutcome, AcsError> {
-        let mut cache = self.cache.lock();
-        let meta = cache
-            .get_mut(group)
-            .ok_or_else(|| AcsError::UnknownGroup(group.to_string()))?;
-        let before = meta.partition_count();
-        let outcome = self.engine.remove_user(meta, identity)?;
-        if self.auto_repartition && meta.needs_repartitioning(self.engine.partition_size().get()) {
-            *meta = self.engine.repartition(meta)?;
-        }
-        if let Some(head) = self.journal_append(
-            group,
-            LogOp::Remove {
-                user: identity.to_string(),
-            },
-        ) {
-            meta.log_head = Some(head);
-        }
-        self.push_all(meta)?;
-        // drop stale trailing items if the partition count shrank
-        for i in meta.partition_count()..before {
-            self.store.try_delete(group, &partition_item(i))?;
-        }
-        self.publish_log(group)?;
-        Ok(outcome)
+        self.with_group(group, |g| {
+            let before = g.meta.partition_count();
+            let outcome = self.engine.remove_user(&mut g.meta, identity)?;
+            if self.auto_repartition
+                && g.meta
+                    .needs_repartitioning(self.engine.partition_size().get())
+            {
+                g.meta = self.engine.repartition(&g.meta)?;
+            }
+            self.journal(
+                g,
+                LogOp::Remove {
+                    user: identity.to_string(),
+                },
+            );
+            self.push_all(&g.meta)?;
+            self.delete_trailing(&g.meta, before)?;
+            self.publish(g, Vec::new())?;
+            Ok(outcome)
+        })
     }
 
     /// Starts collecting a membership batch for `group`. Operations queued
@@ -285,71 +304,56 @@ impl Admin {
         let span = telemetry::span("admin.apply_batch")
             .with("group", group)
             .enter();
-        let mut cache = self.cache.lock();
-        let meta = cache
-            .get_mut(group)
-            .ok_or_else(|| AcsError::UnknownGroup(group.to_string()))?;
-        let before = meta.partition_count();
-        let outcome = self.engine.apply_batch(meta, batch)?;
-        span.record("epoch", outcome.epoch);
-        span.record("rekeyed", outcome.partitions_rekeyed);
-        let mut dirty = outcome.dirty_partitions.clone();
-        let mut publish_sealed = outcome.gk_rotated;
-        if self.auto_repartition
-            && outcome.gk_rotated
-            && meta.needs_repartitioning(self.engine.partition_size().get())
-        {
-            *meta = self.engine.repartition(meta)?;
-            dirty = (0..meta.partition_count()).collect();
-            publish_sealed = true;
-        }
-        if !outcome.added.is_empty() || !outcome.removed.is_empty() || outcome.gk_rotated {
-            if let Some(head) = self.journal_append(
-                group,
-                LogOp::Batch {
-                    adds: outcome.added.clone(),
-                    removes: outcome.removed.clone(),
-                    epoch: outcome.epoch,
-                },
-            ) {
-                meta.log_head = Some(head);
+        self.with_group(group, |g| {
+            let before = g.meta.partition_count();
+            let outcome = self.engine.apply_batch(&mut g.meta, batch)?;
+            span.record("epoch", outcome.epoch);
+            span.record("rekeyed", outcome.partitions_rekeyed);
+            let mut dirty = outcome.dirty_partitions.clone();
+            let mut publish_sealed = outcome.gk_rotated;
+            if self.auto_repartition
+                && outcome.gk_rotated
+                && g.meta
+                    .needs_repartitioning(self.engine.partition_size().get())
+            {
+                g.meta = self.engine.repartition(&g.meta)?;
+                dirty = (0..g.meta.partition_count()).collect();
+                publish_sealed = true;
             }
-        }
-        // publish every dirty object in one round-trip (a 1-item batch is an
-        // ordinary PUT — no point charging it as a batched request); the
-        // log entry, tree nodes and signed head ride in the SAME atomic
-        // round-trip, so a client can never observe rotated metadata whose
-        // log head has not moved with it
-        let mut items: Vec<(String, Vec<u8>)> = dirty
-            .iter()
-            .map(|&i| (partition_item(i), meta.partitions[i].to_bytes()))
-            .collect();
-        if publish_sealed {
-            items.push((SEALED_ITEM.to_string(), meta.sealed_gk.to_bytes()));
-            // a rotation retires a key into the history; publishing it in
-            // the SAME round-trip keeps partition epoch and history in one
-            // atomic version bump (no torn reads across the rotation)
-            items.push((EPOCHS_ITEM.to_string(), meta.key_history.to_bytes()));
-        }
-        items.extend(self.pending_log_items(group));
-        {
-            let _publish = telemetry::span("admin.publish")
+            if !outcome.added.is_empty() || !outcome.removed.is_empty() || outcome.gk_rotated {
+                self.journal(
+                    g,
+                    LogOp::Batch {
+                        adds: outcome.added.clone(),
+                        removes: outcome.removed.clone(),
+                        epoch: outcome.epoch,
+                    },
+                );
+            }
+            // every dirty object in one round-trip; the log entry, tree
+            // nodes and signed head ride in the SAME atomic round-trip, so
+            // a client can never observe rotated metadata whose log head
+            // has not moved with it
+            let meta = &g.meta;
+            let mut items: Vec<(String, Vec<u8>)> = dirty
+                .iter()
+                .map(|&i| (partition_item(i), meta.partitions[i].to_bytes()))
+                .collect();
+            if publish_sealed {
+                items.push((SEALED_ITEM.to_string(), meta.sealed_gk.to_bytes()));
+                // a rotation retires a key into the history; publishing it
+                // in the SAME round-trip keeps partition epoch and history
+                // in one atomic version bump (no torn reads across the
+                // rotation)
+                items.push((EPOCHS_ITEM.to_string(), meta.key_history.to_bytes()));
+            }
+            let publish = telemetry::span("admin.publish")
                 .with("group", group)
-                .with("items", items.len())
                 .enter();
-            if items.len() == 1 {
-                let (item, data) = items.pop().expect("len checked");
-                self.store.try_put(group, &item, data)?;
-            } else if !items.is_empty() {
-                self.store.try_put_many(group, items)?;
-            }
-            self.mark_log_published(group);
-            // drop stale trailing items if the partition count shrank
-            for i in meta.partition_count()..before {
-                self.store.try_delete(group, &partition_item(i))?;
-            }
-        }
-        Ok(outcome)
+            publish.record("items", self.publish(g, items)?);
+            self.delete_trailing(&g.meta, before)?;
+            Ok(outcome)
+        })
     }
 
     /// Re-keys the group without membership change and pushes everything —
@@ -362,35 +366,27 @@ impl Admin {
     pub fn rekey_group(&self, group: &str) -> Result<(), AcsError> {
         let _rid = telemetry::request_scope();
         let span = telemetry::span("admin.rekey").with("group", group).enter();
-        let mut cache = self.cache.lock();
-        let meta = cache
-            .get_mut(group)
-            .ok_or_else(|| AcsError::UnknownGroup(group.to_string()))?;
-        self.engine.rekey_group(meta)?;
-        span.record("epoch", meta.epoch);
-        if let Some(head) = self.journal_append(group, LogOp::Rekey) {
-            meta.log_head = Some(head);
-        }
-        let items: Vec<(String, Vec<u8>)> = meta
-            .partitions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (partition_item(i), p.to_bytes()))
-            .chain([
-                (SEALED_ITEM.to_string(), meta.sealed_gk.to_bytes()),
-                (EPOCHS_ITEM.to_string(), meta.key_history.to_bytes()),
-            ])
-            .chain(self.pending_log_items(group))
-            .collect();
-        {
-            let _publish = telemetry::span("admin.publish")
+        self.with_group(group, |g| {
+            self.engine.rekey_group(&mut g.meta)?;
+            span.record("epoch", g.meta.epoch);
+            self.journal(g, LogOp::Rekey);
+            let meta = &g.meta;
+            let items = meta
+                .partitions
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (partition_item(i), p.to_bytes()))
+                .chain([
+                    (SEALED_ITEM.to_string(), meta.sealed_gk.to_bytes()),
+                    (EPOCHS_ITEM.to_string(), meta.key_history.to_bytes()),
+                ])
+                .collect();
+            let publish = telemetry::span("admin.publish")
                 .with("group", group)
-                .with("items", items.len())
                 .enter();
-            self.store.try_put_many(group, items)?;
-            self.mark_log_published(group);
-        }
-        Ok(())
+            publish.record("items", self.publish(g, items)?);
+            Ok(())
+        })
     }
 
     /// Compacts the group's epoch-key history, dropping retired keys for
@@ -410,16 +406,14 @@ impl Admin {
     /// # Errors
     /// [`AcsError::UnknownGroup`] or engine failures.
     pub fn compact_history(&self, group: &str, keep_from: u64) -> Result<usize, AcsError> {
-        let mut cache = self.cache.lock();
-        let meta = cache
-            .get_mut(group)
-            .ok_or_else(|| AcsError::UnknownGroup(group.to_string()))?;
-        let pruned = self.engine.compact_history(meta, keep_from)?;
-        if pruned > 0 {
-            self.store
-                .try_put(group, EPOCHS_ITEM, meta.key_history.to_bytes())?;
-        }
-        Ok(pruned)
+        self.with_group(group, |g| {
+            let pruned = self.engine.compact_history(&mut g.meta, keep_from)?;
+            if pruned > 0 {
+                self.store
+                    .try_put(group, EPOCHS_ITEM, g.meta.key_history.to_bytes())?;
+            }
+            Ok(pruned)
+        })
     }
 
     /// Current member count of a cached group.
@@ -427,11 +421,7 @@ impl Admin {
     /// # Errors
     /// [`AcsError::UnknownGroup`].
     pub fn member_count(&self, group: &str) -> Result<usize, AcsError> {
-        self.cache
-            .lock()
-            .get(group)
-            .map(|m| m.member_count())
-            .ok_or_else(|| AcsError::UnknownGroup(group.to_string()))
+        self.with_group(group, |g| Ok(g.meta.member_count()))
     }
 
     /// Snapshot of a cached group's metadata (tests and diagnostics).
@@ -439,11 +429,7 @@ impl Admin {
     /// # Errors
     /// [`AcsError::UnknownGroup`].
     pub fn metadata(&self, group: &str) -> Result<GroupMetadata, AcsError> {
-        self.cache
-            .lock()
-            .get(group)
-            .cloned()
-            .ok_or_else(|| AcsError::UnknownGroup(group.to_string()))
+        self.with_group(group, |g| Ok(g.meta.clone()))
     }
 
     fn push_all(&self, meta: &GroupMetadata) -> Result<(), AcsError> {
@@ -455,6 +441,15 @@ impl Admin {
             .try_put(&meta.name, SEALED_ITEM, meta.sealed_gk.to_bytes())?;
         self.store
             .try_put(&meta.name, EPOCHS_ITEM, meta.key_history.to_bytes())?;
+        Ok(())
+    }
+
+    /// Drops the stale trailing partition items when the partition count
+    /// shrank from `before`.
+    fn delete_trailing(&self, meta: &GroupMetadata, before: usize) -> Result<(), AcsError> {
+        for i in meta.partition_count()..before {
+            self.store.try_delete(&meta.name, &partition_item(i))?;
+        }
         Ok(())
     }
 }
@@ -516,7 +511,7 @@ impl core::fmt::Debug for Admin {
             f,
             "Admin({:?}, {} cached groups)",
             self.engine,
-            self.cache.lock().len()
+            self.groups.lock().len()
         )
     }
 }

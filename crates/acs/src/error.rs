@@ -12,6 +12,9 @@ pub enum AcsError {
     Sgx(sgx_sim::SgxError),
     /// The requested group does not exist (locally or on the cloud).
     UnknownGroup(String),
+    /// The admin already holds a group of this name: a live group is
+    /// re-keyed or emptied, never re-created.
+    GroupExists(String),
     /// A cloud object failed to deserialize.
     WireFormat(&'static str),
     /// The client's identity is not a member of the watched group.
@@ -31,6 +34,7 @@ impl fmt::Display for AcsError {
             AcsError::Core(e) => write!(f, "core: {e}"),
             AcsError::Sgx(e) => write!(f, "sgx: {e}"),
             AcsError::UnknownGroup(g) => write!(f, "unknown group: {g}"),
+            AcsError::GroupExists(g) => write!(f, "group already exists: {g}"),
             AcsError::WireFormat(what) => write!(f, "malformed cloud object: {what}"),
             AcsError::NotAMember(id) => write!(f, "not a member: {id}"),
             AcsError::Store(e) => write!(f, "store: {e}"),

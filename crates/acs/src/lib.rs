@@ -7,12 +7,10 @@
 //!   [`GroupBatch::commit`]): a burst of adds/removes is coalesced into one
 //!   engine batch (one re-key per surviving partition per batch), published
 //!   in one `put_many` store round-trip, and journaled as one coalesced
-//!   op-log entry;
-//! * [`ShardedAdmin`] — groups partitioned across N independent engine
-//!   workers by group-name hash, applying multi-group churn in parallel;
-//!   every component holds a [`cloud_store::StoreHandle`], so the same
-//!   deployment runs unchanged on a single `CloudStore` or a
-//!   folder-sharded `ShardedStore`;
+//!   op-log entry. One admin holds one master secret and keeps different
+//!   groups in flight at once (one lock per group); every component holds
+//!   a [`cloud_store::StoreHandle`], so the same deployment runs unchanged
+//!   on a single `CloudStore` or a folder-sharded `ShardedStore`;
 //! * [`Client`] — long-polling group member deriving `gk` (no SGX);
 //! * [`provisioning`] — the Fig. 3 trust establishment (quote → IAS →
 //!   Auditor/CA certificate → encrypted user-key delivery);
@@ -56,7 +54,6 @@ pub mod fixtures;
 pub mod he_system;
 pub mod oplog;
 pub mod provisioning;
-pub mod sharded;
 pub mod verilog;
 
 pub use admin::{bootstrap_admin, partition_item, Admin, GroupBatch, EPOCHS_ITEM, SEALED_ITEM};
@@ -66,5 +63,4 @@ pub use fixtures::{FleetFixture, ForkingStore, Tamper};
 pub use he_system::{decode_he_metadata, encode_he_metadata, HeAdmin, HE_ITEM};
 pub use oplog::{AdminSigner, LogEntry, LogOp};
 pub use provisioning::{establish_trust, provision_user, KeyRequest, TrustContext};
-pub use sharded::ShardedAdmin;
 pub use verilog::{Auditor, GroupLog, SignedTransition};

@@ -1,14 +1,19 @@
 //! Integration tests of the batched admin pipeline: the acceptance
 //! criterion (|P| re-keys + one `put_many` round-trip per batch vs k × |P|
 //! on the sequential path), client-visible parity with the sequential
-//! schedule, sharded administration, and coalesced op-logging.
+//! schedule, several groups in flight on one admin, and coalesced
+//! op-logging.
 
 use acs::verilog::log_entry_item;
-use acs::{Admin, AdminSigner, Auditor, Client, LogEntry, LogOp, ShardedAdmin};
-use cloud_store::{CloudStore, ObjectStore};
+use acs::{Admin, AdminSigner, Auditor, Client, LogEntry, LogOp};
+use cloud_store::{
+    CloudStore, MetricsSnapshot, ObjectStore, Request, RequestOp, Response, StoreError, StoreHandle,
+};
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
@@ -230,62 +235,130 @@ fn client_long_poll_sees_one_coalesced_update_per_batch() {
     assert_eq!(store.metrics().puts_batched, 1);
 }
 
-#[test]
-fn sharded_admin_routes_groups_and_applies_batches_in_parallel() {
-    let mut r = rng(4);
-    let store = CloudStore::new();
-    let sharded =
-        ShardedAdmin::bootstrap(3, PartitionSize::new(2).unwrap(), store.clone(), &mut r).unwrap();
-    assert_eq!(sharded.shard_count(), 3);
+/// A store that holds group `a`'s publish (its `put_many`) until group
+/// `b`'s has arrived, failing it with [`StoreError::Timeout`] after 2 s;
+/// every other request passes straight through.
+#[derive(Clone)]
+struct RendezvousStore {
+    inner: CloudStore,
+    arrived: Arc<(Mutex<BTreeSet<String>>, Condvar)>,
+}
 
+impl RendezvousStore {
+    const WAIT: Duration = Duration::from_secs(2);
+
+    fn new(inner: CloudStore) -> Self {
+        Self {
+            inner,
+            arrived: Arc::default(),
+        }
+    }
+
+    /// Blocks until `group`'s publish has reached the store (bounded).
+    fn wait_for(&self, group: &str) -> bool {
+        let (arrived, cv) = &*self.arrived;
+        let seen = arrived.lock().unwrap();
+        let (seen, _) = cv
+            .wait_timeout_while(seen, Self::WAIT, |s| !s.contains(group))
+            .unwrap();
+        seen.contains(group)
+    }
+}
+
+impl ObjectStore for RendezvousStore {
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        if matches!(request.op, RequestOp::PutMany(_)) {
+            let (arrived, cv) = &*self.arrived;
+            arrived.lock().unwrap().insert(request.folder.clone());
+            cv.notify_all();
+            if request.folder == "a" && !self.wait_for("b") {
+                return Err(StoreError::Timeout);
+            }
+        }
+        self.inner.call(request)
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        self.inner.metrics()
+    }
+}
+
+/// One admin keeps two groups' publishes in flight at once: group `a`'s
+/// publish is held at the store until group `b`'s arrives, which only
+/// happens if `b`'s batch is not queued behind `a`'s round-trip. Waiting,
+/// not computing, so one core suffices.
+#[test]
+fn one_admin_overlaps_two_groups_publishes() {
+    let store = RendezvousStore::new(CloudStore::new());
+    let admin = Admin::new(
+        GroupEngine::bootstrap(PartitionSize::new(2).unwrap(), &mut rng(4)).unwrap(),
+        StoreHandle::new(store.clone()),
+    );
+    for g in ["a", "b"] {
+        admin.create_group(g, names(4)).unwrap();
+    }
+    let mut batch = MembershipBatch::new();
+    batch.remove("user-0");
+    std::thread::scope(|s| {
+        let a = s.spawn(|| admin.apply_batch("a", &batch));
+        assert!(store.wait_for("a"), "a's publish never reached the store");
+        let b = s.spawn(|| admin.apply_batch("b", &batch));
+        assert!(b.join().unwrap().is_ok());
+        let a = a.join().unwrap();
+        assert!(a.is_ok(), "a's publish must not wait out b's batch: {a:?}");
+    });
+}
+
+/// Six groups' revoking batches applied from scoped threads on one admin:
+/// each lands as if applied alone, and — one master secret — one user key
+/// per identity, extracted once, decrypts in every group it belongs to.
+#[test]
+fn one_admin_applies_many_groups_batches_under_one_master_secret() {
+    let store = CloudStore::new();
+    let admin = Admin::new(
+        GroupEngine::bootstrap(PartitionSize::new(2).unwrap(), &mut rng(4)).unwrap(),
+        store.clone(),
+    );
     let groups: Vec<String> = (0..6).map(|i| format!("team-{i}")).collect();
     for g in &groups {
-        sharded
-            .create_group(
-                g,
-                vec![format!("{g}-a"), format!("{g}-b"), format!("{g}-c")],
-            )
-            .unwrap();
+        let members = vec![format!("{g}-a"), format!("{g}-b"), "roamer".to_string()];
+        admin.create_group(g, members).unwrap();
     }
-    // routing is stable and all shards are reachable through it
-    for g in &groups {
-        assert_eq!(sharded.shard_index(g), sharded.shard_index(g));
-        assert!(std::ptr::eq(sharded.shard_for(g), sharded.shard_for(g)));
-    }
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = groups
+            .iter()
+            .map(|g| {
+                let admin = &admin;
+                s.spawn(move || {
+                    admin
+                        .begin_batch(g)
+                        .remove(format!("{g}-a"))
+                        .add(format!("{g}-new"))
+                        .commit()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect()
+    });
 
-    // parallel multi-group churn: one batch per group, fanned out to shards
-    let work: Vec<(String, MembershipBatch)> = groups
-        .iter()
-        .map(|g| {
-            let mut b = MembershipBatch::new();
-            b.remove(format!("{g}-a")).add(format!("{g}-new"));
-            (g.clone(), b)
-        })
-        .collect();
-    let results = sharded.apply_batches(work).unwrap();
-    assert_eq!(results.len(), groups.len());
-    for (i, (g, outcome)) in results.iter().enumerate() {
-        assert_eq!(g, &groups[i], "results come back in input order");
+    let pk = admin.engine().public_key().clone();
+    let roamer = admin.engine().extract_user_key("roamer").unwrap();
+    for (g, outcome) in groups.iter().zip(&outcomes) {
         assert!(outcome.gk_rotated);
         assert_eq!(outcome.removed, vec![format!("{g}-a")]);
-    }
-
-    // each group's members can still derive gk through the owning shard
-    for g in &groups {
-        let admin = sharded.shard_for(g);
-        let meta = sharded.metadata(g).unwrap();
+        let meta = admin.metadata(g).unwrap();
         assert_eq!(meta.member_count(), 3);
         assert!(!meta.contains(&format!("{g}-a")));
         let member = format!("{g}-new");
         let usk = admin.engine().extract_user_key(&member).unwrap();
-        let mut client = Client::new(
-            member,
-            usk,
-            admin.engine().public_key().clone(),
-            store.clone(),
-            g.clone(),
-        );
-        client.sync().unwrap();
+        let gk = Client::new(member, usk, pk.clone(), store.clone(), g.clone())
+            .sync()
+            .unwrap();
+        let mut roaming = Client::new("roamer", roamer, pk.clone(), store.clone(), g.clone());
+        assert_eq!(roaming.sync().unwrap(), gk, "{g}: the one roamer key");
     }
 }
 

@@ -3,7 +3,7 @@
 //! honest-but-curious observability properties of §II.
 
 use acs::{bootstrap_admin, provisioning, AcsError, Client, HeAdmin};
-use cloud_store::CloudStore;
+use cloud_store::{CloudStore, FaultConfig, FaultyStore};
 use ibbe_sgx_core::PartitionSize;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -62,6 +62,86 @@ fn full_lifecycle_with_attested_provisioning() {
         alice.sync().unwrap_err(),
         AcsError::NotAMember("alice".into())
     );
+}
+
+/// Re-creating a live group must not roll its epoch back: that would
+/// leave the first incarnation's partitions on the store for members the
+/// new roster lacks. The admin refuses the name; the roster is changed by
+/// membership operations, after which a dropped member is out.
+#[test]
+fn recreating_a_live_group_is_refused() {
+    let mut r = rng(9);
+    let store = CloudStore::new();
+    let admin = bootstrap_admin(PartitionSize::new(2).unwrap(), store.clone(), &mut r).unwrap();
+    let old: Vec<String> = (0..4).map(|i| format!("old-{i}")).collect();
+    let new = vec!["new-0".to_string(), "new-1".to_string()];
+    admin.create_group("g", old.clone()).unwrap();
+    admin.remove_user("g", "old-0").unwrap();
+    assert_eq!(admin.metadata("g").unwrap().epoch, 2);
+
+    assert_eq!(
+        admin.create_group("g", new.clone()),
+        Err(AcsError::GroupExists("g".into()))
+    );
+    assert_eq!(admin.metadata("g").unwrap().epoch, 2, "no epoch rollback");
+    let client = |id: &str| {
+        let usk = admin.engine().extract_user_key(id).unwrap();
+        let pk = admin.engine().public_key().clone();
+        Client::new(id, usk, pk, store.clone(), "g")
+    };
+    assert_eq!(
+        client("old-0").sync().unwrap_err(),
+        AcsError::NotAMember("old-0".into())
+    );
+
+    let mut batch = admin.begin_batch("g");
+    for id in &old[1..] {
+        batch = batch.remove(id.clone());
+    }
+    for id in &new {
+        batch = batch.add(id.clone());
+    }
+    batch.commit().unwrap();
+    assert_eq!(
+        client("old-3").sync().unwrap_err(),
+        AcsError::NotAMember("old-3".into())
+    );
+    client("new-0").sync().unwrap();
+}
+
+/// Two concurrent creates of one name: exactly one wins.
+#[test]
+fn concurrent_creates_of_one_name_admit_one() {
+    let mut r = rng(10);
+    let admin = bootstrap_admin(PartitionSize::new(2).unwrap(), CloudStore::new(), &mut r).unwrap();
+    let results: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| admin.create_group("g", names(3))))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 1);
+    assert!(results.contains(&Err(AcsError::GroupExists("g".into()))));
+}
+
+/// A create that fails at the store releases the name: the group is
+/// created again once the store recovers.
+#[test]
+fn create_failed_at_the_store_can_be_retried() {
+    let mut r = rng(11);
+    let faulty = FaultyStore::new(CloudStore::new(), FaultConfig::default());
+    let injector = faulty.injector().clone();
+    let admin = bootstrap_admin(PartitionSize::new(2).unwrap(), faulty, &mut r).unwrap();
+    injector.force_outage(0, Duration::from_secs(60));
+    let err = admin.create_group("g", names(3)).unwrap_err();
+    assert!(err.is_transient(), "{err:?}");
+    assert_eq!(
+        admin.member_count("g"),
+        Err(AcsError::UnknownGroup("g".into()))
+    );
+    injector.heal();
+    admin.create_group("g", names(3)).unwrap();
+    assert_eq!(admin.member_count("g"), Ok(3));
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! is inaccessible from outside. The confinement is a type-system property
 //! in this simulation: the field is private, no accessor leaks `&T`, and all
 //! entry points execute inside the enclave context which also provides
-//! in-enclave randomness, sealing and EPC accounting.
+//! in-enclave randomness and sealing.
 //!
 //! The paper's "zero knowledge" guarantee for administrators maps exactly to
 //! this boundary: the admin process only ever observes ecall return values,
@@ -23,7 +23,6 @@
 //! ecall's own return value. The lock does not poison: a worker's panic
 //! unwinds the ecall and the next one is served.
 
-use crate::epc::EpcMeter;
 use crate::sealing::{seal_with_key, unseal_with_key, SealedBlob, SealingKey};
 use crate::SgxError;
 use parking_lot::Mutex;
@@ -56,12 +55,11 @@ impl core::fmt::Debug for Measurement {
 }
 
 /// Execution context passed to enclave entry points; provides the in-enclave
-/// services (randomness, sealing, EPC accounting, identity).
+/// services (randomness, sealing, identity).
 pub struct EnclaveContext<'a> {
     measurement: Measurement,
     sealing_key: &'a SealingKey,
     drbg: &'a mut HmacDrbg,
-    epc: &'a EpcMeter,
 }
 
 impl<'a> EnclaveContext<'a> {
@@ -96,11 +94,6 @@ impl<'a> EnclaveContext<'a> {
     pub fn unseal(&self, blob: &SealedBlob, aad: &[u8]) -> Result<Vec<u8>, SgxError> {
         unseal_with_key(self.sealing_key, self.measurement, blob, aad)
     }
-
-    /// The simulated EPC meter (for memory-footprint experiments).
-    pub fn epc(&self) -> &EpcMeter {
-        self.epc
-    }
 }
 
 struct Inner<T> {
@@ -123,14 +116,12 @@ pub struct Enclave<T> {
     inner: Mutex<Inner<T>>,
     measurement: Measurement,
     sealing_key: SealingKey,
-    epc: EpcMeter,
 }
 
 /// Builder for [`Enclave`].
 #[derive(Debug)]
 pub struct EnclaveBuilder {
     code_identity: Vec<u8>,
-    epc_limit: usize,
     seed: Option<[u8; 32]>,
 }
 
@@ -140,15 +131,8 @@ impl EnclaveBuilder {
     pub fn new(code_identity: &[u8]) -> Self {
         Self {
             code_identity: code_identity.to_vec(),
-            epc_limit: EpcMeter::DEFAULT_LIMIT,
             seed: None,
         }
-    }
-
-    /// Overrides the simulated EPC limit (default 128 MiB, like SGX v1).
-    pub fn epc_limit(mut self, bytes: usize) -> Self {
-        self.epc_limit = bytes;
-        self
     }
 
     /// Seeds the in-enclave DRBG deterministically (tests and reproducible
@@ -172,13 +156,11 @@ impl EnclaveBuilder {
         seed_material.extend_from_slice(&measurement.0);
         let mut drbg = HmacDrbg::new(&seed_material);
         let sealing_key = SealingKey::derive_for_platform(measurement);
-        let epc = EpcMeter::new(self.epc_limit);
         let state = {
             let mut ctx = EnclaveContext {
                 measurement,
                 sealing_key: &sealing_key,
                 drbg: &mut drbg,
-                epc: &epc,
             };
             init(&mut ctx)
         };
@@ -186,7 +168,6 @@ impl EnclaveBuilder {
             inner: Mutex::new(Inner { state, drbg }),
             measurement,
             sealing_key,
-            epc,
         }
     }
 }
@@ -207,14 +188,8 @@ impl<T> Enclave<T> {
             measurement: self.measurement,
             sealing_key: &self.sealing_key,
             drbg,
-            epc: &self.epc,
         };
         f(state, &mut ctx)
-    }
-
-    /// The simulated EPC meter (host-visible, like EPC usage is).
-    pub fn epc(&self) -> &EpcMeter {
-        &self.epc
     }
 }
 

@@ -19,8 +19,6 @@ pub enum SgxError {
     CertificateInvalid,
     /// A secure-channel message failed to decrypt or authenticate.
     ChannelFailed,
-    /// The enclave ran out of simulated EPC memory.
-    EpcExhausted,
 }
 
 impl fmt::Display for SgxError {
@@ -36,7 +34,6 @@ impl fmt::Display for SgxError {
             }
             SgxError::CertificateInvalid => write!(f, "certificate signature invalid"),
             SgxError::ChannelFailed => write!(f, "secure channel message failed to open"),
-            SgxError::EpcExhausted => write!(f, "simulated EPC memory exhausted"),
         }
     }
 }

@@ -5,8 +5,8 @@
 //! the substitution argument):
 //!
 //! * [`Enclave`] / [`EnclaveBuilder`] — confined private state reachable
-//!   only through ecalls, with an in-enclave DRBG, measurement
-//!   (MRENCLAVE), and simulated EPC accounting ([`EpcMeter`]);
+//!   only through ecalls, with an in-enclave DRBG and measurement
+//!   (MRENCLAVE);
 //! * [`SealedBlob`] — sealed storage bound to the enclave identity;
 //! * [`Quote`], [`QuotingKey`], [`IasSim`] — local quoting and the remote
 //!   attestation service;
@@ -58,7 +58,6 @@ pub mod auditor;
 pub mod bls;
 pub mod channel;
 pub mod enclave;
-pub mod epc;
 pub mod error;
 pub mod sealing;
 
@@ -66,6 +65,5 @@ pub use attest::{report_data_for_key, AttestationReport, IasSim, Quote, QuotingK
 pub use auditor::{Auditor, Certificate};
 pub use channel::{ChannelKeyPair, ChannelMessage, ChannelPublicKey};
 pub use enclave::{Enclave, EnclaveBuilder, EnclaveContext, Measurement};
-pub use epc::EpcMeter;
 pub use error::SgxError;
 pub use sealing::SealedBlob;
