@@ -1,21 +1,21 @@
 //! The administrator node (paper Fig. 5, left): the IBBE-SGX engine plus a
-//! local metadata cache and the cloud PUT path.
+//! local metadata cache and the cloud publish path.
 //!
 //! The admin caches group metadata locally (§IV-C: "partition metadata are
 //! only manipulated by administrators, so they can locally cache it and thus
 //! bypass the cost of accessing the cloud"), and pushes only the partitions
 //! an operation touched.
 //!
-//! Membership churn should go through the **batched pipeline**:
-//! [`Admin::begin_batch`] collects operations and [`GroupBatch::commit`]
-//! applies them as one coalesced [`MembershipBatch`] — one re-key per
-//! surviving partition per batch in the engine, one [`ObjectStore::put_many`]
-//! round-trip publishing every dirty object, and (when a signer is
-//! configured) one coalesced [`LogOp::Batch`] entry in the certified op-log.
-//! Only [`Admin::create_group`] and [`Admin::remove_user`] keep the paper's
-//! per-object PUT profile (plus one `put_many` for the log objects when a
-//! signer is configured); [`Admin::add_user`] publishes its one partition
-//! with a PUT, or with the log objects in one `put_many`.
+//! **Every mutation is one store request.** Each operation publishes the
+//! objects it changed, the partitions it dropped (as deletes) and, when a
+//! signer is configured, its certified log objects in one atomic
+//! [`ObjectStore::put_many`] round-trip, so a reader sees a group's state
+//! either wholly before or wholly after an operation, and a publish that
+//! fails leaves nothing behind. Membership churn should still go through
+//! the **batched pipeline**: [`Admin::begin_batch`] collects operations
+//! and [`GroupBatch::commit`] applies them as one coalesced
+//! [`MembershipBatch`] — one re-key per surviving partition per batch in
+//! the engine and one coalesced [`LogOp::Batch`] entry in the log.
 //!
 //! **Locking.** Each group's metadata and log sit behind a lock of their
 //! own, held across the engine call, the log append and the publish, so a
@@ -27,7 +27,7 @@
 use crate::error::AcsError;
 use crate::oplog::{AdminSigner, LogOp};
 use crate::verilog::GroupLog;
-use cloud_store::{ObjectStore, StoreHandle};
+use cloud_store::{Bytes, ObjectStore, Request, RequestOp, StoreHandle};
 use ibbe_sgx_core::{
     AddOutcome, BatchOutcome, GroupEngine, GroupMetadata, MembershipBatch, PartitionSize,
     RemoveOutcome,
@@ -62,6 +62,34 @@ struct Group {
 /// A group's entry in the admin's map: `None` while [`Admin::create_group`]
 /// holds the name and has not yet published the group.
 type Slot = Arc<Mutex<Option<Group>>>;
+
+/// One write of a publish: `Some` stores the bytes, `None` deletes.
+type Write = (String, Option<Bytes>);
+
+fn put(item: impl Into<String>, bytes: Vec<u8>) -> Write {
+    (item.into(), Some(bytes.into()))
+}
+
+/// Every object of `meta`'s published state — partitions, sealed `gk`,
+/// key history — plus deletes of the partitions beyond its count that a
+/// state of `before` partitions had.
+fn whole_state(meta: &GroupMetadata, before: usize) -> Vec<Write> {
+    let partitions = meta.partitions.iter().enumerate();
+    partitions
+        .map(|(i, p)| put(partition_item(i), p.to_bytes()))
+        .chain([
+            put(SEALED_ITEM, meta.sealed_gk.to_bytes()),
+            put(EPOCHS_ITEM, meta.key_history.to_bytes()),
+        ])
+        .chain(trailing(meta, before))
+        .collect()
+}
+
+/// Deletes of the partition items beyond `meta`'s count that a state of
+/// `before` partitions had.
+fn trailing(meta: &GroupMetadata, before: usize) -> impl Iterator<Item = Write> {
+    (meta.partition_count()..before).map(|i| (partition_item(i), None))
+}
 
 /// The administrator API.
 pub struct Admin {
@@ -127,27 +155,21 @@ impl Admin {
         }
     }
 
-    /// Publishes `items` and the group's unpublished log objects in one
-    /// round-trip — nothing for no items, a PUT for one, a `put_many` for
-    /// more — then marks the log published. Returns the number of objects
-    /// sent.
-    fn publish(
-        &self,
-        group: &mut Group,
-        mut items: Vec<(String, Vec<u8>)>,
-    ) -> Result<usize, AcsError> {
-        items.extend(group.log.unpublished());
-        let name = &group.meta.name;
+    /// Publishes `items` and the group's unpublished log objects as one
+    /// atomic `put_many` — nothing at all when both are empty — then marks
+    /// the log published. Returns the number of objects the request
+    /// carried. The admin's only store write.
+    fn publish(&self, group: &mut Group, mut items: Vec<Write>) -> Result<usize, AcsError> {
+        let log = group.log.unpublished().into_iter();
+        items.extend(log.map(|(item, bytes)| put(item, bytes)));
         let sent = items.len();
-        match sent {
-            0 => {}
-            1 => {
-                let (item, data) = items.pop().expect("len checked");
-                self.store.try_put(name, &item, data)?;
-            }
-            _ => {
-                self.store.try_put_many(name, items)?;
-            }
+        if sent > 0 {
+            self.store.call(Request {
+                folder: group.meta.name.clone(),
+                item: String::new(),
+                op: RequestOp::PutMany(items),
+                rid: telemetry::current_request_id(),
+            })?;
         }
         group.log.mark_published();
         Ok(sent)
@@ -169,7 +191,7 @@ impl Admin {
         &self.store
     }
 
-    /// Creates a group and pushes all partition metadata to the cloud.
+    /// Creates a group and publishes all its metadata in one request.
     ///
     /// # Errors
     /// [`AcsError::GroupExists`] if this admin already holds `name` (a
@@ -211,8 +233,8 @@ impl Admin {
         if let Some(members) = log_members {
             self.journal(&mut group, LogOp::Create { members });
         }
-        self.push_all(&group.meta)?;
-        self.publish(&mut group, Vec::new())?;
+        let items = whole_state(&group.meta, 0);
+        self.publish(&mut group, items)?;
         Ok(group)
     }
 
@@ -233,14 +255,15 @@ impl Admin {
             // `y` unchanged on the fast path, so nothing else to push; the
             // new sealed gk only changes when gk rotates
             let p = &g.meta.partitions[outcome.partition];
-            let items = vec![(partition_item(outcome.partition), p.to_bytes())];
+            let items = vec![put(partition_item(outcome.partition), p.to_bytes())];
             self.publish(g, items)?;
             Ok(outcome)
         })
     }
 
-    /// Removes a user (Algorithm 3): pushes every partition (all wrapped
-    /// keys changed) and the new sealed group key; applies the
+    /// Removes a user (Algorithm 3): publishes every partition (all
+    /// wrapped keys changed), the new sealed group key and key history,
+    /// and the deletes of partitions a re-partition dropped; applies the
     /// re-partitioning heuristic when enabled.
     ///
     /// # Errors
@@ -262,9 +285,8 @@ impl Admin {
                     user: identity.to_string(),
                 },
             );
-            self.push_all(&g.meta)?;
-            self.delete_trailing(&g.meta, before)?;
-            self.publish(g, Vec::new())?;
+            let items = whole_state(&g.meta, before);
+            self.publish(g, items)?;
             Ok(outcome)
         })
     }
@@ -293,7 +315,7 @@ impl Admin {
     /// [`AcsError::UnknownGroup`] or engine failures; on engine validation
     /// failure neither the cache nor the cloud is modified. A store fault
     /// ([`AcsError::Store`]) surfaces *after* the engine/cache advanced:
-    /// the publish is then partial, and retrying the publish (e.g. via
+    /// nothing was published, and republishing (e.g. via
     /// [`Admin::rekey_group`]) reconciles the cloud with the cache.
     pub fn apply_batch(
         &self,
@@ -335,31 +357,30 @@ impl Admin {
             // a client can never observe rotated metadata whose log head
             // has not moved with it
             let meta = &g.meta;
-            let mut items: Vec<(String, Vec<u8>)> = dirty
+            let mut items: Vec<Write> = dirty
                 .iter()
-                .map(|&i| (partition_item(i), meta.partitions[i].to_bytes()))
+                .map(|&i| put(partition_item(i), meta.partitions[i].to_bytes()))
                 .collect();
             if publish_sealed {
-                items.push((SEALED_ITEM.to_string(), meta.sealed_gk.to_bytes()));
+                items.push(put(SEALED_ITEM, meta.sealed_gk.to_bytes()));
                 // a rotation retires a key into the history; publishing it
                 // in the SAME round-trip keeps partition epoch and history
                 // in one atomic version bump (no torn reads across the
                 // rotation)
-                items.push((EPOCHS_ITEM.to_string(), meta.key_history.to_bytes()));
+                items.push(put(EPOCHS_ITEM, meta.key_history.to_bytes()));
             }
+            items.extend(trailing(meta, before));
             let publish = telemetry::span("admin.publish")
                 .with("group", group)
                 .enter();
             publish.record("items", self.publish(g, items)?);
-            self.delete_trailing(&g.meta, before)?;
             Ok(outcome)
         })
     }
 
-    /// Re-keys the group without membership change and pushes everything —
-    /// in a **single atomic `put_many`** like a revoking batch, so clients
-    /// can never observe the new partitions with the old epoch history (a
-    /// rotation published item by item would open a torn-read window).
+    /// Re-keys the group without membership change and publishes
+    /// everything in one atomic `put_many`, so clients can never observe
+    /// the new partitions with the old epoch history.
     ///
     /// # Errors
     /// [`AcsError::UnknownGroup`] or engine failures.
@@ -370,17 +391,7 @@ impl Admin {
             self.engine.rekey_group(&mut g.meta)?;
             span.record("epoch", g.meta.epoch);
             self.journal(g, LogOp::Rekey);
-            let meta = &g.meta;
-            let items = meta
-                .partitions
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (partition_item(i), p.to_bytes()))
-                .chain([
-                    (SEALED_ITEM.to_string(), meta.sealed_gk.to_bytes()),
-                    (EPOCHS_ITEM.to_string(), meta.key_history.to_bytes()),
-                ])
-                .collect();
+            let items = whole_state(&g.meta, 0);
             let publish = telemetry::span("admin.publish")
                 .with("group", group)
                 .enter();
@@ -391,8 +402,7 @@ impl Admin {
 
     /// Compacts the group's epoch-key history, dropping retired keys for
     /// epochs below `keep_from` and republishing the shrunken `_epochs`
-    /// object (one PUT; nothing else changed, so no atomic batch is
-    /// needed). Bounds the history's otherwise unbounded 40 B-per-rotation
+    /// object. Bounds the history's otherwise unbounded 40 B-per-rotation
     /// growth.
     ///
     /// **Only safe when no stored object is still sealed below
@@ -409,8 +419,8 @@ impl Admin {
         self.with_group(group, |g| {
             let pruned = self.engine.compact_history(&mut g.meta, keep_from)?;
             if pruned > 0 {
-                self.store
-                    .try_put(group, EPOCHS_ITEM, g.meta.key_history.to_bytes())?;
+                let history = g.meta.key_history.to_bytes();
+                self.publish(g, vec![put(EPOCHS_ITEM, history)])?;
             }
             Ok(pruned)
         })
@@ -430,27 +440,6 @@ impl Admin {
     /// [`AcsError::UnknownGroup`].
     pub fn metadata(&self, group: &str) -> Result<GroupMetadata, AcsError> {
         self.with_group(group, |g| Ok(g.meta.clone()))
-    }
-
-    fn push_all(&self, meta: &GroupMetadata) -> Result<(), AcsError> {
-        for (i, p) in meta.partitions.iter().enumerate() {
-            self.store
-                .try_put(&meta.name, &partition_item(i), p.to_bytes())?;
-        }
-        self.store
-            .try_put(&meta.name, SEALED_ITEM, meta.sealed_gk.to_bytes())?;
-        self.store
-            .try_put(&meta.name, EPOCHS_ITEM, meta.key_history.to_bytes())?;
-        Ok(())
-    }
-
-    /// Drops the stale trailing partition items when the partition count
-    /// shrank from `before`.
-    fn delete_trailing(&self, meta: &GroupMetadata, before: usize) -> Result<(), AcsError> {
-        for i in meta.partition_count()..before {
-            self.store.try_delete(&meta.name, &partition_item(i))?;
-        }
-        Ok(())
     }
 }
 

@@ -2,17 +2,25 @@
 //! long polling, caches its partition, and re-derives `gk` on changes.
 //! No SGX is involved on this side.
 //!
+//! A sync is at most two store requests. The first is one atomic
+//! `GetMany` of the log head, the cached partition and the key history
+//! (a client with no usable cache lists the folder and reads every
+//! partition instead, in one `GetMany` too); the second fetches the log's
+//! consistency path, and only when the head moved. Everything a sync acts
+//! on therefore comes from one snapshot of the folder: a reader never sees
+//! half of an admin's publish.
+//!
 //! When the group publishes a verifiable op-log (see [`crate::verilog`]),
 //! the client pins the last verified [`LogCommitment`] and demands a
 //! consistency proof that every newly observed head extends it — *before*
-//! fetching or acting on any metadata. A store that forks, rewrites or
-//! truncates the log surfaces as [`AcsError::Verify`], and the client
-//! keeps its previous state instead of deriving a key from forged input.
+//! acting on any metadata. A store that forks, rewrites or truncates the
+//! log surfaces as [`AcsError::Verify`], and the client keeps its previous
+//! state instead of deriving a key from forged input.
 
-use crate::admin::SEALED_ITEM;
+use crate::admin::{EPOCHS_ITEM, SEALED_ITEM};
 use crate::error::AcsError;
-use crate::verilog;
-use cloud_store::{ObjectStore, StoreHandle};
+use crate::verilog::{self, LOG_HEAD_ITEM};
+use cloud_store::{Bytes, ObjectStore, StoreHandle};
 use ibbe::{PublicKey, UserSecretKey};
 use ibbe_sgx_core::{client_decrypt_from_partition, GroupKey, PartitionMetadata};
 use oplog::LogCommitment;
@@ -27,8 +35,9 @@ pub struct Client {
     group: String,
     /// Long-poll cursor (in the group folder's clock domain).
     cursor: u64,
-    /// Cache: which cloud item holds our partition, and its parsed content.
-    cached: Option<(String, PartitionMetadata)>,
+    /// Cache: which cloud item holds our partition, its parsed content, and
+    /// the key history read in the same snapshot.
+    cached: Option<(String, PartitionMetadata, Option<Bytes>)>,
     /// Last successfully derived group key.
     gk: Option<GroupKey>,
     /// Last verified op-log head (trust-on-first-use pin); `None` until a
@@ -73,7 +82,7 @@ impl Client {
     ///
     /// # Errors
     /// * [`AcsError::Verify`] if the published op-log does not extend the
-    ///   pinned head (fork/rewrite/truncation — **nothing** is fetched or
+    ///   pinned head (fork/rewrite/truncation — **nothing** is acted on or
     ///   derived in that case);
     /// * [`AcsError::NotAMember`] if no partition lists this identity
     ///   (including after revocation);
@@ -82,46 +91,62 @@ impl Client {
     /// * [`AcsError::Store`] on a transient cloud fault (the cached state
     ///   is untouched — retry when the store recovers).
     pub fn sync(&mut self) -> Result<GroupKey, AcsError> {
-        // verify the op-log head first: metadata is only worth reading if
-        // the history that produced it checks out
-        self.check_log()?;
-        self.cursor = self.store.try_folder_version(&self.group)?;
-        // fast path: cached partition item still lists us → fetch only it
-        if let Some((item, _)) = &self.cached {
-            if let Some((bytes, _)) = self.store.try_get(&self.group, item)? {
-                if let Some(p) = PartitionMetadata::from_bytes(&bytes) {
-                    if p.members.iter().any(|m| m == &self.identity) {
-                        let item = item.clone();
-                        return self.derive(item, p);
-                    }
-                }
+        // fast path: the cached partition item still lists us
+        let cached = self.cached.as_ref().map(|(item, ..)| vec![item.clone()]);
+        let fast = cached.map(|item| self.read(item)).transpose()?;
+        // slow path: read every partition of the folder
+        let snapshot = match fast.filter(|read| read.ours.is_some()) {
+            Some(read) => read,
+            None => {
+                let mut partitions = self.store.try_list(&self.group)?;
+                partitions.retain(|item| !item.starts_with('_'));
+                self.read(partitions)?
             }
-        }
-        // slow path: scan the folder for our partition
-        for item in self.store.try_list(&self.group)? {
-            if item.starts_with('_') {
-                continue; // sealed gk object — useless to clients
-            }
-            let Some((bytes, _)) = self.store.try_get(&self.group, &item)? else {
-                continue;
-            };
-            let p = PartitionMetadata::from_bytes(&bytes)
-                .ok_or(AcsError::WireFormat("partition object"))?;
-            if p.members.iter().any(|m| m == &self.identity) {
-                return self.derive(item, p);
-            }
-        }
-        self.cached = None;
-        self.gk = None;
-        Err(AcsError::NotAMember(self.identity.clone()))
-    }
-
-    fn derive(&mut self, item: String, p: PartitionMetadata) -> Result<GroupKey, AcsError> {
+        };
+        // verify the op-log head first: the snapshot is only worth acting
+        // on if the history that produced it checks out
+        self.check_log(verilog::parse_head(snapshot.head)?)?;
+        self.cursor = snapshot.version;
+        let Some((item, p)) = snapshot.ours else {
+            self.cached = None;
+            self.gk = None;
+            return Err(AcsError::NotAMember(self.identity.clone()));
+        };
         let gk =
             client_decrypt_from_partition(&self.pk, &self.usk, &self.identity, &self.group, &p)?;
-        self.cached = Some((item, p));
+        self.cached = Some((item, p, snapshot.history));
         self.gk = Some(gk);
         Ok(gk)
+    }
+
+    /// One atomic read of the group folder: `partitions`, the log head and
+    /// the key history, with the folder clock. A malformed partition read
+    /// before this member's fails the read.
+    fn read(&self, partitions: Vec<String>) -> Result<FolderRead, AcsError> {
+        let mut items = vec![LOG_HEAD_ITEM.to_string()];
+        items.extend(partitions.iter().cloned());
+        items.push(EPOCHS_ITEM.to_string());
+        let (mut found, version) = self.store.try_get_many(&self.group, items)?;
+        let history = found.pop().flatten().map(|(bytes, _)| bytes);
+        let head = found.remove(0);
+        // the first partition that lists us; a malformed one before it
+        // is an error
+        let mut ours = None;
+        for (item, got) in partitions.into_iter().zip(found) {
+            let Some((bytes, _)) = got else { continue };
+            let p = PartitionMetadata::from_bytes(&bytes)
+                .ok_or(AcsError::WireFormat("partition object"))?;
+            if p.members.contains(&self.identity) {
+                ours = Some((item, p));
+                break;
+            }
+        }
+        Ok(FolderRead {
+            head,
+            history,
+            version,
+            ours,
+        })
     }
 
     /// Blocks on a directory long poll until the group changes (or
@@ -147,7 +172,7 @@ impl Client {
         // cached name alone is not a safe filter), or when we have no
         // cache yet.
         let relevant = match &self.cached {
-            Some((item, _)) => poll.changed.iter().any(|c| c == item || c == SEALED_ITEM),
+            Some((item, ..)) => poll.changed.iter().any(|c| c == item || c == SEALED_ITEM),
             None => true,
         };
         if relevant {
@@ -159,25 +184,22 @@ impl Client {
             // still have moved (it rides with every journaled mutation) —
             // verify the extension now rather than at the next sync, so a
             // fork is flagged as soon as it is published.
-            if poll.changed.iter().any(|c| c == verilog::LOG_HEAD_ITEM) {
-                self.check_log()?;
+            if poll.changed.iter().any(|c| c == LOG_HEAD_ITEM) {
+                self.check_log(verilog::fetch_head(&self.store, &self.group)?)?;
             }
             Ok(self.gk)
         }
     }
 
-    /// Verifies the currently published log head against the pinned one
-    /// and advances the pin. First observation is trust-on-first-use; a
-    /// group that publishes no log verifies vacuously.
-    fn check_log(&mut self) -> Result<(), AcsError> {
-        match &self.log_head {
-            Some(prior) => {
-                self.log_head = Some(verilog::verify_extends(&self.store, &self.group, prior)?);
-            }
-            None => {
-                self.log_head = verilog::fetch_head(&self.store, &self.group)?;
-            }
-        }
+    /// Verifies `head`, as just read from the group folder, against the
+    /// pinned head and advances the pin. First observation is
+    /// trust-on-first-use; a group that publishes no log verifies
+    /// vacuously.
+    fn check_log(&mut self, head: Option<LogCommitment>) -> Result<(), AcsError> {
+        self.log_head = match &self.log_head {
+            Some(prior) => Some(verilog::check_head(&self.store, &self.group, prior, head)?),
+            None => head,
+        };
         Ok(())
     }
 
@@ -194,7 +216,7 @@ impl Client {
         let head = verilog::verify_extends(&self.store, &self.group, prior)?;
         // (a caller relaying the pin itself has just had it checked)
         if let Some(pinned) = self.log_head.filter(|pinned| pinned != prior) {
-            verilog::check_extension(&self.store, &self.group, &pinned, &head)?;
+            verilog::check_head(&self.store, &self.group, &pinned, Some(head))?;
         }
         self.log_head = Some(head);
         Ok(head)
@@ -205,20 +227,22 @@ impl Client {
         self.log_head
     }
 
-    /// Index item of the currently cached partition (diagnostics).
-    pub fn cached_partition_item(&self) -> Option<&str> {
-        self.cached.as_ref().map(|(i, _)| i.as_str())
-    }
-
     /// The cached partition metadata from the last successful sync (the
     /// data plane reads the current key epoch from here).
     pub fn cached_partition(&self) -> Option<&PartitionMetadata> {
-        self.cached.as_ref().map(|(_, p)| p)
+        self.cached.as_ref().map(|(_, p, _)| p)
+    }
+
+    /// The key history object read in the same snapshot as the cached
+    /// partition (the data plane unlocks retired epochs from it); `None`
+    /// if the group publishes none or nothing is cached.
+    pub fn cached_history(&self) -> Option<&[u8]> {
+        self.cached.as_ref()?.2.as_deref()
     }
 
     /// Key epoch of the last successfully synced state, if any.
     pub fn current_epoch(&self) -> Option<u64> {
-        self.cached.as_ref().map(|(_, p)| p.epoch)
+        self.cached.as_ref().map(|(_, p, _)| p.epoch)
     }
 
     /// The store handle this client talks to.
@@ -230,6 +254,16 @@ impl Client {
     pub fn group(&self) -> &str {
         &self.group
     }
+}
+
+/// What one atomic read of the group folder yielded (see `Client::read`).
+struct FolderRead {
+    head: Option<(Bytes, u64)>,
+    history: Option<Bytes>,
+    /// The folder clock at the read.
+    version: u64,
+    /// The first partition read that lists this member.
+    ours: Option<(String, PartitionMetadata)>,
 }
 
 impl core::fmt::Debug for Client {

@@ -29,7 +29,7 @@ use ibbe::{PublicKey, UserSecretKey};
 use ibbe_sgx_core::{GroupEngine, PartitionSize};
 use oplog::{leaf_hash, MerkleLog};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -227,10 +227,10 @@ impl ForkingStore {
     /// folder does not have.
     pub fn tamper(&self, folder: &str, tamper: Tamper) -> Result<(), AcsError> {
         let view = match tamper {
-            Tamper::Rollback => View::Frozen {
-                version: self.inner.try_folder_version(folder)?,
-                items: self.snapshot(folder)?,
-            },
+            Tamper::Rollback => {
+                let (version, items) = self.snapshot(folder)?;
+                View::Frozen { version, items }
+            }
             Tamper::Truncate { drop } => {
                 self.resequenced(folder, |len| (0..len.saturating_sub(drop)).collect())?
             }
@@ -239,7 +239,7 @@ impl ForkingStore {
             }
             Tamper::Resequence { order } => self.resequenced(folder, |_| order)?,
             Tamper::RewriteEntry { index } => {
-                let mut entries = self.log_entries(folder)?;
+                let mut entries = log_entries(&self.snapshot(folder)?.1);
                 let forged = entries
                     .get_mut(index as usize)
                     .ok_or(AcsError::WireFormat("tamper index beyond log"))?;
@@ -254,7 +254,7 @@ impl ForkingStore {
                 }
             }
             Tamper::ForgeAppend { entry } => {
-                let mut entries = self.log_entries(folder)?;
+                let mut entries = log_entries(&self.snapshot(folder)?.1);
                 entries.push(Bytes::from(entry));
                 View::Overlay {
                     bump: 1,
@@ -274,9 +274,8 @@ impl ForkingStore {
         folder: &str,
         order: impl FnOnce(u64) -> Vec<u64>,
     ) -> Result<View, AcsError> {
-        let version = self.inner.try_folder_version(folder)?;
-        let mut items = self.snapshot(folder)?;
-        let entries = self.log_entries(folder)?;
+        let (version, mut items) = self.snapshot(folder)?;
+        let entries = log_entries(&items);
         let served = order(entries.len() as u64)
             .into_iter()
             .map(|i| entries.get(i as usize).cloned())
@@ -287,35 +286,22 @@ impl ForkingStore {
         Ok(View::Frozen { version, items })
     }
 
-    fn snapshot(&self, folder: &str) -> Result<HashMap<String, Bytes>, AcsError> {
-        let mut items = HashMap::new();
-        for name in self.inner.try_list(folder)? {
-            if let Some((bytes, _)) = self.inner.try_get(folder, &name)? {
-                items.insert(name, bytes);
-            }
-        }
-        Ok(items)
+    /// `folder`'s items and clock, read in one snapshot.
+    fn snapshot(&self, folder: &str) -> Result<(u64, HashMap<String, Bytes>), AcsError> {
+        let names = self.inner.try_list(folder)?;
+        let (found, version) = self.inner.try_get_many(folder, names.clone())?;
+        let items = names.into_iter().zip(found);
+        let items = items.filter_map(|(name, got)| Some((name, got?.0)));
+        Ok((version, items.collect()))
     }
+}
 
-    /// The folder's current log entry bytes in index order.
-    fn log_entries(&self, folder: &str) -> Result<Vec<Bytes>, AcsError> {
-        let mut names: Vec<String> = self
-            .inner
-            .try_list(folder)?
-            .into_iter()
-            .filter(|n| n.starts_with("_log_e"))
-            .collect();
-        names.sort(); // zero-padded indices: lexicographic == numeric
-        let mut entries = Vec::with_capacity(names.len());
-        for name in names {
-            let (bytes, _) = self
-                .inner
-                .try_get(folder, &name)?
-                .ok_or(AcsError::WireFormat("log entry vanished mid-tamper"))?;
-            entries.push(bytes);
-        }
-        Ok(entries)
-    }
+/// The log entry bytes among a folder's `items`, in index order (the
+/// indices are zero-padded: lexicographic order is numeric order).
+fn log_entries(items: &HashMap<String, Bytes>) -> Vec<Bytes> {
+    let entries = items.iter().filter(|(name, _)| name.starts_with("_log_e"));
+    let entries: BTreeMap<_, _> = entries.collect();
+    entries.into_values().cloned().collect()
 }
 
 /// Rebuilds the complete log object set (entries, interior nodes, head)
@@ -409,19 +395,39 @@ impl ObjectStore for ForkingStore {
             return self.inner.call(request);
         };
         match (&request.op, view) {
-            (RequestOp::Get, View::Frozen { version, items }) => Ok(Response::Get(
-                items.get(&request.item).map(|b| (b.clone(), *version)),
-            )),
-            (RequestOp::Get, View::Overlay { bump, items }) => match items.get(&request.item) {
-                Some(b) => {
-                    let v = self.inner.try_folder_version(folder)? + bump;
-                    Ok(Response::Get(Some((b.clone(), v))))
+            // a GET and a clock read are a one- and a no-item snapshot
+            (RequestOp::Get | RequestOp::FolderVersion, _) => {
+                drop(views);
+                let get = matches!(request.op, RequestOp::Get);
+                let items = if get { vec![request.item] } else { Vec::new() };
+                let (mut found, version) = self.try_get_many(folder, items)?;
+                Ok(if get {
+                    Response::Get(found.pop().flatten())
+                } else {
+                    Response::Version(version)
+                })
+            }
+            (RequestOp::GetMany(names), View::Frozen { version, items }) => Ok(Response::GetMany {
+                items: names
+                    .iter()
+                    .map(|name| items.get(name).map(|b| (b.clone(), *version)))
+                    .collect(),
+                version: *version,
+            }),
+            (RequestOp::GetMany(names), View::Overlay { bump, items }) => {
+                // one honest snapshot, forged items laid over it
+                let (mut found, live) = self.inner.try_get_many(folder, names.clone())?;
+                let version = live + bump;
+                for (name, slot) in names.iter().zip(&mut found) {
+                    if let Some(b) = items.get(name) {
+                        *slot = Some((b.clone(), version));
+                    }
                 }
-                None => {
-                    drop(views);
-                    self.inner.call(request)
-                }
-            },
+                Ok(Response::GetMany {
+                    items: found,
+                    version,
+                })
+            }
             (RequestOp::List, View::Frozen { items, .. }) => {
                 let mut names: Vec<String> = items.keys().cloned().collect();
                 names.sort();
@@ -437,12 +443,6 @@ impl ObjectStore for ForkingStore {
                 names.sort();
                 Ok(Response::Names(names))
             }
-            (RequestOp::FolderVersion, View::Frozen { version, .. }) => {
-                Ok(Response::Version(*version))
-            }
-            (RequestOp::FolderVersion, View::Overlay { bump, .. }) => Ok(Response::Version(
-                self.inner.try_folder_version(folder)? + bump,
-            )),
             (&RequestOp::LongPoll { since, timeout }, view) => {
                 let plan = match view {
                     View::Frozen { version, .. } => PollPlan::Frozen(*version),
@@ -483,5 +483,69 @@ impl core::fmt::Debug for ForkingStore {
 impl From<ForkingStore> for StoreHandle {
     fn from(s: ForkingStore) -> Self {
         StoreHandle::new(s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::admin::partition_item;
+    use crate::oplog::AdminSigner;
+    use cloud_store::CloudStore;
+    use rand::SeedableRng;
+
+    /// A tampered view answers a multi-GET exactly as it answers one GET
+    /// per item, with the clock it reports for the folder; a frozen view
+    /// keeps answering what the folder held when it was frozen.
+    #[test]
+    fn a_tampered_views_multi_get_equals_its_gets() {
+        let store = CloudStore::new();
+        let engine = GroupEngine::bootstrap_seeded(PartitionSize::new(2).unwrap(), [1; 32]);
+        let signer = AdminSigner::new("admin-1", &mut rand::rngs::StdRng::seed_from_u64(1));
+        let admin = Admin::new(engine.unwrap(), store.clone()).with_signer(signer);
+        for group in ["g", "h"] {
+            admin
+                .create_group(group, vec!["u0".into(), "u1".into()])
+                .unwrap();
+        }
+        // every item as of the tamper, the partition and entry the write
+        // below adds, and one that never exists
+        let names = |folder: &str| {
+            let mut names = store.list(folder);
+            names.extend([partition_item(1), log_entry_item(1), "missing".into()]);
+            names
+        };
+        let names = [names("g"), names("h")];
+        let (held, _) = store.try_get_many("g", names[0].clone()).unwrap();
+        let forked = ForkingStore::new(store.clone());
+        forked.tamper("g", Tamper::Rollback).unwrap();
+        forked
+            .tamper("h", Tamper::RewriteEntry { index: 0 })
+            .unwrap();
+        // an honest write — a new partition, a new log entry — the frozen
+        // view never shows
+        admin.add_user("g", "u2").unwrap();
+        for (folder, names) in ["g", "h"].into_iter().zip(&names) {
+            let (found, clock) = forked.try_get_many(folder, names.clone()).unwrap();
+            let gets: Vec<_> = names
+                .iter()
+                .map(|n| forked.try_get(folder, n).unwrap())
+                .collect();
+            assert_eq!(found, gets, "{folder}");
+            assert_eq!(
+                clock,
+                forked.try_folder_version(folder).unwrap(),
+                "{folder}"
+            );
+        }
+        let (frozen, clock) = forked.try_get_many("g", names[0].clone()).unwrap();
+        let payloads = |got: &[Option<(Bytes, u64)>]| -> Vec<_> {
+            got.iter()
+                .map(|g| g.as_ref().map(|(b, _)| b.clone()))
+                .collect()
+        };
+        assert_eq!(payloads(&frozen), payloads(&held), "frozen at the tamper");
+        assert!(frozen.iter().flatten().all(|(_, v)| *v == clock));
+        assert!(clock < store.version(), "the honest folder moved on");
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Assembles the paper's Fig. 5 architecture from the workspace substrates:
 //!
-//! * [`Admin`] — IBBE-SGX engine + local cache + cloud PUT path, with the
+//! * [`Admin`] — IBBE-SGX engine + local cache + cloud publish path (every
+//!   mutation one atomic `put_many`), with the
 //!   **batched membership pipeline** ([`Admin::begin_batch`] →
 //!   [`GroupBatch::commit`]): a burst of adds/removes is coalesced into one
 //!   engine batch (one re-key per surviving partition per batch), published
@@ -11,7 +12,8 @@
 //!   groups in flight at once (one lock per group); every component holds
 //!   a [`cloud_store::StoreHandle`], so the same deployment runs unchanged
 //!   on a single `CloudStore` or a folder-sharded `ShardedStore`;
-//! * [`Client`] — long-polling group member deriving `gk` (no SGX);
+//! * [`Client`] — long-polling group member deriving `gk` (no SGX) from
+//!   one `GetMany` snapshot of the group folder per sync;
 //! * [`provisioning`] — the Fig. 3 trust establishment (quote → IAS →
 //!   Auditor/CA certificate → encrypted user-key delivery);
 //! * [`HeAdmin`] — the Hybrid-Encryption comparison system at equal

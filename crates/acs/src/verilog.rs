@@ -10,15 +10,18 @@
 //!
 //! * **Admins** ([`crate::Admin::with_signer`]) append each mutation to the
 //!   group's [`GroupLog`] and publish the entry, the completed tree nodes
-//!   and the new head — in the *same* atomic
-//!   [`cloud_store::ObjectStore::try_put_many`] round-trip as the group
-//!   metadata the mutation produced.
+//!   and the new head — in the *same* atomic `put_many` round-trip as the
+//!   group metadata the mutation produced.
 //! * **Clients** pin the last verified [`LogCommitment`] (40 bytes) and,
 //!   before acting on any new state, demand an O(log n) consistency proof
-//!   that the published head extends it ([`verify_extends`]). A store that
-//!   forks, rewrites, or truncates the history a client has seen fails the
-//!   proof — the client refuses the forged metadata instead of deriving a
-//!   key from it.
+//!   that the published head extends it ([`verify_extends`]). A sync is two
+//!   requests: one [`cloud_store::ObjectStore::try_get_many`] snapshot of
+//!   the head with the metadata it vouches for, then — only when the head
+//!   moved — one more for the consistency path, whose node ids depend only
+//!   on the two sizes. Nothing in the snapshot is acted on until the proof
+//!   checks out. A store that forks, rewrites, or truncates the history a
+//!   client has seen fails the proof — the client refuses the forged
+//!   metadata instead of deriving a key from it.
 //! * **Auditors** ([`Auditor`]) hold only admin *verification* keys — no
 //!   SGX, no group membership, no admin credentials — and fold the entry
 //!   check over the full log ([`Auditor::audit_group`]) or apply it to one
@@ -57,15 +60,15 @@
 
 use crate::error::AcsError;
 use crate::oplog::{AdminSigner, LogEntry, LogOp};
-use cloud_store::{ObjectStore, StoreError, StoreHandle};
+use cloud_store::{Bytes, ObjectStore, StoreHandle};
 use oplog::{
     consistency_proof, leaf_hash, verify_consistency, Hash, LogCommitment, MerkleLog, NodeSource,
     TransitionProof, VerifyError,
 };
 use parking_lot::Mutex;
 use sgx_sim::bls::VerifyingKey;
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 /// Item name of the published log head inside a group folder.
 pub const LOG_HEAD_ITEM: &str = "_log_head";
@@ -145,68 +148,73 @@ impl GroupLog {
     }
 }
 
-/// [`NodeSource`] over the published log objects of one group folder.
-///
-/// Level 0 reads `_log_e*` and hashes the bytes; higher levels read the
-/// 32-byte `_log_n*` objects. A store fault and a *missing* node must not
-/// be confused — an outage is transient, a hole is evidence — so the first
-/// store error and the first absent node are recorded separately for the
-/// caller to inspect when proof construction fails.
-pub struct StoreNodeSource<'a> {
-    store: &'a StoreHandle,
-    group: &'a str,
-    error: Cell<Option<StoreError>>,
-    missing: Cell<Option<(u32, u64)>>,
-}
+/// The node ids a proof construction reads, recorded in the order it
+/// reads them. They depend only on the tree sizes, never on the hashes, so
+/// one dry run over placeholder hashes names every object the real run
+/// needs.
+#[derive(Default)]
+struct Wanted(RefCell<Vec<(u32, u64)>>);
 
-impl<'a> StoreNodeSource<'a> {
-    /// A source reading `group`'s log objects through `store`.
-    pub fn new(store: &'a StoreHandle, group: &'a str) -> Self {
-        Self {
-            store,
-            group,
-            error: Cell::new(None),
-            missing: Cell::new(None),
-        }
-    }
-
-    /// Converts a failed proof construction into the right error: a store
-    /// fault if one occurred (transient — retry), otherwise the missing
-    /// node (fail closed — evidence of tampering or a torn publish).
-    pub fn failure(&self) -> AcsError {
-        if let Some(e) = self.error.take() {
-            return AcsError::Store(e);
-        }
-        let (level, index) = self.missing.take().unwrap_or((0, 0));
-        AcsError::Verify(VerifyError::MissingNode { level, index })
-    }
-}
-
-impl NodeSource for StoreNodeSource<'_> {
+impl NodeSource for Wanted {
     fn node(&self, level: u32, index: u64) -> Option<Hash> {
-        let fetched = if level == 0 {
-            self.store
-                .try_get(self.group, &log_entry_item(index))
-                .map(|got| got.map(|(bytes, _)| leaf_hash(&bytes)))
+        self.0.borrow_mut().push((level, index));
+        Some([0; 32])
+    }
+}
+
+/// Fetched log objects by node id: the entry bytes at level 0 (hashed on
+/// read), the 32-byte node objects above.
+struct Fetched(HashMap<(u32, u64), Bytes>);
+
+impl NodeSource for Fetched {
+    fn node(&self, level: u32, index: u64) -> Option<Hash> {
+        let bytes = self.0.get(&(level, index))?;
+        if level == 0 {
+            Some(leaf_hash(bytes))
         } else {
-            self.store
-                .try_get(self.group, &log_node_item(level, index))
-                .map(|got| got.and_then(|(bytes, _)| <[u8; 32]>::try_from(bytes.as_ref()).ok()))
-        };
-        match fetched {
-            Ok(Some(hash)) => Some(hash),
-            Ok(None) => {
-                let prev = self.missing.take();
-                self.missing.set(prev.or(Some((level, index))));
-                None
-            }
-            Err(e) => {
-                let prev = self.error.take();
-                self.error.set(prev.or(Some(e)));
-                None
-            }
+            <[u8; 32]>::try_from(bytes.as_ref()).ok()
         }
     }
+}
+
+/// Runs the proof construction `build` over `group`'s published log
+/// objects, fetching every object it reads in one `GetMany`. Returns the
+/// result and the fetched objects by node id.
+///
+/// Fails closed: the first node, in the order `build` reads them, that is
+/// absent or malformed is reported as [`VerifyError::MissingNode`] — an
+/// outage is transient, a hole is evidence. A failed request surfaces as
+/// [`AcsError::Store`].
+fn with_nodes<T>(
+    store: &StoreHandle,
+    group: &str,
+    build: impl Fn(&dyn NodeSource) -> Option<T>,
+) -> Result<(T, Fetched), AcsError> {
+    let wanted = Wanted::default();
+    build(&wanted);
+    let mut ids = wanted.0.into_inner();
+    let mut seen = HashSet::new();
+    ids.retain(|id| seen.insert(*id));
+    let items = ids
+        .iter()
+        .map(|&(level, index)| match level {
+            0 => log_entry_item(index),
+            _ => log_node_item(level, index),
+        })
+        .collect();
+    let (found, _) = store.try_get_many(group, items)?;
+    let mut fetched = HashMap::new();
+    for (&(level, index), got) in ids.iter().zip(found) {
+        match got {
+            Some((bytes, _)) if level == 0 || bytes.len() == 32 => {
+                fetched.insert((level, index), bytes);
+            }
+            _ => return Err(AcsError::Verify(VerifyError::MissingNode { level, index })),
+        }
+    }
+    let fetched = Fetched(fetched);
+    let built = build(&fetched).expect("every node the construction reads was fetched");
+    Ok((built, fetched))
 }
 
 /// Fetches and parses the published log head of `group`, `None` when the
@@ -216,7 +224,13 @@ impl NodeSource for StoreNodeSource<'_> {
 /// [`AcsError::Store`] on a store fault, [`AcsError::Verify`] on a
 /// malformed head object.
 pub fn fetch_head(store: &StoreHandle, group: &str) -> Result<Option<LogCommitment>, AcsError> {
-    match store.try_get(group, LOG_HEAD_ITEM)? {
+    parse_head(store.try_get(group, LOG_HEAD_ITEM)?)
+}
+
+/// Parses a fetched `_log_head` object (`None`: the group publishes no
+/// log).
+pub(crate) fn parse_head(fetched: Option<(Bytes, u64)>) -> Result<Option<LogCommitment>, AcsError> {
+    match fetched {
         None => Ok(None),
         Some((bytes, _)) => Ok(Some(LogCommitment::from_bytes(&bytes)?)),
     }
@@ -235,8 +249,21 @@ pub fn verify_extends(
     group: &str,
     prior: &LogCommitment,
 ) -> Result<LogCommitment, AcsError> {
+    check_head(store, group, prior, fetch_head(store, group)?)
+}
+
+/// [`verify_extends`] over a head already read from `group`'s folder
+/// (`None`: no head published): it must equal `prior` or extend it. The
+/// consistency path is fetched in one request, and only when the head
+/// moved.
+pub(crate) fn check_head(
+    store: &StoreHandle,
+    group: &str,
+    prior: &LogCommitment,
+    head: Option<LogCommitment>,
+) -> Result<LogCommitment, AcsError> {
     let span = telemetry::span("oplog.verify").with("group", group).enter();
-    let head = match fetch_head(store, group)? {
+    let head = match head {
         Some(head) => head,
         // a store that once served a non-empty head cannot unserve it
         None if prior.size == 0 => return Ok(*prior),
@@ -244,20 +271,8 @@ pub fn verify_extends(
     };
     span.record("prior", prior.size);
     span.record("head", head.size);
-    check_extension(store, group, prior, &head)?;
-    Ok(head)
-}
-
-/// The head-against-head half of [`verify_extends`]: `head` (already
-/// fetched from `group`'s folder) must equal `prior` or extend it.
-pub(crate) fn check_extension(
-    store: &StoreHandle,
-    group: &str,
-    prior: &LogCommitment,
-    head: &LogCommitment,
-) -> Result<(), AcsError> {
-    if head == prior {
-        return Ok(()); // unchanged — nothing to fetch
+    if head == *prior {
+        return Ok(head); // unchanged — nothing to fetch
     }
     if head.size < prior.size {
         return Err(AcsError::Verify(VerifyError::Truncated {
@@ -269,12 +284,11 @@ pub(crate) fn check_extension(
         // equal size, different root (the equal case returned above)
         return Err(AcsError::Verify(VerifyError::Forked { size: head.size }));
     }
-    let src = StoreNodeSource::new(store, group);
-    let Some(proof) = consistency_proof(&src, prior.size, head.size) else {
-        return Err(src.failure());
-    };
-    verify_consistency(prior, head, &proof)?;
-    Ok(())
+    let (proof, _) = with_nodes(store, group, |src| {
+        consistency_proof(src, prior.size, head.size)
+    })?;
+    verify_consistency(prior, &head, &proof)?;
+    Ok(head)
 }
 
 /// A compact fraud-proof unit: one signed log entry plus the Merkle
@@ -350,7 +364,7 @@ impl SignedTransition {
 
 /// Builds the [`SignedTransition`] for the append that put entry
 /// `pre_size` into `group`'s published log, fetching the O(log n) proof
-/// material from the store.
+/// material and the entry in one request.
 ///
 /// # Errors
 /// [`AcsError::Store`] on store faults, [`AcsError::Verify`] when required
@@ -360,17 +374,9 @@ pub fn fetch_transition(
     group: &str,
     pre_size: u64,
 ) -> Result<SignedTransition, AcsError> {
-    let src = StoreNodeSource::new(store, group);
-    let Some(proof) = TransitionProof::build(&src, pre_size) else {
-        return Err(src.failure());
-    };
-    let (bytes, _) = store
-        .try_get(group, &log_entry_item(pre_size))?
-        .ok_or(AcsError::Verify(VerifyError::MissingNode {
-            level: 0,
-            index: pre_size,
-        }))?;
-    let entry = LogEntry::from_bytes(&bytes)
+    let (proof, objects) = with_nodes(store, group, |src| TransitionProof::build(src, pre_size))?;
+    // the build read the appended entry as its leaf
+    let entry = LogEntry::from_bytes(&objects.0[&(0, pre_size)])
         .ok_or(AcsError::Verify(VerifyError::Malformed("log entry")))?;
     Ok(SignedTransition { proof, entry })
 }

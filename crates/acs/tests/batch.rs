@@ -12,6 +12,7 @@ use cloud_store::{
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -37,8 +38,9 @@ fn seeded_admin(seed: u64, partition: usize, store: CloudStore) -> Admin {
 /// The PR's acceptance criterion: a batch of k removes over a group with
 /// |P| surviving partitions performs exactly |P| partition re-keys and
 /// exactly one `put_many` store round-trip, where the sequential path pays
-/// k × |P| re-keys (plus the k hosts' own refreshes) and k × (|P| + 2) PUTs
-/// (every partition, the sealed gk, and the epoch history, per operation).
+/// k × |P| re-keys (plus the k hosts' own refreshes) and k round-trips
+/// (each operation one `put_many` of every partition, the sealed gk, and
+/// the epoch history).
 #[test]
 fn k_removes_cost_one_rekey_sweep_and_one_round_trip() {
     let k = 3;
@@ -82,7 +84,7 @@ fn k_removes_cost_one_rekey_sweep_and_one_round_trip() {
         "4 partitions + the sealed gk + the epoch history in the round-trip"
     );
 
-    // sequential path: one full push per operation
+    // sequential path: one full publish per operation
     let mut seq_rekeys = 0;
     for v in victims {
         let out = admin_seq.remove_user("g", v).unwrap();
@@ -92,11 +94,16 @@ fn k_removes_cost_one_rekey_sweep_and_one_round_trip() {
     let m = store_seq.metrics();
     assert_eq!(seq_rekeys, k * 4, "sequential pays k × |P| re-keys");
     assert_eq!(
-        m.puts - base_seq.puts,
-        (k * (4 + 2)) as u64,
-        "sequential pays k × (|P| + 2) PUT round-trips (partitions + sealed gk + epoch history)"
+        m.puts_batched - base_seq.puts_batched,
+        k as u64,
+        "sequential pays k put_many round-trips, one per operation"
     );
-    assert_eq!(m.puts_batched - base_seq.puts_batched, 0);
+    assert_eq!(
+        m.batched_items - base_seq.batched_items,
+        (k * (4 + 2)) as u64,
+        "each carrying |P| + 2 objects (partitions + sealed gk + epoch history)"
+    );
+    assert_eq!(m.puts - base_seq.puts, 0);
 
     // and both schedules end in the same membership
     assert_eq!(
@@ -214,6 +221,7 @@ fn client_long_poll_sees_one_coalesced_update_per_batch() {
         "g",
     );
     let gk1 = client.sync().unwrap();
+    let base = store.metrics().puts_batched;
 
     let admin_thread = std::thread::spawn(move || {
         std::thread::sleep(std::time::Duration::from_millis(30));
@@ -232,15 +240,16 @@ fn client_long_poll_sees_one_coalesced_update_per_batch() {
         .expect("one coalesced update must wake the poller");
     assert_ne!(gk1, gk2, "a revoking batch rotates gk for survivors");
     let _ = admin_thread.join().unwrap();
-    assert_eq!(store.metrics().puts_batched, 1);
+    assert_eq!(store.metrics().puts_batched - base, 1);
 }
 
-/// A store that holds group `a`'s publish (its `put_many`) until group
-/// `b`'s has arrived, failing it with [`StoreError::Timeout`] after 2 s;
-/// every other request passes straight through.
+/// Once armed, a store that holds group `a`'s publish (its `put_many`)
+/// until group `b`'s has arrived, failing it with [`StoreError::Timeout`]
+/// after 2 s; every other request passes straight through.
 #[derive(Clone)]
 struct RendezvousStore {
     inner: CloudStore,
+    armed: Arc<AtomicBool>,
     arrived: Arc<(Mutex<BTreeSet<String>>, Condvar)>,
 }
 
@@ -250,6 +259,7 @@ impl RendezvousStore {
     fn new(inner: CloudStore) -> Self {
         Self {
             inner,
+            armed: Arc::default(),
             arrived: Arc::default(),
         }
     }
@@ -267,7 +277,7 @@ impl RendezvousStore {
 
 impl ObjectStore for RendezvousStore {
     fn call(&self, request: Request) -> Result<Response, StoreError> {
-        if matches!(request.op, RequestOp::PutMany(_)) {
+        if matches!(request.op, RequestOp::PutMany(_)) && self.armed.load(Ordering::SeqCst) {
             let (arrived, cv) = &*self.arrived;
             arrived.lock().unwrap().insert(request.folder.clone());
             cv.notify_all();
@@ -297,6 +307,8 @@ fn one_admin_overlaps_two_groups_publishes() {
     for g in ["a", "b"] {
         admin.create_group(g, names(4)).unwrap();
     }
+    // a create is a publish too: hold only the batches
+    store.armed.store(true, Ordering::SeqCst);
     let mut batch = MembershipBatch::new();
     batch.remove("user-0");
     std::thread::scope(|s| {

@@ -3,9 +3,14 @@
 //! honest-but-curious observability properties of §II.
 
 use acs::{bootstrap_admin, provisioning, AcsError, Client, HeAdmin};
-use cloud_store::{CloudStore, FaultConfig, FaultyStore};
-use ibbe_sgx_core::PartitionSize;
+use cloud_store::{
+    CloudStore, FaultConfig, FaultyStore, MetricsSnapshot, ObjectStore, Request, RequestOp,
+    Response, StoreError, StoreHandle,
+};
+use ibbe_sgx_core::{PartitionMetadata, PartitionSize};
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -317,4 +322,124 @@ fn metadata_traffic_is_constant_per_partition_for_ibbe() {
     // crypto payload: exactly partitions × (ciphertext + wrapped key)
     let per = meta.partitions[0].crypto_size_bytes();
     assert_eq!(meta.crypto_size_bytes(), 3 * per);
+}
+
+/// A store that fails one write request (PUT, multi-write or DELETE) —
+/// the `n`-th after [`FailingWrites::fail_write`] — with a timeout, before
+/// it takes effect; reads and every other write pass through.
+#[derive(Clone, Default)]
+struct FailingWrites {
+    inner: CloudStore,
+    /// Writes left until the failing one; `0` = disarmed.
+    countdown: Arc<AtomicUsize>,
+}
+
+impl FailingWrites {
+    fn fail_write(&self, n: usize) {
+        self.countdown.store(n, Ordering::SeqCst);
+    }
+
+    /// The epochs of the partition objects the store holds for `group`.
+    fn partition_epochs(&self, group: &str) -> Vec<u64> {
+        let items = self.inner.list(group);
+        let partitions = items.iter().filter(|item| !item.starts_with('_'));
+        partitions
+            .map(|item| {
+                let (bytes, _) = self.inner.get(group, item).expect("listed");
+                PartitionMetadata::from_bytes(&bytes)
+                    .expect("a partition")
+                    .epoch
+            })
+            .collect()
+    }
+}
+
+impl ObjectStore for FailingWrites {
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        let write = matches!(
+            request.op,
+            RequestOp::Put(_) | RequestOp::PutMany(_) | RequestOp::Delete
+        );
+        let count = |n: usize| n.checked_sub(1);
+        if write
+            && self
+                .countdown
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, count)
+                == Ok(1)
+        {
+            return Err(StoreError::Timeout);
+        }
+        self.inner.call(request)
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        self.inner.metrics()
+    }
+}
+
+/// A create that fails at any of its writes releases the name and leaves
+/// nothing behind: once the group is created again with another roster, a
+/// member of the failed roster only is not a member.
+#[test]
+fn a_create_failed_midway_leaves_no_member_of_its_roster_behind() {
+    let mut failed = 0;
+    for n in 1..=8 {
+        let store = FailingWrites::default();
+        let admin = bootstrap_admin(
+            PartitionSize::new(2).unwrap(),
+            StoreHandle::new(store.clone()),
+            &mut rng(12),
+        )
+        .unwrap();
+        let old = (0..10).map(|i| format!("old-{i}")).collect();
+        store.fail_write(n);
+        let Err(err) = admin.create_group("g", old) else {
+            continue;
+        };
+        failed += 1;
+        assert_eq!(err, AcsError::Store(StoreError::Timeout), "write {n}");
+        admin
+            .create_group("g", vec!["new-0".to_string(), "new-1".to_string()])
+            .unwrap();
+        let client = |id: &str| {
+            let usk = admin.engine().extract_user_key(id).unwrap();
+            let pk = admin.engine().public_key().clone();
+            Client::new(id, usk, pk, StoreHandle::new(store.clone()), "g")
+        };
+        assert_eq!(
+            client("old-7").sync(),
+            Err(AcsError::NotAMember("old-7".into())),
+            "create failed at write {n}"
+        );
+        client("new-0").sync().unwrap();
+    }
+    assert!(failed > 0, "some write of the create must have failed");
+}
+
+/// A remove that fails at any of its writes leaves the store at one epoch:
+/// never some partitions re-keyed and the others not.
+#[test]
+fn a_remove_failed_midway_leaves_one_epoch_in_the_store() {
+    let mut failed = 0;
+    for n in 1..=8 {
+        let store = FailingWrites::default();
+        let mut admin = bootstrap_admin(
+            PartitionSize::new(2).unwrap(),
+            StoreHandle::new(store.clone()),
+            &mut rng(13),
+        )
+        .unwrap();
+        admin.set_auto_repartition(false);
+        admin.create_group("g", names(8)).unwrap();
+        store.fail_write(n);
+        let result = admin.remove_user("g", "user-0");
+        failed += usize::from(result.is_err());
+        let epochs = store.partition_epochs("g");
+        assert_eq!(epochs.len(), 4);
+        assert!(
+            epochs.iter().all(|&e| e == epochs[0]),
+            "remove failed at write {n} ({result:?}): partition epochs {epochs:?}"
+        );
+    }
+    assert!(failed > 0, "some write of the remove must have failed");
 }

@@ -22,7 +22,7 @@
 use crate::fault::StoreError;
 use crate::metrics::MetricsSnapshot;
 use crate::store::{PollResult, VersionConflict};
-use crate::submit::{completed_ticket, Request, RequestOp, Response, StoreTicket};
+use crate::submit::{completed_ticket, Request, RequestOp, Response, Snapshot, StoreTicket};
 use bytes::Bytes;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -184,6 +184,17 @@ pub trait ObjectStore: Send + Sync {
             .map(Response::into_get)
     }
 
+    /// Atomic multi-GET: `items` of `folder`, in request order, and the
+    /// folder's clock, read at one instant — one round-trip, and never a
+    /// mix of two writes' states.
+    ///
+    /// # Errors
+    /// Transport failures, as for [`ObjectStore::call`].
+    fn try_get_many(&self, folder: &str, items: Vec<String>) -> Result<Snapshot, StoreError> {
+        self.call(Request::get_many(folder, items))
+            .map(Response::into_get_many)
+    }
+
     /// DELETE: removes `folder/item`. Returns whether anything was
     /// removed.
     ///
@@ -221,7 +232,8 @@ pub trait ObjectStore: Send + Sync {
     }
 
     /// Directory-level long poll: blocks until some item in `folder` has a
-    /// version greater than `since`, or until `timeout` elapses. A torn
+    /// version greater than `since` or was deleted after it, or until
+    /// `timeout` elapses. A torn
     /// poll is *not* an error: it returns `Ok` with `version == since` and
     /// no changes, so the caller's cursor never skips a notification.
     ///

@@ -8,9 +8,9 @@ use crate::latency::LatencyModel;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::object_store::ObjectStore;
 use crate::sharded::ChangeSignal;
-use crate::submit::{Request, RequestOp, Response, StoreTicket, SUBMIT_LANES};
+use crate::submit::{Request, RequestOp, Response, Snapshot, StoreTicket, SUBMIT_LANES};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -27,7 +27,44 @@ struct State {
     folders: BTreeMap<String, BTreeMap<String, Entry>>,
     /// monotonically increasing global change counter
     version: u64,
+    /// folder → version of its newest deletion, so a long poll learns of
+    /// deletions (which leave no entry to report) — kept even once the
+    /// folder is emptied and dropped
+    removed: BTreeMap<String, u64>,
 }
+
+impl State {
+    /// Applies `items` to `folder` as of `version` — `Some` stores, `None`
+    /// deletes — and drops the folder if it ends up empty. Returns whether
+    /// anything was deleted.
+    fn apply(
+        &mut self,
+        folder: &str,
+        items: impl IntoIterator<Item = Write>,
+        version: u64,
+    ) -> bool {
+        let entries = self.folders.entry(folder.to_string()).or_default();
+        let mut deleted = false;
+        for (name, data) in items {
+            match data {
+                Some(data) => {
+                    entries.insert(name, Entry { data, version });
+                }
+                None => deleted |= entries.remove(&name).is_some(),
+            }
+        }
+        if entries.is_empty() {
+            self.folders.remove(folder);
+        }
+        if deleted {
+            self.removed.insert(folder.to_string(), version);
+        }
+        deleted
+    }
+}
+
+/// One write of a multi-write: `Some` stores the bytes, `None` deletes.
+type Write = (String, Option<Bytes>);
 
 struct Inner {
     state: Mutex<State>,
@@ -50,8 +87,9 @@ struct Inner {
 pub struct PollResult {
     /// New cursor to pass to the next poll.
     pub version: u64,
-    /// Names of items changed since the supplied cursor (deleted items are
-    /// reported by absence on the subsequent GET).
+    /// Names of items changed since the supplied cursor. A deletion wakes
+    /// the poll without a name: deleted items are reported by absence on
+    /// the subsequent GET.
     pub changed: Vec<String>,
     /// True if the poll timed out with no changes.
     pub timed_out: bool,
@@ -137,10 +175,11 @@ impl CloudStore {
         }
     }
 
-    fn simulate_latency(&self) {
-        if !self.inner.latency.is_zero() {
-            let d = self.inner.latency.sample(&mut rand::thread_rng());
-            std::thread::sleep(d);
+    /// Sleeps the latency of one request carrying `items` items.
+    fn simulate_latency(&self, items: usize) {
+        let latency = &self.inner.latency;
+        if !latency.is_zero() {
+            std::thread::sleep(latency.sample_batch(&mut rand::thread_rng(), items));
         }
     }
 
@@ -152,18 +191,10 @@ impl CloudStore {
             .with("folder", folder)
             .with("bytes", data.len())
             .enter();
-        self.simulate_latency();
+        self.simulate_latency(1);
         self.inner.metrics.record_put(data.len());
-        let mut st = self.inner.state.lock();
-        st.version += 1;
-        let version = st.version;
-        st.folders
-            .entry(folder.to_string())
-            .or_default()
-            .insert(item.to_string(), Entry { data, version });
-        drop(st);
-        self.notify();
-        version
+        let st = self.inner.state.lock();
+        self.commit(st, folder, [(item.to_string(), Some(data))])
     }
 
     /// Conditional PUT (compare-and-swap): stores `data` under `folder/item`
@@ -190,9 +221,9 @@ impl CloudStore {
             .with("folder", folder)
             .with("expected", expected)
             .enter();
-        self.simulate_latency();
+        self.simulate_latency(1);
         let data = data.into();
-        let mut st = self.inner.state.lock();
+        let st = self.inner.state.lock();
         let current = st
             .folders
             .get(folder)
@@ -207,15 +238,7 @@ impl CloudStore {
         }
         span.record("conflict", false);
         self.inner.metrics.record_cas_put(data.len());
-        st.version += 1;
-        let version = st.version;
-        st.folders
-            .entry(folder.to_string())
-            .or_default()
-            .insert(item.to_string(), Entry { data, version });
-        drop(st);
-        self.notify();
-        Ok(version)
+        Ok(self.commit(st, folder, [(item.to_string(), Some(data))]))
     }
 
     /// Atomic multi-PUT: stores every `(item, data)` pair under `folder` in
@@ -223,7 +246,8 @@ impl CloudStore {
     /// model's marginal per-item cost), a **single version bump** shared by
     /// all items, and a single long-poller wake. Counted as one batched PUT
     /// in the metrics ([`MetricsSnapshot::puts_batched`]) so it does not
-    /// inflate per-item PUT counts.
+    /// inflate per-item PUT counts. The request form
+    /// ([`RequestOp::PutMany`]) carries deletes too.
     ///
     /// Returns the new global version (the current version if `items` is
     /// empty — an empty publish is a no-op that contacts nothing).
@@ -232,10 +256,16 @@ impl CloudStore {
         I: IntoIterator<Item = (String, B)>,
         B: Into<Bytes>,
     {
-        let items: Vec<(String, Bytes)> = items
+        let items = items
             .into_iter()
-            .map(|(name, data)| (name, data.into()))
-            .collect();
+            .map(|(name, data)| (name, Some(data.into())));
+        self.write_many(folder, items.collect())
+    }
+
+    /// [`CloudStore::put_many`] with deletes: `(item, Some(data))` stores,
+    /// `(item, None)` deletes, all under the one version bump. A folder the
+    /// deletes leave empty is dropped, as by [`CloudStore::delete`].
+    fn write_many(&self, folder: &str, items: Vec<Write>) -> u64 {
         if items.is_empty() {
             return self.version();
         }
@@ -243,22 +273,24 @@ impl CloudStore {
             .with("folder", folder)
             .with("items", items.len())
             .enter();
-        if !self.inner.latency.is_zero() {
-            let d = self
-                .inner
-                .latency
-                .sample_batch(&mut rand::thread_rng(), items.len());
-            std::thread::sleep(d);
-        }
-        let total_bytes: usize = items.iter().map(|(_, d)| d.len()).sum();
+        self.simulate_latency(items.len());
+        let total_bytes: usize = items.iter().flat_map(|(_, d)| d).map(Bytes::len).sum();
         self.inner.metrics.record_put_many(items.len(), total_bytes);
-        let mut st = self.inner.state.lock();
+        self.commit(self.inner.state.lock(), folder, items)
+    }
+
+    /// Applies `items` — `Some` stores, `None` deletes — to `folder` under
+    /// one version bump, releases the lock and wakes the pollers. Returns
+    /// the new version.
+    fn commit(
+        &self,
+        mut st: MutexGuard<'_, State>,
+        folder: &str,
+        items: impl IntoIterator<Item = Write>,
+    ) -> u64 {
         st.version += 1;
         let version = st.version;
-        let folder_items = st.folders.entry(folder.to_string()).or_default();
-        for (name, data) in items {
-            folder_items.insert(name, Entry { data, version });
-        }
+        st.apply(folder, items, version);
         drop(st);
         self.notify();
         version
@@ -267,17 +299,44 @@ impl CloudStore {
     /// GET: fetches `folder/item` with its version.
     pub fn get(&self, folder: &str, item: &str) -> Option<(Bytes, u64)> {
         let span = telemetry::span("store.get").with("folder", folder).enter();
-        self.simulate_latency();
+        let (mut found, _) = self.read(&span, folder, &[item]);
+        found.pop().flatten()
+    }
+
+    /// Atomic multi-GET: `items` of `folder` and the folder's clock, read
+    /// under one lock acquisition in one round-trip (latency as for
+    /// [`CloudStore::put_many`]).
+    fn get_many(&self, folder: &str, items: &[String]) -> Snapshot {
+        let span = telemetry::span("store.get_many")
+            .with("folder", folder)
+            .with("items", items.len())
+            .enter();
+        self.read(&span, folder, items)
+    }
+
+    /// Serves a GET or multi-GET: `items` of `folder` and the clock, read
+    /// under one lock acquisition. Counted as one GET, with the bytes of
+    /// every item found, when at least one item is found.
+    fn read(
+        &self,
+        span: &telemetry::SpanGuard,
+        folder: &str,
+        items: &[impl AsRef<str>],
+    ) -> Snapshot {
+        self.simulate_latency(items.len().max(1));
         let st = self.inner.state.lock();
-        let entry = st.folders.get(folder).and_then(|f| f.get(item)).cloned();
+        let folder_items = st.folders.get(folder);
+        let entry = |item: &str| folder_items?.get(item).map(|e| (e.data.clone(), e.version));
+        let found: Vec<_> = items.iter().map(|item| entry(item.as_ref())).collect();
+        let version = st.version;
         drop(st);
-        let Some(entry) = entry else {
-            span.record("hit", false);
-            return None;
-        };
-        self.inner.metrics.record_get(entry.data.len());
-        span.record("hit", true);
-        Some((entry.data, entry.version))
+        let hit = found.iter().any(Option::is_some);
+        if hit {
+            let bytes = found.iter().flatten().map(|(data, _)| data.len());
+            self.inner.metrics.record_get(bytes.sum());
+        }
+        span.record("hit", hit);
+        (found, version)
     }
 
     /// DELETE: removes `folder/item`, waking long-pollers. Deleting the last
@@ -286,18 +345,13 @@ impl CloudStore {
         let _span = telemetry::span("store.delete")
             .with("folder", folder)
             .enter();
-        self.simulate_latency();
+        self.simulate_latency(1);
         self.inner.metrics.record_delete();
         let mut st = self.inner.state.lock();
-        let removed = st
-            .folders
-            .get_mut(folder)
-            .is_some_and(|items| items.remove(item).is_some());
+        let version = st.version + 1;
+        let removed = st.apply(folder, [(item.to_string(), None)], version);
         if removed {
-            st.version += 1;
-            if st.folders.get(folder).is_some_and(|items| items.is_empty()) {
-                st.folders.remove(folder);
-            }
+            st.version = version;
         }
         drop(st);
         if removed {
@@ -308,7 +362,7 @@ impl CloudStore {
 
     /// Lists item names in a folder.
     pub fn list(&self, folder: &str) -> Vec<String> {
-        self.simulate_latency();
+        self.simulate_latency(1);
         let st = self.inner.state.lock();
         st.folders
             .get(folder)
@@ -318,7 +372,7 @@ impl CloudStore {
 
     /// Lists all folder names.
     pub fn list_folders(&self) -> Vec<String> {
-        self.simulate_latency();
+        self.simulate_latency(1);
         self.inner.state.lock().folders.keys().cloned().collect()
     }
 
@@ -328,8 +382,8 @@ impl CloudStore {
     }
 
     /// Directory-level long poll (Dropbox `longpoll_delta` analogue): blocks
-    /// until some item in `folder` has a version greater than `since`, or
-    /// until `timeout` elapses.
+    /// until some item in `folder` has a version greater than `since` or was
+    /// deleted after it, or until `timeout` elapses.
     pub fn long_poll(&self, folder: &str, since: u64, timeout: Duration) -> PollResult {
         let span = telemetry::span("store.poll")
             .with("folder", folder)
@@ -350,7 +404,8 @@ impl CloudStore {
                         .collect()
                 })
                 .unwrap_or_default();
-            if !changed.is_empty() {
+            let removed = st.removed.get(folder).is_some_and(|&v| v > since);
+            if !changed.is_empty() || removed {
                 self.inner.metrics.record_poll_wakeup();
                 span.record("timed_out", false);
                 return PollResult {
@@ -510,9 +565,13 @@ impl ObjectStore for CloudStore {
                 version: self.put_if_version(&folder, &item, data, expected)?,
             },
             RequestOp::PutMany(items) => Response::Put {
-                version: self.put_many(&folder, items),
+                version: self.write_many(&folder, items),
             },
             RequestOp::Get => Response::Get(self.get(&folder, &item)),
+            RequestOp::GetMany(items) => {
+                let (items, version) = self.get_many(&folder, &items);
+                Response::GetMany { items, version }
+            }
             RequestOp::Delete => Response::Delete(self.delete(&folder, &item)),
             RequestOp::List => Response::Names(self.list(&folder)),
             RequestOp::ListFolders => Response::Names(self.list_folders()),
@@ -694,6 +753,66 @@ mod tests {
         let m = s.metrics();
         assert_eq!(m.poll_wakeups, 1);
         assert_eq!(m.polls, 1);
+    }
+
+    #[test]
+    fn a_deletes_only_batch_is_one_bump_wakes_pollers_and_drops_the_emptied_folder() {
+        let s = CloudStore::new();
+        s.put_many(
+            "g",
+            vec![("p0".to_string(), &b"a"[..]), ("p1".to_string(), &b"b"[..])],
+        );
+        s.put("h", "x", &b"c"[..]);
+        let v0 = s.version();
+        let s2 = s.clone();
+        let poller = std::thread::spawn(move || s2.long_poll("g", v0, Duration::from_secs(5)));
+        std::thread::sleep(Duration::from_millis(30));
+        let deletes = vec![("p0".to_string(), None), ("p1".to_string(), None)];
+        let v = s.write_many("g", deletes);
+        assert_eq!(v, v0 + 1, "one version bump for the whole batch");
+        assert_eq!(s.version(), v);
+        let woken = poller.join().unwrap();
+        assert!(!woken.timed_out, "a deletion wakes the folder's pollers");
+        assert_eq!(woken.version, v);
+        assert!(
+            woken.changed.is_empty(),
+            "deleted items are reported by absence"
+        );
+        // a poll from before the deletion returns at once; one from after
+        // it waits
+        assert!(!s.long_poll("g", v0, Duration::ZERO).timed_out);
+        assert!(s.long_poll("g", v, Duration::ZERO).timed_out);
+        assert_eq!(s.list_folders(), vec!["h".to_string()], "g is dropped");
+        assert!(s.get("g", "p0").is_none());
+        let m = s.metrics();
+        assert_eq!((m.puts_batched, m.batched_items, m.deletes), (2, 4, 0));
+    }
+
+    #[test]
+    fn get_many_reads_items_and_clock_as_one_get() {
+        let s = CloudStore::new();
+        let v1 = s.put("g", "a", &b"12"[..]);
+        let v2 = s.put("g", "b", &b"345"[..]);
+        s.put("h", "c", &b"6"[..]);
+        let names = |items: &[&str]| items.iter().map(|i| i.to_string()).collect::<Vec<_>>();
+        let (found, clock) = s.get_many("g", &names(&["b", "missing", "a"]));
+        let found: Vec<_> = found
+            .into_iter()
+            .map(|f| f.map(|(d, v)| (d.to_vec(), v)))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                Some((b"345".to_vec(), v2)),
+                None,
+                Some((b"12".to_vec(), v1))
+            ]
+        );
+        assert_eq!(clock, s.version(), "the folder clock, read with the items");
+        // nothing found is not counted, like a GET miss
+        assert_eq!(s.get_many("nowhere", &names(&["a"])).0, vec![None]);
+        let m = s.metrics();
+        assert_eq!((m.gets, m.bytes_down), (1, 5));
     }
 
     #[test]

@@ -53,11 +53,15 @@ pub enum RequestOp {
         /// exist").
         expected: u64,
     },
-    /// Atomic multi-PUT of `(item, data)` pairs into the request's folder
-    /// (see [`ObjectStore::put_many`]).
-    PutMany(Vec<(String, Bytes)>),
+    /// Atomic multi-write into the request's folder (see
+    /// [`ObjectStore::put_many`]): `(item, Some(data))` stores, `(item,
+    /// None)` deletes, all under one version bump.
+    PutMany(Vec<(String, Option<Bytes>)>),
     /// GET (see [`ObjectStore::get`]).
     Get,
+    /// Atomic multi-GET of these items of the request's folder, read
+    /// together with the folder's clock (see [`ObjectStore::try_get_many`]).
+    GetMany(Vec<String>),
     /// DELETE (see [`ObjectStore::delete`]).
     Delete,
     /// Item names of the request's folder (see [`ObjectStore::list`]).
@@ -125,13 +129,20 @@ impl Request {
         I: IntoIterator<Item = (String, B)>,
         B: Into<Bytes>,
     {
-        let items = items.into_iter().map(|(name, data)| (name, data.into()));
+        let items = items
+            .into_iter()
+            .map(|(name, data)| (name, Some(data.into())));
         Self::new(folder, "", RequestOp::PutMany(items.collect()))
     }
 
     /// A GET request.
     pub fn get(folder: impl Into<String>, item: impl Into<String>) -> Self {
         Self::new(folder, item, RequestOp::Get)
+    }
+
+    /// An atomic multi-GET request.
+    pub fn get_many(folder: impl Into<String>, items: Vec<String>) -> Self {
+        Self::new(folder, "", RequestOp::GetMany(items))
     }
 
     /// A DELETE request.
@@ -160,6 +171,11 @@ impl Request {
     }
 }
 
+/// What a multi-GET read: each requested item's payload and version
+/// (`None` where it does not exist), in request order, and the folder's
+/// clock — all at one instant (see [`ObjectStore::try_get_many`]).
+pub type Snapshot = (Vec<Option<(Bytes, u64)>>, u64);
+
 /// The successful result of a served [`Request`], one variant per
 /// response shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,6 +188,14 @@ pub enum Response {
     },
     /// A GET's payload and version, `None` if the item does not exist.
     Get(Option<(Bytes, u64)>),
+    /// A multi-GET's answers, one per requested item in request order,
+    /// and the folder's clock, all read at one instant.
+    GetMany {
+        /// Each item's payload and version, `None` where it does not exist.
+        items: Vec<Option<(Bytes, u64)>>,
+        /// The folder's clock reading.
+        version: u64,
+    },
     /// Whether the DELETE removed anything.
     Delete(bool),
     /// The item names of a folder, or the folder names of the store.
@@ -201,6 +225,13 @@ impl Response {
         match self {
             Self::Get(found) => found,
             other => other.mismatch("GET"),
+        }
+    }
+
+    pub(crate) fn into_get_many(self) -> Snapshot {
+        match self {
+            Self::GetMany { items, version } => (items, version),
+            other => other.mismatch("multi-GET"),
         }
     }
 

@@ -243,6 +243,60 @@ fn resize_under_concurrent_traffic_loses_nothing() {
     }
 }
 
+/// A multi-GET during a live 2→5 resize is served whole by the folder's
+/// owner of the moment, under the routing read lock: it never reads a
+/// folder half-migrated, so every item is present and from one batch,
+/// and once the resize is done its clock is the owning shard's.
+#[test]
+fn multi_get_during_a_live_resize_reads_one_owner_whole() {
+    let store = ShardedStore::new(2);
+    let folders: Vec<String> = (0..24).map(|i| format!("live-{i:02}")).collect();
+    let items: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+    let batch = |round: u64| {
+        let payload = Bytes::from(round.to_be_bytes().to_vec());
+        items
+            .iter()
+            .map(move |item| (item.clone(), payload.clone()))
+    };
+    for f in &folders {
+        store.put_many(f, batch(0));
+    }
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // two clients each publish a batch into a folder and read it back
+    let clients: Vec<_> = (0..2)
+        .map(|c| {
+            let (store, folders, items) = (store.clone(), folders.clone(), items.clone());
+            let batches: Vec<Vec<_>> = (1..=64).map(|round| batch(round).collect()).collect();
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let mut reads = 0u64;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) || reads == 0 {
+                    let f = &folders[(reads as usize * 7 + c) % folders.len()];
+                    store.put_many(f, batches[reads as usize % batches.len()].clone());
+                    let (found, _) = store.try_get_many(f, items.clone()).unwrap();
+                    let found: Vec<_> =
+                        found.into_iter().map(|got| got.expect("present")).collect();
+                    assert!(found.iter().all(|got| got == &found[0]), "torn: {found:?}");
+                    reads += 1;
+                }
+                reads
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(10));
+    let report = store.resize(5);
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    for client in clients {
+        assert!(client.join().unwrap() > 0);
+    }
+    assert!(report.relocated > 0, "a 2→5 grow must move something");
+    for f in &folders {
+        let owner = &store.shards()[store.shard_index(f)];
+        let (_, clock) = store.try_get_many(f, items.clone()).unwrap();
+        assert_eq!(clock, owner.version(), "{f}: the owner's clock");
+    }
+}
+
 /// CAS clock domains are per shard: conditional writes round-trip versions
 /// of the owning shard and behave exactly like the single store's.
 #[test]

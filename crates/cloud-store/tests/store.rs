@@ -4,7 +4,7 @@
 
 use std::time::{Duration, Instant};
 
-use cloud_store::{CloudStore, LatencyModel};
+use cloud_store::{Bytes, CloudStore, LatencyModel, ObjectStore, ShardedStore, StoreHandle};
 
 #[test]
 fn put_get_version_roundtrip_across_folders() {
@@ -117,4 +117,46 @@ fn store_handles_are_one_shared_namespace() {
     assert_eq!(&data[..], b"via-a");
     b.delete("g", "p");
     assert!(a.get("g", "p").is_none());
+}
+
+/// A multi-GET racing multi-item PUTs into the same folder sees each batch
+/// whole or not at all: every item it returns carries one version and one
+/// batch's payload, on the single store and on a sharded one.
+#[test]
+fn a_multi_get_never_mixes_two_batches() {
+    for store in [
+        StoreHandle::from(CloudStore::new()),
+        StoreHandle::from(ShardedStore::new(4)),
+    ] {
+        let items: Vec<String> = (0..8).map(|i| format!("p{i}")).collect();
+        let batch = |round: u32| {
+            let payload = round.to_be_bytes().to_vec();
+            items
+                .iter()
+                .map(move |name| (name.clone(), payload.clone()))
+        };
+        store.put_many("g", batch(0));
+        let writer = {
+            let store = store.clone();
+            let batches: Vec<Vec<_>> = (1..=2_000).map(|r| batch(r).collect()).collect();
+            std::thread::spawn(move || {
+                for items in batches {
+                    store.put_many("g", items);
+                }
+            })
+        };
+        let mut reads = 0;
+        while !writer.is_finished() || reads < 100 {
+            let (found, clock) = store.try_get_many("g", items.clone()).unwrap();
+            let found: Vec<(Bytes, u64)> = found.into_iter().map(Option::unwrap).collect();
+            let (payload, version) = &found[0];
+            assert!(
+                found.iter().all(|(p, v)| p == payload && v == version),
+                "a torn multi-GET: {found:?}"
+            );
+            assert!(*version <= clock, "the clock is read with the items");
+            reads += 1;
+        }
+        writer.join().unwrap();
+    }
 }

@@ -3,7 +3,7 @@
 //! the infallible ride-out verbs, [`ObjectStore::call`] and
 //! [`ObjectStore::submit`] — must be the same store.
 //!
-//! * one scripted sequence covering all nine operations runs against every
+//! * one scripted sequence covering all ten operations runs against every
 //!   store shape (single, 1 and 4 shards) under every wrapper (bare, a
 //!   quiet [`FaultyStore`], a [`StoreHandle`] over each), driven each way,
 //!   and yields identical responses and identical metrics deltas;
@@ -14,7 +14,7 @@
 //!   [`FaultStats`] whichever way the requests arrive.
 
 use cloud_store::{
-    CloudStore, FaultConfig, FaultStats, FaultyStore, MetricsSnapshot, ObjectStore, Request,
+    Bytes, CloudStore, FaultConfig, FaultStats, FaultyStore, MetricsSnapshot, ObjectStore, Request,
     RequestOp, Response, ShardedStore, StoreError, StoreHandle,
 };
 use std::sync::Arc;
@@ -61,7 +61,13 @@ fn drive<S: ObjectStore>(store: &S, how: Drive, request: Request) -> Outcome {
         ..
     } = request;
     let put = |version| Response::Put { version };
+    let many = |(items, version)| Response::GetMany { items, version };
     match (op, try_verbs) {
+        // the typed verbs write only stores: a batch carrying deletes is
+        // a request, served by `call` whichever way the suite drives
+        (RequestOp::PutMany(items), _) if items.iter().any(|(_, data)| data.is_none()) => {
+            store.call(write_many(&f, items))
+        }
         (RequestOp::Put(data), true) => store.try_put(&f, &i, data).map(put),
         (RequestOp::Put(data), false) => Ok(put(store.put(&f, &i, data))),
         (RequestOp::PutIfVersion { data, expected }, true) => {
@@ -71,8 +77,9 @@ fn drive<S: ObjectStore>(store: &S, how: Drive, request: Request) -> Outcome {
             .put_if_version(&f, &i, data, expected)
             .map(put)
             .map_err(StoreError::Conflict),
-        (RequestOp::PutMany(items), true) => store.try_put_many(&f, items).map(put),
-        (RequestOp::PutMany(items), false) => Ok(put(store.put_many(&f, items))),
+        (RequestOp::PutMany(items), true) => store.try_put_many(&f, stores(items)).map(put),
+        (RequestOp::PutMany(items), false) => Ok(put(store.put_many(&f, stores(items)))),
+        (RequestOp::GetMany(items), _) => store.try_get_many(&f, items).map(many),
         (RequestOp::Get, true) => store.try_get(&f, &i).map(Response::Get),
         (RequestOp::Get, false) => Ok(Response::Get(store.get(&f, &i))),
         (RequestOp::Delete, true) => store.try_delete(&f, &i).map(Response::Delete),
@@ -92,6 +99,26 @@ fn drive<S: ObjectStore>(store: &S, how: Drive, request: Request) -> Outcome {
     }
 }
 
+/// A batch's stores, unwrapped for the typed verbs.
+fn stores(items: Vec<(String, Option<Bytes>)>) -> Vec<(String, Bytes)> {
+    let unwrap = |(item, data): (String, Option<Bytes>)| Some((item, data?));
+    items
+        .into_iter()
+        .map(unwrap)
+        .collect::<Option<_>>()
+        .expect("no deletes")
+}
+
+/// A multi-write request: `Some` stores, `None` deletes.
+fn write_many(folder: &str, items: Vec<(String, Option<Bytes>)>) -> Request {
+    Request {
+        folder: folder.to_string(),
+        item: String::new(),
+        op: RequestOp::PutMany(items),
+        rid: telemetry::current_request_id(),
+    }
+}
+
 /// The version an outcome carries, if it is version-shaped.
 fn version_of(outcome: &Outcome) -> Option<u64> {
     match outcome {
@@ -100,7 +127,7 @@ fn version_of(outcome: &Outcome) -> Option<u64> {
     }
 }
 
-/// All nine operations against a fresh store, later requests built from
+/// All ten operations against a fresh store, later requests built from
 /// earlier answers (CAS expectations, poll cursors). Returns every outcome
 /// in order plus the store's counters — on a fresh store, the delta the
 /// script caused.
@@ -121,6 +148,15 @@ fn run_script<S: ObjectStore>(store: &S, how: Drive) -> (Vec<Outcome>, MetricsSn
     ];
     step(Request::put_many("g", items));
     step(Request::put_many("g", Vec::<(String, Vec<u8>)>::new()));
+    // one batch storing and deleting, read back in one snapshot
+    let dee = Some(Bytes::from_static(b"dee"));
+    step(write_many(
+        "g",
+        vec![("d".to_string(), dee), ("c".to_string(), None)],
+    ));
+    let names = |items: &[&str]| items.iter().map(|i| i.to_string()).collect();
+    step(Request::get_many("g", names(&["a", "c", "d", "missing"])));
+    step(Request::get_many("nowhere", names(&["a"])));
     step(Request::get("g", "a"));
     step(Request::get("g", "missing"));
     step(Request::get("nowhere", "a"));
@@ -130,6 +166,9 @@ fn run_script<S: ObjectStore>(store: &S, how: Drive) -> (Vec<Outcome>, MetricsSn
     for folder in ["h", "i", "j", "k"] {
         step(Request::put(folder, "x", folder.as_bytes().to_vec()));
     }
+    step(Request::list_folders());
+    // a deletes-only batch that empties its folder drops it
+    step(write_many("k", vec![("x".to_string(), None)]));
     step(Request::list_folders());
     let cursor = step(Request::folder_version("g")).expect("a clock reading");
     step(Request::long_poll("g", 0, Duration::ZERO));
@@ -151,9 +190,15 @@ fn conforms<S: ObjectStore + 'static>(shape: &str, fresh: impl Fn() -> S) {
         "{shape}: the stale CAS must lose against the true version"
     );
     assert_eq!(metrics.cas_conflicts, 1, "{shape}");
-    // 5 PUTs, 2 CAS wins + 1 loss, 1 non-empty batch, 1 GET hit, 2 DELETEs,
-    // 3 polls; listings, GET misses and the empty batch are not counted
-    assert_eq!(metrics.requests(), 15, "{shape}");
+    // 5 PUTs, 2 CAS wins + 1 loss, 3 non-empty batches, 1 GET and 1
+    // multi-GET hit, 2 DELETEs, 3 polls; listings, misses and the empty
+    // batch are not counted
+    assert_eq!(metrics.requests(), 18, "{shape}");
+    assert!(
+        matches!(&outcomes[7], Ok(Response::GetMany { items, .. })
+            if items[0].is_some() && items[1].is_none() && items[3].is_none()),
+        "{shape}: the multi-GET sees the batch's store and delete"
+    );
     for how in ALL {
         let quiet = || FaultyStore::new(fresh(), FaultConfig::default());
         assert_eq!(run_script(&fresh(), how), reference, "{shape} bare {how:?}");
@@ -197,6 +242,7 @@ fn serving_threads<S: ObjectStore>(
         Request::put_if_version("probe", "a", &b"y"[..], v),
         Request::put_many("probe", vec![("b".to_string(), &b"z"[..])]),
         Request::get("probe", "a"),
+        Request::get_many("probe", vec!["a".to_string(), "b".to_string()]),
         Request::long_poll("probe", 0, Duration::ZERO),
         Request::delete("probe", "a"),
     ] {
@@ -232,16 +278,16 @@ fn blocking_calls_stay_on_the_callers_thread_and_submissions_hop() {
     let check = |shape: &str, store: &dyn Fn() -> StoreHandle| {
         for how in BLOCKING {
             let (served, lanes) = serving_threads(&store(), how, &collector);
-            assert_eq!(served, vec![here; 6], "{shape} {how:?}: served elsewhere");
+            assert_eq!(served, vec![here; 7], "{shape} {how:?}: served elsewhere");
             assert_eq!(lanes, 0, "{shape} {how:?}: a blocking call used a lane");
         }
         let (served, lanes) = serving_threads(&store(), Drive::Submit, &collector);
-        assert_eq!(served.len(), 6, "{shape} submit");
+        assert_eq!(served.len(), 7, "{shape} submit");
         assert!(
             served.iter().all(|tid| *tid != here),
             "{shape}: submissions must be served on a lane, not the caller"
         );
-        assert_eq!(lanes, 6, "{shape}: one lane span per submission");
+        assert_eq!(lanes, 7, "{shape}: one lane span per submission");
     };
     check("single", &|| CloudStore::new().into());
     check("4 shards", &|| ShardedStore::new(4).into());

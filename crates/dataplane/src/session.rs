@@ -4,7 +4,7 @@
 use crate::envelope::SealedObject;
 use crate::error::DataError;
 use crate::metrics::{DataMetrics, DataMetricsSnapshot};
-use acs::{Client, EPOCHS_ITEM};
+use acs::Client;
 use cloud_store::{stable_hash64, ObjectStore, StoreHandle};
 use ibbe::{PublicKey, UserSecretKey};
 use ibbe_sgx_core::{KeyHistory, KeyRing};
@@ -41,18 +41,8 @@ pub fn data_shard_folder(group: &str, shard: usize, of: usize) -> String {
     }
 }
 
-/// True for the error signature of a ring rebuild that raced a rotation's
-/// publish (partition and history read on opposite sides of it).
-fn torn_read(e: &DataError) -> bool {
-    matches!(
-        e,
-        DataError::Core(ibbe_sgx_core::CoreError::CorruptMetadata(_))
-    )
-}
-
 /// Bounded retry-with-backoff for transient store faults (outages,
-/// timeouts — [`DataError::is_transient`]): the generalization of the
-/// session's original one-shot torn-read guard. Non-transient failures —
+/// timeouts — [`DataError::is_transient`]). Non-transient failures —
 /// CAS conflicts, revocation, tampering — are never retried; they need
 /// state repair or must fail closed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,44 +256,27 @@ impl ClientSession {
             .enter();
         let retry = self.retry;
         let gk = retry.run(|| self.control.sync().map_err(DataError::from))?;
-        let result = match self.rebuild_ring(gk) {
-            Err(e) if torn_read(&e) => {
-                // the partition was fetched just before a rotation's atomic
-                // publish and the history just after (or vice versa) — one
-                // re-sync observes a consistent pair; a genuinely tampered
-                // history fails again here and propagates
-                let gk = retry.run(|| self.control.sync().map_err(DataError::from))?;
-                self.rebuild_ring(gk)
-            }
-            other => other,
-        };
-        if let Ok(epoch) = &result {
-            span.record("epoch", *epoch);
-        }
-        result
+        let epoch = self.rebuild_ring(gk)?;
+        span.record("epoch", epoch);
+        Ok(epoch)
     }
 
-    /// Rebuilds the ring from a freshly derived `gk` plus the published
-    /// epoch history.
+    /// Rebuilds the ring from a freshly derived `gk` plus the epoch
+    /// history the sync read in the same snapshot as its partition. A
+    /// history that disagrees with `gk` can then only be tampering, and
+    /// fails closed.
     fn rebuild_ring(&mut self, gk: ibbe_sgx_core::GroupKey) -> Result<u64, DataError> {
         let epoch = self
             .control
             .current_epoch()
             .expect("sync populates the partition cache");
-        let retry = self.retry;
-        let fetched = retry.run(|| {
-            Ok(self
-                .control
-                .store()
-                .try_get(self.control.group(), EPOCHS_ITEM)?)
-        })?;
-        let history = match fetched {
-            Some((bytes, _)) => Some(
-                KeyHistory::from_bytes(&bytes)
-                    .ok_or(DataError::WireFormat("epoch history object"))?,
-            ),
-            None => None,
-        };
+        let history = self
+            .control
+            .cached_history()
+            .map(|bytes| {
+                KeyHistory::from_bytes(bytes).ok_or(DataError::WireFormat("epoch history object"))
+            })
+            .transpose()?;
         let ring = KeyRing::assemble(gk, epoch, history.as_ref(), self.control.group())?;
         self.ring = Some(ring);
         self.metrics.record_key_refresh();
@@ -332,21 +305,11 @@ impl ClientSession {
             self.refresh()?;
             return Ok(());
         }
-        let retry = self.retry;
-        match retry.run(|| {
-            self.control
-                .wait_for_update(Duration::ZERO)
-                .map_err(DataError::from)
-        }) {
-            Ok(Some(gk)) if self.ring_is_stale() => match self.rebuild_ring(gk) {
-                Err(e) if torn_read(&e) => self.refresh().map(|_| ()),
-                other => other.map(|_| ()),
-            },
-            Ok(_) => Ok(()),
+        match self.watch(Duration::ZERO) {
             // a revoked identity keeps its stale ring by design; every
             // other control-plane failure (wire corruption, tampering)
             // must fail closed, not silently continue on old keys
-            Err(DataError::Acs(acs::AcsError::NotAMember(_))) => Ok(()),
+            Ok(_) | Err(DataError::Acs(acs::AcsError::NotAMember(_))) => Ok(()),
             Err(e) => Err(e),
         }
     }
@@ -381,13 +344,9 @@ impl ClientSession {
         let retry = self.retry;
         let fetched = retry.run(|| Ok(self.control.store().try_get(&folder, object)?))?;
         match fetched {
-            Some((_, version)) => {
-                self.versions.insert(object.to_string(), version);
-            }
-            None => {
-                self.versions.remove(object);
-            }
-        }
+            Some((_, version)) => self.versions.insert(object.to_string(), version),
+            None => self.versions.remove(object),
+        };
         Ok(())
     }
 
@@ -409,12 +368,7 @@ impl ClientSession {
                 .map_err(DataError::from)
         })? {
             Some(gk) if self.ring_is_stale() => {
-                if let Err(e) = self.rebuild_ring(gk) {
-                    if !torn_read(&e) {
-                        return Err(e);
-                    }
-                    self.refresh()?;
-                }
+                self.rebuild_ring(gk)?;
                 Ok(true)
             }
             _ => Ok(false),

@@ -2,15 +2,21 @@
 //! criterion (a revoking batch performs zero object re-writes in lazy mode
 //! and the sweeper converges every stale object within the configured
 //! deadline; eager pays O(n) synchronously), CAS writer safety, long-poll
-//! cache invalidation, and revoked-reader lockout.
+//! cache invalidation, revoked-reader lockout, and refreshes that read one
+//! snapshot.
 
 use acs::Admin;
-use cloud_store::CloudStore;
+use cloud_store::{
+    Bytes, CloudStore, MetricsSnapshot, ObjectStore, Request, RequestOp, Response, StoreError,
+    StoreHandle,
+};
 use dataplane::{
     ClientSession, DataError, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
     SweepScheduler, SweepTask,
 };
-use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
+use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionMetadata, PartitionSize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn seeded_admin(seed: u64, partition: usize, store: CloudStore) -> Admin {
@@ -415,4 +421,131 @@ fn forked_oplog_fails_the_session_closed() {
     // the attack ends: the honest history checks out and reads resume
     forked.heal("g");
     assert_eq!(reader.read("obj").unwrap(), b"payload");
+}
+
+/// A one-shot action and the request count it runs before.
+type Hook = (usize, Box<dyn FnOnce() + Send>);
+
+/// A store that runs a one-shot hook just before the `k`-th request it
+/// serves after arming, and records the epoch of every partition listing
+/// `reader` that its answers carry.
+#[derive(Clone)]
+struct HookedStore {
+    inner: CloudStore,
+    reader: String,
+    served: Arc<AtomicUsize>,
+    hook: Arc<Mutex<Option<Hook>>>,
+    read_epochs: Arc<Mutex<Vec<u64>>>,
+}
+
+impl HookedStore {
+    fn new(inner: CloudStore, reader: &str) -> Self {
+        Self {
+            inner,
+            reader: reader.to_string(),
+            served: Arc::default(),
+            hook: Arc::default(),
+            read_epochs: Arc::default(),
+        }
+    }
+
+    fn served(&self) -> usize {
+        self.served.load(Ordering::SeqCst)
+    }
+
+    fn before_request(&self, k: usize, hook: impl FnOnce() + Send + 'static) {
+        *self.hook.lock().unwrap() = Some((self.served() + k, Box::new(hook)));
+    }
+
+    fn record(&self, item: &str, found: &Option<(Bytes, u64)>) {
+        let Some((bytes, _)) = found.as_ref().filter(|_| !item.starts_with('_')) else {
+            return;
+        };
+        if let Some(p) = PartitionMetadata::from_bytes(bytes) {
+            if p.members.contains(&self.reader) {
+                self.read_epochs.lock().unwrap().push(p.epoch);
+            }
+        }
+    }
+}
+
+impl ObjectStore for HookedStore {
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        let n = self.served.fetch_add(1, Ordering::SeqCst) + 1;
+        let mut hook = self.hook.lock().unwrap();
+        if hook.as_ref().is_some_and(|(at, _)| *at == n) {
+            let (_, run) = hook.take().expect("checked");
+            drop(hook);
+            run();
+        } else {
+            drop(hook);
+        }
+        let response = self.inner.call(request.clone())?;
+        match (&request.op, &response) {
+            (RequestOp::Get, Response::Get(found)) => self.record(&request.item, found),
+            (RequestOp::GetMany(items), Response::GetMany { items: found, .. }) => {
+                for (item, found) in items.iter().zip(found) {
+                    self.record(item, found);
+                }
+            }
+            _ => {}
+        }
+        Ok(response)
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        self.inner.metrics()
+    }
+}
+
+/// A refresh reads one snapshot: a rotation published between any two of
+/// its requests never makes it re-sync, and the ring it builds is at the
+/// epoch of the partition it read — cold (no cached partition) and warm.
+#[test]
+fn a_rotation_between_any_two_requests_of_a_refresh_is_never_torn() {
+    let setup = |warm: bool| {
+        let store = CloudStore::new();
+        let admin = Arc::new(seeded_admin(13, 3, store.clone()));
+        let mut members = names(6);
+        members.push("reader".into());
+        admin.create_group("g", members).unwrap();
+        let hooked = HookedStore::new(store, "reader");
+        let mut reader = ClientSession::with_seed(
+            "reader",
+            admin.engine().extract_user_key("reader").unwrap(),
+            admin.engine().public_key().clone(),
+            StoreHandle::new(hooked.clone()),
+            "g",
+            13,
+        );
+        if warm {
+            reader.refresh().unwrap();
+        }
+        (admin, hooked, reader)
+    };
+    for warm in [false, true] {
+        let (_admin, hooked, mut reader) = setup(warm);
+        let before = hooked.served();
+        reader.refresh().unwrap();
+        let one_sync = hooked.served() - before;
+        for k in 1..=one_sync {
+            let (admin, hooked, mut reader) = setup(warm);
+            hooked.before_request(k, move || admin.rekey_group("g").unwrap());
+            let before = hooked.served();
+            let epoch = reader
+                .refresh()
+                .unwrap_or_else(|e| panic!("warm {warm}, rotation before request {k}: {e:?}"));
+            let read = hooked.read_epochs.lock().unwrap().last().copied();
+            assert_eq!(
+                Some(epoch),
+                read,
+                "warm {warm}, rotation before request {k}: ring vs partition read"
+            );
+            assert_eq!(
+                hooked.served() - before,
+                one_sync,
+                "warm {warm}, rotation before request {k}: one sync's requests"
+            );
+        }
+    }
 }

@@ -265,15 +265,16 @@ fn assert_trace_reconciles(
 ) {
     let spans = collector.spans();
     let span_count = |name: &str| spans.iter().filter(|s| s.name == name).count() as u64;
-    // the store records a get only when it hits; the span records both
-    // outcomes and flags which one happened
-    let get_hits = spans
-        .iter()
-        .filter(|s| {
-            s.name == "store.get"
-                && s.field("hit").and_then(telemetry::Value::as_bool) == Some(true)
-        })
-        .count() as u64;
+    // the store records a get — single or multi — only when it hits; the
+    // span records both outcomes and flags which one happened
+    let hits = |name: &str| {
+        spans
+            .iter()
+            .filter(|s| {
+                s.name == name && s.field("hit").and_then(telemetry::Value::as_bool) == Some(true)
+            })
+            .count() as u64
+    };
     for (label, got, want) in [
         (
             "store.put",
@@ -295,7 +296,11 @@ fn assert_trace_reconciles(
             span_count("store.cas"),
             (after.cas_puts + after.cas_conflicts) - (before.cas_puts + before.cas_conflicts),
         ),
-        ("store.get[hit]", get_hits, after.gets - before.gets),
+        (
+            "store.get[hit] + store.get_many[hit]",
+            hits("store.get") + hits("store.get_many"),
+            after.gets - before.gets,
+        ),
         (
             "fault.unavailable",
             collector.event_count("fault.unavailable"),
@@ -370,6 +375,7 @@ fn a_faulted_fleet_run_reconciles_its_trace_with_counters_and_injector_stats() {
     // lane, so that no gate compares zero with zero
     clean.put("probe", "a", b"x".to_vec());
     clean.put_many("probe", [("b".to_string(), b"y".to_vec())]);
+    clean.try_get_many("probe", vec!["b".to_string()]).unwrap();
     clean.delete("probe", "a");
     let mut piped =
         PipelinedSession::new(fleet_session(&stack.fixture, WRITER, "g0", shards, 0x77), 4);
