@@ -7,9 +7,11 @@
 //!   whose `O(n²)` scalar expansion only dominates at very large `n` — the
 //!   isolated "poly expansion" row shows the pure quadratic term.
 //! * constant-time operations show exponents ≈ 0.
-//! * decrypt is `O(|p|²)` asymptotically; at benchmark sizes its `O(|p|)`
-//!   `G2` exponentiations dominate, so the measured exponent sits between
-//!   1 and 2 (and approaches 2 with `--full`).
+//! * decrypt is `O(|p|²)` asymptotically, but at these sizes its
+//!   `(|p|−1)`-term `G2` multi-scalar multiplication still weighs as much as
+//!   the quadratic expansion: `--full` (|p| = 512 → 1 024) measured an
+//!   exponent of 1.08 on a 2-core x86-64 VM (1.04–1.22 with the Straus MSM
+//!   that preceded the bucket one), not 2.
 
 use ibbe::poly::expand_from_roots;
 use ibbe_pairing::Scalar;

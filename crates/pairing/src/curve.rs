@@ -6,12 +6,15 @@
 //! coordinates, for arithmetic). Both are generic over a [`Curve`] marker
 //! type supplying the base field and curve constants.
 //!
-//! **Two doubling chains.** [`Projective::mul_uint`] multiplies by any
-//! integer (width-4 wNAF over a table of odd multiples, one doubling per
-//! bit): cofactor clearing, `r`-multiples, secp256k1. The Straus loop
-//! under [`Projective::msm`] interleaves any number of wNAF digit strings
-//! over one shared chain, against per-term tables normalised to affine
-//! with a single inversion so that every addition is mixed.
+//! **Two doubling chains and a bucket sum.** [`Projective::mul_uint`]
+//! multiplies by any integer (width-4 wNAF over a table of odd multiples,
+//! one doubling per bit): cofactor clearing, `r`-multiples, secp256k1. The
+//! Straus loop under [`Projective::mul_scalar`] interleaves any number of
+//! wNAF digit strings over one shared chain, against tables normalised to
+//! affine with a single inversion so that every addition is mixed.
+//! [`Projective::msm`] sums many terms by buckets of signed windows, whose
+//! points it adds in affine coordinates under shared inversions; a handful
+//! of terms still take the Straus loop.
 //!
 //! **Scalars are split, not laddered.** BLS12-381 gives each of its groups
 //! an endomorphism that costs a field multiplication or two and acts on the
@@ -31,7 +34,9 @@
 //! the digits in pairs, `η = −φ = [x²]` on `G1` (two 128-bit terms).
 //! [`Projective::mul_scalar`] therefore is the Straus loop over **one**
 //! table of odd multiples and its images under `η`: 64 (128) doublings
-//! instead of 255 at the same number of additions. The same `η` gives the
+//! instead of 255 at the same number of additions. [`Projective::msm`]
+//! buckets the same digits ([`Curve::split`]), so a window covers four
+//! (two) times fewer of them. The same `η` gives the
 //! subgroup test: `η(P) = [m]P` for its eigenvalue `m` holds only on the
 //! order-`r` points ([`Curve::is_in_prime_subgroup`]).
 //!
@@ -40,25 +45,50 @@
 //! by [`Affine::from_bytes`] is, as is everything derived from generators;
 //! points elsewhere on the curve (hash-to-curve candidates) take `mul_uint`.
 //! *Side channels:* every routine here branches on its scalar's digits and
-//! indexes tables by them — variable-time in the scalar, exactly as the
-//! double-and-add ladder they all replaced (which survives as the test
-//! oracle in `tests/reference`).
+//! indexes tables or buckets by them — variable-time in the scalar, exactly
+//! as the double-and-add ladder they all replaced (which survives as the
+//! test oracle in `tests/reference`, next to the Straus MSM the buckets
+//! replaced).
 
 use crate::fr::Scalar;
 use crate::wnaf::{wnaf, TABLE};
 use core::fmt::Debug;
 use core::marker::PhantomData;
 use core::ops::{Add, Mul, Neg, Sub};
+use ibbe_bigint::Uint;
 
-/// Fewest terms a Straus run of [`Projective::msm`] keeps when the sum is
-/// split across cores. A run on another thread costs a spawn and a join
-/// (≈ 45 µs) plus a doubling chain of its own (255 doublings: ≈ 0.12 ms on
-/// `G1`, ≈ 0.33 ms on `G2`), against ≈ 40 µs (`G1`) or ≈ 130 µs (`G2`) for
-/// every term it takes over — measured on the 2-core box this was written
-/// on, where a 127-term `G2` sum went from 16.5 ms to 8.6 ms. At 16 terms a
-/// run repays its overhead four times over on `G1` and five on `G2`, which
-/// leaves room for callers that are themselves concurrent.
-pub const MSM_MIN_TERMS: usize = 16;
+/// Fewest split points — live terms times the digits [`Curve::split`] gives
+/// each, four on `G2` and two on `G1` — that [`Projective::msm`] sums by
+/// buckets. Below it the terms share the split Straus loop of
+/// [`Projective::mul_scalar`]: its one doubling chain costs less than the
+/// buckets' running sums, one per window. Measured on a 2-core x86-64 VM,
+/// pinned to one core: the two cross at 64 points on `G2` (16 terms, 2.5 ms
+/// either way) and near 128 on `G1`.
+pub const MSM_MIN_POINTS: usize = 64;
+
+/// Fewest terms a Straus run of [`Projective::msm`] keeps when a sum below
+/// [`MSM_MIN_POINTS`] is split across cores. A run on another thread costs
+/// a spawn and a join (≈ 45 µs) plus a doubling chain of its own (64
+/// doublings on `G2`, ≈ 0.1 ms), about one term's worth of additions, so a
+/// run of four repays it four times over.
+pub const MSM_MIN_TERMS: usize = 4;
+
+/// The bucket width `c` by split-point count, `(fewest points, c)` in
+/// ascending order. One bit wider means fewer windows, so fewer affine
+/// additions per point, but twice the buckets for each window's running sum
+/// to walk. Each row is the width that measured fastest on a 2-core x86-64
+/// VM, pinned and unpinned, on `G2` and `G1` alike: at 127 `G2` terms (508
+/// points, a decrypt at |p| = 128) `c = 6` or 7 take 5.2 ms on two cores and
+/// 9.6–10.0 ms on one; at 2 047 terms `c = 9`–11 are within 5 % of each
+/// other.
+pub const WIDTHS: [(usize, usize); 6] = [
+    (MSM_MIN_POINTS, 5),
+    (192, 6),
+    (512, 7),
+    (1536, 8),
+    (4096, 9),
+    (6144, 10),
+];
 
 /// Operations the group arithmetic needs from a coordinate field.
 ///
@@ -193,10 +223,19 @@ pub trait Curve: Copy + PartialEq + Eq + Debug + Send + Sync + 'static {
     fn is_in_prime_subgroup(p: &Projective<Self>) -> bool {
         p.mul_uint(&crate::fr::MODULUS).is_identity()
     }
-    /// `[k]p` for `p` in the order-`r` subgroup. One [`Projective::mul_uint`]
-    /// ladder unless the curve has an endomorphism to split `k` along.
-    fn mul_scalar(p: &Projective<Self>, k: &Scalar) -> Projective<Self> {
-        p.mul_uint(&k.to_uint())
+    /// The digits `dᵢ` of `k` along the curve's endomorphism [`Curve::eta`],
+    /// least significant first: `[k]P = Σ [dᵢ]·ηⁱ(P)` for `P` in the
+    /// order-`r` subgroup. [`Projective::mul_scalar`] and
+    /// [`Projective::msm`] both run on them. A curve without an endomorphism
+    /// keeps `k` whole, as one 255-bit digit.
+    fn split(k: &Scalar) -> Vec<Uint<4>> {
+        vec![k.to_uint()]
+    }
+    /// The endomorphism `η` (sign included) that [`Curve::split`] takes its
+    /// digits along. Called only on the images of a split into two or more
+    /// digits, so a curve that keeps `k` whole has none to give.
+    fn eta(p: &Affine<Self>) -> Affine<Self> {
+        *p
     }
 }
 
@@ -518,18 +557,28 @@ impl<C: Curve> Projective<C> {
         acc
     }
 
-    /// Multi-scalar multiplication `Σ scalars[i]·points[i]` (Straus).
+    /// Multi-scalar multiplication `Σ scalars[i]·points[i]`.
     ///
-    /// Every point gets its table of odd multiples; all tables are brought
-    /// to affine with one inversion, so the shared doubling chain pays a
-    /// mixed addition per non-zero digit. By operation count this beats
-    /// Pippenger buckets up to a few hundred terms (the partition sizes the
-    /// schemes run at) and one `mul_uint` per term by ≈ 5×. Terms with a
-    /// zero scalar or an identity point are skipped.
+    /// Every live term is split along the curve's endomorphism
+    /// ([`Curve::split`]): four 64-bit digits on `P`, `−ψP`, `ψ²P`, `−ψ³P`
+    /// on `G2`, two 128-bit ones on `P`, `−φP` on `G1`. The digits are then
+    /// summed by the bucket method (Pippenger): each is recoded into signed
+    /// `c`-bit windows, every window drops each point into the bucket of its
+    /// digit, and a bucket's points are added pairwise in affine coordinates,
+    /// one shared field inversion per halving for all of a window's buckets.
+    /// A running sum weighs the buckets, and the windows are joined by
+    /// Horner's rule, `c` doublings each. `c` grows with the number of split
+    /// points ([`WIDTHS`]). Below [`MSM_MIN_POINTS`] split points the
+    /// buckets cost more than they save, and the terms share the split
+    /// Straus loop of [`Projective::mul_scalar`] instead. Terms with a zero
+    /// scalar or an identity point are skipped.
     ///
-    /// The live terms are split into one Straus run per core
-    /// ([`exec::map_chunks`]) and the partial sums added, as long as every
-    /// run keeps [`MSM_MIN_TERMS`] terms.
+    /// The windows, or the Straus runs of at least [`MSM_MIN_TERMS`] terms,
+    /// are spread over the host's cores ([`exec::map_chunks`]); on one core
+    /// they run in turn on the caller, the windows reusing one set of
+    /// bucket buffers.
+    ///
+    /// Like every kernel here it is variable-time in the scalars.
     ///
     /// # Panics
     /// If the slices differ in length.
@@ -539,31 +588,75 @@ impl<C: Curve> Projective<C> {
             .iter()
             .zip(scalars)
             .filter(|(p, s)| !p.infinity && !s.is_zero())
+            .map(|(p, s)| (*p, C::split(s)))
             .collect();
-        let partials = exec::map_chunks(&terms, MSM_MIN_TERMS, |terms| {
-            let (tables, digits): (Vec<_>, Vec<_>) = terms
-                .iter()
-                .map(|(p, s)| (Self::from(**p).odd_multiples(), wnaf(&s.to_uint())))
-                .unzip();
-            Self::straus(&Self::batch_to_affine(tables.as_flattened()), &digits)
+        let count = terms.iter().map(|(_, split)| split.len()).sum();
+        if count < MSM_MIN_POINTS {
+            let runs = exec::map_chunks(&terms, MSM_MIN_TERMS, |terms| {
+                Self::mul_split(
+                    terms
+                        .iter()
+                        .map(|(p, split)| ((*p).into(), split.as_slice())),
+                )
+            });
+            return runs.into_iter().fold(Self::identity(), Add::add);
+        }
+        let (mut bases, mut digits) = (Vec::with_capacity(count), Vec::with_capacity(count));
+        for (p, split) in terms {
+            let mut base = p;
+            for (i, d) in split.into_iter().enumerate() {
+                if i > 0 {
+                    base = C::eta(&base);
+                }
+                bases.push(base);
+                digits.push(d);
+            }
+        }
+        let (_, c) = *WIDTHS
+            .iter()
+            .rev()
+            .find(|(fewest, _)| count >= *fewest)
+            .expect("the first row starts at MSM_MIN_POINTS");
+        let bits = digits.iter().map(Uint::bits).max().unwrap_or(0);
+        let signed = signed_windows(&digits, c, bits / c + 1);
+        let rows: Vec<_> = signed.chunks_exact(bases.len()).collect();
+        let sums = exec::map_chunks(&rows, 1, |rows| {
+            let mut buckets = Buckets::new(bases.len(), c);
+            rows.iter()
+                .map(|row| buckets.window_sum(&bases, row))
+                .collect::<Vec<_>>()
         });
-        partials.into_iter().fold(Self::identity(), Add::add)
+        sums.into_iter()
+            .flatten()
+            .rev()
+            .fold(Self::identity(), |acc, sum| {
+                (0..c).fold(acc, |acc, _| acc.double()) + sum
+            })
     }
 
-    /// `Σ kᵢ·ηⁱ(self)` for the wNAF strings `digits` of the `kᵢ` and an
-    /// endomorphism `eta` (sign included): the Straus loop over the odd
-    /// multiples of `self` and their images, which are the odd multiples of
-    /// the images.
-    pub(crate) fn mul_split(
-        &self,
-        digits: &[Vec<i8>],
-        eta: impl Fn(&Affine<C>) -> Affine<C>,
-    ) -> Self {
-        let mut tables = Self::batch_to_affine(&self.odd_multiples());
-        while tables.len() < TABLE * digits.len() {
-            tables.push(eta(&tables[tables.len() - TABLE]));
+    /// `Σ [kⱼ]Pⱼ` along the split of every `kⱼ` ([`Curve::split`]): the
+    /// Straus loop over one table of odd multiples per point, all brought
+    /// to affine with one inversion, and the tables' images under
+    /// [`Curve::eta`], which are the odd multiples of the images.
+    fn mul_split<'a>(terms: impl Iterator<Item = (Self, &'a [Uint<4>])>) -> Self {
+        let (mut multiples, mut splits) = (Vec::new(), Vec::new());
+        for (p, split) in terms {
+            multiples.extend(p.odd_multiples());
+            splits.push(split);
         }
-        Self::straus(&tables, digits)
+        let (mut tables, mut digits) = (Vec::new(), Vec::new());
+        let affine = Self::batch_to_affine(&multiples);
+        for (odd, split) in affine.chunks_exact(TABLE).zip(splits) {
+            let mut table: [Affine<C>; TABLE] = odd.try_into().expect("TABLE entries");
+            for (i, d) in split.iter().enumerate() {
+                if i > 0 {
+                    table = table.map(|p| C::eta(&p));
+                }
+                tables.extend_from_slice(&table);
+                digits.push(wnaf(d));
+            }
+        }
+        Self::straus(&tables, &digits)
     }
 
     /// The interleaved doubling chain: `Σ kᵢ·Pᵢ` for the wNAF string
@@ -585,41 +678,35 @@ impl<C: Curve> Projective<C> {
         acc
     }
 
-    /// Converts many points to affine with one field inversion
-    /// (Montgomery's trick over the non-zero `z`s).
+    /// Converts many points to affine with one field inversion.
     fn batch_to_affine(points: &[Self]) -> Vec<Affine<C>> {
-        // prefix[i] = product of the non-zero z's before position i
-        let mut prefix = Vec::with_capacity(points.len());
-        let mut acc = C::Base::one();
-        for p in points {
-            prefix.push(acc);
-            if !p.is_identity() {
-                acc = acc * p.z;
-            }
-        }
-        let mut inv = acc.invert().expect("product of non-zero z's");
-        let mut out = vec![Affine::identity(); points.len()];
-        for ((p, before), slot) in points.iter().zip(prefix).zip(&mut out).rev() {
-            if p.is_identity() {
-                continue;
-            }
-            let zinv = inv * before;
-            inv = inv * p.z;
-            let zinv2 = zinv.square();
-            *slot = Affine::from_xy_unchecked(p.x * zinv2, p.y * zinv2 * zinv);
-        }
-        out
+        let mut zs: Vec<_> = points
+            .iter()
+            .map(|p| if p.is_identity() { C::Base::one() } else { p.z })
+            .collect();
+        batch_invert(&mut zs, &mut Vec::new());
+        points
+            .iter()
+            .zip(zs)
+            .map(|(p, zinv)| {
+                if p.is_identity() {
+                    return Affine::identity();
+                }
+                let zinv2 = zinv.square();
+                Affine::from_xy_unchecked(p.x * zinv2, p.y * zinv2 * zinv)
+            })
+            .collect()
     }
 
     /// Scalar multiplication by a field scalar, split along the curve's
-    /// endomorphism where it has one ([`Curve::mul_scalar`]).
+    /// endomorphism where it has one ([`Curve::split`]).
     ///
     /// `self` must lie in the order-`r` subgroup — every [`Affine`] that
     /// [`Affine::from_bytes`] parsed does. Anywhere else on a BLS curve the
     /// result is unspecified; multiply such points with
     /// [`Projective::mul_uint`].
     pub fn mul_scalar(&self, s: &Scalar) -> Self {
-        C::mul_scalar(self, s)
+        Self::mul_split(core::iter::once((*self, C::split(s).as_slice())))
     }
 
     /// Converts to affine coordinates (one field inversion, none when the
@@ -639,6 +726,146 @@ impl<C: Curve> Projective<C> {
     /// Uniformly random subgroup element (generator times random scalar).
     pub fn random<R: rand::RngCore + ?Sized>(rng: &mut R) -> Self {
         Self::generator().mul_scalar(&Scalar::random_nonzero(rng))
+    }
+}
+
+/// The signed `c`-bit windows of every digit, window-major: entry
+/// `w·digits.len() + t` is window `w` of `digits[t]`, in `(−2^(c−1), 2^(c−1)]`,
+/// and `Σ_w entry·2^(c·w)` is the digit again. A window above `2^(c−1)`
+/// borrows `2^c` from the next one, so `windows` must leave room for the
+/// carry out of the top bit.
+fn signed_windows(digits: &[Uint<4>], c: usize, windows: usize) -> Vec<i16> {
+    let half = 1 << (c - 1);
+    let mut out = vec![0; windows * digits.len()];
+    for (t, d) in digits.iter().enumerate() {
+        let mut carry = 0;
+        for w in 0..windows {
+            let bits = (0..c).fold(0, |v, j| v | (i16::from(d.bit(w * c + j)) << j));
+            let v = bits + carry;
+            (out[w * digits.len() + t], carry) = if v > half { (v - 2 * half, 1) } else { (v, 0) };
+        }
+        debug_assert_eq!(carry, 0, "the top window holds the carry");
+    }
+    out
+}
+
+/// Scratch for the windows of one bucket run, allocated once and reused:
+/// the signed points of bucket `b` at `points[start[b]..start[b] + len[b]]`,
+/// and the denominators of one halving with their prefix products.
+struct Buckets<C: Curve> {
+    points: Vec<Affine<C>>,
+    start: Vec<usize>,
+    len: Vec<usize>,
+    den: Vec<C::Base>,
+    prefix: Vec<C::Base>,
+}
+
+impl<C: Curve> Buckets<C> {
+    /// Room for `points` points in the `2^(c−1)` buckets of width `c`
+    /// (bucket 0, the zero digit, stays empty).
+    fn new(points: usize, c: usize) -> Self {
+        Self {
+            points: Vec::with_capacity(points),
+            start: vec![0; (1 << (c - 1)) + 1],
+            len: vec![0; (1 << (c - 1)) + 1],
+            den: Vec::with_capacity(points / 2),
+            prefix: Vec::with_capacity(points / 2),
+        }
+    }
+
+    /// `Σ_b [b]·(sum of bucket b)` for one window: `row[t]` is the signed
+    /// digit of `bases[t]`.
+    fn window_sum(&mut self, bases: &[Affine<C>], row: &[i16]) -> Projective<C> {
+        // counting sort of the signed points into their buckets
+        self.len.fill(0);
+        for &d in row.iter().filter(|d| **d != 0) {
+            self.len[usize::from(d.unsigned_abs())] += 1;
+        }
+        let mut next = 0;
+        for (start, len) in self.start.iter_mut().zip(&mut self.len) {
+            (*start, next, *len) = (next, next + *len, 0);
+        }
+        self.points.clear();
+        self.points.resize(next, Affine::identity());
+        for (&d, p) in row.iter().zip(bases).filter(|(d, _)| **d != 0) {
+            let b = usize::from(d.unsigned_abs());
+            self.points[self.start[b] + self.len[b]] = if d > 0 { *p } else { -*p };
+            self.len[b] += 1;
+        }
+        while self.halve() {}
+        // Σ_b [b]·B_b as the sum of the running sums B_top + … + B_b
+        let (mut running, mut sum) = (Projective::identity(), Projective::identity());
+        for b in (1..self.len.len()).rev() {
+            if self.len[b] == 1 {
+                running = running.add_mixed(&self.points[self.start[b]]);
+            }
+            sum = sum + running;
+        }
+        sum
+    }
+
+    /// Adds every bucket's points in pairs, in affine coordinates under one
+    /// shared inversion, so each bucket keeps half its points (rounded up;
+    /// a pair that cancels leaves none). False once no bucket holds a pair.
+    fn halve(&mut self) -> bool {
+        self.den.clear();
+        for (&start, &len) in self.start.iter().zip(&self.len) {
+            for pair in self.points[start..start + len / 2 * 2].chunks_exact(2) {
+                let (p, q) = (&pair[0], &pair[1]);
+                self.den.push(if p.x != q.x {
+                    q.x - p.x
+                } else if p.y == q.y {
+                    p.y.double()
+                } else {
+                    C::Base::one() // q = −p: no slope to take
+                });
+            }
+        }
+        if self.den.is_empty() {
+            return false;
+        }
+        batch_invert(&mut self.den, &mut self.prefix);
+        let mut inverses = self.den.iter();
+        for (&start, len) in self.start.iter().zip(&mut self.len) {
+            let mut kept = 0;
+            for i in 0..*len / 2 {
+                let (p, q) = (self.points[start + 2 * i], self.points[start + 2 * i + 1]);
+                let inv = *inverses.next().expect("one denominator per pair");
+                let lambda = if p.x != q.x {
+                    (q.y - p.y) * inv
+                } else if p.y == q.y {
+                    let xx = p.x.square();
+                    (xx.double() + xx) * inv
+                } else {
+                    continue;
+                };
+                let x = lambda.square() - p.x - q.x;
+                let y = lambda * (p.x - x) - p.y;
+                self.points[start + kept] = Affine::from_xy_unchecked(x, y);
+                kept += 1;
+            }
+            if *len % 2 == 1 {
+                self.points[start + kept] = self.points[start + *len - 1];
+                kept += 1;
+            }
+            *len = kept;
+        }
+        true
+    }
+}
+
+/// Replaces every element of `values`, all non-zero, by its inverse with one
+/// field inversion (Montgomery's trick); `prefix` is scratch.
+fn batch_invert<F: CurveField>(values: &mut [F], prefix: &mut Vec<F>) {
+    prefix.clear();
+    let mut acc = F::one();
+    for v in values.iter() {
+        prefix.push(acc);
+        acc = acc * *v;
+    }
+    let mut inv = acc.invert().expect("a product of non-zero elements");
+    for (v, before) in values.iter_mut().zip(prefix.iter()).rev() {
+        (*v, inv) = (inv * *before, inv * *v);
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::curve::{Affine, Curve, Projective};
 use crate::fp::Fp;
 use crate::fr::Scalar;
-use crate::pairing::{g1_times_x_squared, x_squared_wnaf, X_SQUARED};
+use crate::pairing::{g1_times_x_squared, x_digits, BLS_X_ABS, X_SQUARED};
 use ibbe_bigint::Uint;
 
 /// Marker type for the `G1` curve parameters.
@@ -58,9 +58,21 @@ impl Curve for G1Params {
         G1Projective::from(g1_times_x_squared(&p.to_affine())) == p.mul_uint(&X_SQUARED)
     }
 
-    /// `[k]P = [k₀]P + [k₁](−φ)(P)` for `k = k₀ + k₁·x²`: 128 doublings.
-    fn mul_scalar(p: &G1Projective, k: &Scalar) -> G1Projective {
-        p.mul_split(&x_squared_wnaf(k), g1_times_x_squared)
+    /// `[k]P = [k₀]P + [k₁](−φ)(P)` for `k = k₀ + k₁·x²`: the base-`|x|`
+    /// digits in pairs, each below `x² < 2¹²⁸`.
+    fn split(k: &Scalar) -> Vec<Uint<4>> {
+        let [d0, d1, d2, d3] = x_digits(k);
+        [(d0, d1), (d2, d3)]
+            .into_iter()
+            .map(|(lo, hi)| {
+                let v = u128::from(hi) * u128::from(BLS_X_ABS) + u128::from(lo);
+                Uint::new([v as u64, (v >> 64) as u64, 0, 0])
+            })
+            .collect()
+    }
+
+    fn eta(p: &G1Affine) -> G1Affine {
+        g1_times_x_squared(p)
     }
 }
 

@@ -13,7 +13,7 @@ use crate::curve::{Affine, Curve, Projective};
 use crate::fp::Fp;
 use crate::fp2::Fp2;
 use crate::fr::Scalar;
-use crate::pairing::{g2_times_x_abs, x_wnaf, BLS_X_ABS};
+use crate::pairing::{g2_times_x_abs, x_digits, BLS_X_ABS};
 use ibbe_bigint::Uint;
 
 /// Marker type for the `G2` curve parameters.
@@ -81,10 +81,14 @@ impl Curve for G2Params {
             == p.mul_uint(&Uint::<1>::from_u64(BLS_X_ABS))
     }
 
-    /// `[k]P = Σ [dᵢ](−ψ)ⁱ(P)` over the base-`|x|` digits of `k`: 64
-    /// doublings.
-    fn mul_scalar(p: &G2Projective, k: &Scalar) -> G2Projective {
-        p.mul_split(&x_wnaf(k), g2_times_x_abs)
+    /// `[k]P = Σ [dᵢ](−ψ)ⁱ(P)` over the four base-`|x|` digits of `k`, each
+    /// below `2⁶⁴`.
+    fn split(k: &Scalar) -> Vec<Uint<4>> {
+        x_digits(k).iter().map(|&d| Uint::from_u64(d)).collect()
+    }
+
+    fn eta(p: &G2Affine) -> G2Affine {
+        g2_times_x_abs(p)
     }
 }
 

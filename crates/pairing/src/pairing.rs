@@ -25,7 +25,7 @@
 //! with divisibility and consistency assertions, rather than hard-coded. A
 //! wrong constant therefore fails loudly instead of producing a subtly
 //! non-bilinear map. The base-`|x|` split of a scalar that all three groups
-//! share (`x_wnaf`, `x_squared_wnaf`) lives here next to `x`.
+//! share (`x_digits`) lives here next to `x`.
 //! The displaced kernels (affine Miller loop, plain-power hard part) live on
 //! as oracles in `tests/reference`.
 
@@ -51,7 +51,7 @@ pub(crate) const X_SQUARED: Uint<2> = {
 
 /// The base-`|x|` digits of `k`, least significant first: `k = Σ dᵢ·|x|ⁱ`
 /// with every `dᵢ < |x|`. Four suffice because `k < r = x⁴ − x² + 1`.
-fn x_digits(k: &Scalar) -> [u64; 4] {
+pub(crate) fn x_digits(k: &Scalar) -> [u64; 4] {
     let mut quotient = k.to_uint().limbs();
     let mut digits = [0; 4];
     for digit in &mut digits {
@@ -68,21 +68,10 @@ fn x_digits(k: &Scalar) -> [u64; 4] {
     digits
 }
 
-/// The wNAF strings of the four base-`|x|` digits of `k` — what `G2` and
-/// `GT`, where `|x|` is an eigenvalue, split a scalar into.
+/// The wNAF strings of the four base-`|x|` digits of `k` — what `GT`, where
+/// `|x|` is an eigenvalue, splits an exponent into.
 pub(crate) fn x_wnaf(k: &Scalar) -> [Vec<i8>; 4] {
     x_digits(k).map(|d| wnaf(&Uint::<1>::from_u64(d)))
-}
-
-/// The wNAF strings of the two base-`x²` digits of `k` (the base-`|x|`
-/// digits in pairs, each below `x² < 2¹²⁸`) — the split for `G1`, where only
-/// `x²` is an eigenvalue.
-pub(crate) fn x_squared_wnaf(k: &Scalar) -> [Vec<i8>; 2] {
-    let [d0, d1, d2, d3] = x_digits(k);
-    [(d0, d1), (d2, d3)].map(|(lo, hi)| {
-        let v = u128::from(hi) * u128::from(BLS_X_ABS) + u128::from(lo);
-        wnaf(&Uint::new([v as u64, (v >> 64) as u64]))
-    })
 }
 
 /// Derived pairing constants, computed once.

@@ -1,9 +1,11 @@
-//! Signed-window recoding shared by every exponentiation kernel in the
-//! crate: the integer ladder [`crate::curve::Projective::mul_uint`], the
-//! Straus loop under [`crate::curve::Projective::msm`] and the
-//! endomorphism-split [`crate::curve::Projective::mul_scalar`], and their
-//! `GT` counterparts [`crate::fp12::Fp12::cyclotomic_pow`] and
-//! [`crate::gt::Gt::pow`].
+//! Signed-window recoding shared by the exponentiation kernels that walk a
+//! doubling chain: the integer ladder
+//! [`crate::curve::Projective::mul_uint`], the endomorphism-split Straus
+//! loop of [`crate::curve::Projective::mul_scalar`] (which also sums the
+//! few-term MSMs), and their `GT` counterparts
+//! [`crate::fp12::Fp12::cyclotomic_pow`] and [`crate::gt::Gt::pow`]. The
+//! bucket MSM recodes its digits into windows of its own width instead,
+//! every window a bucket index rather than a table entry.
 //!
 //! All three groups negate for free (`−P` flips `y`, a unitary `Fp12`
 //! element inverts by conjugation), so an exponent is rewritten over the

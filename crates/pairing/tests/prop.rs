@@ -1,7 +1,7 @@
 //! Property-based tests of the algebraic laws the IBBE constructions rely
 //! on — field axioms across the tower, group laws, pairing bilinearity — and
 //! differential tests of every optimised kernel (wNAF and endomorphism-split
-//! scalar multiplication, Straus MSM, projective multi-Miller loop,
+//! scalar multiplication, bucket MSM, projective multi-Miller loop,
 //! `x`-chain final exponentiation, sparse line product, the eigenvalue
 //! subgroup checks) against the textbook routine it replaced, kept in
 //! `reference`.
@@ -9,7 +9,7 @@
 mod reference;
 
 use ibbe_bigint::Uint;
-use ibbe_pairing::curve::MSM_MIN_TERMS;
+use ibbe_pairing::curve::{MSM_MIN_POINTS, MSM_MIN_TERMS, WIDTHS};
 use ibbe_pairing::fp6::Fp6;
 use ibbe_pairing::g1::G1Params;
 use ibbe_pairing::g2::G2Params;
@@ -241,19 +241,65 @@ fn assert_mul_matches_reference<C: Curve>(p: &Projective<C>, k: &Scalar) {
     assert_eq!(p.mul_uint(&Uint::<4>::ONE), *p);
 }
 
-/// `n` terms seeded by `seed`; `salted` with the cases a Straus loop can
-/// trip on — identity points, repeated points (and a negated repeat), zero
-/// scalars, the scalars 1 and r − 1 — and with dead terms where the input
-/// would be cut in two and at its end.
+/// Scalars whose split digits ([`Curve::split`]) sit where the signed
+/// windows of `msm` carry, each digit alone in each digit position: for
+/// every width in [`WIDTHS`], every window at `2^(c−1)` (the top bucket, no
+/// borrow) and every window at `2^(c−1) + 1` (a borrow into each next
+/// window); and the largest digit, `|x| − 1` on `G2` and `x² − 1` on `G1`.
+fn carry_scalars<C: Curve>() -> Vec<Scalar> {
+    let small = |v: u128| {
+        Scalar::from_uint(&Uint::new([v as u64, (v >> 64) as u64, 0, 0])).expect("below r")
+    };
+    let parts = C::split(&Scalar::ONE).len();
+    let x = u128::from(BLS_X_ABS);
+    let base = if parts == 4 { x } else { x * x };
+    let mut digits = vec![base - 1];
+    for &(_, c) in &WIDTHS {
+        for window in [1 << (c - 1), (1 << (c - 1)) + 1] {
+            let mut d = 0u128;
+            for w in 0.. {
+                match (window as u128).checked_shl(c as u32 * w) {
+                    Some(v) if v < base && d + v < base => d += v,
+                    _ => break,
+                }
+            }
+            digits.push(d);
+        }
+    }
+    let mut scalars = Vec::new();
+    for d in digits {
+        let mut k = small(d);
+        for i in 0..parts {
+            let split = C::split(&k);
+            assert_eq!(split[i], Uint::new([d as u64, (d >> 64) as u64, 0, 0]));
+            assert!(split.iter().enumerate().all(|(j, e)| j == i || e.is_zero()));
+            scalars.push(k);
+            k *= small(base);
+        }
+    }
+    scalars
+}
+
+/// `n` terms seeded by `seed`, on points in arithmetic progression (distinct,
+/// and cheap enough for thousands of terms); `salted` with the cases a Straus
+/// loop or a bucket can trip on — identity points, repeated points (and a
+/// negated repeat), zero scalars, the scalars 1 and r − 1, the
+/// [`carry_scalars`] — and with dead terms where the input would be cut in
+/// two and at its end.
 fn msm_terms<C: Curve>(n: usize, seed: u64, salted: bool) -> (Vec<Affine<C>>, Vec<Scalar>) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut points: Vec<Affine<C>> = (0..n)
-        .map(|_| Projective::<C>::random(&mut rng).to_affine())
-        .collect();
+    let step = Projective::<C>::random(&mut rng);
+    let mut p = Projective::<C>::random(&mut rng);
+    let mut points = Vec::with_capacity(n);
+    for _ in 0..n {
+        points.push(p.to_affine());
+        p = p + step;
+    }
     let mut scalars: Vec<Scalar> = (0..n).map(|_| Scalar::random(&mut rng)).collect();
     if !salted {
         return (points, scalars);
     }
+    let carries = carry_scalars::<C>();
     for i in 0..n {
         match i % 13 {
             2 => points[i] = Affine::identity(),
@@ -262,6 +308,7 @@ fn msm_terms<C: Curve>(n: usize, seed: u64, salted: bool) -> (Vec<Affine<C>>, Ve
             7 => scalars[i] = Scalar::ZERO,
             9 => scalars[i] = Scalar::ONE,
             11 => scalars[i] = -Scalar::ONE,
+            3 | 8 | 12 => scalars[i] = carries[(i / 4) % carries.len()],
             _ => {}
         }
     }
@@ -273,32 +320,113 @@ fn msm_terms<C: Curve>(n: usize, seed: u64, salted: bool) -> (Vec<Affine<C>>, Ve
     (points, scalars)
 }
 
-fn assert_msm_matches_reference<C: Curve>(lengths: &[usize], salted: bool) {
-    for (seed, &n) in lengths.iter().enumerate() {
-        let (points, scalars) = msm_terms::<C>(n, seed as u64, salted);
-        assert_eq!(
-            Projective::msm(&points, &scalars),
-            reference::sum_of_products(&points, &scalars),
-            "{} terms (salted: {}) on {}",
-            n,
-            salted,
-            C::name()
-        );
-    }
+/// `msm`, and the Straus kernel it replaced, against the sum of independent
+/// products.
+fn assert_msm_matches_reference<C: Curve>(n: usize, seed: u64, salted: bool) {
+    let (points, scalars) = msm_terms::<C>(n, seed, salted);
+    let expected = reference::sum_of_products(&points, &scalars);
+    let context = format!("{n} terms (salted: {salted}) on {}", C::name());
+    assert_eq!(Projective::msm(&points, &scalars), expected, "{context}");
+    assert_eq!(
+        reference::straus_msm(&points, &scalars),
+        expected,
+        "{context}"
+    );
 }
 
 #[test]
 fn msm_matches_the_sum_of_reference_products() {
-    // every term live, so `n` is the count `msm` splits by: around the
-    // sizes where a second and a third run may start, and the partition
-    // sizes the schemes run at
+    // every term live, so `n` is the count `msm` switches on: around the
+    // sizes where a second and a third Straus run may start, where the
+    // kernel this replaced started them (16 terms each), around the switch
+    // to buckets on `G2` (64 points in 16 terms) and `G1` (32 terms), and
+    // the partition sizes the schemes run at
     const M: usize = MSM_MIN_TERMS;
-    let live = [0, 1, M - 1, M, 2 * M - 1, 2 * M, 2 * M + 1, 127, 128, 129];
-    assert_msm_matches_reference::<G2Params>(&live, false);
-    assert_msm_matches_reference::<G1Params>(&live, false);
-    let salted = [1, 2, 3 * M, 127, 128, 300];
-    assert_msm_matches_reference::<G2Params>(&salted, true);
-    assert_msm_matches_reference::<G1Params>(&salted, true);
+    let live = [
+        0,
+        1,
+        M - 1,
+        M,
+        2 * M - 1,
+        2 * M,
+        2 * M + 1,
+        15,
+        16,
+        17,
+        31,
+        32,
+        33,
+        127,
+        128,
+        129,
+    ];
+    let salted = [1, 2, 48, 127, 128, 300];
+    for (lengths, salt) in [(&live[..], false), (&salted[..], true)] {
+        for (seed, &n) in lengths.iter().enumerate() {
+            assert_msm_matches_reference::<G2Params>(n, seed as u64, salt);
+            assert_msm_matches_reference::<G1Params>(n, seed as u64, salt);
+        }
+    }
+}
+
+/// `msm` one live term either side of every switch it makes — from the
+/// Straus loop to buckets ([`MSM_MIN_POINTS`]) and every width step
+/// ([`WIDTHS`]) — against the Straus kernel it replaced (the sum of
+/// independent products is too slow at thousands of terms).
+#[test]
+fn msm_matches_the_replaced_straus_kernel_at_every_switch() {
+    fn check<C: Curve>() {
+        let parts = C::split(&Scalar::ONE).len();
+        assert_eq!(WIDTHS[0].0, MSM_MIN_POINTS);
+        for &(points, c) in &WIDTHS {
+            let at = points.div_ceil(parts);
+            for n in [at - 1, at, at + 1] {
+                let (points, scalars) = msm_terms::<C>(n, n as u64, false);
+                assert_eq!(
+                    Projective::msm(&points, &scalars),
+                    reference::straus_msm(&points, &scalars),
+                    "{n} terms on {} around width {c}",
+                    C::name()
+                );
+            }
+        }
+    }
+    check::<G2Params>();
+    check::<G1Params>();
+}
+
+/// One point under one scalar, `n` copies, some negated: in every window all
+/// copies of a split point share one bucket, where `P + P` takes the
+/// doubling branch of the affine addition, `P + (−P)` the cancelling one,
+/// and an odd count leaves a point over for the next halving.
+#[test]
+fn msm_bucket_collisions_take_the_exceptional_branches() {
+    fn check<C: Curve>() {
+        let at = MSM_MIN_POINTS / C::split(&Scalar::ONE).len();
+        let p = Affine::<C>::generator();
+        for pattern in [&[1, 1][..], &[1, -1], &[1, 1, 1], &[1, 1, -1]] {
+            for n in [at, at + 1, 3 * at] {
+                let points: Vec<_> = (0..n)
+                    .map(|i| {
+                        if pattern[i % pattern.len()] > 0 {
+                            p
+                        } else {
+                            -p
+                        }
+                    })
+                    .collect();
+                let scalars = vec![scalar(n as u64); n];
+                assert_eq!(
+                    Projective::msm(&points, &scalars),
+                    reference::sum_of_products(&points, &scalars),
+                    "{n} copies in the pattern {pattern:?} on {}",
+                    C::name()
+                );
+            }
+        }
+    }
+    check::<G2Params>();
+    check::<G1Params>();
 }
 
 #[test]
@@ -320,7 +448,7 @@ fn split_exponentiations_match_the_ladders_on_the_edge_scalars() {
         ] {
             assert_mul_scalar_matches_reference(&p, &k);
         }
-        // secp256k1 has no split: its hook is the ladder
+        // secp256k1 has no split: one 255-bit digit
         assert_mul_scalar_matches_reference(&K256Projective::generator(), &k);
         for f in [
             Gt::IDENTITY,
@@ -423,6 +551,12 @@ fn msm_survives_an_accumulator_that_meets_its_addend() {
 // The differential properties run at the default case count, so the
 // scheduled CI run deepens them through `PROPTEST_CASES`.
 proptest! {
+    #[test]
+    fn msm_matches_the_sum_of_products_on_salted_terms(n in 0usize..=300, seed in any::<u64>()) {
+        assert_msm_matches_reference::<G2Params>(n, seed, true);
+        assert_msm_matches_reference::<G1Params>(n, seed, true);
+    }
+
     #[test]
     fn wnaf_mul_matches_double_and_add_on_every_curve(a in any::<u64>(), b in any::<u64>()) {
         let k = scalar(b);

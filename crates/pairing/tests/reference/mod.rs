@@ -4,7 +4,9 @@
 //! multiplications, subgroup membership by annihilation with `r`, the affine
 //! Miller loop with one inversion per step and a dense line, the hard part
 //! of the final exponentiation as one plain power, square-and-multiply in
-//! the cyclotomic subgroup. Slow on purpose; each is the textbook form.
+//! the cyclotomic subgroup. Slow on purpose; each is the textbook form. The
+//! one exception is the Straus MSM the bucket method replaced, kept as a
+//! second, faster MSM oracle.
 
 use ibbe_bigint::Uint;
 use ibbe_pairing::fp6::Fp6;
@@ -36,6 +38,65 @@ pub fn sum_of_products<C: Curve>(points: &[Affine<C>], scalars: &[Scalar]) -> Pr
         acc = acc + mul_uint(&Projective::from(*p), &s.to_uint());
     }
     acc
+}
+
+/// The multi-scalar multiplication the bucket method replaced: Straus over
+/// the width-4 wNAF strings of the full 255-bit scalars, one shared doubling
+/// chain, a table `P, 3P, 5P, 7P` per term, the live terms split into one
+/// run per core of at least 16 terms each. The kernel normalised all tables
+/// with one inversion so that every addition was mixed; here each entry is
+/// normalised on its own, which gives the same points.
+pub fn straus_msm<C: Curve>(points: &[Affine<C>], scalars: &[Scalar]) -> Projective<C> {
+    let terms: Vec<_> = points
+        .iter()
+        .zip(scalars)
+        .filter(|(p, s)| !p.is_identity() && !s.is_zero())
+        .collect();
+    let runs = exec::map_chunks(&terms, 16, |terms| {
+        let tables: Vec<[Affine<C>; 4]> = terms
+            .iter()
+            .map(|(p, _)| {
+                let (p, twice) = (Projective::from(**p), Projective::from(**p).double());
+                let (p3, p5) = (p + twice, p + twice + twice);
+                [p, p3, p5, p5 + twice].map(|q| q.to_affine())
+            })
+            .collect();
+        let digits: Vec<_> = terms.iter().map(|(_, s)| wnaf4(&s.to_uint())).collect();
+        let len = digits.iter().map(Vec::len).max().unwrap_or(0);
+        let mut acc = Projective::identity();
+        for i in (0..len).rev() {
+            acc = acc.double();
+            for (table, digits) in tables.iter().zip(&digits) {
+                let d = digits.get(i).copied().unwrap_or(0);
+                if d != 0 {
+                    let entry = table[d.unsigned_abs() as usize / 2];
+                    acc = acc.add_mixed(&if d > 0 { entry } else { -entry });
+                }
+            }
+        }
+        acc
+    });
+    runs.into_iter().fold(Projective::identity(), |a, b| a + b)
+}
+
+/// The width-4 non-adjacent form of `k`, least-significant digit first.
+fn wnaf4<const E: usize>(k: &Uint<E>) -> Vec<i8> {
+    let mut digits = Vec::new();
+    let (mut carry, mut i) = (0u32, 0);
+    while i < k.bits() || carry != 0 {
+        if (u32::from(k.bit(i)) + carry) & 1 == 0 {
+            carry &= u32::from(k.bit(i));
+            digits.push(0);
+            i += 1;
+            continue;
+        }
+        let window = (0..4).fold(carry, |v, j| v + (u32::from(k.bit(i + j)) << j));
+        carry = u32::from(window >= 8);
+        digits.push((window as i32 - 16 * carry as i32) as i8);
+        digits.extend_from_slice(&[0; 3]);
+        i += 4;
+    }
+    digits
 }
 
 /// Exponentiation of a unitary element: cyclotomic squarings, one
