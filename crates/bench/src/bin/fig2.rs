@@ -41,6 +41,10 @@ fn main() {
 
         // raw IBBE (public-key path, the paper's Eq. 4 quadratic expansion)
         let (_, pk) = ibbe::setup(n, &mut rng);
+        // the key's first encryption builds its fixed-base tables: a one-off
+        // kept out of the timing, as HE-PKI's generator table is built by
+        // the registrations above
+        ibbe::encrypt_public(&pk, &members[..1], &mut rng).expect("warm-up");
         let ((), t_ibbe) = {
             let (res, t) = time(|| ibbe::encrypt_public(&pk, &members, &mut rng));
             res.expect("encrypt");

@@ -14,13 +14,24 @@
 //! a Miller loop and a final exponentiation (`pairing_product`). Those
 //! kernels are variable-time in their scalars; the scalars here are
 //! polynomial coefficients of public identity hashes.
+//!
+//! Every encryption, removal and re-key ends in the same three
+//! exponentiations by a fresh `k`: `v^k` in `GT`, `w^(−k)` in `G1` and
+//! `C3^k` in `G2`. `v` and `w` are fixed for the life of the key, so the
+//! [`PublicKey`] builds a fixed-base table for each on first use
+//! (`ibbe_pairing::FixedBase`: no squaring or doubling chain, one group
+//! operation per 6-bit window of the split exponent); `C3` differs per
+//! partition and keeps the variable-base kernel. These lookups are indexed
+//! by the secret `k`, as the variable-base kernels' are: variable-time,
+//! like the rest of the pairing crate.
 
 use crate::error::IbbeError;
 use crate::poly::expand_from_roots;
 use ibbe_pairing::{
-    hash_to_scalar, pairing, pairing_product, G1Affine, G1Projective, G2Affine, G2Projective, Gt,
-    Scalar,
+    hash_to_scalar, pairing, pairing_product, FixedBase, G1Affine, G1Projective, G2Affine,
+    G2Projective, Gt, Scalar, GT_BYTES,
 };
+use std::sync::{Arc, OnceLock};
 
 /// Domain-separation tag for identity hashing (`H : {0,1}* → Z_r*`).
 const ID_DOMAIN: &[u8] = b"ibbe-delerablee-identity-v1";
@@ -47,14 +58,52 @@ impl core::fmt::Debug for MasterSecretKey {
 /// The system public key
 /// `PK = (w, v, h, h^γ, …, h^(γ^m))`, linear in the maximum receiver-set
 /// size `m` (paper §III-C: for IBBE-SGX, `m` is the *partition* size).
-#[derive(Clone, PartialEq, Eq)]
+///
+/// The key also carries fixed-base tables of `v` and `w` (275 KB), which
+/// every encryption, removal and re-key exponentiates. They are derived
+/// from the key, built on the first of those calls, and shared by every
+/// clone, whether cloned before or after. A holder that only decrypts never
+/// builds them. Equality and the encoding ignore them.
+#[derive(Clone)]
 pub struct PublicKey {
     pub(crate) w: G1Affine,
     pub(crate) v: Gt,
     pub(crate) h_powers: Vec<G2Affine>,
+    tables: Arc<OnceLock<Tables>>,
 }
 
+/// The fixed-base tables of a [`PublicKey`]'s two constant bases.
+struct Tables {
+    v: FixedBase<Gt>,
+    w: FixedBase<G1Affine>,
+}
+
+impl PartialEq for PublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        (self.w, self.v, &self.h_powers) == (other.w, other.v, &other.h_powers)
+    }
+}
+
+impl Eq for PublicKey {}
+
 impl PublicKey {
+    fn new(w: G1Affine, v: Gt, h_powers: Vec<G2Affine>) -> Self {
+        Self {
+            w,
+            v,
+            h_powers,
+            tables: Arc::default(),
+        }
+    }
+
+    /// The tables of `v` and `w`, built by the first caller.
+    fn tables(&self) -> &Tables {
+        self.tables.get_or_init(|| Tables {
+            v: FixedBase::<Gt>::new(&self.v),
+            w: FixedBase::<G1Affine>::new(&self.w),
+        })
+    }
+
     /// Maximum receiver-set size supported.
     pub fn max_group_size(&self) -> usize {
         self.h_powers.len() - 1
@@ -65,10 +114,41 @@ impl PublicKey {
         &self.h_powers[0]
     }
 
-    /// Approximate serialized size in bytes (for footprint accounting).
+    /// Serialized size in bytes (for footprint accounting).
     pub fn size_bytes(&self) -> usize {
         use ibbe_pairing::{G1_COMPRESSED_BYTES, G2_COMPRESSED_BYTES};
-        G1_COMPRESSED_BYTES + 576 + self.h_powers.len() * G2_COMPRESSED_BYTES
+        G1_COMPRESSED_BYTES + GT_BYTES + self.h_powers.len() * G2_COMPRESSED_BYTES
+    }
+
+    /// Serialized form: `w`, `v`, then `h, h^γ, …, h^(γ^m)`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.size_bytes());
+        out.extend_from_slice(&self.w.to_bytes());
+        out.extend_from_slice(&self.v.to_bytes());
+        for h in &self.h_powers {
+            out.extend_from_slice(&h.to_bytes());
+        }
+        out
+    }
+
+    /// Parses [`PublicKey::to_bytes`], validating every group element. The
+    /// key has no tables until it first encrypts or re-keys.
+    ///
+    /// # Errors
+    /// [`IbbeError::InvalidEncoding`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, IbbeError> {
+        use ibbe_pairing::{G1_COMPRESSED_BYTES as L1, G2_COMPRESSED_BYTES as L2};
+        let powers = bytes.get(L1 + GT_BYTES..).unwrap_or_default();
+        if powers.len() < 2 * L2 || powers.len() % L2 != 0 {
+            return Err(IbbeError::InvalidEncoding);
+        }
+        let w = G1Affine::from_bytes(&bytes[..L1]);
+        let v = Gt::from_bytes(&bytes[L1..L1 + GT_BYTES]);
+        let h_powers = powers.chunks_exact(L2).map(G2Affine::from_bytes).collect();
+        match (w, v, h_powers) {
+            (Some(w), Some(v), Some(h_powers)) => Ok(Self::new(w, v, h_powers)),
+            _ => Err(IbbeError::InvalidEncoding),
+        }
     }
 }
 
@@ -247,7 +327,7 @@ pub fn setup<R: rand::RngCore + ?Sized>(
         h_powers.push(cur.to_affine());
     }
 
-    (MasterSecretKey { g, gamma }, PublicKey { w, v, h_powers })
+    (MasterSecretKey { g, gamma }, PublicKey::new(w, v, h_powers))
 }
 
 /// Extracts a user secret key (paper §A-B): `USK = g^(1/(γ + H(u)))`.
@@ -399,11 +479,13 @@ pub fn rekey_using(pk: &PublicKey, ct: &Ciphertext, k: &Ephemeral) -> (Broadcast
 }
 
 /// `(bk, C1, C2, C3) = (v^k, w^(-k), C3^k, C3)`: where every encryption,
-/// removal and re-key ends.
+/// removal and re-key ends. `v^k` and `w^(−k)` come from the key's
+/// fixed-base tables (built here on the key's first call); `C3^k` is the
+/// variable-base split product, since `C3` differs per partition.
 fn rekey_from_c3(pk: &PublicKey, c3: G2Projective, k: &Ephemeral) -> (BroadcastKey, Ciphertext) {
-    let k = &k.0;
-    let bk = BroadcastKey(pk.v.pow(k));
-    let c1 = G1Projective::from(pk.w).mul_scalar(&(-*k)).to_affine();
+    let (k, tables) = (&k.0, pk.tables());
+    let bk = BroadcastKey(tables.v.pow(k));
+    let c1 = tables.w.mul_scalar(&(-*k)).to_affine();
     let c2 = c3.mul_scalar(k).to_affine();
     (
         bk,
@@ -434,6 +516,7 @@ pub fn add_user_public<R: rand::RngCore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibbe_pairing::{G1_COMPRESSED_BYTES, G2_COMPRESSED_BYTES};
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -625,6 +708,60 @@ mod tests {
         let usk = extract(&msk, "alice");
         assert_eq!(UserSecretKey::from_bytes(&usk.to_bytes()).unwrap(), usk);
         assert!(UserSecretKey::from_bytes(&[0u8; 3]).is_err());
+    }
+
+    #[test]
+    fn clones_share_one_table() {
+        let mut r = rng(14);
+        let (msk, pk) = setup(4, &mut r);
+        let before = pk.clone();
+        assert!(pk.tables.get().is_none(), "setup builds no table");
+        encrypt_with_msk(&msk, &pk, &names(2), &mut r).unwrap();
+        let after = pk.clone();
+        let built = pk.tables.get().expect("the first encryption builds them");
+        for clone in [&before, &after] {
+            let shared = clone.tables.get().expect("a clone sees the tables");
+            assert!(core::ptr::eq(shared, built), "one table for every clone");
+        }
+    }
+
+    #[test]
+    fn a_parsed_key_equals_the_original_and_encrypts_alike() {
+        let mut r = rng(15);
+        let (msk, pk) = setup(4, &mut r);
+        let members = names(3);
+        let (bk, ct) = encrypt_with_msk(&msk, &pk, &members, &mut rng(99)).unwrap();
+        let bytes = pk.to_bytes();
+        assert_eq!(bytes.len(), pk.size_bytes());
+        let parsed = PublicKey::from_bytes(&bytes).unwrap();
+        assert!(pk.tables.get().is_some() && parsed.tables.get().is_none());
+        assert_eq!(parsed, pk, "equality ignores the tables");
+        // a table-less key encrypts exactly as one with tables
+        let again = encrypt_with_msk(&msk, &parsed, &members, &mut rng(99)).unwrap();
+        assert_eq!(again, (bk, ct));
+        // a truncated point, or only `h` and so no receiver at all
+        let h_only = G1_COMPRESSED_BYTES + GT_BYTES + G2_COMPRESSED_BYTES;
+        for cut in [0, bytes.len() - 1, h_only] {
+            assert!(PublicKey::from_bytes(&bytes[..cut]).is_err(), "{cut} bytes");
+        }
+        let mut bad = bytes.clone();
+        bad[G1_COMPRESSED_BYTES + 7] ^= 1; // v leaves GT
+        assert!(PublicKey::from_bytes(&bad).is_err());
+    }
+
+    #[test]
+    fn decrypting_never_builds_a_table() {
+        let mut r = rng(16);
+        let (msk, pk) = setup(4, &mut r);
+        let client = PublicKey::from_bytes(&pk.to_bytes()).unwrap();
+        let members = names(3);
+        let (bk, ct) = encrypt_with_msk(&msk, &pk, &members, &mut r).unwrap();
+        let usk = extract(&msk, &members[1]);
+        assert_eq!(
+            decrypt(&client, &usk, &members[1], &members, &ct).unwrap(),
+            bk
+        );
+        assert!(client.tables.get().is_none());
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! affine with a single inversion so that every addition is mixed.
 //! [`Projective::msm`] sums many terms by buckets of signed windows, whose
 //! points it adds in affine coordinates under shared inversions; a handful
-//! of terms still take the Straus loop.
+//! of terms still take the Straus loop. A base that stays fixed across many
+//! scalars (IBBE's `w`, the secp256k1 generator) needs no chain at all: a
+//! [`crate::fixed::FixedBase`] table, built once, turns each signed 6-bit
+//! window of the same split digits into one mixed addition.
 //!
 //! **Scalars are split, not laddered.** BLS12-381 gives each of its groups
 //! an endomorphism that costs a field multiplication or two and acts on the
@@ -36,7 +39,9 @@
 //! table of odd multiples and its images under `η`: 64 (128) doublings
 //! instead of 255 at the same number of additions. [`Projective::msm`]
 //! buckets the same digits ([`Curve::split`]), so a window covers four
-//! (two) times fewer of them. The same `η` gives the
+//! (two) times fewer of them, and a fixed-base table covers one digit's
+//! [`Curve::DIGIT_BITS`] and reaches the others through `η`, applied once
+//! per digit sum. The same `η` gives the
 //! subgroup test: `η(P) = [m]P` for its eigenvalue `m` holds only on the
 //! order-`r` points ([`Curve::is_in_prime_subgroup`]).
 //!
@@ -237,6 +242,10 @@ pub trait Curve: Copy + PartialEq + Eq + Debug + Send + Sync + 'static {
     fn eta(p: &Affine<Self>) -> Affine<Self> {
         *p
     }
+    /// Bits of the widest digit this curve's scalars are taken in: the
+    /// span of a [`crate::fixed::FixedBase`] table. A curve that keeps `k`
+    /// whole takes any 256-bit integer.
+    const DIGIT_BITS: usize = 256;
 }
 
 /// An affine point (or the point at infinity).
@@ -679,7 +688,7 @@ impl<C: Curve> Projective<C> {
     }
 
     /// Converts many points to affine with one field inversion.
-    fn batch_to_affine(points: &[Self]) -> Vec<Affine<C>> {
+    pub(crate) fn batch_to_affine(points: &[Self]) -> Vec<Affine<C>> {
         let mut zs: Vec<_> = points
             .iter()
             .map(|p| if p.is_identity() { C::Base::one() } else { p.z })
@@ -734,7 +743,7 @@ impl<C: Curve> Projective<C> {
 /// and `Σ_w entry·2^(c·w)` is the digit again. A window above `2^(c−1)`
 /// borrows `2^c` from the next one, so `windows` must leave room for the
 /// carry out of the top bit.
-fn signed_windows(digits: &[Uint<4>], c: usize, windows: usize) -> Vec<i16> {
+pub(crate) fn signed_windows(digits: &[Uint<4>], c: usize, windows: usize) -> Vec<i16> {
     let half = 1 << (c - 1);
     let mut out = vec![0; windows * digits.len()];
     for (t, d) in digits.iter().enumerate() {
@@ -858,6 +867,9 @@ impl<C: Curve> Buckets<C> {
 /// field inversion (Montgomery's trick); `prefix` is scratch.
 fn batch_invert<F: CurveField>(values: &mut [F], prefix: &mut Vec<F>) {
     prefix.clear();
+    if values.is_empty() {
+        return;
+    }
     let mut acc = F::one();
     for v in values.iter() {
         prefix.push(acc);

@@ -217,15 +217,31 @@ impl Fp12 {
         ]
     }
 
-    /// Serializes all twelve `Fp` coefficients (576 bytes). Only used to
-    /// derive symmetric keys from `GT` elements, so the format just needs to
-    /// be injective and deterministic.
+    /// Serializes all twelve `Fp` coefficients (576 bytes), in the order of
+    /// [`Fp12::coefficients`]: what symmetric keys are derived from, and how
+    /// a public key carries its `GT` element.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(576);
         for c in self.coefficients() {
             out.extend_from_slice(&c.to_bytes());
         }
         out
+    }
+
+    /// Parses [`Fp12::to_bytes`]; `None` unless 576 bytes of canonical
+    /// coefficients.
+    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+        if bytes.len() != 576 {
+            return None;
+        }
+        let mut c = [Fp2::ZERO; 6];
+        for (c, chunk) in c.iter_mut().zip(bytes.chunks_exact(96)) {
+            *c = Fp2::from_bytes(chunk.try_into().ok()?)?;
+        }
+        Some(Self::new(
+            Fp6::new(c[0], c[1], c[2]),
+            Fp6::new(c[3], c[4], c[5]),
+        ))
     }
 }
 

@@ -74,6 +74,8 @@ impl Curve for G1Params {
     fn eta(p: &G1Affine) -> G1Affine {
         g1_times_x_squared(p)
     }
+
+    const DIGIT_BITS: usize = 128;
 }
 
 /// `−φ: (x, y) ↦ (βx, −y)` for a cube root of unity `beta`.

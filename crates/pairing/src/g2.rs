@@ -90,6 +90,8 @@ impl Curve for G2Params {
     fn eta(p: &G2Affine) -> G2Affine {
         g2_times_x_abs(p)
     }
+
+    const DIGIT_BITS: usize = 64;
 }
 
 /// `−ψ: (x, y) ↦ (x̄·cₓ, −ȳ·c_y)` for the coefficients `(cₓ, c_y)`.

@@ -10,7 +10,9 @@
 
 use crate::curve::{Affine, Curve, CurveField, Projective};
 use crate::field::prime_field;
+use crate::fixed::FixedBase;
 use ibbe_bigint::Uint;
+use std::sync::OnceLock;
 
 /// The secp256k1 base-field modulus `p = 2²⁵⁶ - 2³² - 977`.
 pub const P_MODULUS: Uint<4> = Uint::new([
@@ -173,11 +175,21 @@ impl K256Projective {
         self.mul_uint(&s.to_uint())
     }
 
-    /// Uniformly random group element with its discrete log.
+    /// Uniformly random group element with its discrete log, from the
+    /// generator's fixed-base table ([`generator_table`]).
     pub fn random_keypair<R: rand::RngCore + ?Sized>(rng: &mut R) -> (ScalarK, Self) {
         let s = ScalarK::random_nonzero(rng);
-        (s, Self::generator().mul_scalar_k(&s))
+        (s, generator_table().mul_digits(&[s.to_uint()]))
     }
+}
+
+/// The generator's fixed-base table, built on first use and kept for the
+/// life of the process, as libsecp256k1 and OpenSSL keep theirs: every key
+/// pair, and so every HE-PKI envelope's ephemeral key, multiplies the
+/// generator. One 256-bit digit, 43 windows of 32 points (99 KB).
+pub fn generator_table() -> &'static FixedBase<K256Affine> {
+    static TABLE: OnceLock<FixedBase<K256Affine>> = OnceLock::new();
+    TABLE.get_or_init(|| FixedBase::<K256Affine>::new(&K256Affine::generator()))
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! * the groups [`G1Affine`]/[`G1Projective`] and [`G2Affine`]/[`G2Projective`],
 //! * the target group [`Gt`], the optimal ate [`pairing()`] and products of
 //!   pairings under one final exponentiation ([`pairing_product`]),
+//! * fixed-base tables for a base raised to many exponents ([`FixedBase`]),
 //! * hashing of identities to scalars and to `G1` ([`hash`]).
 //!
 //! The paper's Type-A PBC curve is replaced by BLS12-381; both expose the
@@ -34,6 +35,7 @@ pub(crate) mod field;
 pub(crate) mod wnaf;
 
 pub mod curve;
+pub mod fixed;
 pub mod fp;
 pub mod fp12;
 pub mod fp2;
@@ -48,13 +50,14 @@ pub mod k256;
 pub mod pairing;
 
 pub use curve::{Affine, Curve, CurveField, Projective};
+pub use fixed::FixedBase;
 pub use fp::Fp;
 pub use fp12::Fp12;
 pub use fp2::Fp2;
 pub use fr::Scalar;
 pub use g1::{G1Affine, G1Projective, G1_COMPRESSED_BYTES};
 pub use g2::{G2Affine, G2Projective, G2_COMPRESSED_BYTES};
-pub use gt::Gt;
+pub use gt::{Gt, GT_BYTES};
 pub use hash::{hash_to_g1, hash_to_scalar};
 pub use k256::{K256Affine, K256Projective, ScalarK, K256_COMPRESSED_BYTES};
 pub use pairing::{final_exponentiation, miller_loop, multi_miller_loop, pairing, pairing_product};

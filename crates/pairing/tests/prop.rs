@@ -1,7 +1,8 @@
 //! Property-based tests of the algebraic laws the IBBE constructions rely
 //! on — field axioms across the tower, group laws, pairing bilinearity — and
 //! differential tests of every optimised kernel (wNAF and endomorphism-split
-//! scalar multiplication, bucket MSM, projective multi-Miller loop,
+//! scalar multiplication, bucket MSM, fixed-base tables, projective
+//! multi-Miller loop,
 //! `x`-chain final exponentiation, sparse line product, the eigenvalue
 //! subgroup checks) against the textbook routine it replaced, kept in
 //! `reference`.
@@ -10,15 +11,16 @@ mod reference;
 
 use ibbe_bigint::Uint;
 use ibbe_pairing::curve::{MSM_MIN_POINTS, MSM_MIN_TERMS, WIDTHS};
+use ibbe_pairing::fixed::FIXED_WIDTH;
 use ibbe_pairing::fp6::Fp6;
 use ibbe_pairing::g1::G1Params;
 use ibbe_pairing::g2::G2Params;
-use ibbe_pairing::k256::K256Params;
+use ibbe_pairing::k256::{self, K256Params};
 use ibbe_pairing::pairing::{g1_cofactor, BLS_X_ABS};
 use ibbe_pairing::{
     final_exponentiation, fr, hash_to_scalar, miller_loop, multi_miller_loop, pairing,
-    pairing_product, Affine, Curve, Fp, Fp12, Fp2, G1Affine, G1Projective, G2Affine, G2Projective,
-    Gt, K256Projective, Projective, Scalar,
+    pairing_product, Affine, Curve, FixedBase, Fp, Fp12, Fp2, G1Affine, G1Projective, G2Affine,
+    G2Projective, Gt, K256Affine, K256Projective, Projective, Scalar, ScalarK,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -241,12 +243,14 @@ fn assert_mul_matches_reference<C: Curve>(p: &Projective<C>, k: &Scalar) {
     assert_eq!(p.mul_uint(&Uint::<4>::ONE), *p);
 }
 
-/// Scalars whose split digits ([`Curve::split`]) sit where the signed
-/// windows of `msm` carry, each digit alone in each digit position: for
-/// every width in [`WIDTHS`], every window at `2^(c−1)` (the top bucket, no
-/// borrow) and every window at `2^(c−1) + 1` (a borrow into each next
-/// window); and the largest digit, `|x| − 1` on `G2` and `x² − 1` on `G1`.
-fn carry_scalars<C: Curve>() -> Vec<Scalar> {
+/// Scalars whose split digits ([`Curve::split`]) sit where signed windows
+/// carry, each digit alone in each digit position: for every width in
+/// `widths` (`msm`'s [`WIDTHS`], or [`FIXED_WIDTH`]), every window at
+/// `2^(c−1)` (the top bucket or entry, no borrow) and every window at
+/// `2^(c−1) + 1` (a borrow into each next window); and the largest digit,
+/// `|x| − 1` on `G2` and `x² − 1` on `G1`. `GT` splits an exponent into
+/// `G2`'s digits.
+fn carry_scalars<C: Curve>(widths: &[usize]) -> Vec<Scalar> {
     let small = |v: u128| {
         Scalar::from_uint(&Uint::new([v as u64, (v >> 64) as u64, 0, 0])).expect("below r")
     };
@@ -254,7 +258,7 @@ fn carry_scalars<C: Curve>() -> Vec<Scalar> {
     let x = u128::from(BLS_X_ABS);
     let base = if parts == 4 { x } else { x * x };
     let mut digits = vec![base - 1];
-    for &(_, c) in &WIDTHS {
+    for &c in widths {
         for window in [1 << (c - 1), (1 << (c - 1)) + 1] {
             let mut d = 0u128;
             for w in 0.. {
@@ -299,7 +303,7 @@ fn msm_terms<C: Curve>(n: usize, seed: u64, salted: bool) -> (Vec<Affine<C>>, Ve
     if !salted {
         return (points, scalars);
     }
-    let carries = carry_scalars::<C>();
+    let carries = carry_scalars::<C>(&WIDTHS.map(|(_, c)| c));
     for i in 0..n {
         match i % 13 {
             2 => points[i] = Affine::identity(),
@@ -460,6 +464,100 @@ fn split_exponentiations_match_the_ladders_on_the_edge_scalars() {
     }
 }
 
+/// Raw digits below `2^bits` whose signed [`FIXED_WIDTH`]-bit windows are
+/// all `2^(c−1)` (the top entry, no borrow) or all `2^(c−1) + 1` (a borrow
+/// into every next window) up to the top bit; `2^bits − 1`, 1 and 0.
+fn fixed_window_digits(bits: usize) -> Vec<Uint<4>> {
+    let c = FIXED_WIDTH;
+    let with_bits = |set: &dyn Fn(usize) -> bool| {
+        let mut limbs = [0u64; 4];
+        for i in (0..bits).filter(|&i| set(i)) {
+            limbs[i / 64] |= 1 << (i % 64);
+        }
+        Uint::new(limbs)
+    };
+    vec![
+        Uint::ZERO,
+        Uint::ONE,
+        with_bits(&|_| true),
+        with_bits(&|i| i % c == c - 1),
+        with_bits(&|i| i % c == c - 1 || i % c == 0),
+    ]
+}
+
+/// A fixed-base `G1` product against the split product and the ladder.
+fn assert_fixed_mul_matches(table: &FixedBase<G1Affine>, p: &G1Projective, k: &Scalar) {
+    let got = table.mul_scalar(k);
+    assert_eq!(got, p.mul_scalar(k), "scalar {k:?}");
+    assert_eq!(got, reference::mul_uint(p, &k.to_uint()), "scalar {k:?}");
+}
+
+/// A fixed-base `GT` power against the split power and square-and-multiply.
+fn assert_fixed_pow_matches(table: &FixedBase<Gt>, f: &Gt, k: &Scalar) {
+    let got = table.pow(k);
+    assert_eq!(got, f.pow(k), "exponent {k:?}");
+    assert_eq!(
+        fp12(got),
+        reference::cyclotomic_pow(f.as_fp12(), &k.to_uint()),
+        "exponent {k:?}"
+    );
+}
+
+#[test]
+fn fixed_base_tables_match_the_ladders_on_the_edge_digits() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(40);
+    let p = G1Projective::random(&mut rng);
+    let g1 = FixedBase::<G1Affine>::new(&p.to_affine());
+    // raw digits in either position: d₀·P + d₁·η(P)
+    let image = G1Projective::from(G1Params::eta(&p.to_affine()));
+    for d in fixed_window_digits(G1Params::DIGIT_BITS) {
+        for [d0, d1] in [[d, Uint::ZERO], [Uint::ZERO, d], [d, d]] {
+            let want = reference::mul_uint(&p, &d0) + reference::mul_uint(&image, &d1);
+            assert_eq!(g1.mul_digits(&[d0, d1]), want, "digits {d0:?}, {d1:?}");
+        }
+    }
+    // secp256k1: one whole 256-bit digit, past the order n too
+    let g = K256Projective::generator();
+    for d in fixed_window_digits(K256Params::DIGIT_BITS) {
+        let want = reference::mul_uint(&g, &d);
+        assert_eq!(k256::generator_table().mul_digits(&[d]), want, "{d:?}");
+    }
+    for s in [ScalarK::ONE, -ScalarK::ONE] {
+        let got = k256::generator_table().mul_digits(&[s.to_uint()]);
+        assert_eq!(got, g.mul_scalar_k(&s));
+    }
+    // 0, ±1, the eigenvalue neighbourhoods, and each digit position at the
+    // window carries and at its largest value
+    let f = pairing(&G1Affine::generator(), &G2Affine::generator()).pow(&scalar(41));
+    let gt = FixedBase::<Gt>::new(&f);
+    let mut scalars = edge_scalars();
+    scalars.extend(carry_scalars::<G1Params>(&[FIXED_WIDTH]));
+    scalars.extend(carry_scalars::<G2Params>(&[FIXED_WIDTH]));
+    for k in &scalars {
+        assert_fixed_mul_matches(&g1, &p, k);
+        assert_fixed_pow_matches(&gt, &f, k);
+    }
+    // a table of the identity stays the identity
+    let k = scalar(42);
+    assert!(FixedBase::<G1Affine>::new(&G1Affine::identity())
+        .mul_scalar(&k)
+        .is_identity());
+    assert!(FixedBase::<Gt>::new(&Gt::IDENTITY).pow(&k).is_identity());
+}
+
+#[test]
+fn gt_bytes_round_trip_and_refuse_elements_outside_gt() {
+    let f = pairing(&G1Affine::generator(), &G2Affine::generator()).pow(&scalar(43));
+    assert_eq!(Gt::from_bytes(&f.to_bytes()), Some(f));
+    assert_eq!(Gt::from_bytes(&Gt::IDENTITY.to_bytes()), Some(Gt::IDENTITY));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+    let outside = Fp12::random(&mut rng);
+    assert_eq!(Fp12::from_bytes(&outside.to_bytes()), Some(outside));
+    assert_eq!(Gt::from_bytes(&outside.to_bytes()), None);
+    assert_eq!(Gt::from_bytes(&Fp12::ZERO.to_bytes()), None);
+    assert_eq!(Gt::from_bytes(&f.to_bytes()[1..]), None);
+}
+
 #[test]
 fn to_affine_round_trips_with_and_without_an_inversion() {
     fn check<C: Curve>(p: Projective<C>) {
@@ -575,6 +673,23 @@ proptest! {
         assert_mul_scalar_matches_reference(&p, &k);
         let k256 = ibbe_pairing::ScalarK::from_uint(&k.to_uint()).unwrap();
         prop_assert_eq!(p.mul_scalar_k(&k256), reference::mul_uint(&p, &k.to_uint()));
+    }
+
+    #[test]
+    fn fixed_base_matches_the_variable_base_kernels(a in any::<u64>(), b in any::<u64>()) {
+        let (mut rng, k) = (rand::rngs::StdRng::seed_from_u64(a), scalar(b));
+        let p = G1Projective::random(&mut rng);
+        assert_fixed_mul_matches(&FixedBase::<G1Affine>::new(&p.to_affine()), &p, &k);
+        let f = pairing(&G1Affine::generator(), &G2Affine::generator()).pow(&scalar(a));
+        assert_fixed_pow_matches(&FixedBase::<Gt>::new(&f), &f, &k);
+        // secp256k1 at a random base and at the generator's static table
+        let (s, public) = K256Projective::random_keypair(&mut rng);
+        let g = K256Projective::generator();
+        prop_assert_eq!(public, reference::mul_uint(&g, &s.to_uint()));
+        let q = K256Projective::random(&mut rng);
+        let table = FixedBase::<K256Affine>::new(&q.to_affine());
+        prop_assert_eq!(table.mul_digits(&[s.to_uint()]), q.mul_scalar_k(&s));
+        prop_assert_eq!(table.mul_digits(&[s.to_uint()]), reference::mul_uint(&q, &s.to_uint()));
     }
 
     #[test]
