@@ -4,12 +4,14 @@
 //!   map user identities to exponents.
 //! * [`hash_to_g1`] maps identities to `G1` points (needed by the
 //!   Boneh–Franklin HE-IBE baseline). It uses SHA-256-based try-and-increment
-//!   followed by cofactor clearing with the **derived** `#E(Fp)/r` cofactor.
+//!   followed by cofactor clearing with the effective cofactor
+//!   `h_eff = 1 − x` (RFC 9380 §8.8.1), derived and checked against the
+//!   `#E(Fp)/r` cofactor at start-up.
 
 use crate::fp::Fp;
 use crate::fr::Scalar;
 use crate::g1::{G1Affine, G1Projective};
-use crate::pairing::g1_cofactor;
+use crate::pairing::g1_h_eff;
 use symcrypto::sha256::Sha256;
 
 fn domain_hash(domain: &[u8], msg: &[u8], counter: u32) -> [u8; 32] {
@@ -72,7 +74,7 @@ pub fn hash_to_g1(domain: &[u8], msg: &[u8]) -> G1Affine {
                 y = -y;
             }
             let p: G1Projective = G1Affine::from_xy_unchecked(x, y).into();
-            let cleared = p.mul_uint(&g1_cofactor());
+            let cleared = p.mul_uint(&g1_h_eff());
             if !cleared.is_identity() {
                 return cleared.to_affine();
             }

@@ -84,6 +84,8 @@ struct Consts {
     x_minus_1_over_3: Uint<1>,
     /// `G1` cofactor `(p + |x|) / r = #E(Fp) / r`.
     g1_cofactor: Uint<6>,
+    /// The effective cofactor `h_eff = 1 − x = 1 + |x|` (RFC 9380 §8.8.1).
+    g1_h_eff: Uint<1>,
     /// The cube root of unity `β` for which `(x, y) ↦ (βx, −y)` is `[x²]`
     /// on `G1`.
     beta: Fp,
@@ -153,6 +155,29 @@ fn consts() -> &'static Consts {
         let (g1_cofactor, rem) = order.div_rem(&r.widen::<6>());
         assert!(rem.is_zero(), "r must divide #E(Fp)");
 
+        // h = (x − 1)²/3, and the part of E(Fp) outside G1 has exponent
+        // x − 1, so [1 − x] — 64 bits of weight 6 against h's 126 — clears
+        // the cofactor as [h] does (Wahby–Boneh, TCHES 2019).
+        let g1_h_eff = Uint::<1>::from_u64(BLS_X_ABS + 1);
+        let (lo, hi) = g1_h_eff.mul_wide(&g1_h_eff);
+        let h_eff_sq: Uint<2> = Uint::from_parts(&lo, &hi);
+        let (three_h, hi) = g1_cofactor.mul_wide(&Uint::<6>::from_u64(3));
+        assert!(hi.is_zero());
+        assert_eq!(h_eff_sq.widen::<6>(), three_h, "(1 − x)² must be 3h");
+        let off_g1 = (1u64..)
+            .find_map(|x| {
+                let x = Fp::from_u64(x);
+                let y = (x.square() * x + Fp::from_u64(4)).sqrt()?;
+                Some(G1Projective::from(G1Affine::from_xy_unchecked(x, y)))
+            })
+            .expect("E(Fp) has points");
+        assert!(!off_g1.mul_uint(&r).is_identity(), "a point outside G1");
+        let cleared = off_g1.mul_uint(&g1_h_eff);
+        assert!(
+            !cleared.is_identity() && cleared.mul_uint(&r).is_identity(),
+            "[h_eff] lands in G1"
+        );
+
         // r = x⁴ − x² + 1: what makes λ = −x² a root of λ² + λ + 1 mod r,
         // and four base-|x| digits enough for a scalar.
         let (lo, hi) = X_SQUARED.mul_wide(&X_SQUARED);
@@ -192,6 +217,7 @@ fn consts() -> &'static Consts {
             frobenius,
             x_minus_1_over_3: Uint::from_u64(third),
             g1_cofactor,
+            g1_h_eff,
             beta,
             psi,
         }
@@ -201,6 +227,14 @@ fn consts() -> &'static Consts {
 /// The `G1` cofactor `#E(Fp)/r`, used by hash-to-`G1` cofactor clearing.
 pub fn g1_cofactor() -> Uint<6> {
     consts().g1_cofactor
+}
+
+/// The effective `G1` cofactor `h_eff = 1 − x` (RFC 9380 §8.8.1): `[h_eff]P`
+/// lies in `G1` for every `P ∈ E(Fp)`. It is not a multiple of the cofactor
+/// `h`, so it generally maps a point to another `G1` element than `[h]`
+/// does; hash-to-`G1` clears by it.
+pub fn g1_h_eff() -> Uint<1> {
+    consts().g1_h_eff
 }
 
 /// `−φ`, which multiplies a `G1` point by `x²`.

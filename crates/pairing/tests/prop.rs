@@ -16,7 +16,7 @@ use ibbe_pairing::fp6::Fp6;
 use ibbe_pairing::g1::G1Params;
 use ibbe_pairing::g2::G2Params;
 use ibbe_pairing::k256::{self, K256Params};
-use ibbe_pairing::pairing::{g1_cofactor, BLS_X_ABS};
+use ibbe_pairing::pairing::{g1_cofactor, g1_h_eff, BLS_X_ABS};
 use ibbe_pairing::{
     final_exponentiation, fr, hash_to_scalar, miller_loop, multi_miller_loop, pairing,
     pairing_product, Affine, Curve, FixedBase, Fp, Fp12, Fp2, G1Affine, G1Projective, G2Affine,
@@ -698,6 +698,15 @@ proptest! {
         let cleared = p.mul_uint(&g1_cofactor());
         prop_assert_eq!(cleared, reference::mul_uint(&p, &g1_cofactor()));
         prop_assert!(cleared.to_affine().is_in_subgroup());
+    }
+
+    #[test]
+    fn effective_cofactor_clears_into_g1(a in any::<u64>()) {
+        let p = g1_curve_point(a);
+        let cleared = p.mul_uint(&g1_h_eff());
+        prop_assert!(cleared.to_affine().is_in_subgroup());
+        prop_assert!(!cleared.is_identity());
+        prop_assert_eq!(cleared, reference::mul_uint(&p, &g1_h_eff()));
     }
 
     #[test]
