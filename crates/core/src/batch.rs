@@ -23,7 +23,6 @@
 
 use crate::error::CoreError;
 use crate::metadata::GroupMetadata;
-use std::collections::HashSet;
 
 /// One queued membership operation.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -90,55 +89,103 @@ impl MembershipBatch {
     /// Validates the sequence against `meta` and computes the coalesced
     /// plan. Pure (no enclave work): useful for pre-flighting a batch.
     ///
+    /// Cost: one borrowed read of every member, each looked up among the
+    /// batch's own identities (sorted, so `O(log |batch|)` comparisons),
+    /// plus `O(|batch| log |batch|)` work; nothing is allocated per member,
+    /// so a one-op batch on a large group costs a scan of `n` string
+    /// comparisons, not a copy of the roster.
+    ///
     /// # Errors
     /// [`CoreError::AlreadyMember`] / [`CoreError::NotAMember`] at the first
     /// operation the equivalent sequential schedule would have rejected.
     pub fn plan(&self, meta: &GroupMetadata) -> Result<BatchPlan, CoreError> {
-        let pre: HashSet<&str> = meta.members().collect();
-        let mut present: HashSet<String> = meta.members().map(String::from).collect();
+        // The batch's identities, sorted and deduplicated, each with what
+        // planning knows of it: searched by bisection, so a one-op batch
+        // costs one string comparison per member.
+        let mut tracked: Vec<(&str, Tracked)> = self
+            .ops
+            .iter()
+            .map(|op| (op.identity(), Tracked::default()))
+            .collect();
+        tracked.sort_unstable_by_key(|&(id, _)| id);
+        tracked.dedup_by_key(|&mut (id, _)| id);
+        // Where each tracked identity sits before the batch, as (partition,
+        // slot) in (partition, position) order; a roster that lists one
+        // identity twice yields both seats, as a scan of the roster would.
+        let mut seats: Vec<(usize, usize)> = Vec::new();
+        for (p, partition) in meta.partitions.iter().enumerate() {
+            for m in &partition.members {
+                if let Some(s) = slot(&tracked, m) {
+                    let t = &mut tracked[s].1;
+                    (t.pre, t.present) = (true, true);
+                    seats.push((p, s));
+                }
+            }
+        }
         let mut rotate_gk = false;
         for op in &self.ops {
+            let s = slot(&tracked, op.identity()).expect("every op is tracked");
+            let t = &mut tracked[s].1;
             match op {
                 BatchOp::Add(u) => {
-                    if !present.insert(u.clone()) {
+                    if t.present {
                         return Err(CoreError::AlreadyMember(u.clone()));
                     }
+                    t.present = true;
                 }
                 BatchOp::Remove(u) => {
-                    if !present.remove(u) {
+                    if !t.present {
                         return Err(CoreError::NotAMember(u.clone()));
                     }
+                    t.present = false;
                     // Revoking a pre-batch member forces a gk rotation even
                     // if the identity is later re-added: the sequential
                     // schedule would have rotated, and callers rely on
                     // "remove ⇒ fresh gk" for forward secrecy.
-                    if pre.contains(u.as_str()) {
-                        rotate_gk = true;
-                    }
+                    rotate_gk |= t.pre;
                 }
             }
         }
         // Net additions in first-add order, net removals in partition order.
-        let mut seen: HashSet<&str> = HashSet::new();
         let mut net_added = Vec::new();
         for op in &self.ops {
             if let BatchOp::Add(u) = op {
-                if present.contains(u) && !pre.contains(u.as_str()) && seen.insert(u) {
+                let s = slot(&tracked, u).expect("every op is tracked");
+                let t = &mut tracked[s].1;
+                if t.present && !t.pre && !t.listed {
+                    t.listed = true;
                     net_added.push(u.clone());
                 }
             }
         }
-        let net_removed: Vec<String> = meta
-            .members()
-            .filter(|m| !present.contains(*m))
-            .map(String::from)
-            .collect();
+        let (hosts, net_removed) = seats
+            .into_iter()
+            .filter(|&(_, s)| !tracked[s].1.present)
+            .map(|(p, s)| (p, tracked[s].0.to_string()))
+            .unzip();
         Ok(BatchPlan {
             net_added,
             net_removed,
+            hosts,
             rotate_gk,
         })
     }
+}
+
+/// What planning knows about one identity the batch names.
+#[derive(Default)]
+struct Tracked {
+    /// A member before the batch.
+    pre: bool,
+    /// A member at the current point of the sequential schedule.
+    present: bool,
+    /// Already in `net_added`.
+    listed: bool,
+}
+
+/// Position of `id` in `tracked`, which is sorted by identity.
+fn slot(tracked: &[(&str, Tracked)], id: &str) -> Option<usize> {
+    tracked.binary_search_by_key(&id, |&(k, _)| k).ok()
 }
 
 /// The coalesced, validated form of a [`MembershipBatch`] against one
@@ -147,6 +194,9 @@ impl MembershipBatch {
 pub struct BatchPlan {
     pub(crate) net_added: Vec<String>,
     pub(crate) net_removed: Vec<String>,
+    /// Pre-batch partition of each `net_removed` entry (so ascending), the
+    /// only partitions a revoking batch strips.
+    pub(crate) hosts: Vec<usize>,
     pub(crate) rotate_gk: bool,
 }
 

@@ -22,7 +22,6 @@ use ibbe::{
     BroadcastKey, Ephemeral, MasterSecretKey, PublicKey, Receivers, UserSecretKey,
 };
 use sgx_sim::{ChannelKeyPair, Enclave, EnclaveBuilder, EnclaveContext, Measurement};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use symcrypto::gcm::{AesGcm, NONCE_LEN};
 use symcrypto::sha256::{sha256, Sha256};
@@ -489,21 +488,22 @@ impl GroupEngine {
         let BatchPlan {
             net_added,
             net_removed,
+            hosts,
             ..
         } = plan;
-        let removed_set: HashSet<&str> = net_removed.iter().map(String::as_str).collect();
+        // Members each partition loses; only host partitions lose any.
+        let mut lost = vec![0usize; meta.partitions.len()];
+        for &p in &hosts {
+            lost[p] += 1;
+        }
 
         // Post-strip occupancy of the surviving partitions, in final
         // (retained) order, and the first-fit placement over it.
         let survivor_sizes: Vec<usize> = meta
             .partitions
             .iter()
-            .map(|p| {
-                p.members
-                    .iter()
-                    .filter(|u| !removed_set.contains(u.as_str()))
-                    .count()
-            })
+            .zip(&lost)
+            .map(|(p, &n)| p.members.len() - n)
             .filter(|&left| left > 0)
             .collect();
         let dropped = meta.partitions.len() - survivor_sizes.len();
@@ -525,21 +525,19 @@ impl GroupEngine {
                     let history = seal_history(ctx, &retired, &gk, &name);
                     let new_parts =
                         build_partitions(&st.msk, pk, &overflow, &gk, new_epoch, m, &name, ctx)?;
-                    // Phase 2 — infallible. Strip revoked members with
-                    // constant-time C3 updates, dropping emptied partitions.
-                    for mut p in std::mem::take(partitions) {
-                        if p.members.iter().any(|u| removed_set.contains(u.as_str())) {
-                            let goners: Vec<String> = p
-                                .members
-                                .iter()
-                                .filter(|u| removed_set.contains(u.as_str()))
-                                .cloned()
-                                .collect();
-                            p.members.retain(|u| !removed_set.contains(u.as_str()));
+                    // Phase 2 — infallible. Strip revoked members from their
+                    // host partitions with constant-time C3 updates, dropping
+                    // emptied partitions. `net_removed` is in partition
+                    // order, so each host's goners are the next `n` of it.
+                    let mut goners = net_removed.iter();
+                    for (mut p, &n) in std::mem::take(partitions).into_iter().zip(&lost) {
+                        if n > 0 {
+                            let gone: Vec<&String> = goners.by_ref().take(n).collect();
+                            p.members.retain(|u| !gone.contains(&u));
                             if p.members.is_empty() {
                                 continue; // no receivers left, nothing to maintain
                             }
-                            for u in &goners {
+                            for u in gone {
                                 let (_, ct) =
                                     remove_user_with_msk(&st.msk, pk, &p.ciphertext, u, ctx.rng());
                                 p.ciphertext = ct;

@@ -22,6 +22,12 @@
 //! | remove user | `|P| × O(1)` |
 //! | client decrypt | `O(|p|²)` |
 //!
+//! Every add and remove is validated first ([`MembershipBatch::plan`]): one
+//! borrowed read of the member lists, each member looked up among the
+//! batch's identities, with nothing allocated per member. That read is
+//! linear in the group but no part of the cryptography; at 4 096 members it
+//! is a few percent of an add.
+//!
 //! ```
 //! use ibbe_sgx_core::{GroupEngine, PartitionSize, client_decrypt_group_key};
 //! # fn main() -> Result<(), ibbe_sgx_core::CoreError> {

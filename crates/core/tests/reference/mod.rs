@@ -9,7 +9,11 @@
 //! crate cannot reach is different: `gk` is a bare `[u8; 32]` and the
 //! wrapped key and key history are assembled through their public
 //! `from_bytes`. Booted from the same seed it must publish the same bytes
-//! as `GroupEngine`, operation for operation (`tests/parallel.rs`).
+//! as `GroupEngine`, operation for operation (`tests/parallel.rs`). It plans
+//! each batch with the scanning planner in [`plan`], so the crate's planner
+//! is checked by bytes here as well as plan for plan in `tests/plan.rs`.
+
+pub mod plan;
 
 use ibbe::{
     add_user_with_msk, encrypt_with_msk, remove_user_with_msk, setup, BroadcastKey,
@@ -92,12 +96,15 @@ impl SerialEngine {
         meta: &mut GroupMetadata,
         batch: &MembershipBatch,
     ) -> Result<(), CoreError> {
-        let plan = batch.plan(meta)?;
-        if plan.is_noop() {
+        let plan::Plan {
+            net_added,
+            net_removed,
+            rotate_gk,
+        } = plan::plan(batch, meta)?;
+        if net_added.is_empty() && net_removed.is_empty() && !rotate_gk {
             return Ok(());
         }
-        let (net_added, net_removed) = (plan.net_added().to_vec(), plan.net_removed().to_vec());
-        if plan.rotates_gk() {
+        if rotate_gk {
             self.apply_batch_rotating(meta, net_added, net_removed)
         } else {
             self.apply_batch_additive(meta, net_added)

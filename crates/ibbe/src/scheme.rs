@@ -396,12 +396,13 @@ pub fn encrypt_public<R: rand::RngCore + ?Sized>(
 
 /// Decryption (paper §A-D): recovers `bk` for member `identity` of the
 /// receiver set `members`. `O(n²)` scalar work for the polynomial expansion
-/// plus one `(n−1)`-term `G2` multi-scalar multiplication and a two-pairing
-/// product — identical for IBBE and IBBE-SGX, which is why the partitioning
-/// mechanism exists. The multi-scalar multiplication is most of the cost at
-/// the partition sizes the schemes run at (|p| = 128: about two thirds of a
-/// decrypt on two cores, the pairing product most of the rest); the
-/// expansion's quadratic term only shows in the thousands.
+/// plus one `(n−1)`-term `G2` multi-scalar multiplication, one `G1`
+/// multiplication and a two-pairing product — identical for IBBE and
+/// IBBE-SGX, which is why the partitioning mechanism exists. The
+/// multi-scalar multiplication is most of the cost at the partition sizes
+/// the schemes run at (|p| = 128: about two thirds of a decrypt on two
+/// cores, the pairing product most of the rest); the expansion's quadratic
+/// term only shows in the thousands.
 ///
 /// # Errors
 /// [`IbbeError::NotAMember`] if `identity ∉ members`, plus set-validation
@@ -421,17 +422,23 @@ pub fn decrypt(
 
     // p_{i,S}(γ) = (1/γ)·(∏_{j≠i}(γ+H_j) − ∏_{j≠i}H_j): with coefficients
     // c_l of ∏_{j≠i}(x+H_j), this is Σ_{l≥1} c_l·γ^(l-1), evaluated in the
-    // exponent against h^(γ^0), …, h^(γ^(n-2)).
-    let coeffs = expand_from_roots(&others);
-    let h_p = G2Projective::msm(&pk.h_powers[..coeffs.len() - 1], &coeffs[1..]);
-    let denom: Scalar = coeffs[0]; // ∏_{j≠i} H_j
-    let denom_inv = denom
+    // exponent against h^(γ^0), …, h^(γ^(n-2)). bk is that pairing product
+    // raised to d = 1/∏_{j≠i}H_j = 1/c_0; by bilinearity d rides in the
+    // arguments instead — the MSM's coefficients and one G1 multiple of
+    // USK — so no GT power is taken.
+    let mut coeffs = expand_from_roots(&others);
+    let d = coeffs[0]
         .invert()
         .expect("identity hashes are non-zero, so the product is non-zero");
+    for c in &mut coeffs[1..] {
+        *c *= d;
+    }
+    let h_p = G2Projective::msm(&pk.h_powers[..coeffs.len() - 1], &coeffs[1..]);
+    let usk_d = G1Projective::from(usk.0).mul_scalar(&d);
 
-    // e(C1, h^p)·e(USK, C2): one Miller loop, one final exponentiation
-    let e = pairing_product(&[(ct.c1, h_p.to_affine()), (usk.0, ct.c2)]);
-    Ok(BroadcastKey(e.pow(&denom_inv)))
+    // e(C1, h^(p·d))·e(USK^d, C2): one Miller loop, one final exponentiation
+    let e = pairing_product(&[(ct.c1, h_p.to_affine()), (usk_d.to_affine(), ct.c2)]);
+    Ok(BroadcastKey(e))
 }
 
 /// Adds a user to an existing ciphertext using `MSK` (paper §A-E):
