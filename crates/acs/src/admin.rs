@@ -27,7 +27,7 @@
 use crate::error::AcsError;
 use crate::oplog::{AdminSigner, LogOp};
 use crate::verilog::GroupLog;
-use cloud_store::{Bytes, ObjectStore, Request, RequestOp, StoreHandle};
+use cloud_store::{BatchWrite, ObjectStore, StoreHandle};
 use ibbe_sgx_core::{
     AddOutcome, BatchOutcome, GroupEngine, GroupMetadata, MembershipBatch, PartitionSize,
     RemoveOutcome,
@@ -63,23 +63,16 @@ struct Group {
 /// holds the name and has not yet published the group.
 type Slot = Arc<Mutex<Option<Group>>>;
 
-/// One write of a publish: `Some` stores the bytes, `None` deletes.
-type Write = (String, Option<Bytes>);
-
-fn put(item: impl Into<String>, bytes: Vec<u8>) -> Write {
-    (item.into(), Some(bytes.into()))
-}
-
 /// Every object of `meta`'s published state — partitions, sealed `gk`,
 /// key history — plus deletes of the partitions beyond its count that a
 /// state of `before` partitions had.
-fn whole_state(meta: &GroupMetadata, before: usize) -> Vec<Write> {
+fn whole_state(meta: &GroupMetadata, before: usize) -> Vec<BatchWrite> {
     let partitions = meta.partitions.iter().enumerate();
     partitions
-        .map(|(i, p)| put(partition_item(i), p.to_bytes()))
+        .map(|(i, p)| BatchWrite::put(partition_item(i), p.to_bytes()))
         .chain([
-            put(SEALED_ITEM, meta.sealed_gk.to_bytes()),
-            put(EPOCHS_ITEM, meta.key_history.to_bytes()),
+            BatchWrite::put(SEALED_ITEM, meta.sealed_gk.to_bytes()),
+            BatchWrite::put(EPOCHS_ITEM, meta.key_history.to_bytes()),
         ])
         .chain(trailing(meta, before))
         .collect()
@@ -87,8 +80,8 @@ fn whole_state(meta: &GroupMetadata, before: usize) -> Vec<Write> {
 
 /// Deletes of the partition items beyond `meta`'s count that a state of
 /// `before` partitions had.
-fn trailing(meta: &GroupMetadata, before: usize) -> impl Iterator<Item = Write> {
-    (meta.partition_count()..before).map(|i| (partition_item(i), None))
+fn trailing(meta: &GroupMetadata, before: usize) -> impl Iterator<Item = BatchWrite> {
+    (meta.partition_count()..before).map(|i| BatchWrite::delete(partition_item(i)))
 }
 
 /// The administrator API.
@@ -159,17 +152,12 @@ impl Admin {
     /// atomic `put_many` — nothing at all when both are empty — then marks
     /// the log published. Returns the number of objects the request
     /// carried. The admin's only store write.
-    fn publish(&self, group: &mut Group, mut items: Vec<Write>) -> Result<usize, AcsError> {
+    fn publish(&self, group: &mut Group, mut items: Vec<BatchWrite>) -> Result<usize, AcsError> {
         let log = group.log.unpublished().into_iter();
-        items.extend(log.map(|(item, bytes)| put(item, bytes)));
+        items.extend(log.map(|(item, bytes)| BatchWrite::put(item, bytes)));
         let sent = items.len();
         if sent > 0 {
-            self.store.call(Request {
-                folder: group.meta.name.clone(),
-                item: String::new(),
-                op: RequestOp::PutMany(items),
-                rid: telemetry::current_request_id(),
-            })?;
+            self.store.try_write_many(&group.meta.name, items)?;
         }
         group.log.mark_published();
         Ok(sent)
@@ -255,7 +243,10 @@ impl Admin {
             // `y` unchanged on the fast path, so nothing else to push; the
             // new sealed gk only changes when gk rotates
             let p = &g.meta.partitions[outcome.partition];
-            let items = vec![put(partition_item(outcome.partition), p.to_bytes())];
+            let items = vec![BatchWrite::put(
+                partition_item(outcome.partition),
+                p.to_bytes(),
+            )];
             self.publish(g, items)?;
             Ok(outcome)
         })
@@ -357,17 +348,17 @@ impl Admin {
             // a client can never observe rotated metadata whose log head
             // has not moved with it
             let meta = &g.meta;
-            let mut items: Vec<Write> = dirty
+            let mut items: Vec<BatchWrite> = dirty
                 .iter()
-                .map(|&i| put(partition_item(i), meta.partitions[i].to_bytes()))
+                .map(|&i| BatchWrite::put(partition_item(i), meta.partitions[i].to_bytes()))
                 .collect();
             if publish_sealed {
-                items.push(put(SEALED_ITEM, meta.sealed_gk.to_bytes()));
+                items.push(BatchWrite::put(SEALED_ITEM, meta.sealed_gk.to_bytes()));
                 // a rotation retires a key into the history; publishing it
                 // in the SAME round-trip keeps partition epoch and history
                 // in one atomic version bump (no torn reads across the
                 // rotation)
-                items.push(put(EPOCHS_ITEM, meta.key_history.to_bytes()));
+                items.push(BatchWrite::put(EPOCHS_ITEM, meta.key_history.to_bytes()));
             }
             items.extend(trailing(meta, before));
             let publish = telemetry::span("admin.publish")
@@ -420,7 +411,7 @@ impl Admin {
             let pruned = self.engine.compact_history(&mut g.meta, keep_from)?;
             if pruned > 0 {
                 let history = g.meta.key_history.to_bytes();
-                self.publish(g, vec![put(EPOCHS_ITEM, history)])?;
+                self.publish(g, vec![BatchWrite::put(EPOCHS_ITEM, history)])?;
             }
             Ok(pruned)
         })

@@ -6,9 +6,13 @@
 //! converge the stale namespace on a one-group `SweepScheduler` with a
 //! worker per shard. Every deployment migrates the same object total;
 //! wall-clock convergence time drops roughly by the shard factor because
-//! each worker's GET/CAS round-trips hit an independent shard (own clock,
-//! wait queue and latency model). After convergence the epoch history is
-//! compacted and the pruned entry count is reported.
+//! each worker's round trips hit an independent shard (own clock, wait
+//! queue and latency model). The round trips are chunked, not per object:
+//! a pass lists each folder once, and each lease reads its objects in one
+//! `GetMany` and writes the stale ones back in one conditional `PutMany`,
+//! so the table also reports the store requests each migrated object
+//! cost. After convergence the epoch history is compacted and the pruned
+//! entry count is reported.
 //!
 //! The client side of the same axis — serial per-session throughput flat
 //! in the shard count, pipelined throughput growing with it — is
@@ -17,9 +21,10 @@
 //! Flags: `--shards A,B,…` (default `1,2,4,8`), `--ops N` (object-count
 //! override), `--full` (paper-scale objects/payloads), `--json PATH`
 //! (machine-readable series), `--check` (the highest shard count must
-//! converge no slower than the lowest — the per-PR CI gate).
+//! converge no slower than the lowest, and every shard count must spend at
+//! most 0.1 store requests per migrated object — the per-PR CI gate).
 
-use cloud_store::{LatencyModel, ShardedStore};
+use cloud_store::{LatencyModel, MetricsSnapshot, ObjectStore, ShardedStore};
 use dataplane::{
     ClientSession, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
     SweepScheduler, SweepTask,
@@ -30,6 +35,25 @@ use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use std::time::Duration;
 
 const GROUP: &str = "g";
+
+/// `--check`'s ceiling on store requests per migrated object.
+const MAX_REQUESTS_PER_OBJECT: f64 = 0.1;
+
+/// Store requests served, summed as the repo benchmark's
+/// `store_requests_per_op` sums them: every PUT (single, conditional or
+/// batched), GET (single or multi), DELETE and long poll. A rejected
+/// conditional write is not counted.
+fn requests(m: &MetricsSnapshot) -> u64 {
+    m.puts + m.cas_puts + m.puts_batched + m.gets + m.deletes + m.polls
+}
+
+/// One deployment's converge: shard count, wall clock, and store requests
+/// per migrated object.
+struct Converge {
+    shards: usize,
+    wall: Duration,
+    requests_per_object: f64,
+}
 
 struct Deployment {
     admin: acs::Admin,
@@ -94,10 +118,10 @@ fn converge_rows(
     objects: usize,
     payload: usize,
     latency: LatencyModel,
-) -> (Vec<Json>, Vec<(usize, Duration)>) {
+) -> (Vec<Json>, Vec<Converge>) {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    let mut walls = Vec::new();
+    let mut converges = Vec::new();
     let mut baseline = None;
     for &shards in shard_counts {
         let mut d = deploy(shards, objects, payload, latency);
@@ -110,11 +134,14 @@ fn converge_rows(
         // prime the rings outside the timed window: the comparison is about
         // convergence I/O, not per-unit key derivation
         d.fleet.refresh().unwrap();
+        let before = d.store.metrics();
         let (run, wall) = time(|| d.fleet.converge_all().unwrap());
+        let served = requests(&d.store.metrics()) - requests(&before);
         let report = run.groups[0].report;
         assert!(report.converged, "sweep must converge: {report:?}");
         assert_eq!(report.migrated, objects, "no object may be lost");
         assert_eq!(report.scanned, objects);
+        let requests_per_object = served as f64 / report.migrated as f64;
         let pruned = coordinator.compact_after(GROUP, &report).unwrap();
         let speedup = match baseline {
             None => {
@@ -128,6 +155,7 @@ fn converge_rows(
             format!("{}", report.migrated),
             fmt_duration(wall),
             format!("{speedup:.1}x"),
+            format!("{requests_per_object:.3}"),
             format!("{pruned}"),
         ]);
         json_rows.push(Json::obj([
@@ -136,17 +164,28 @@ fn converge_rows(
             ("migrated", Json::from(report.migrated)),
             ("converge_ms", Json::ms(wall)),
             ("speedup", Json::from(speedup)),
+            ("store_requests_per_object", Json::from(requests_per_object)),
             ("epochs_pruned", Json::from(pruned)),
         ]));
-        walls.push((shards, wall));
-        let _ = d.store;
+        converges.push(Converge {
+            shards,
+            wall,
+            requests_per_object,
+        });
     }
     print_table(
         "lazy-window convergence vs shard count (one revocation, one fleet worker per shard)",
-        &["shards", "migrated", "converge", "speedup", "epochs pruned"],
+        &[
+            "shards",
+            "migrated",
+            "converge",
+            "speedup",
+            "requests/object",
+            "epochs pruned",
+        ],
         &rows,
     );
-    (json_rows, walls)
+    (json_rows, converges)
 }
 
 fn main() {
@@ -161,8 +200,11 @@ fn main() {
                 .with_per_item(Duration::from_micros(200)),
         )
     } else {
+        // a folder pass costs at least three requests (List, GetMany,
+        // PutMany), so the request gate needs folders of well over 30
+        // objects: 512 objects keep 64 per folder at 8 shards
         (
-            64,
+            512,
             256,
             LatencyModel::new(Duration::from_millis(3), Duration::ZERO)
                 .with_per_item(Duration::from_micros(100)),
@@ -175,10 +217,11 @@ fn main() {
          {:?} base latency per request, shard counts {shard_counts:?}",
         latency
     );
-    let (json_rows, walls) = converge_rows(&shard_counts, objects, payload, latency);
+    let (json_rows, converges) = converge_rows(&shard_counts, objects, payload, latency);
     println!(
         "\nconvergence scales with the shard count because each sweep worker's \
-         GET/CAS round-trips hit its own shard (independent clock, wait queue and \
+         round trips (one List per folder, then one GetMany and one conditional \
+         PutMany per lease) hit its own shard (independent clock, wait queue and \
          latency). Client-side scaling for the same store is in `rw_scaling`."
     );
 
@@ -204,11 +247,33 @@ fn main() {
     }
 
     if args.check {
+        // the sweep is chunked: a folder pass costs a handful of requests
+        // whatever its object count, never one or two per object
+        for c in &converges {
+            assert!(
+                c.requests_per_object <= MAX_REQUESTS_PER_OBJECT,
+                "--check: {}-shard convergence spent {:.3} store requests per migrated \
+                 object (ceiling {MAX_REQUESTS_PER_OBJECT})",
+                c.shards,
+                c.requests_per_object
+            );
+        }
+        println!(
+            "--check passed: at most {MAX_REQUESTS_PER_OBJECT} store requests per migrated \
+             object at every shard count"
+        );
         // coarse per-PR sanity: the widest deployment must converge no
         // slower than the narrowest (with per-request latency it is in
         // fact ~linearly faster, so the margin is wide)
-        let (lo_shards, lo) = *walls.iter().min_by_key(|(s, _)| *s).expect("non-empty");
-        let (hi_shards, hi) = *walls.iter().max_by_key(|(s, _)| *s).expect("non-empty");
+        let lo = converges
+            .iter()
+            .min_by_key(|c| c.shards)
+            .expect("non-empty");
+        let hi = converges
+            .iter()
+            .max_by_key(|c| c.shards)
+            .expect("non-empty");
+        let (lo_shards, lo, hi_shards, hi) = (lo.shards, lo.wall, hi.shards, hi.wall);
         if lo_shards < hi_shards {
             assert!(
                 hi.as_secs_f64() <= lo.as_secs_f64() * 1.1,

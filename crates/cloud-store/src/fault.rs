@@ -7,7 +7,9 @@
 //! **torn long-polls** (the poll returns early with no changes and the
 //! *unchanged* cursor, so no notification is ever lost), and spurious
 //! **CAS-conflict storms** (a conditional PUT is rejected with the item's
-//! true current version without being executed).
+//! true current version without being executed; a conditional multi-write
+//! is rejected naming its first conditional item, with that item's true
+//! version).
 //!
 //! Faults are injected **before** delegating to the inner store, so a
 //! failed request has no partial effect and is always safe to retry —
@@ -35,7 +37,7 @@ use crate::metrics::MetricsSnapshot;
 use crate::object_store::ObjectStore;
 use crate::sharded::stable_hash64;
 use crate::store::{PollResult, VersionConflict};
-use crate::submit::{completed_ticket, Request, RequestOp, Response, StoreTicket};
+use crate::submit::{completed_ticket, BatchWrite, Request, RequestOp, Response, StoreTicket};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,6 +62,10 @@ pub enum StoreError {
     /// A conditional PUT lost the race; carries the item's true current
     /// version. Folded in so `try_put_if_version` has one error type.
     Conflict(VersionConflict),
+    /// A conditional multi-write was rejected and wrote nothing. Names
+    /// every conditional item whose expectation failed, in request order,
+    /// with that item's current version (`0` if absent).
+    BatchConflict(Vec<(String, u64)>),
 }
 
 impl StoreError {
@@ -77,6 +83,9 @@ impl core::fmt::Display for StoreError {
             Self::Unavailable { domain } => write!(f, "store domain {domain} unavailable"),
             Self::Timeout => write!(f, "store request timed out"),
             Self::Conflict(c) => write!(f, "{c}"),
+            Self::BatchConflict(lost) => {
+                write!(f, "conditional batch rejected on {} item(s)", lost.len())
+            }
         }
     }
 }
@@ -109,8 +118,9 @@ pub struct FaultConfig {
     /// Per-poll probability of tearing a long poll (early return, no
     /// changes, cursor unchanged).
     pub torn_poll_prob: f64,
-    /// Per-CAS probability of a spurious conflict (the PUT is not
-    /// executed; the reported version is the item's true current one).
+    /// Per-CAS probability of a spurious conflict (the PUT — or the
+    /// conditional multi-write — is not executed; the reported version is
+    /// the item's true current one).
     pub cas_storm_prob: f64,
 }
 
@@ -420,20 +430,35 @@ impl<S: ObjectStore> FaultyStore<S> {
         if let Err(e) = self.faults.check(&request.folder) {
             return Some(Err(e));
         }
-        match request.op {
+        // the true current version (0 if absent) is what a spurious
+        // conflict must report for the caller's re-read-and-retry path to
+        // behave exactly as it would after losing a real race
+        let current = |item: &str| self.inner.get(&request.folder, item).map_or(0, |(_, v)| v);
+        match &request.op {
             RequestOp::PutIfVersion { .. } if self.faults.cas_storm() => {
-                // the true current version (0 if absent) is what a spurious
-                // conflict must report for the caller's re-read-and-retry
-                // path to behave exactly as it would after losing a real race
-                let found = self.inner.get(&request.folder, &request.item);
-                let current = found.map(|(_, v)| v).unwrap_or(0);
+                let current = current(&request.item);
                 Some(Err(StoreError::Conflict(VersionConflict { current })))
+            }
+            // an unconditional batch (every admin publish) cannot lose a
+            // race, so it never rolls the storm
+            RequestOp::PutMany(items)
+                if items.iter().any(BatchWrite::is_conditional) && self.faults.cas_storm() =>
+            {
+                let lost = items
+                    .iter()
+                    .find(|w| w.is_conditional())
+                    .expect("checked above");
+                let current = current(&lost.item);
+                Some(Err(StoreError::BatchConflict(vec![(
+                    lost.item.clone(),
+                    current,
+                )])))
             }
             // A torn poll is not an error — it is the fault-free "nothing
             // changed" shape with the cursor preserved. Only
             // outages/timeouts surface as `StoreError`.
             RequestOp::LongPoll { since, .. } if self.faults.torn_poll() => {
-                Some(Ok(Response::Poll(PollResult::torn(since))))
+                Some(Ok(Response::Poll(PollResult::torn(*since))))
             }
             _ => None,
         }
@@ -527,6 +552,33 @@ mod tests {
         // the CAS was not executed: the payload is unchanged
         assert_eq!(&store.get("g", "a").unwrap().0[..], b"x");
         assert!(store.injector().stats().cas_conflicts >= 1);
+    }
+
+    #[test]
+    fn cas_storm_rejects_a_conditional_batch_naming_one_item() {
+        let store = FaultyStore::new(
+            CloudStore::new(),
+            FaultConfig {
+                cas_storm_prob: 1.0,
+                ..FaultConfig::default()
+            },
+        );
+        let va = store.put("g", "a", Bytes::from_static(b"x"));
+        let vb = store.put("g", "b", Bytes::from_static(b"y"));
+        let batch = vec![
+            BatchWrite::put("c", Bytes::from_static(b"z")),
+            BatchWrite::put_if_version("b", Bytes::from_static(b"y1"), vb),
+            BatchWrite::put_if_version("a", Bytes::from_static(b"x1"), va),
+        ];
+        let err = store.try_write_many("g", batch).unwrap_err();
+        // the first conditional item, at its true version, though every
+        // expectation held: the batch was never executed
+        assert_eq!(err, StoreError::BatchConflict(vec![("b".to_string(), vb)]));
+        assert!(store.get("g", "c").is_none());
+        assert_eq!(store.injector().stats().cas_conflicts, 1);
+        // unconditional batches — every admin publish — never roll it
+        store.put_many("g", vec![("c".to_string(), Bytes::from_static(b"z"))]);
+        assert_eq!(store.injector().stats().cas_conflicts, 1);
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use object_store::{ObjectStore, StoreHandle};
 pub use routing::RoutingTable;
 pub use sharded::{stable_hash64, ResizeReport, ShardedStore, WatchCursor};
 pub use store::{CloudStore, PollResult, VersionConflict};
-pub use submit::{Request, RequestOp, Response, Snapshot, StoreTicket, SUBMIT_LANES};
+pub use submit::{BatchWrite, Request, RequestOp, Response, Snapshot, StoreTicket, SUBMIT_LANES};

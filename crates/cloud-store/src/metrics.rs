@@ -27,15 +27,19 @@ pub struct MetricsSnapshot {
     /// separately in [`MetricsSnapshot::puts_batched`] so a multi-item
     /// publish does not inflate per-item PUT counts.
     pub puts: u64,
-    /// Number of `put_many` round-trips (each is one request regardless of
-    /// how many items it carries).
+    /// Number of applied multi-write round-trips (each is one request
+    /// regardless of how many items it carries, and whether or not any of
+    /// them was conditional). A conditional batch the store rejects is not
+    /// counted here but in [`MetricsSnapshot::cas_conflicts`].
     pub puts_batched: u64,
-    /// Total items carried by batched PUT round-trips.
+    /// Total items carried by applied multi-write round-trips.
     pub batched_items: u64,
     /// Successful conditional (compare-and-swap) PUT requests.
     pub cas_puts: u64,
     /// Conditional PUTs rejected with a version conflict (counted instead
-    /// of, not in addition to, [`MetricsSnapshot::cas_puts`]).
+    /// of, not in addition to, [`MetricsSnapshot::cas_puts`]), plus
+    /// conditional multi-writes rejected whole: one per rejected batch,
+    /// however many of its items conflicted, with no upload bytes.
     pub cas_conflicts: u64,
     /// Number of GET requests.
     pub gets: u64,
@@ -47,7 +51,8 @@ pub struct MetricsSnapshot {
     /// counted distinctly from the request count in
     /// [`MetricsSnapshot::polls`].
     pub poll_wakeups: u64,
-    /// Bytes uploaded (PUT payloads, single and batched).
+    /// Bytes uploaded (PUT payloads, single and batched; a rejected
+    /// conditional write uploads nothing).
     pub bytes_up: u64,
     /// Bytes downloaded (GET payloads).
     pub bytes_down: u64,

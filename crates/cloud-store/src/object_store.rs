@@ -22,7 +22,9 @@
 use crate::fault::StoreError;
 use crate::metrics::MetricsSnapshot;
 use crate::store::{PollResult, VersionConflict};
-use crate::submit::{completed_ticket, Request, RequestOp, Response, Snapshot, StoreTicket};
+use crate::submit::{
+    completed_ticket, BatchWrite, Request, RequestOp, Response, Snapshot, StoreTicket,
+};
 use bytes::Bytes;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,6 +45,8 @@ pub(crate) const RIDE_OUT_PAUSE: Duration = Duration::from_millis(1);
 /// masked by the fault is picked up by the next (post-recovery) poll.
 ///
 /// A lost CAS is a real outcome, not a transient, and surfaces immediately.
+/// No infallible verb sends a conditional batch, so a batch conflict never
+/// reaches this loop.
 fn ride_out<S: ObjectStore + ?Sized>(
     store: &S,
     mut request: Request,
@@ -55,7 +59,8 @@ fn ride_out<S: ObjectStore + ?Sized>(
         match store.call(request.clone()) {
             Ok(response) => return Ok(response),
             Err(StoreError::Conflict(conflict)) => return Err(conflict),
-            Err(_) => {}
+            Err(e) if e.is_transient() => {}
+            Err(e) => unreachable!("an infallible verb met {e}"),
         }
         if let (Some(deadline), RequestOp::LongPoll { since, timeout }) =
             (deadline, &mut request.op)
@@ -172,6 +177,21 @@ pub trait ObjectStore: Send + Sync {
         B: Into<Bytes>,
     {
         self.call(Request::put_many(folder, items))
+            .map(Response::into_version)
+    }
+
+    /// Atomic multi-write into one folder — stores, deletes and
+    /// conditional items ([`BatchWrite`]) — checked and applied
+    /// all-or-nothing: one round-trip, and either one version bump shared
+    /// by every item and one long-poller wake, or no effect at all.
+    ///
+    /// # Errors
+    /// [`StoreError::BatchConflict`] when a conditional item's expected
+    /// version does not hold (nothing was written; every such item is
+    /// named with its current version), transport failures as for
+    /// [`ObjectStore::call`].
+    fn try_write_many(&self, folder: &str, items: Vec<BatchWrite>) -> Result<u64, StoreError> {
+        self.call(Request::write_many(folder, items))
             .map(Response::into_version)
     }
 

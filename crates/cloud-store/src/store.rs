@@ -8,7 +8,9 @@ use crate::latency::LatencyModel;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::object_store::ObjectStore;
 use crate::sharded::ChangeSignal;
-use crate::submit::{Request, RequestOp, Response, Snapshot, StoreTicket, SUBMIT_LANES};
+use crate::submit::{
+    BatchWrite, Request, RequestOp, Response, Snapshot, StoreTicket, SUBMIT_LANES,
+};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::BTreeMap;
@@ -34,23 +36,23 @@ struct State {
 }
 
 impl State {
-    /// Applies `items` to `folder` as of `version` — `Some` stores, `None`
-    /// deletes — and drops the folder if it ends up empty. Returns whether
+    /// Applies `items` to `folder` as of `version` — a store or a delete
+    /// each — and drops the folder if it ends up empty. Returns whether
     /// anything was deleted.
     fn apply(
         &mut self,
         folder: &str,
-        items: impl IntoIterator<Item = Write>,
+        items: impl IntoIterator<Item = BatchWrite>,
         version: u64,
     ) -> bool {
         let entries = self.folders.entry(folder.to_string()).or_default();
         let mut deleted = false;
-        for (name, data) in items {
-            match data {
+        for write in items {
+            match write.data {
                 Some(data) => {
-                    entries.insert(name, Entry { data, version });
+                    entries.insert(write.item, Entry { data, version });
                 }
-                None => deleted |= entries.remove(&name).is_some(),
+                None => deleted |= entries.remove(&write.item).is_some(),
             }
         }
         if entries.is_empty() {
@@ -61,10 +63,27 @@ impl State {
         }
         deleted
     }
-}
 
-/// One write of a multi-write: `Some` stores the bytes, `None` deletes.
-type Write = (String, Option<Bytes>);
+    /// The current version of `folder/item`, `0` if it does not exist.
+    fn version_of(&self, folder: &str, item: &str) -> u64 {
+        self.folders
+            .get(folder)
+            .and_then(|items| items.get(item))
+            .map_or(0, |e| e.version)
+    }
+
+    /// Every conditional item of `items` whose expected version is not the
+    /// item's current one, with that current version, in request order.
+    fn conflicts(&self, folder: &str, items: &[BatchWrite]) -> Vec<(String, u64)> {
+        items
+            .iter()
+            .filter_map(|w| {
+                let current = self.version_of(folder, &w.item);
+                (w.expected? != current).then(|| (w.item.clone(), current))
+            })
+            .collect()
+    }
+}
 
 struct Inner {
     state: Mutex<State>,
@@ -194,7 +213,7 @@ impl CloudStore {
         self.simulate_latency(1);
         self.inner.metrics.record_put(data.len());
         let st = self.inner.state.lock();
-        self.commit(st, folder, [(item.to_string(), Some(data))])
+        self.commit(st, folder, [BatchWrite::put(item, data)])
     }
 
     /// Conditional PUT (compare-and-swap): stores `data` under `folder/item`
@@ -224,12 +243,7 @@ impl CloudStore {
         self.simulate_latency(1);
         let data = data.into();
         let st = self.inner.state.lock();
-        let current = st
-            .folders
-            .get(folder)
-            .and_then(|items| items.get(item))
-            .map(|e| e.version)
-            .unwrap_or(0);
+        let current = st.version_of(folder, item);
         if current != expected {
             drop(st);
             self.inner.metrics.record_cas_conflict();
@@ -238,7 +252,7 @@ impl CloudStore {
         }
         span.record("conflict", false);
         self.inner.metrics.record_cas_put(data.len());
-        Ok(self.commit(st, folder, [(item.to_string(), Some(data))]))
+        Ok(self.commit(st, folder, [BatchWrite::put(item, data)]))
     }
 
     /// Atomic multi-PUT: stores every `(item, data)` pair under `folder` in
@@ -247,7 +261,7 @@ impl CloudStore {
     /// all items, and a single long-poller wake. Counted as one batched PUT
     /// in the metrics ([`MetricsSnapshot::puts_batched`]) so it does not
     /// inflate per-item PUT counts. The request form
-    /// ([`RequestOp::PutMany`]) carries deletes too.
+    /// ([`RequestOp::PutMany`]) carries deletes and conditional items too.
     ///
     /// Returns the new global version (the current version if `items` is
     /// empty — an empty publish is a no-op that contacts nothing).
@@ -258,35 +272,55 @@ impl CloudStore {
     {
         let items = items
             .into_iter()
-            .map(|(name, data)| (name, Some(data.into())));
+            .map(|(name, data)| BatchWrite::put(name, data));
         self.write_many(folder, items.collect())
+            .expect("an unconditional batch cannot conflict")
     }
 
-    /// [`CloudStore::put_many`] with deletes: `(item, Some(data))` stores,
-    /// `(item, None)` deletes, all under the one version bump. A folder the
-    /// deletes leave empty is dropped, as by [`CloudStore::delete`].
-    fn write_many(&self, folder: &str, items: Vec<Write>) -> u64 {
+    /// [`CloudStore::put_many`] with deletes and conditional items, checked
+    /// and applied **all-or-nothing** under the one lock acquisition: when
+    /// every conditional item's expected version holds, the whole batch
+    /// lands under one version bump and one wake, booked as one
+    /// `puts_batched`. Otherwise nothing is written, no version moves and
+    /// no poller wakes; the rejection is booked like a lost CAS — one
+    /// `cas_conflicts` and a `store.cas` span, no upload bytes — and names
+    /// every conflicting item. A folder the deletes leave empty is
+    /// dropped, as by [`CloudStore::delete`].
+    ///
+    /// # Errors
+    /// [`StoreError::BatchConflict`] naming each conditional item whose
+    /// expectation failed, with its current version.
+    fn write_many(&self, folder: &str, items: Vec<BatchWrite>) -> Result<u64, StoreError> {
         if items.is_empty() {
-            return self.version();
+            return Ok(self.version());
         }
-        let _span = telemetry::span("store.put_many")
+        let span = telemetry::span("store.put_many")
             .with("folder", folder)
             .with("items", items.len())
             .enter();
         self.simulate_latency(items.len());
-        let total_bytes: usize = items.iter().flat_map(|(_, d)| d).map(Bytes::len).sum();
+        let total_bytes: usize = items.iter().flat_map(|w| &w.data).map(Bytes::len).sum();
+        let st = self.inner.state.lock();
+        let lost = st.conflicts(folder, &items);
+        if !lost.is_empty() {
+            drop(st);
+            self.inner.metrics.record_cas_conflict();
+            span.rename("store.cas");
+            span.record("conflict", true);
+            return Err(StoreError::BatchConflict(lost));
+        }
         self.inner.metrics.record_put_many(items.len(), total_bytes);
-        self.commit(self.inner.state.lock(), folder, items)
+        Ok(self.commit(st, folder, items))
     }
 
-    /// Applies `items` — `Some` stores, `None` deletes — to `folder` under
-    /// one version bump, releases the lock and wakes the pollers. Returns
+    /// Applies `items` — stores and deletes — to `folder` under one
+    /// version bump, releases the lock and wakes the pollers. Returns
     /// the new version.
     fn commit(
         &self,
         mut st: MutexGuard<'_, State>,
         folder: &str,
-        items: impl IntoIterator<Item = Write>,
+        items: impl IntoIterator<Item = BatchWrite>,
     ) -> u64 {
         st.version += 1;
         let version = st.version;
@@ -349,7 +383,7 @@ impl CloudStore {
         self.inner.metrics.record_delete();
         let mut st = self.inner.state.lock();
         let version = st.version + 1;
-        let removed = st.apply(folder, [(item.to_string(), None)], version);
+        let removed = st.apply(folder, [BatchWrite::delete(item)], version);
         if removed {
             st.version = version;
         }
@@ -552,7 +586,7 @@ impl CloudStore {
 
 impl ObjectStore for CloudStore {
     /// Dispatches to the inherent verb; the in-memory store is reliable,
-    /// so the only `Err` is a lost CAS.
+    /// so the only `Err` is a lost CAS, single or batched.
     fn call(&self, request: Request) -> Result<Response, StoreError> {
         let Request {
             folder, item, op, ..
@@ -565,7 +599,7 @@ impl ObjectStore for CloudStore {
                 version: self.put_if_version(&folder, &item, data, expected)?,
             },
             RequestOp::PutMany(items) => Response::Put {
-                version: self.write_many(&folder, items),
+                version: self.write_many(&folder, items)?,
             },
             RequestOp::Get => Response::Get(self.get(&folder, &item)),
             RequestOp::GetMany(items) => {
@@ -767,8 +801,8 @@ mod tests {
         let s2 = s.clone();
         let poller = std::thread::spawn(move || s2.long_poll("g", v0, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(30));
-        let deletes = vec![("p0".to_string(), None), ("p1".to_string(), None)];
-        let v = s.write_many("g", deletes);
+        let deletes = vec![BatchWrite::delete("p0"), BatchWrite::delete("p1")];
+        let v = s.write_many("g", deletes).unwrap();
         assert_eq!(v, v0 + 1, "one version bump for the whole batch");
         assert_eq!(s.version(), v);
         let woken = poller.join().unwrap();
@@ -813,6 +847,106 @@ mod tests {
         assert_eq!(s.get_many("nowhere", &names(&["a"])).0, vec![None]);
         let m = s.metrics();
         assert_eq!((m.gets, m.bytes_down), (1, 5));
+    }
+
+    #[test]
+    fn a_conditional_batch_lands_whole_under_one_bump_and_one_wake() {
+        let s = CloudStore::new();
+        let va = s.put("g", "a", &b"old"[..]);
+        let v0 = s.version();
+        let s2 = s.clone();
+        let poller = std::thread::spawn(move || s2.long_poll("g", v0, Duration::from_secs(5)));
+        std::thread::sleep(Duration::from_millis(30));
+        let v = s
+            .write_many(
+                "g",
+                vec![
+                    BatchWrite::put_if_version("a", &b"new"[..], va),
+                    BatchWrite::put_if_version("b", &b"bee"[..], 0),
+                    BatchWrite::put("c", &b"sea!"[..]),
+                ],
+            )
+            .unwrap();
+        assert_eq!(v, v0 + 1, "one version bump for the whole batch");
+        for (item, data) in [("a", &b"new"[..]), ("b", b"bee"), ("c", b"sea!")] {
+            assert_eq!(s.get("g", item).unwrap(), (Bytes::from(data), v));
+        }
+        let woken = poller.join().unwrap();
+        assert_eq!(woken.changed, vec!["a", "b", "c"]);
+        let m = s.metrics();
+        // mixed or not, an applied batch is one batched PUT
+        assert_eq!((m.puts_batched, m.batched_items, m.cas_puts), (1, 3, 0));
+        assert_eq!(
+            (m.cas_conflicts, m.bytes_up, m.poll_wakeups),
+            (0, 3 + 3 + 3 + 4, 1)
+        );
+    }
+
+    #[test]
+    fn a_rejected_conditional_batch_writes_nothing_and_names_every_loser() {
+        let s = CloudStore::new();
+        let va = s.put("g", "a", &b"a0"[..]);
+        let vb = s.put("g", "b", &b"b0"[..]);
+        let vd = s.put("g", "d", &b"d0"[..]);
+        let before = (s.version(), s.metrics());
+        let s2 = s.clone();
+        let poller =
+            std::thread::spawn(move || s2.long_poll("g", before.0, Duration::from_millis(150)));
+        std::thread::sleep(Duration::from_millis(30));
+        let err = s
+            .write_many(
+                "g",
+                vec![
+                    BatchWrite::put_if_version("a", &b"a1"[..], va), // holds
+                    BatchWrite::put_if_version("b", &b"b1"[..], 0),  // b exists
+                    BatchWrite::put("c", &b"c1"[..]),                // unconditional
+                    BatchWrite::put_if_version("ghost", &b"g"[..], 9), // absent
+                    BatchWrite::delete("d"),
+                    BatchWrite {
+                        expected: Some(va),
+                        ..BatchWrite::delete("d") // d is at vd
+                    },
+                ],
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::BatchConflict(vec![
+                ("b".to_string(), vb),
+                ("ghost".to_string(), 0),
+                ("d".to_string(), vd)
+            ]),
+            "every loser, in request order, at its current version"
+        );
+        // nothing written: not the holding item, not the unconditional
+        // store, not the delete
+        assert_eq!(s.get("g", "a").unwrap(), (Bytes::from_static(b"a0"), va));
+        assert!(s.get("g", "c").is_none());
+        assert!(s.get("g", "d").is_some());
+        assert_eq!(s.version(), before.0, "no version bump");
+        assert!(poller.join().unwrap().timed_out, "no wake");
+        let m = s.metrics();
+        let delta = |f: fn(&MetricsSnapshot) -> u64| f(&m) - f(&before.1);
+        assert_eq!(delta(|m| m.cas_conflicts), 1, "one rejected request");
+        assert_eq!(delta(|m| m.puts_batched) + delta(|m| m.batched_items), 0);
+        assert_eq!(delta(|m| m.bytes_up) + delta(|m| m.poll_wakeups), 0);
+        // the same batch re-conditioned on what the rejection reported
+        // lands whole, the conditional delete included
+        let v = s
+            .write_many(
+                "g",
+                vec![
+                    BatchWrite::put_if_version("b", &b"b1"[..], vb),
+                    BatchWrite::put("c", &b"c1"[..]),
+                    BatchWrite {
+                        expected: Some(vd),
+                        ..BatchWrite::delete("d")
+                    },
+                ],
+            )
+            .unwrap();
+        assert_eq!(s.get("g", "b").unwrap().1, v);
+        assert!(s.get("g", "d").is_none());
     }
 
     #[test]

@@ -54,9 +54,11 @@ pub enum RequestOp {
         expected: u64,
     },
     /// Atomic multi-write into the request's folder (see
-    /// [`ObjectStore::put_many`]): `(item, Some(data))` stores, `(item,
-    /// None)` deletes, all under one version bump.
-    PutMany(Vec<(String, Option<Bytes>)>),
+    /// [`ObjectStore::try_write_many`]): every item stores or deletes, all
+    /// under one version bump. A [`BatchWrite`] carrying an expected
+    /// version makes the whole batch conditional on it — checked and
+    /// applied all-or-nothing.
+    PutMany(Vec<BatchWrite>),
     /// GET (see [`ObjectStore::get`]).
     Get,
     /// Atomic multi-GET of these items of the request's folder, read
@@ -77,6 +79,53 @@ pub enum RequestOp {
         /// How long to block waiting for a change.
         timeout: Duration,
     },
+}
+
+/// One item of an atomic multi-write ([`RequestOp::PutMany`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchWrite {
+    /// The item name within the request's folder.
+    pub item: String,
+    /// `Some` stores these bytes, `None` deletes the item.
+    pub data: Option<Bytes>,
+    /// `Some(v)` makes the item conditional: the batch applies only if
+    /// the item's current version is `v` (`0` = "must not exist"); `None`
+    /// writes unconditionally.
+    pub expected: Option<u64>,
+}
+
+impl BatchWrite {
+    /// An unconditional store of `data`.
+    pub fn put(item: impl Into<String>, data: impl Into<Bytes>) -> Self {
+        Self {
+            item: item.into(),
+            data: Some(data.into()),
+            expected: None,
+        }
+    }
+
+    /// An unconditional delete.
+    pub fn delete(item: impl Into<String>) -> Self {
+        Self {
+            item: item.into(),
+            data: None,
+            expected: None,
+        }
+    }
+
+    /// A store of `data` conditioned on the item's current version being
+    /// `expected` (`0` = "must not exist").
+    pub fn put_if_version(item: impl Into<String>, data: impl Into<Bytes>, expected: u64) -> Self {
+        Self {
+            expected: Some(expected),
+            ..Self::put(item, data)
+        }
+    }
+
+    /// True when the item carries an expected version.
+    pub fn is_conditional(&self) -> bool {
+        self.expected.is_some()
+    }
 }
 
 /// One store operation, described as data so it can be served inline,
@@ -123,7 +172,7 @@ impl Request {
         Self::new(folder, item, RequestOp::PutIfVersion { data, expected })
     }
 
-    /// An atomic multi-PUT request.
+    /// An atomic multi-PUT request of unconditional stores.
     pub fn put_many<I, B>(folder: impl Into<String>, items: I) -> Self
     where
         I: IntoIterator<Item = (String, B)>,
@@ -131,8 +180,14 @@ impl Request {
     {
         let items = items
             .into_iter()
-            .map(|(name, data)| (name, Some(data.into())));
-        Self::new(folder, "", RequestOp::PutMany(items.collect()))
+            .map(|(name, data)| BatchWrite::put(name, data));
+        Self::write_many(folder, items.collect())
+    }
+
+    /// An atomic multi-write request: stores, deletes and conditional
+    /// items, applied all-or-nothing.
+    pub fn write_many(folder: impl Into<String>, items: Vec<BatchWrite>) -> Self {
+        Self::new(folder, "", RequestOp::PutMany(items))
     }
 
     /// A GET request.

@@ -5,7 +5,7 @@
 //! (metrics, folders, merged watch) aggregate correctly.
 
 use bytes::Bytes;
-use cloud_store::{CloudStore, ObjectStore, ShardedStore, StoreHandle};
+use cloud_store::{BatchWrite, CloudStore, ObjectStore, ShardedStore, StoreError, StoreHandle};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -315,6 +315,116 @@ fn cas_semantics_hold_per_shard() {
     assert!(v2 > v1);
     let m = store.metrics();
     assert_eq!((m.cas_puts, m.cas_conflicts), (2, 1));
+}
+
+/// A conditional multi-write keeps the single store's all-or-nothing
+/// contract on its folder's shard, and its booking aggregates like any
+/// other counter.
+#[test]
+fn conditional_batches_hold_per_shard() {
+    let store = ShardedStore::new(4);
+    let v1 = store.put("g/data", "a", Bytes::from_static(b"one"));
+    let lost = store
+        .try_write_many(
+            "g/data",
+            vec![
+                BatchWrite::put_if_version("a", Bytes::from_static(b"x"), v1 + 7),
+                BatchWrite::put_if_version("b", Bytes::from_static(b"y"), 0),
+            ],
+        )
+        .unwrap_err();
+    assert_eq!(lost, StoreError::BatchConflict(vec![("a".to_string(), v1)]));
+    assert!(store.get("g/data", "b").is_none(), "the holding item waits");
+    let v2 = store
+        .try_write_many(
+            "g/data",
+            vec![
+                BatchWrite::put_if_version("a", Bytes::from_static(b"x"), v1),
+                BatchWrite::put_if_version("b", Bytes::from_static(b"y"), 0),
+            ],
+        )
+        .unwrap();
+    assert_eq!(store.get("g/data", "b").unwrap().1, v2);
+    let owner = &store.shards()[store.shard_index("g/data")];
+    let m = store.metrics();
+    assert_eq!(
+        (m.puts_batched, m.batched_items, m.cas_conflicts),
+        (1, 2, 1)
+    );
+    assert_eq!(owner.metrics().cas_conflicts, 1, "booked on the owner");
+}
+
+/// Conditional batches racing a live resize: two clients each read a
+/// folder's three items in one snapshot and write all three back as one
+/// conditional batch carrying the snapshot's counter plus one. Across the
+/// copy and the cutover every batch lands whole or not at all, and no
+/// applied batch is lost on the retired owner: each folder's counter ends
+/// equal to the number of batches the store acknowledged for it, on all
+/// three items, at one version.
+#[test]
+fn conditional_batches_across_a_live_resize_are_all_or_nothing() {
+    let store = ShardedStore::new(2);
+    let folders: Vec<String> = (0..16).map(|i| format!("cas-{i:02}")).collect();
+    let items: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+    let counter = |n: u64| Bytes::from(n.to_be_bytes().to_vec());
+    for f in &folders {
+        store.put_many(f, items.iter().map(|i| (i.clone(), counter(0))));
+    }
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let clients: Vec<_> = (0..2)
+        .map(|c| {
+            let (store, folders, items) = (store.clone(), folders.clone(), items.clone());
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let mut applied = vec![0u64; folders.len()];
+                let mut round = 0usize;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) || round < 64 {
+                    let idx = (round * 5 + c) % folders.len();
+                    round += 1;
+                    let (found, _) = store.try_get_many(&folders[idx], items.clone()).unwrap();
+                    let found: Vec<(Bytes, u64)> =
+                        found.into_iter().map(|got| got.expect("present")).collect();
+                    assert!(found.iter().all(|(d, _)| *d == found[0].0), "torn");
+                    let n = u64::from_be_bytes(found[0].0[..].try_into().unwrap());
+                    let writes = items
+                        .iter()
+                        .zip(&found)
+                        .map(|(item, (_, v))| BatchWrite::put_if_version(item, counter(n + 1), *v))
+                        .collect();
+                    match store.try_write_many(&folders[idx], writes) {
+                        Ok(_) => applied[idx] += 1,
+                        Err(StoreError::BatchConflict(lost)) => assert!(!lost.is_empty()),
+                        Err(e) => panic!("a reliable store failed: {e}"),
+                    }
+                }
+                applied
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(5));
+    let report = store.resize(5);
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let mut applied = vec![0u64; folders.len()];
+    for client in clients {
+        for (total, mine) in applied.iter_mut().zip(client.join().unwrap()) {
+            *total += mine;
+        }
+    }
+    assert!(report.relocated > 0, "a 2→5 grow must move something");
+    assert!(applied.iter().sum::<u64>() > 0);
+    for (f, &acked) in folders.iter().zip(&applied) {
+        let (found, _) = store.try_get_many(f, items.clone()).unwrap();
+        let found: Vec<(Bytes, u64)> = found.into_iter().map(Option::unwrap).collect();
+        assert!(
+            found.iter().all(|got| *got == found[0]),
+            "{f}: one batch's state"
+        );
+        assert_eq!(
+            found[0].0,
+            counter(acked),
+            "{f}: every acknowledged batch counted once"
+        );
+    }
 }
 
 /// Aggregated metrics are the field-wise sum of the per-shard snapshots.

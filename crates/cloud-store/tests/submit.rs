@@ -3,8 +3,8 @@
 //! per-shard routing, and FaultyStore submission-time injection.
 
 use cloud_store::{
-    CloudStore, FaultConfig, FaultInjector, FaultyStore, LatencyModel, ObjectStore, Request,
-    Response, ShardedStore, StoreError, StoreHandle, SUBMIT_LANES,
+    BatchWrite, CloudStore, FaultConfig, FaultInjector, FaultyStore, LatencyModel, ObjectStore,
+    Request, Response, ShardedStore, StoreError, StoreHandle, SUBMIT_LANES,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,6 +65,54 @@ fn a_lost_cas_surfaces_as_a_conflict_through_the_ticket() {
         StoreError::Conflict(conflict) => assert_eq!(conflict.current, current),
         other => panic!("expected Conflict, got {other:?}"),
     }
+}
+
+/// A conditional batch submitted to the lanes — single store, owning
+/// shard, or through a storming fault injector — answers exactly as the
+/// blocking call would: a version when it lands, the named losers when
+/// it does not.
+#[test]
+fn conditional_batches_ride_the_submit_lanes() {
+    let batch = |va: u64| {
+        Request::write_many(
+            "g",
+            vec![
+                BatchWrite::put_if_version("a", &b"a1"[..], va),
+                BatchWrite::put("b", &b"b1"[..]),
+            ],
+        )
+    };
+    let stores: [StoreHandle; 2] = [CloudStore::new().into(), ShardedStore::new(3).into()];
+    for store in stores {
+        let va = store.put("g", "a", &b"a0"[..]);
+        let lost = store.submit(batch(va + 1)).wait().unwrap_err();
+        assert_eq!(lost, StoreError::BatchConflict(vec![("a".to_string(), va)]));
+        assert!(store.get("g", "b").is_none());
+        let v = put_version(store.submit(batch(va)).wait().unwrap());
+        assert_eq!(store.get("g", "b").unwrap().1, v);
+        let m = store.metrics();
+        assert_eq!((m.puts_batched, m.cas_conflicts), (1, 1));
+    }
+    // a storm rejects a conditional batch before it reaches the lanes,
+    // naming its first conditional item at its true version; an
+    // unconditional batch never rolls the storm
+    let storming = FaultyStore::new(
+        CloudStore::new(),
+        FaultConfig {
+            cas_storm_prob: 1.0,
+            ..FaultConfig::default()
+        },
+    );
+    let va = storming.put("g", "a", &b"a0"[..]);
+    let lost = storming.submit(batch(va)).wait().unwrap_err();
+    assert_eq!(lost, StoreError::BatchConflict(vec![("a".to_string(), va)]));
+    assert!(
+        storming.get("g", "b").is_none(),
+        "the batch was not executed"
+    );
+    let publish = Request::put_many("g", vec![("b".to_string(), &b"b2"[..])]);
+    assert!(storming.submit(publish).wait().is_ok());
+    assert_eq!(storming.injector().stats().cas_conflicts, 1);
 }
 
 #[test]

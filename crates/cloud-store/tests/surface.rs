@@ -14,8 +14,8 @@
 //!   [`FaultStats`] whichever way the requests arrive.
 
 use cloud_store::{
-    Bytes, CloudStore, FaultConfig, FaultStats, FaultyStore, MetricsSnapshot, ObjectStore, Request,
-    RequestOp, Response, ShardedStore, StoreError, StoreHandle,
+    BatchWrite, Bytes, CloudStore, FaultConfig, FaultStats, FaultyStore, MetricsSnapshot,
+    ObjectStore, Request, RequestOp, Response, ShardedStore, StoreError, StoreHandle,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,10 +63,14 @@ fn drive<S: ObjectStore>(store: &S, how: Drive, request: Request) -> Outcome {
     let put = |version| Response::Put { version };
     let many = |(items, version)| Response::GetMany { items, version };
     match (op, try_verbs) {
-        // the typed verbs write only stores: a batch carrying deletes is
-        // a request, served by `call` whichever way the suite drives
-        (RequestOp::PutMany(items), _) if items.iter().any(|(_, data)| data.is_none()) => {
-            store.call(write_many(&f, items))
+        // `put_many` writes only unconditional stores: a batch carrying
+        // deletes or expectations is `try_write_many`'s, and has no
+        // ride-out verb
+        (RequestOp::PutMany(items), true) if !only_stores(&items) => {
+            store.try_write_many(&f, items).map(put)
+        }
+        (RequestOp::PutMany(items), false) if !only_stores(&items) => {
+            store.call(Request::write_many(f, items))
         }
         (RequestOp::Put(data), true) => store.try_put(&f, &i, data).map(put),
         (RequestOp::Put(data), false) => Ok(put(store.put(&f, &i, data))),
@@ -99,24 +103,17 @@ fn drive<S: ObjectStore>(store: &S, how: Drive, request: Request) -> Outcome {
     }
 }
 
-/// A batch's stores, unwrapped for the typed verbs.
-fn stores(items: Vec<(String, Option<Bytes>)>) -> Vec<(String, Bytes)> {
-    let unwrap = |(item, data): (String, Option<Bytes>)| Some((item, data?));
+/// True when every item of a batch is an unconditional store.
+fn only_stores(items: &[BatchWrite]) -> bool {
     items
-        .into_iter()
-        .map(unwrap)
-        .collect::<Option<_>>()
-        .expect("no deletes")
+        .iter()
+        .all(|w| w.data.is_some() && !w.is_conditional())
 }
 
-/// A multi-write request: `Some` stores, `None` deletes.
-fn write_many(folder: &str, items: Vec<(String, Option<Bytes>)>) -> Request {
-    Request {
-        folder: folder.to_string(),
-        item: String::new(),
-        op: RequestOp::PutMany(items),
-        rid: telemetry::current_request_id(),
-    }
+/// A batch's stores, unwrapped for the typed verbs.
+fn stores(items: Vec<BatchWrite>) -> Vec<(String, Bytes)> {
+    let unwrap = |w: BatchWrite| (w.item, w.data.expect("no deletes"));
+    items.into_iter().map(unwrap).collect()
 }
 
 /// The version an outcome carries, if it is version-shaped.
@@ -149,10 +146,9 @@ fn run_script<S: ObjectStore>(store: &S, how: Drive) -> (Vec<Outcome>, MetricsSn
     step(Request::put_many("g", items));
     step(Request::put_many("g", Vec::<(String, Vec<u8>)>::new()));
     // one batch storing and deleting, read back in one snapshot
-    let dee = Some(Bytes::from_static(b"dee"));
-    step(write_many(
+    step(Request::write_many(
         "g",
-        vec![("d".to_string(), dee), ("c".to_string(), None)],
+        vec![BatchWrite::put("d", &b"dee"[..]), BatchWrite::delete("c")],
     ));
     let names = |items: &[&str]| items.iter().map(|i| i.to_string()).collect();
     step(Request::get_many("g", names(&["a", "c", "d", "missing"])));
@@ -168,8 +164,26 @@ fn run_script<S: ObjectStore>(store: &S, how: Drive) -> (Vec<Outcome>, MetricsSn
     }
     step(Request::list_folders());
     // a deletes-only batch that empties its folder drops it
-    step(write_many("k", vec![("x".to_string(), None)]));
+    step(Request::write_many("k", vec![BatchWrite::delete("x")]));
     step(Request::list_folders());
+    // a conditional batch mixing expectations with an unconditional
+    // store lands whole; a stale one is rejected whole, naming its losers
+    step(Request::write_many(
+        "g",
+        vec![
+            BatchWrite::put_if_version("a", &b"three"[..], v2),
+            BatchWrite::put_if_version("e", &b"eee"[..], 0),
+            BatchWrite::put("h", &b"aitch"[..]),
+        ],
+    ));
+    step(Request::write_many(
+        "g",
+        vec![
+            BatchWrite::put_if_version("a", &b"lost"[..], v2),
+            BatchWrite::put("f", &b"never"[..]),
+            BatchWrite::put_if_version("e", &b"lost"[..], 0),
+        ],
+    ));
     let cursor = step(Request::folder_version("g")).expect("a clock reading");
     step(Request::long_poll("g", 0, Duration::ZERO));
     step(Request::long_poll("g", v2, Duration::ZERO));
@@ -189,11 +203,24 @@ fn conforms<S: ObjectStore + 'static>(shape: &str, fresh: impl Fn() -> S) {
         matches!(outcomes[2], Err(StoreError::Conflict(c)) if Some(c.current) == version_of(&outcomes[1])),
         "{shape}: the stale CAS must lose against the true version"
     );
-    assert_eq!(metrics.cas_conflicts, 1, "{shape}");
-    // 5 PUTs, 2 CAS wins + 1 loss, 3 non-empty batches, 1 GET and 1
-    // multi-GET hit, 2 DELETEs, 3 polls; listings, misses and the empty
-    // batch are not counted
-    assert_eq!(metrics.requests(), 18, "{shape}");
+    assert_eq!(metrics.cas_conflicts, 2, "{shape}");
+    // 5 PUTs, 2 CAS wins + 1 loss, 4 applied batches + 1 rejected, 1 GET
+    // and 1 multi-GET hit, 2 DELETEs, 3 polls; listings, misses and the
+    // empty batch are not counted
+    assert_eq!(metrics.requests(), 20, "{shape}");
+    let rejected = outcomes
+        .iter()
+        .position(|o| matches!(o, Err(StoreError::BatchConflict(_))))
+        .expect("the stale batch is rejected");
+    let applied = version_of(&outcomes[rejected - 1]).expect("the conditional batch landed");
+    assert_eq!(
+        outcomes[rejected],
+        Err(StoreError::BatchConflict(vec![
+            ("a".to_string(), applied),
+            ("e".to_string(), applied)
+        ])),
+        "{shape}: the stale batch names both losers at their current versions"
+    );
     assert!(
         matches!(&outcomes[7], Ok(Response::GetMany { items, .. })
             if items[0].is_some() && items[1].is_none() && items[3].is_none()),
@@ -312,13 +339,20 @@ fn faulted_run(seed: u64, how: Drive) -> (Vec<Outcome>, FaultStats, MetricsSnaps
     let store = FaultyStore::new(ShardedStore::new(3), config);
     let outcomes = (0..300u64)
         .map(|i| {
-            let folder = format!("f{}", i % 7);
-            let request = match i % 6 {
+            let folder = format!("f{}", i % 5);
+            let request = match i % 7 {
                 0 => Request::put(folder, "a", i.to_le_bytes().to_vec()),
                 1 => Request::put_if_version(folder, "b", &b"cas"[..], 0),
                 2 => Request::get(folder, "a"),
                 3 => Request::long_poll(folder, 0, Duration::ZERO),
                 4 => Request::list(folder),
+                5 => Request::write_many(
+                    folder,
+                    vec![
+                        BatchWrite::put_if_version("c", &b"cas"[..], 0),
+                        BatchWrite::put("d", &b"d"[..]),
+                    ],
+                ),
                 _ => Request::delete(folder, "b"),
             };
             drive(&store, how, request)

@@ -122,16 +122,17 @@ impl DataMetrics {
         }
     }
 
-    pub(crate) fn record_migration(&self) {
-        self.migrations.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_migrations(&self, objects: usize) {
+        self.migrations.fetch_add(objects as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn record_write_conflict(&self) {
         self.write_conflicts.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_migration_conflict(&self) {
-        self.migration_conflicts.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_migration_conflicts(&self, objects: usize) {
+        self.migration_conflicts
+            .fetch_add(objects as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn record_key_refresh(&self) {
@@ -167,9 +168,9 @@ mod tests {
         m.record_write();
         m.record_read(false);
         m.record_read(true);
-        m.record_migration();
+        m.record_migrations(1);
         m.record_write_conflict();
-        m.record_migration_conflict();
+        m.record_migration_conflicts(1);
         m.record_key_refresh();
         m.record_coalesced_write();
         let s = m.snapshot();

@@ -17,10 +17,12 @@
 //!
 //! * **Work units.** Each task contributes one unit ([`crate::Sweeper`])
 //!   per data folder; a unit's lease runs one [`crate::SweepPass`] step —
-//!   scan the folder once (first lease of a pass), then migrate up to
-//!   [`FleetConfig::lease`] stale objects. Units never contend: the folder
-//!   assignment is a partition, so no two units ever CAS the same object,
-//!   and each unit's session holds its own key ring and CAS-version map.
+//!   list the folder once (first lease of a pass), then settle up to
+//!   [`FleetConfig::lease`] listed objects: one `GetMany` to read them, one
+//!   conditional `PutMany` to write the stale ones back. Units never
+//!   contend: the folder assignment is a partition, so no two units ever
+//!   write the same object, and each unit's session holds its own key ring
+//!   and CAS-version map.
 //! * **Staleness priority.** Arming a task stamps it with a monotone
 //!   sequence number; ready units are leased oldest stamp first (the group
 //!   furthest behind its lazy-window deadline runs first), FIFO within a
@@ -83,9 +85,11 @@ pub struct FleetConfig {
     /// scheduler never runs more than this many concurrent leases, no
     /// matter how many groups are registered.
     pub workers: usize,
-    /// Objects migrated per lease: the increment in which a unit's pass is
+    /// Objects settled per lease: the increment in which a unit's pass is
     /// stepped before the worker goes back to the queue, bounding how long
-    /// a large group can hold a worker away from a staler one.
+    /// a large group can hold a worker away from a staler one. A lease
+    /// reads its objects in one `GetMany` and writes the stale ones back in
+    /// one conditional `PutMany`, so this is also the sweep's batch size.
     pub lease: usize,
     /// Safety cap on re-scans of one folder within a single backlog (a
     /// writer with a frozen pre-rotation ring can keep re-sealing objects
@@ -253,9 +257,9 @@ pub struct LeaseRecord {
     /// weighted run virtual time orders the queue and the stamp invariant
     /// deliberately does not hold.
     pub remaining_min_stamp: Option<u64>,
-    /// Stale objects consumed from the unit's work-list by this lease
-    /// (zero for a scan-only lease of a clean folder, or for a lease that
-    /// aborted on an error).
+    /// Listed objects this lease's step settled from the unit's work-list
+    /// (zero for the lease of an empty folder, or for a lease that aborted
+    /// on an error).
     pub consumed: usize,
     /// Why this lease failed, when it did: the worker panicked or hit a
     /// transient store fault, and the unit was re-queued (or retired at
@@ -1106,7 +1110,7 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
         guard.runs[unit.run].leases += 1;
         drop(guard);
 
-        // the lease itself: scan on the first step of a pass, then one
+        // the lease itself: list on the first step of a pass, then one
         // bounded migration increment — all outside the lock, and inside
         // a panic guard so an unwinding worker costs one lease, not the
         // whole fleet. Each lease is its own causal request: the span's
@@ -1154,8 +1158,8 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
         match outcome {
             Err(e) if e.is_transient() => {
                 // the lease is lost, the unit is not: salvage whatever the
-                // partial pass already migrated (per-item folding in
-                // `SweepPass::step` keeps those counters coherent), then
+                // partial pass already migrated (`SweepPass::step` folds
+                // each batch as the store answers it), then
                 // force a re-scan so anything dropped mid-migration is
                 // rediscovered — it is still stale, so the scan finds it
                 let run = unit.run;

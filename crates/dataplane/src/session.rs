@@ -5,7 +5,7 @@ use crate::envelope::SealedObject;
 use crate::error::DataError;
 use crate::metrics::{DataMetrics, DataMetricsSnapshot};
 use acs::Client;
-use cloud_store::{stable_hash64, ObjectStore, StoreHandle};
+use cloud_store::{stable_hash64, BatchWrite, Bytes, ObjectStore, StoreError, StoreHandle};
 use ibbe::{PublicKey, UserSecretKey};
 use ibbe_sgx_core::{KeyHistory, KeyRing};
 use rand::rngs::StdRng;
@@ -556,40 +556,48 @@ impl ClientSession {
         Ok(plaintext)
     }
 
-    /// Re-encrypts one fetched object to the current epoch and writes it
-    /// back CAS-conditioned on `expected` — the sweeper's unit of work.
-    pub(crate) fn migrate(
-        &mut self,
-        object: &str,
-        sealed: &SealedObject,
-        expected: u64,
-    ) -> Result<(), DataError> {
+    /// Re-encrypts one stale object's stored bytes to the current epoch —
+    /// the sweeper's per-object work, under one `session.migrate` span.
+    /// The write-back is the caller's batch
+    /// ([`ClientSession::write_migrated`]).
+    pub(crate) fn reencrypt(&mut self, object: &str, stored: &[u8]) -> Result<Bytes, DataError> {
         let _rid = telemetry::request_scope();
         let span = telemetry::span("session.migrate")
             .with("object", object)
-            .with("from_epoch", sealed.epoch)
             .enter();
+        let sealed = SealedObject::from_bytes(stored)?;
+        span.record("from_epoch", sealed.epoch);
         let ring = self.ring.as_ref().ok_or(DataError::NoKeys)?;
         let fresh = sealed.reencrypt(ring, object, &mut self.rng)?;
-        let folder = self.folder_of(object).to_string();
-        let bytes = fresh.to_bytes();
+        Ok(fresh.to_bytes().into())
+    }
+
+    /// Writes re-encrypted objects of one data folder back as one
+    /// conditional multi-write, each item conditioned on the version the
+    /// sweep read it at. Returns the items that lost their race to a concurrent
+    /// writer, with their current versions — empty when the batch landed;
+    /// a batch with losers wrote nothing.
+    ///
+    /// # Errors
+    /// Transport failures that outlast the session's [`RetryPolicy`].
+    pub(crate) fn write_migrated(
+        &mut self,
+        folder: &str,
+        items: Vec<BatchWrite>,
+    ) -> Result<Vec<(String, u64)>, DataError> {
         let retry = self.retry;
-        match retry.run(|| {
-            self.control
-                .store()
-                .try_put_if_version(&folder, object, bytes.clone(), expected)
-                .map_err(DataError::from)
-        }) {
+        let store = self.control.store();
+        match retry.run(|| Ok(store.try_write_many(folder, items.clone())?)) {
             Ok(version) => {
-                self.versions.insert(object.to_string(), version);
-                self.metrics.record_migration();
-                span.record("conflict", false);
-                Ok(())
+                self.metrics.record_migrations(items.len());
+                for item in items {
+                    self.versions.insert(item.item, version);
+                }
+                Ok(Vec::new())
             }
-            Err(DataError::Conflict(conflict)) => {
-                self.metrics.record_migration_conflict();
-                span.record("conflict", true);
-                Err(DataError::Conflict(conflict))
+            Err(DataError::Store(StoreError::BatchConflict(lost))) => {
+                self.metrics.record_migration_conflicts(lost.len());
+                Ok(lost)
             }
             Err(e) => Err(e),
         }

@@ -14,8 +14,8 @@
 //! session and one **shard assignment** ([`Sweeper::with_assignment`]:
 //! unit `w` of `n` sweeps only the data folders whose index satisfies
 //! `idx % n == w`; [`Sweeper::new`] owns the whole namespace).
-//! [`Sweeper::begin_pass`] scans the assigned folders once and returns a
-//! resumable [`SweepPass`], which migrates the stale work-list in bounded
+//! [`Sweeper::begin_pass`] lists the assigned folders once and returns a
+//! resumable [`SweepPass`], which migrates the listed objects in bounded
 //! [`SweepPass::step`] increments. The one driver that composes those
 //! steps is [`crate::SweepScheduler`]: a [`crate::SweepTask`] holds one
 //! unit per data folder, and the fleet's workers lease steps of many
@@ -23,17 +23,24 @@
 //! `begin_pass`/`step`/`finish` by hand where they want an oracle that is
 //! independent of the dispatcher.)
 //!
-//! Migrations are CAS writes conditioned on the scanned version, so the
-//! sweeper never tramples a concurrent application write — and losing that
-//! race is free, because the winning write sealed at the current epoch
-//! anyway.
+//! The sweep is chunked, not per object. A pass lists each assigned folder
+//! once. Each step then reads its chunk — the next objects of one folder,
+//! at most its budget — in **one `GetMany`**, re-encrypts the stale ones
+//! one by one, and writes them back as **one conditional multi-write**,
+//! each item conditioned on the version just read. So a lease costs two
+//! round trips whatever its size, holds only its own chunk's bytes, and
+//! conditions its writes on versions one round trip old. The sweeper never
+//! tramples a concurrent application write, and losing that race is
+//! nearly free: the store rejects the whole batch and names every loser,
+//! the sweeper re-reads just those objects' headers, and it resubmits the
+//! rest. The winning write normally sealed at the current epoch anyway.
 
 use crate::envelope::SealedObject;
 use crate::error::DataError;
 use crate::metrics::DataMetricsSnapshot;
 use crate::session::ClientSession;
-use cloud_store::{stable_hash64, ObjectStore};
-use std::collections::HashSet;
+use cloud_store::{stable_hash64, BatchWrite, Bytes, ObjectStore, StoreError};
+use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 
 /// A group's sweep parameters — a tenant property, set per
@@ -58,9 +65,9 @@ impl Default for SweepConfig {
 /// Outcome of one sweep pass (or an aggregated run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepReport {
-    /// Objects examined.
+    /// Objects listed.
     pub scanned: usize,
-    /// Objects found below the current epoch.
+    /// Objects read below the current epoch.
     pub stale: usize,
     /// Objects successfully re-encrypted to the current epoch.
     pub migrated: usize,
@@ -68,8 +75,8 @@ pub struct SweepReport {
     pub conflicts: usize,
     /// True when no stale object remained unhandled at the end.
     pub converged: bool,
-    /// The lowest epoch any scanned object still sits at after this pass
-    /// (`None` if nothing was scanned). When a **full-namespace** sweep
+    /// The lowest epoch any object the pass read still sits at after it
+    /// (`None` if it read nothing). When a **full-namespace** sweep
     /// converges, no retired key below this epoch can ever be needed again
     /// — the safe `keep_from` bound for
     /// [`acs::Admin::compact_history`].
@@ -164,34 +171,40 @@ impl Sweeper {
         &self.session
     }
 
-    /// Scans the assigned folders **once** and returns a resumable
-    /// migration pass over the stale work-list — the work-unit primitive
+    /// Lists the assigned folders **once** and returns a resumable
+    /// migration pass over the listed objects — the work-unit primitive
     /// [`crate::SweepScheduler`] leases in [`SweepPass::step`] increments.
-    /// Refreshes the key ring first if the epoch moved.
+    /// Refreshes the key ring first if the epoch moved. The listing is the
+    /// pass's only request beyond the freshness check: one `List` per
+    /// assigned folder.
     ///
     /// # Errors
     /// Control-plane failures from the freshness check; transient store
-    /// faults (the scan GETs surface them instead of blocking on a dead
-    /// store — the fleet scheduler contains and retries them);
-    /// storage wire-format corruption found by the scan.
+    /// faults (the listing surfaces them instead of blocking on a dead
+    /// store — the fleet scheduler contains and retries them).
     pub fn begin_pass(&mut self) -> Result<SweepPass, DataError> {
-        let scan = self.scan()?;
-        let stale = scan.work.len();
-        let mut floor = scan.fresh_floor;
-        if stale > 0 {
-            // migrated items end at the current epoch; conflicted ones are
-            // re-verified against their actual headers in migrate()
-            floor = merge_floor(floor, Some(scan.current));
+        self.session.maybe_refresh()?;
+        let current = self.session.current_epoch().ok_or(DataError::NoKeys)?;
+        // ride through outage windows with backoff before giving the lease
+        // up as lost
+        let retry = self.session.retry_policy();
+        let store = self.session.store();
+        let mut work = VecDeque::new();
+        for folder in self.assigned_folders() {
+            work.extend(retry.run(|| Ok(store.try_list(&folder)?))?);
         }
+        // the listing doubles as the versions-map GC: tracked versions of
+        // in-scope objects that vanished from the store are pruned
+        let live: HashSet<String> = work.iter().cloned().collect();
+        let (shards, worker, of) = (self.session.data_shards() as u64, self.worker, self.of);
+        self.session.prune_versions(&live, |name| {
+            (stable_hash64(name) % shards) as usize % of == worker
+        });
         Ok(SweepPass {
-            work: scan.work.into(),
-            current: scan.current,
-            scanned: scan.scanned,
-            stale,
-            migrated: 0,
-            conflicts: 0,
-            still_stale: 0,
-            floor,
+            scanned: work.len(),
+            work,
+            current,
+            tally: Tally::default(),
         })
     }
 
@@ -213,61 +226,6 @@ impl Sweeper {
         self.session.refresh().map(|_| ())
     }
 
-    /// One pass over the assigned folders: freshness check (cheap
-    /// zero-timeout poll, full rebuild only when the epoch moved), then one
-    /// GET per object, peeking the 9-byte header to collect the stale
-    /// work-list. Doubles as the versions-map GC: tracked versions of
-    /// in-scope objects that vanished from the store are pruned against the
-    /// live set the scan just built.
-    fn scan(&mut self) -> Result<Scan, DataError> {
-        self.session.maybe_refresh()?;
-        let current = self.session.current_epoch().ok_or(DataError::NoKeys)?;
-        // ride through outage windows with backoff before giving the lease
-        // up as lost — a scan makes one request per object, so unretried
-        // faults would fail whole leases far too eagerly
-        let retry = self.session.retry_policy();
-        let mut scanned = 0usize;
-        let mut work = Vec::new();
-        let mut fresh_floor = None;
-        let mut live = HashSet::new();
-        for folder in self.assigned_folders() {
-            for object in retry.run(|| Ok(self.session.store().try_list(&folder)?))? {
-                scanned += 1;
-                let fetched =
-                    retry.run(|| Ok(self.session.store().try_get(&folder, &object)?))?;
-                let Some((bytes, version)) = fetched else {
-                    continue; // deleted between list and get
-                };
-                match SealedObject::peek_epoch(&bytes) {
-                    Some(epoch) if epoch < current => {
-                        live.insert(object.clone());
-                        work.push(StaleObject {
-                            name: object,
-                            bytes: bytes.to_vec(),
-                            version,
-                            epoch,
-                        });
-                    }
-                    Some(epoch) => {
-                        fresh_floor = merge_floor(fresh_floor, Some(epoch));
-                        live.insert(object);
-                    }
-                    None => return Err(DataError::WireFormat("data object header")),
-                }
-            }
-        }
-        let (shards, worker, of) = (self.session.data_shards() as u64, self.worker, self.of);
-        self.session.prune_versions(&live, |name| {
-            (stable_hash64(name) % shards) as usize % of == worker
-        });
-        Ok(Scan {
-            scanned,
-            work,
-            fresh_floor,
-            current,
-        })
-    }
-
     /// The data folders this worker owns, in shard order.
     fn assigned_folders(&self) -> Vec<String> {
         self.session
@@ -278,177 +236,219 @@ impl Sweeper {
             .map(|(_, f)| f.clone())
             .collect()
     }
-
-    /// Migrates one work item, folding the outcome into `pass`; CAS
-    /// conflicts are counted, not fatal. Re-using the scanned bytes is
-    /// safe: a successful CAS proves the object's version (and therefore
-    /// its bytes) did not change since the scan.
-    ///
-    /// A conflict normally means the winning writer already re-sealed the
-    /// object at the current epoch — but a writer whose ring raced the
-    /// rotation's publish can win with a *stale*-epoch seal, so each
-    /// conflicted object's actual header is re-fetched and its real epoch
-    /// folded into the pass's floor. Claiming the current epoch blindly
-    /// would let a converged report authorize a history compaction that
-    /// orphans that object forever.
-    fn migrate_one(
-        &mut self,
-        item: &StaleObject,
-        current: u64,
-        pass: &mut MigratePass,
-    ) -> Result<(), DataError> {
-        let sealed = SealedObject::from_bytes(&item.bytes)?;
-        match self.session.migrate(&item.name, &sealed, item.version) {
-            Ok(()) => pass.migrated += 1,
-            Err(DataError::Conflict(_)) => {
-                pass.conflicts += 1;
-                let folder = self.session.folder_of(&item.name).to_string();
-                let retry = self.session.retry_policy();
-                let refetched =
-                    retry.run(|| Ok(self.session.store().try_get(&folder, &item.name)?))?;
-                if let Some((bytes, _)) = refetched {
-                    let epoch = SealedObject::peek_epoch(&bytes)
-                        .ok_or(DataError::WireFormat("data object header"))?;
-                    pass.conflict_floor = merge_floor(pass.conflict_floor, Some(epoch));
-                    if epoch < current {
-                        pass.still_stale += 1;
-                    }
-                }
-                // a vanished object was deleted by the winner: handled
-            }
-            Err(e) => return Err(e),
-        }
-        Ok(())
-    }
 }
 
-/// A resumable migration pass over one scan's stale work-list: the
-/// schedulable work unit of the sweep machinery.
+/// A resumable migration pass over one listing: the schedulable work unit
+/// of the sweep machinery.
 ///
-/// Produced by [`Sweeper::begin_pass`] (which pays the scan — one GET per
-/// in-scope object — exactly once); consumed by bounded
-/// [`SweepPass::step`] calls until drained, then folded into a
-/// [`SweepReport`] by [`SweepPass::finish`]. The fleet
-/// [`crate::SweepScheduler`] interleaves steps of many groups' passes
-/// across its shared workers, which is why the pass owns its work-list
-/// instead of borrowing the sweeper.
+/// Produced by [`Sweeper::begin_pass`] (one `List` per assigned folder);
+/// consumed by bounded [`SweepPass::step`] calls until drained — each one
+/// `GetMany` of its chunk and one conditional multi-write of the chunk's
+/// stale objects — then folded into a [`SweepReport`] by
+/// [`SweepPass::finish`]. The fleet [`crate::SweepScheduler`] interleaves
+/// steps of many groups' passes across its shared workers, which is why
+/// the pass owns its work-list instead of borrowing the sweeper.
 #[derive(Debug)]
 pub struct SweepPass {
-    work: std::collections::VecDeque<StaleObject>,
-    /// The ring's current epoch at scan time.
+    /// Listed objects not yet settled, folder by folder.
+    work: VecDeque<String>,
+    /// The ring's current epoch when the pass began.
     current: u64,
     scanned: usize,
+    tally: Tally,
+}
+
+/// What a pass's steps have settled so far.
+#[derive(Debug, Default)]
+struct Tally {
     stale: usize,
     migrated: usize,
     conflicts: usize,
+    /// Conflicted objects whose winning write is itself below the current
+    /// epoch (a writer that raced the rotation's publish): the pass has
+    /// NOT converged and another pass must pick them up.
     still_stale: usize,
+    /// Lowest epoch of every object read: up-to-date ones, migrated ones
+    /// (at the current epoch) and conflicted ones (their winner's epoch).
     floor: Option<u64>,
 }
 
 impl SweepPass {
-    /// Stale objects not yet handed to [`SweepPass::step`].
+    /// Listed objects not yet settled by [`SweepPass::step`].
     pub fn remaining(&self) -> usize {
         self.work.len()
     }
 
-    /// True when the whole work-list has been migrated (or conflicted
-    /// away); [`SweepPass::finish`] will then report convergence unless a
-    /// conflicted object turned out to still be stale.
+    /// True when every listed object has been settled — found up to date,
+    /// migrated, or conflicted away; [`SweepPass::finish`] will then report
+    /// convergence unless a conflicted object turned out to still be
+    /// stale.
     pub fn is_drained(&self) -> bool {
         self.work.is_empty()
     }
 
-    /// Migrates up to `budget` (at least 1) stale objects through
-    /// `sweeper`'s session; CAS conflicts are counted, not fatal. Returns
-    /// the number of work items consumed.
+    /// Settles up to `budget` (at least 1) listed objects through
+    /// `sweeper`'s session, one folder's run at a time: reads them in one
+    /// `GetMany`, re-encrypts each stale one (one `session.migrate` span per
+    /// object), and writes those back as one conditional multi-write, each
+    /// item conditioned on the version just read. Returns the number of
+    /// listed objects consumed.
+    ///
+    /// A batch that loses a race is rejected whole and names its losers;
+    /// those count as conflicts, not failures. A conflict normally means
+    /// the winning writer already re-sealed the object at the current
+    /// epoch, but a writer whose ring raced the rotation's publish can win
+    /// with a *stale*-epoch seal. So the losers' headers are re-read in one
+    /// `GetMany` and their real epochs folded into the floor (and into
+    /// `still_stale`, which keeps the report unconverged); claiming the
+    /// current epoch blindly would let a converged report authorize a
+    /// history compaction that orphans such an object forever. The rest of
+    /// the batch is then resubmitted.
     ///
     /// # Errors
-    /// Non-CAS migration failures. The failed item goes back to the front
-    /// of the work-list, so the pass can be re-stepped (retrying it) or
-    /// [`SweepPass::finish`]ed (counting it — and everything behind it —
-    /// as unhandled: unconverged, epochs kept in the floor).
+    /// Non-conflict failures. Every object not yet settled stays at the
+    /// front of the work-list (on a panic, the whole chunk does), so the
+    /// pass can be re-stepped (retrying them) or [`SweepPass::finish`]ed
+    /// (counting them — and everything behind them — as unhandled).
     pub fn step(&mut self, sweeper: &mut Sweeper, budget: usize) -> Result<usize, DataError> {
-        let mut consumed = 0;
-        for _ in 0..budget.max(1) {
-            let Some(item) = self.work.pop_front() else {
-                break;
-            };
-            // fold item by item, not once per chunk: a worker that fails —
-            // or panics — partway through a step must not lose the counters
-            // of the items it already handled (the fleet scheduler salvages
-            // this pass's counters when it re-queues the unit)
-            let mut outcome = MigratePass::default();
-            let result = sweeper.migrate_one(&item, self.current, &mut outcome);
-            self.migrated += outcome.migrated;
-            self.conflicts += outcome.conflicts;
-            self.still_stale += outcome.still_stale;
-            self.floor = merge_floor(self.floor, outcome.conflict_floor);
-            if let Err(e) = result {
-                self.work.push_front(item);
-                return Err(e);
-            }
-            consumed += 1;
+        let n = budget.max(1).min(self.work.len());
+        let mut settled = vec![false; n];
+        let chunk = &self.work.make_contiguous()[..n];
+        let session = &mut sweeper.session;
+        let mut result = Ok(());
+        let mut start = 0;
+        while start < n && result.is_ok() {
+            // the listing is folder by folder, so each folder is one run
+            let folder = session.folder_of(&chunk[start]).to_string();
+            let end = (start..n)
+                .find(|&i| session.folder_of(&chunk[i]) != folder)
+                .unwrap_or(n);
+            result = migrate_run(
+                session,
+                &folder,
+                &chunk[start..end],
+                &mut settled[start..end],
+                self.current,
+                &mut self.tally,
+            );
+            start = end;
         }
-        Ok(consumed)
+        // settled objects leave the work-list; the rest keep their places
+        // at its front
+        let chunk: Vec<String> = self.work.drain(..n).collect();
+        for (name, done) in chunk.into_iter().zip(settled).rev() {
+            if !done {
+                self.work.push_front(name);
+            }
+        }
+        result.map(|()| n)
     }
 
-    /// Closes the pass into a [`SweepReport`]: any work items never
-    /// stepped count against convergence and fold their epochs into the
-    /// floor. `elapsed` is left zero — only the driver knows the true wall
-    /// clock around its steps.
+    /// Closes the pass into a [`SweepReport`]: any listed object never
+    /// settled counts against convergence. Such an object was never read,
+    /// so its epoch is missing from the floor — which an unconverged
+    /// report never authorizes compaction with. `elapsed` is left zero —
+    /// only the driver knows the true wall clock around its steps.
     pub fn finish(self) -> SweepReport {
-        let unhandled = self.work.len();
-        let mut floor = self.floor;
-        for skipped in &self.work {
-            floor = merge_floor(floor, Some(skipped.epoch));
-        }
+        let t = self.tally;
         SweepReport {
             scanned: self.scanned,
-            stale: self.stale,
-            migrated: self.migrated,
-            conflicts: self.conflicts,
+            stale: t.stale,
+            migrated: t.migrated,
+            conflicts: t.conflicts,
             // conflicted objects usually were re-sealed by their winning
             // writer at the current epoch (verified against their actual
-            // headers); only never-stepped and verified-still-stale ones
+            // headers); only never-settled and verified-still-stale ones
             // are genuinely unhandled
-            converged: unhandled == 0 && self.still_stale == 0,
-            min_live_epoch: floor,
+            converged: self.work.is_empty() && t.still_stale == 0,
+            min_live_epoch: t.floor,
             elapsed: Duration::ZERO,
         }
     }
 }
 
-/// Result of one migration pass over a chunk of stale objects.
-#[derive(Default)]
-struct MigratePass {
-    migrated: usize,
-    conflicts: usize,
-    /// Lowest epoch observed on conflicted objects' re-fetched headers.
-    conflict_floor: Option<u64>,
-    /// Conflicted objects whose winning write is itself below the current
-    /// epoch (a writer that raced the rotation's publish): the sweep has
-    /// NOT converged and another pass must pick them up.
-    still_stale: usize,
-}
-
-/// Result of one scan pass.
-struct Scan {
-    scanned: usize,
-    work: Vec<StaleObject>,
-    /// Lowest epoch among the up-to-date objects seen.
-    fresh_floor: Option<u64>,
-    /// The ring's current epoch at scan time.
+/// Settles one folder's run of listed objects, marking each one read up
+/// to date, vanished, migrated or conflicted away. Counters are folded as
+/// each request's outcome arrives, so a failure partway keeps what was
+/// settled (the fleet scheduler salvages it).
+fn migrate_run(
+    session: &mut ClientSession,
+    folder: &str,
+    names: &[String],
+    settled: &mut [bool],
     current: u64,
+    tally: &mut Tally,
+) -> Result<(), DataError> {
+    let retry = session.retry_policy();
+    let store = session.store();
+    let (found, _) = retry.run(|| Ok(store.try_get_many(folder, names.to_vec())?))?;
+    // (index into `names`, stored bytes, version read)
+    let mut stale: Vec<(usize, Bytes, u64)> = Vec::new();
+    for (i, fetched) in found.into_iter().enumerate() {
+        // an object deleted since the listing needs nothing
+        if let Some((bytes, version)) = fetched {
+            let epoch = peek_epoch(&bytes)?;
+            if epoch < current {
+                stale.push((i, bytes, version));
+                continue;
+            }
+            tally.floor = merge_floor(tally.floor, Some(epoch));
+        }
+        settled[i] = true;
+    }
+    let fresh = stale
+        .iter()
+        .map(|(i, bytes, _)| session.reencrypt(&names[*i], bytes))
+        .collect::<Result<Vec<Bytes>, _>>()?;
+    let mut pending: Vec<usize> = (0..stale.len()).collect();
+    while !pending.is_empty() {
+        let writes = pending
+            .iter()
+            .map(|&k| {
+                let (i, _, version) = &stale[k];
+                BatchWrite::put_if_version(&names[*i], fresh[k].clone(), *version)
+            })
+            .collect();
+        let lost = session.write_migrated(folder, writes)?;
+        if lost.is_empty() {
+            tally.stale += pending.len();
+            tally.migrated += pending.len();
+            tally.floor = merge_floor(tally.floor, Some(current));
+            pending.iter().for_each(|&k| settled[stale[k].0] = true);
+            break;
+        }
+        let losers: Vec<String> = lost.iter().map(|(name, _)| name.clone()).collect();
+        let store = session.store();
+        let (found, _) = retry.run(|| Ok(store.try_get_many(folder, losers.clone())?))?;
+        tally.stale += lost.len();
+        tally.conflicts += lost.len();
+        // a vanished object was deleted by the winner: handled
+        for (bytes, _) in found.into_iter().flatten() {
+            let epoch = peek_epoch(&bytes)?;
+            tally.floor = merge_floor(tally.floor, Some(epoch));
+            if epoch < current {
+                tally.still_stale += 1;
+            }
+        }
+        let before = pending.len();
+        pending.retain(|&k| {
+            let i = stale[k].0;
+            let loser = losers.contains(&names[i]);
+            settled[i] |= loser;
+            !loser
+        });
+        if pending.len() == before {
+            // a rejection naming none of the batch's items breaks the
+            // store's contract: resubmitting would never end
+            return Err(StoreError::BatchConflict(lost).into());
+        }
+    }
+    Ok(())
 }
 
-/// One stale object captured by a scan: name, raw stored bytes, the
-/// version the migration CAS is conditioned on, and the epoch it sits at.
-#[derive(Debug)]
-struct StaleObject {
-    name: String,
-    bytes: Vec<u8>,
-    version: u64,
-    epoch: u64,
+/// The epoch of a stored data object, from its 9-byte header.
+fn peek_epoch(bytes: &[u8]) -> Result<u64, DataError> {
+    SealedObject::peek_epoch(bytes).ok_or(DataError::WireFormat("data object header"))
 }
 
 impl core::fmt::Debug for Sweeper {

@@ -2,17 +2,21 @@
 //! on a bounded shared fleet, watch-driven re-arming (idle groups cost
 //! nothing), equivalence with dedicated one-group fleets, request-trace
 //! equality between a one-worker fleet and a hand-composed pass,
-//! per-group metrics attribution, and epoch-history compaction driven from
-//! a fleet report.
+//! per-group metrics attribution, epoch-history compaction driven from
+//! a fleet report, and a migration batch that loses races mid-chunk.
 
 use acs::FleetFixture;
-use cloud_store::{CloudStore, StoreHandle};
+use cloud_store::{
+    BatchWrite, CloudStore, MetricsSnapshot, ObjectStore, Request, RequestOp, Response, StoreError,
+    StoreHandle,
+};
 use dataplane::fixtures::{fleet_session, fleet_sweep_sessions, fleet_sweep_sessions_on};
 use dataplane::{
     FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig, SweepScheduler, SweepTask,
     Sweeper,
 };
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
+use std::sync::Mutex;
 use std::time::Duration;
 use support::{sweep_by_hand, RecordingStore};
 
@@ -288,13 +292,19 @@ fn a_one_worker_fleet_replays_the_hand_composed_pass_exactly() {
         };
         assert!(report.converged);
         assert_eq!((report.scanned, report.migrated), (objects, objects));
-        recorder.data_ops()
+        (recorder.data_ops(), recorder.data_requests())
     };
     let by_hand = run(false);
+    let entries = |kind: &str| by_hand.0.iter().filter(|(k, ..)| k == kind).count();
     assert_eq!(
-        by_hand.len(),
-        2 * objects,
-        "one scan GET and one CAS per object"
+        (entries("get_many"), entries("put_many"), by_hand.0.len()),
+        (objects, objects, 2 * objects),
+        "every object read once and written once, by batches"
+    );
+    assert_eq!(
+        by_hand.1,
+        2 * objects.div_ceil(lease),
+        "one GetMany and one conditional PutMany per lease step"
     );
     assert_eq!(run(true), by_hand);
 }
@@ -450,4 +460,106 @@ fn weight_buys_a_larger_share() {
         "g1",
         "the 4x-weighted group must finish its equal backlog first"
     );
+}
+
+/// A store that runs `race` once, just before it forwards the first
+/// conditional multi-write: the writes the race makes land between a
+/// sweep step's read and its write.
+struct RacingStore {
+    inner: StoreHandle,
+    race: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+impl ObjectStore for RacingStore {
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        if let RequestOp::PutMany(items) = &request.op {
+            if items.iter().any(BatchWrite::is_conditional) {
+                if let Some(race) = self.race.lock().unwrap().take() {
+                    race();
+                }
+            }
+        }
+        self.inner.call(request)
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        self.inner.metrics()
+    }
+}
+
+/// One chunk, two lost races: between the step's read and its write, a
+/// current member re-seals one object at the current epoch and a revoked
+/// member's frozen ring re-seals another at the retired epoch. The step's
+/// batch is rejected naming both, their headers are re-read in one
+/// `GetMany`, and the rest of the chunk lands in one resubmitted batch —
+/// while the stale-epoch winner keeps the pass unconverged and its epoch
+/// in the floor, so history compaction cannot orphan it.
+#[test]
+fn a_chunk_that_loses_two_races_migrates_the_rest_and_keeps_the_stale_floor() {
+    let f = fleet(&[6], 1, 37);
+    let admin = f.fixture.admin();
+    let store = admin.store().clone();
+    let epoch = || admin.metadata("g0").unwrap().epoch;
+    let retired = epoch();
+    // both racers adopt their object's version before the rotation; the
+    // victim keeps the retired ring it held
+    let mut victim = fleet_session(&f.fixture, "g0-u3", "g0", 1, 41);
+    victim.read("obj-0004").unwrap();
+    let mut writer = fleet_session(&f.fixture, WRITER, "g0", 1, 42);
+    writer.read("obj-0001").unwrap();
+    revoke(&f, "g0", "g0-u3");
+    let current = epoch();
+    assert!(current > retired);
+
+    let racing = RacingStore {
+        inner: store.clone(),
+        race: Mutex::new(Some(Box::new(move || {
+            writer.write("obj-0001", b"current writer").unwrap();
+            victim.write("obj-0004", b"frozen ring").unwrap();
+        }))),
+    };
+    let recorder = RecordingStore::new(StoreHandle::new(racing));
+    let sessions = fleet_sweep_sessions_on(
+        &f.fixture,
+        StoreHandle::new(recorder.clone()),
+        SWEEPER,
+        "g0",
+        1,
+        43,
+    );
+    let mut unit = Sweeper::new(sessions.into_iter().next().unwrap(), SweepConfig::default());
+    let mut pass = unit.begin_pass().unwrap();
+    assert_eq!(pass.remaining(), 6);
+
+    let before = (store.metrics(), recorder.data_requests());
+    assert_eq!(pass.step(&mut unit, 6).unwrap(), 6);
+    let after = (store.metrics(), recorder.data_requests());
+    assert_eq!(
+        after.1 - before.1,
+        4,
+        "read, rejected batch, one re-read of both losers, batch of the rest"
+    );
+    assert_eq!(
+        (
+            after.0.cas_conflicts - before.0.cas_conflicts,
+            after.0.puts_batched - before.0.puts_batched,
+            after.0.batched_items - before.0.batched_items,
+        ),
+        (1, 1, 4),
+        "the rejected batch wrote nothing; the resubmission wrote the rest"
+    );
+    let report = pass.finish();
+    assert_eq!((report.stale, report.migrated, report.conflicts), (6, 4, 2));
+    assert!(!report.converged, "a stale-epoch winner is still stale");
+    assert_eq!(report.min_live_epoch, Some(retired));
+    assert_eq!(unit.metrics().migration_conflicts, 2);
+    let epoch_of = |name: &str| {
+        let (bytes, _) = store.get(unit.session().folder_of(name), name).unwrap();
+        dataplane::SealedObject::peek_epoch(&bytes)
+    };
+    for i in 0..6 {
+        let name = format!("obj-{i:04}");
+        let want = if i == 4 { retired } else { current };
+        assert_eq!(epoch_of(&name), Some(want), "{name}");
+    }
 }

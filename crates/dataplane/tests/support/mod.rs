@@ -13,13 +13,15 @@ use cloud_store::{
 use dataplane::{SweepReport, Sweeper};
 use std::sync::{Arc, Mutex};
 
-/// An [`ObjectStore`] wrapper logging every single-object request —
-/// blocking and submitted alike — as `(kind, folder, item)`, so two
-/// deployments' request flows compare directly.
+/// An [`ObjectStore`] wrapper logging every object-level request —
+/// blocking and submitted alike — as `(kind, folder, item)`, one entry per
+/// item of a `GetMany`/`PutMany`, so two deployments' request flows
+/// compare directly; it also counts the requests behind those entries.
 #[derive(Clone)]
 pub struct RecordingStore {
     inner: StoreHandle,
     log: Arc<Mutex<Vec<(String, String, String)>>>,
+    data_requests: Arc<Mutex<usize>>,
 }
 
 impl RecordingStore {
@@ -27,36 +29,50 @@ impl RecordingStore {
         Self {
             inner: inner.into(),
             log: Arc::new(Mutex::new(Vec::new())),
+            data_requests: Arc::default(),
         }
     }
 
     /// The interception, shared by the blocking and the queued path.
     fn record(&self, request: &Request) {
-        let kind = match request.op {
-            RequestOp::Get => "get",
-            RequestOp::PutIfVersion { .. } => "cas",
-            RequestOp::Put(_) => "put",
-            RequestOp::Delete => "delete",
+        let (kind, items): (_, Vec<&String>) = match &request.op {
+            RequestOp::Get => ("get", vec![&request.item]),
+            RequestOp::PutIfVersion { .. } => ("cas", vec![&request.item]),
+            RequestOp::Put(_) => ("put", vec![&request.item]),
+            RequestOp::Delete => ("delete", vec![&request.item]),
+            RequestOp::GetMany(items) => ("get_many", items.iter().collect()),
+            RequestOp::PutMany(items) => ("put_many", items.iter().map(|w| &w.item).collect()),
             _ => return, // folder-level traffic is not part of the claim
         };
-        self.log.lock().unwrap().push((
-            kind.to_string(),
-            request.folder.clone(),
-            request.item.clone(),
-        ));
+        if items.iter().any(|item| is_data(item)) {
+            *self.data_requests.lock().unwrap() += 1;
+        }
+        let mut log = self.log.lock().unwrap();
+        for item in items {
+            log.push((kind.to_string(), request.folder.clone(), item.clone()));
+        }
     }
 
-    /// Data-object requests only; metadata traffic (key rings, epoch
+    /// Data-object entries only; metadata traffic (key rings, epoch
     /// history) is not part of the equivalence claim.
     pub fn data_ops(&self) -> Vec<(String, String, String)> {
         self.log
             .lock()
             .unwrap()
             .iter()
-            .filter(|(_, _, item)| item.starts_with("obj-"))
+            .filter(|(_, _, item)| is_data(item))
             .cloned()
             .collect()
     }
+
+    /// Requests that carried at least one data object.
+    pub fn data_requests(&self) -> usize {
+        *self.data_requests.lock().unwrap()
+    }
+}
+
+fn is_data(item: &str) -> bool {
+    item.starts_with("obj-")
 }
 
 impl ObjectStore for RecordingStore {

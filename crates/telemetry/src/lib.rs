@@ -453,6 +453,17 @@ impl SpanGuard {
     /// Attaches a field to the still-open span — for values only known
     /// after the work ran (an outcome epoch, a retry count).
     pub fn record(&self, key: &'static str, value: impl Into<Value>) {
+        self.with_open(|open| open.fields.push((key, value.into())));
+    }
+
+    /// Renames the still-open span — for work whose kind is only known
+    /// after it ran (a conditional batch the store rejects is booked as a
+    /// failed compare-and-swap, not as a write).
+    pub fn rename(&self, name: &'static str) {
+        self.with_open(|open| open.name = name);
+    }
+
+    fn with_open(&self, f: impl FnOnce(&mut OpenSpan)) {
         if self.token == 0 {
             return;
         }
@@ -463,7 +474,7 @@ impl SpanGuard {
                 .rev()
                 .find(|open| open.token == self.token)
             {
-                open.fields.push((key, value.into()));
+                f(open);
             }
         });
     }

@@ -87,3 +87,25 @@ fn disabled_instrumentation_is_cheap() {
         start.elapsed()
     );
 }
+
+#[test]
+fn a_renamed_span_closes_under_its_new_name_with_its_fields() {
+    let _serial = test_lock();
+    let collector = Arc::new(Collector::new());
+    let _session = telemetry::install(collector.clone());
+    {
+        let outer = span("store.put_many").with("items", 3u64).enter();
+        let _inner = span("inner").enter();
+        outer.rename("store.cas");
+        outer.record("conflict", true);
+    }
+    assert_eq!(collector.span_count("store.put_many"), 0);
+    let spans = collector.spans();
+    let renamed = spans.iter().find(|s| s.name == "store.cas").unwrap();
+    assert_eq!(renamed.field("items").and_then(|v| v.as_u64()), Some(3));
+    assert_eq!(
+        renamed.field("conflict").and_then(|v| v.as_bool()),
+        Some(true)
+    );
+    assert_eq!(collector.span_count("inner"), 1);
+}
