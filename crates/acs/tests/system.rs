@@ -443,3 +443,115 @@ fn a_remove_failed_midway_leaves_one_epoch_in_the_store() {
     }
     assert!(failed > 0, "some write of the remove must have failed");
 }
+
+/// Serves every partition object a multi-GET returns with its last byte
+/// (inside the wrapped `gk`'s tag) flipped, passing all else through.
+struct TamperedPartitions {
+    inner: StoreHandle,
+}
+
+impl ObjectStore for TamperedPartitions {
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        let RequestOp::GetMany(names) = &request.op else {
+            return self.inner.call(request);
+        };
+        let names = names.clone();
+        let Response::GetMany { items, version } = self.inner.call(request)? else {
+            unreachable!("a multi-GET answers with items");
+        };
+        let items = names.iter().zip(items).map(|(name, got)| match got {
+            Some((bytes, v)) if !name.starts_with('_') => {
+                let mut bytes = bytes.to_vec();
+                *bytes.last_mut().expect("a partition object is not empty") ^= 1;
+                Some((bytes.into(), v))
+            }
+            other => other,
+        });
+        Ok(Response::GetMany {
+            items: items.collect(),
+            version,
+        })
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        self.inner.metrics()
+    }
+}
+
+/// Clients of one identity that share their derivations decrypt each
+/// partition they both read once between them; a lone client of the same
+/// identity decrypts on its own, and a sharing client whose view serves a
+/// tampered partition fails as a lone client on that view does, without
+/// adopting the key its sibling derived.
+#[test]
+fn shared_derivations_decrypt_once_and_only_for_an_equal_partition() {
+    let mut r = rng(9);
+    let store = CloudStore::new();
+    let admin = bootstrap_admin(PartitionSize::new(2).unwrap(), store.clone(), &mut r).unwrap();
+    admin.create_group("g", names(4)).unwrap();
+    let client = |store: StoreHandle| {
+        let usk = admin.engine().extract_user_key("user-1").unwrap();
+        Client::new(
+            "user-1",
+            usk,
+            admin.engine().public_key().clone(),
+            store,
+            "g",
+        )
+    };
+    let honest = StoreHandle::from(store.clone());
+    let (mut a, mut b, mut lone) = (
+        client(honest.clone()),
+        client(honest.clone()),
+        client(honest),
+    );
+    b.share_derivations_with(&a);
+
+    let gk = a.sync().unwrap();
+    assert_eq!(b.sync().unwrap(), gk);
+    assert_eq!((a.derivations(), b.derivations()), (1, 0));
+
+    // a rotation is decrypted by whichever sharing client syncs first
+    admin.remove_user("g", "user-3").unwrap();
+    let rotated = b.sync().unwrap();
+    assert_ne!(rotated, gk);
+    assert_eq!(a.sync().unwrap(), rotated);
+    assert_eq!((a.derivations(), b.derivations()), (1, 1));
+    assert_eq!(lone.sync().unwrap(), rotated);
+    assert_eq!(lone.derivations(), 1, "an unshared client decrypts itself");
+
+    let tampered = || {
+        StoreHandle::new(TamperedPartitions {
+            inner: store.clone().into(),
+        })
+    };
+    let expected = client(tampered()).sync().unwrap_err().to_string();
+    let mut forged = client(tampered());
+    forged.share_derivations_with(&a);
+    let got = forged.sync().unwrap_err();
+    assert!(matches!(got, AcsError::Core(_)), "{got}");
+    assert_eq!(got.to_string(), expected);
+    assert_eq!(forged.group_key(), None);
+    // the failed decrypt left the shared derivation in place
+    assert_eq!(a.sync().unwrap(), rotated);
+    assert_eq!(a.derivations() + b.derivations(), 2);
+}
+
+#[test]
+#[should_panic(expected = "only clients of one identity, key and group may share derivations")]
+fn clients_of_two_identities_cannot_share_derivations() {
+    let mut r = rng(10);
+    let store = CloudStore::new();
+    let admin = bootstrap_admin(PartitionSize::new(2).unwrap(), store.clone(), &mut r).unwrap();
+    let client = |identity: &str| {
+        let usk = admin.engine().extract_user_key(identity).unwrap();
+        Client::new(
+            identity,
+            usk,
+            admin.engine().public_key().clone(),
+            store.clone(),
+            "g",
+        )
+    };
+    client("user-0").share_derivations_with(&client("user-1"));
+}

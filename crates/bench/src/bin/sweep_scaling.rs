@@ -23,8 +23,13 @@
 //! (machine-readable series), `--check` (the highest shard count must
 //! converge no slower than the lowest, and every shard count must spend at
 //! most 0.1 store requests per migrated object — the per-PR CI gate).
+//!
+//! The request count is `MetricsSnapshot::requests()`: every round trip
+//! the store served, a rejected conditional `PutMany` included. The repo
+//! benchmark's `store_requests_per_op` still leaves rejected conditional
+//! writes out, so the two counts differ on a run that loses CAS races.
 
-use cloud_store::{LatencyModel, MetricsSnapshot, ObjectStore, ShardedStore};
+use cloud_store::{LatencyModel, ObjectStore, ShardedStore};
 use dataplane::{
     ClientSession, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
     SweepScheduler, SweepTask,
@@ -38,14 +43,6 @@ const GROUP: &str = "g";
 
 /// `--check`'s ceiling on store requests per migrated object.
 const MAX_REQUESTS_PER_OBJECT: f64 = 0.1;
-
-/// Store requests served, summed as the repo benchmark's
-/// `store_requests_per_op` sums them: every PUT (single, conditional or
-/// batched), GET (single or multi), DELETE and long poll. A rejected
-/// conditional write is not counted.
-fn requests(m: &MetricsSnapshot) -> u64 {
-    m.puts + m.cas_puts + m.puts_batched + m.gets + m.deletes + m.polls
-}
 
 /// One deployment's converge: shard count, wall clock, and store requests
 /// per migrated object.
@@ -136,7 +133,7 @@ fn converge_rows(
         d.fleet.refresh().unwrap();
         let before = d.store.metrics();
         let (run, wall) = time(|| d.fleet.converge_all().unwrap());
-        let served = requests(&d.store.metrics()) - requests(&before);
+        let served = d.store.metrics().requests() - before.requests();
         let report = run.groups[0].report;
         assert!(report.converged, "sweep must converge: {report:?}");
         assert_eq!(report.migrated, objects, "no object may be lost");

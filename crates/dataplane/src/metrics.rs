@@ -12,6 +12,7 @@ pub struct DataMetrics {
     write_conflicts: AtomicU64,
     migration_conflicts: AtomicU64,
     key_refreshes: AtomicU64,
+    key_derivations: AtomicU64,
     coalesced_writes: AtomicU64,
 }
 
@@ -38,6 +39,11 @@ pub struct DataMetricsSnapshot {
     pub migration_conflicts: u64,
     /// Times the session rebuilt its epoch key ring from the cloud.
     pub key_refreshes: u64,
+    /// IBBE decrypts the session ran to derive a group key. A sync that
+    /// reused a derivation shared with another session of the same
+    /// identity (see [`crate::ClientSession::share_derivations_with`])
+    /// refreshes the ring without one.
+    pub key_derivations: u64,
     /// Writes a [`crate::PipelinedSession`] merged into a queued write to
     /// the same object before submission (last-write-wins) — requests the
     /// pipeline saved versus a serial session. Always zero for serial
@@ -58,6 +64,7 @@ impl DataMetricsSnapshot {
             write_conflicts: self.write_conflicts + other.write_conflicts,
             migration_conflicts: self.migration_conflicts + other.migration_conflicts,
             key_refreshes: self.key_refreshes + other.key_refreshes,
+            key_derivations: self.key_derivations + other.key_derivations,
             coalesced_writes: self.coalesced_writes + other.coalesced_writes,
         }
     }
@@ -73,6 +80,7 @@ impl telemetry::Counters for DataMetricsSnapshot {
             ("write_conflicts", self.write_conflicts),
             ("migration_conflicts", self.migration_conflicts),
             ("key_refreshes", self.key_refreshes),
+            ("key_derivations", self.key_derivations),
             ("coalesced_writes", self.coalesced_writes),
         ]
     }
@@ -139,6 +147,11 @@ impl DataMetrics {
         self.key_refreshes.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn record_key_derivations(&self, derivations: u64) {
+        self.key_derivations
+            .fetch_add(derivations, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_coalesced_write(&self) {
         self.coalesced_writes.fetch_add(1, Ordering::Relaxed);
     }
@@ -153,6 +166,7 @@ impl DataMetrics {
             write_conflicts: self.write_conflicts.load(Ordering::Relaxed),
             migration_conflicts: self.migration_conflicts.load(Ordering::Relaxed),
             key_refreshes: self.key_refreshes.load(Ordering::Relaxed),
+            key_derivations: self.key_derivations.load(Ordering::Relaxed),
             coalesced_writes: self.coalesced_writes.load(Ordering::Relaxed),
         }
     }
@@ -172,6 +186,7 @@ mod tests {
         m.record_write_conflict();
         m.record_migration_conflicts(1);
         m.record_key_refresh();
+        m.record_key_derivations(1);
         m.record_coalesced_write();
         let s = m.snapshot();
         assert_eq!(s.writes, 1);
@@ -181,6 +196,7 @@ mod tests {
         assert_eq!(s.write_conflicts, 1);
         assert_eq!(s.migration_conflicts, 1);
         assert_eq!(s.key_refreshes, 1);
+        assert_eq!(s.key_derivations, 1);
         assert_eq!(s.coalesced_writes, 1);
     }
 }

@@ -22,7 +22,9 @@
 //!   conditional `PutMany` to write the stale ones back. Units never
 //!   contend: the folder assignment is a partition, so no two units ever
 //!   write the same object, and each unit's session holds its own key ring
-//!   and CAS-version map.
+//!   and CAS-version map. The units of one identity share their key
+//!   derivations, so a rotation costs the task one IBBE decrypt per
+//!   identity, not one per folder.
 //! * **Staleness priority.** Arming a task stamps it with a monotone
 //!   sequence number; ready units are leased oldest stamp first (the group
 //!   furthest behind its lazy-window deadline runs first), FIFO within a
@@ -39,10 +41,11 @@
 //!   cursors, no object traffic), probes changed groups for an epoch move,
 //!   and arms exactly those — idle groups cost nothing. A background
 //!   sweeper thread is `watch` then `converge_all` in a loop.
-//! * **Ring priming.** [`SweepScheduler::refresh`] derives every unit's
-//!   key ring concurrently, so a caller that wants the convergence window
-//!   to measure store I/O rather than IBBE decrypts pays the derivation up
-//!   front.
+//! * **Ring priming.** [`SweepScheduler::refresh`] syncs every unit now:
+//!   the first unit of each identity decrypts the rotation and the others
+//!   reuse its key to rebuild their rings, so a caller that wants the
+//!   convergence window to measure store I/O rather than IBBE decrypts
+//!   pays the derivation up front.
 //! * **Elastic fleet.** With [`FleetConfig::min_workers`] and
 //!   [`FleetConfig::max_workers`] set, a run starts at the floor and scales
 //!   the active worker set with the ready-queue depth: a backlog deeper
@@ -158,13 +161,17 @@ impl SweepTask {
     /// Builds a task from one privileged session per data folder (session
     /// `i` of `n` sweeps folder `i`), with `config` as the group's sweep
     /// parameters. The sessions must share a group and agree on the
-    /// data-shard count — typically they are clones-by-construction of the
-    /// same sweeper identity.
+    /// data-shard count. Every session shares its key derivations with the
+    /// first session of its identity
+    /// ([`ClientSession::share_derivations_with`]), so the task decrypts a
+    /// rotation once per identity; each unit still reads and verifies its
+    /// own snapshot before it reuses a key.
     ///
     /// # Panics
     /// Panics if `sessions` is empty, disagrees on group or shard count,
-    /// or its length differs from the sessions' data-shard count.
-    pub fn new(sessions: Vec<ClientSession>, config: SweepConfig) -> Self {
+    /// its length differs from the sessions' data-shard count, or two
+    /// sessions of one identity hold different keys.
+    pub fn new(mut sessions: Vec<ClientSession>, config: SweepConfig) -> Self {
         assert!(
             !sessions.is_empty(),
             "at least one unit session is required"
@@ -183,6 +190,13 @@ impl SweepTask {
                 shards,
                 "task sessions must agree on the data-shard count"
             );
+        }
+        for i in 1..sessions.len() {
+            let (earlier, rest) = sessions.split_at_mut(i);
+            let identity = rest[0].identity();
+            if let Some(first) = earlier.iter().find(|s| s.identity() == identity) {
+                rest[0].share_derivations_with(first);
+            }
         }
         let units = sessions
             .into_iter()
@@ -484,7 +498,9 @@ impl SweepScheduler {
     /// ring rebuild, on up to [`FleetConfig::workers`] threads), so the next
     /// [`SweepScheduler::converge_all`] starts migrating immediately. Call
     /// it after a rotation to take the key derivation out of the
-    /// convergence window.
+    /// convergence window. A task decrypts the rotation once per identity:
+    /// whichever of its units syncs first derives the key, and the rest
+    /// reuse it once their own snapshots return the same partition.
     ///
     /// # Errors
     /// The first unit's refresh failure (in registration order); a

@@ -254,11 +254,35 @@ impl ClientSession {
         let span = telemetry::span("session.refresh")
             .with("group", self.group())
             .enter();
-        let retry = self.retry;
-        let gk = retry.run(|| self.control.sync().map_err(DataError::from))?;
+        let gk = self.control_call(Client::sync)?;
         let epoch = self.rebuild_ring(gk)?;
         span.record("epoch", epoch);
         Ok(epoch)
+    }
+
+    /// Runs `op` on the control-plane client under the retry policy,
+    /// counting the IBBE decrypts it ran.
+    fn control_call<T>(
+        &mut self,
+        mut op: impl FnMut(&mut Client) -> Result<T, acs::AcsError>,
+    ) -> Result<T, DataError> {
+        let before = self.control.derivations();
+        let retry = self.retry;
+        let result = retry.run(|| op(&mut self.control).map_err(DataError::from));
+        self.metrics
+            .record_key_derivations(self.control.derivations() - before);
+        result
+    }
+
+    /// Shares `other`'s key derivations (see
+    /// [`Client::share_derivations_with`]): a rotation both sessions
+    /// observe is decrypted once between them.
+    ///
+    /// # Panics
+    /// Panics unless both sessions act as the same identity with the same
+    /// `usk` and public key, in the same group.
+    pub fn share_derivations_with(&mut self, other: &ClientSession) {
+        self.control.share_derivations_with(&other.control);
     }
 
     /// Rebuilds the ring from a freshly derived `gk` plus the epoch
@@ -361,12 +385,7 @@ impl ClientSession {
         if self.ring.is_none() {
             self.refresh()?;
         }
-        let retry = self.retry;
-        match retry.run(|| {
-            self.control
-                .wait_for_update(timeout)
-                .map_err(DataError::from)
-        })? {
+        match self.control_call(|control| control.wait_for_update(timeout))? {
             Some(gk) if self.ring_is_stale() => {
                 self.rebuild_ring(gk)?;
                 Ok(true)

@@ -3,19 +3,24 @@
 //! nothing), equivalence with dedicated one-group fleets, request-trace
 //! equality between a one-worker fleet and a hand-composed pass,
 //! per-group metrics attribution, epoch-history compaction driven from
-//! a fleet report, and a migration batch that loses races mid-chunk.
+//! a fleet report, a migration batch that loses races mid-chunk, and one
+//! IBBE decrypt per rotation and identity across a task's units.
 
+use acs::AcsError;
 use acs::FleetFixture;
 use cloud_store::{
-    BatchWrite, CloudStore, MetricsSnapshot, ObjectStore, Request, RequestOp, Response, StoreError,
-    StoreHandle,
+    BatchWrite, Bytes, CloudStore, MetricsSnapshot, ObjectStore, Request, RequestOp, Response,
+    StoreError, StoreHandle,
 };
-use dataplane::fixtures::{fleet_session, fleet_sweep_sessions, fleet_sweep_sessions_on};
+use dataplane::fixtures::{
+    fleet_session, fleet_session_on, fleet_sweep_sessions, fleet_sweep_sessions_on,
+};
 use dataplane::{
-    FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig, SweepScheduler, SweepTask,
-    Sweeper,
+    DataError, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig, SweepScheduler,
+    SweepTask, Sweeper,
 };
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
+use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
 use support::{sweep_by_hand, RecordingStore};
@@ -562,4 +567,215 @@ fn a_chunk_that_loses_two_races_migrates_the_rest_and_keeps_the_stale_floor() {
         let want = if i == 4 { retired } else { current };
         assert_eq!(epoch_of(&name), Some(want), "{name}");
     }
+}
+
+/// IBBE decrypts the units of `group`'s task have run.
+fn derivations(scheduler: &SweepScheduler, group: &str) -> u64 {
+    scheduler.metrics().group(group).unwrap().key_derivations
+}
+
+/// An 8-folder task of one identity on 2 workers decrypts each rotation
+/// once: whether `converge_all` meets it at every unit's first lease or
+/// `refresh` primes the rings up front, one unit derives the key and the
+/// other seven reuse it after reading the same partition.
+#[test]
+fn a_task_of_one_identity_derives_each_rotation_once() {
+    let f = fleet(&[16], 8, 55);
+    let mut scheduler = SweepScheduler::new(FleetConfig {
+        workers: 2,
+        lease: 2,
+        ..FleetConfig::default()
+    });
+    let id = scheduler.register(task(&f, "g0", 0x55));
+
+    revoke(&f, "g0", "g0-u0");
+    scheduler.arm(id);
+    let report = scheduler.converge_all().unwrap();
+    assert!(report.total.converged);
+    assert_eq!(report.total.migrated, 16);
+    assert_eq!(derivations(&scheduler, "g0"), 1);
+    assert_eq!(
+        scheduler.metrics().total.key_refreshes,
+        8,
+        "every unit still rebuilt its own ring"
+    );
+
+    revoke(&f, "g0", "g0-u1");
+    scheduler.refresh().unwrap();
+    assert_eq!(derivations(&scheduler, "g0"), 2);
+    scheduler.arm(id);
+    let report = scheduler.converge_all().unwrap();
+    assert!(report.total.converged);
+    assert_eq!(report.total.migrated, 16);
+    assert_eq!(
+        derivations(&scheduler, "g0"),
+        2,
+        "primed rings need no decrypt in the converge"
+    );
+}
+
+/// Sessions of two identities in one task share only within their
+/// identity: a rotation costs the task one decrypt per identity.
+#[test]
+fn a_task_of_two_identities_derives_once_per_identity() {
+    let f = fleet(&[16], 8, 66);
+    let sessions = (0..8u64)
+        .map(|i| {
+            let identity = if i % 2 == 0 { SWEEPER } else { WRITER };
+            fleet_session(&f.fixture, identity, "g0", 8, 0x66 ^ (i << 32))
+        })
+        .collect();
+    let mut scheduler = SweepScheduler::new(FleetConfig {
+        workers: 2,
+        lease: 2,
+        ..FleetConfig::default()
+    });
+    let id = scheduler.register(SweepTask::new(sessions, SweepConfig::default()));
+    revoke(&f, "g0", "g0-u0");
+    scheduler.arm(id);
+    let report = scheduler.converge_all().unwrap();
+    assert!(report.total.converged);
+    assert_eq!(report.total.migrated, 16);
+    assert_eq!(derivations(&scheduler, "g0"), 2);
+}
+
+/// What a [`PartitionView`] serves for a partition item, given its name
+/// and its stored bytes.
+type Serve = Box<dyn Fn(&str, Bytes) -> Bytes + Send + Sync>;
+
+/// A store view that rewrites every partition object its multi-GETs of
+/// `group`'s metadata folder return.
+struct PartitionView {
+    inner: StoreHandle,
+    group: String,
+    serve: Serve,
+}
+
+impl ObjectStore for PartitionView {
+    fn call(&self, request: Request) -> Result<Response, StoreError> {
+        let names = match &request.op {
+            RequestOp::GetMany(names) if request.folder == self.group => names.clone(),
+            _ => return self.inner.call(request),
+        };
+        let Response::GetMany { items, version } = self.inner.call(request)? else {
+            unreachable!("a multi-GET answers with items");
+        };
+        let items = names.iter().zip(items).map(|(name, got)| match got {
+            Some((bytes, v)) if !name.starts_with('_') => Some(((self.serve)(name, bytes), v)),
+            other => other,
+        });
+        Ok(Response::GetMany {
+            items: items.collect(),
+            version,
+        })
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        self.inner.metrics()
+    }
+}
+
+/// A unit whose view serves a partition other than the one its siblings
+/// derived from never adopts their key. With the partition tampered
+/// (a flipped tag byte) the decrypt fails; replayed from before the
+/// rotation, the stale key does not open the current history. Either way
+/// the run fails with the error a lone session on that view reports.
+#[test]
+fn a_unit_served_another_partition_never_adopts_the_shared_key() {
+    for replay in [false, true] {
+        let f = fleet(&[8], 2, 77);
+        let store = f.fixture.admin().store().clone();
+        let retired: HashMap<String, Bytes> = store
+            .list("g0")
+            .into_iter()
+            .filter(|name| !name.starts_with('_'))
+            .map(|name| {
+                let (bytes, _) = store.get("g0", &name).unwrap();
+                (name, bytes)
+            })
+            .collect();
+        revoke(&f, "g0", "g0-u0");
+        let view = || {
+            let serve: Serve = if replay {
+                let retired = retired.clone();
+                Box::new(move |name, _| retired[name].clone())
+            } else {
+                Box::new(|_, bytes| {
+                    let mut bytes = bytes.to_vec();
+                    *bytes.last_mut().unwrap() ^= 1;
+                    bytes.into()
+                })
+            };
+            StoreHandle::new(PartitionView {
+                inner: store.clone(),
+                group: "g0".into(),
+                serve,
+            })
+        };
+        let expected = fleet_session_on(&f.fixture, view(), SWEEPER, "g0", 2, 1)
+            .refresh()
+            .unwrap_err()
+            .to_string();
+
+        // the honest unit derives first: the shared cell holds the
+        // current key when the other unit reads its own view
+        let mut honest = fleet_session(&f.fixture, SWEEPER, "g0", 2, 2);
+        honest.refresh().unwrap();
+        let forged = fleet_session_on(&f.fixture, view(), SWEEPER, "g0", 2, 3);
+        let mut scheduler = SweepScheduler::new(FleetConfig {
+            workers: 2,
+            ..FleetConfig::default()
+        });
+        let id = scheduler.register(SweepTask::new(vec![honest, forged], SweepConfig::default()));
+        scheduler.arm(id);
+        let got = scheduler.converge_all().unwrap_err();
+        assert_eq!(got.to_string(), expected, "replay: {replay}");
+    }
+}
+
+/// A revoked sweeper identity is listed in no partition: each unit's sync
+/// answers `NotAMember` before any derivation is looked up, so none adopts
+/// the key its siblings derived before the revocation, and a task of that
+/// identity cannot start a sweep.
+#[test]
+fn a_revoked_sweeper_gets_not_a_member_on_every_unit() {
+    let f = fleet(&[8], 4, 88);
+    let mut units = fleet_sweep_sessions(&f.fixture, SWEEPER, "g0", 4, 0x88);
+    // linked as `SweepTask::new` links them
+    let (first, rest) = units.split_first_mut().unwrap();
+    for unit in rest.iter_mut() {
+        unit.share_derivations_with(first);
+    }
+    let retired: Vec<u64> = units.iter_mut().map(|u| u.refresh().unwrap()).collect();
+    let total = |units: &[dataplane::ClientSession]| {
+        units
+            .iter()
+            .map(|u| u.metrics().key_derivations)
+            .sum::<u64>()
+    };
+    assert_eq!(total(&units), 1);
+
+    revoke(&f, "g0", SWEEPER);
+    for (unit, retired) in units.iter_mut().zip(retired) {
+        let got = unit.refresh();
+        assert!(
+            matches!(got, Err(DataError::Acs(AcsError::NotAMember(_)))),
+            "{got:?}"
+        );
+        assert_eq!(unit.current_epoch(), Some(retired), "the stale ring stays");
+    }
+    assert_eq!(total(&units), 1, "only the pre-revocation decrypt");
+
+    let mut scheduler = SweepScheduler::new(FleetConfig {
+        workers: 2,
+        ..FleetConfig::default()
+    });
+    let id = scheduler.register(task(&f, "g0", 0x89));
+    scheduler.arm(id);
+    let got = scheduler.converge_all();
+    assert!(
+        matches!(got, Err(DataError::Acs(AcsError::NotAMember(_)))),
+        "{got:?}"
+    );
+    assert_eq!(derivations(&scheduler, "g0"), 0);
 }
