@@ -17,11 +17,9 @@
 //! log surfaces as [`AcsError::Verify`], and the client keeps its previous
 //! state instead of deriving a key from forged input.
 //!
-//! A sync reuses a derivation instead of decrypting when the partition its
-//! own verified snapshot returned equals, in every field, the partition the
-//! client's derivation cell last decrypted; clients of one identity, key
-//! and group may share that cell ([`Client::share_derivations_with`]), so
-//! a rotation they all observe is decrypted once.
+//! A sync reuses its last derivation instead of decrypting when the
+//! partition its own verified snapshot returned equals, in every field, the
+//! partition that derivation decrypted.
 
 use crate::admin::{EPOCHS_ITEM, SEALED_ITEM};
 use crate::error::AcsError;
@@ -30,12 +28,7 @@ use cloud_store::{Bytes, ObjectStore, StoreHandle};
 use ibbe::{PublicKey, UserSecretKey};
 use ibbe_sgx_core::{client_decrypt_from_partition, GroupKey, PartitionMetadata};
 use oplog::LogCommitment;
-use parking_lot::Mutex;
-use std::sync::Arc;
 use std::time::Duration;
-
-/// The last partition a decrypt ran on, with the key it yielded.
-type Derivation = Option<(PartitionMetadata, GroupKey)>;
 
 /// A group member's client state.
 pub struct Client {
@@ -51,9 +44,9 @@ pub struct Client {
     cached: Option<(String, PartitionMetadata, Option<Bytes>)>,
     /// Last successfully derived group key.
     gk: Option<GroupKey>,
-    /// The derivation cell, possibly shared with other clients of the same
-    /// identity, key and group; it only ever holds a successful decrypt.
-    derived: Arc<Mutex<Derivation>>,
+    /// The last partition a decrypt ran on, with the key it yielded; only
+    /// ever a successful decrypt.
+    derived: Option<(PartitionMetadata, GroupKey)>,
     /// IBBE decrypts this client ran itself.
     derivations: u64,
     /// Last verified op-log head (trust-on-first-use pin); `None` until a
@@ -79,31 +72,10 @@ impl Client {
             cursor: 0,
             cached: None,
             gk: None,
-            derived: Arc::default(),
+            derived: None,
             derivations: 0,
             log_head: None,
         }
-    }
-
-    /// Makes this client share `other`'s derivation cell, so that a
-    /// partition either of them has decrypted is not decrypted again by the
-    /// other. The decrypt is a function of the public key, the `usk`, the
-    /// identity, the group and the partition, and the first four must be
-    /// equal here; each client still reads and verifies its own snapshot,
-    /// and reuses a key only for a partition equal to the one it came from.
-    ///
-    /// # Panics
-    /// Panics unless both clients act as the same identity with the same
-    /// `usk` and public key, in the same group.
-    pub fn share_derivations_with(&mut self, other: &Client) {
-        assert!(
-            self.identity == other.identity
-                && self.usk == other.usk
-                && self.pk == other.pk
-                && self.group == other.group,
-            "only clients of one identity, key and group may share derivations"
-        );
-        self.derived = Arc::clone(&other.derived);
     }
 
     /// How many IBBE decrypts this client has run; a sync that reused a
@@ -163,18 +135,16 @@ impl Client {
         Ok(gk)
     }
 
-    /// The group key `p` wraps for this member: the derivation cell's if it
+    /// The group key `p` wraps for this member: the last derivation's if it
     /// was derived from a partition equal to `p`, else a fresh decrypt,
-    /// which then fills the cell. The cell stays locked across the decrypt,
-    /// so clients sharing it that sync at once still decrypt once.
+    /// which then replaces it.
     fn derive(&mut self, p: &PartitionMetadata) -> Result<GroupKey, AcsError> {
-        let mut cell = self.derived.lock();
-        if let Some((_, gk)) = cell.as_ref().filter(|(derived, _)| derived == p) {
+        if let Some((_, gk)) = self.derived.as_ref().filter(|(derived, _)| derived == p) {
             return Ok(*gk);
         }
         let gk =
             client_decrypt_from_partition(&self.pk, &self.usk, &self.identity, &self.group, p)?;
-        *cell = Some((p.clone(), gk));
+        self.derived = Some((p.clone(), gk));
         self.derivations += 1;
         Ok(gk)
     }

@@ -9,7 +9,7 @@ use cloud_store::{
 };
 use ibbe_sgx_core::{PartitionMetadata, PartitionSize};
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -444,10 +444,12 @@ fn a_remove_failed_midway_leaves_one_epoch_in_the_store() {
     assert!(failed > 0, "some write of the remove must have failed");
 }
 
-/// Serves every partition object a multi-GET returns with its last byte
-/// (inside the wrapped `gk`'s tag) flipped, passing all else through.
+/// While `on` is set, serves every partition object a multi-GET returns
+/// with its last byte (inside the wrapped `gk`'s tag) flipped, passing all
+/// else through.
 struct TamperedPartitions {
     inner: StoreHandle,
+    on: Arc<AtomicBool>,
 }
 
 impl ObjectStore for TamperedPartitions {
@@ -455,6 +457,9 @@ impl ObjectStore for TamperedPartitions {
         let RequestOp::GetMany(names) = &request.op else {
             return self.inner.call(request);
         };
+        if !self.on.load(Ordering::SeqCst) {
+            return self.inner.call(request);
+        }
         let names = names.clone();
         let Response::GetMany { items, version } = self.inner.call(request)? else {
             unreachable!("a multi-GET answers with items");
@@ -478,80 +483,57 @@ impl ObjectStore for TamperedPartitions {
     }
 }
 
-/// Clients of one identity that share their derivations decrypt each
-/// partition they both read once between them; a lone client of the same
-/// identity decrypts on its own, and a sharing client whose view serves a
-/// tampered partition fails as a lone client on that view does, without
-/// adopting the key its sibling derived.
+/// A client decrypts each partition it reads once: a re-sync that reads
+/// an equal partition reuses the last derivation, and a rotation decrypts
+/// again. A view that serves a tampered partition fails as a fresh client
+/// on that view does, without reusing the key derived from the honest
+/// partition, and leaves that derivation in place.
 #[test]
 fn shared_derivations_decrypt_once_and_only_for_an_equal_partition() {
     let mut r = rng(9);
     let store = CloudStore::new();
     let admin = bootstrap_admin(PartitionSize::new(2).unwrap(), store.clone(), &mut r).unwrap();
     admin.create_group("g", names(4)).unwrap();
-    let client = |store: StoreHandle| {
+    let client = |tamper: &Arc<AtomicBool>| {
         let usk = admin.engine().extract_user_key("user-1").unwrap();
+        let view = TamperedPartitions {
+            inner: store.clone().into(),
+            on: Arc::clone(tamper),
+        };
         Client::new(
             "user-1",
             usk,
             admin.engine().public_key().clone(),
-            store,
+            StoreHandle::new(view),
             "g",
         )
     };
-    let honest = StoreHandle::from(store.clone());
-    let (mut a, mut b, mut lone) = (
-        client(honest.clone()),
-        client(honest.clone()),
-        client(honest),
-    );
-    b.share_derivations_with(&a);
+    let tamper = Arc::new(AtomicBool::new(false));
+    let mut a = client(&tamper);
 
     let gk = a.sync().unwrap();
-    assert_eq!(b.sync().unwrap(), gk);
-    assert_eq!((a.derivations(), b.derivations()), (1, 0));
+    assert_eq!(a.sync().unwrap(), gk);
+    assert_eq!(
+        a.derivations(),
+        1,
+        "an equal partition is not decrypted again"
+    );
 
-    // a rotation is decrypted by whichever sharing client syncs first
     admin.remove_user("g", "user-3").unwrap();
-    let rotated = b.sync().unwrap();
+    let rotated = a.sync().unwrap();
     assert_ne!(rotated, gk);
-    assert_eq!(a.sync().unwrap(), rotated);
-    assert_eq!((a.derivations(), b.derivations()), (1, 1));
-    assert_eq!(lone.sync().unwrap(), rotated);
-    assert_eq!(lone.derivations(), 1, "an unshared client decrypts itself");
+    assert_eq!(a.derivations(), 2);
 
-    let tampered = || {
-        StoreHandle::new(TamperedPartitions {
-            inner: store.clone().into(),
-        })
-    };
-    let expected = client(tampered()).sync().unwrap_err().to_string();
-    let mut forged = client(tampered());
-    forged.share_derivations_with(&a);
-    let got = forged.sync().unwrap_err();
+    let expected = client(&Arc::new(AtomicBool::new(true)))
+        .sync()
+        .unwrap_err()
+        .to_string();
+    tamper.store(true, Ordering::SeqCst);
+    let got = a.sync().unwrap_err();
     assert!(matches!(got, AcsError::Core(_)), "{got}");
     assert_eq!(got.to_string(), expected);
-    assert_eq!(forged.group_key(), None);
-    // the failed decrypt left the shared derivation in place
+    // the failed decrypt left the last derivation in place
+    tamper.store(false, Ordering::SeqCst);
     assert_eq!(a.sync().unwrap(), rotated);
-    assert_eq!(a.derivations() + b.derivations(), 2);
-}
-
-#[test]
-#[should_panic(expected = "only clients of one identity, key and group may share derivations")]
-fn clients_of_two_identities_cannot_share_derivations() {
-    let mut r = rng(10);
-    let store = CloudStore::new();
-    let admin = bootstrap_admin(PartitionSize::new(2).unwrap(), store.clone(), &mut r).unwrap();
-    let client = |identity: &str| {
-        let usk = admin.engine().extract_user_key(identity).unwrap();
-        Client::new(
-            identity,
-            usk,
-            admin.engine().public_key().clone(),
-            store.clone(),
-            "g",
-        )
-    };
-    client("user-0").share_derivations_with(&client("user-1"));
+    assert_eq!(a.derivations(), 2);
 }

@@ -92,6 +92,9 @@ fn deploy(shards: usize, objects: usize, payload: usize, latency: LatencyModel) 
         lease: 64,
         ..FleetConfig::default()
     });
+    // one sweeper identity: the task keeps the first session as its one
+    // control session (one decrypt and one ring rebuild per rotation), and
+    // every session seeds its own folder's DEK and nonce stream
     fleet.register(SweepTask::new(
         (0..shards)
             .map(|w| {
@@ -128,8 +131,8 @@ fn converge_rows(
         batch.remove("user-00");
         let outcome = coordinator.revoke(GROUP, &batch, &mut d.fleet).unwrap();
         assert!(outcome.batch.gk_rotated && outcome.sweep.is_none());
-        // prime the rings outside the timed window: the comparison is about
-        // convergence I/O, not per-unit key derivation
+        // prime the ring outside the timed window: the comparison is about
+        // convergence I/O, not the sweeper identity's key derivation
         d.fleet.refresh().unwrap();
         let before = d.store.metrics();
         let (run, wall) = time(|| d.fleet.converge_all().unwrap());

@@ -13,11 +13,12 @@
 //!   history), invalidated by the cloud store's long-poll notifications;
 //!   writes are compare-and-swap PUTs, so concurrent writers are safe.
 //! * [`SweepScheduler`] — the one re-encryption sweep driver. A group
-//!   registers a [`SweepTask`] (one [`Sweeper`] unit per data folder, see
-//!   [`data_shard_folder`]); a rotation *arms* it (O(1), no store traffic);
-//!   `converge_all` leases per-folder [`SweepPass`] steps to a fixed fleet
-//!   of W workers in staleness-priority order until every armed backlog
-//!   has converged. One group with W = its shard count is a parallel
+//!   registers a [`SweepTask`] (one control session per identity and one
+//!   cursor per data folder, see [`data_shard_folder`]); a rotation *arms*
+//!   it (O(1), no store traffic); `converge_all` leases per-folder
+//!   [`SweepPass`] steps to a fixed fleet of W workers in
+//!   staleness-priority order until every armed backlog has converged (a
+//!   [`Sweeper`] composes the same steps by hand). One group with W = its shard count is a parallel
 //!   per-shard sweep (convergence time drops roughly by the shard factor
 //!   on a `ShardedStore`); G groups on W workers is fleet-scale lazy
 //!   revocation, re-armed from long-poll notifications by `watch`. The

@@ -40,9 +40,8 @@ pub struct DataMetricsSnapshot {
     /// Times the session rebuilt its epoch key ring from the cloud.
     pub key_refreshes: u64,
     /// IBBE decrypts the session ran to derive a group key. A sync that
-    /// reused a derivation shared with another session of the same
-    /// identity (see [`crate::ClientSession::share_derivations_with`])
-    /// refreshes the ring without one.
+    /// reads the partition the session's last decrypt ran on refreshes the
+    /// ring without one.
     pub key_derivations: u64,
     /// Writes a [`crate::PipelinedSession`] merged into a queued write to
     /// the same object before submission (last-write-wins) — requests the
@@ -53,7 +52,7 @@ pub struct DataMetricsSnapshot {
 
 impl DataMetricsSnapshot {
     /// Field-wise sum of two snapshots — how a [`crate::SweepScheduler`]
-    /// merges its unit sessions' counters into one view.
+    /// merges its tasks' control sessions' counters into one view.
     #[must_use]
     pub fn merge(&self, other: &Self) -> Self {
         Self {
@@ -95,7 +94,7 @@ pub struct FleetMetrics {
     /// Field-wise sum over every group's sweep sessions.
     pub total: DataMetricsSnapshot,
     /// Per-group breakdown, keyed by group label in task-registration
-    /// order. Each entry sums only that group's unit sessions, so it
+    /// order. Each entry sums only that group's control sessions, so it
     /// covers exactly the work the scheduler drove for that group.
     pub by_group: Vec<(String, DataMetricsSnapshot)>,
 }

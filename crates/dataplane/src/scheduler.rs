@@ -4,27 +4,28 @@
 //!
 //! A fixed fleet of `W` workers ([`FleetConfig::workers`]) serves every
 //! registered group's [`SweepTask`], so "W workers, G groups" is an
-//! explicit configuration instead of an emergent thread count. A single
-//! group is simply the `G = 1` case: register its task, [`arm`] it after a
-//! rotation, and [`converge_all`]; with `W` = the data-shard count that is
-//! one worker per shard, and with `W = 1` the fleet issues exactly the
-//! request sequence of a hand-composed `begin_pass` / `step` / `finish`
-//! loop. The worker body below is the only place in the workspace's
-//! sources that calls [`SweepPass::step`].
+//! explicit configuration instead of an emergent thread count: every run
+//! spawns exactly `W` threads. A single group is simply the `G = 1` case:
+//! register its task, [`arm`] it after a rotation, and [`converge_all`];
+//! with `W` = the data-shard count that is one worker per shard, and with
+//! `W = 1` the fleet issues exactly the request sequence of a hand-composed
+//! `begin_pass` / `step` / `finish` loop. The worker body below is the only
+//! place in the workspace's sources that steps a [`crate::SweepPass`].
 //!
 //! [`arm`]: SweepScheduler::arm
 //! [`converge_all`]: SweepScheduler::converge_all
 //!
-//! * **Work units.** Each task contributes one unit ([`crate::Sweeper`])
-//!   per data folder; a unit's lease runs one [`crate::SweepPass`] step —
-//!   list the folder once (first lease of a pass), then settle up to
-//!   [`FleetConfig::lease`] listed objects: one `GetMany` to read them, one
-//!   conditional `PutMany` to write the stale ones back. Units never
-//!   contend: the folder assignment is a partition, so no two units ever
-//!   write the same object, and each unit's session holds its own key ring
-//!   and CAS-version map. The units of one identity share their key
-//!   derivations, so a rotation costs the task one IBBE decrypt per
-//!   identity, not one per folder.
+//! * **Work units.** A task keeps one control session per identity and one
+//!   cursor per data folder. A unit's lease begins a pass over its folder
+//!   when it has none — the identity's control session syncs if the epoch
+//!   moved and lends the pass a ring snapshot, then the folder is listed
+//!   once — and otherwise settles up to [`FleetConfig::lease`] listed
+//!   objects: one `GetMany` to read them, one conditional `PutMany` to
+//!   write the stale ones back, without the control session's lock. Units
+//!   never contend: the folder assignment is a partition, so no two units
+//!   ever write the same object, and each cursor draws DEKs and nonces from
+//!   its own generator. A rotation costs the task one IBBE decrypt and one
+//!   ring rebuild per identity, not one per folder.
 //! * **Staleness priority.** Arming a task stamps it with a monotone
 //!   sequence number; ready units are leased oldest stamp first (the group
 //!   furthest behind its lazy-window deadline runs first), FIFO within a
@@ -41,23 +42,9 @@
 //!   cursors, no object traffic), probes changed groups for an epoch move,
 //!   and arms exactly those — idle groups cost nothing. A background
 //!   sweeper thread is `watch` then `converge_all` in a loop.
-//! * **Ring priming.** [`SweepScheduler::refresh`] syncs every unit now:
-//!   the first unit of each identity decrypts the rotation and the others
-//!   reuse its key to rebuild their rings, so a caller that wants the
-//!   convergence window to measure store I/O rather than IBBE decrypts
-//!   pays the derivation up front.
-//! * **Elastic fleet.** With [`FleetConfig::min_workers`] and
-//!   [`FleetConfig::max_workers`] set, a run starts at the floor and scales
-//!   the active worker set with the ready-queue depth: a backlog deeper
-//!   than the active set wakes a parked worker (`fleet.scale_up`), an idle
-//!   active worker parks itself again (`fleet.scale_down`), and the
-//!   high-water mark lands in [`FleetReport::peak_workers`].
-//! * **Tenant QoS.** [`SweepTask::with_weight`] buys a group a larger
-//!   share of the fleet: when any armed task is weighted, leases are
-//!   granted weighted-fair (smallest per-group virtual time first, charged
-//!   `consumed / weight` per lease) instead of strictly stalest-first.
-//!   [`SweepTask::with_lease_rate_cap`] bounds a noisy group's grant rate
-//!   outright; its deferred units never block other groups' grants.
+//! * **Ring priming.** [`SweepScheduler::refresh`] syncs every control
+//!   session now, so a caller that wants the convergence window to measure
+//!   store I/O rather than IBBE decrypts pays the derivation up front.
 //! * **Fault containment.** A lease that panics or hits a transient store
 //!   fault costs that lease, not the run: the unit is re-queued under its
 //!   original stamp ([`LeaseRecord::failure`] carries the cause,
@@ -68,14 +55,16 @@
 //! [`GroupSweepReport`] per served backlog (completion order, lease
 //! counts, deadline overshoot, and the full-namespace `min_live_epoch`
 //! that history compaction keys off) plus the grant-by-grant
-//! [`LeaseRecord`] log the fairness tests assert against.
+//! [`LeaseRecord`] log the priority tests assert against.
 
 use crate::error::{panic_note, DataError};
 use crate::metrics::{DataMetricsSnapshot, FleetMetrics};
 use crate::session::ClientSession;
-use crate::sweeper::{SweepConfig, SweepPass, SweepReport, Sweeper};
+use crate::sweeper::{SweepConfig, SweepPass, SweepReport};
 use cloud_store::{ObjectStore, StoreHandle};
 use parking_lot::{Condvar, Mutex};
+use rand::rngs::StdRng;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,16 +93,6 @@ pub struct FleetConfig {
     /// unconverged (with its failures in the lease log) instead of cycling
     /// through a store that never recovers.
     pub max_retries: usize,
-    /// Autoscaling floor: the active worker set a fleet run starts with
-    /// and never shrinks below. `0` inherits [`FleetConfig::workers`],
-    /// which (with `max_workers` also `0`) disables autoscaling entirely —
-    /// the fleet is a fixed `W` workers, exactly the pre-elastic shape.
-    pub min_workers: usize,
-    /// Autoscaling ceiling: the most workers a run may activate when the
-    /// ready queue outruns the active set. `0` inherits
-    /// [`FleetConfig::workers`]; a ceiling below the (effective) floor is
-    /// raised to it.
-    pub max_workers: usize,
 }
 
 impl Default for FleetConfig {
@@ -123,55 +102,52 @@ impl Default for FleetConfig {
             lease: 8,
             max_passes: 32,
             max_retries: 8,
-            min_workers: 0,
-            max_workers: 0,
         }
     }
 }
 
-impl FleetConfig {
-    /// Effective `(floor, ceiling)` of the active worker set: zeros
-    /// inherit `workers`, and the ceiling is never below the floor.
-    fn worker_bounds(&self) -> (usize, usize) {
-        let floor = if self.min_workers == 0 {
-            self.workers
-        } else {
-            self.min_workers
-        };
-        let ceiling = if self.max_workers == 0 {
-            self.workers
-        } else {
-            self.max_workers
-        };
-        (floor, ceiling.max(floor))
-    }
+/// One group's registration with the fleet: one control session per
+/// identity and one cursor per data folder, labelled by the group they
+/// serve.
+pub struct SweepTask {
+    /// The first session of each identity: the one that syncs and rebuilds
+    /// the key ring for every folder of that identity.
+    controls: Vec<ClientSession>,
+    cursors: Vec<Cursor>,
+    config: SweepConfig,
 }
 
-/// One group's registration with the fleet: a per-data-folder set of
-/// sweeper sessions, labelled by the group they serve.
-pub struct SweepTask {
-    units: Vec<Sweeper>,
-    /// Weighted-fair share of the fleet (default 1).
-    weight: u32,
-    /// Minimum gap between two lease grants to this task, when rate-capped.
-    lease_gap: Option<Duration>,
+/// One data folder's sweep state.
+struct Cursor {
+    folder: String,
+    /// The folder's identity, as an index into the task's control sessions.
+    control: usize,
+    /// DEK and nonce generator, taken from the folder's own session so
+    /// every folder keeps its own stream.
+    rng: StdRng,
+    /// The fleet run's pass over the folder, between leases: its
+    /// work-list, tally and epoch floor.
+    pass: Option<SweepPass>,
+    /// Passes begun this run (capped by [`FleetConfig::max_passes`]).
+    passes: usize,
+    /// Leases lost this run to panics or transient faults (capped by
+    /// [`FleetConfig::max_retries`]).
+    retries: usize,
 }
 
 impl SweepTask {
     /// Builds a task from one privileged session per data folder (session
     /// `i` of `n` sweeps folder `i`), with `config` as the group's sweep
     /// parameters. The sessions must share a group and agree on the
-    /// data-shard count. Every session shares its key derivations with the
-    /// first session of its identity
-    /// ([`ClientSession::share_derivations_with`]), so the task decrypts a
-    /// rotation once per identity; each unit still reads and verifies its
-    /// own snapshot before it reuses a key.
+    /// data-shard count. The first session of each identity becomes that
+    /// identity's control session; every session lends its folder's cursor
+    /// its DEK and nonce generator. So a rotation costs the task one
+    /// decrypt and one ring rebuild per identity.
     ///
     /// # Panics
-    /// Panics if `sessions` is empty, disagrees on group or shard count,
-    /// its length differs from the sessions' data-shard count, or two
-    /// sessions of one identity hold different keys.
-    pub fn new(mut sessions: Vec<ClientSession>, config: SweepConfig) -> Self {
+    /// Panics if `sessions` is empty, disagrees on group or shard count, or
+    /// its length differs from the sessions' data-shard count.
+    pub fn new(sessions: Vec<ClientSession>, config: SweepConfig) -> Self {
         assert!(
             !sessions.is_empty(),
             "at least one unit session is required"
@@ -191,62 +167,40 @@ impl SweepTask {
                 "task sessions must agree on the data-shard count"
             );
         }
-        for i in 1..sessions.len() {
-            let (earlier, rest) = sessions.split_at_mut(i);
-            let identity = rest[0].identity();
-            if let Some(first) = earlier.iter().find(|s| s.identity() == identity) {
-                rest[0].share_derivations_with(first);
-            }
+        let mut controls: Vec<ClientSession> = Vec::new();
+        let mut cursors = Vec::with_capacity(shards);
+        for (i, mut session) in sessions.into_iter().enumerate() {
+            let folder = session.data_folders()[i].clone();
+            // a control session only syncs: its generator is never drawn
+            // from again once its folder's cursor holds a copy
+            let rng = session.rng().clone();
+            let identity = session.identity();
+            let control = match controls.iter().position(|c| c.identity() == identity) {
+                Some(c) => c,
+                None => {
+                    controls.push(session);
+                    controls.len() - 1
+                }
+            };
+            cursors.push(Cursor {
+                folder,
+                control,
+                rng,
+                pass: None,
+                passes: 0,
+                retries: 0,
+            });
         }
-        let units = sessions
-            .into_iter()
-            .enumerate()
-            .map(|(i, session)| Sweeper::with_assignment(session, config, i, shards))
-            .collect();
         Self {
-            units,
-            weight: 1,
-            lease_gap: None,
+            controls,
+            cursors,
+            config,
         }
-    }
-
-    /// Gives this task `weight` shares of the fleet. The default weight is
-    /// 1; as long as *every* armed task keeps it, leases are granted in
-    /// strict staleness order (the classic contract). The moment any armed
-    /// task carries a different weight, the run grants weighted-fair
-    /// instead: each group accrues virtual time at `consumed / weight` per
-    /// lease and the smallest virtual time is served first, so a group
-    /// with twice the weight converges through twice the backlog in the
-    /// same contended window.
-    ///
-    /// # Panics
-    /// Panics if `weight` is zero.
-    #[must_use]
-    pub fn with_weight(mut self, weight: u32) -> Self {
-        assert!(weight >= 1, "a task weight must be positive");
-        self.weight = weight;
-        self
-    }
-
-    /// Caps this task's lease grant rate at `max_per_sec`. A capped
-    /// group's ready units are *deferred*, not blocking: workers skip past
-    /// them to other groups' units and come back when the gap since the
-    /// group's last grant has passed. This is the blunt instrument for a
-    /// tenant whose churn would otherwise monopolize the fleet even under
-    /// weighted fairness.
-    ///
-    /// # Panics
-    /// Panics if `max_per_sec` is zero.
-    #[must_use]
-    pub fn with_lease_rate_cap(mut self, max_per_sec: u32) -> Self {
-        assert!(max_per_sec >= 1, "a lease rate cap must be positive");
-        self.lease_gap = Some(Duration::from_secs(1) / max_per_sec);
-        self
     }
 
     /// The group this task sweeps.
     pub fn group(&self) -> &str {
-        self.units[0].session().group()
+        self.controls[0].group()
     }
 }
 
@@ -264,17 +218,11 @@ pub struct LeaseRecord {
     /// more behind).
     pub stamp: u64,
     /// The stamp of the unit at the head of the ready queue *after* this
-    /// grant — `None` when the queue drained. In an unweighted run the
-    /// queue orders by stamp, so priority says
-    /// `stamp <= remaining_min_stamp` on every record: no lease ever went
-    /// to a fresher group while a staler one had a unit ready. In a
-    /// weighted run virtual time orders the queue and the stamp invariant
-    /// deliberately does not hold.
+    /// grant — `None` when the queue drained. The queue orders by stamp,
+    /// so priority says `stamp <= remaining_min_stamp` on every record: no
+    /// lease ever went to a fresher group while a staler one had a unit
+    /// ready.
     pub remaining_min_stamp: Option<u64>,
-    /// Listed objects this lease's step settled from the unit's work-list
-    /// (zero for the lease of an empty folder, or for a lease that aborted
-    /// on an error).
-    pub consumed: usize,
     /// Why this lease failed, when it did: the worker panicked or hit a
     /// transient store fault, and the unit was re-queued (or retired at
     /// the [`FleetConfig::max_retries`] cap) under the same stamp.
@@ -322,12 +270,6 @@ pub struct FleetReport {
     /// Total leases lost to worker panics or transient store faults and
     /// re-queued, across every group.
     pub retries: u64,
-    /// Worker threads the run had available (the autoscaling ceiling).
-    pub workers: usize,
-    /// High-water mark of the *active* worker set: how many workers the
-    /// autoscaler actually engaged at once. Equals `workers` when
-    /// autoscaling is disabled (no floor/ceiling configured).
-    pub peak_workers: usize,
 }
 
 impl FleetReport {
@@ -339,15 +281,6 @@ impl FleetReport {
     /// The report for `group`, if it completed a backlog in this run.
     pub fn group(&self, group: &str) -> Option<&GroupSweepReport> {
         self.groups.iter().find(|g| g.group == group)
-    }
-
-    /// The worst per-group deadline overshoot of the run.
-    pub fn worst_overshoot(&self) -> Duration {
-        self.groups
-            .iter()
-            .map(|g| g.overshoot)
-            .max()
-            .unwrap_or(Duration::ZERO)
     }
 
     /// Human-readable anomalies of the run, in a stable order: one warning
@@ -376,24 +309,19 @@ impl FleetReport {
 /// A registered task plus its scheduling state.
 struct TaskEntry {
     group: String,
-    /// `None` while a unit is checked out into a fleet run.
-    units: Vec<Option<Sweeper>>,
+    /// Locked by a fleet run's workers only to begin a pass.
+    controls: Vec<Mutex<ClientSession>>,
+    /// Locked by the worker that holds the folder's lease.
+    cursors: Vec<Mutex<Cursor>>,
     /// Arm stamp of the oldest unserved rotation; `None` when idle.
     stamp: Option<u64>,
     /// When that oldest rotation was observed (deadline accounting).
     armed_at: Option<Instant>,
-    /// Metadata-folder version cursor for the cheap watch pass.
-    cursor: u64,
-    /// Weighted-fair share ([`SweepTask::with_weight`]).
-    weight: u32,
-    /// Minimum gap between lease grants ([`SweepTask::with_lease_rate_cap`]).
-    lease_gap: Option<Duration>,
+    /// Metadata-folder version last seen by the cheap watch pass.
+    seen: u64,
     /// Lazy-window target ([`SweepConfig::deadline`]).
     deadline: Duration,
 }
-
-/// Units are checked out of their task only inside `converge_all`.
-const PARKED: &str = "units are parked between fleet runs";
 
 /// The sweep scheduler; see the module docs.
 pub struct SweepScheduler {
@@ -418,11 +346,6 @@ impl SweepScheduler {
         }
     }
 
-    /// The fleet shape.
-    pub fn config(&self) -> FleetConfig {
-        self.config
-    }
-
     /// Registers a group's task and returns its id. The group's current
     /// metadata version becomes the watch baseline: rotations published
     /// *before* registration are not auto-detected — [`SweepScheduler::arm`]
@@ -431,32 +354,20 @@ impl SweepScheduler {
         let group = task.group().to_string();
         // a store fault here must not block registration: baseline 0 at
         // worst makes the first watch pass probe the group spuriously
-        let cursor = task.units[0]
-            .session()
+        let seen = task.controls[0]
             .store()
             .try_folder_version(&group)
             .unwrap_or(0);
         self.tasks.push(TaskEntry {
             group,
-            deadline: task.units[0].config().deadline,
-            units: task.units.into_iter().map(Some).collect(),
+            controls: task.controls.into_iter().map(Mutex::new).collect(),
+            cursors: task.cursors.into_iter().map(Mutex::new).collect(),
             stamp: None,
             armed_at: None,
-            cursor,
-            weight: task.weight,
-            lease_gap: task.lease_gap,
+            seen,
+            deadline: task.config.deadline,
         });
         self.tasks.len() - 1
-    }
-
-    /// Number of registered tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Registered group names, in registration (task-id) order.
-    pub fn groups(&self) -> Vec<&str> {
-        self.tasks.iter().map(|t| t.group.as_str()).collect()
     }
 
     /// The task registered for `group`, if any.
@@ -494,34 +405,18 @@ impl SweepScheduler {
         }
     }
 
-    /// Primes every registered unit's key ring now (control-plane sync and
-    /// ring rebuild, on up to [`FleetConfig::workers`] threads), so the next
+    /// Primes every registered task's key rings now (one control-plane
+    /// sync and ring rebuild per identity), so the next
     /// [`SweepScheduler::converge_all`] starts migrating immediately. Call
     /// it after a rotation to take the key derivation out of the
-    /// convergence window. A task decrypts the rotation once per identity:
-    /// whichever of its units syncs first derives the key, and the rest
-    /// reuse it once their own snapshots return the same partition.
+    /// convergence window. The identities sync one after another: each
+    /// decrypt already fans out over the host's cores.
     ///
     /// # Errors
-    /// The first unit's refresh failure (in registration order); a
-    /// panicking refresh surfaces as [`DataError::WorkerPanic`].
+    /// The first control session's refresh failure, in registration order.
     pub fn refresh(&mut self) -> Result<(), DataError> {
-        let mut units: Vec<&mut Sweeper> = self
-            .tasks
-            .iter_mut()
-            .flat_map(|t| t.units.iter_mut().map(|u| u.as_mut().expect(PARKED)))
-            .collect();
-        let share = units.len().div_ceil(self.config.workers).max(1);
-        let results: Vec<std::thread::Result<Result<(), DataError>>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = units
-                    .chunks_mut(share)
-                    .map(|mine| scope.spawn(move || mine.iter_mut().try_for_each(|u| u.refresh())))
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-        for result in results {
-            result.map_err(|payload| DataError::WorkerPanic(panic_note(&*payload)))??;
+        for control in self.tasks.iter_mut().flat_map(|t| &mut t.controls) {
+            control.get_mut().refresh()?;
         }
         Ok(())
     }
@@ -560,22 +455,22 @@ impl SweepScheduler {
         for task in 0..self.tasks.len() {
             let entry = &mut self.tasks[task];
             let was_idle = entry.stamp.is_none();
-            let watcher = entry.units[0].as_mut().expect(PARKED);
+            let watcher = entry.controls[0].get_mut();
             // a faulted version probe skips the group for this pass only:
-            // the cursor is untouched, so the change stays detectable
-            let Ok(version) = watcher.session().store().try_folder_version(&entry.group) else {
+            // the seen version is untouched, so the change stays detectable
+            let Ok(version) = watcher.store().try_folder_version(&entry.group) else {
                 continue;
             };
-            if version == entry.cursor {
+            if version == entry.seen {
                 continue;
             }
             // the probe also re-arms the watcher's key ring for free; a
             // rotation observed by an already-armed task merges into the
-            // existing backlog under its (older) stamp. The cursor commits
-            // only after the probe succeeds — a transient probe failure
-            // must leave the change detectable by the retry.
-            let epoch_moved = watcher.poll(Duration::ZERO)?;
-            self.tasks[task].cursor = version;
+            // existing backlog under its (older) stamp. The seen version
+            // commits only after the probe succeeds — a transient probe
+            // failure must leave the change detectable by the retry.
+            let epoch_moved = watcher.watch(Duration::ZERO)?;
+            self.tasks[task].seen = version;
             if epoch_moved && was_idle {
                 self.arm(task);
                 armed += 1;
@@ -585,7 +480,7 @@ impl SweepScheduler {
     }
 
     /// Blocks until any registered group's metadata folder moves past its
-    /// cursor or `deadline` passes, using at most `workers` threads. Every
+    /// seen version or `deadline` passes, using at most `workers` threads. Every
     /// thread polls its share of the folders in short slices — a change on
     /// a thread's own folder wakes it instantly, a change elsewhere is
     /// noticed at the next slice boundary (the scoped join waits for every
@@ -597,8 +492,11 @@ impl SweepScheduler {
             .tasks
             .iter()
             .map(|t| {
-                let unit = t.units[0].as_ref().expect(PARKED);
-                (unit.session().store().clone(), t.group.as_str(), t.cursor)
+                (
+                    t.controls[0].lock().store().clone(),
+                    t.group.as_str(),
+                    t.seen,
+                )
             })
             .collect();
         let threads = self.config.workers.min(watches.len()).max(1);
@@ -631,17 +529,17 @@ impl SweepScheduler {
     }
 
     /// Fleet-wide counters plus the per-group breakdown (each group's
-    /// entry sums its own unit sessions, so the attribution covers exactly
-    /// the work this scheduler drove).
+    /// entry sums its own control sessions, so the attribution covers
+    /// exactly the work this scheduler drove).
     pub fn metrics(&self) -> FleetMetrics {
         let by_group: Vec<(String, DataMetricsSnapshot)> = self
             .tasks
             .iter()
             .map(|t| {
                 let merged = t
-                    .units
+                    .controls
                     .iter()
-                    .map(|u| u.as_ref().expect(PARKED).metrics())
+                    .map(|c| c.lock().metrics())
                     .fold(DataMetricsSnapshot::default(), |acc, m| acc.merge(&m));
                 (t.group.clone(), merged)
             })
@@ -661,45 +559,27 @@ impl SweepScheduler {
     ///
     /// # Errors
     /// The first *fatal* worker error aborts the run (remaining leases
-    /// are dropped, sweepers are returned to their tasks, armings are
-    /// kept so the run can be retried). Transient store faults and worker
+    /// are dropped, armings are kept so the run can be retried, and the
+    /// retry starts every folder from a fresh pass). Transient store faults and worker
     /// panics are not fatal: the lost lease's unit is re-queued under the
     /// same stamp — see [`FleetConfig::max_retries`] and
     /// [`LeaseRecord::failure`].
     pub fn converge_all(&mut self) -> Result<FleetReport, DataError> {
         let t0 = Instant::now();
-        let lease = self.config.lease;
-        let max_passes = self.config.max_passes.max(1);
-        let max_retries = self.config.max_retries;
-        let (floor, ceiling) = self.config.worker_bounds();
 
-        // check armed tasks' units out into the dispatch state
-        let mut parked: Vec<Option<ActiveUnit>> = Vec::new();
+        // queue every armed task's folders, each from a fresh pass
         let mut runs: Vec<TaskRun> = Vec::new();
-        let mut ready: BinaryHeap<Ready> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut ready: BinaryHeap<Reverse<Ready>> = BinaryHeap::new();
         for (task, entry) in self.tasks.iter_mut().enumerate() {
             let Some(stamp) = entry.stamp else { continue };
-            let run = runs.len();
-            for (folder, slot) in entry.units.iter_mut().enumerate() {
-                let sweeper = slot.take().expect("unit already checked out");
-                // every run's virtual time starts at zero, so the initial
-                // key is 0 in both ordering modes
-                ready.push(Ready {
-                    key: 0,
+            for (index, cursor) in entry.cursors.iter_mut().enumerate() {
+                let cursor = cursor.get_mut();
+                (cursor.pass, cursor.passes, cursor.retries) = (None, 0, 0);
+                ready.push(Reverse(Ready {
                     stamp,
-                    seq,
-                    slot: parked.len(),
-                });
-                seq += 1;
-                parked.push(Some(ActiveUnit {
-                    task,
-                    run,
-                    folder,
-                    sweeper,
-                    pass: None,
-                    passes: 0,
-                    retries: 0,
+                    seq: ready.len() as u64,
+                    run: runs.len(),
+                    index,
                 }));
             }
             runs.push(TaskRun {
@@ -708,23 +588,18 @@ impl SweepScheduler {
                 stamp,
                 armed_at: entry.armed_at.expect("armed tasks carry a timestamp"),
                 deadline: entry.deadline,
-                outstanding: entry.units.len(),
+                outstanding: entry.cursors.len(),
                 all_converged: true,
                 report: SweepReport::default(),
                 leases: 0,
                 retries: 0,
                 completed_at: None,
-                weight: entry.weight.max(1),
-                vtime: 0,
-                lease_gap: entry.lease_gap,
-                next_allowed: None,
             });
         }
         if runs.is_empty() {
             // an idle fleet is a quiescent one: same semantics as the
             // non-empty path, whose AND over zero groups is true
             return Ok(FleetReport {
-                workers: ceiling,
                 total: SweepReport {
                     converged: true,
                     ..SweepReport::default()
@@ -733,46 +608,24 @@ impl SweepScheduler {
             });
         }
 
-        // strict staleness order is the contract as long as every armed
-        // task keeps the default weight; any weighted task flips the whole
-        // run to weighted-fair ordering
-        let weighted = runs.iter().any(|r| r.weight != 1);
         let state = Mutex::new(Dispatch {
+            seq: ready.len() as u64,
             ready,
-            parked,
             runs,
-            seq,
             in_flight: 0,
             completions: Vec::new(),
             log: Vec::new(),
             error: None,
-            weighted,
-            target_workers: floor,
-            peak_workers: floor,
         });
         let ready_for_work = Condvar::new();
-
+        let (tasks, config) = (&self.tasks, self.config);
         std::thread::scope(|scope| {
-            for id in 0..ceiling {
-                let state = &state;
-                let cvar = &ready_for_work;
-                let params = WorkerParams {
-                    id,
-                    floor,
-                    ceiling,
-                    lease,
-                    max_passes,
-                    max_retries,
-                };
-                scope.spawn(move || worker_loop(state, cvar, params));
+            for _ in 0..config.workers {
+                scope.spawn(|| worker_loop(tasks, &state, &ready_for_work, config));
             }
         });
 
         let dispatch = state.into_inner();
-        // return every sweeper to its task slot
-        for unit in dispatch.parked.into_iter().flatten() {
-            self.tasks[unit.task].units[unit.folder] = Some(unit.sweeper);
-        }
         if let Some(e) = dispatch.error {
             return Err(e);
         }
@@ -783,8 +636,6 @@ impl SweepScheduler {
                 ..SweepReport::default()
             },
             leases: dispatch.log,
-            workers: ceiling,
-            peak_workers: dispatch.peak_workers,
             ..FleetReport::default()
         };
         for run_idx in dispatch.completions {
@@ -793,7 +644,8 @@ impl SweepScheduler {
             let mut group_report = run.report;
             group_report.converged = run.all_converged;
             group_report.elapsed = completed_at.duration_since(t0);
-            report.total.absorb(&group_report);
+            report.total.absorb_counters(&group_report);
+            report.total.converged &= group_report.converged;
             report.retries += run.retries;
             report.groups.push(GroupSweepReport {
                 group: run.group.clone(),
@@ -833,19 +685,6 @@ impl core::fmt::Debug for SweepScheduler {
     }
 }
 
-/// A unit checked out into a fleet run.
-struct ActiveUnit {
-    task: TaskId,
-    run: usize,
-    folder: usize,
-    sweeper: Sweeper,
-    pass: Option<SweepPass>,
-    passes: usize,
-    /// Leases this unit lost to panics or transient faults (capped by
-    /// [`FleetConfig::max_retries`]).
-    retries: usize,
-}
-
 /// Per-armed-task bookkeeping during a fleet run.
 struct TaskRun {
     task: TaskId,
@@ -861,53 +700,23 @@ struct TaskRun {
     leases: u64,
     retries: u64,
     completed_at: Option<Instant>,
-    /// Weighted-fair share of the fleet.
-    weight: u32,
-    /// Virtual time consumed: `sum(max(consumed, 1)) * VTIME_SCALE / weight`
-    /// over this run's completed leases. Orders the ready queue when the
-    /// run is weighted.
-    vtime: u64,
-    /// Minimum gap between two lease grants, when rate-capped.
-    lease_gap: Option<Duration>,
-    /// Earliest instant the next lease may be granted (rate cap).
-    next_allowed: Option<Instant>,
 }
 
-/// Fixed-point scale of one work unit of virtual time, so integer
-/// division by the weight keeps sub-unit resolution.
-const VTIME_SCALE: u64 = 65_536;
-
-/// A ready unit in the priority queue. `key` is the primary order: always
-/// 0 in an unweighted run — where the old `(stamp, seq)` staleness order
-/// decides, bit-identically to the pre-QoS scheduler — and the owning
-/// group's virtual time at push time in a weighted run, so the group
-/// furthest below its fair share is served first.
-#[derive(PartialEq, Eq)]
+/// A ready folder in the priority queue, which pops the smallest
+/// `(stamp, seq)` first: stalest stamp first, FIFO within a stamp (`seq` is
+/// unique, so the fields after it never decide).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Ready {
-    key: u64,
     stamp: u64,
     seq: u64,
-    slot: usize,
-}
-
-impl Ord for Ready {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        // BinaryHeap is a max-heap: invert so the smallest
-        // (key, stamp, seq) is popped first
-        (other.key, other.stamp, other.seq).cmp(&(self.key, self.stamp, self.seq))
-    }
-}
-
-impl PartialOrd for Ready {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+    /// The folder's task run, and its cursor's index in the task.
+    run: usize,
+    index: usize,
 }
 
 /// The shared dispatch state of one fleet run.
 struct Dispatch {
-    ready: BinaryHeap<Ready>,
-    parked: Vec<Option<ActiveUnit>>,
+    ready: BinaryHeap<Reverse<Ready>>,
     runs: Vec<TaskRun>,
     seq: u64,
     in_flight: usize,
@@ -915,216 +724,85 @@ struct Dispatch {
     completions: Vec<usize>,
     log: Vec<LeaseRecord>,
     error: Option<DataError>,
-    /// Whether any armed run carries a non-default weight (flips the
-    /// ready-queue order from staleness to virtual time).
-    weighted: bool,
-    /// Workers currently allowed to lease: ids below this are active, ids
-    /// at or above it park on the condvar until a scale-up.
-    target_workers: usize,
-    /// High-water mark of `target_workers` over the run.
-    peak_workers: usize,
 }
 
 impl Dispatch {
-    /// Parks `unit` back in its slot and re-queues it under the stamp it
-    /// was granted at — the backlog's age is a property of the rotation,
-    /// not of how many leases it took or lost. The key follows the current
-    /// ordering mode (the group's virtual time in a weighted run).
-    fn requeue(&mut self, granted: &Ready, unit: ActiveUnit) {
-        let key = if self.weighted {
-            self.runs[unit.run].vtime
-        } else {
-            0
-        };
-        self.parked[granted.slot] = Some(unit);
-        self.ready.push(Ready {
-            key,
-            stamp: granted.stamp,
+    /// Re-queues a granted folder under the stamp it was granted at — the
+    /// backlog's age is a property of the rotation, not of how many leases
+    /// it took or lost.
+    fn requeue(&mut self, granted: &Ready) {
+        self.ready.push(Reverse(Ready {
             seq: self.seq,
-            slot: granted.slot,
-        });
+            ..*granted
+        }));
         self.seq += 1;
     }
 
-    /// Retires `unit` from the run (its folder converged, or it hit a
-    /// safety cap and did not); the last unit out completes its group.
-    fn retire(&mut self, granted: &Ready, unit: ActiveUnit, converged: bool) {
-        let run = &mut self.runs[unit.run];
+    /// Retires a granted folder from the run (it converged, or it hit a
+    /// safety cap and did not); the last folder out completes its group.
+    fn retire(&mut self, granted: &Ready, converged: bool) {
+        let run = &mut self.runs[granted.run];
         telemetry::event("fleet.retire")
             .with("group", run.group.as_str())
             .with("stamp", granted.stamp)
-            .with("folder", unit.folder)
+            .with("folder", granted.index)
             .with("converged", converged)
             .emit();
         run.all_converged &= converged;
         run.outstanding -= 1;
         if run.outstanding == 0 {
             run.completed_at = Some(Instant::now());
-            self.completions.push(unit.run);
-        }
-        self.parked[granted.slot] = Some(unit);
-    }
-}
-
-/// Per-worker parameters of one fleet run.
-#[derive(Clone, Copy)]
-struct WorkerParams {
-    /// This worker's dense id; ids at or above the dispatch target park.
-    id: usize,
-    /// Autoscaling floor (the target never drops below it).
-    floor: usize,
-    /// Autoscaling ceiling (the target never rises above it).
-    ceiling: usize,
-    lease: usize,
-    max_passes: usize,
-    max_retries: usize,
-}
-
-/// What the ready queue had for a worker asking for a lease.
-enum Grant {
-    /// A grantable unit (already popped).
-    Unit(Ready),
-    /// Nothing queued at all.
-    Empty,
-    /// Everything queued belongs to rate-capped groups still inside their
-    /// lease gap; retry at this instant.
-    Deferred(Instant),
-}
-
-/// Pops the best *grantable* ready unit: rate-capped groups still inside
-/// their lease gap are skipped (popped into a stash and pushed back), so
-/// a capped tenant defers only itself, never the grants behind it.
-fn next_grant(guard: &mut Dispatch, now: Instant) -> Grant {
-    let mut stash = Vec::new();
-    let mut granted = None;
-    let mut earliest: Option<Instant> = None;
-    while let Some(r) = guard.ready.pop() {
-        let run = guard.parked[r.slot]
-            .as_ref()
-            .expect("a ready unit is parked")
-            .run;
-        match guard.runs[run].next_allowed {
-            Some(at) if at > now => {
-                earliest = Some(earliest.map_or(at, |e| e.min(at)));
-                stash.push(r);
-            }
-            _ => {
-                granted = Some(r);
-                break;
-            }
+            self.completions.push(granted.run);
         }
     }
-    guard.ready.extend(stash);
-    match (granted, earliest) {
-        (Some(r), _) => Grant::Unit(r),
-        (None, Some(at)) => Grant::Deferred(at),
-        (None, None) => Grant::Empty,
-    }
 }
 
-/// One fleet worker: lease the best ready unit (stalest stamp, or lowest
-/// virtual time in a weighted run), run one pass step outside the lock,
-/// fold the outcome back in, repeat until the run quiesces (or errors).
+/// One fleet worker: lease the stalest ready unit, run one lease outside
+/// the dispatch lock, fold the outcome back in, repeat until the run
+/// quiesces (or errors).
 ///
-/// Workers whose id is at or above the dispatch target park on the
-/// condvar; the target follows the ready-queue depth between the
-/// configured floor and ceiling (`fleet.scale_up` / `fleet.scale_down`).
-///
-/// A step that panics or fails transiently does not abort the run: the
+/// A lease that panics or fails transiently does not abort the run: the
 /// unit's partial counters are salvaged, its in-progress pass is dropped
 /// (the next lease re-scans, rediscovering any half-migrated leftovers),
 /// and it is re-queued under the same staleness stamp — up to
 /// `max_retries` lost leases, after which it retires unconverged.
-fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
-    let WorkerParams {
-        id,
-        floor,
-        ceiling,
-        lease,
-        max_passes,
-        max_retries,
-    } = p;
+fn worker_loop(tasks: &[TaskEntry], state: &Mutex<Dispatch>, cvar: &Condvar, config: FleetConfig) {
+    let max_passes = config.max_passes.max(1);
     let mut guard = state.lock();
     loop {
         let granted = loop {
-            // run over (or aborted): everyone exits, parked or not
+            // run over (or aborted): everyone exits
             if guard.error.is_some() || (guard.ready.is_empty() && guard.in_flight == 0) {
                 cvar.notify_all();
                 return;
             }
-            // parked beyond the current target: sleep until a scale-up
-            // (or the run's end) wakes us
-            if id >= guard.target_workers {
-                cvar.wait(&mut guard);
-                continue;
-            }
-            if guard.ready.is_empty() {
-                // idle active worker; the topmost one hands its slot back
-                // (never below the floor), the rest wait for re-queues
-                if id >= floor && id + 1 == guard.target_workers {
-                    guard.target_workers -= 1;
-                    let _rid = telemetry::request_scope();
-                    telemetry::event("fleet.scale_down")
-                        .with("target", guard.target_workers)
-                        .with("in_flight", guard.in_flight)
-                        .emit();
-                    continue;
-                }
-                cvar.wait(&mut guard);
-                continue;
-            }
-            // backlog outruns the active set: raise the target and wake a
-            // parked worker before taking our own lease
-            if guard.ready.len() > guard.target_workers && guard.target_workers < ceiling {
-                guard.target_workers += 1;
-                guard.peak_workers = guard.peak_workers.max(guard.target_workers);
-                let _rid = telemetry::request_scope();
-                telemetry::event("fleet.scale_up")
-                    .with("target", guard.target_workers)
-                    .with("ready", guard.ready.len())
-                    .emit();
-                cvar.notify_all();
-            }
-            match next_grant(&mut guard, Instant::now()) {
-                Grant::Unit(r) => break r,
-                Grant::Empty => cvar.wait(&mut guard),
-                Grant::Deferred(at) => {
-                    // every queued unit is rate-deferred: sleep out the
-                    // shortest gap (a re-queue elsewhere still wakes us)
-                    let timeout = at.saturating_duration_since(Instant::now());
-                    cvar.wait_for(&mut guard, timeout);
-                }
+            match guard.ready.pop() {
+                Some(Reverse(r)) => break r,
+                None => cvar.wait(&mut guard),
             }
         };
-        // stamp the group's rate gap at grant time, so the cap bounds the
-        // grant rate no matter how fast leases complete
-        let granted_run = guard.parked[granted.slot]
-            .as_ref()
-            .expect("a ready unit is parked")
-            .run;
-        if let Some(gap) = guard.runs[granted_run].lease_gap {
-            guard.runs[granted_run].next_allowed = Some(Instant::now() + gap);
-        }
-        let remaining_min_stamp = guard.ready.peek().map(|r| r.stamp);
-        let mut unit = guard.parked[granted.slot]
-            .take()
-            .expect("a ready unit is parked");
+        let remaining_min_stamp = guard.ready.peek().map(|Reverse(r)| r.stamp);
         guard.in_flight += 1;
         // the grant is logged at grant time, so the log really is in grant
-        // order even with concurrent workers; `consumed` is backfilled
+        // order even with concurrent workers; `failure` is backfilled
         // after the step
         let log_idx = guard.log.len();
         let record = LeaseRecord {
-            group: guard.runs[unit.run].group.clone(),
+            group: guard.runs[granted.run].group.clone(),
             stamp: granted.stamp,
             remaining_min_stamp,
-            consumed: 0,
             failure: None,
         };
         let group_name = record.group.clone();
         guard.log.push(record);
-        guard.runs[unit.run].leases += 1;
+        let entry = &tasks[guard.runs[granted.run].task];
+        guard.runs[granted.run].leases += 1;
         drop(guard);
+        // one worker holds a folder's lease at a time (the next lease of a
+        // re-queued folder waits here for the last one to fold back); a
+        // cursor lock is only ever taken without the dispatch lock held
+        let mut cursor = entry.cursors[granted.index].lock();
+        let cursor = &mut *cursor;
 
         // the lease itself: list on the first step of a pass, then one
         // bounded migration increment — all outside the lock, and inside
@@ -1135,19 +813,22 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
         let lease_span = telemetry::span("fleet.lease")
             .with("group", group_name.as_str())
             .with("stamp", granted.stamp)
-            .with("folder", unit.folder)
+            .with("folder", granted.index)
             .enter();
         let outcome: Result<usize, DataError> =
             match catch_unwind(AssertUnwindSafe(|| -> Result<usize, DataError> {
-                if unit.pass.is_none() {
-                    unit.pass = Some(unit.sweeper.begin_pass()?);
-                    unit.passes += 1;
+                if cursor.pass.is_none() {
+                    let control = &entry.controls[cursor.control];
+                    let mut pass = SweepPass::open(&mut control.lock())?;
+                    pass.list(&cursor.folder)?;
+                    cursor.pass = Some(pass);
+                    cursor.passes += 1;
                 }
-                let pass = unit.pass.as_mut().expect("pass just ensured");
+                let pass = cursor.pass.as_mut().expect("pass just ensured");
                 if pass.is_drained() {
                     return Ok(0);
                 }
-                pass.step(&mut unit.sweeper, lease)
+                pass.advance(&mut cursor.rng, config.lease)
             })) {
                 Ok(result) => result,
                 Err(payload) => Err(DataError::WorkerPanic(panic_note(&*payload))),
@@ -1160,17 +841,6 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
 
         guard = state.lock();
         guard.in_flight -= 1;
-        // charge the lease to the group's virtual time: a scan-only or
-        // failed lease still consumed a worker slot, so it costs at least
-        // one unit — scaled down by the group's weight
-        {
-            let run = &mut guard.runs[unit.run];
-            let consumed_units = match &outcome {
-                Ok(consumed) => *consumed as u64,
-                Err(_) => 0,
-            };
-            run.vtime += consumed_units.max(1) * VTIME_SCALE / u64::from(run.weight);
-        }
         match outcome {
             Err(e) if e.is_transient() => {
                 // the lease is lost, the unit is not: salvage whatever the
@@ -1178,52 +848,52 @@ fn worker_loop(state: &Mutex<Dispatch>, cvar: &Condvar, p: WorkerParams) {
                 // each batch as the store answers it), then
                 // force a re-scan so anything dropped mid-migration is
                 // rediscovered — it is still stale, so the scan finds it
-                let run = unit.run;
-                if let Some(partial) = unit.pass.take() {
+                let run = granted.run;
+                if let Some(partial) = cursor.pass.take() {
                     guard.runs[run].report.absorb_counters(&partial.finish());
                 }
                 guard.log[log_idx].failure = Some(e.to_string());
                 guard.runs[run].retries += 1;
-                unit.retries += 1;
-                if unit.retries > max_retries {
+                cursor.retries += 1;
+                if cursor.retries > config.max_retries {
                     // a store that never recovers must not wedge the run:
-                    // retire the unit unconverged, like a pass-capped one
-                    guard.retire(&granted, unit, false);
+                    // retire the folder unconverged, like a pass-capped one
+                    guard.retire(&granted, false);
                 } else {
                     telemetry::event("fleet.requeue")
                         .with("group", group_name.as_str())
                         .with("stamp", granted.stamp)
-                        .with("folder", unit.folder)
-                        .with("retries", unit.retries)
+                        .with("folder", granted.index)
+                        .with("retries", cursor.retries)
                         .emit();
-                    guard.requeue(&granted, unit);
+                    guard.requeue(&granted);
                 }
             }
             Err(e) => {
-                unit.pass = None;
                 guard.log[log_idx].failure = Some(e.to_string());
-                guard.parked[granted.slot] = Some(unit);
                 if guard.error.is_none() {
                     guard.error = Some(e);
                 }
             }
-            Ok(consumed) => {
-                guard.log[log_idx].consumed = consumed;
-                let pass = unit.pass.take().expect("pass survives a successful lease");
+            Ok(_) => {
+                let pass = cursor
+                    .pass
+                    .take()
+                    .expect("pass survives a successful lease");
                 if pass.is_drained() {
                     let pass_report = pass.finish();
-                    guard.runs[unit.run].report.absorb_counters(&pass_report);
-                    if pass_report.converged || unit.passes >= max_passes {
-                        guard.retire(&granted, unit, pass_report.converged);
+                    guard.runs[granted.run].report.absorb_counters(&pass_report);
+                    if pass_report.converged || cursor.passes >= max_passes {
+                        guard.retire(&granted, pass_report.converged);
                     } else {
                         // conflicted-still-stale leftovers: re-scan on the
                         // next lease (the backlog is not served until the
                         // folder really converges)
-                        guard.requeue(&granted, unit);
+                        guard.requeue(&granted);
                     }
                 } else {
-                    unit.pass = Some(pass);
-                    guard.requeue(&granted, unit);
+                    cursor.pass = Some(pass);
+                    guard.requeue(&granted);
                 }
             }
         }

@@ -5,7 +5,7 @@ use crate::envelope::SealedObject;
 use crate::error::DataError;
 use crate::metrics::{DataMetrics, DataMetricsSnapshot};
 use acs::Client;
-use cloud_store::{stable_hash64, BatchWrite, Bytes, ObjectStore, StoreError, StoreHandle};
+use cloud_store::{stable_hash64, ObjectStore, StoreHandle};
 use ibbe::{PublicKey, UserSecretKey};
 use ibbe_sgx_core::{KeyHistory, KeyRing};
 use rand::rngs::StdRng;
@@ -39,6 +39,12 @@ pub fn data_shard_folder(group: &str, shard: usize, of: usize) -> String {
     } else {
         format!("{group}/data-{shard:02}")
     }
+}
+
+/// The folder of `folders` (a group's data folders, in shard order) that
+/// holds `object`: stable name-hash routing.
+pub(crate) fn folder_of<'a>(folders: &'a [String], object: &str) -> &'a str {
+    &folders[(stable_hash64(object) % folders.len() as u64) as usize]
 }
 
 /// Bounded retry-with-backoff for transient store faults (outages,
@@ -274,17 +280,6 @@ impl ClientSession {
         result
     }
 
-    /// Shares `other`'s key derivations (see
-    /// [`Client::share_derivations_with`]): a rotation both sessions
-    /// observe is decrypted once between them.
-    ///
-    /// # Panics
-    /// Panics unless both sessions act as the same identity with the same
-    /// `usk` and public key, in the same group.
-    pub fn share_derivations_with(&mut self, other: &ClientSession) {
-        self.control.share_derivations_with(&other.control);
-    }
-
     /// Rebuilds the ring from a freshly derived `gk` plus the epoch
     /// history the sync read in the same snapshot as its partition. A
     /// history that disagrees with `gk` can then only be tampering, and
@@ -459,27 +454,10 @@ impl ClientSession {
     /// Transport failures from the listing (nothing is pruned then).
     pub fn gc_versions(&mut self) -> Result<usize, DataError> {
         let live: HashSet<String> = self.list_objects()?.into_iter().collect();
-        Ok(self.prune_versions(&live, |_| true))
-    }
-
-    /// GC restricted to objects for which `in_scope` holds, against a
-    /// caller-supplied live set (the sweeper's scan already holds one, so
-    /// it prunes for free, without re-listing).
-    pub(crate) fn prune_versions(
-        &mut self,
-        live: &HashSet<String>,
-        in_scope: impl Fn(&str) -> bool,
-    ) -> usize {
         let before = self.versions.len();
-        self.versions
-            .retain(|name, _| live.contains(name) || !in_scope(name));
-        let Self {
-            versions,
-            stale_routes,
-            ..
-        } = self;
-        stale_routes.retain(|name| versions.contains_key(name));
-        before - versions.len()
+        self.versions.retain(|name, _| live.contains(name));
+        self.stale_routes.retain(|name| live.contains(name));
+        Ok(before - self.versions.len())
     }
 
     /// Number of objects the session currently tracks a CAS version for.
@@ -575,53 +553,6 @@ impl ClientSession {
         Ok(plaintext)
     }
 
-    /// Re-encrypts one stale object's stored bytes to the current epoch —
-    /// the sweeper's per-object work, under one `session.migrate` span.
-    /// The write-back is the caller's batch
-    /// ([`ClientSession::write_migrated`]).
-    pub(crate) fn reencrypt(&mut self, object: &str, stored: &[u8]) -> Result<Bytes, DataError> {
-        let _rid = telemetry::request_scope();
-        let span = telemetry::span("session.migrate")
-            .with("object", object)
-            .enter();
-        let sealed = SealedObject::from_bytes(stored)?;
-        span.record("from_epoch", sealed.epoch);
-        let ring = self.ring.as_ref().ok_or(DataError::NoKeys)?;
-        let fresh = sealed.reencrypt(ring, object, &mut self.rng)?;
-        Ok(fresh.to_bytes().into())
-    }
-
-    /// Writes re-encrypted objects of one data folder back as one
-    /// conditional multi-write, each item conditioned on the version the
-    /// sweep read it at. Returns the items that lost their race to a concurrent
-    /// writer, with their current versions — empty when the batch landed;
-    /// a batch with losers wrote nothing.
-    ///
-    /// # Errors
-    /// Transport failures that outlast the session's [`RetryPolicy`].
-    pub(crate) fn write_migrated(
-        &mut self,
-        folder: &str,
-        items: Vec<BatchWrite>,
-    ) -> Result<Vec<(String, u64)>, DataError> {
-        let retry = self.retry;
-        let store = self.control.store();
-        match retry.run(|| Ok(store.try_write_many(folder, items.clone())?)) {
-            Ok(version) => {
-                self.metrics.record_migrations(items.len());
-                for item in items {
-                    self.versions.insert(item.item, version);
-                }
-                Ok(Vec::new())
-            }
-            Err(DataError::Store(StoreError::BatchConflict(lost))) => {
-                self.metrics.record_migration_conflicts(lost.len());
-                Ok(lost)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     pub(crate) fn store(&self) -> &StoreHandle {
         self.control.store()
     }
@@ -663,14 +594,23 @@ impl ClientSession {
 
     /// The shared counters, for recording completions processed outside
     /// this type.
-    pub(crate) fn metrics_ref(&self) -> &DataMetrics {
+    pub(crate) fn metrics_ref(&self) -> &Arc<DataMetrics> {
         &self.metrics
+    }
+
+    /// The key ring, once one was derived.
+    pub(crate) fn ring(&self) -> Option<&KeyRing> {
+        self.ring.as_ref()
+    }
+
+    /// The DEK/nonce generator.
+    pub(crate) fn rng(&mut self) -> &mut StdRng {
+        &mut self.rng
     }
 
     /// The data folder holding `object` (stable name-hash routing).
     pub fn folder_of(&self, object: &str) -> &str {
-        let idx = (stable_hash64(object) % self.folders.len() as u64) as usize;
-        &self.folders[idx]
+        folder_of(&self.folders, object)
     }
 
     /// The data folders, in shard order.

@@ -10,41 +10,45 @@
 //! is the degenerate case: the same sweep, synchronously at revocation
 //! time.
 //!
-//! A [`Sweeper`] is the *schedulable unit*, not a driver: it owns one
-//! session and one **shard assignment** ([`Sweeper::with_assignment`]:
-//! unit `w` of `n` sweeps only the data folders whose index satisfies
-//! `idx % n == w`; [`Sweeper::new`] owns the whole namespace).
-//! [`Sweeper::begin_pass`] lists the assigned folders once and returns a
-//! resumable [`SweepPass`], which migrates the listed objects in bounded
-//! [`SweepPass::step`] increments. The one driver that composes those
-//! steps is [`crate::SweepScheduler`]: a [`crate::SweepTask`] holds one
-//! unit per data folder, and the fleet's workers lease steps of many
-//! groups' passes. (Tests and the repo benchmark compose
-//! `begin_pass`/`step`/`finish` by hand where they want an oracle that is
-//! independent of the dispatcher.)
+//! A [`SweepPass`] is the unit of work: it is opened on a session — which
+//! syncs the key ring if the epoch moved, and lends the pass a snapshot of
+//! the ring, its store handle, retry policy and counters — lists folders
+//! once, and migrates the listed objects in bounded [`SweepPass::step`]
+//! increments that never touch the session again. The one driver that
+//! composes those steps is [`crate::SweepScheduler`]: a
+//! [`crate::SweepTask`] keeps one session per identity and one cursor,
+//! with its own pass, per data folder, so the fleet's workers step many
+//! folders' passes at once while each identity syncs once per rotation. A [`Sweeper`] is one
+//! session's whole namespace as a pass (tests and the repo benchmark
+//! compose `begin_pass`/`step`/`finish` by hand where they want an oracle
+//! that is independent of the dispatcher).
 //!
-//! The sweep is chunked, not per object. A pass lists each assigned folder
-//! once. Each step then reads its chunk — the next objects of one folder,
-//! at most its budget — in **one `GetMany`**, re-encrypts the stale ones
-//! one by one, and writes them back as **one conditional multi-write**,
-//! each item conditioned on the version just read. So a lease costs two
-//! round trips whatever its size, holds only its own chunk's bytes, and
-//! conditions its writes on versions one round trip old. The sweeper never
-//! tramples a concurrent application write, and losing that race is
-//! nearly free: the store rejects the whole batch and names every loser,
-//! the sweeper re-reads just those objects' headers, and it resubmits the
-//! rest. The winning write normally sealed at the current epoch anyway.
+//! The sweep is chunked, not per object. A pass lists each folder once.
+//! Each step then reads its chunk — the next objects of one folder, at
+//! most its budget — in **one `GetMany`**, re-encrypts the stale ones one
+//! by one, and writes them back as **one conditional multi-write**, each
+//! item conditioned on the version just read. So a lease costs two round
+//! trips whatever its size, holds only its own chunk's bytes, and
+//! conditions its writes on versions one round trip old; the sweep keeps
+//! no CAS expectations of its own. The sweeper never tramples a concurrent
+//! application write, and losing that race is nearly free: the store
+//! rejects the whole batch and names every loser, the sweeper re-reads
+//! just those objects' headers, and it resubmits the rest. The winning
+//! write normally sealed at the current epoch anyway.
 
 use crate::envelope::SealedObject;
 use crate::error::DataError;
-use crate::metrics::DataMetricsSnapshot;
-use crate::session::ClientSession;
-use cloud_store::{stable_hash64, BatchWrite, Bytes, ObjectStore, StoreError};
-use std::collections::{HashSet, VecDeque};
+use crate::metrics::{DataMetrics, DataMetricsSnapshot};
+use crate::session::{folder_of, ClientSession, RetryPolicy};
+use cloud_store::{BatchWrite, Bytes, ObjectStore, StoreError, StoreHandle};
+use ibbe_sgx_core::KeyRing;
+use rand::rngs::StdRng;
+use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A group's sweep parameters — a tenant property, set per
-/// [`crate::SweepTask`] beside its weight and lease-rate cap.
+/// [`crate::SweepTask`].
 #[derive(Clone, Copy, Debug)]
 pub struct SweepConfig {
     /// How long after a rotation the lazy policy tolerates stale objects:
@@ -86,18 +90,10 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Folds another worker's report into this one (counter sums,
-    /// convergence AND, epoch-floor min); elapsed is left to the caller,
-    /// which knows the actual wall-clock of the merged run.
-    pub(crate) fn absorb(&mut self, other: &SweepReport) {
-        self.absorb_counters(other);
-        self.converged = self.converged && other.converged;
-    }
-
-    /// Counter sums and epoch-floor min only, leaving `converged` alone —
-    /// for accumulators whose convergence is not an AND over the parts
-    /// (a multi-pass folder's final pass is the verdict, see
-    /// [`crate::SweepScheduler`]).
+    /// Folds another report's counter sums and epoch-floor min into this
+    /// one, leaving `converged` and `elapsed` to the caller: a multi-pass
+    /// folder's final pass is its verdict, and only the driver knows the
+    /// wall clock of the merged run (see [`crate::SweepScheduler`]).
     pub(crate) fn absorb_counters(&mut self, other: &SweepReport) {
         self.scanned += other.scanned;
         self.stale += other.stale;
@@ -116,46 +112,20 @@ fn merge_floor(a: Option<u64>, b: Option<u64>) -> Option<u64> {
     }
 }
 
-/// One schedulable sweep unit: a privileged member session plus the shard
-/// assignment it sweeps.
+/// A privileged member session that sweeps its whole data namespace.
 pub struct Sweeper {
     session: ClientSession,
     config: SweepConfig,
-    /// This worker's index within the assignment.
-    worker: usize,
-    /// Total workers the namespace is divided among.
-    of: usize,
 }
 
 impl Sweeper {
     /// Wraps a session (a group member provisioned for the sweeper role)
-    /// with sweep parameters `config`, owning the whole namespace.
+    /// with sweep parameters `config`.
     pub fn new(session: ClientSession, config: SweepConfig) -> Self {
-        Self::with_assignment(session, config, 0, 1)
+        Self { session, config }
     }
 
-    /// Unit `worker` of `of`: sweeps only the data folders with index
-    /// `idx % of == worker`.
-    ///
-    /// # Panics
-    /// Panics if `of` is zero or `worker >= of`.
-    pub fn with_assignment(
-        session: ClientSession,
-        config: SweepConfig,
-        worker: usize,
-        of: usize,
-    ) -> Self {
-        assert!(of >= 1, "at least one worker is required");
-        assert!(worker < of, "worker index out of range");
-        Self {
-            session,
-            config,
-            worker,
-            of,
-        }
-    }
-
-    /// The sweep parameters this unit was built with.
+    /// The sweep parameters this sweeper was built with.
     pub fn config(&self) -> SweepConfig {
         self.config
     }
@@ -171,91 +141,52 @@ impl Sweeper {
         &self.session
     }
 
-    /// Lists the assigned folders **once** and returns a resumable
-    /// migration pass over the listed objects — the work-unit primitive
-    /// [`crate::SweepScheduler`] leases in [`SweepPass::step`] increments.
-    /// Refreshes the key ring first if the epoch moved. The listing is the
-    /// pass's only request beyond the freshness check: one `List` per
-    /// assigned folder.
+    /// Refreshes the key ring if the epoch moved, then lists every data
+    /// folder **once** and returns a resumable migration pass over the
+    /// listed objects: one `List` per folder beyond the freshness check.
     ///
     /// # Errors
     /// Control-plane failures from the freshness check; transient store
     /// faults (the listing surfaces them instead of blocking on a dead
     /// store — the fleet scheduler contains and retries them).
     pub fn begin_pass(&mut self) -> Result<SweepPass, DataError> {
-        self.session.maybe_refresh()?;
-        let current = self.session.current_epoch().ok_or(DataError::NoKeys)?;
-        // ride through outage windows with backoff before giving the lease
-        // up as lost
-        let retry = self.session.retry_policy();
-        let store = self.session.store();
-        let mut work = VecDeque::new();
-        for folder in self.assigned_folders() {
-            work.extend(retry.run(|| Ok(store.try_list(&folder)?))?);
+        let mut pass = SweepPass::open(&mut self.session)?;
+        for folder in self.session.data_folders() {
+            pass.list(folder)?;
         }
-        // the listing doubles as the versions-map GC: tracked versions of
-        // in-scope objects that vanished from the store are pruned
-        let live: HashSet<String> = work.iter().cloned().collect();
-        let (shards, worker, of) = (self.session.data_shards() as u64, self.worker, self.of);
-        self.session.prune_versions(&live, |name| {
-            (stable_hash64(name) % shards) as usize % of == worker
-        });
-        Ok(SweepPass {
-            scanned: work.len(),
-            work,
-            current,
-            tally: Tally::default(),
-        })
-    }
-
-    /// Blocks on the metadata long poll without sweeping; `true` when the
-    /// ring was rebuilt. The scheduler's watch pass probes a changed group
-    /// with this.
-    pub(crate) fn poll(&mut self, timeout: Duration) -> Result<bool, DataError> {
-        self.session.watch(timeout)
-    }
-
-    /// Forces a control-plane sync and ring rebuild now, so the next sweep
-    /// pass starts migrating immediately instead of paying the key
-    /// derivation first ([`crate::SweepScheduler::refresh`] primes every
-    /// registered unit with this).
-    ///
-    /// # Errors
-    /// Same contract as [`ClientSession::refresh`].
-    pub fn refresh(&mut self) -> Result<(), DataError> {
-        self.session.refresh().map(|_| ())
-    }
-
-    /// The data folders this worker owns, in shard order.
-    fn assigned_folders(&self) -> Vec<String> {
-        self.session
-            .data_folders()
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| idx % self.of == self.worker)
-            .map(|(_, f)| f.clone())
-            .collect()
+        Ok(pass)
     }
 }
 
 /// A resumable migration pass over one listing: the schedulable work unit
 /// of the sweep machinery.
 ///
-/// Produced by [`Sweeper::begin_pass`] (one `List` per assigned folder);
-/// consumed by bounded [`SweepPass::step`] calls until drained — each one
-/// `GetMany` of its chunk and one conditional multi-write of the chunk's
-/// stale objects — then folded into a [`SweepReport`] by
-/// [`SweepPass::finish`]. The fleet [`crate::SweepScheduler`] interleaves
-/// steps of many groups' passes across its shared workers, which is why
-/// the pass owns its work-list instead of borrowing the sweeper.
-#[derive(Debug)]
+/// Produced by [`Sweeper::begin_pass`] (or, per data folder, by the fleet
+/// [`crate::SweepScheduler`]); consumed by bounded [`SweepPass::step`]
+/// calls until drained — each one `GetMany` of its chunk and one
+/// conditional multi-write of the chunk's stale objects — then folded
+/// into a [`SweepReport`] by [`SweepPass::finish`]. A pass carries the
+/// ring snapshot, store handle, retry policy and counters it was opened
+/// with, so its steps run without the session that opened it.
 pub struct SweepPass {
     /// Listed objects not yet settled, folder by folder.
     work: VecDeque<String>,
-    /// The ring's current epoch when the pass began.
-    current: u64,
     scanned: usize,
     tally: Tally,
+    from: Snapshot,
+}
+
+/// What a pass's steps work from, taken from the session that opened it.
+struct Snapshot {
+    /// The group's data folders, in shard order (routes each object).
+    folders: Vec<String>,
+    /// The session's ring when the pass began; its current epoch is the
+    /// pass's target.
+    ring: KeyRing,
+    store: StoreHandle,
+    retry: RetryPolicy,
+    /// The opening session's counters.
+    metrics: Arc<DataMetrics>,
 }
 
 /// What a pass's steps have settled so far.
@@ -274,6 +205,41 @@ struct Tally {
 }
 
 impl SweepPass {
+    /// Opens an empty pass on `session`: refreshes its key ring if the
+    /// epoch moved, then snapshots the ring, store handle, retry policy
+    /// and counters the pass's steps work from.
+    ///
+    /// # Errors
+    /// Control-plane failures from the freshness check.
+    pub(crate) fn open(session: &mut ClientSession) -> Result<Self, DataError> {
+        session.maybe_refresh()?;
+        Ok(Self {
+            work: VecDeque::new(),
+            scanned: 0,
+            tally: Tally::default(),
+            from: Snapshot {
+                folders: session.data_folders().to_vec(),
+                ring: session.ring().ok_or(DataError::NoKeys)?.clone(),
+                store: session.store().clone(),
+                retry: session.retry_policy(),
+                metrics: Arc::clone(session.metrics_ref()),
+            },
+        })
+    }
+
+    /// Lists `folder` once (riding through outage windows with backoff
+    /// before giving the lease up as lost) and queues its objects.
+    ///
+    /// # Errors
+    /// Transient store faults that outlast the retry policy.
+    pub(crate) fn list(&mut self, folder: &str) -> Result<(), DataError> {
+        let from = &self.from;
+        let listed = from.retry.run(|| Ok(from.store.try_list(folder)?))?;
+        self.scanned += listed.len();
+        self.work.extend(listed);
+        Ok(())
+    }
+
     /// Listed objects not yet settled by [`SweepPass::step`].
     pub fn remaining(&self) -> usize {
         self.work.len()
@@ -287,12 +253,12 @@ impl SweepPass {
         self.work.is_empty()
     }
 
-    /// Settles up to `budget` (at least 1) listed objects through
-    /// `sweeper`'s session, one folder's run at a time: reads them in one
-    /// `GetMany`, re-encrypts each stale one (one `session.migrate` span per
-    /// object), and writes those back as one conditional multi-write, each
-    /// item conditioned on the version just read. Returns the number of
-    /// listed objects consumed.
+    /// Settles up to `budget` (at least 1) listed objects, drawing fresh
+    /// DEKs and nonces from `sweeper`'s session, one folder's run at a
+    /// time: reads them in one `GetMany`, re-encrypts each stale one (one
+    /// `session.migrate` span per object), and writes those back as one
+    /// conditional multi-write, each item conditioned on the version just
+    /// read. Returns the number of listed objects consumed.
     ///
     /// A batch that loses a race is rejected whole and names its losers;
     /// those count as conflicts, not failures. A conflict normally means
@@ -311,24 +277,28 @@ impl SweepPass {
     /// pass can be re-stepped (retrying them) or [`SweepPass::finish`]ed
     /// (counting them — and everything behind them — as unhandled).
     pub fn step(&mut self, sweeper: &mut Sweeper, budget: usize) -> Result<usize, DataError> {
+        self.advance(sweeper.session.rng(), budget)
+    }
+
+    /// [`SweepPass::step`] drawing DEKs and nonces from `rng`: the fleet
+    /// scheduler's folder cursors hold their own generators.
+    pub(crate) fn advance(&mut self, rng: &mut StdRng, budget: usize) -> Result<usize, DataError> {
         let n = budget.max(1).min(self.work.len());
         let mut settled = vec![false; n];
         let chunk = &self.work.make_contiguous()[..n];
-        let session = &mut sweeper.session;
         let mut result = Ok(());
         let mut start = 0;
         while start < n && result.is_ok() {
             // the listing is folder by folder, so each folder is one run
-            let folder = session.folder_of(&chunk[start]).to_string();
+            let folder = folder_of(&self.from.folders, &chunk[start]);
             let end = (start..n)
-                .find(|&i| session.folder_of(&chunk[i]) != folder)
+                .find(|&i| folder_of(&self.from.folders, &chunk[i]) != folder)
                 .unwrap_or(n);
-            result = migrate_run(
-                session,
-                &folder,
+            result = self.from.migrate_run(
+                rng,
+                folder,
                 &chunk[start..end],
                 &mut settled[start..end],
-                self.current,
                 &mut self.tally,
             );
             start = end;
@@ -367,83 +337,129 @@ impl SweepPass {
     }
 }
 
-/// Settles one folder's run of listed objects, marking each one read up
-/// to date, vanished, migrated or conflicted away. Counters are folded as
-/// each request's outcome arrives, so a failure partway keeps what was
-/// settled (the fleet scheduler salvages it).
-fn migrate_run(
-    session: &mut ClientSession,
-    folder: &str,
-    names: &[String],
-    settled: &mut [bool],
-    current: u64,
-    tally: &mut Tally,
-) -> Result<(), DataError> {
-    let retry = session.retry_policy();
-    let store = session.store();
-    let (found, _) = retry.run(|| Ok(store.try_get_many(folder, names.to_vec())?))?;
-    // (index into `names`, stored bytes, version read)
-    let mut stale: Vec<(usize, Bytes, u64)> = Vec::new();
-    for (i, fetched) in found.into_iter().enumerate() {
-        // an object deleted since the listing needs nothing
-        if let Some((bytes, version)) = fetched {
-            let epoch = peek_epoch(&bytes)?;
-            if epoch < current {
-                stale.push((i, bytes, version));
-                continue;
+impl Snapshot {
+    /// Settles one folder's run of listed objects, marking each one read up
+    /// to date, vanished, migrated or conflicted away. Counters are folded
+    /// as each request's outcome arrives, so a failure partway keeps what
+    /// was settled (the fleet scheduler salvages it).
+    fn migrate_run(
+        &self,
+        rng: &mut StdRng,
+        folder: &str,
+        names: &[String],
+        settled: &mut [bool],
+        tally: &mut Tally,
+    ) -> Result<(), DataError> {
+        let current = self.ring.current_epoch();
+        let (found, _) = self
+            .retry
+            .run(|| Ok(self.store.try_get_many(folder, names.to_vec())?))?;
+        // (index into `names`, stored bytes, version read)
+        let mut stale: Vec<(usize, Bytes, u64)> = Vec::new();
+        for (i, fetched) in found.into_iter().enumerate() {
+            // an object deleted since the listing needs nothing
+            if let Some((bytes, version)) = fetched {
+                let epoch = peek_epoch(&bytes)?;
+                if epoch < current {
+                    stale.push((i, bytes, version));
+                    continue;
+                }
+                tally.floor = merge_floor(tally.floor, Some(epoch));
             }
-            tally.floor = merge_floor(tally.floor, Some(epoch));
+            settled[i] = true;
         }
-        settled[i] = true;
-    }
-    let fresh = stale
-        .iter()
-        .map(|(i, bytes, _)| session.reencrypt(&names[*i], bytes))
-        .collect::<Result<Vec<Bytes>, _>>()?;
-    let mut pending: Vec<usize> = (0..stale.len()).collect();
-    while !pending.is_empty() {
-        let writes = pending
+        let fresh = stale
             .iter()
-            .map(|&k| {
-                let (i, _, version) = &stale[k];
-                BatchWrite::put_if_version(&names[*i], fresh[k].clone(), *version)
-            })
-            .collect();
-        let lost = session.write_migrated(folder, writes)?;
-        if lost.is_empty() {
-            tally.stale += pending.len();
-            tally.migrated += pending.len();
-            tally.floor = merge_floor(tally.floor, Some(current));
-            pending.iter().for_each(|&k| settled[stale[k].0] = true);
-            break;
-        }
-        let losers: Vec<String> = lost.iter().map(|(name, _)| name.clone()).collect();
-        let store = session.store();
-        let (found, _) = retry.run(|| Ok(store.try_get_many(folder, losers.clone())?))?;
-        tally.stale += lost.len();
-        tally.conflicts += lost.len();
-        // a vanished object was deleted by the winner: handled
-        for (bytes, _) in found.into_iter().flatten() {
-            let epoch = peek_epoch(&bytes)?;
-            tally.floor = merge_floor(tally.floor, Some(epoch));
-            if epoch < current {
-                tally.still_stale += 1;
+            .map(|(i, bytes, _)| self.reencrypt(rng, &names[*i], bytes))
+            .collect::<Result<Vec<Bytes>, _>>()?;
+        let mut pending: Vec<usize> = (0..stale.len()).collect();
+        while !pending.is_empty() {
+            let writes = pending
+                .iter()
+                .map(|&k| {
+                    let (i, _, version) = &stale[k];
+                    BatchWrite::put_if_version(&names[*i], fresh[k].clone(), *version)
+                })
+                .collect();
+            let lost = self.write_back(folder, writes)?;
+            if lost.is_empty() {
+                tally.stale += pending.len();
+                tally.migrated += pending.len();
+                tally.floor = merge_floor(tally.floor, Some(current));
+                pending.iter().for_each(|&k| settled[stale[k].0] = true);
+                break;
+            }
+            let losers: Vec<String> = lost.iter().map(|(name, _)| name.clone()).collect();
+            let (found, _) = self
+                .retry
+                .run(|| Ok(self.store.try_get_many(folder, losers.clone())?))?;
+            tally.stale += lost.len();
+            tally.conflicts += lost.len();
+            // a vanished object was deleted by the winner: handled
+            for (bytes, _) in found.into_iter().flatten() {
+                let epoch = peek_epoch(&bytes)?;
+                tally.floor = merge_floor(tally.floor, Some(epoch));
+                if epoch < current {
+                    tally.still_stale += 1;
+                }
+            }
+            let before = pending.len();
+            pending.retain(|&k| {
+                let i = stale[k].0;
+                let loser = losers.contains(&names[i]);
+                settled[i] |= loser;
+                !loser
+            });
+            if pending.len() == before {
+                // a rejection naming none of the batch's items breaks the
+                // store's contract: resubmitting would never end
+                return Err(StoreError::BatchConflict(lost).into());
             }
         }
-        let before = pending.len();
-        pending.retain(|&k| {
-            let i = stale[k].0;
-            let loser = losers.contains(&names[i]);
-            settled[i] |= loser;
-            !loser
-        });
-        if pending.len() == before {
-            // a rejection naming none of the batch's items breaks the
-            // store's contract: resubmitting would never end
-            return Err(StoreError::BatchConflict(lost).into());
+        Ok(())
+    }
+
+    /// Re-encrypts one stale object's stored bytes to the ring's current
+    /// epoch, under one `session.migrate` span.
+    fn reencrypt(&self, rng: &mut StdRng, object: &str, stored: &[u8]) -> Result<Bytes, DataError> {
+        let _rid = telemetry::request_scope();
+        let span = telemetry::span("session.migrate")
+            .with("object", object)
+            .enter();
+        let sealed = SealedObject::from_bytes(stored)?;
+        span.record("from_epoch", sealed.epoch);
+        let fresh = sealed.reencrypt(&self.ring, object, rng)?;
+        Ok(fresh.to_bytes().into())
+    }
+
+    /// Writes re-encrypted objects of one data folder back as one
+    /// conditional multi-write, each item conditioned on the version the
+    /// sweep read it at. Returns the items that lost their race to a
+    /// concurrent writer, with their current versions — empty when the
+    /// batch landed; a batch with losers wrote nothing.
+    ///
+    /// # Errors
+    /// Transport failures that outlast the retry policy.
+    fn write_back(
+        &self,
+        folder: &str,
+        items: Vec<BatchWrite>,
+    ) -> Result<Vec<(String, u64)>, DataError> {
+        match self
+            .retry
+            .run(|| Ok(self.store.try_write_many(folder, items.clone())?))
+        {
+            Ok(_) => {
+                self.metrics.record_migrations(items.len());
+                Ok(Vec::new())
+            }
+            Err(DataError::Store(StoreError::BatchConflict(lost))) => {
+                self.metrics.record_migration_conflicts(lost.len());
+                Ok(lost)
+            }
+            Err(e) => Err(e),
         }
     }
-    Ok(())
 }
 
 /// The epoch of a stored data object, from its 9-byte header.
@@ -455,8 +471,8 @@ impl core::fmt::Debug for Sweeper {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "Sweeper({:?}, unit {}/{}, deadline {:?})",
-            self.session, self.worker, self.of, self.config.deadline
+            "Sweeper({:?}, deadline {:?})",
+            self.session, self.config.deadline
         )
     }
 }

@@ -214,7 +214,6 @@ proptest! {
             // the schedule keeps firing for the whole run, so allow far
             // more lost leases than the production default
             max_retries: 64,
-            ..FleetConfig::default()
         });
         for i in 0..groups {
             scheduler.register(SweepTask::new(
@@ -607,7 +606,6 @@ proptest! {
             // fault schedule plus route cutovers: allow plenty of lost
             // leases before declaring a unit stuck
             max_retries: 64,
-            ..FleetConfig::default()
         });
         for i in 0..groups {
             scheduler.register(SweepTask::new(

@@ -4,7 +4,8 @@
 //! equality between a one-worker fleet and a hand-composed pass,
 //! per-group metrics attribution, epoch-history compaction driven from
 //! a fleet report, a migration batch that loses races mid-chunk, and one
-//! IBBE decrypt per rotation and identity across a task's units.
+//! IBBE decrypt and one ring rebuild per rotation and identity across a
+//! task's folders.
 
 use acs::AcsError;
 use acs::FleetFixture;
@@ -96,7 +97,6 @@ fn shared_fleet_respects_staleness_priority() {
         lease: 2,
         max_passes: 32,
         max_retries: 8,
-        ..FleetConfig::default()
     });
     for i in 0..sizes.len() {
         scheduler.register(task(&f, &format!("g{i}"), 0x50 + i as u64));
@@ -130,10 +130,6 @@ fn shared_fleet_respects_staleness_priority() {
             lease.stamp
         );
     }
-
-    // a fixed fleet (no floor/ceiling configured) never scales: the
-    // active set is the configured width for the whole run
-    assert_eq!(report.peak_workers, report.workers);
 
     // the most-behind group finishes its backlog before the freshest
     let order = report.completion_order();
@@ -369,104 +365,6 @@ fn merged_backlogs_converge_and_compact_history() {
     }
 }
 
-/// Autoscaling: a deep multi-group backlog drives the active worker set
-/// up from the floor (the peak lands in the report), and the whole
-/// backlog converges exactly as it would on a fixed fleet.
-#[test]
-fn autoscaler_follows_the_backlog() {
-    let sizes = [6, 6, 6, 6];
-    let f = fleet(&sizes, 2, 55);
-    let mut scheduler = SweepScheduler::new(FleetConfig {
-        workers: 4,
-        min_workers: 1,
-        max_workers: 4,
-        lease: 2,
-        ..FleetConfig::default()
-    });
-    for i in 0..sizes.len() {
-        scheduler.register(task(&f, &format!("g{i}"), 0xa0 + i as u64));
-        revoke(&f, &format!("g{i}"), &format!("g{i}-u0"));
-    }
-    scheduler.arm_all();
-    let report = scheduler.converge_all().unwrap();
-    assert!(report.total.converged);
-    assert_eq!(report.total.migrated, sizes.iter().sum::<usize>());
-    assert_eq!(report.workers, 4);
-    assert!(
-        report.peak_workers > 1 && report.peak_workers <= 4,
-        "eight ready units over a one-worker floor must scale up (peak {})",
-        report.peak_workers
-    );
-}
-
-/// A lease-rate cap defers only the capped tenant: an uncapped group
-/// behind it in staleness converges at full speed, while the capped
-/// group's grants respect the configured gap.
-#[test]
-fn rate_cap_defers_only_the_capped_tenant() {
-    let sizes = [6, 6];
-    let f = fleet(&sizes, 1, 66);
-    let mut scheduler = SweepScheduler::new(FleetConfig {
-        workers: 1,
-        lease: 2,
-        ..FleetConfig::default()
-    });
-    scheduler.register(task(&f, "g0", 0xb0).with_lease_rate_cap(2));
-    scheduler.register(task(&f, "g1", 0xb1));
-    revoke(&f, "g0", "g0-u0");
-    revoke(&f, "g1", "g1-u0");
-    scheduler.arm(0); // the capped tenant is the staler one
-    scheduler.arm(1);
-    let report = scheduler.converge_all().unwrap();
-    assert!(report.total.converged);
-    let g0 = report.group("g0").unwrap();
-    let g1 = report.group("g1").unwrap();
-    assert_eq!(g0.report.migrated, 6);
-    assert_eq!(g1.report.migrated, 6);
-    // the uncapped group overtakes the staler capped one: a deferred unit
-    // never blocks the grants queued behind it
-    assert_eq!(report.completion_order()[0], "g1");
-    assert!(g1.report.elapsed < g0.report.elapsed);
-    // the cap really paced g0: n grants take at least (n - 1) gaps
-    let n0 = report.leases.iter().filter(|l| l.group == "g0").count() as u32;
-    assert!(n0 >= 2, "a 6-object backlog takes several leases");
-    let floor = Duration::from_millis(500) * (n0 - 1) * 4 / 5;
-    assert!(
-        g0.report.elapsed >= floor,
-        "{n0} grants under a 500ms gap finished in {:?}",
-        g0.report.elapsed
-    );
-}
-
-/// Weight buys throughput: of two equal backlogs on one worker, the
-/// 4x-weighted group converges first even though it armed later
-/// (staleness alone would put it second).
-#[test]
-fn weight_buys_a_larger_share() {
-    let sizes = [8, 8];
-    let f = fleet(&sizes, 1, 77);
-    let mut scheduler = SweepScheduler::new(FleetConfig {
-        workers: 1,
-        lease: 1,
-        ..FleetConfig::default()
-    });
-    scheduler.register(task(&f, "g0", 0xc0));
-    scheduler.register(task(&f, "g1", 0xc1).with_weight(4));
-    revoke(&f, "g0", "g0-u0");
-    revoke(&f, "g1", "g1-u0");
-    scheduler.arm(0); // the unweighted group is staler
-    scheduler.arm(1);
-    let report = scheduler.converge_all().unwrap();
-    assert!(report.total.converged);
-    assert_eq!(report.group("g0").unwrap().report.migrated, 8);
-    assert_eq!(report.group("g1").unwrap().report.migrated, 8);
-    assert_eq!(
-        report.completion_order()[0],
-        "g1",
-        "the 4x-weighted group must finish its equal backlog first"
-    );
-}
-
 /// A store that runs `race` once, just before it forwards the first
 /// conditional multi-write: the writes the race makes land between a
 /// sweep step's read and its write.
@@ -574,10 +472,16 @@ fn derivations(scheduler: &SweepScheduler, group: &str) -> u64 {
     scheduler.metrics().group(group).unwrap().key_derivations
 }
 
+/// Ring rebuilds the control sessions of `group`'s task have run.
+fn refreshes(scheduler: &SweepScheduler, group: &str) -> u64 {
+    scheduler.metrics().group(group).unwrap().key_refreshes
+}
+
 /// An 8-folder task of one identity on 2 workers decrypts each rotation
-/// once: whether `converge_all` meets it at every unit's first lease or
-/// `refresh` primes the rings up front, one unit derives the key and the
-/// other seven reuse it after reading the same partition.
+/// once and rebuilds its ring once: whether `converge_all` meets the
+/// rotation at the folders' first leases or `refresh` primes the ring up
+/// front, the identity's one control session syncs and every folder's
+/// pass works from its ring.
 #[test]
 fn a_task_of_one_identity_derives_each_rotation_once() {
     let f = fleet(&[16], 8, 55);
@@ -594,28 +498,25 @@ fn a_task_of_one_identity_derives_each_rotation_once() {
     assert!(report.total.converged);
     assert_eq!(report.total.migrated, 16);
     assert_eq!(derivations(&scheduler, "g0"), 1);
-    assert_eq!(
-        scheduler.metrics().total.key_refreshes,
-        8,
-        "every unit still rebuilt its own ring"
-    );
+    assert_eq!(refreshes(&scheduler, "g0"), 1, "one ring for eight folders");
 
     revoke(&f, "g0", "g0-u1");
     scheduler.refresh().unwrap();
     assert_eq!(derivations(&scheduler, "g0"), 2);
+    assert_eq!(refreshes(&scheduler, "g0"), 2);
     scheduler.arm(id);
     let report = scheduler.converge_all().unwrap();
     assert!(report.total.converged);
     assert_eq!(report.total.migrated, 16);
     assert_eq!(
-        derivations(&scheduler, "g0"),
-        2,
-        "primed rings need no decrypt in the converge"
+        (derivations(&scheduler, "g0"), refreshes(&scheduler, "g0")),
+        (2, 2),
+        "a primed ring needs no decrypt or rebuild in the converge"
     );
 }
 
-/// Sessions of two identities in one task share only within their
-/// identity: a rotation costs the task one decrypt per identity.
+/// Sessions of two identities in one task make two control sessions: a
+/// rotation costs the task one decrypt per identity.
 #[test]
 fn a_task_of_two_identities_derives_once_per_identity() {
     let f = fleet(&[16], 8, 66);
@@ -675,11 +576,11 @@ impl ObjectStore for PartitionView {
     }
 }
 
-/// A unit whose view serves a partition other than the one its siblings
-/// derived from never adopts their key. With the partition tampered
-/// (a flipped tag byte) the decrypt fails; replayed from before the
-/// rotation, the stale key does not open the current history. Either way
-/// the run fails with the error a lone session on that view reports.
+/// A task whose one control session reads through a view that serves a
+/// partition other than the published one fails its run with the error a
+/// lone session on that view reports. With the partition tampered (a
+/// flipped tag byte) the decrypt fails; replayed from before the
+/// rotation, the stale key does not open the current history.
 #[test]
 fn a_unit_served_another_partition_never_adopts_the_shared_key() {
     for replay in [false, true] {
@@ -695,57 +596,45 @@ fn a_unit_served_another_partition_never_adopts_the_shared_key() {
             })
             .collect();
         revoke(&f, "g0", "g0-u0");
-        let view = || {
-            let serve: Serve = if replay {
-                let retired = retired.clone();
-                Box::new(move |name, _| retired[name].clone())
-            } else {
-                Box::new(|_, bytes| {
-                    let mut bytes = bytes.to_vec();
-                    *bytes.last_mut().unwrap() ^= 1;
-                    bytes.into()
-                })
-            };
-            StoreHandle::new(PartitionView {
-                inner: store.clone(),
-                group: "g0".into(),
-                serve,
+        let serve: Serve = if replay {
+            Box::new(move |name, _| retired[name].clone())
+        } else {
+            Box::new(|_, bytes| {
+                let mut bytes = bytes.to_vec();
+                *bytes.last_mut().unwrap() ^= 1;
+                bytes.into()
             })
         };
-        let expected = fleet_session_on(&f.fixture, view(), SWEEPER, "g0", 2, 1)
+        let view = StoreHandle::new(PartitionView {
+            inner: store.clone(),
+            group: "g0".into(),
+            serve,
+        });
+        let expected = fleet_session_on(&f.fixture, view.clone(), SWEEPER, "g0", 2, 1)
             .refresh()
             .unwrap_err()
             .to_string();
 
-        // the honest unit derives first: the shared cell holds the
-        // current key when the other unit reads its own view
-        let mut honest = fleet_session(&f.fixture, SWEEPER, "g0", 2, 2);
-        honest.refresh().unwrap();
-        let forged = fleet_session_on(&f.fixture, view(), SWEEPER, "g0", 2, 3);
+        let sessions = fleet_sweep_sessions_on(&f.fixture, view, SWEEPER, "g0", 2, 3);
         let mut scheduler = SweepScheduler::new(FleetConfig {
             workers: 2,
             ..FleetConfig::default()
         });
-        let id = scheduler.register(SweepTask::new(vec![honest, forged], SweepConfig::default()));
+        let id = scheduler.register(SweepTask::new(sessions, SweepConfig::default()));
         scheduler.arm(id);
         let got = scheduler.converge_all().unwrap_err();
         assert_eq!(got.to_string(), expected, "replay: {replay}");
     }
 }
 
-/// A revoked sweeper identity is listed in no partition: each unit's sync
-/// answers `NotAMember` before any derivation is looked up, so none adopts
-/// the key its siblings derived before the revocation, and a task of that
+/// A revoked sweeper identity is listed in no partition: each session's
+/// sync answers `NotAMember` before any derivation is looked up, so none
+/// reuses the key it derived before the revocation, and a task of that
 /// identity cannot start a sweep.
 #[test]
 fn a_revoked_sweeper_gets_not_a_member_on_every_unit() {
     let f = fleet(&[8], 4, 88);
     let mut units = fleet_sweep_sessions(&f.fixture, SWEEPER, "g0", 4, 0x88);
-    // linked as `SweepTask::new` links them
-    let (first, rest) = units.split_first_mut().unwrap();
-    for unit in rest.iter_mut() {
-        unit.share_derivations_with(first);
-    }
     let retired: Vec<u64> = units.iter_mut().map(|u| u.refresh().unwrap()).collect();
     let total = |units: &[dataplane::ClientSession]| {
         units
@@ -753,7 +642,7 @@ fn a_revoked_sweeper_gets_not_a_member_on_every_unit() {
             .map(|u| u.metrics().key_derivations)
             .sum::<u64>()
     };
-    assert_eq!(total(&units), 1);
+    assert_eq!(total(&units), 4);
 
     revoke(&f, "g0", SWEEPER);
     for (unit, retired) in units.iter_mut().zip(retired) {
@@ -764,7 +653,7 @@ fn a_revoked_sweeper_gets_not_a_member_on_every_unit() {
         );
         assert_eq!(unit.current_epoch(), Some(retired), "the stale ring stays");
     }
-    assert_eq!(total(&units), 1, "only the pre-revocation decrypt");
+    assert_eq!(total(&units), 4, "only the pre-revocation decrypts");
 
     let mut scheduler = SweepScheduler::new(FleetConfig {
         workers: 2,

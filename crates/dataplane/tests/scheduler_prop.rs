@@ -134,7 +134,6 @@ proptest! {
             lease,
             max_passes: 32,
             max_retries: 8,
-            ..FleetConfig::default()
         });
         for i in 0..groups {
             scheduler.register(task(&stack, &format!("g{i}"), shards, 0x5a));
@@ -183,72 +182,6 @@ proptest! {
                 first <= staler_budget,
                 "g{}'s first lease waited for {} grants, budget of staler groups is {}",
                 i, first, staler_budget
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
-    /// Weighted-fair QoS: a tenant with a 10x-noisier backlog, armed first
-    /// (maximally stale — strict staleness order would drain its whole
-    /// backlog before anyone else's first lease), cannot push an equally
-    /// weighted victim group's convergence past twice its fair share of
-    /// the grant log.
-    #[test]
-    fn weighted_fairness_bounds_a_noisy_tenant(
-        seed: u64,
-        victims in 1usize..=3,
-        backlog in 2usize..=4,
-    ) {
-        let mut sizes = vec![10 * backlog];
-        sizes.extend(std::iter::repeat_n(backlog, victims));
-        let tenants = sizes.len();
-        let stack = build_stack(&sizes, 1, seed);
-        let mut scheduler = SweepScheduler::new(FleetConfig {
-            // one worker: the grant log is the exact service order
-            workers: 1,
-            lease: 1,
-            max_passes: 32,
-            max_retries: 8,
-            ..FleetConfig::default()
-        });
-        for i in 0..tenants {
-            scheduler.register(
-                task(&stack, &format!("g{i}"), 1, 0x5a)
-                // equal shares for everyone; any non-default weight flips
-                // the run from staleness order to weighted-fair
-                .with_weight(2),
-            );
-        }
-        // g0 (the noisy tenant) arms first, so it is the stalest
-        for i in 0..tenants {
-            scheduler.arm(i);
-        }
-        let report = scheduler.converge_all().unwrap();
-        prop_assert!(report.total.converged);
-
-        for i in 1..tenants {
-            let name = format!("g{i}");
-            let g = report.group(&name).unwrap();
-            prop_assert!(g.report.converged);
-            prop_assert_eq!(g.report.migrated, backlog);
-            let own = report.leases.iter().filter(|l| l.group == name).count();
-            let done = report
-                .leases
-                .iter()
-                .rposition(|l| l.group == name)
-                .expect("the victim got leases") + 1;
-            // fair share: with equal weights every tenant's leases charge
-            // the same virtual time, so a victim's backlog completes
-            // within ~tenants x its own lease count grants; 2x absorbs
-            // scan-only leases and round skew. The noisy tenant's 10x
-            // backlog must not stretch this.
-            prop_assert!(
-                done <= 2 * tenants * own,
-                "g{}'s backlog finished at grant {} of {} (own leases {})",
-                i, done, report.leases.len(), own
             );
         }
     }

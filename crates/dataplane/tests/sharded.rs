@@ -326,8 +326,8 @@ fn conflicted_stale_writes_never_let_compaction_orphan_objects() {
 }
 
 /// Versions-map GC: deletions (own or foreign) stop leaking CAS
-/// expectations in long-lived sessions, and the sweeper's scan prunes its
-/// own map as a side effect.
+/// expectations in long-lived sessions, and a sweep, which conditions its
+/// writes on the versions its own reads return, tracks none.
 #[test]
 fn versions_map_gc_drops_deleted_objects() {
     let mut d = deploy(CloudStore::new(), 23, 2, 2, 8, SweepConfig::default());
@@ -355,28 +355,13 @@ fn versions_map_gc_drops_deleted_objects() {
     assert!(d.writer.fetch("obj-0004").is_err());
     assert_eq!(d.writer.tracked_versions(), 3);
 
-    // the sweeper's scan GCs its own migrated-object entries: migrate the
-    // three live objects, delete them behind the sweepers' back, re-sweep.
-    // The units are stepped by hand so their sessions stay inspectable.
+    // a sweep of the three live objects leaves its session's map empty.
+    // The sweeper is stepped by hand so its session stays inspectable.
     revoke(&d.admin, &mut d.fleet, "u0");
-    let mut units: Vec<Sweeper> = sweep_sessions(&d.admin, 2, 23)
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| Sweeper::with_assignment(s, SweepConfig::default(), i, 2))
-        .collect();
-    let sweep = |units: &mut [Sweeper]| {
-        units.iter_mut().fold((0, 0), |(scanned, migrated), unit| {
-            let report = sweep_by_hand(unit, 8);
-            assert!(report.converged);
-            (scanned + report.scanned, migrated + report.migrated)
-        })
-    };
-    assert_eq!(sweep(&mut units), (3, 3));
-    for i in 5..8 {
-        let name = format!("obj-{i:04}");
-        store.delete(d.writer.folder_of(&name), &name);
-    }
-    assert_eq!(sweep(&mut units).0, 0, "namespace is empty now");
-    let tracked: usize = units.iter().map(|u| u.session().tracked_versions()).sum();
-    assert_eq!(tracked, 0, "the scan pruned the units' migrated entries");
+    let session = sweep_sessions(&d.admin, 2, 23).remove(0);
+    let mut sweeper = Sweeper::new(session, SweepConfig::default());
+    let report = sweep_by_hand(&mut sweeper, 8);
+    assert!(report.converged);
+    assert_eq!((report.scanned, report.migrated), (3, 3));
+    assert_eq!(sweeper.session().tracked_versions(), 0);
 }
