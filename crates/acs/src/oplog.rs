@@ -3,16 +3,16 @@
 //! certifying blocks of membership operations logs through blockchain-like
 //! technologies."*
 //!
-//! Every membership operation is one BLS-signed [`LogEntry`] in its group's
-//! log. The signature binds the entry's *place*: the group, the entry's
-//! index in that group's log, and the Merkle root of the log before the
-//! append. [`LogEntry::verify_at`] is the one check every verifier applies;
-//! folded over a served prefix it rules out insertion, deletion, reordering
-//! and entries from unregistered admins. The log is public (it contains
-//! only identities and operation types, which the paper's model already
-//! exposes) and is stored on the untrusted cloud next to the group metadata
-//! — see [`crate::verilog`] for the published layout and for who detects
-//! what.
+//! Every membership operation is one Schnorr-signed [`LogEntry`] in its
+//! group's log (`sgx_sim::bls`, over secp256k1). The signature binds the
+//! entry's *place*: the group, the entry's index in that group's log, and
+//! the Merkle root of the log before the append. [`LogEntry::verify_at`]
+//! is the one check every verifier applies; folded over a served prefix
+//! it rules out insertion, deletion, reordering and entries from
+//! unregistered admins. The log is public (it contains only identities
+//! and operation types, which the paper's model already exposes) and is
+//! stored on the untrusted cloud next to the group metadata — see
+//! [`crate::verilog`] for the published layout and for who detects what.
 
 use oplog::{Hash, LogCommitment, VerifyError};
 use sgx_sim::bls::{Signature, SigningKey, VerifyingKey};

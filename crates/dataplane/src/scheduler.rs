@@ -431,14 +431,21 @@ impl SweepScheduler {
     /// [`FleetConfig::workers`] poll threads regardless of the group
     /// count.
     ///
+    /// A changed group whose probe fails is skipped for the pass (one
+    /// `fleet.task_failed` event names it and the error) and stays
+    /// detectable by the next pass; the other groups are still armed.
+    ///
     /// # Errors
-    /// Control-plane failures from a changed group's probe.
+    /// The first failed probe of a pass that armed nothing.
     pub fn watch(&mut self, timeout: Duration) -> Result<usize, DataError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let armed = self.check_and_arm()?;
+            let (armed, failed) = self.check_and_arm();
             if armed > 0 {
                 return Ok(armed);
+            }
+            if let Some(e) = failed {
+                return Err(e);
             }
             let now = Instant::now();
             if now >= deadline || self.tasks.is_empty() {
@@ -449,9 +456,11 @@ impl SweepScheduler {
     }
 
     /// One cheap detection pass: folder-version compares plus epoch probes
-    /// for the folders that moved. Arms and counts the stale tasks.
-    fn check_and_arm(&mut self) -> Result<usize, DataError> {
+    /// for the folders that moved. Arms and counts the stale tasks, and
+    /// returns the first failed probe alongside.
+    fn check_and_arm(&mut self) -> (usize, Option<DataError>) {
         let mut armed = 0;
+        let mut failed = None;
         for task in 0..self.tasks.len() {
             let entry = &mut self.tasks[task];
             let was_idle = entry.stamp.is_none();
@@ -469,14 +478,24 @@ impl SweepScheduler {
             // existing backlog under its (older) stamp. The seen version
             // commits only after the probe succeeds — a transient probe
             // failure must leave the change detectable by the retry.
-            let epoch_moved = watcher.watch(Duration::ZERO)?;
+            let epoch_moved = match watcher.watch(Duration::ZERO) {
+                Ok(moved) => moved,
+                Err(e) => {
+                    telemetry::event("fleet.task_failed")
+                        .with("group", entry.group.as_str())
+                        .with("error", e.to_string())
+                        .emit();
+                    failed.get_or_insert(e);
+                    continue;
+                }
+            };
             self.tasks[task].seen = version;
             if epoch_moved && was_idle {
                 self.arm(task);
                 armed += 1;
             }
         }
-        Ok(armed)
+        (armed, failed)
     }
 
     /// Blocks until any registered group's metadata folder moves past its

@@ -3,7 +3,8 @@
 //! nothing), equivalence with dedicated one-group fleets, request-trace
 //! equality between a one-worker fleet and a hand-composed pass,
 //! per-group metrics attribution, epoch-history compaction driven from
-//! a fleet report, a migration batch that loses races mid-chunk, and one
+//! a fleet report, a migration batch that loses races mid-chunk, a failed
+//! probe that leaves the other groups armable, and one
 //! IBBE decrypt and one ring rebuild per rotation and identity across a
 //! task's folders.
 
@@ -22,9 +23,10 @@ use dataplane::{
 };
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use support::{sweep_by_hand, RecordingStore};
+use telemetry::Value;
 
 mod support;
 
@@ -195,6 +197,54 @@ fn watch_arms_exactly_the_rotated_groups() {
     }
     assert_eq!(metrics.group("g1").unwrap().migrations, 3);
     assert_eq!(metrics.total.migrations, 3);
+}
+
+/// One group's failed probe skips that group for the pass, not the pass:
+/// with the sweeper revoked from `g0` and then a rotation in `g1`, the
+/// first watch arms `g1` and names `g0`'s failure in a `fleet.task_failed`
+/// event. A pass that arms nothing returns its failure.
+#[test]
+fn a_failed_probe_leaves_the_other_groups_armable() {
+    let f = fleet(&[3, 3, 3], 1, 33);
+    let mut scheduler = SweepScheduler::new(FleetConfig {
+        workers: 2,
+        ..FleetConfig::default()
+    });
+    for i in 0..3 {
+        scheduler.register(task(&f, &format!("g{i}"), 0xa0 + i as u64));
+    }
+    scheduler.refresh().unwrap();
+    let collector = Arc::new(telemetry::Collector::new());
+    let _installed = telemetry::install(Arc::clone(&collector) as Arc<dyn telemetry::Subscriber>);
+
+    revoke(&f, "g0", SWEEPER);
+    revoke(&f, "g1", "g1-u0");
+    assert_eq!(scheduler.watch(Duration::from_secs(5)).unwrap(), 1);
+    assert!(!scheduler.is_armed(0) && scheduler.is_armed(1) && !scheduler.is_armed(2));
+    let failures: Vec<_> = collector
+        .events()
+        .into_iter()
+        .filter(|e| e.name == "fleet.task_failed")
+        .collect();
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert_eq!(
+        failures[0].field("group").and_then(Value::as_str),
+        Some("g0")
+    );
+    let error = failures[0].field("error").and_then(Value::as_str);
+    assert!(error.is_some_and(|e| e.contains("sweeper")), "{error:?}");
+
+    let report = scheduler.converge_all().unwrap();
+    assert_eq!(report.completion_order(), vec!["g1"]);
+
+    // a pass whose only changed group fails returns that failure
+    revoke(&f, "g2", SWEEPER);
+    let got = scheduler.watch(Duration::from_secs(5));
+    assert!(
+        matches!(got, Err(DataError::Acs(AcsError::NotAMember(_)))),
+        "{got:?}"
+    );
+    assert!(!scheduler.is_armed(2));
 }
 
 /// A shared fleet does exactly the work G dedicated one-group fleets (a

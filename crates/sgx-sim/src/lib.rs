@@ -14,8 +14,10 @@
 //!   attests the admin enclave and certifies its channel key;
 //! * [`ChannelKeyPair`], [`ChannelPublicKey`] — the encrypted provisioning
 //!   channel users receive their IBBE secret keys through;
-//! * [`bls`] — the signature scheme underpinning quotes, reports and
-//!   certificates.
+//! * [`bls`] — Schnorr signatures over secp256k1 (the module's name is
+//!   historical), underpinning quotes, reports, certificates and op-log
+//!   entries. Real SGX DCAP signs quotes with ECDSA over a prime-order
+//!   curve.
 //!
 //! ## The full trust-establishment flow (paper Fig. 3)
 //!

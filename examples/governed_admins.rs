@@ -1,6 +1,6 @@
 //! Extensions from the paper's future-work section (§VIII), working
 //! together: a **certified multi-admin operation log** (two administrators
-//! signing into one group log, each BLS-signed entry bound to its index
+//! signing into one group log, each Schnorr-signed entry bound to its index
 //! and to the Merkle root of the log before it; published to the cloud and
 //! audited from there by a party holding only verification keys) and
 //! **workload-adaptive partition sizing**.
