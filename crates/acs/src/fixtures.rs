@@ -464,10 +464,6 @@ impl ObjectStore for ForkingStore {
     fn metrics(&self) -> MetricsSnapshot {
         self.inner.metrics()
     }
-
-    fn routing_epoch(&self) -> u64 {
-        self.inner.routing_epoch()
-    }
 }
 
 impl core::fmt::Debug for ForkingStore {

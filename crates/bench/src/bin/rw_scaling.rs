@@ -53,9 +53,9 @@ fn run_row(
     latency: LatencyModel,
 ) -> Segment {
     let d = deploy(shards, sessions, FOLDERS_PER_SHARD * shards, latency);
-    let (mut segments, read_errors) = replay_partitioned(&d, window, trace, 1, |_| {});
+    let (segment, read_errors) = replay_partitioned(&d, window, trace);
     assert_eq!(read_errors, 0, "a replayed read failed");
-    segments.remove(0)
+    segment
 }
 
 /// Formats one table row + its JSON twin from a finished measurement.

@@ -16,20 +16,19 @@
 //! prints the series it measured in a row/column format mirroring the paper.
 //! `batch_churn` covers §VIII's batched-churn comparison.
 //!
-//! Three more binaries sweep an axis the repo benchmark (`benchmark/`,
+//! Two more binaries sweep an axis the repo benchmark (`benchmark/`,
 //! `BENCHMARK.json`) does not have:
 //!
 //! | binary | axis |
 //! |---|---|
 //! | `rw_scaling` | store shard count, under the pipelined client |
 //! | `sweep_scaling` | store shard count, under the re-encryption sweep |
-//! | `elastic_scaling` | a live shard resize under load |
 //!
 //! They additionally accept `--json PATH` to archive the measured series
 //! machine-readably (see [`json`]), `--trace PATH` for a Chrome trace and
 //! `--check` to enforce their coarse sanity gates — the combination the
-//! per-PR CI bench smoke runs. `rw_scaling` and `elastic_scaling` share one
-//! deployment and one replay loop ([`deploy`], [`replay_partitioned`]).
+//! per-PR CI bench smoke runs. `rw_scaling` replays through one deployment
+//! and one replay loop ([`deploy`], [`replay_partitioned`]).
 //! Kernel micro-timings, lazy vs eager revocation cost and op-log proof
 //! cost are metrics of the repo benchmark or tier-1 tests; the README's
 //! "Benchmarks and paper figures" table says which.
@@ -71,23 +70,22 @@ const USAGE: &str = "flags: --full  --ops N  --no-repartition  --shards A,B,… 
 pub struct BenchArgs {
     /// Run at paper-scale parameters.
     pub full: bool,
-    /// Override the number of trace operations (fig9/fig10, rw_scaling,
-    /// elastic_scaling) or stored objects (sweep_scaling).
+    /// Override the number of trace operations (fig9/fig10, rw_scaling) or
+    /// stored objects (sweep_scaling).
     pub ops: Option<usize>,
     /// Disable the re-partitioning heuristic (fig10 ablation).
     pub no_repartition: bool,
     /// Override the shard-count sweep (rw_scaling, sweep_scaling), e.g.
     /// `--shards 2,8`.
     pub shards: Option<Vec<usize>>,
-    /// Override the client-session count (rw_scaling, elastic_scaling).
+    /// Override the client-session count (rw_scaling).
     pub workers: Option<usize>,
     /// Also write the measured series as machine-readable JSON (see
     /// [`crate::json`]) to this path.
     pub json: Option<String>,
     /// Also record the run's telemetry spans and events as a Chrome-trace
     /// JSON file at this path (open with Perfetto / `chrome://tracing`).
-    /// Honoured by the scaling binaries (`rw_scaling`, `sweep_scaling`,
-    /// `elastic_scaling`).
+    /// Honoured by the scaling binaries (`rw_scaling`, `sweep_scaling`).
     pub trace: Option<String>,
     /// Enforce the bench's coarse perf sanity checks (exit non-zero on
     /// regression) — what the per-PR CI smoke runs.
@@ -431,7 +429,7 @@ impl ReplayBackend for HeBackend {
 }
 
 // ---------------------------------------------------------------------------
-// the data-plane deployment `rw_scaling` and `elastic_scaling` share
+// the data-plane deployment `rw_scaling` replays
 
 const GROUP: &str = "g";
 
@@ -442,10 +440,8 @@ pub const PAYLOAD: usize = 256;
 /// `sessions` client identities, each spreading its namespace over
 /// `data_folders` data folders.
 pub struct Deployment {
-    /// The group's admin.
-    pub admin: Admin,
-    /// The store every session talks to.
-    pub store: ShardedStore,
+    admin: Admin,
+    store: ShardedStore,
     sessions: usize,
     data_folders: usize,
 }
@@ -473,7 +469,7 @@ pub fn deploy(
 
 impl Deployment {
     /// Client `c`'s serial session.
-    pub fn session(&self, c: usize) -> ClientSession {
+    fn session(&self, c: usize) -> ClientSession {
         let identity = format!("client-{c}");
         ClientSession::with_seed(
             &identity,
@@ -487,10 +483,8 @@ impl Deployment {
     }
 }
 
-/// The payload event `i` of a trace writes into `object` — a pure function
-/// of the trace position, so a store's final contents are predictable and
-/// a post-run byte-identity check needs no shadow copy.
-pub fn payload_for(object: &str, i: usize) -> Vec<u8> {
+/// The payload event `i` of a trace writes into `object`.
+fn payload_for(object: &str, i: usize) -> Vec<u8> {
     format!("{object}@{i};")
         .bytes()
         .cycle()
@@ -498,11 +492,11 @@ pub fn payload_for(object: &str, i: usize) -> Vec<u8> {
         .collect()
 }
 
-/// What one barrier-separated segment of [`replay_partitioned`] measured.
+/// What one [`replay_partitioned`] run measured.
 pub struct Segment {
-    /// Wall clock from the segment's start barrier to its end barrier.
+    /// Wall clock from the replay's start barrier to its end barrier.
     pub wall: Duration,
-    /// Trace events in the segment, over all sessions.
+    /// Trace events replayed, over all sessions.
     pub events: usize,
     /// Per-op latency (enqueue → completion) of every write.
     pub writes: Vec<Duration>,
@@ -525,96 +519,73 @@ impl Segment {
 }
 
 /// Replays `trace` against `d` through one pipelined session per client at
-/// in-flight `window`, in `segments` equal barrier-separated slices.
-/// Objects are partitioned across sessions by stable hash, so every read
-/// stays behind its writer in program order and no CAS race crosses
-/// threads; writes stream through the window, reads overlap through a FIFO
-/// of handles bounded by the same window (at window 1 this is the exact
-/// blocking request trace). `before_segment(s)` runs on the calling thread
-/// once every session has finished segment `s − 1` and before any starts
-/// segment `s`.
+/// in-flight `window`, every session starting and finishing at a shared
+/// barrier. Objects are partitioned across sessions by stable hash, so
+/// every read stays behind its writer in program order and no CAS race
+/// crosses threads; writes stream through the window, reads overlap
+/// through a FIFO of handles bounded by the same window (at window 1 this
+/// is the exact blocking request trace).
 ///
-/// Returns the segments and the number of reads that failed — counted, not
-/// unwrapped, so a caller can assert the count instead of assuming it.
-pub fn replay_partitioned(
-    d: &Deployment,
-    window: usize,
-    trace: &RwTrace,
-    segments: usize,
-    mut before_segment: impl FnMut(usize),
-) -> (Vec<Segment>, u64) {
-    let n = trace.events.len();
-    let bounds: Vec<_> = (0..segments)
-        .map(|s| s * n / segments..(s + 1) * n / segments)
-        .collect();
-    let mut out: Vec<Segment> = bounds
-        .iter()
-        .map(|range| Segment {
-            wall: Duration::ZERO,
-            events: range.len(),
-            writes: Vec::new(),
-            reads: Vec::new(),
-        })
-        .collect();
+/// Returns the measurement and the number of reads that failed — counted,
+/// not unwrapped, so a caller can assert the count instead of assuming it.
+pub fn replay_partitioned(d: &Deployment, window: usize, trace: &RwTrace) -> (Segment, u64) {
+    let mut out = Segment {
+        wall: Duration::ZERO,
+        events: trace.events.len(),
+        writes: Vec::new(),
+        reads: Vec::new(),
+    };
     let mut read_errors = 0;
     let barrier = Barrier::new(d.sessions + 1);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..d.sessions)
             .map(|c| {
-                let (barrier, bounds) = (&barrier, &bounds);
+                let barrier = &barrier;
                 scope.spawn(move || {
                     let mut p = PipelinedSession::new(d.session(c), window).with_op_log();
                     let mine = |object: &str| stable_hash64(object) % d.sessions as u64 == c as u64;
                     let mut errors = 0u64;
-                    let mut samples = Vec::new();
-                    for range in bounds {
-                        barrier.wait();
-                        let mut pending = VecDeque::new();
-                        for i in range.clone() {
-                            match &trace.events[i] {
-                                RwOp::Write { object } if mine(object) => {
-                                    p.write(object, &payload_for(object, i)).unwrap();
-                                }
-                                RwOp::Read { object } if mine(object) => {
-                                    match p.read_begin(object) {
-                                        Ok(h) => pending.push_back(h),
-                                        Err(_) => errors += 1,
-                                    }
-                                    if pending.len() >= window {
-                                        let h = pending.pop_front().unwrap();
-                                        errors += u64::from(p.read_wait(h).is_err());
-                                    }
-                                }
-                                _ => {}
+                    barrier.wait();
+                    let mut pending = VecDeque::new();
+                    for (i, event) in trace.events.iter().enumerate() {
+                        match event {
+                            RwOp::Write { object } if mine(object) => {
+                                p.write(object, &payload_for(object, i)).unwrap();
                             }
+                            RwOp::Read { object } if mine(object) => {
+                                match p.read_begin(object) {
+                                    Ok(h) => pending.push_back(h),
+                                    Err(_) => errors += 1,
+                                }
+                                if pending.len() >= window {
+                                    let h = pending.pop_front().unwrap();
+                                    errors += u64::from(p.read_wait(h).is_err());
+                                }
+                            }
+                            _ => {}
                         }
-                        while let Some(h) = pending.pop_front() {
-                            errors += u64::from(p.read_wait(h).is_err());
-                        }
-                        p.flush().unwrap();
-                        samples.push(p.take_op_log());
-                        barrier.wait();
                     }
-                    (samples, errors)
+                    while let Some(h) = pending.pop_front() {
+                        errors += u64::from(p.read_wait(h).is_err());
+                    }
+                    p.flush().unwrap();
+                    let ops = p.take_op_log();
+                    barrier.wait();
+                    (ops, errors)
                 })
             })
             .collect();
-        for (s, segment) in out.iter_mut().enumerate() {
-            before_segment(s);
-            barrier.wait();
-            let t0 = Instant::now();
-            barrier.wait();
-            segment.wall = t0.elapsed();
-        }
+        barrier.wait();
+        let t0 = Instant::now();
+        barrier.wait();
+        out.wall = t0.elapsed();
         for h in handles {
-            let (samples, errors) = h.join().expect("session thread");
+            let (ops, errors) = h.join().expect("session thread");
             read_errors += errors;
-            for (segment, ops) in out.iter_mut().zip(samples) {
-                for op in ops {
-                    match op.class {
-                        OpClass::Write => segment.writes.push(op.latency),
-                        OpClass::Read => segment.reads.push(op.latency),
-                    }
+            for op in ops {
+                match op.class {
+                    OpClass::Write => out.writes.push(op.latency),
+                    OpClass::Read => out.reads.push(op.latency),
                 }
             }
         }

@@ -2,8 +2,8 @@
 //!
 //! [`FaultyStore`] wraps any store and injects — on a seed-driven,
 //! reproducible schedule — the partial failures a real cloud exhibits:
-//! per-shard **outages** (every request against the affected clock domain
-//! is refused for a wall-clock window), individual request **timeouts**,
+//! **outages** (every request against a folder of the affected outage
+//! domain is refused for a wall-clock window), individual request **timeouts**,
 //! **torn long-polls** (the poll returns early with no changes and the
 //! *unchanged* cursor, so no notification is ever lost), and spurious
 //! **CAS-conflict storms** (a conditional PUT is rejected with the item's
@@ -51,10 +51,9 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StoreError {
-    /// The request's clock domain (shard) is inside an outage window.
+    /// The request's outage domain is inside an outage window.
     Unavailable {
-        /// Index of the affected domain (equals the shard index when the
-        /// injector's domain count matches the store's shard count).
+        /// Index of the affected domain ([`FaultInjector::domain_of`]).
         domain: usize,
     },
     /// The individual request was dropped (no effect on the store).
@@ -105,9 +104,9 @@ impl From<VersionConflict> for StoreError {
 pub struct FaultConfig {
     /// Seed of the schedule's random generator.
     pub seed: u64,
-    /// Number of outage domains. Set equal to the wrapped store's shard
-    /// count to model per-shard outages (`stable_hash64(folder) % domains`
-    /// is then exactly the shard routing).
+    /// Number of outage domains. Folders fall into domains by
+    /// `stable_hash64(folder) % domains`, independently of a sharded
+    /// store's placement (see [`FaultInjector::domain_of`]).
     pub domains: usize,
     /// Per-request probability of dropping the request ([`StoreError::Timeout`]).
     pub timeout_prob: f64,
@@ -187,9 +186,7 @@ struct InjectorState {
     enabled: bool,
 }
 
-/// The shared schedule driver behind one or more [`FaultyStore`] wrappers
-/// (and, optionally, a [`ShardedStore`](crate::ShardedStore)'s merged
-/// watch, which skips domains reported down by [`FaultInjector::is_down`]).
+/// The shared schedule driver behind one or more [`FaultyStore`] wrappers.
 pub struct FaultInjector {
     config: FaultConfig,
     state: Mutex<InjectorState>,
@@ -218,9 +215,8 @@ impl FaultInjector {
 
     /// Outage domain owning `folder`: the folder hash modulo the domain
     /// count. Note this is a *fault* partition, deliberately independent
-    /// of the store's rendezvous-hash shard routing (which can change at
-    /// runtime via [`ShardedStore::resize`](crate::ShardedStore::resize));
-    /// an outage domain models a blast radius, not a shard.
+    /// of the store's rendezvous-hash shard routing: an outage domain
+    /// models a blast radius, not a shard.
     pub fn domain_of(&self, folder: &str) -> usize {
         (stable_hash64(folder) % self.config.domains.max(1) as u64) as usize
     }
@@ -321,8 +317,8 @@ impl FaultInjector {
         storm
     }
 
-    /// True while `domain` is inside an outage window. Roll-free: safe for
-    /// observers (a sharded watch) to poll without advancing the schedule.
+    /// True while `domain` is inside an outage window. Roll-free: safe to
+    /// poll without advancing the schedule.
     pub fn is_down(&self, domain: usize) -> bool {
         let mut s = self.state.lock();
         let Some(slot) = s.outages.get(domain).copied() else {
@@ -353,12 +349,6 @@ impl FaultInjector {
     /// fault the scheduler must contain.
     pub fn arm_panic(&self, after_requests: u64) {
         self.state.lock().panic_after = Some(after_requests);
-    }
-
-    /// Enables or disables probabilistic injection (forced outages and
-    /// armed panics still fire while disabled).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.state.lock().enabled = enabled;
     }
 
     /// Stops all injection: disables probability rolls, ends every outage
@@ -399,7 +389,7 @@ impl<S: ObjectStore> FaultyStore<S> {
     }
 
     /// Wraps `inner` with a shared injector (one schedule driving several
-    /// wrappers, or a wrapper plus a sharded watch).
+    /// wrappers).
     pub fn with_injector(inner: S, faults: Arc<FaultInjector>) -> Self {
         Self { inner, faults }
     }
@@ -475,12 +465,6 @@ impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
 
     fn metrics(&self) -> MetricsSnapshot {
         self.inner.metrics()
-    }
-
-    fn routing_epoch(&self) -> u64 {
-        // fault-free bookkeeping read: sessions must observe resizes on
-        // the wrapped store even mid-outage
-        self.inner.routing_epoch()
     }
 
     /// An injected fault returns an already-completed ticket; anything

@@ -45,14 +45,6 @@ impl LatencyModel {
         self
     }
 
-    /// A profile resembling a public-cloud storage HTTP round trip
-    /// (tens of milliseconds), with a small marginal cost per extra item in
-    /// a batched request.
-    pub fn public_cloud() -> Self {
-        Self::new(Duration::from_millis(40), Duration::from_millis(20))
-            .with_per_item(Duration::from_millis(2))
-    }
-
     /// Samples one request's latency.
     pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Duration {
         if self.jitter.is_zero() {

@@ -26,7 +26,6 @@ pub mod fault;
 pub mod latency;
 pub mod metrics;
 pub mod object_store;
-pub mod routing;
 pub mod sharded;
 pub mod store;
 pub mod submit;
@@ -34,9 +33,8 @@ pub mod submit;
 pub use bytes::Bytes;
 pub use fault::{FaultConfig, FaultInjector, FaultStats, FaultyStore, StoreError};
 pub use latency::LatencyModel;
-pub use metrics::{ImbalanceReport, Metrics, MetricsSnapshot};
+pub use metrics::{Metrics, MetricsSnapshot};
 pub use object_store::{ObjectStore, StoreHandle};
-pub use routing::RoutingTable;
-pub use sharded::{stable_hash64, ResizeReport, ShardedStore, WatchCursor};
+pub use sharded::{stable_hash64, ShardedStore};
 pub use store::{CloudStore, PollResult, VersionConflict};
 pub use submit::{BatchWrite, Request, RequestOp, Response, Snapshot, StoreTicket, SUBMIT_LANES};

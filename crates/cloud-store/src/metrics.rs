@@ -61,8 +61,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Total requests served, across every request kind (batched PUTs
     /// count as one request each, like the round-trips they model; CAS
-    /// conflicts count — the store did serve the rejected request). The
-    /// per-shard load measure behind [`ImbalanceReport`].
+    /// conflicts count — the store did serve the rejected request).
     #[must_use]
     pub fn requests(&self) -> u64 {
         self.puts
@@ -108,63 +107,6 @@ impl telemetry::Counters for MetricsSnapshot {
             ("poll_wakeups", self.poll_wakeups),
             ("bytes_up", self.bytes_up),
             ("bytes_down", self.bytes_down),
-        ]
-    }
-}
-
-/// Max/mean load imbalance across the shards of a
-/// [`ShardedStore`](crate::ShardedStore), over resident folder counts and
-/// served request counts ([`MetricsSnapshot::requests`]). A perfectly
-/// balanced store reports ratios of 1.0; rendezvous routing keeps the
-/// folder ratio near 1 for large folder populations, and the op ratio
-/// tracks how skewed the *traffic* is regardless of placement.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ImbalanceReport {
-    /// Number of live shards measured.
-    pub shards: u64,
-    /// Largest per-shard resident folder count.
-    pub max_folders: u64,
-    /// Total resident folders across shards.
-    pub total_folders: u64,
-    /// Largest per-shard served request count.
-    pub max_ops: u64,
-    /// Total served requests across shards.
-    pub total_ops: u64,
-}
-
-impl ImbalanceReport {
-    /// Max/mean ratio of per-shard folder counts (1.0 = perfectly even;
-    /// 0.0 if the store is empty).
-    #[must_use]
-    pub fn folder_ratio(&self) -> f64 {
-        if self.total_folders == 0 || self.shards == 0 {
-            return 0.0;
-        }
-        self.max_folders as f64 / (self.total_folders as f64 / self.shards as f64)
-    }
-
-    /// Max/mean ratio of per-shard request counts (1.0 = perfectly even;
-    /// 0.0 if no requests were served).
-    #[must_use]
-    pub fn op_ratio(&self) -> f64 {
-        if self.total_ops == 0 || self.shards == 0 {
-            return 0.0;
-        }
-        self.max_ops as f64 / (self.total_ops as f64 / self.shards as f64)
-    }
-}
-
-impl telemetry::Counters for ImbalanceReport {
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("shards", self.shards),
-            ("max_folders", self.max_folders),
-            ("total_folders", self.total_folders),
-            ("max_ops", self.max_ops),
-            ("total_ops", self.total_ops),
-            // integer counters: ratios scaled to permille
-            ("folder_ratio_x1000", (self.folder_ratio() * 1000.0) as u64),
-            ("op_ratio_x1000", (self.op_ratio() * 1000.0) as u64),
         ]
     }
 }

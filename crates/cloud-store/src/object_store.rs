@@ -111,16 +111,6 @@ pub trait ObjectStore: Send + Sync {
     /// Traffic counters (aggregated across shards when sharded).
     fn metrics(&self) -> MetricsSnapshot;
 
-    /// Current routing epoch: bumps whenever the folder → shard map
-    /// changes (a [`ShardedStore::resize`](crate::ShardedStore::resize)
-    /// install and every per-folder cutover). Sessions cache folder
-    /// routes and versions; observing a bump tells them to re-resolve —
-    /// the same observe-and-refresh pattern they use for key rotations.
-    /// Stores with static routing report a constant `0`.
-    fn routing_epoch(&self) -> u64 {
-        0
-    }
-
     /// Submits a request for asynchronous completion; the returned
     /// [`StoreTicket`] is polled, waited on, or wired to a waker. The
     /// default serves the request inline on the caller's thread (correct
@@ -389,10 +379,6 @@ impl ObjectStore for StoreHandle {
 
     fn metrics(&self) -> MetricsSnapshot {
         self.0.metrics()
-    }
-
-    fn routing_epoch(&self) -> u64 {
-        self.0.routing_epoch()
     }
 
     fn submit(&self, request: Request) -> StoreTicket {

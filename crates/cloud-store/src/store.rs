@@ -7,7 +7,6 @@ use crate::fault::StoreError;
 use crate::latency::LatencyModel;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::object_store::ObjectStore;
-use crate::sharded::ChangeSignal;
 use crate::submit::{
     BatchWrite, Request, RequestOp, Response, Snapshot, StoreTicket, SUBMIT_LANES,
 };
@@ -88,9 +87,6 @@ impl State {
 struct Inner {
     state: Mutex<State>,
     changed: Condvar,
-    /// Cross-store wakeup signal shared with sibling shards (see
-    /// [`crate::ShardedStore`]); bumped after every mutation's notify.
-    signal: Option<Arc<ChangeSignal>>,
     latency: LatencyModel,
     metrics: Metrics,
     /// Worker lanes serving submitted requests ([`ObjectStore::submit`]),
@@ -161,36 +157,10 @@ impl CloudStore {
             inner: Arc::new(Inner {
                 state: Mutex::new(State::default()),
                 changed: Condvar::new(),
-                signal: None,
                 latency,
                 metrics: Metrics::default(),
                 lanes: OnceLock::new(),
             }),
-        }
-    }
-
-    /// A shard of a [`crate::ShardedStore`]: like
-    /// [`CloudStore::with_latency`], but every mutation also bumps the
-    /// shared cross-shard wakeup signal.
-    pub(crate) fn with_signal(latency: LatencyModel, signal: Arc<ChangeSignal>) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                state: Mutex::new(State::default()),
-                changed: Condvar::new(),
-                signal: Some(signal),
-                latency,
-                metrics: Metrics::default(),
-                lanes: OnceLock::new(),
-            }),
-        }
-    }
-
-    /// Wakes this store's long-pollers and, when part of a sharded store,
-    /// the merged cross-shard watchers.
-    fn notify(&self) {
-        self.inner.changed.notify_all();
-        if let Some(signal) = &self.inner.signal {
-            signal.bump();
         }
     }
 
@@ -326,7 +296,7 @@ impl CloudStore {
         let version = st.version;
         st.apply(folder, items, version);
         drop(st);
-        self.notify();
+        self.inner.changed.notify_all();
         version
     }
 
@@ -389,7 +359,7 @@ impl CloudStore {
         }
         drop(st);
         if removed {
-            self.notify();
+            self.inner.changed.notify_all();
         }
         removed
     }
@@ -473,115 +443,6 @@ impl CloudStore {
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner.metrics.snapshot()
     }
-
-    /// Non-blocking store-wide delta scan: every `(folder, item)` whose
-    /// version exceeds `since`, plus the current global version. The cursor
-    /// primitive behind [`crate::ShardedStore::watch`]; charges no latency
-    /// or metrics (it is bookkeeping, not a simulated request).
-    pub(crate) fn changes_since(&self, since: u64) -> (u64, Vec<(String, String)>) {
-        let st = self.inner.state.lock();
-        let mut changed = Vec::new();
-        for (folder, items) in &st.folders {
-            for (item, e) in items {
-                if e.version > since {
-                    changed.push((folder.clone(), item.clone()));
-                }
-            }
-        }
-        (st.version, changed)
-    }
-
-    /// Snapshot of one folder — `(item, data, version)` triples — used as
-    /// the copy source and delta watermark of a live shard migration.
-    /// Bookkeeping: no latency, no metrics (the migration's simulated
-    /// traffic is the `put_many` that replays it on the destination).
-    pub(crate) fn export_folder(&self, folder: &str) -> Vec<(String, Bytes, u64)> {
-        let st = self.inner.state.lock();
-        st.folders
-            .get(folder)
-            .map(|items| {
-                items
-                    .iter()
-                    .map(|(name, e)| (name.clone(), e.data.clone(), e.version))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Jumps this store's version clock strictly past `v` (no-op if it is
-    /// already there). A migration runs this on the *destination* before
-    /// importing, so every imported item's fresh version compares greater
-    /// than any cursor minted in the source's clock domain — cross-domain
-    /// cursor reuse degrades to bounded over-notification, never to a
-    /// lost notification. No wakeup: the clock moved but no item changed.
-    pub(crate) fn advance_clock_past(&self, v: u64) {
-        let mut st = self.inner.state.lock();
-        if st.version <= v {
-            st.version = v + 1;
-        }
-    }
-
-    /// Drops an entire folder (post-cutover source cleanup): one version
-    /// bump, one wakeup. Watchers observe the deletions by absence, like
-    /// any DELETE. Returns the number of items removed.
-    pub(crate) fn purge_folder(&self, folder: &str) -> usize {
-        let mut st = self.inner.state.lock();
-        let removed = st.folders.remove(folder).map(|m| m.len()).unwrap_or(0);
-        if removed > 0 {
-            st.version += 1;
-        }
-        drop(st);
-        if removed > 0 {
-            self.notify();
-        }
-        removed
-    }
-
-    /// Number of folders currently resident (bookkeeping — no latency or
-    /// metrics; feeds the sharded store's imbalance report).
-    pub(crate) fn folder_count(&self) -> usize {
-        self.inner.state.lock().folders.len()
-    }
-
-    /// Folder names without the simulated-request charge of
-    /// [`CloudStore::list_folders`] — what a resize scans to decide which
-    /// folders changed owner.
-    pub(crate) fn folder_names(&self) -> Vec<String> {
-        self.inner.state.lock().folders.keys().cloned().collect()
-    }
-
-    /// Queues an arbitrary closure onto this store's [`SUBMIT_LANES`]
-    /// worker lanes under the submitting session's request id — the
-    /// shared engine behind [`ObjectStore::submit`] here and the
-    /// epoch-following sharded variant (which re-resolves the owning
-    /// shard *on the lane*, under the routing lock, so a request queued
-    /// before a cutover can never execute against the retired owner).
-    pub(crate) fn run_on_lanes<F>(&self, rid: u64, f: F) -> StoreTicket
-    where
-        F: FnOnce() -> Result<Response, StoreError> + Send + 'static,
-    {
-        let (completer, ticket) = exec::completion();
-        let enqueued = Instant::now();
-        self.inner
-            .lanes
-            .get_or_init(|| exec::Executor::new(SUBMIT_LANES))
-            .spawn(move || {
-                // join the submitting session's causal chain, and split
-                // queue wait (lane contention) from service time (the
-                // nested store.* span inside the closure)
-                let _rid = telemetry::adopt_request_id(rid);
-                let result = {
-                    let _lane = telemetry::span("store.lane")
-                        .with("queue_us", enqueued.elapsed().as_micros() as u64)
-                        .enter();
-                    f()
-                };
-                // spans close before the ticket is marked ready, so a
-                // waiter that observes completion also observes the spans
-                completer.complete(result);
-            });
-        ticket
-    }
 }
 
 impl ObjectStore for CloudStore {
@@ -627,7 +488,27 @@ impl ObjectStore for CloudStore {
     /// FIFO order — the queue-depth model the pipelined client rides.
     fn submit(&self, request: Request) -> StoreTicket {
         let store = self.clone();
-        self.run_on_lanes(request.rid, move || store.call(request))
+        let (completer, ticket) = exec::completion();
+        let enqueued = Instant::now();
+        self.inner
+            .lanes
+            .get_or_init(|| exec::Executor::new(SUBMIT_LANES))
+            .spawn(move || {
+                // join the submitting session's causal chain, and split
+                // queue wait (lane contention) from service time (the
+                // nested store.* span inside the call)
+                let _rid = telemetry::adopt_request_id(request.rid);
+                let result = {
+                    let _lane = telemetry::span("store.lane")
+                        .with("queue_us", enqueued.elapsed().as_micros() as u64)
+                        .enter();
+                    store.call(request)
+                };
+                // spans close before the ticket is marked ready, so a
+                // waiter that observes completion also observes the spans
+                completer.complete(result);
+            });
+        ticket
     }
 }
 

@@ -10,11 +10,9 @@
 //! ticket inline (correct, but unpipelined); stores that model a
 //! concurrency limit queue the `call` instead.
 //! [`CloudStore`](crate::CloudStore) runs it on a small worker pool of
-//! [`SUBMIT_LANES`] lanes, and [`ShardedStore`](crate::ShardedStore) on
-//! the owning shard's pool, so N shards give N independent sets of
-//! in-flight lanes — and because the lane runs the sharded store's own
-//! `call`, the owner is re-resolved on the lane itself and queued
-//! requests follow the routing-table epoch across a live resize.
+//! [`SUBMIT_LANES`] lanes, and [`ShardedStore`](crate::ShardedStore)
+//! forwards to the owning shard's own `submit`, so N shards give N
+//! independent sets of in-flight lanes.
 //! [`FaultyStore`](crate::FaultyStore) rolls its schedule before either
 //! path forwards (on the submitting thread, in submission order), so
 //! fault determinism and the inject-before-effect guarantee are one

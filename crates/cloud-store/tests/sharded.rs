@@ -1,8 +1,9 @@
 //! Property and integration tests of the sharded store's routing
-//! contract: routing is a pure function of the folder name, per-shard
-//! long-poll wait queues never leak wakeups across shards, folder-scoped
-//! semantics survive sharding unchanged, and the cross-shard views
-//! (metrics, folders, merged watch) aggregate correctly.
+//! contract: routing is a pure function of the folder name, the placement
+//! of every benchmark workload's folders is pinned, per-shard long-poll
+//! wait queues never leak wakeups across shards, folder-scoped semantics
+//! survive sharding unchanged, and the cross-shard views (metrics,
+//! folders) aggregate correctly.
 
 use bytes::Bytes;
 use cloud_store::{BatchWrite, CloudStore, ObjectStore, ShardedStore, StoreError, StoreHandle};
@@ -129,174 +130,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
-    /// HRW stability: resizing N→N+1 relocates roughly 1/(N+1) of the
-    /// folders and *nothing else* — every folder that moves lands on the
-    /// newly added shard, every folder that stays keeps byte-identical
-    /// contents, and routing after the resize is deterministic across
-    /// independently built processes.
-    #[test]
-    fn resize_relocates_a_minimal_deterministic_fraction(
-        shards in 1usize..=7,
-        folders in 24usize..=64,
-        seed in any::<u8>(),
-    ) {
-        let store = ShardedStore::new(shards);
-        let names: Vec<String> = (0..folders)
-            .map(|i| format!("tenant-{seed:02x}/folder-{i:03}"))
-            .collect();
-        for (i, name) in names.iter().enumerate() {
-            store.put(name, "obj", Bytes::from(format!("payload-{i}")));
-        }
-        let owners_before: Vec<usize> =
-            names.iter().map(|n| store.shard_index(n)).collect();
-
-        let report = store.resize(shards + 1);
-        prop_assert_eq!(report.from, shards);
-        prop_assert_eq!(report.to, shards + 1);
-
-        // determinism across processes: a fresh store with the same
-        // history routes identically
-        let twin = ShardedStore::new(shards);
-        twin.resize(shards + 1);
-        let mut moved = 0usize;
-        for (name, &before) in names.iter().zip(&owners_before) {
-            let after = store.shard_index(name);
-            prop_assert_eq!(after, twin.shard_index(name));
-            if after != before {
-                moved += 1;
-                // relocated folders move only TO the new shard
-                prop_assert_eq!(after, shards);
-            }
-        }
-        prop_assert_eq!(report.relocated, moved);
-        // expected fraction 1/(N+1); allow generous sampling noise but
-        // reject wholesale reshuffles (modulo routing moves ~N/(N+1))
-        let expected = folders as f64 / (shards + 1) as f64;
-        prop_assert!(
-            (moved as f64) <= 3.0 * expected + 3.0,
-            "moved {} of {} folders across {}→{} shards",
-            moved, folders, shards, shards + 1
-        );
-        // zero lost or corrupted objects, moved or not
-        for (i, name) in names.iter().enumerate() {
-            let (data, _) = store.get(name, "obj").expect("folder survived");
-            prop_assert_eq!(data, Bytes::from(format!("payload-{i}")));
-        }
-    }
-}
-
-/// Live migration under concurrent traffic: writers and readers keep
-/// running across a 2→5 resize with zero read unavailability; afterwards
-/// every object holds its last-written payload on its new owner.
-#[test]
-fn resize_under_concurrent_traffic_loses_nothing() {
-    let store = ShardedStore::new(2);
-    let folders: Vec<String> = (0..24).map(|i| format!("live-{i:02}")).collect();
-    for f in &folders {
-        store.put(f, "obj", Bytes::from_static(b"r0"));
-    }
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut writers = Vec::new();
-    for w in 0..3usize {
-        let store = store.clone();
-        let folders = folders.clone();
-        let stop = stop.clone();
-        writers.push(std::thread::spawn(move || {
-            let mut rounds = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                rounds += 1;
-                for (i, f) in folders.iter().enumerate() {
-                    if i % 3 == w {
-                        store.put(f, "obj", Bytes::from(format!("w{w}-r{rounds}")));
-                        // reads must never go unavailable mid-migration
-                        assert!(store.get(f, "obj").is_some(), "read unavailability");
-                    }
-                }
-            }
-            rounds
-        }));
-    }
-    std::thread::sleep(Duration::from_millis(10));
-    let report = store.resize(5);
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let rounds: Vec<u64> = writers.into_iter().map(|h| h.join().unwrap()).collect();
-    assert!(rounds.iter().all(|&r| r > 0));
-    assert!(report.relocated > 0, "a 2→5 grow must move something");
-    assert_eq!(store.shard_count(), 5);
-    // every folder is resident on exactly its (new) owner, holding the
-    // last payload its writer put there
-    for (i, f) in folders.iter().enumerate() {
-        let w = i % 3;
-        let expect = Bytes::from(format!("w{w}-r{}", rounds[w]));
-        let owner = store.shard_index(f);
-        for (j, shard) in store.shards().iter().enumerate() {
-            let got = shard.get(f, "obj");
-            if j == owner {
-                assert_eq!(got.expect("present on owner").0, expect, "folder {f}");
-            } else {
-                assert!(got.is_none(), "stray copy of {f} on shard {j}");
-            }
-        }
-    }
-}
-
-/// A multi-GET during a live 2→5 resize is served whole by the folder's
-/// owner of the moment, under the routing read lock: it never reads a
-/// folder half-migrated, so every item is present and from one batch,
-/// and once the resize is done its clock is the owning shard's.
-#[test]
-fn multi_get_during_a_live_resize_reads_one_owner_whole() {
-    let store = ShardedStore::new(2);
-    let folders: Vec<String> = (0..24).map(|i| format!("live-{i:02}")).collect();
-    let items: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
-    let batch = |round: u64| {
-        let payload = Bytes::from(round.to_be_bytes().to_vec());
-        items
-            .iter()
-            .map(move |item| (item.clone(), payload.clone()))
-    };
-    for f in &folders {
-        store.put_many(f, batch(0));
-    }
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    // two clients each publish a batch into a folder and read it back
-    let clients: Vec<_> = (0..2)
-        .map(|c| {
-            let (store, folders, items) = (store.clone(), folders.clone(), items.clone());
-            let batches: Vec<Vec<_>> = (1..=64).map(|round| batch(round).collect()).collect();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let mut reads = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) || reads == 0 {
-                    let f = &folders[(reads as usize * 7 + c) % folders.len()];
-                    store.put_many(f, batches[reads as usize % batches.len()].clone());
-                    let (found, _) = store.try_get_many(f, items.clone()).unwrap();
-                    let found: Vec<_> =
-                        found.into_iter().map(|got| got.expect("present")).collect();
-                    assert!(found.iter().all(|got| got == &found[0]), "torn: {found:?}");
-                    reads += 1;
-                }
-                reads
-            })
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(10));
-    let report = store.resize(5);
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    for client in clients {
-        assert!(client.join().unwrap() > 0);
-    }
-    assert!(report.relocated > 0, "a 2→5 grow must move something");
-    for f in &folders {
-        let owner = &store.shards()[store.shard_index(f)];
-        let (_, clock) = store.try_get_many(f, items.clone()).unwrap();
-        assert_eq!(clock, owner.version(), "{f}: the owner's clock");
-    }
-}
-
 /// CAS clock domains are per shard: conditional writes round-trip versions
 /// of the owning shard and behave exactly like the single store's.
 #[test]
@@ -354,79 +187,6 @@ fn conditional_batches_hold_per_shard() {
     assert_eq!(owner.metrics().cas_conflicts, 1, "booked on the owner");
 }
 
-/// Conditional batches racing a live resize: two clients each read a
-/// folder's three items in one snapshot and write all three back as one
-/// conditional batch carrying the snapshot's counter plus one. Across the
-/// copy and the cutover every batch lands whole or not at all, and no
-/// applied batch is lost on the retired owner: each folder's counter ends
-/// equal to the number of batches the store acknowledged for it, on all
-/// three items, at one version.
-#[test]
-fn conditional_batches_across_a_live_resize_are_all_or_nothing() {
-    let store = ShardedStore::new(2);
-    let folders: Vec<String> = (0..16).map(|i| format!("cas-{i:02}")).collect();
-    let items: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
-    let counter = |n: u64| Bytes::from(n.to_be_bytes().to_vec());
-    for f in &folders {
-        store.put_many(f, items.iter().map(|i| (i.clone(), counter(0))));
-    }
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let clients: Vec<_> = (0..2)
-        .map(|c| {
-            let (store, folders, items) = (store.clone(), folders.clone(), items.clone());
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let mut applied = vec![0u64; folders.len()];
-                let mut round = 0usize;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) || round < 64 {
-                    let idx = (round * 5 + c) % folders.len();
-                    round += 1;
-                    let (found, _) = store.try_get_many(&folders[idx], items.clone()).unwrap();
-                    let found: Vec<(Bytes, u64)> =
-                        found.into_iter().map(|got| got.expect("present")).collect();
-                    assert!(found.iter().all(|(d, _)| *d == found[0].0), "torn");
-                    let n = u64::from_be_bytes(found[0].0[..].try_into().unwrap());
-                    let writes = items
-                        .iter()
-                        .zip(&found)
-                        .map(|(item, (_, v))| BatchWrite::put_if_version(item, counter(n + 1), *v))
-                        .collect();
-                    match store.try_write_many(&folders[idx], writes) {
-                        Ok(_) => applied[idx] += 1,
-                        Err(StoreError::BatchConflict(lost)) => assert!(!lost.is_empty()),
-                        Err(e) => panic!("a reliable store failed: {e}"),
-                    }
-                }
-                applied
-            })
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(5));
-    let report = store.resize(5);
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let mut applied = vec![0u64; folders.len()];
-    for client in clients {
-        for (total, mine) in applied.iter_mut().zip(client.join().unwrap()) {
-            *total += mine;
-        }
-    }
-    assert!(report.relocated > 0, "a 2→5 grow must move something");
-    assert!(applied.iter().sum::<u64>() > 0);
-    for (f, &acked) in folders.iter().zip(&applied) {
-        let (found, _) = store.try_get_many(f, items.clone()).unwrap();
-        let found: Vec<(Bytes, u64)> = found.into_iter().map(Option::unwrap).collect();
-        assert!(
-            found.iter().all(|got| *got == found[0]),
-            "{f}: one batch's state"
-        );
-        assert_eq!(
-            found[0].0,
-            counter(acked),
-            "{f}: every acknowledged batch counted once"
-        );
-    }
-}
-
 /// Aggregated metrics are the field-wise sum of the per-shard snapshots.
 #[test]
 fn metrics_aggregate_across_shards() {
@@ -447,30 +207,44 @@ fn metrics_aggregate_across_shards() {
     );
 }
 
-/// The merged watch cursor sees an atomic `put_many` on one shard as one
-/// batch of changes, interleaved with changes on other shards.
+/// Placement is pinned: the shard of each folder the benchmark workloads
+/// use (`rw`, `m` and `rs` with their data folders) at 4 shards, and of a
+/// few folders at 1 and 8, so a routing change cannot silently move
+/// per-shard traffic. At 4 shards the 16 `rw` data folders split 8/3/3/2.
 #[test]
-fn merged_watch_spans_put_many_and_singles() {
-    let store = ShardedStore::new(4);
-    let mut cursor = store.cursor();
-    store.put_many(
-        "grp",
-        vec![
-            ("p0".to_string(), Bytes::from_static(b"a")),
-            ("p1".to_string(), Bytes::from_static(b"b")),
-        ],
-    );
-    store.put("other", "x", Bytes::from_static(b"c"));
-    let changed = store.watch(&mut cursor, Duration::from_millis(100));
-    assert_eq!(
-        changed,
-        vec![
-            ("grp".to_string(), "p0".to_string()),
-            ("grp".to_string(), "p1".to_string()),
-            ("other".to_string(), "x".to_string()),
-        ]
-    );
-    assert!(store
-        .watch(&mut cursor, Duration::from_millis(5))
-        .is_empty());
+fn placement_is_pinned_for_the_workload_folders() {
+    let four = ShardedStore::new(4);
+    for (folder, shard) in [("rw", 3), ("m", 1), ("rs", 3), ("rw/data", 3), ("", 1)] {
+        assert_eq!(four.shard_index(folder), shard, "{folder:?}");
+    }
+    let rw_data = [3, 2, 2, 0, 2, 2, 3, 1, 2, 0, 0, 3, 2, 2, 1, 2];
+    for (i, &shard) in rw_data.iter().enumerate() {
+        let folder = format!("rw/data-{i:02}");
+        assert_eq!(four.shard_index(&folder), shard, "{folder}");
+    }
+    let rs_data = [0, 2, 3, 2, 0, 2, 0, 3];
+    for (i, &shard) in rs_data.iter().enumerate() {
+        let folder = format!("rs/data-{i:02}");
+        assert_eq!(four.shard_index(&folder), shard, "{folder}");
+    }
+
+    let one = ShardedStore::new(1);
+    for folder in ["rw", "m", "rs", "rw/data-00", ""] {
+        assert_eq!(one.shard_index(folder), 0, "{folder:?}");
+    }
+    let eight = ShardedStore::new(8);
+    let pins = [
+        ("rw", 5),
+        ("m", 5),
+        ("rs", 3),
+        ("g", 6),
+        ("group-1", 5),
+        ("rw/data-04", 7),
+        ("rw/data-09", 0),
+        ("rs/data-03", 2),
+        ("", 4),
+    ];
+    for (folder, shard) in pins {
+        assert_eq!(eight.shard_index(folder), shard, "{folder:?}");
+    }
 }

@@ -114,7 +114,11 @@ impl<'a> RevocationCoordinator<'a> {
             fleet.arm(task);
             if self.policy == ReencryptionPolicy::Eager {
                 let run = fleet.converge_all()?;
-                let report = run.group(group).expect("an armed task completes").report;
+                let own = run.group(group).expect("an armed task is reported");
+                if let Some(e) = &own.error {
+                    return Err(e.clone());
+                }
+                let report = own.report;
                 if !report.converged {
                     fleet.arm(task);
                     return Err(DataError::SweepUnconverged(report));

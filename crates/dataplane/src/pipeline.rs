@@ -376,11 +376,7 @@ impl PipelinedSession {
     /// The serial session's pre-operation invalidation check, plus the
     /// pipelined addition: when the check observes a rotation, the
     /// in-flight window is drained, so everything still queued seals
-    /// under the new ring at submission. Store routing-epoch bumps (an
-    /// online shard resize) ride the same check — the inner session
-    /// marks its cached versions route-stale, and any write whose
-    /// expectation was re-stamped by a migration loses its CAS once and
-    /// self-heals through the normal conflict adopt-and-resubmit path.
+    /// under the new ring at submission.
     fn observe_epoch(&mut self) -> Result<(), DataError> {
         let before = self.inner.current_epoch();
         self.inner.maybe_refresh()?;

@@ -48,7 +48,10 @@
 //! * **Fault containment.** A lease that panics or hits a transient store
 //!   fault costs that lease, not the run: the unit is re-queued under its
 //!   original stamp ([`LeaseRecord::failure`] carries the cause,
-//!   [`FleetReport::warnings`] the summary).
+//!   [`FleetReport::warnings`] the summary). A fatal error (a revoked
+//!   sweeper identity, a tampered partition) ends its own group's run
+//!   only: the other groups' leases carry on, and the failed group's
+//!   report carries the error ([`GroupSweepReport::error`]).
 //!
 //! [`SweepScheduler::converge_all`] drives the fleet to quiescence on `W`
 //! scoped threads and reports per-group attribution: a labelled
@@ -250,15 +253,20 @@ pub struct GroupSweepReport {
     /// How far past `armed_at + deadline` the backlog converged
     /// (zero when the deadline was met).
     pub overshoot: Duration,
+    /// The fatal error that ended this group's run, if one did. The
+    /// group's leases were dropped at the failure (its counters cover the
+    /// work done until then, and `report.converged` is false) and the task
+    /// stays armed for the next run.
+    pub error: Option<DataError>,
 }
 
 /// Outcome of one [`SweepScheduler::converge_all`] fleet run.
 #[derive(Clone, Debug, Default)]
 pub struct FleetReport {
     /// Per-group reports **in completion order**: `groups[0]` finished its
-    /// backlog first. Staleness priority makes the most-behind group
-    /// finish before the freshest one whenever the fleet is meaningfully
-    /// oversubscribed.
+    /// backlog (or failed) first. Staleness priority makes the most-behind
+    /// group finish before the freshest one whenever the fleet is
+    /// meaningfully oversubscribed.
     pub groups: Vec<GroupSweepReport>,
     /// Fleet-level aggregate: counters summed, `converged` AND-ed,
     /// `elapsed` the true wall clock of the run. `min_live_epoch` is
@@ -278,15 +286,15 @@ impl FleetReport {
         self.groups.iter().map(|g| g.group.as_str()).collect()
     }
 
-    /// The report for `group`, if it completed a backlog in this run.
+    /// The report for `group`, if it was armed for this run.
     pub fn group(&self, group: &str) -> Option<&GroupSweepReport> {
         self.groups.iter().find(|g| g.group == group)
     }
 
     /// Human-readable anomalies of the run, in a stable order: one warning
     /// per failed lease (worker panic or transient store fault, in grant
-    /// order), then one per group that retired unconverged (in completion
-    /// order). An empty iterator means a clean run.
+    /// order), then one per group that failed or retired unconverged (in
+    /// completion order). An empty iterator means a clean run.
     pub fn warnings(&self) -> impl Iterator<Item = String> + '_ {
         let lost_leases = self.leases.iter().filter_map(|l| {
             l.failure.as_ref().map(|cause| {
@@ -297,10 +305,14 @@ impl FleetReport {
             })
         });
         let stuck_groups = self.groups.iter().filter(|g| !g.report.converged).map(|g| {
-            format!(
-                "group `{}` retired unconverged after {} leases ({} retried)",
-                g.group, g.leases, g.retries
-            )
+            let (group, leases) = (&g.group, g.leases);
+            match &g.error {
+                Some(e) => format!("group `{group}` failed after {leases} leases: {e}"),
+                None => format!(
+                    "group `{group}` retired unconverged after {leases} leases ({} retried)",
+                    g.retries
+                ),
+            }
         });
         lost_leases.chain(stuck_groups)
     }
@@ -481,10 +493,7 @@ impl SweepScheduler {
             let epoch_moved = match watcher.watch(Duration::ZERO) {
                 Ok(moved) => moved,
                 Err(e) => {
-                    telemetry::event("fleet.task_failed")
-                        .with("group", entry.group.as_str())
-                        .with("error", e.to_string())
-                        .emit();
+                    task_failed(&entry.group, &e);
                     failed.get_or_insert(e);
                     continue;
                 }
@@ -576,13 +585,20 @@ impl SweepScheduler {
     /// report instead of wedging the fleet); idle tasks are untouched. An
     /// empty armed set returns an empty report immediately.
     ///
+    /// Transient store faults and worker panics are not fatal: the lost
+    /// lease's unit is re-queued under the same stamp — see
+    /// [`FleetConfig::max_retries`] and [`LeaseRecord::failure`]. A
+    /// *fatal* worker error ends only its own task's run: that task's
+    /// remaining leases are dropped, its arming is kept (the next run
+    /// starts each of its folders from a fresh pass), and the group's
+    /// report carries the error ([`GroupSweepReport::error`]) while every
+    /// other task's run carries on. Each failure a returned report carries
+    /// is also named by one `fleet.task_failed` event (group and error).
+    ///
     /// # Errors
-    /// The first *fatal* worker error aborts the run (remaining leases
-    /// are dropped, armings are kept so the run can be retried, and the
-    /// retry starts every folder from a fresh pass). Transient store faults and worker
-    /// panics are not fatal: the lost lease's unit is re-queued under the
-    /// same stamp — see [`FleetConfig::max_retries`] and
-    /// [`LeaseRecord::failure`].
+    /// The first fatal error, when every armed task's run failed. Then no
+    /// report is returned, and each later failure is named only by its
+    /// event.
     pub fn converge_all(&mut self) -> Result<FleetReport, DataError> {
         let t0 = Instant::now();
 
@@ -613,6 +629,7 @@ impl SweepScheduler {
                 leases: 0,
                 retries: 0,
                 completed_at: None,
+                error: None,
             });
         }
         if runs.is_empty() {
@@ -634,7 +651,6 @@ impl SweepScheduler {
             in_flight: 0,
             completions: Vec::new(),
             log: Vec::new(),
-            error: None,
         });
         let ready_for_work = Condvar::new();
         let (tasks, config) = (&self.tasks, self.config);
@@ -645,9 +661,19 @@ impl SweepScheduler {
         });
 
         let dispatch = state.into_inner();
-        if let Some(e) = dispatch.error {
-            return Err(e);
+        let mut failed = dispatch
+            .completions
+            .iter()
+            .map(|&run| &dispatch.runs[run])
+            .filter_map(|run| Some((run.group.as_str(), run.error.as_ref()?)));
+        if dispatch.runs.iter().all(|run| run.error.is_some()) {
+            // no report to carry the failures: the first is returned, the
+            // others are named by events
+            let (_, first) = failed.next().expect("an armed run completes");
+            failed.for_each(|(group, e)| task_failed(group, e));
+            return Err(first.clone());
         }
+        failed.for_each(|(group, e)| task_failed(group, e));
 
         let mut report = FleetReport {
             total: SweepReport {
@@ -661,7 +687,7 @@ impl SweepScheduler {
             let run = &dispatch.runs[run_idx];
             let completed_at = run.completed_at.expect("completions are timestamped");
             let mut group_report = run.report;
-            group_report.converged = run.all_converged;
+            group_report.converged = run.all_converged && run.error.is_none();
             group_report.elapsed = completed_at.duration_since(t0);
             report.total.absorb_counters(&group_report);
             report.total.converged &= group_report.converged;
@@ -675,11 +701,14 @@ impl SweepScheduler {
                 overshoot: completed_at
                     .duration_since(run.armed_at)
                     .saturating_sub(run.deadline),
+                error: run.error.clone(),
             });
-            // a served backlog disarms its task
-            let entry = &mut self.tasks[run.task];
-            entry.stamp = None;
-            entry.armed_at = None;
+            // a served backlog disarms its task; a failed one stays armed
+            if run.error.is_none() {
+                let entry = &mut self.tasks[run.task];
+                entry.stamp = None;
+                entry.armed_at = None;
+            }
         }
         report.total.min_live_epoch = None;
         report.total.elapsed = t0.elapsed();
@@ -704,6 +733,14 @@ impl core::fmt::Debug for SweepScheduler {
     }
 }
 
+/// Names one group's failure in a `fleet.task_failed` event.
+fn task_failed(group: &str, error: &DataError) {
+    telemetry::event("fleet.task_failed")
+        .with("group", group)
+        .with("error", error.to_string())
+        .emit();
+}
+
 /// Per-armed-task bookkeeping during a fleet run.
 struct TaskRun {
     task: TaskId,
@@ -719,6 +756,9 @@ struct TaskRun {
     leases: u64,
     retries: u64,
     completed_at: Option<Instant>,
+    /// The fatal error that ended this run; its remaining units are
+    /// dropped as they come up.
+    error: Option<DataError>,
 }
 
 /// A ready folder in the priority queue, which pops the smallest
@@ -739,10 +779,10 @@ struct Dispatch {
     runs: Vec<TaskRun>,
     seq: u64,
     in_flight: usize,
-    /// Run indices in completion order.
+    /// Run indices in completion order (a failed run completes at its
+    /// failure).
     completions: Vec<usize>,
     log: Vec<LeaseRecord>,
-    error: Option<DataError>,
 }
 
 impl Dispatch {
@@ -774,11 +814,20 @@ impl Dispatch {
             self.completions.push(granted.run);
         }
     }
+
+    /// Ends a granted folder's run on a fatal error: the run completes now,
+    /// failed, and its other folders are dropped as they come up.
+    fn fail(&mut self, granted: &Ready, error: DataError) {
+        let run = &mut self.runs[granted.run];
+        run.error = Some(error);
+        run.completed_at = Some(Instant::now());
+        self.completions.push(granted.run);
+    }
 }
 
 /// One fleet worker: lease the stalest ready unit, run one lease outside
 /// the dispatch lock, fold the outcome back in, repeat until the run
-/// quiesces (or errors).
+/// quiesces. A unit of a failed task is dropped instead of leased.
 ///
 /// A lease that panics or fails transiently does not abort the run: the
 /// unit's partial counters are salvaged, its in-progress pass is dropped
@@ -790,13 +839,14 @@ fn worker_loop(tasks: &[TaskEntry], state: &Mutex<Dispatch>, cvar: &Condvar, con
     let mut guard = state.lock();
     loop {
         let granted = loop {
-            // run over (or aborted): everyone exits
-            if guard.error.is_some() || (guard.ready.is_empty() && guard.in_flight == 0) {
+            // run over: everyone exits
+            if guard.ready.is_empty() && guard.in_flight == 0 {
                 cvar.notify_all();
                 return;
             }
             match guard.ready.pop() {
-                Some(Reverse(r)) => break r,
+                Some(Reverse(r)) if guard.runs[r.run].error.is_none() => break r,
+                Some(_) => {}
                 None => cvar.wait(&mut guard),
             }
         };
@@ -860,8 +910,9 @@ fn worker_loop(tasks: &[TaskEntry], state: &Mutex<Dispatch>, cvar: &Condvar, con
 
         guard = state.lock();
         guard.in_flight -= 1;
+        let run_failed = guard.runs[granted.run].error.is_some();
         match outcome {
-            Err(e) if e.is_transient() => {
+            Err(e) if e.is_transient() && !run_failed => {
                 // the lease is lost, the unit is not: salvage whatever the
                 // partial pass already migrated (`SweepPass::step` folds
                 // each batch as the store answers it), then
@@ -888,13 +939,7 @@ fn worker_loop(tasks: &[TaskEntry], state: &Mutex<Dispatch>, cvar: &Condvar, con
                     guard.requeue(&granted);
                 }
             }
-            Err(e) => {
-                guard.log[log_idx].failure = Some(e.to_string());
-                if guard.error.is_none() {
-                    guard.error = Some(e);
-                }
-            }
-            Ok(_) => {
+            Ok(_) if !run_failed => {
                 let pass = cursor
                     .pass
                     .take()
@@ -913,6 +958,21 @@ fn worker_loop(tasks: &[TaskEntry], state: &Mutex<Dispatch>, cvar: &Condvar, con
                 } else {
                     cursor.pass = Some(pass);
                     guard.requeue(&granted);
+                }
+            }
+            // a fatal error, or any lease of a task that failed while it
+            // ran: keep what the pass migrated and drop the unit
+            outcome => {
+                if let Some(partial) = cursor.pass.take() {
+                    guard.runs[granted.run]
+                        .report
+                        .absorb_counters(&partial.finish());
+                }
+                if let Err(e) = outcome {
+                    guard.log[log_idx].failure = Some(e.to_string());
+                    if !run_failed {
+                        guard.fail(&granted, e);
+                    }
                 }
             }
         }

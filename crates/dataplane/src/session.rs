@@ -131,14 +131,6 @@ pub struct ClientSession {
     ring: Option<KeyRing>,
     /// object name → store version last observed (the CAS expectation).
     versions: HashMap<String, u64>,
-    /// The store's routing epoch last observed (see
-    /// [`cloud_store::ObjectStore::routing_epoch`]); a bump means folders
-    /// may have been live-migrated, re-stamping versions.
-    routing_epoch_seen: u64,
-    /// Objects whose tracked version predates a routing-epoch bump: their
-    /// CAS expectation may name a pre-migration version, so the next write
-    /// re-reads the current one instead of burning a guaranteed conflict.
-    stale_routes: HashSet<String>,
     metrics: Arc<DataMetrics>,
     rng: StdRng,
     /// Transient-store-fault retry budget applied to every cloud round-trip.
@@ -170,14 +162,11 @@ impl ClientSession {
     ) -> Self {
         let group = group.into();
         let control = Client::new(identity, usk, pk, store, group.clone());
-        let routing_epoch_seen = control.store().routing_epoch();
         Self {
             folders: vec![data_folder(&group)],
             control,
             ring: None,
             versions: HashMap::new(),
-            routing_epoch_seen,
-            stale_routes: HashSet::new(),
             metrics: Arc::new(DataMetrics::default()),
             rng: StdRng::seed_from_u64(seed),
             retry: RetryPolicy::default(),
@@ -319,7 +308,6 @@ impl ClientSession {
     /// identity) keeps the stale ring — by design, see the type-level docs.
     /// Also the sweeper's cheap between-pass freshness check.
     pub(crate) fn maybe_refresh(&mut self) -> Result<(), DataError> {
-        self.observe_routing();
         if self.ring.is_none() {
             self.refresh()?;
             return Ok(());
@@ -331,42 +319,6 @@ impl ClientSession {
             Ok(_) | Err(DataError::Acs(acs::AcsError::NotAMember(_))) => Ok(()),
             Err(e) => Err(e),
         }
-    }
-
-    /// Notices store routing-epoch bumps (an online shard resize): every
-    /// tracked CAS expectation minted before the bump is marked
-    /// route-stale, to be re-read lazily before its next conditional
-    /// write — migration re-stamps item versions, so the old expectation
-    /// would lose its CAS unconditionally. Reads are unaffected (routing
-    /// is the store's job); this only heals the session's version cache.
-    pub(crate) fn observe_routing(&mut self) {
-        let epoch = self.control.store().routing_epoch();
-        if epoch != self.routing_epoch_seen {
-            self.routing_epoch_seen = epoch;
-            if !self.versions.is_empty() {
-                telemetry::event("session.reroute")
-                    .with("routing_epoch", epoch)
-                    .with("tracked", self.versions.len())
-                    .emit();
-                self.stale_routes.extend(self.versions.keys().cloned());
-            }
-        }
-    }
-
-    /// Re-reads `object`'s current store version after a routing-epoch
-    /// bump, replacing (or dropping) the tracked CAS expectation.
-    ///
-    /// # Errors
-    /// Transport failures from the version read.
-    fn refresh_route(&mut self, object: &str) -> Result<(), DataError> {
-        let folder = self.folder_of(object).to_string();
-        let retry = self.retry;
-        let fetched = retry.run(|| Ok(self.control.store().try_get(&folder, object)?))?;
-        match fetched {
-            Some((_, version)) => self.versions.insert(object.to_string(), version),
-            None => self.versions.remove(object),
-        };
-        Ok(())
     }
 
     /// Blocks on the group's metadata long poll until it changes (or
@@ -422,13 +374,10 @@ impl ClientSession {
         let Some((bytes, version)) = fetched else {
             // deleted under us: the stale CAS expectation goes with it
             self.versions.remove(object);
-            self.stale_routes.remove(object);
             return Err(DataError::NotFound(object.to_string()));
         };
         let sealed = SealedObject::from_bytes(&bytes)?;
         self.versions.insert(object.to_string(), version);
-        // a freshly observed version is current-route by definition
-        self.stale_routes.remove(object);
         Ok((sealed, version))
     }
 
@@ -440,7 +389,6 @@ impl ClientSession {
     pub fn delete(&mut self, object: &str) -> Result<bool, DataError> {
         let folder = self.folder_of(object).to_string();
         self.versions.remove(object);
-        self.stale_routes.remove(object);
         self.retry
             .run(|| Ok(self.control.store().try_delete(&folder, object)?))
     }
@@ -456,7 +404,6 @@ impl ClientSession {
         let live: HashSet<String> = self.list_objects()?.into_iter().collect();
         let before = self.versions.len();
         self.versions.retain(|name, _| live.contains(name));
-        self.stale_routes.retain(|name| live.contains(name));
         Ok(before - self.versions.len())
     }
 
@@ -481,11 +428,6 @@ impl ClientSession {
             .with("object", object)
             .enter();
         self.maybe_refresh()?;
-        if self.stale_routes.remove(object) {
-            // a shard resize re-stamped versions; re-read rather than
-            // burn a guaranteed CAS conflict on the stale expectation
-            self.refresh_route(object)?;
-        }
         let ring = self.ring.as_ref().ok_or(DataError::NoKeys)?;
         let sealed = SealedObject::seal(ring, object, plaintext, &mut self.rng);
         let expected = self.versions.get(object).copied().unwrap_or(0);
@@ -583,13 +525,11 @@ impl ClientSession {
     /// [`ClientSession::fetch`] perform inline).
     pub(crate) fn note_version(&mut self, object: &str, version: u64) {
         self.versions.insert(object.to_string(), version);
-        self.stale_routes.remove(object);
     }
 
     /// Drops the CAS expectation for an object observed deleted.
     pub(crate) fn forget_version(&mut self, object: &str) {
         self.versions.remove(object);
-        self.stale_routes.remove(object);
     }
 
     /// The shared counters, for recording completions processed outside

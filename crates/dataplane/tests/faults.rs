@@ -21,14 +21,16 @@
 //! still satisfy 1–4. A second run over the same stack, under the canned
 //! schedule, is traced: its telemetry spans and `fault.*` events must
 //! reconcile with the store's own counters and the injector's stats.
+//! A fatal error (the sweeper revoked from one group) must end only that
+//! group's run: the other group converges in the same `converge_all`.
 //!
 //! Case count: a light default (each case boots two full fleet stacks),
 //! scaled up by `PROPTEST_CASES` like the other data-plane suites.
 
-use acs::FleetFixture;
+use acs::{AcsError, FleetFixture};
 use cloud_store::{
     CloudStore, FaultConfig, FaultInjector, FaultStats, FaultyStore, MetricsSnapshot, ObjectStore,
-    ShardedStore, StoreHandle,
+    StoreHandle,
 };
 use dataplane::fixtures::{
     fleet_session, fleet_session_on, fleet_sweep_sessions, fleet_sweep_sessions_on,
@@ -71,13 +73,6 @@ struct Stack {
 /// writes `sizes[i]` objects into group `i`, then revokes `g{i}-u0` from
 /// every group — the staleness wave the sweeps must clear.
 fn build_stack(sizes: &[usize], shards: usize, seed: u64) -> Stack {
-    build_stack_on(CloudStore::new().into(), sizes, shards, seed)
-}
-
-/// Like [`build_stack`], but over an arbitrary store — the live-resize
-/// cases deploy on a [`ShardedStore`] so the routing table can grow and
-/// shrink mid-sweep.
-fn build_stack_on(store: StoreHandle, sizes: &[usize], shards: usize, seed: u64) -> Stack {
     let specs: Vec<(String, Vec<String>)> = (0..sizes.len())
         .map(|i| {
             (
@@ -87,7 +82,7 @@ fn build_stack_on(store: StoreHandle, sizes: &[usize], shards: usize, seed: u64)
         })
         .collect();
     let fixture = FleetFixture::new(
-        store,
+        CloudStore::new(),
         PartitionSize::new(2).unwrap(),
         &specs,
         &[WRITER.to_string(), SWEEPER.to_string()],
@@ -559,158 +554,68 @@ fn an_eager_revocation_across_an_outage_fails_closed_and_recovers() {
     assert_no_loss_no_leak(&stack, &sizes, shards);
 }
 
-// --- live shard resizing under faults -------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
-    /// A live 4→8 shard resize in the middle of a faulted sweep: outages,
-    /// timeouts, torn polls, and CAS storms keep striking the sweep
-    /// sessions while folders cut over to new owners on a clean handle.
-    /// The fleet must still converge to the fault-free baseline with zero
-    /// lost objects and zero revoked-member leakage.
-    #[test]
-    fn a_live_resize_under_faults_converges_with_zero_loss(
-        seed: u64,
-        fault_seed: u64,
-        workers in 1usize..=2,
-        timeout_pct in 0u32..=20,
-        outage_permille in 0u32..=15,
-        torn_poll_pct in 0u32..=30,
-        cas_storm_pct in 0u32..=20,
-    ) {
-        let _untraced = untraced();
-        let groups = 2usize;
-        let shards = 2usize;
-        let mut sizes = vec![0usize; groups];
-        for (i, s) in sizes.iter_mut().enumerate() {
-            *s = 2 + (seed as usize >> (4 * i)) % 4;
-        }
-        let expected = baseline_migrated(&sizes, shards, seed);
-
-        let sharded = ShardedStore::new(4);
-        let stack = build_stack_on(sharded.clone().into(), &sizes, shards, seed);
-        let injector = Arc::new(FaultInjector::new(FaultConfig {
-            seed: fault_seed,
-            domains: 4,
-            timeout_prob: f64::from(timeout_pct) / 100.0,
-            outage_prob: f64::from(outage_permille) / 1000.0,
-            outage: Duration::from_millis(10),
-            torn_poll_prob: f64::from(torn_poll_pct) / 100.0,
-            cas_storm_prob: f64::from(cas_storm_pct) / 100.0,
-        }));
-        let mut scheduler = SweepScheduler::new(FleetConfig {
-            workers,
-            lease: 3,
-            max_passes: 64,
-            // fault schedule plus route cutovers: allow plenty of lost
-            // leases before declaring a unit stuck
-            max_retries: 64,
-        });
-        for i in 0..groups {
-            scheduler.register(SweepTask::new(
-                faulty_sweep_sessions(&stack, &injector, &format!("g{i}"), shards, 0x5a),
-                SweepConfig::default(),
-            ));
-        }
-        for i in 0..groups {
-            scheduler.arm(i);
-        }
-
-        // the resize lands mid-run, migrating live folders out from under
-        // the sweeps
-        let resizer = {
-            let sharded = sharded.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                sharded.resize(8)
-            })
-        };
-        let report = scheduler.converge_all().unwrap();
-        let resize = resizer.join().unwrap();
-
-        prop_assert_eq!(resize.from, 4);
-        prop_assert_eq!(resize.to, 8);
-        prop_assert_eq!(sharded.shard_count(), 8);
-        prop_assert!(report.total.converged);
-        for (i, &expect) in expected.iter().enumerate() {
-            let g = report.group(&format!("g{i}")).unwrap();
-            prop_assert!(g.report.converged, "g{} converged across the resize", i);
-            prop_assert!(
-                g.report.migrated == expect,
-                "g{} migrated {} objects, fault-free baseline migrated {}",
-                i, g.report.migrated, expect
-            );
-        }
-
-        injector.heal();
-        assert_no_loss_no_leak(&stack, &sizes, shards);
-    }
-}
-
-/// The deterministic resize acceptance case: grow 4→8 mid-sweep under a
-/// light timeout schedule, converge, verify; then shrink 8→3 after the
-/// run and verify again. Both directions of the routing change preserve
-/// every byte and every access decision, and the per-shard metric
-/// snapshots follow the live shard set.
+/// One group's fatal error stays in that group: two groups share a
+/// 2-worker fleet, both rotated, and the sweeper is also revoked from
+/// `g0`. The first `converge_all` converges `g1` and reports `NotAMember`
+/// for `g0` alone — in `g0`'s report and in one `fleet.task_failed` event
+/// — and `g0` stays armed; once the sweeper is back in `g0`, the next run
+/// converges it.
 #[test]
-fn resize_grow_then_shrink_preserves_objects_and_access() {
-    let _untraced = untraced();
-    let sizes = [5usize, 4];
+fn a_fatal_error_in_one_group_leaves_the_other_converged() {
+    let _traced = TRACED_RUN.write().unwrap_or_else(PoisonError::into_inner);
+    let sizes = [4usize, 4];
     let shards = 2;
-    let seed = 0x5e1f;
-    let expected = baseline_migrated(&sizes, shards, seed);
-
-    let sharded = ShardedStore::new(4);
-    let stack = build_stack_on(sharded.clone().into(), &sizes, shards, seed);
-    let injector = Arc::new(FaultInjector::new(FaultConfig {
-        seed: 11,
-        domains: 4,
-        timeout_prob: 0.10,
-        ..FaultConfig::default()
-    }));
+    let stack = build_stack(&sizes, shards, 0x61);
     let mut scheduler = SweepScheduler::new(FleetConfig {
         workers: 2,
-        lease: 2,
-        max_retries: 64,
         ..FleetConfig::default()
     });
     for i in 0..sizes.len() {
         scheduler.register(SweepTask::new(
-            faulty_sweep_sessions(&stack, &injector, &format!("g{i}"), shards, 0x5a),
+            fleet_sweep_sessions(&stack.fixture, SWEEPER, &format!("g{i}"), shards, 0x62),
             SweepConfig::default(),
         ));
-        scheduler.arm(i);
     }
+    let mut batch = MembershipBatch::new();
+    batch.remove(SWEEPER);
+    stack.fixture.admin().apply_batch("g0", &batch).unwrap();
+    scheduler.arm_all();
 
-    let resizer = {
-        let sharded = sharded.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            sharded.resize(8)
-        })
-    };
+    let collector = Arc::new(telemetry::Collector::new());
+    let installed = telemetry::install(Arc::clone(&collector) as Arc<dyn telemetry::Subscriber>);
     let report = scheduler.converge_all().unwrap();
-    let grow = resizer.join().unwrap();
-    assert_eq!((grow.from, grow.to), (4, 8));
-    assert_eq!(sharded.shard_count(), 8);
-    assert_eq!(sharded.per_shard_metrics().len(), 8);
+    drop(installed);
 
-    assert!(report.total.converged);
-    for (i, &expect) in expected.iter().enumerate() {
-        let g = report.group(&format!("g{i}")).unwrap();
-        assert!(g.report.converged, "g{i} converged across the grow");
-        assert_eq!(g.report.migrated, expect, "g{i} migrated total");
-    }
-    injector.heal();
-    assert_no_loss_no_leak(&stack, &sizes, shards);
+    let g1 = report.group("g1").unwrap();
+    assert!(g1.report.converged && g1.error.is_none(), "{g1:?}");
+    assert_eq!(g1.report.migrated, sizes[1]);
+    let g0 = report.group("g0").unwrap();
+    assert!(
+        matches!(&g0.error, Some(DataError::Acs(AcsError::NotAMember(who))) if who == SWEEPER),
+        "{:?}",
+        g0.error
+    );
+    assert!(!g0.report.converged && !report.total.converged);
+    assert!(scheduler.is_armed(0) && !scheduler.is_armed(1));
+    let failures: Vec<_> = collector
+        .events()
+        .into_iter()
+        .filter(|e| e.name == "fleet.task_failed")
+        .collect();
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    let field = |name| failures[0].field(name).and_then(telemetry::Value::as_str);
+    assert_eq!(field("group"), Some("g0"));
+    assert!(field("error").is_some_and(|e| e.contains(SWEEPER)));
 
-    // the shrink retires five shards and drains them into the survivors
-    let shrink = sharded.resize(3);
-    assert_eq!((shrink.from, shrink.to), (8, 3));
-    assert_eq!(sharded.shard_count(), 3);
-    assert_eq!(sharded.per_shard_metrics().len(), 3);
-    assert!(shrink.relocated > 0, "retired shards held folders to move");
+    let mut batch = MembershipBatch::new();
+    batch.add(SWEEPER);
+    stack.fixture.admin().apply_batch("g0", &batch).unwrap();
+    let report = scheduler.converge_all().unwrap();
+    assert_eq!(report.completion_order(), vec!["g0"]);
+    let g0 = report.group("g0").unwrap();
+    assert!(g0.report.converged && g0.error.is_none(), "{g0:?}");
+    assert_eq!(g0.report.migrated, sizes[0]);
+    assert!(!scheduler.is_armed(0));
     assert_no_loss_no_leak(&stack, &sizes, shards);
 }
 

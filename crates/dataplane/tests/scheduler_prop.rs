@@ -14,13 +14,19 @@
 //! 4. migrate exactly what G dedicated one-group fleets migrate on an
 //!    identically seeded deployment, group by group.
 //!
+//! A second property poisons one task (its sweeper identity revoked from
+//! the group): that task's fatal error ends only its own run, and every
+//! other group converges with the totals of a fleet that never had the
+//! poisoned task.
+//!
 //! Case count: a light default (each case boots two full fleet stacks),
 //! scaled up by `PROPTEST_CASES` like the other data-plane suites.
 
+use acs::AcsError;
 use acs::FleetFixture;
 use cloud_store::CloudStore;
 use dataplane::fixtures::{fleet_session, fleet_sweep_sessions};
-use dataplane::{FleetConfig, SweepConfig, SweepScheduler, SweepTask};
+use dataplane::{DataError, FleetConfig, SweepConfig, SweepScheduler, SweepTask};
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -183,6 +189,74 @@ proptest! {
                 "g{}'s first lease waited for {} grants, budget of staler groups is {}",
                 i, first, staler_budget
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    #[test]
+    fn a_poisoned_task_ends_only_its_own_run(
+        seed: u64,
+        groups in 2usize..=4,
+        poisoned in 0usize..4,
+        workers in 1usize..=3,
+        shards in 1usize..=2,
+        lease in 1usize..=4,
+    ) {
+        let poisoned = poisoned % groups;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9015);
+        let sizes: Vec<usize> = (0..groups).map(|_| rng.gen_range(0..=6)).collect();
+        let config = FleetConfig {
+            workers,
+            lease,
+            max_passes: 32,
+            max_retries: 8,
+        };
+
+        // the reference: the same fleet without the poisoned task
+        let clean = build_stack(&sizes, shards, seed);
+        let mut reference = SweepScheduler::new(config);
+        for i in (0..groups).filter(|&i| i != poisoned) {
+            let id = reference.register(task(&clean, &format!("g{i}"), shards, 0x5a));
+            reference.arm(id);
+        }
+        let expected = reference.converge_all().unwrap();
+
+        // the poisoned fleet: the sweeper is revoked from one group
+        let stack = build_stack(&sizes, shards, seed);
+        let mut batch = MembershipBatch::new();
+        batch.remove(SWEEPER);
+        stack
+            .fixture
+            .admin()
+            .apply_batch(&format!("g{poisoned}"), &batch)
+            .unwrap();
+        let mut scheduler = SweepScheduler::new(config);
+        for i in 0..groups {
+            scheduler.register(task(&stack, &format!("g{i}"), shards, 0x5a));
+        }
+        scheduler.arm_all();
+        let report = scheduler.converge_all().unwrap();
+
+        prop_assert_eq!(report.groups.len(), groups);
+        for i in 0..groups {
+            let g = report.group(&format!("g{i}")).unwrap();
+            if i == poisoned {
+                prop_assert!(
+                    matches!(&g.error, Some(DataError::Acs(AcsError::NotAMember(_)))),
+                    "g{} error: {:?}", i, g.error
+                );
+                prop_assert!(!g.report.converged);
+                prop_assert!(scheduler.is_armed(i));
+            } else {
+                let want = expected.group(&format!("g{i}")).unwrap().report;
+                prop_assert!(g.error.is_none(), "g{} error: {:?}", i, g.error);
+                prop_assert!(g.report.converged, "g{} converged", i);
+                prop_assert_eq!(g.report.migrated, want.migrated);
+                prop_assert!(!scheduler.is_armed(i));
+            }
         }
     }
 }

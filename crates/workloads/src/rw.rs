@@ -108,21 +108,6 @@ impl RwTrace {
             .filter(|e| matches!(e, RwOp::Churn { .. }))
             .count()
     }
-
-    /// Maps each written object to the event index of its *last* write —
-    /// what a faithful replay must leave in the store. Replayers that
-    /// derive payloads from the event index (the elastic-scaling bench)
-    /// use this to assert migrated contents byte-identical after a live
-    /// shard resize.
-    pub fn final_write_indices(&self) -> std::collections::HashMap<&str, usize> {
-        let mut last = std::collections::HashMap::new();
-        for (i, e) in self.events.iter().enumerate() {
-            if let RwOp::Write { object } = e {
-                last.insert(object.as_str(), i);
-            }
-        }
-        last
-    }
 }
 
 /// Generates a read/write workload: `events` object operations with
@@ -305,26 +290,6 @@ mod tests {
             ..cfg
         });
         assert_ne!(generate_read_write(&cfg).events, other.events);
-    }
-
-    #[test]
-    fn final_write_indices_track_the_last_write() {
-        let t = generate_read_write(&RwTraceConfig {
-            objects: 8,
-            events: 120,
-            write_ratio: 0.5,
-            churn_every: 0,
-            ..RwTraceConfig::default()
-        });
-        let last = t.final_write_indices();
-        assert!(!last.is_empty());
-        for (object, &idx) in &last {
-            assert!(matches!(&t.events[idx], RwOp::Write { object: o } if o == object));
-            // no later write to the same object exists
-            for e in &t.events[idx + 1..] {
-                assert!(!matches!(e, RwOp::Write { object: o } if o == *object));
-            }
-        }
     }
 
     #[test]
