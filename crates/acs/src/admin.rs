@@ -25,8 +25,7 @@
 //! under the one engine and its one master secret.
 
 use crate::error::AcsError;
-use crate::oplog::{AdminSigner, LogOp};
-use crate::verilog::GroupLog;
+use crate::verilog::{AdminSigner, GroupLog, LogOp};
 use cloud_store::{BatchWrite, ObjectStore, StoreHandle};
 use ibbe_sgx_core::{
     AddOutcome, BatchOutcome, GroupEngine, GroupMetadata, MembershipBatch, PartitionSize,

@@ -20,14 +20,13 @@
 
 use crate::admin::Admin;
 use crate::error::AcsError;
-use crate::verilog::{log_entry_item, log_node_item, LOG_HEAD_ITEM};
+use crate::verilog::rebuild_log;
 use cloud_store::{
     Bytes, MetricsSnapshot, ObjectStore, PollResult, Request, RequestOp, Response, StoreError,
     StoreHandle,
 };
 use ibbe::{PublicKey, UserSecretKey};
 use ibbe_sgx_core::{GroupEngine, PartitionSize};
-use oplog::{leaf_hash, MerkleLog};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -304,27 +303,6 @@ fn log_entries(items: &HashMap<String, Bytes>) -> Vec<Bytes> {
     entries.into_values().cloned().collect()
 }
 
-/// Rebuilds the complete log object set (entries, interior nodes, head)
-/// over the given entry bytes — the forger's toolkit: any entry sequence
-/// becomes an internally consistent published branch.
-pub(crate) fn rebuild_log(entries: &[Bytes]) -> Vec<(String, Bytes)> {
-    let mut merkle = MerkleLog::new();
-    let mut items: Vec<(String, Bytes)> = Vec::new();
-    for (i, bytes) in entries.iter().enumerate() {
-        items.push((log_entry_item(i as u64), bytes.clone()));
-        for (level, index, hash) in merkle.append_leaf(leaf_hash(bytes)) {
-            if level >= 1 {
-                items.push((log_node_item(level, index), Bytes::from(hash.to_vec())));
-            }
-        }
-    }
-    items.push((
-        LOG_HEAD_ITEM.to_string(),
-        Bytes::from(merkle.commitment().to_bytes().to_vec()),
-    ));
-    items
-}
-
 /// What a long poll against a tampered folder does, extracted from the
 /// view so the poll can block without holding the view lock.
 enum PollPlan {
@@ -486,7 +464,7 @@ impl From<ForkingStore> for StoreHandle {
 mod tests {
     use super::*;
     use crate::admin::partition_item;
-    use crate::oplog::AdminSigner;
+    use crate::verilog::{log_entry_item, AdminSigner};
     use cloud_store::CloudStore;
     use rand::SeedableRng;
 

@@ -19,9 +19,10 @@
 //! * [`HeAdmin`] — the Hybrid-Encryption comparison system at equal
 //!   zero-knowledge guarantees (HE inside an enclave);
 //! * [`verilog`] — the certified membership-operation log (§VIII future
-//!   work): one signed, Merkle-committed log per group ([`GroupLog`]),
-//!   wired into [`Admin`] via [`Admin::with_signer`], published with the
-//!   metadata, pinned by clients and replayed by an untrusted [`Auditor`].
+//!   work), in one module: signed entries ([`LogEntry`], [`AdminSigner`]),
+//!   one Merkle-committed log per group ([`GroupLog`]) wired into
+//!   [`Admin`] via [`Admin::with_signer`], published with the metadata,
+//!   pinned by clients and replayed by an untrusted [`Auditor`].
 //!
 //! ```
 //! use acs::{bootstrap_admin, Client, provisioning};
@@ -54,7 +55,6 @@ pub mod client;
 pub mod error;
 pub mod fixtures;
 pub mod he_system;
-pub mod oplog;
 pub mod provisioning;
 pub mod verilog;
 
@@ -63,6 +63,5 @@ pub use client::Client;
 pub use error::AcsError;
 pub use fixtures::{FleetFixture, ForkingStore, Tamper};
 pub use he_system::{decode_he_metadata, encode_he_metadata, HeAdmin, HE_ITEM};
-pub use oplog::{AdminSigner, LogEntry, LogOp};
 pub use provisioning::{establish_trust, provision_user, KeyRequest, TrustContext};
-pub use verilog::{Auditor, GroupLog, SignedTransition};
+pub use verilog::{AdminSigner, Auditor, GroupLog, LogEntry, LogOp, SignedTransition};

@@ -252,21 +252,6 @@ impl<const N: usize> Uint<N> {
         Uint(l)
     }
 
-    /// Truncates to a narrower `Uint`, asserting no significant limbs are
-    /// discarded.
-    ///
-    /// # Panics
-    /// Panics if any dropped limb is non-zero or `M > N`.
-    pub fn narrow<const M: usize>(&self) -> Uint<M> {
-        assert!(M <= N, "narrow target must not be wider");
-        for i in M..N {
-            assert_eq!(self.0[i], 0, "narrow would discard significant limbs");
-        }
-        let mut l = [0u64; M];
-        l.copy_from_slice(&self.0[..M]);
-        Uint(l)
-    }
-
     /// Builds a `2N`-equivalent value from `(lo, hi)` halves produced by
     /// [`Uint::mul_wide`].
     ///
@@ -529,21 +514,6 @@ mod tests {
     #[should_panic(expected = "division by zero")]
     fn div_by_zero_panics() {
         let _ = U2::ONE.div_rem(&U2::ZERO);
-    }
-
-    #[test]
-    fn widen_narrow_roundtrip() {
-        let a = U2::new([1, 2]);
-        let w: Uint<4> = a.widen();
-        assert_eq!(w, Uint::<4>::new([1, 2, 0, 0]));
-        assert_eq!(w.narrow::<2>(), a);
-    }
-
-    #[test]
-    #[should_panic(expected = "discard")]
-    fn narrow_losing_limbs_panics() {
-        let w = Uint::<4>::new([1, 2, 3, 0]);
-        let _ = w.narrow::<2>();
     }
 
     #[test]

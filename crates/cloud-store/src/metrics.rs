@@ -93,24 +93,6 @@ impl MetricsSnapshot {
     }
 }
 
-impl telemetry::Counters for MetricsSnapshot {
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("puts", self.puts),
-            ("puts_batched", self.puts_batched),
-            ("batched_items", self.batched_items),
-            ("cas_puts", self.cas_puts),
-            ("cas_conflicts", self.cas_conflicts),
-            ("gets", self.gets),
-            ("deletes", self.deletes),
-            ("polls", self.polls),
-            ("poll_wakeups", self.poll_wakeups),
-            ("bytes_up", self.bytes_up),
-            ("bytes_down", self.bytes_down),
-        ]
-    }
-}
-
 impl Metrics {
     pub(crate) fn record_put(&self, bytes: usize) {
         self.puts.fetch_add(1, Ordering::Relaxed);

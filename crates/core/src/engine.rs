@@ -172,21 +172,6 @@ impl GroupEngine {
         self.enclave.ecall(|st, _| st.channel.public_key())
     }
 
-    /// Decrypts a provisioning-channel message inside the enclave (used by
-    /// the `acs` layer for authenticated admin requests).
-    ///
-    /// # Errors
-    /// [`CoreError::Sgx`] if channel authentication fails.
-    pub fn channel_decrypt(
-        &self,
-        msg: &sgx_sim::ChannelMessage,
-        aad: &[u8],
-    ) -> Result<Vec<u8>, CoreError> {
-        self.enclave
-            .ecall(|st, _| st.channel.decrypt(msg, aad))
-            .map_err(CoreError::from)
-    }
-
     /// Full in-enclave provisioning step (Fig. 3, step 4): decrypts a
     /// provisioning-request channel message, extracts the
     /// requested user's secret key, and re-encrypts it to the user's own
@@ -462,7 +447,9 @@ impl GroupEngine {
     /// Batch containing revocations: strips all net-removed members with
     /// constant-time `C3` updates, drops emptied partitions, places the net
     /// additions, performs the **one re-key per surviving partition** under
-    /// a fresh `gk`, and packs the overflow into new partitions.
+    /// a fresh `gk`, and packs the overflow into new partitions. The one
+    /// rotation path: [`GroupEngine::rekey_group`] runs it over an empty
+    /// plan.
     ///
     /// The rotation **advances the key epoch by one** and retires the old
     /// `gk` into the encrypted [`KeyHistory`] (re-encrypted under the new
@@ -635,37 +622,21 @@ impl GroupEngine {
         })
     }
 
-    /// Re-keys the whole group without membership change (paper §A-G):
-    /// fresh `gk`, constant-time re-key per partition. Advances the key
-    /// epoch and retires the old `gk` into the history, exactly like a
-    /// revoking batch.
+    /// Re-keys the whole group without membership change (paper §A-G): a
+    /// revoking batch that revokes no one — fresh `gk`, constant-time
+    /// re-key per partition, the key epoch advanced and the old `gk`
+    /// retired into the history.
     ///
     /// # Errors
     /// [`CoreError::Sgx`] on unseal failure.
     pub fn rekey_group(&self, meta: &mut GroupMetadata) -> Result<(), CoreError> {
-        let pk = &self.pk;
-        let name = meta.name.clone();
-        let sealed_old = meta.sealed_gk.clone();
-        let old_history = meta.key_history.clone();
-        let old_epoch = meta.epoch;
-        let new_epoch = old_epoch + 1;
-        let partitions = &mut meta.partitions;
-        let (sealed, history) = self.enclave.ecall(|_, ctx| {
-            // fallible prologue, touches nothing: recover the retiring key
-            // and its history
-            let old_gk = unseal_gk(ctx, &sealed_old, &name)?;
-            let mut retired = unlock_history(&old_history, &old_gk, &name)?;
-            retired.push((old_epoch, old_gk));
-            let gk = random_gk(ctx);
-            let history = seal_history(ctx, &retired, &gk, &name);
-            rekey_partitions(pk, partitions, &gk, new_epoch, &name, ctx);
-            Ok::<_, CoreError>((seal_gk(ctx, &gk, &name), history))
-        })?;
-        meta.sealed_gk = sealed;
-        meta.key_history = history;
-        meta.epoch = new_epoch;
-        self.observe_epoch(new_epoch);
-        Ok(())
+        let rotation = BatchPlan {
+            net_added: Vec::new(),
+            net_removed: Vec::new(),
+            hosts: Vec::new(),
+            rotate_gk: true,
+        };
+        self.apply_batch_rotating(meta, rotation).map(drop)
     }
 
     /// Compacts the epoch-key history: drops every retired key whose epoch

@@ -69,22 +69,6 @@ impl DataMetricsSnapshot {
     }
 }
 
-impl telemetry::Counters for DataMetricsSnapshot {
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("writes", self.writes),
-            ("reads", self.reads),
-            ("old_epoch_reads", self.old_epoch_reads),
-            ("migrations", self.migrations),
-            ("write_conflicts", self.write_conflicts),
-            ("migration_conflicts", self.migration_conflicts),
-            ("key_refreshes", self.key_refreshes),
-            ("key_derivations", self.key_derivations),
-            ("coalesced_writes", self.coalesced_writes),
-        ]
-    }
-}
-
 /// Fleet-level counters with per-group attribution: the aggregate across
 /// every group a [`crate::SweepScheduler`] serves, plus each group's own
 /// slice — so fleet benches and tests can assert who did what without
@@ -106,14 +90,6 @@ impl FleetMetrics {
             .iter()
             .find(|(g, _)| g == group)
             .map(|(_, m)| m)
-    }
-}
-
-impl telemetry::Counters for FleetMetrics {
-    /// The fleet-wide aggregate — per-group slices stay on
-    /// [`FleetMetrics::by_group`].
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.total.counters()
     }
 }
 

@@ -219,12 +219,19 @@ fn a_failed_probe_leaves_the_other_groups_armable() {
 
     revoke(&f, "g0", SWEEPER);
     revoke(&f, "g1", "g1-u0");
-    assert_eq!(scheduler.watch(Duration::from_secs(5)).unwrap(), 1);
+    // the collector is process-wide: count only the events this watch
+    // emits, under a request id no other test's thread holds
+    let rid = {
+        let scope = telemetry::request_scope();
+        assert_eq!(scheduler.watch(Duration::from_secs(5)).unwrap(), 1);
+        scope.id()
+    };
+    assert_ne!(rid, 0, "telemetry is installed");
     assert!(!scheduler.is_armed(0) && scheduler.is_armed(1) && !scheduler.is_armed(2));
     let failures: Vec<_> = collector
         .events()
         .into_iter()
-        .filter(|e| e.name == "fleet.task_failed")
+        .filter(|e| e.name == "fleet.task_failed" && e.rid == rid)
         .collect();
     assert_eq!(failures.len(), 1, "{failures:?}");
     assert_eq!(

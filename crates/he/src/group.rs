@@ -186,11 +186,6 @@ impl<S: EnvelopeScheme> HeGroupManager<S> {
         self.directory.insert(identity.to_string(), recipient);
     }
 
-    /// Number of registered users.
-    pub fn registered_users(&self) -> usize {
-        self.directory.len()
-    }
-
     fn seal_to(&self, identity: &str, gk: &GroupKey, rng: &mut dyn RngCore) -> (String, Vec<u8>) {
         let recipient = self
             .directory

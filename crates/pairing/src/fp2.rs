@@ -34,11 +34,6 @@ impl Fp2 {
         Self { c0, c1 }
     }
 
-    /// Embeds a base-field element.
-    pub const fn from_fp(c0: Fp) -> Self {
-        Self { c0, c1: Fp::ZERO }
-    }
-
     /// The quadratic non-residue `ξ = u + 1` used to build `Fp6`.
     pub fn xi() -> Self {
         Self {

@@ -26,12 +26,6 @@ impl HmacDrbg {
         drbg
     }
 
-    /// Mixes additional entropy into the state.
-    pub fn reseed(&mut self, entropy: &[u8]) {
-        self.update(Some(entropy));
-        self.reseed_counter = 1;
-    }
-
     fn update(&mut self, provided: Option<&[u8]>) {
         let mut data = Vec::with_capacity(33 + provided.map_or(0, |p| p.len()));
         data.extend_from_slice(&self.v);
@@ -130,18 +124,6 @@ mod tests {
         let mut y = [0u8; 32];
         a.generate(&mut x);
         a.generate(&mut y);
-        assert_ne!(x, y);
-    }
-
-    #[test]
-    fn reseed_changes_stream() {
-        let mut a = HmacDrbg::new(b"seed");
-        let mut b = HmacDrbg::new(b"seed");
-        b.reseed(b"extra entropy");
-        let mut x = [0u8; 32];
-        let mut y = [0u8; 32];
-        a.generate(&mut x);
-        b.generate(&mut y);
         assert_ne!(x, y);
     }
 

@@ -55,7 +55,7 @@ impl HmacSha256 {
 }
 
 /// HKDF-Extract: `PRK = HMAC(salt, ikm)`.
-pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
+fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     hmac_sha256(salt, ikm)
 }
 
@@ -63,7 +63,7 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 ///
 /// # Panics
 /// Panics if more than `255 * 32` bytes are requested (RFC 5869 limit).
-pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
+fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
     assert!(out.len() <= 255 * DIGEST_LEN, "HKDF output too long");
     let mut t: Vec<u8> = Vec::new();
     let mut counter = 1u8;

@@ -1,4 +1,4 @@
-//! # telemetry — spans, events and counters for the IBBE-SGX stack
+//! # telemetry — spans, events and request ids for the IBBE-SGX stack
 //!
 //! The offline, std-only observability layer every runtime crate sits on
 //! (in the spirit of the `tracing` crate, but with no dependencies at
@@ -19,9 +19,8 @@
 //!
 //! Everything funnels through one installed [`Subscriber`]
 //! ([`Collector`] for tests/benches, [`JsonWriter`] for Chrome-trace
-//! files, [`Tee`] to fan out) plus the process-wide [`Registry`]
-//! ([`global_registry`]) aggregating per-span-name call counts and
-//! nearest-rank latency percentiles.
+//! files, [`Tee`] to fan out); [`stats`] holds the nearest-rank
+//! percentiles the benches report.
 //!
 //! **Disabled is free.** With no subscriber installed (the [`Noop`]
 //! default state) every instrumentation site costs one relaxed atomic
@@ -46,14 +45,10 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
-pub mod counters;
-pub mod registry;
 pub mod stats;
 pub mod subscriber;
 
 pub use chrome::JsonWriter;
-pub use counters::Counters;
-pub use registry::{global_registry, Registry, SpanSummary};
 pub use subscriber::{Collector, Noop, Subscriber, Tee};
 
 use std::cell::{Cell, RefCell};
@@ -168,7 +163,7 @@ pub type Field = (&'static str, Value);
 /// guard drops.
 #[derive(Clone, Debug)]
 pub struct ClosedSpan {
-    /// The span's name — the registry's aggregation key.
+    /// The span's name.
     pub name: &'static str,
     /// Fields attached at open time ([`SpanBuilder::with`]) or later
     /// ([`SpanGuard::record`]).
@@ -286,7 +281,6 @@ impl Drop for InstallGuard {
 }
 
 fn dispatch_span(span: &ClosedSpan) {
-    registry::global_registry().observe(span.name, span.duration);
     let subscriber = SUBSCRIBER
         .read()
         .expect("telemetry subscriber lock")

@@ -2,9 +2,8 @@
 //!
 //! No interpolation: a reported p99 is always a latency that actually
 //! occurred, which is the honest choice for the small sample counts a
-//! bench smoke run (or a [`crate::Registry`] series) collects. The bench
-//! binaries and the repo benchmark call this function too, so they and the
-//! registry agree on one definition.
+//! bench smoke run collects. The bench binaries and the repo benchmark
+//! both call this function, so they agree on one definition.
 
 use std::time::Duration;
 
