@@ -7,7 +7,8 @@ use ibbe_sgx_bench::{
     bench_rng, fmt_duration, names, print_table, time, BenchArgs, HeBackend, IbbeBackend,
 };
 use ibbe_sgx_core::{client_decrypt_from_partition, GroupEngine, PartitionSize};
-use workloads::{ReplayBackend, ReplayReport};
+use telemetry::stats::percentiles;
+use workloads::ReplayBackend;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -32,16 +33,13 @@ fn main() {
         he_lat.push(t);
     }
 
-    let quantiles = [0.1, 0.25, 0.5, 0.75, 0.8, 0.9, 0.99, 1.0];
-    let rows: Vec<Vec<String>> = quantiles
+    let ps = [10.0, 25.0, 50.0, 75.0, 80.0, 90.0, 99.0, 100.0];
+    let ibbe_ps = percentiles(&mut ibbe_lat, &ps);
+    let he_ps = percentiles(&mut he_lat, &ps);
+    let rows: Vec<Vec<String>> = ps
         .iter()
-        .map(|&q| {
-            vec![
-                format!("p{:02.0}", q * 100.0),
-                fmt_duration(ReplayReport::quantile(&ibbe_lat, q)),
-                fmt_duration(ReplayReport::quantile(&he_lat, q)),
-            ]
-        })
+        .zip(ibbe_ps.iter().zip(&he_ps))
+        .map(|(p, (ibbe, he))| vec![format!("p{p:02.0}"), fmt_duration(*ibbe), fmt_duration(*he)])
         .collect();
     print_table(
         &format!("Fig. 8a — add-user latency CDF ({adds} adds, partition {partition})"),

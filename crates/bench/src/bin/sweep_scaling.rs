@@ -30,10 +30,7 @@
 //! writes out, so the two counts differ on a run that loses CAS races.
 
 use cloud_store::{LatencyModel, ObjectStore, ShardedStore};
-use dataplane::{
-    ClientSession, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
-    SweepScheduler, SweepTask,
-};
+use dataplane::{ClientSession, FleetConfig, SweepConfig, SweepScheduler, SweepTask};
 use ibbe_sgx_bench::json::{write_results, Json};
 use ibbe_sgx_bench::{fmt_duration, print_table, time, BenchArgs};
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
@@ -125,12 +122,11 @@ fn converge_rows(
     let mut baseline = None;
     for &shards in shard_counts {
         let mut d = deploy(shards, objects, payload, latency);
-        let coordinator = RevocationCoordinator::new(&d.admin, ReencryptionPolicy::Lazy)
-            .with_history_compaction();
+        // a lazy revocation: the admin's re-key, then arm the group's task
         let mut batch = MembershipBatch::new();
         batch.remove("user-00");
-        let outcome = coordinator.revoke(GROUP, &batch, &mut d.fleet).unwrap();
-        assert!(outcome.batch.gk_rotated && outcome.sweep.is_none());
+        assert!(d.admin.apply_batch(GROUP, &batch).unwrap().gk_rotated);
+        d.fleet.arm(0);
         // prime the ring outside the timed window: the comparison is about
         // convergence I/O, not the sweeper identity's key derivation
         d.fleet.refresh().unwrap();
@@ -142,7 +138,9 @@ fn converge_rows(
         assert_eq!(report.migrated, objects, "no object may be lost");
         assert_eq!(report.scanned, objects);
         let requests_per_object = served as f64 / report.migrated as f64;
-        let pruned = coordinator.compact_after(GROUP, &report).unwrap();
+        let pruned = report
+            .compaction_floor()
+            .map_or(0, |floor| d.admin.compact_history(GROUP, floor).unwrap());
         let speedup = match baseline {
             None => {
                 baseline = Some(wall);

@@ -93,11 +93,6 @@ impl ShardedStore {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shards, in index order (per-shard metrics and diagnostics).
     pub fn shards(&self) -> &[CloudStore] {
         &self.shards

@@ -1,10 +1,9 @@
 //! Error type for the data plane.
 
-use crate::sweeper::SweepReport;
 use cloud_store::{StoreError, VersionConflict};
 use core::fmt;
 
-/// Errors surfaced by data-plane sessions, sweepers and coordinators.
+/// Errors surfaced by data-plane sessions and sweepers.
 ///
 /// `#[non_exhaustive]`: new failure classes (like the op-log verification
 /// evidence that [`acs::AcsError`] grew) may be added without a major
@@ -38,14 +37,6 @@ pub enum DataError {
     /// A sweep worker thread panicked; its work unit was (or must be)
     /// re-queued. Carries the panic payload rendered as text.
     WorkerPanic(String),
-    /// An **eager** revocation's synchronous sweep did not converge (a
-    /// unit retired at a [`crate::FleetConfig`] safety cap, e.g. across a
-    /// store outage): the membership batch *was* applied and the key
-    /// rotated, but some objects are still readable under a retired key.
-    /// Carries the group's report. The group's task is left armed — do not
-    /// re-apply the batch; re-run [`crate::SweepScheduler::converge_all`]
-    /// once the store recovers.
-    SweepUnconverged(SweepReport),
 }
 
 impl fmt::Display for DataError {
@@ -61,11 +52,6 @@ impl fmt::Display for DataError {
             DataError::NoKeys => write!(f, "session holds no key material"),
             DataError::Store(e) => write!(f, "store: {e}"),
             DataError::WorkerPanic(note) => write!(f, "sweep worker panicked: {note}"),
-            DataError::SweepUnconverged(report) => write!(
-                f,
-                "eager sweep left stale objects behind ({} of {} migrated)",
-                report.migrated, report.stale
-            ),
         }
     }
 }

@@ -24,10 +24,14 @@
 //!   revocation, re-armed from long-poll notifications by `watch`. The
 //!   `sweep_scaling` bench binary measures the first, the repo benchmark's
 //!   `revoke_sweep` workload the second.
-//! * [`RevocationCoordinator`] — applies membership batches under a
-//!   [`ReencryptionPolicy`]: `Lazy` (O(1) revocation — arm and return —
-//!   with a bounded stale window) or `Eager` (arm, converge and compact
-//!   before returning; fails closed).
+//! * Revocation is two calls on that driver. A lazy one is
+//!   [`acs::Admin::apply_batch`], then [`SweepScheduler::arm`] when the
+//!   batch rotated the key (O(1) — the stale window is bounded by the next
+//!   `converge_all`); an eager one also calls
+//!   [`SweepScheduler::converge_all`] at once and fails closed unless the
+//!   group's [`GroupSweepReport`] converged. A converged report's
+//!   [`SweepReport::compaction_floor`] is the bound to hand
+//!   [`acs::Admin::compact_history`].
 //!
 //! ```
 //! use acs::Admin;
@@ -53,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coordinator;
 pub mod envelope;
 pub mod error;
 pub mod fixtures;
@@ -63,7 +66,6 @@ pub mod scheduler;
 pub mod session;
 pub mod sweeper;
 
-pub use coordinator::{ReencryptionPolicy, RevocationCoordinator, RevocationOutcome};
 pub use envelope::{SealedObject, OBJECT_FORMAT_V1};
 pub use error::DataError;
 pub use metrics::{DataMetrics, DataMetricsSnapshot, FleetMetrics};

@@ -72,14 +72,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries: every failure surfaces immediately.
-    pub fn none() -> Self {
-        Self {
-            attempts: 1,
-            backoff: Duration::ZERO,
-        }
-    }
-
     /// Runs `op`, retrying transient failures within the budget.
     ///
     /// # Errors
@@ -174,7 +166,7 @@ impl ClientSession {
     }
 
     /// Overrides the transient-fault [`RetryPolicy`] (default: 4 attempts
-    /// with doubling backoff; [`RetryPolicy::none`] surfaces every fault).
+    /// with doubling backoff; one attempt surfaces every fault).
     #[must_use]
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;

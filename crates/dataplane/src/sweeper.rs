@@ -90,6 +90,16 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
+    /// The `keep_from` bound for [`acs::Admin::compact_history`] that this
+    /// report vouches for: its floor epoch, but only when it converged and
+    /// read something. Only a **full-namespace** report may be used — a
+    /// [`crate::GroupSweepReport::report`] or a [`Sweeper`]'s; a single
+    /// [`SweepPass`]'s report covers its own folders only, and pruning
+    /// from it would orphan objects elsewhere.
+    pub fn compaction_floor(&self) -> Option<u64> {
+        self.min_live_epoch.filter(|_| self.converged)
+    }
+
     /// Folds another report's counter sums and epoch-floor min into this
     /// one, leaving `converged` and `elapsed` to the caller: a multi-pass
     /// folder's final pass is its verdict, and only the driver knows the
@@ -474,5 +484,25 @@ impl core::fmt::Debug for Sweeper {
             "Sweeper({:?}, deadline {:?})",
             self.session, self.config.deadline
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(converged: bool, min_live_epoch: Option<u64>) -> SweepReport {
+        SweepReport {
+            converged,
+            min_live_epoch,
+            ..SweepReport::default()
+        }
+    }
+
+    #[test]
+    fn only_a_converged_report_with_a_floor_allows_compaction() {
+        assert_eq!(report(false, Some(3)).compaction_floor(), None);
+        assert_eq!(report(true, None).compaction_floor(), None);
+        assert_eq!(report(true, Some(3)).compaction_floor(), Some(3));
     }
 }

@@ -10,10 +10,7 @@ use cloud_store::{
     Bytes, CloudStore, MetricsSnapshot, ObjectStore, Request, RequestOp, Response, StoreError,
     StoreHandle,
 };
-use dataplane::{
-    ClientSession, DataError, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
-    SweepScheduler, SweepTask,
-};
+use dataplane::{ClientSession, DataError, FleetConfig, SweepConfig, SweepScheduler, SweepTask};
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionMetadata, PartitionSize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -87,14 +84,13 @@ fn lazy_revocation_rewrites_nothing_and_sweeper_converges_within_deadline() {
     let (admin, store, mut writer, mut fleet) = deployment(1, n);
     let before = store.metrics();
 
-    let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
+    // a lazy revocation: the admin's re-key, then arm the group's task
     let mut batch = MembershipBatch::new();
     batch.remove("u0").remove("u3");
-    let outcome = coordinator.revoke("g", &batch, &mut fleet).unwrap();
-    assert!(outcome.batch.gk_rotated);
-    assert_eq!(outcome.batch.epoch, 2);
-    assert!(outcome.sweep.is_none(), "lazy defers all data-plane work");
-    assert!(fleet.is_armed(0), "the rotation armed the group's task");
+    let outcome = admin.apply_batch("g", &batch).unwrap();
+    assert!(outcome.gk_rotated);
+    assert_eq!(outcome.epoch, 2);
+    fleet.arm(0);
 
     // zero object re-writes at revocation time: no CAS traffic beyond the
     // initial writes, no sweeper migrations
@@ -135,19 +131,23 @@ fn lazy_revocation_rewrites_nothing_and_sweeper_converges_within_deadline() {
     assert_eq!(reader.read("obj-000").unwrap(), b"payload 0");
 }
 
-/// The eager policy pays the O(n) sweep synchronously inside the
-/// revocation, leaving nothing stale.
+/// An eager revocation pays the O(n) sweep synchronously: the re-key,
+/// arm, and one `converge_all` before returning leave nothing stale.
 #[test]
 fn eager_revocation_sweeps_everything_synchronously() {
     let n = 9;
     let (admin, store, mut writer, mut fleet) = deployment(2, n);
-    let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Eager);
     let mut batch = MembershipBatch::new();
     batch.remove("u2");
-    let outcome = coordinator.revoke("g", &batch, &mut fleet).unwrap();
-    let sweep = outcome.sweep.expect("eager sweeps at revocation time");
-    assert!(sweep.converged);
-    assert_eq!(sweep.migrated, n, "eager cost is O(n) at revocation time");
+    assert!(admin.apply_batch("g", &batch).unwrap().gk_rotated);
+    fleet.arm(0);
+    let run = fleet.converge_all().unwrap();
+    let own = run.group("g").expect("an armed task is reported");
+    assert!(own.error.is_none() && own.report.converged, "{own:?}");
+    assert_eq!(
+        own.report.migrated, n,
+        "eager cost is O(n) at revocation time"
+    );
     for i in 0..n {
         let (sealed, _) = writer.fetch(&format!("obj-{i:03}")).unwrap();
         assert_eq!(sealed.epoch, 2);
@@ -155,22 +155,21 @@ fn eager_revocation_sweeps_everything_synchronously() {
     let _ = store;
 }
 
-/// Pure-add batches rotate nothing, so neither policy touches the data
-/// plane.
+/// Pure-add batches rotate nothing, so neither sequence touches the data
+/// plane: the lazy one arms nothing, and the eager one's `converge_all`
+/// finds no armed task.
 #[test]
 fn additive_batches_trigger_no_sweep_under_either_policy() {
-    for policy in [ReencryptionPolicy::Lazy, ReencryptionPolicy::Eager] {
-        let (admin, _store, mut writer, mut fleet) = deployment(3, 4);
-        let coordinator = RevocationCoordinator::new(&admin, policy);
-        let mut batch = MembershipBatch::new();
-        batch.add("newcomer");
-        let outcome = coordinator.revoke("g", &batch, &mut fleet).unwrap();
-        assert!(!outcome.batch.gk_rotated);
-        assert!(outcome.sweep.is_none());
-        assert!(!fleet.is_armed(0));
-        let (sealed, _) = writer.fetch("obj-000").unwrap();
-        assert_eq!(sealed.epoch, 1);
-    }
+    let (admin, _store, mut writer, mut fleet) = deployment(3, 4);
+    let mut batch = MembershipBatch::new();
+    batch.add("newcomer");
+    let outcome = admin.apply_batch("g", &batch).unwrap();
+    assert!(!outcome.gk_rotated, "an additive batch arms nothing");
+    assert!(!fleet.is_armed(0));
+    let run = fleet.converge_all().unwrap();
+    assert!(run.groups.is_empty() && run.total.migrated == 0);
+    let (sealed, _) = writer.fetch("obj-000").unwrap();
+    assert_eq!(sealed.epoch, 1);
 }
 
 /// A write after a rotation lands at the new epoch (the lazy "migrate on
@@ -178,10 +177,10 @@ fn additive_batches_trigger_no_sweep_under_either_policy() {
 #[test]
 fn writes_after_rotation_reseal_at_the_new_epoch() {
     let (admin, _store, mut writer, mut fleet) = deployment(4, 3);
-    let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
     let mut batch = MembershipBatch::new();
     batch.remove("u5");
-    coordinator.revoke("g", &batch, &mut fleet).unwrap();
+    admin.apply_batch("g", &batch).unwrap();
+    fleet.arm(0);
 
     writer.write("obj-000", b"rewritten").unwrap();
     let (hot, _) = writer.fetch("obj-000").unwrap();
@@ -210,10 +209,10 @@ fn revoked_member_lockout_is_immediate_for_new_data_and_post_sweep_for_old() {
     let mut victim = session(&admin, &store, "g", "u4", 77);
     assert_eq!(victim.read("obj-000").unwrap(), b"payload 0");
 
-    let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
     let mut batch = MembershipBatch::new();
     batch.remove("u4");
-    coordinator.revoke("g", &batch, &mut fleet).unwrap();
+    admin.apply_batch("g", &batch).unwrap();
+    fleet.arm(0);
 
     // the lazy window: pre-revocation objects are still readable with the
     // victim's cached epoch-1 key
@@ -279,10 +278,10 @@ fn concurrent_writers_are_serialized_by_cas() {
 #[test]
 fn sweeper_yields_to_concurrent_writers() {
     let (admin, _store, mut writer, mut fleet) = deployment(7, 2);
-    let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
     let mut batch = MembershipBatch::new();
     batch.remove("u1");
-    coordinator.revoke("g", &batch, &mut fleet).unwrap();
+    admin.apply_batch("g", &batch).unwrap();
+    fleet.arm(0);
 
     // a writer migrates obj-000 (by rewriting it) between the revocation
     // and the sweep
@@ -307,10 +306,10 @@ fn long_poll_invalidation_rebuilds_the_ring() {
 
     let admin_thread = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(30));
-        let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
         let mut batch = MembershipBatch::new();
         batch.remove("u0");
-        coordinator.revoke("g", &batch, &mut fleet).unwrap();
+        admin.apply_batch("g", &batch).unwrap();
+        fleet.arm(0);
         admin
     });
     let refreshed = reader.watch(Duration::from_secs(5)).unwrap();
@@ -341,8 +340,8 @@ fn watch_driven_sweeper_converges_in_background() {
         (armed == 1).then(|| fleet.converge_all().unwrap().groups[0].report)
     });
     std::thread::sleep(Duration::from_millis(30));
-    // a lazy revocation is pure control plane — apply the batch directly,
-    // exactly what RevocationCoordinator does under the lazy policy
+    // a lazy revocation is pure control plane: the watch loop arms the
+    // task itself, so the batch is all the admin does
     let mut batch = MembershipBatch::new();
     batch.remove("u3");
     admin.apply_batch("g", &batch).unwrap();

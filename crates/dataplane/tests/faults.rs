@@ -36,8 +36,8 @@ use dataplane::fixtures::{
     fleet_session, fleet_session_on, fleet_sweep_sessions, fleet_sweep_sessions_on,
 };
 use dataplane::{
-    ClientSession, DataError, FleetConfig, PipelinedSession, ReencryptionPolicy, RetryPolicy,
-    RevocationCoordinator, SweepConfig, SweepScheduler, SweepTask,
+    ClientSession, DataError, FleetConfig, PipelinedSession, RetryPolicy, SweepConfig,
+    SweepScheduler, SweepTask,
 };
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
 use proptest::prelude::*;
@@ -490,9 +490,10 @@ fn a_dead_store_retires_the_unit_instead_of_wedging_the_run() {
 
 /// Eager revocation fails closed: when the synchronous sweep cannot
 /// converge (the store is down for the sweepers across the whole call),
-/// `revoke` must not report success — the revoked member still reads the
-/// old objects. The batch stays applied, nothing is compacted, the task
-/// stays armed, and one `converge_all` after the outage finishes the job.
+/// the group's report says so — the revoked member still reads the old
+/// objects. The batch stays applied, the report yields no compaction
+/// floor, and after the outage the caller re-arms the task and one
+/// `converge_all` finishes the job.
 #[test]
 fn an_eager_revocation_across_an_outage_fails_closed_and_recovers() {
     let _untraced = untraced();
@@ -520,28 +521,33 @@ fn an_eager_revocation_across_an_outage_fails_closed_and_recovers() {
     victim.read("obj-000").unwrap();
     let epochs_before = admin.metadata("g0").unwrap().key_history.epoch_count();
 
-    let coordinator =
-        RevocationCoordinator::new(admin, ReencryptionPolicy::Eager).with_history_compaction();
+    // the eager sequence: re-key, arm, converge
     let mut batch = MembershipBatch::new();
     batch.remove("g0-u1");
-    let err = coordinator
-        .revoke("g0", &batch, &mut scheduler)
-        .expect_err("an unconverged eager sweep is not a successful revocation");
-    let DataError::SweepUnconverged(report) = err else {
-        panic!("expected SweepUnconverged, got {err:?}");
-    };
-    assert!(!report.converged && report.migrated == 0);
+    assert!(admin.apply_batch("g0", &batch).unwrap().gk_rotated);
+    scheduler.arm(0);
+    let run = scheduler.converge_all().unwrap();
+    let own = run.group("g0").expect("an armed task is reported");
+    assert!(own.error.is_none(), "{own:?}");
+    let report = own.report;
+    assert!(
+        !report.converged && report.migrated == 0,
+        "an unconverged eager sweep is not a successful revocation"
+    );
+    assert_eq!(report.compaction_floor(), None, "nothing may be pruned");
     // the batch was applied (one more retired epoch), nothing was pruned,
-    // and the lazy window is still open — which is why Ok would be a lie
+    // and the lazy window is still open — which is why success would be a
+    // lie
     assert_eq!(
         admin.metadata("g0").unwrap().key_history.epoch_count(),
         epochs_before + 1
     );
     assert!(victim.read("obj-000").is_ok(), "the old objects are stale");
-    assert!(scheduler.is_armed(0), "the backlog is still owed");
 
-    // the outage ends: one more fleet run closes the window
+    // the outage ends: the caller re-arms, and one more fleet run closes
+    // the window
     injector.heal();
+    scheduler.arm(0);
     let recovered = scheduler.converge_all().unwrap();
     assert!(recovered.total.converged);
     assert_eq!(recovered.group("g0").unwrap().report.migrated, sizes[0]);

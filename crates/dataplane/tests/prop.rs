@@ -15,10 +15,7 @@
 
 use acs::Admin;
 use cloud_store::CloudStore;
-use dataplane::{
-    ClientSession, DataError, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
-    SweepScheduler, SweepTask,
-};
+use dataplane::{ClientSession, DataError, FleetConfig, SweepConfig, SweepScheduler, SweepTask};
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -86,12 +83,12 @@ proptest! {
             vec![session(&admin, &store, "sweeper", seed ^ 3)],
             SweepConfig { deadline: Duration::from_secs(5) },
         ));
-        let coordinator = RevocationCoordinator::new(&admin, ReencryptionPolicy::Lazy);
         let mut batch = MembershipBatch::new();
         batch.remove(victim_name.clone());
-        let outcome = coordinator.revoke("g", &batch, &mut fleet).unwrap();
-        prop_assert!(outcome.batch.gk_rotated);
-        let new_epoch = outcome.batch.epoch;
+        let outcome = admin.apply_batch("g", &batch).unwrap();
+        prop_assert!(outcome.gk_rotated);
+        fleet.arm(0);
+        let new_epoch = outcome.epoch;
         // lazy revocation must not rewrite stored objects
         prop_assert_eq!(store.metrics().cas_puts, cas_before);
 

@@ -2,9 +2,9 @@
 //! event driver — membership traces and data-plane traces now drive one
 //! code path (`workloads::replay_events`).
 
-use dataplane::{ReencryptionPolicy, SweepConfig};
+use dataplane::SweepConfig;
 use std::time::Duration;
-use support::replay::RwSystemBackend;
+use support::replay::{Revocation, RwSystemBackend};
 use workloads::{generate_read_write, replay_events, RwOp, RwTraceConfig};
 
 mod support;
@@ -28,7 +28,7 @@ fn rw_trace_replays_through_the_generic_driver_lazy() {
         4,
         "g",
         &trace,
-        ReencryptionPolicy::Lazy,
+        Revocation::Lazy,
         SweepConfig {
             deadline: Duration::from_secs(5),
         },
@@ -70,7 +70,7 @@ fn rw_trace_replays_through_the_generic_driver_eager() {
         4,
         "g",
         &trace,
-        ReencryptionPolicy::Eager,
+        Revocation::Eager,
         SweepConfig::default(),
         64,
         43,

@@ -17,10 +17,7 @@ use cloud_store::{
 use dataplane::fixtures::{
     fleet_session, fleet_session_on, fleet_sweep_sessions, fleet_sweep_sessions_on,
 };
-use dataplane::{
-    DataError, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig, SweepScheduler,
-    SweepTask, Sweeper,
-};
+use dataplane::{DataError, FleetConfig, SweepConfig, SweepScheduler, SweepTask, Sweeper};
 use ibbe_sgx_core::{MembershipBatch, PartitionSize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -402,9 +399,8 @@ fn merged_backlogs_converge_and_compact_history() {
     assert_eq!(g.report.min_live_epoch, Some(3));
 
     // the labelled group report is the floor history compaction keys off
-    let coordinator = RevocationCoordinator::new(f.fixture.admin(), ReencryptionPolicy::Lazy)
-        .with_history_compaction();
-    assert_eq!(coordinator.compact_after("g0", &g.report).unwrap(), 2);
+    let floor = g.report.compaction_floor().expect("a converged floor");
+    assert_eq!(f.fixture.admin().compact_history("g0", floor).unwrap(), 2);
     assert_eq!(
         f.fixture
             .admin()

@@ -7,8 +7,7 @@
 
 use cloud_store::{CloudStore, LatencyModel, ObjectStore, ShardedStore, StoreHandle};
 use dataplane::{
-    ClientSession, FleetConfig, ReencryptionPolicy, RevocationCoordinator, SweepConfig,
-    SweepScheduler, SweepTask, Sweeper,
+    ClientSession, FleetConfig, SweepConfig, SweepReport, SweepScheduler, SweepTask, Sweeper,
 };
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use std::time::Duration;
@@ -92,12 +91,20 @@ fn deploy(
     }
 }
 
+/// A lazy revocation: the admin's re-key, then arm the group's task.
 fn revoke(admin: &acs::Admin, fleet: &mut SweepScheduler, victim: &str) {
-    let coordinator = RevocationCoordinator::new(admin, ReencryptionPolicy::Lazy);
     let mut batch = MembershipBatch::new();
     batch.remove(victim);
-    let outcome = coordinator.revoke("g", &batch, fleet).unwrap();
-    assert!(outcome.batch.gk_rotated && outcome.sweep.is_none());
+    assert!(admin.apply_batch("g", &batch).unwrap().gk_rotated);
+    fleet.arm(0);
+}
+
+/// Prunes the epoch history below a converged report's floor (nothing
+/// otherwise); returns the entries pruned.
+fn compact(admin: &acs::Admin, report: &SweepReport) -> usize {
+    report
+        .compaction_floor()
+        .map_or(0, |floor| admin.compact_history("g", floor).unwrap())
 }
 
 /// THE acceptance criterion: with per-request latency, an 8-worker fleet
@@ -222,18 +229,14 @@ fn sharded_and_single_store_replay_identically() {
 /// Epoch-history compaction: after a converged full-namespace sweep, the
 /// `_epochs` object shrinks to exactly the epochs still in use, current
 /// members keep reading everything, and an unsafe early prune can never
-/// happen through the coordinator (it keys off the sweep's floor epoch).
+/// happen (the bound is the sweep's floor epoch).
 #[test]
 fn converged_sweeps_compact_the_epoch_history() {
     let mut d = deploy(CloudStore::new(), 21, 2, 2, 6, SweepConfig::default());
-    let coordinator =
-        RevocationCoordinator::new(&d.admin, ReencryptionPolicy::Lazy).with_history_compaction();
 
     // three rotations pile up three retired epochs
     for victim in ["u0", "u1", "u2"] {
-        let mut batch = MembershipBatch::new();
-        batch.remove(victim);
-        coordinator.revoke("g", &batch, &mut d.fleet).unwrap();
+        revoke(&d.admin, &mut d.fleet, victim);
     }
     assert_eq!(d.admin.metadata("g").unwrap().key_history.epoch_count(), 3);
 
@@ -242,8 +245,7 @@ fn converged_sweeps_compact_the_epoch_history() {
     assert!(report.converged);
     assert_eq!(report.migrated, 6);
     assert_eq!(report.min_live_epoch, Some(4));
-    let pruned = coordinator.compact_after("g", &report).unwrap();
-    assert_eq!(pruned, 3);
+    assert_eq!(compact(&d.admin, &report), 3);
     assert_eq!(
         d.admin.metadata("g").unwrap().key_history.epoch_count(),
         0,
@@ -255,22 +257,20 @@ fn converged_sweeps_compact_the_epoch_history() {
         assert!(d.writer.read(&format!("obj-{i:04}")).is_ok());
     }
     // an idle re-compaction publishes nothing
-    assert_eq!(coordinator.compact_after("g", &report).unwrap(), 0);
+    assert_eq!(compact(&d.admin, &report), 0);
 }
 
-/// The eager policy compacts inline: after an eager revocation nothing is
-/// stale, so the history is already minimal.
+/// An eager revocation compacts inline: after its `converge_all` nothing
+/// is stale, so the history is already minimal.
 #[test]
 fn eager_revocations_compact_inline() {
     let mut d = deploy(CloudStore::new(), 22, 1, 1, 4, SweepConfig::default());
-    let coordinator =
-        RevocationCoordinator::new(&d.admin, ReencryptionPolicy::Eager).with_history_compaction();
-    let mut batch = MembershipBatch::new();
-    batch.remove("u3");
-    let outcome = coordinator.revoke("g", &batch, &mut d.fleet).unwrap();
-    let sweep = outcome.sweep.expect("eager sweeps inline");
-    assert!(sweep.converged);
-    assert_eq!(sweep.migrated, 4);
+    revoke(&d.admin, &mut d.fleet, "u3");
+    let run = d.fleet.converge_all().unwrap();
+    let own = run.group("g").expect("an armed task is reported");
+    assert!(own.error.is_none() && own.report.converged, "{own:?}");
+    assert_eq!(own.report.migrated, 4);
+    assert_eq!(compact(&d.admin, &own.report), 1);
     assert_eq!(
         d.admin.metadata("g").unwrap().key_history.epoch_count(),
         0,
@@ -284,7 +284,7 @@ fn eager_revocations_compact_inline() {
 /// history compaction must never orphan that object: either the sweep
 /// reports non-convergence (no pruning), or its floor keeps the retired
 /// key, or the object was migrated first — in every case a survivor still
-/// reads it after `compact_after`.
+/// reads it after compaction.
 #[test]
 fn conflicted_stale_writes_never_let_compaction_orphan_objects() {
     for offset_ms in [0u64, 6, 12, 18, 24, 36] {
@@ -314,9 +314,7 @@ fn conflicted_stale_writes_never_let_compaction_orphan_objects() {
         let _ = victim.write("obj-0000", b"stale ring write");
         let report = sweep.join().unwrap();
 
-        let coordinator = RevocationCoordinator::new(&d.admin, ReencryptionPolicy::Lazy)
-            .with_history_compaction();
-        coordinator.compact_after("g", &report).unwrap();
+        compact(&d.admin, &report);
         let mut survivor = mk("u1", 50 + offset_ms);
         assert!(
             survivor.read("obj-0000").is_ok(),

@@ -8,8 +8,8 @@
 use acs::Admin;
 use cloud_store::{CloudStore, StoreHandle};
 use dataplane::{
-    ClientSession, DataError, DataMetricsSnapshot, FleetConfig, PipelinedSession,
-    ReencryptionPolicy, RevocationCoordinator, SweepConfig, SweepReport, SweepScheduler, SweepTask,
+    ClientSession, DataError, DataMetricsSnapshot, FleetConfig, PipelinedSession, SweepConfig,
+    SweepScheduler, SweepTask,
 };
 use ibbe_sgx_core::{GroupEngine, MembershipBatch, PartitionSize};
 use workloads::rw::{RwOp, RwTrace};
@@ -43,8 +43,9 @@ pub struct ReplayError {
     pub op: &'static str,
     /// The object name, or a churn-batch summary.
     pub target: String,
-    /// The underlying data-plane failure.
-    pub source: DataError,
+    /// The underlying data-plane failure; `None` for an eager churn whose
+    /// sweep ended unconverged without one.
+    pub source: Option<DataError>,
 }
 
 impl ReplayError {
@@ -52,25 +53,36 @@ impl ReplayError {
         Self {
             op,
             target: target.into(),
-            source,
+            source: Some(source),
         }
     }
 }
 
 impl core::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "replayed {} of {}: {}",
-            self.op, self.target, self.source
-        )
+        write!(f, "replayed {} of {}", self.op, self.target)?;
+        match &self.source {
+            Some(e) => write!(f, ": {e}"),
+            None => write!(f, ": the sweep did not converge"),
+        }
     }
 }
 
 impl std::error::Error for ReplayError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
+        self.source.as_ref().map(|e| e as _)
     }
+}
+
+/// When a replayed churn event moves stored objects to a rotated epoch.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Revocation {
+    /// Re-key and arm the group's sweep task; the fleet converges later
+    /// (O(1) churn, a bounded stale window).
+    Lazy,
+    /// Re-key, arm and converge before the event returns (O(n) churn);
+    /// the event fails unless the group's sweep converged.
+    Eager,
 }
 
 /// Deployment shape of a replayed data-plane system.
@@ -78,8 +90,8 @@ impl std::error::Error for ReplayError {
 pub struct RwSystemConfig {
     /// IBBE partition size.
     pub partition_size: usize,
-    /// Re-encryption policy enacted on churn events.
-    pub policy: ReencryptionPolicy,
+    /// How churn events re-encrypt stored objects.
+    pub revocation: Revocation,
     /// The group's sweep parameters.
     pub sweep: SweepConfig,
     /// Payload size of every written object.
@@ -91,8 +103,6 @@ pub struct RwSystemConfig {
     pub data_shards: usize,
     /// Sweep-fleet workers, `W` (usually equal to `data_shards`).
     pub sweep_workers: usize,
-    /// Compact the epoch-key history after converged sweeps.
-    pub compact_history: bool,
     /// Drive reads and writes through a [`PipelinedSession`] (window
     /// [`PIPELINE_WINDOW`]) instead of the serial [`ClientSession`] —
     /// same trace, same observable plaintexts, pipelined request flow.
@@ -103,13 +113,12 @@ impl Default for RwSystemConfig {
     fn default() -> Self {
         Self {
             partition_size: 4,
-            policy: ReencryptionPolicy::Lazy,
+            revocation: Revocation::Lazy,
             sweep: SweepConfig::default(),
             payload_len: 64,
             seed: 0xda7a,
             data_shards: 1,
             sweep_workers: 1,
-            compact_history: false,
             pipelined: false,
         }
     }
@@ -150,8 +159,8 @@ impl WriterSession {
 
 /// A complete data-plane deployment replaying [`RwOp`] events: reads and
 /// writes go through a member [`ClientSession`], churn bursts through the
-/// admin under the configured [`ReencryptionPolicy`] (eager sweeps run
-/// synchronously inside the churn event, like production would).
+/// admin under the configured [`Revocation`] (eager sweeps run
+/// synchronously inside the churn event).
 pub struct RwSystemBackend {
     admin: Admin,
     group: String,
@@ -173,7 +182,7 @@ impl RwSystemBackend {
         partition_size: usize,
         group: &str,
         trace: &RwTrace,
-        policy: ReencryptionPolicy,
+        revocation: Revocation,
         sweep: SweepConfig,
         payload_len: usize,
         seed: u64,
@@ -184,7 +193,7 @@ impl RwSystemBackend {
             trace,
             RwSystemConfig {
                 partition_size,
-                policy,
+                revocation,
                 sweep,
                 payload_len,
                 seed,
@@ -314,27 +323,13 @@ impl RwSystemBackend {
         self.sweepers.metrics().total
     }
 
-    /// Converges the lazy tail now: arms the group and drives the fleet to
-    /// convergence, then (when configured) compacts the epoch history and
-    /// GCs the writer's versions map.
-    ///
-    /// # Errors
-    /// Sweep or compaction failures.
-    pub fn converge(&mut self) -> Result<SweepReport, DataError> {
-        self.session.drain()?;
-        self.sweepers.arm(0);
-        let run = self.sweepers.converge_all()?;
-        let report = run.groups[0].report;
-        coordinator(&self.admin, self.config).compact_after(&self.group, &report)?;
-        self.session.session_mut().gc_versions()?;
-        Ok(report)
-    }
-
-    fn churn(&mut self, ops: &[TraceOp]) -> Result<(), DataError> {
+    fn churn(&mut self, ops: &[TraceOp]) -> Result<(), ReplayError> {
+        let target = format!("batch of {}", ops.len());
+        let fail = |e: DataError| ReplayError::new("churn", target.clone(), e);
         // Complete the window before the membership change: queued writes
         // sealed under the outgoing epoch must land (and be swept) rather
         // than straddle the rotation.
-        self.session.drain()?;
+        self.session.drain().map_err(fail)?;
         let mut batch = MembershipBatch::new();
         for op in ops {
             match op {
@@ -342,7 +337,26 @@ impl RwSystemBackend {
                 TraceOp::Remove { user } => batch.remove(user.clone()),
             };
         }
-        coordinator(&self.admin, self.config).revoke(&self.group, &batch, &mut self.sweepers)?;
+        let outcome = self
+            .admin
+            .apply_batch(&self.group, &batch)
+            .map_err(|e| fail(e.into()))?;
+        if !outcome.gk_rotated {
+            return Ok(());
+        }
+        self.sweepers.arm(0);
+        if self.config.revocation == Revocation::Eager {
+            let run = self.sweepers.converge_all().map_err(fail)?;
+            let own = &run.groups[0];
+            // a fatal error also leaves the report unconverged
+            if !own.report.converged {
+                return Err(ReplayError {
+                    op: "churn",
+                    target,
+                    source: own.error.clone(),
+                });
+            }
+        }
         Ok(())
     }
 
@@ -405,21 +419,8 @@ impl RwSystemBackend {
                 self.fold_read(object, &plaintext);
                 Ok(())
             }
-            RwOp::Churn { ops } => self
-                .churn(ops)
-                .map_err(|e| ReplayError::new("churn", format!("batch of {}", ops.len()), e)),
+            RwOp::Churn { ops } => self.churn(ops),
         }
-    }
-}
-
-/// Borrows only the admin, so the caller can hold the sweep fleet mutably
-/// at the same time.
-fn coordinator(admin: &Admin, config: RwSystemConfig) -> RevocationCoordinator<'_> {
-    let coordinator = RevocationCoordinator::new(admin, config.policy);
-    if config.compact_history {
-        coordinator.with_history_compaction()
-    } else {
-        coordinator
     }
 }
 
@@ -444,7 +445,7 @@ impl core::fmt::Debug for RwSystemBackend {
             f,
             "RwSystemBackend({}, {:?}, {}B payload, {} data shards, {} sweep workers)",
             self.group,
-            self.config.policy,
+            self.config.revocation,
             self.payload.len(),
             self.config.data_shards,
             self.config.sweep_workers

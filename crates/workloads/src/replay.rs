@@ -144,21 +144,6 @@ impl ReplayReport {
         let sum: Duration = series.iter().sum();
         sum / series.len() as u32
     }
-
-    /// The `q`-quantile (0.0–1.0) of a latency series by nearest-rank.
-    ///
-    /// # Panics
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(series: &[Duration], q: f64) -> Duration {
-        assert!((0.0..=1.0).contains(&q), "quantile must be within [0, 1]");
-        if series.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut sorted = series.to_vec();
-        sorted.sort();
-        let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted[rank]
-    }
 }
 
 /// What the *batched* replay engine drives: a backend that can additionally
@@ -413,23 +398,12 @@ mod tests {
     }
 
     #[test]
-    fn quantile_and_mean() {
+    fn mean_of_a_latency_series() {
         let series: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
         assert_eq!(
             ReplayReport::mean(&series),
             Duration::from_micros(50) + Duration::from_nanos(500)
         );
-        assert_eq!(
-            ReplayReport::quantile(&series, 0.0),
-            Duration::from_micros(1)
-        );
-        assert_eq!(
-            ReplayReport::quantile(&series, 1.0),
-            Duration::from_micros(100)
-        );
-        let median = ReplayReport::quantile(&series, 0.5);
-        assert!(median >= Duration::from_micros(50) && median <= Duration::from_micros(51));
         assert_eq!(ReplayReport::mean(&[]), Duration::ZERO);
-        assert_eq!(ReplayReport::quantile(&[], 0.5), Duration::ZERO);
     }
 }
